@@ -35,7 +35,7 @@ func main() {
 		strJSON   = flag.String("stream-json", "", "run the bulk-stream vs per-draw HTTP benchmark and write the results as JSON to this file")
 		obsJSON   = flag.String("obs-json", "", "run the observability overhead benchmark and write the results as JSON to this file")
 		gateJSON  = flag.String("gate-json", "", "run the gate concurrency benchmark and write the results as JSON to this file")
-		svcJSON   = flag.String("service-json", "", "run the sharded-service benchmark (rounds/sec, batched vs baseline draws/sec, allocs) and write the results as JSON to this file")
+		svcJSON   = flag.String("service-json", "", "run the sharded-service benchmark (rounds/sec, draws/sec at 1/8/64 callers, allocs) and write the results as JSON to this file")
 		gateConns = flag.Int("gate-conns", 100000, "concurrent mock gate connections for -gate-json")
 		all       = flag.Bool("all", false, "run everything")
 		quick     = flag.Bool("quick", false, "subsample placements for a fast run")

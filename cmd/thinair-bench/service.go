@@ -13,20 +13,8 @@ import (
 )
 
 // The single-box service benchmark: aggregate session refresh throughput
-// (sessions × rounds/sec) plus the draw path under 1, 8 and 64
-// concurrent callers, measured for BOTH arms of this repo's sharded
-// rewrite in the same process:
-//
-//   - baseline: each caller draws straight off the pool mutex — the
-//     pre-shard per-caller lock path (what Session.Draw compiled to
-//     before the combiner existed);
-//   - batched:  each caller goes through Session.Draw, where concurrent
-//     draws coalesce in the flat-combining batcher into shared pool
-//     operations.
-//
-// Recording both in one file is the point: the committed
-// BENCH_service.json carries the pre-shard number its speedup claim is
-// measured against, on the same box, in the same run.
+// (sessions × rounds/sec) plus Session.Draw under 1, 8 and 64 concurrent
+// callers on one session, and the draw path's allocation gates.
 
 type drawThroughput struct {
 	C1  float64 `json:"c1"`
@@ -47,13 +35,10 @@ type serviceBenchReport struct {
 	RoundsPerSec    float64 `json:"sessions_rounds_per_sec"`
 
 	DrawBytes int `json:"draw_bytes"`
-	// Draws/sec by concurrent caller count, both arms.
-	BaselineDrawsPerSec drawThroughput `json:"baseline_draws_per_sec"`
-	BatchedDrawsPerSec  drawThroughput `json:"batched_draws_per_sec"`
-	// SpeedupAt64 = batched.c64 / baseline.c64 — the gate number.
-	SpeedupAt64 float64 `json:"speedup_at_64"`
+	// Session.Draw calls/sec by concurrent caller count.
+	DrawsPerSec drawThroughput `json:"draws_per_sec"`
 
-	// Heap allocations per op on the batched draw path, steady state:
+	// Heap allocations per op on the draw path, steady state:
 	// DrawInto into a caller buffer must not allocate at all, Draw pays
 	// exactly its result buffer.
 	DrawIntoAllocsPerOp float64 `json:"draw_into_allocs_per_op"`
@@ -92,7 +77,7 @@ func serviceBench(out string) {
 		time.Sleep(20 * time.Millisecond)
 	}
 
-	// Feed the pool outside the timed regions so neither arm ever runs
+	// Feed the pool outside the timed regions so the draws never run
 	// dry: the keystream keeps deriving toward the 16 MiB target in the
 	// background, and chunk re-deposits cover any shortfall.
 	chunk := make([]byte, 1<<20)
@@ -105,21 +90,15 @@ func serviceBench(out string) {
 		}
 	}
 
-	baseline := func() error { _, err := s.Pool().Draw(svcDrawBytes); return err }
-	batched := func() error { _, err := s.Draw(svcDrawBytes); return err }
+	draw := func() error { _, err := s.Draw(svcDrawBytes); return err }
 
 	// One timed run: callers goroutines × ops/caller draws, full-barrier
 	// start, wall time across all of them. Best of reps is the
 	// deterministic cost with scheduler noise filtered out, same idiom as
-	// the other bench arms. NOTE the regime: on a single-CPU box (this
-	// container reports num_cpu in the JSON) goroutines serialize, the
-	// pool mutex is effectively never contended, and per-op overhead is
-	// all that differs between the arms — the combiner's lock
-	// amortization and bounce elimination only pay off under true
-	// parallelism, so compare speedup_at_64 across machines with the
-	// num_cpu field in hand.
-	run := func(arm func() error, callers, ops int) float64 {
-		const reps = 5
+	// the other bench arms. Read the numbers with num_cpu in hand: on one
+	// CPU goroutines serialize and the pool mutex is never contended.
+	run := func(callers, ops int) float64 {
+		const reps = 10
 		best := 0.0
 		for r := 0; r < reps; r++ {
 			topUp(callers*ops*svcDrawBytes + 1<<20)
@@ -131,7 +110,7 @@ func serviceBench(out string) {
 					defer wg.Done()
 					<-start
 					for i := 0; i < ops; i++ {
-						fatal(arm())
+						fatal(draw())
 					}
 				}()
 			}
@@ -146,41 +125,18 @@ func serviceBench(out string) {
 	}
 
 	const opsTotal = 1 << 17
-	measure := func(arm func() error) drawThroughput {
-		return drawThroughput{
-			C1:  run(arm, 1, opsTotal),
-			C8:  run(arm, 8, opsTotal/8),
-			C64: run(arm, 64, opsTotal/64),
-		}
+	rep.DrawsPerSec = drawThroughput{
+		C1:  run(1, opsTotal),
+		C8:  run(8, opsTotal/8),
+		C64: run(64, opsTotal/64),
 	}
-	// Interleave the arms so drift hits both equally; keep the better of
-	// two passes per arm.
-	b1 := measure(baseline)
-	k1 := measure(batched)
-	b2 := measure(baseline)
-	k2 := measure(batched)
-	maxT := func(a, b drawThroughput) drawThroughput {
-		if b.C1 > a.C1 {
-			a.C1 = b.C1
-		}
-		if b.C8 > a.C8 {
-			a.C8 = b.C8
-		}
-		if b.C64 > a.C64 {
-			a.C64 = b.C64
-		}
-		return a
-	}
-	rep.BaselineDrawsPerSec = maxT(b1, b2)
-	rep.BatchedDrawsPerSec = maxT(k1, k2)
-	rep.SpeedupAt64 = rep.BatchedDrawsPerSec.C64 / rep.BaselineDrawsPerSec.C64
 
-	// Allocation gates, single caller, warm combiner.
+	// Allocation gates, single caller.
 	topUp(8 << 20)
 	dst := make([]byte, svcDrawBytes)
 	fatal(s.DrawInto(dst))
 	rep.DrawIntoAllocsPerOp = allocsPerOp(2000, func() { fatal(s.DrawInto(dst)) })
-	rep.DrawAllocsPerOp = allocsPerOp(2000, func() { fatal(batched()) })
+	rep.DrawAllocsPerOp = allocsPerOp(2000, func() { fatal(draw()) })
 
 	sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	svc.Shutdown(sctx)
@@ -190,9 +146,9 @@ func serviceBench(out string) {
 	fatal(err)
 	data = append(data, '\n')
 	fatal(os.WriteFile(out, data, 0o644))
-	fmt.Printf("service bench: %.0f rounds/s over %d sessions; draws/s c64 baseline %.0f -> batched %.0f (%.2fx); DrawInto %.2f allocs/op -> %s\n",
-		rep.RoundsPerSec, rep.RefreshSessions, rep.BaselineDrawsPerSec.C64,
-		rep.BatchedDrawsPerSec.C64, rep.SpeedupAt64, rep.DrawIntoAllocsPerOp, out)
+	fmt.Printf("service bench: %.0f rounds/s over %d sessions; draws/s c1 %.0f c8 %.0f c64 %.0f; DrawInto %.2f allocs/op -> %s\n",
+		rep.RoundsPerSec, rep.RefreshSessions, rep.DrawsPerSec.C1, rep.DrawsPerSec.C8,
+		rep.DrawsPerSec.C64, rep.DrawIntoAllocsPerOp, out)
 }
 
 // svcRoundsPerSec runs a small fleet of lockstep (engine-refresh)

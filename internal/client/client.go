@@ -156,7 +156,9 @@ func CodeFromError(err error) string {
 		return httpapi.CodeShutdown
 	case errors.Is(err, ErrUnreachable):
 		return httpapi.CodeUnreachable
-	case errors.Is(err, ErrBadRequest):
+	case errors.Is(err, ErrBadRequest), errors.Is(err, service.ErrNoStream):
+		// The daemon's only bad-request sentinel: a non-zero offset on a
+		// pool-fed session.
 		return httpapi.CodeBadRequest
 	}
 	return httpapi.CodeInternal

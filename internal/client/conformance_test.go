@@ -46,17 +46,47 @@ type tier struct {
 
 func tiers() []tier {
 	return []tier{
-		{name: "daemon-http", setup: setupDaemonHTTP},
-		{name: "coordinator-http", setup: setupCoordinatorHTTP},
-		{name: "gate-frame", setup: setupGateFrame},
+		{name: "daemon-http", setup: func(t *testing.T) (client.Client, uint64) {
+			return setupDaemonHTTP(t, streamSpec(7001))
+		}},
+		{name: "coordinator-http", setup: func(t *testing.T) (client.Client, uint64) {
+			return setupCoordinatorHTTP(t, streamSpec(7002))
+		}},
+		{name: "gate-frame", setup: func(t *testing.T) (client.Client, uint64) {
+			return setupGateFrame(t, streamSpec(7003))
+		}},
 	}
 }
 
-func setupDaemonHTTP(t *testing.T) (client.Client, uint64) {
+// poolFedTiers hands back a ready pool-fed session on each tier: a UDP
+// session on the daemon and the gate, and a default (not Streamed)
+// session on the coordinator, which forces UDP itself.
+func poolFedTiers() []tier {
+	udpSpec := func(seed int64) service.SessionSpec {
+		sp := streamSpec(seed)
+		sp.Streamed, sp.UDP = false, true
+		return sp
+	}
+	return []tier{
+		{name: "daemon-http", setup: func(t *testing.T) (client.Client, uint64) {
+			return setupDaemonHTTP(t, udpSpec(7101))
+		}},
+		{name: "coordinator-http", setup: func(t *testing.T) (client.Client, uint64) {
+			sp := streamSpec(7102)
+			sp.Streamed = false
+			return setupCoordinatorHTTP(t, sp)
+		}},
+		{name: "gate-frame", setup: func(t *testing.T) (client.Client, uint64) {
+			return setupGateFrame(t, udpSpec(7103))
+		}},
+	}
+}
+
+func setupDaemonHTTP(t *testing.T, spec service.SessionSpec) (client.Client, uint64) {
 	t.Helper()
 	sv := service.New(service.Config{MaxSessions: 2, DrainTimeout: 5 * time.Second})
 	t.Cleanup(func() { sv.Shutdown(context.Background()) })
-	s, err := sv.Create(streamSpec(7001))
+	s, err := sv.Create(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,10 +102,10 @@ func setupDaemonHTTP(t *testing.T) (client.Client, uint64) {
 	return c, uint64(s.ID)
 }
 
-func setupCoordinatorHTTP(t *testing.T) (client.Client, uint64) {
+func setupCoordinatorHTTP(t *testing.T, spec service.SessionSpec) (client.Client, uint64) {
 	t.Helper()
 	co := newTestCoordinator(t)
-	info, err := co.Create(streamSpec(7002))
+	info, err := co.Create(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +117,11 @@ func setupCoordinatorHTTP(t *testing.T) (client.Client, uint64) {
 	return c, info.ID
 }
 
-func setupGateFrame(t *testing.T) (client.Client, uint64) {
+func setupGateFrame(t *testing.T, spec service.SessionSpec) (client.Client, uint64) {
 	t.Helper()
 	sv := service.New(service.Config{MaxSessions: 2, DrainTimeout: 5 * time.Second})
 	t.Cleanup(func() { sv.Shutdown(context.Background()) })
-	s, err := sv.Create(streamSpec(7003))
+	s, err := sv.Create(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,13 +292,12 @@ func TestFailedCodeConformance(t *testing.T) {
 	}
 }
 
-// TestConcurrentDrawConformance pins the draw-batching contract across
+// TestConcurrentDrawConformance pins the concurrent-draw contract across
 // all three transports: concurrent Draw and DrawN callers against one
 // session receive pairwise byte-disjoint slices that tile the session's
-// deterministic keystream with no gaps (the server-side combiner
-// coalesces them into shared pool operations, but never tears,
-// duplicates, or skips material), an over-depth draw fails whole with
-// ErrExhausted, and the failure consumes nothing.
+// deterministic keystream with no gaps (never torn, duplicated, or
+// skipped), an over-depth draw fails whole with ErrExhausted, and the
+// failure consumes nothing.
 func TestConcurrentDrawConformance(t *testing.T) {
 	for _, tr := range tiers() {
 		t.Run(tr.name, func(t *testing.T) {
@@ -347,6 +376,56 @@ func TestConcurrentDrawConformance(t *testing.T) {
 			}
 			if !bytes.Equal(after, ref[end:end+per]) {
 				t.Fatalf("draw after a failed over-depth draw is not the contiguous continuation at offset %d", end)
+			}
+		})
+	}
+}
+
+// TestPoolFedRangeConformance pins the one range surface of a pool-fed
+// session across all three transports: a non-zero offset is a bad
+// request, and a range at offset 0 is a consuming draw — n bytes that no
+// later draw returns again.
+func TestPoolFedRangeConformance(t *testing.T) {
+	for _, tr := range poolFedTiers() {
+		t.Run(tr.name, func(t *testing.T) {
+			c, session := tr.setup(t)
+			ctx := context.Background()
+
+			if _, err := c.StreamRange(ctx, session, 64, 32); !errors.Is(err, client.ErrBadRequest) {
+				t.Fatalf("range at offset 64 on a pool-fed session: got %v, want ErrBadRequest", err)
+			}
+
+			// The refresher tops the pool up in the background; a
+			// momentarily short pool consumes nothing, so retry it.
+			served := func(op func() ([]byte, error)) []byte {
+				t.Helper()
+				deadline := time.Now().Add(60 * time.Second)
+				for {
+					b, err := op()
+					if err == nil {
+						return b
+					}
+					if !errors.Is(err, client.ErrExhausted) || time.Now().After(deadline) {
+						t.Fatal(err)
+					}
+					time.Sleep(20 * time.Millisecond)
+				}
+			}
+			const n = 96
+			rng := served(func() ([]byte, error) { return c.StreamRange(ctx, session, 0, n) })
+			if len(rng) != n {
+				t.Fatalf("range returned %d bytes, want %d", len(rng), n)
+			}
+			var later []byte
+			for i := 0; i < 8; i++ {
+				later = append(later, served(func() ([]byte, error) { return c.Draw(ctx, session, 32) })...)
+			}
+			// Every 8-byte window of the range: a random window recurs by
+			// chance with probability ~2^-64.
+			for i := 0; i+8 <= n; i++ {
+				if bytes.Contains(later, rng[i:i+8]) {
+					t.Fatalf("a later draw returned range bytes [%d,%d) again", i, i+8)
+				}
 			}
 		})
 	}

@@ -67,6 +67,7 @@ func TestCodeFromErrorTierSentinels(t *testing.T) {
 		{service.ErrNotFound, httpapi.CodeNotFound},
 		{service.ErrShutdown, httpapi.CodeShutdown},
 		{keystream.ErrClosed, httpapi.CodeClosed},
+		{service.ErrNoStream, httpapi.CodeBadRequest},
 		{errors.New("anything unclassified"), httpapi.CodeInternal},
 		// A dead session's error wraps both the not-found fact (the
 		// registry dropped it) and the failure fact; failed must win the

@@ -9,8 +9,10 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strings"
 	"time"
 
+	"repro/internal/httpapi"
 	"repro/internal/keypool"
 	"repro/internal/obs"
 	"repro/internal/service"
@@ -149,6 +151,13 @@ func (c *WorkerClient) doStream(ctx context.Context, path string, n int64, w io.
 	if resp.StatusCode >= 400 {
 		var eb errorBody
 		_ = json.NewDecoder(resp.Body).Decode(&eb)
+		if eb.Error.Code == httpapi.CodeBadRequest {
+			// Callers validate offset and length before the hop, so the one
+			// range a worker rejects is a non-zero offset on a pool-fed
+			// session (Session.KeyRange).
+			msg := strings.TrimPrefix(eb.Error.Message, service.ErrNoStream.Error()+": ")
+			return 0, fmt.Errorf("%w: %s", service.ErrNoStream, msg)
+		}
 		return 0, rpcError(resp.StatusCode, eb)
 	}
 	written, err := io.Copy(w, io.LimitReader(resp.Body, n))

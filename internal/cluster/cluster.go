@@ -135,6 +135,9 @@ func writeDrawError(w http.ResponseWriter, err error) {
 		httpError(w, http.StatusGone, codeFailed, err)
 	case errors.Is(err, keypool.ErrClosed):
 		httpError(w, http.StatusGone, codeClosed, err)
+	case errors.Is(err, service.ErrNoStream):
+		// A non-zero offset on a pool-fed session.
+		httpError(w, http.StatusBadRequest, httpapi.CodeBadRequest, err)
 	default:
 		// Exhausted: the background refresher is behind; the client
 		// retries after the pool recovers.

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/hex"
 	"encoding/json"
@@ -235,37 +234,18 @@ func (w *Worker) Draw(cid uint64, n int) ([]byte, error) {
 	return s.Draw(n)
 }
 
-// errPoolFedOffset rejects non-zero offsets on pool-fed sessions — a
-// pool pop has no address space, so honoring the offset would silently
-// hand back the wrong bytes.
-var errPoolFedOffset = errors.New("cluster: session is pool-fed; offsets are not addressable")
-
 // streamSource resolves a cluster session's [off, off+n) key-material
-// range to a reader. Cluster sessions run over UDP, so they are pool-fed,
-// not stream-fed: the read is served by the single-lock bulk draw
-// (consuming, offset 0 only). If a directly-assigned session happens to
-// be stream-fed, the read addresses its keystream instead — on demand,
-// never materializing the range worker-side.
+// range to a reader (Session.KeyRange). Cluster sessions run over UDP
+// unless created Streamed, so most are pool-fed: the read is one
+// consuming draw at offset 0 only. A stream-fed session's range addresses
+// its keystream instead — on demand, never materializing the range
+// worker-side.
 func (w *Worker) streamSource(cid uint64, off, n int64) (io.Reader, error) {
 	s, err := w.lookup(cid)
 	if err != nil {
 		return nil, err
 	}
-	src, err := s.StreamRange(off, n)
-	if errors.Is(err, service.ErrNoStream) {
-		if off != 0 {
-			return nil, fmt.Errorf("%w (session %d)", errPoolFedOffset, cid)
-		}
-		key, derr := s.DrawBulk(int(n))
-		if derr != nil {
-			return nil, derr
-		}
-		return bytes.NewReader(key), nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	return src, nil
+	return s.KeyRange(off, n)
 }
 
 // StreamRead returns key-material bytes [off, off+n) from a cluster
@@ -484,10 +464,6 @@ func (w *Worker) ctlMux() http.Handler {
 		}
 		src, err := w.streamSource(cid, off, n)
 		if err != nil {
-			if errors.Is(err, errPoolFedOffset) {
-				httpError(rw, http.StatusBadRequest, "", err)
-				return
-			}
 			writeDrawError(rw, err)
 			return
 		}

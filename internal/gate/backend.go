@@ -384,21 +384,7 @@ func (sb ServiceBackend) StreamTo(_ context.Context, session uint64, off, n int6
 	if err != nil {
 		return 0, err
 	}
-	src, err := s.StreamRange(off, n)
-	if errors.Is(err, service.ErrNoStream) {
-		// Pool-fed fallback, mirroring the /v1 stream endpoint: one
-		// consuming bulk draw, offset 0 only (a pool has no addresses).
-		if off != 0 {
-			return 0, fmt.Errorf("%w: offsets are only addressable on stream-fed sessions",
-				client.ErrBadRequest)
-		}
-		key, derr := s.DrawBulk(int(n))
-		if derr != nil {
-			return 0, derr
-		}
-		m, werr := w.Write(key)
-		return int64(m), werr
-	}
+	src, err := s.KeyRange(off, n)
 	if err != nil {
 		return 0, err
 	}

@@ -196,13 +196,15 @@ func (p *pending) pop() (response, bool) {
 	return r, true
 }
 
-// send registers a waiter and writes the request frame.
-func (c *Client) send(req request) (*pending, error) {
+// send registers a waiter and writes the request frame. It returns the
+// request id it assigned: req is a copy, so the caller has no other way
+// to learn which waiter to forget.
+func (c *Client) send(req request) (uint32, *pending, error) {
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
-		return nil, err
+		return 0, nil, err
 	}
 	c.nextID++
 	req.ReqID = c.nextID
@@ -213,7 +215,7 @@ func (c *Client) send(req request) (*pending, error) {
 	body, err := appendRequest(make([]byte, 0, 64), req)
 	if err != nil {
 		c.forget(req.ReqID)
-		return nil, err
+		return 0, nil, err
 	}
 	c.writeMu.Lock()
 	err = writeFrame(c.conn, frameData, body)
@@ -221,9 +223,9 @@ func (c *Client) send(req request) (*pending, error) {
 	if err != nil {
 		c.forget(req.ReqID)
 		c.fail(fmt.Errorf("gate: send: %w", err))
-		return nil, err
+		return 0, nil, err
 	}
-	return p, nil
+	return req.ReqID, p, nil
 }
 
 func (c *Client) forget(reqID uint32) {
@@ -311,11 +313,10 @@ func (c *Client) call(ctx context.Context, req request) ([]byte, error) {
 		return nil, err
 	}
 	req.Span = obs.SpanID(ctx)
-	p, err := c.send(req)
+	reqID, p, err := c.send(req)
 	if err != nil {
 		return nil, err
 	}
-	reqID := req.ReqID
 	defer c.forget(reqID)
 	for {
 		resp, err := c.next(ctx, reqID, p)
@@ -408,11 +409,10 @@ func (c *Client) streamRangePrefix(ctx context.Context, session uint64, off, len
 		return buf, err
 	}
 	req := request{Op: opStream, Session: session, Off: off, Len: length, Span: obs.SpanID(ctx)}
-	p, err := c.send(req)
+	reqID, p, err := c.send(req)
 	if err != nil {
 		return buf, err
 	}
-	reqID := req.ReqID
 	defer c.forget(reqID)
 	if buf == nil {
 		buf = make([]byte, 0, length)

@@ -300,6 +300,53 @@ func TestBulkDrawIsOneBackendCall(t *testing.T) {
 	}
 }
 
+// TestClientForgetsEveryWaiter: every finished request — a draw, a
+// range, or one abandoned by its context — removes its waiter, so a
+// long-lived connection's waiter map does not grow with its traffic.
+func TestClientForgetsEveryWaiter(t *testing.T) {
+	const draws = 1000
+	// started has room for every draw: only the first one is awaited.
+	b := &blockingBackend{started: make(chan struct{}, draws+1), release: make(chan struct{})}
+	g := newTestGate(t, Config{Backend: b})
+	c := dialPipe(t, g)
+	ctx := context.Background()
+
+	// Cancel a draw once the gate holds it: its waiter is registered and
+	// its response is still to come. The test holds the reader role, so
+	// the draw waits as a non-reader and can see the cancellation.
+	c.readSem <- struct{}{}
+	cctx, cancel := context.WithCancel(ctx)
+	go func() {
+		<-b.started
+		cancel()
+	}()
+	if _, err := c.Draw(cctx, 1, 32); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled draw: got %v, want context.Canceled", err)
+	}
+	<-c.readSem
+	close(b.release)
+
+	// The first of these reads (and drops) the abandoned draw's late
+	// response.
+	for i := 0; i < draws; i++ {
+		if _, err := c.Draw(ctx, 1, 32); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := c.StreamRange(ctx, 1, int64(i)*64, 64); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	c.mu.Lock()
+	left := len(c.waiters)
+	c.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d waiters left after every request finished, want 0", left)
+	}
+}
+
 // TestStreamChunkedIntoPartials drives an opStream raw so the test sees
 // the frame sequence: a range larger than StreamChunk must arrive as
 // multiple kindPartial frames capped at StreamChunk, closed by an empty

@@ -5,7 +5,9 @@
 // usage the paper's introduction motivates.
 //
 // Dispensed bytes are copied out and the pool's own copy is zeroized, so
-// a later memory disclosure of the pool cannot recover past keys.
+// a later memory disclosure of the pool cannot recover past keys. Every
+// draw runs one locked body, DrawInto; Draw and DrawPad are DrawInto into
+// a fresh buffer, and concurrent callers simply queue on the pool mutex.
 //
 // Two refill styles are supported:
 //
@@ -170,23 +172,38 @@ func (p *Pool) Zeroize() {
 	p.closed = true
 }
 
-// Draw removes and returns n bytes of key material. Bytes are never
-// reused: the pool's copy is zeroized before the region is released. With
-// a RefillFunc configured, Draw refills until n (+ the low watermark) is
-// covered; otherwise it fails with ErrExhausted when the pool is short.
+// Draw removes and returns n bytes of key material: DrawInto into a
+// fresh buffer.
 func (p *Pool) Draw(n int) ([]byte, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("keypool: negative draw %d", n)
 	}
+	out := make([]byte, n)
+	if err := p.DrawInto(out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// DrawInto fills dst with len(dst) bytes of key material — the one
+// locked draw body every dispensing path runs. The caller owns dst, so
+// a draw into a reused buffer allocates nothing. The draw is
+// all-or-nothing: a short pool leaves dst untouched and consumes
+// nothing. Bytes are never reused: the pool's copy is zeroized before the
+// region is released. A draw that leaves the pool below its watermark
+// signals LowWaterSignal and, with a RefillFunc configured, tops up
+// best-effort; a draw the pool cannot serve runs the RefillFunc until it
+// can, and without one fails with ErrExhausted.
+func (p *Pool) DrawInto(dst []byte) error {
+	n := len(dst)
 	for {
 		p.mu.Lock()
 		if p.closed {
 			p.mu.Unlock()
-			return nil, ErrClosed
+			return ErrClosed
 		}
 		if len(p.buf) >= n {
-			out := make([]byte, n)
-			copy(out, p.buf[:n])
+			copy(dst, p.buf[:n])
 			zero(p.buf[:n])
 			p.buf = p.buf[n:]
 			p.drawn += int64(n)
@@ -207,14 +224,14 @@ func (p *Pool) Draw(n int) ([]byte, error) {
 				// Best-effort top-up; the draw already succeeded.
 				_ = p.tryRefill(watermark)
 			}
-			return out, nil
+			return nil
 		}
 		p.mu.Unlock()
 		if p.refill == nil {
-			return nil, fmt.Errorf("%w: want %d, have %d", ErrExhausted, n, p.Available())
+			return fmt.Errorf("%w: want %d, have %d", ErrExhausted, n, p.Available())
 		}
 		if err := p.tryRefill(n); err != nil {
-			return nil, fmt.Errorf("keypool: refill: %w", err)
+			return fmt.Errorf("keypool: refill: %w", err)
 		}
 	}
 }
@@ -248,185 +265,6 @@ func (p *Pool) tryRefill(need int) error {
 	p.Deposit(secret)
 	zero(secret)
 	return nil
-}
-
-// DrawN removes and returns k keys of size bytes each under a single lock
-// acquisition — the bulk path for consumers that previously paid k
-// Draw calls (k lock round-trips, k low-water checks) to assemble a
-// batch. The draw is all-or-nothing: if fewer than k*size bytes are
-// available it fails with ErrExhausted and consumes nothing (with a
-// RefillFunc configured, it refills first, like Draw). The returned keys
-// alias one backing slab, so the whole batch costs two allocations
-// (headers + slab) regardless of k; the pool's copy is zeroized and at
-// most one low-water signal fires for the batch.
-func (p *Pool) DrawN(k, size int) ([][]byte, error) {
-	if k < 0 || size < 0 {
-		return nil, fmt.Errorf("keypool: negative bulk draw %dx%d", k, size)
-	}
-	if k == 0 {
-		return nil, nil
-	}
-	total := k * size
-	for {
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			return nil, ErrClosed
-		}
-		if len(p.buf) >= total {
-			slab := make([]byte, total)
-			copy(slab, p.buf[:total])
-			zero(p.buf[:total])
-			p.buf = p.buf[total:]
-			p.drawn += int64(total)
-			keys := make([][]byte, k)
-			for i := range keys {
-				keys[i] = slab[i*size : (i+1)*size : (i+1)*size]
-			}
-			low := len(p.buf) < p.lowWater
-			if low {
-				p.lowWaterHits++
-				if p.notify != nil {
-					select {
-					case p.notify <- struct{}{}:
-					default: // refresher already signaled
-					}
-				}
-			}
-			topUp := low && p.refill != nil && p.consecFails < refillFailureLimit
-			watermark := p.lowWater
-			p.mu.Unlock()
-			if topUp {
-				_ = p.tryRefill(watermark)
-			}
-			return keys, nil
-		}
-		p.mu.Unlock()
-		if p.refill == nil {
-			return nil, fmt.Errorf("%w: want %d, have %d", ErrExhausted, total, p.Available())
-		}
-		if err := p.tryRefill(total); err != nil {
-			return nil, fmt.Errorf("keypool: refill: %w", err)
-		}
-	}
-}
-
-// TryDrawInto is DrawInto's contention probe: it serves dst immediately
-// if the pool mutex is free and reports handled=false (dst untouched,
-// nothing consumed) if another goroutine holds it. Callers use it to
-// combine adaptively — draw directly while the lock is uncontended, fall
-// back to a batching path the moment it is not.
-func (p *Pool) TryDrawInto(dst []byte) (handled bool, err error) {
-	if !p.mu.TryLock() {
-		return false, nil
-	}
-	return true, p.drawIntoLocked(dst)
-}
-
-// DrawInto fills dst with len(dst) bytes of key material, the
-// allocation-free form of Draw: the caller owns dst (typically a slice
-// carved from a batch slab or a reusable arena) and the pool copies
-// directly into it. Semantics match Draw exactly — all-or-nothing,
-// pool copy zeroized, low-water signal, best-effort top-up.
-func (p *Pool) DrawInto(dst []byte) error {
-	p.mu.Lock()
-	return p.drawIntoLocked(dst)
-}
-
-// drawIntoLocked finishes a DrawInto whose caller already holds p.mu
-// (and releases it).
-func (p *Pool) drawIntoLocked(dst []byte) error {
-	n := len(dst)
-	for {
-		if p.closed {
-			p.mu.Unlock()
-			return ErrClosed
-		}
-		if len(p.buf) >= n {
-			copy(dst, p.buf[:n])
-			zero(p.buf[:n])
-			p.buf = p.buf[n:]
-			p.drawn += int64(n)
-			low := len(p.buf) < p.lowWater
-			if low {
-				p.lowWaterHits++
-				if p.notify != nil {
-					select {
-					case p.notify <- struct{}{}:
-					default: // refresher already signaled
-					}
-				}
-			}
-			topUp := low && p.refill != nil && p.consecFails < refillFailureLimit
-			watermark := p.lowWater
-			p.mu.Unlock()
-			if topUp {
-				_ = p.tryRefill(watermark)
-			}
-			return nil
-		}
-		p.mu.Unlock()
-		if p.refill == nil {
-			return fmt.Errorf("%w: want %d, have %d", ErrExhausted, n, p.Available())
-		}
-		if err := p.tryRefill(n); err != nil {
-			return fmt.Errorf("keypool: refill: %w", err)
-		}
-		p.mu.Lock()
-	}
-}
-
-// DrawBatch serves many pending draws under ONE lock acquisition: dsts
-// holds the callers' destination buffers in arrival order, and errs
-// (same length) receives each caller's verdict. Buffers are served
-// greedily in FIFO order, each independently all-or-nothing against the
-// material remaining after its predecessors — exactly the outcome the
-// same callers would have seen issuing sequential Draws, so batching is
-// invisible to semantics: a small request behind a too-large one still
-// succeeds, a too-large one still fails with ErrExhausted without
-// consuming anything. At most one low-water signal fires for the whole
-// batch, and served entries allocate nothing. DrawBatch never invokes a
-// synchronous
-// RefillFunc — combiners sit on the async-refresher path; a caller that
-// wants the refill loop falls back to Draw/DrawInto on ErrExhausted
-// entries. Returns the number of buffers served.
-func (p *Pool) DrawBatch(dsts [][]byte, errs []error) int {
-	if len(dsts) != len(errs) {
-		panic("keypool: DrawBatch dsts/errs length mismatch")
-	}
-	served := 0
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		for i := range errs {
-			errs[i] = ErrClosed
-		}
-		return 0
-	}
-	for i, dst := range dsts {
-		n := len(dst)
-		if n > len(p.buf) {
-			errs[i] = fmt.Errorf("%w: want %d, have %d", ErrExhausted, n, len(p.buf))
-			continue
-		}
-		copy(dst, p.buf[:n])
-		zero(p.buf[:n])
-		p.buf = p.buf[n:]
-		p.drawn += int64(n)
-		errs[i] = nil
-		served++
-	}
-	if len(p.buf) < p.lowWater {
-		p.lowWaterHits++
-		if p.notify != nil {
-			select {
-			case p.notify <- struct{}{}:
-			default: // refresher already signaled
-			}
-		}
-	}
-	p.mu.Unlock()
-	return served
 }
 
 // DrawPad is Draw specialized for one-time-pad use: it returns a pad of

@@ -248,92 +248,6 @@ func TestConcurrentDraws(t *testing.T) {
 	}
 }
 
-// TestDrawNMatchesSequentialDraws pins the bulk path's semantics: DrawN
-// returns exactly the keys k sequential Draw calls would have, consumes
-// the same bytes, and is all-or-nothing when short.
-func TestDrawNMatchesSequentialDraws(t *testing.T) {
-	material := make([]byte, 8*16)
-	for i := range material {
-		material[i] = byte(i * 7)
-	}
-	seq := New()
-	seq.Deposit(material)
-	bulk := New()
-	bulk.Deposit(material)
-
-	keys, err := bulk.DrawN(5, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range keys {
-		want, err := seq.Draw(16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(k) != string(want) {
-			t.Fatalf("bulk key %d differs from sequential draw", i)
-		}
-	}
-	if bulk.Available() != seq.Available() {
-		t.Fatalf("bulk consumed %d, sequential %d", 8*16-bulk.Available(), 8*16-seq.Available())
-	}
-
-	// Short pool: all-or-nothing.
-	if _, err := bulk.DrawN(4, 16); !errors.Is(err, ErrExhausted) {
-		t.Fatalf("want ErrExhausted, got %v", err)
-	}
-	if bulk.Available() != 3*16 {
-		t.Fatalf("failed bulk draw consumed bytes: %d left", bulk.Available())
-	}
-	if _, err := bulk.DrawN(3, 16); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bulk.DrawN(0, 16); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDrawNLowWaterSignalsOnce pins that a bulk draw crossing the
-// watermark fires at most one low-water edge, not one per key.
-func TestDrawNLowWaterSignalsOnce(t *testing.T) {
-	p := New()
-	p.SetLowWater(64)
-	ch := p.LowWaterSignal()
-	p.Deposit(make([]byte, 256))
-	if _, err := p.DrawN(14, 16); err != nil { // leaves 32 < 64
-		t.Fatal(err)
-	}
-	select {
-	case <-ch:
-	default:
-		t.Fatal("bulk draw crossing the watermark did not signal")
-	}
-	select {
-	case <-ch:
-		t.Fatal("bulk draw signaled more than once")
-	default:
-	}
-	if hits := p.Stats().LowWaterHits; hits != 1 {
-		t.Fatalf("LowWaterHits = %d, want 1", hits)
-	}
-}
-
-// TestDrawNAllocs is the bulk-draw allocation gate: one slab plus one
-// header slice, independent of k — the reason DrawN exists over k Draws
-// (which cost k lock round-trips and k output allocations).
-func TestDrawNAllocs(t *testing.T) {
-	p := New()
-	p.Deposit(make([]byte, 1<<20))
-	run := func() {
-		if _, err := p.DrawN(32, 16); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := testing.AllocsPerRun(100, run); n > 2 {
-		t.Errorf("DrawN(32, 16) allocates %v times per run, want <= 2", n)
-	}
-}
-
 // TestDrawIntoMatchesDraw pins DrawInto as the allocation-free twin of
 // Draw: same bytes, same consumption, same exhaustion and closed errors.
 func TestDrawIntoMatchesDraw(t *testing.T) {
@@ -384,114 +298,5 @@ func TestDrawIntoAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, run); n != 0 {
 		t.Errorf("DrawInto allocates %v times per run, want 0", n)
-	}
-}
-
-// TestDrawBatchMatchesSequentialDraws pins the combiner contract: a
-// batch of buffers is served exactly as the same requests issued as
-// sequential Draws — greedy FIFO, each independently all-or-nothing, so
-// a small request behind a too-large one still succeeds and the failed
-// one consumes nothing.
-func TestDrawBatchMatchesSequentialDraws(t *testing.T) {
-	material := make([]byte, 100)
-	for i := range material {
-		material[i] = byte(i + 1)
-	}
-	batch := New()
-	batch.Deposit(material)
-	seq := New()
-	seq.Deposit(material)
-
-	sizes := []int{32, 16, 80, 24, 40, 28}
-	dsts := make([][]byte, len(sizes))
-	for i, n := range sizes {
-		dsts[i] = make([]byte, n)
-	}
-	errs := make([]error, len(sizes))
-	served := batch.DrawBatch(dsts, errs)
-
-	wantServed := 0
-	for i, n := range sizes {
-		want, werr := seq.Draw(n)
-		if werr == nil {
-			wantServed++
-			if errs[i] != nil {
-				t.Fatalf("dst %d (%dB): batch failed (%v), sequential succeeded", i, n, errs[i])
-			}
-			if string(dsts[i]) != string(want) {
-				t.Fatalf("dst %d bytes differ from sequential draw", i)
-			}
-		} else if !errors.Is(errs[i], ErrExhausted) {
-			t.Fatalf("dst %d (%dB): batch err %v, sequential %v", i, n, errs[i], werr)
-		}
-	}
-	if served != wantServed {
-		t.Fatalf("served = %d, want %d", served, wantServed)
-	}
-	if batch.Available() != seq.Available() {
-		t.Fatalf("batch consumed %d, sequential %d", 100-batch.Available(), 100-seq.Available())
-	}
-}
-
-// TestDrawBatchSignalsOnce pins one low-water edge per batch.
-func TestDrawBatchSignalsOnce(t *testing.T) {
-	p := New()
-	p.SetLowWater(64)
-	ch := p.LowWaterSignal()
-	p.Deposit(make([]byte, 256))
-	dsts := [][]byte{make([]byte, 100), make([]byte, 100), make([]byte, 40)}
-	errs := make([]error, 3)
-	if served := p.DrawBatch(dsts, errs); served != 3 {
-		t.Fatalf("served = %d, want 3 (%v)", served, errs)
-	}
-	select {
-	case <-ch:
-	default:
-		t.Fatal("batch crossing the watermark did not signal")
-	}
-	select {
-	case <-ch:
-		t.Fatal("batch signaled more than once")
-	default:
-	}
-	if hits := p.Stats().LowWaterHits; hits != 1 {
-		t.Fatalf("LowWaterHits = %d, want 1", hits)
-	}
-}
-
-// TestDrawBatchClosed: every entry reports ErrClosed, none served.
-func TestDrawBatchClosed(t *testing.T) {
-	p := New()
-	p.Deposit(make([]byte, 64))
-	p.Zeroize()
-	dsts := [][]byte{make([]byte, 8), make([]byte, 8)}
-	errs := make([]error, 2)
-	if served := p.DrawBatch(dsts, errs); served != 0 {
-		t.Fatalf("served = %d on closed pool", served)
-	}
-	for i, err := range errs {
-		if !errors.Is(err, ErrClosed) {
-			t.Fatalf("errs[%d] = %v, want ErrClosed", i, err)
-		}
-	}
-}
-
-// TestDrawBatchAllocs gates the combiner's served path to zero
-// allocations — the point of carving caller buffers before batching.
-func TestDrawBatchAllocs(t *testing.T) {
-	p := New()
-	p.Deposit(make([]byte, 1<<20))
-	dsts := make([][]byte, 16)
-	for i := range dsts {
-		dsts[i] = make([]byte, 32)
-	}
-	errs := make([]error, 16)
-	run := func() {
-		if served := p.DrawBatch(dsts, errs); served != 16 {
-			t.Fatal("batch not fully served")
-		}
-	}
-	if n := testing.AllocsPerRun(100, run); n != 0 {
-		t.Errorf("DrawBatch allocates %v times per run, want 0", n)
 	}
 }

@@ -33,9 +33,8 @@ import (
 // application/octet-stream body of exactly len bytes. On stream-fed
 // sessions it addresses the deterministic keystream by offset (repeatable,
 // non-consuming — pad consumers own offset non-reuse); on UDP/observed/
-// authenticated sessions it falls back to a consuming bulk pool draw in
-// one single-lock pool operation, and only offset=0 is accepted (a pool
-// pop has no address space).
+// authenticated sessions it is one consuming pool draw, and only
+// offset=0 is accepted (see Session.KeyRange).
 func (sv *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -126,20 +125,7 @@ func (sv *Service) Handler() http.Handler {
 		}
 		key, err := s.Draw(n)
 		if err != nil {
-			// Exhausted is the backpressure signal: the refresher is
-			// behind; the client retries after the pool recovers. A
-			// zeroized pool is permanent — Gone tells the client to stop
-			// retrying, with the code distinguishing a session that died
-			// on its own (failed) from one that was closed.
-			status, code := http.StatusConflict, httpapi.CodeExhausted
-			if errors.Is(err, keypool.ErrClosed) {
-				status, code = http.StatusGone, httpapi.CodeClosed
-				if s.State() == StateFailed {
-					code = httpapi.CodeFailed
-					err = fmt.Errorf("%w: %w", ErrFailed, err)
-				}
-			}
-			httpError(w, status, code, err)
+			err = keyError(w, s, err)
 			if obsOn {
 				sv.drawErr.ObserveSince(t0)
 				if span != "" {
@@ -219,42 +205,34 @@ func (sv *Service) Handler() http.Handler {
 // aborts the connection — truncation is loud, never a valid-looking
 // short body (see httpapi.StreamBody).
 func (sv *Service) serveStream(w http.ResponseWriter, r *http.Request, s *Session, off, n int64) bool {
-	src, err := s.StreamRange(off, n)
-	if errors.Is(err, ErrNoStream) {
-		// Fallback path: consuming bulk draw, one pool operation.
-		if off != 0 {
-			httpError(w, http.StatusBadRequest, httpapi.CodeBadRequest,
-				errors.New("service: offsets are only addressable on stream-fed sessions"))
-			return false
-		}
-		key, derr := s.DrawBulk(int(n))
-		if derr != nil {
-			status, code := http.StatusConflict, httpapi.CodeExhausted
-			if errors.Is(derr, keypool.ErrClosed) {
-				status, code = http.StatusGone, httpapi.CodeClosed
-				if s.State() == StateFailed {
-					code = httpapi.CodeFailed
-					derr = fmt.Errorf("%w: %w", ErrFailed, derr)
-				}
-			}
-			httpError(w, status, code, derr)
-			return false
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.Itoa(len(key)))
-		w.Write(key)
-		return true
-	}
+	src, err := s.KeyRange(off, n)
 	if err != nil {
-		code := httpapi.CodeClosed
-		if s.State() == StateFailed {
-			code = httpapi.CodeFailed
-			err = fmt.Errorf("%w: %w", ErrFailed, err)
-		}
-		httpError(w, http.StatusGone, code, err)
+		keyError(w, s, err)
 		return false
 	}
 	return httpapi.StreamBody(w, r, src, n)
+}
+
+// keyError writes a failed draw or range and returns the error as sent.
+// Exhausted is the backpressure signal: the refresher is behind, and the
+// client retries after the pool recovers. A non-zero offset on a
+// pool-fed session is the caller's mistake. Anything else means the
+// session's material is gone for good — Gone tells the client to stop
+// retrying, with the code distinguishing a session that died on its own
+// (failed) from one that was closed.
+func keyError(w http.ResponseWriter, s *Session, err error) error {
+	status, code := http.StatusGone, httpapi.CodeClosed
+	switch {
+	case errors.Is(err, keypool.ErrExhausted):
+		status, code = http.StatusConflict, httpapi.CodeExhausted
+	case errors.Is(err, ErrNoStream):
+		status, code = http.StatusBadRequest, httpapi.CodeBadRequest
+	case s.State() == StateFailed:
+		code = httpapi.CodeFailed
+		err = fmt.Errorf("%w: %w", ErrFailed, err)
+	}
+	httpError(w, status, code, err)
+	return err
 }
 
 func (sv *Service) sessionFromPath(w http.ResponseWriter, r *http.Request) (*Session, bool) {

@@ -12,9 +12,7 @@
 // dispatch goroutine feeding on-demand executors over a channel handoff
 // and owns the pinned scratch arenas its sessions' engine batches run
 // on, while a global token semaphore bounds total running sessions.
-// Concurrent draws against one session coalesce in a per-session
-// combiner (batch.go) into single pool operations. cmd/thinaird is the
-// CLI front end.
+// cmd/thinaird is the CLI front end.
 package service
 
 import (
@@ -146,14 +144,7 @@ type Service struct {
 	// the per-request cost is one enabled-check plus one Observe.
 	drawOK, drawErr     *obs.Histogram
 	streamOK, streamErr *obs.Histogram
-	// batchSize records how many concurrent draws each combiner cycle
-	// coalesced into one pool operation (see batch.go).
-	batchSize *obs.Histogram
 }
-
-// batchBuckets bound the draw-batch-size histogram: powers of two up to
-// far beyond any realistic concurrent-caller count per session.
-var batchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 
 // New starts a daemon with cfg.Shards dispatch shards sharing a
 // cfg.MaxSessions running budget. Call Shutdown to stop it.
@@ -181,9 +172,6 @@ func New(cfg Config) *Service {
 	sv.drawErr = drawLat.With("error")
 	sv.streamOK = streamLat.With("ok")
 	sv.streamErr = streamLat.With("error")
-	sv.batchSize = sv.obs.Histogram("thinaird_draw_batch_size",
-		"Concurrent draws coalesced into one pool operation per combiner cycle.",
-		batchBuckets)
 	depthVec := sv.obs.GaugeVec("thinaird_shard_queue_depth",
 		"Sessions waiting in each shard's dispatch queue.", "shard")
 	sv.shards = make([]*shard, cfg.Shards)

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -184,16 +185,6 @@ type Session struct {
 	shard *shard
 	arena *sessionArena
 
-	// Draw combiner state (batch.go): batMu guards the waiter queue and
-	// the leadership flag; the leader-owned scratch slices are
-	// serialized by leadership itself (exactly one leader at a time).
-	batMu   sync.Mutex
-	batQ    []*drawReq
-	batLead bool
-	batDsts [][]byte
-	batErrs []error
-	batReqs []*drawReq
-
 	ctx     context.Context
 	cancel  context.CancelFunc
 	closing chan struct{} // Close() signal: finish the in-flight batch, then exit
@@ -292,6 +283,36 @@ func (s *Session) StreamRange(off, n int64) (io.Reader, error) {
 	}
 	return str.RangeReader(off, n), nil
 }
+
+// KeyRange returns key-material bytes [off, off+n) as a reader — the
+// range surface every tier serves. On a stream-fed session it is
+// StreamRange: addressed and non-consuming. A pool-fed session has no
+// address space, so at offset 0 the range is one consuming,
+// all-or-nothing draw of n bytes, and any other offset fails with
+// ErrNoStream.
+func (s *Session) KeyRange(off, n int64) (io.Reader, error) {
+	if s.StreamFed() {
+		return s.StreamRange(off, n)
+	}
+	if off != 0 {
+		return nil, fmt.Errorf("%w: offsets are only addressable on stream-fed sessions", ErrNoStream)
+	}
+	key, err := s.Draw(int(n))
+	if err != nil {
+		return nil, err
+	}
+	return bytes.NewReader(key), nil
+}
+
+// Draw dispenses n bytes of one-time key material. It never runs
+// protocol rounds inline: a short pool fails fast with
+// keypool.ErrExhausted while the background refresher catches up.
+func (s *Session) Draw(n int) ([]byte, error) { return s.pool.Draw(n) }
+
+// DrawInto fills dst from the session's pool — the allocation-free draw
+// path (callers own dst). All-or-nothing: on error dst is untouched and
+// nothing is consumed.
+func (s *Session) DrawInto(dst []byte) error { return s.pool.DrawInto(dst) }
 
 func zeroBytes(b []byte) {
 	for i := range b {

@@ -13,7 +13,8 @@ import (
 )
 
 // streamedSpec is fastSpec with the keystream feed: deterministic,
-// offset-addressable key material — the shape the combiner tests lean on.
+// offset-addressable key material — the shape the concurrent-draw tests
+// lean on.
 func streamedSpec(seed int64) SessionSpec {
 	sp := fastSpec(seed)
 	sp.Streamed = true
@@ -107,11 +108,11 @@ func TestShardPlacementDeterministic(t *testing.T) {
 	}
 }
 
-// TestConcurrentDrawsDisjointGapFree is the combiner's core correctness
+// TestConcurrentDrawsDisjointGapFree is the draw path's core correctness
 // property: N goroutines drawing concurrently from one session receive
 // pairwise byte-disjoint slices that tile the session's deterministic
-// keystream with no gaps — batching coalesces the pool operations but
-// never tears, duplicates, or skips key material.
+// keystream with no gaps — concurrent draws never tear, duplicate, or
+// skip key material.
 func TestConcurrentDrawsDisjointGapFree(t *testing.T) {
 	sv := New(Config{MaxSessions: 2, DrainTimeout: 5 * time.Second})
 	defer sv.Shutdown(context.Background())
@@ -176,7 +177,7 @@ func TestConcurrentDrawsDisjointGapFree(t *testing.T) {
 
 // TestConcurrentDrawShortPoolAllOrNothing: when concurrent draws race a
 // short pool, each caller independently gets either its full slice or
-// ErrExhausted with nothing consumed — the batch path must not introduce
+// ErrExhausted with nothing consumed — concurrency must not introduce
 // partial draws or lose material for the callers that fit.
 func TestConcurrentDrawShortPoolAllOrNothing(t *testing.T) {
 	sv := New(Config{MaxSessions: 2, DrainTimeout: 5 * time.Second})
@@ -251,10 +252,8 @@ func TestConcurrentDrawShortPoolAllOrNothing(t *testing.T) {
 	}
 }
 
-// TestDrawIntoZeroAlloc pins the batched draw path's steady-state
-// allocation budget at zero: an uncontended DrawInto (which still runs
-// the full combiner — leadership, batch assembly, DrawBatch) must not
-// allocate once the combiner's scratch slices are warm.
+// TestDrawIntoZeroAlloc pins the draw path's steady-state allocation
+// budget at zero: DrawInto into a caller buffer must not allocate.
 func TestDrawIntoZeroAlloc(t *testing.T) {
 	s := &Session{pool: keypool.New()}
 	seed := make([]byte, 1<<20)
@@ -263,7 +262,7 @@ func TestDrawIntoZeroAlloc(t *testing.T) {
 	}
 	s.pool.Deposit(seed)
 	dst := make([]byte, 64)
-	if err := s.DrawInto(dst); err != nil { // warm the combiner scratch
+	if err := s.DrawInto(dst); err != nil { // warm up
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(1000, func() {

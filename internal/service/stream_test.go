@@ -72,23 +72,23 @@ func TestStreamMatchesPoolDraws(t *testing.T) {
 		t.Fatal("re-read of the same stream range diverged")
 	}
 
-	// DrawBulk draws the next contiguous prefix chunk.
+	// Draw serves the next contiguous prefix chunk.
 	bulkWant := make([]byte, 4*spec.PayloadBytes+5)
 	if _, err := io.ReadFull(io.NewSectionReader(s.Stream(), n, int64(len(bulkWant))), bulkWant); err != nil {
 		t.Fatal(err)
 	}
-	bulk, err := s.DrawBulk(len(bulkWant))
+	bulk, err := s.Draw(len(bulkWant))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(bulk, bulkWant) {
-		t.Fatal("DrawBulk != next keystream bytes after the sequential draws")
+		t.Fatal("Draw != next keystream bytes after the sequential draws")
 	}
 }
 
 // TestStreamEligibility: UDP, observed and authenticated sessions keep
-// the lockstep refresh path — StreamRange on them is ErrNoStream, which
-// the HTTP layer turns into the bulk-draw fallback.
+// the lockstep refresh path — StreamRange on them is ErrNoStream, and
+// Session.KeyRange serves their ranges as consuming draws at offset 0.
 func TestStreamEligibility(t *testing.T) {
 	sv := New(Config{MaxSessions: 3})
 	defer sv.Shutdown(context.Background())
