@@ -346,11 +346,20 @@ func sortZPackets(zs []*wire.ZPacket) {
 }
 
 // SecretBytes flattens s-packet payload rows into the session secret byte
-// string.
+// string. The output is sized once and encoded in place.
 func SecretBytes(secret [][]Sym) []byte {
-	var out []byte
+	n := 0
 	for _, row := range secret {
-		out = append(out, gf.Bytes16(row)...)
+		n += 2 * len(row)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]byte, n)
+	off := 0
+	for _, row := range secret {
+		gf.PutBytes16(out[off:], row)
+		off += 2 * len(row)
 	}
 	return out
 }

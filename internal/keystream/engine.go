@@ -111,9 +111,11 @@ func (s *Stream) derive(idx int64, dst []byte) error {
 }
 
 // exchRound is one round's transmit-phase outcome, handed from the
-// exchange goroutine to the compute goroutine.
+// exchange goroutine to the compute goroutine: the round's plan and, when
+// the plan yields secret, its x-payload symbols.
 type exchRound struct {
 	round int
+	plan  *core.Plan
 	xSym  [][]core.Sym
 }
 
@@ -136,10 +138,15 @@ type verifyResult struct {
 // (seed, block index) ⇒ bytes hold under arbitrary timing.
 //
 // Pipelining: the exchange goroutine runs round r+1's packet broadcast
-// and report collection while the compute goroutine is still planning and
-// eliminating round r (exchCh is the 2-deep pipeline window); terminals
-// split their half with core.ReceiveRoundInto as soon as the y-announce
-// arrives and core.PartialRound.Eliminate once the z-packets complete.
+// and report collection while the compute goroutine is still eliminating
+// round r (exchCh is the 2-deep pipeline window); terminals split their
+// half with core.ReceiveRoundInto as soon as the y-announce arrives and
+// core.PartialRound.Eliminate once the z-packets complete.
+//
+// Bounded exchange: a round's plan depends on the schedule alone, so the
+// exchange goroutine plans round r before broadcasting it and stops once
+// the planned secret covers dst (or the abort limit is reached). Every
+// exchanged round is computed; none is broadcast only to be thrown away.
 func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 	cfg := bc.cfg
 	blockSeed := BlockSeed(cfg.Seed, idx)
@@ -217,8 +224,9 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 		}
 	}()
 
-	// Exchange goroutine: broadcasts round r+1's x-packets and collects
-	// its reception reports while compute still owns round r.
+	// Exchange goroutine: plans round r+1 from the schedule, broadcasts its
+	// x-packets and collects its reception reports while compute still
+	// owns round r. It stops at the last round the block needs.
 	exchCh := make(chan exchRound, 2)
 	var exchWG sync.WaitGroup
 	exchWG.Add(1)
@@ -226,7 +234,8 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 		defer exchWG.Done()
 		defer close(exchCh)
 		timed := bc.ins.exchangeLat != nil
-		for r := 0; r < 1<<16; r++ {
+		planned, aborts := 0, 0
+		for r := 0; r < 1<<16 && planned < len(dst) && aborts < cfg.MaxAbortRounds; r++ {
 			if ctx.Err() != nil {
 				return
 			}
@@ -234,7 +243,14 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 			if timed {
 				t0 = time.Now()
 			}
-			er, err := bc.exchange(ctx, eps[leader], r, leader, session, blockSeed)
+			plan := roundPlan(cfg, &cc, blockSeed, r, leader)
+			if plan.L == 0 {
+				aborts++
+			} else {
+				aborts = 0
+				planned += plan.L * cfg.PayloadBytes // L secret rows of one payload each
+			}
+			er, err := bc.exchange(ctx, eps[leader], r, leader, session, blockSeed, plan)
 			if timed {
 				bc.ins.exchangeLat.ObserveSince(t0)
 			}
@@ -249,7 +265,7 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 		}
 	}()
 
-	// Compute loop: plan, leader-side elimination, control broadcasts.
+	// Compute loop: leader-side elimination, control broadcasts.
 	written := 0
 	consecAborts := 0
 	var derr error
@@ -259,18 +275,8 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 		if computeTimed {
 			computeT0 = time.Now()
 		}
-		r := er.round
+		r, plan := er.round, er.plan
 		h := wire.Header{From: uint8(leader), Session: session, Round: uint16(r)}
-		recv := scheduleRecv(blockSeed, r, leader, cfg.Terminals, cfg.XPerRound, cfg.Erasure)
-		ectx := &core.EstimatorContext{
-			Terminals: cfg.Terminals,
-			Leader:    leader,
-			NumX:      cfg.XPerRound,
-			Recv:      recv,
-			Classes:   core.BuildClasses(cfg.Terminals, leader, cfg.XPerRound, recv),
-		}
-		ectx.Classes = cc.Pooling.Pools(ectx)
-		plan := core.BuildPlan(ectx, cc.Estimator)
 		bc.es.rounds.Add(1)
 		if plan.L == 0 {
 			bc.es.aborted.Add(1)
@@ -347,6 +353,22 @@ func firstErr(errs ...error) error {
 	return nil
 }
 
+// roundPlan builds round r's plan from the Delivered schedule. It never
+// looks at x-payloads, which is what lets the exchange plan a round before
+// broadcasting it.
+func roundPlan(cfg *Config, cc *core.Config, blockSeed int64, r, leader int) *core.Plan {
+	recv := scheduleRecv(blockSeed, r, leader, cfg.Terminals, cfg.XPerRound, cfg.Erasure)
+	ectx := &core.EstimatorContext{
+		Terminals: cfg.Terminals,
+		Leader:    leader,
+		NumX:      cfg.XPerRound,
+		Recv:      recv,
+		Classes:   core.BuildClasses(cfg.Terminals, leader, cfg.XPerRound, recv),
+	}
+	ectx.Classes = cc.Pooling.Pools(ectx)
+	return core.BuildPlan(ectx, cc.Estimator)
+}
+
 // scheduleRecv derives round r's reception sets from the Delivered
 // schedule — the authoritative inputs to the round plan.
 func scheduleRecv(blockSeed int64, r, leader, terminals, numX int, p float64) []*packet.IDSet {
@@ -367,17 +389,33 @@ func scheduleRecv(blockSeed int64, r, leader, terminals, numX int, p float64) []
 // broadcasts, the end-of-X beacon, then the soft report deadline. Reports
 // are pacing and health input only — their content never reaches the
 // round plan (see deriveProtocol).
-func (bc *BlockContext) exchange(ctx context.Context, ep transport.Endpoint, r, leader int, session uint32, blockSeed int64) (exchRound, error) {
+//
+// The x-payloads are drawn one at a time into a reused buffer (the bytes
+// packet.NewBatch would draw, in the same order); Marshal copies each into
+// its frame. When the plan yields secret, the payloads are also decoded
+// into one symbol slab for the round.
+func (bc *BlockContext) exchange(ctx context.Context, ep transport.Endpoint, r, leader int, session uint32, blockSeed int64, plan *core.Plan) (exchRound, error) {
 	cfg := bc.cfg
+	er := exchRound{round: r, plan: plan}
 	h := wire.Header{From: uint8(leader), Session: session, Round: uint16(r)}
 	rng := rand.New(rand.NewSource(blockSeed + int64(r)*65537 + int64(leader)))
-	batch := packet.NewBatch(rng, cfg.XPerRound, cfg.PayloadBytes)
-	xSym := make([][]core.Sym, cfg.XPerRound)
-	for i, pkt := range batch {
-		xSym[i] = gf.Symbols16(pkt.Payload)
-		xh := h
-		xh.Type = wire.TypeX
-		if err := ep.SendData(wire.Marshal(&wire.XPacket{Header: xh, Seq: uint32(pkt.ID), Payload: pkt.Payload})); err != nil {
+	if plan.L > 0 {
+		w := cfg.PayloadBytes / 2
+		slab := make([]core.Sym, cfg.XPerRound*w)
+		er.xSym = make([][]core.Sym, cfg.XPerRound)
+		for i := range er.xSym {
+			er.xSym[i] = slab[i*w : (i+1)*w : (i+1)*w]
+		}
+	}
+	xp := &wire.XPacket{Header: h, Payload: make([]byte, cfg.PayloadBytes)}
+	xp.Type = wire.TypeX
+	for i := 0; i < cfg.XPerRound; i++ {
+		packet.FillPayload(rng, xp.Payload)
+		if er.xSym != nil {
+			gf.PutSymbols16(er.xSym[i], xp.Payload)
+		}
+		xp.Seq = uint32(i)
+		if err := ep.SendData(wire.Marshal(xp)); err != nil {
 			return exchRound{}, err
 		}
 	}
@@ -387,7 +425,7 @@ func (bc *BlockContext) exchange(ctx context.Context, ep transport.Endpoint, r, 
 		return exchRound{}, err
 	}
 	bc.collectReports(ctx, ep, r, leader, session)
-	return exchRound{round: r, xSym: xSym}, nil
+	return er, nil
 }
 
 // collectReports waits — up to AckWait, tightened to AckSlack once the

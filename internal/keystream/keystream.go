@@ -222,9 +222,9 @@ func newStreamInstruments(r *obs.Registry) streamInstruments {
 		blockLat: r.Histogram("thinaird_keystream_block_derive_seconds",
 			"Wall time to derive one keystream block.", obs.LatencyBuckets),
 		exchangeLat: r.Histogram("thinaird_keystream_exchange_seconds",
-			"Wall time of one pipelined round's x-packet exchange phase.", obs.LatencyBuckets),
+			"Wall time of one pipelined round's plan and x-packet exchange phase.", obs.LatencyBuckets),
 		computeLat: r.Histogram("thinaird_keystream_compute_seconds",
-			"Wall time of one pipelined round's plan/eliminate/announce phase.", obs.LatencyBuckets),
+			"Wall time of one pipelined round's eliminate/announce phase.", obs.LatencyBuckets),
 		resident: r.Gauge("thinaird_keystream_blocks_resident",
 			"Blocks currently resident in the stream cache (pipeline occupancy)."),
 		cacheHits: r.Counter("thinaird_keystream_cache_hits_total",
@@ -258,7 +258,12 @@ type Stream struct {
 	tick   int64
 	pos    int64 // sequential read cursor (bytes)
 	hint   int64 // first block after the most recent acquisition (blocks)
-	closed bool
+	// seqHigh is the sequential-cursor window's high-water mark: the
+	// window has already prefetched (or found resident) every block below
+	// it, and claims only blocks at or beyond it, so a block the LRU
+	// evicts is derived again only when a reader demands it.
+	seqHigh int64
+	closed  bool
 
 	// Stride detector state (guarded by mu): strideLast is the first
 	// block of the most recent ReadAt, strideDelta the last inter-call
@@ -427,15 +432,20 @@ func (s *Stream) pickNext() *blockState {
 	}
 	// The sequential cursor's window applies either way: the session pool
 	// drains the stream through Read and must stay pipelined even while a
-	// random-access reader drives the stride or hint state elsewhere.
+	// random-access reader drives the stride or hint state elsewhere. It
+	// prefetches each block once (see seqHigh): with the cursor idle and
+	// random-access readers cycling the cache, re-claiming the window's
+	// evicted blocks would derive them over and over for nobody.
 	base := s.pos / int64(s.cfg.BlockSize)
-	for idx := base; idx < base+int64(s.cfg.Window); idx++ {
+	for idx := max(base, s.seqHigh); idx < base+int64(s.cfg.Window); idx++ {
 		if _, ok := s.blocks[idx]; ok {
+			s.seqHigh = idx + 1
 			continue
 		}
 		if !s.makeRoom() {
 			return nil
 		}
+		s.seqHigh = idx + 1
 		return s.claim(idx)
 	}
 	return nil

@@ -70,16 +70,7 @@ func ReferenceBlock(cfg Config, idx int64, dst []byte) error {
 		for i, pkt := range batch {
 			xSym[i] = gf.Symbols16(pkt.Payload)
 		}
-		recv := scheduleRecv(blockSeed, r, leader, cfg.Terminals, cfg.XPerRound, cfg.Erasure)
-		ectx := &core.EstimatorContext{
-			Terminals: cfg.Terminals,
-			Leader:    leader,
-			NumX:      cfg.XPerRound,
-			Recv:      recv,
-			Classes:   core.BuildClasses(cfg.Terminals, leader, cfg.XPerRound, recv),
-		}
-		ectx.Classes = cc.Pooling.Pools(ectx)
-		plan := core.BuildPlan(ectx, cc.Estimator)
+		plan := roundPlan(&cfg, &cc, blockSeed, r, leader)
 		if plan.L == 0 {
 			consecAborts++
 			if consecAborts >= cfg.MaxAbortRounds {

@@ -1,0 +1,178 @@
+package keystream
+
+import (
+	"io"
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/transport"
+	"repro/internal/wire"
+)
+
+// countingBus counts the x-packet frames sent on every block bus a stream
+// creates.
+type countingBus struct {
+	transport.Bus
+	x *atomic.Int64
+}
+
+func (b countingBus) Endpoint(id int) (transport.Endpoint, error) {
+	ep, err := b.Bus.Endpoint(id)
+	if err != nil {
+		return nil, err
+	}
+	return countingEndpoint{Endpoint: ep, x: b.x}, nil
+}
+
+type countingEndpoint struct {
+	transport.Endpoint
+	x *atomic.Int64
+}
+
+func (e countingEndpoint) SendData(frame []byte) error {
+	if m, err := wire.Unmarshal(frame); err == nil && m.Hdr().Type == wire.TypeX {
+		e.x.Add(1)
+	}
+	return e.Endpoint.SendData(frame)
+}
+
+// TestExchangeRunsOnlyNeededRounds: the exchange broadcasts exactly the
+// rounds the compute loop uses — it plans each round from the schedule and
+// stops once the planned secret covers the block, instead of running
+// rounds ahead that are then thrown away.
+func TestExchangeRunsOnlyNeededRounds(t *testing.T) {
+	cfg := protoCfg(11)
+	var x atomic.Int64
+	cfg.NewBus = func(_, blockSeed int64) (transport.Bus, error) {
+		return countingBus{Bus: NewSimBus(blockSeed, cfg.Erasure, nil), x: &x}, nil
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 8*cfg.BlockSize)
+	if _, err := io.ReadFull(s, buf); err != nil {
+		t.Fatal(err)
+	}
+	s.Close() // waits for in-flight derivations to finish
+	st := s.Stats()
+	if st.BlockErrors != 0 {
+		t.Fatalf("block errors: %+v", st)
+	}
+	if want := int64(cfg.XPerRound) * st.Rounds; x.Load() != want {
+		t.Fatalf("%d x frames sent for %d computed rounds over %d blocks, want XPerRound × Rounds = %d",
+			x.Load(), st.Rounds, st.Blocks, want)
+	}
+}
+
+// TestNoPrefetchChurn: with the sequential cursor idle, random-access
+// ranges cycling the cache must not make the sequential window derive
+// its blocks again each time the LRU evicts them. The shape is a session
+// pool's stream: a short prefix drained through Read, then contiguous
+// two-block ranges far ahead. The ranges may derive their own blocks
+// plus one window of read-ahead past the last one; before the high-water
+// mark the stream derived about 4 blocks per range (60–74 over these 16
+// ranges on a 2-core machine, against 34 with it).
+func TestNoPrefetchChurn(t *testing.T) {
+	cfg := gf8Cfg(5)
+	// Two workers at most, whatever the core count: with a 4-block window
+	// the stride lattice runs 8 blocks ahead and the 10-block LRU evicts
+	// some of its blocks before they are read — a read-ahead cost this
+	// test does not measure.
+	cfg.Workers = 2
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	bsz := int64(s.BlockSize())
+	prefix := make([]byte, 4*bsz)
+	if _, err := io.ReadFull(s, prefix); err != nil {
+		t.Fatal(err)
+	}
+	settle(t, s)
+	before := s.Stats().Blocks
+
+	const ranges = 16
+	buf := make([]byte, 2*bsz)
+	for k := int64(0); k < ranges; k++ {
+		if _, err := s.ReadAt(buf, (64+2*k)*bsz); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settle(t, s)
+	got := s.Stats().Blocks - before
+	if limit := int64(2*ranges + s.cfg.Window); got > limit {
+		t.Fatalf("%d ranges of 2 blocks derived %d blocks, want <= %d", ranges, got, limit)
+	}
+	t.Logf("%d two-block ranges derived %d blocks (window %d)", ranges, got, s.cfg.Window)
+}
+
+// settle waits until no block derivation has been running for a while,
+// so Stats counts every derivation the reads set off.
+func settle(t *testing.T, s *Stream) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	quiet := 0
+	for quiet < 5 {
+		if time.Now().After(deadline) {
+			t.Fatal("stream never went idle")
+		}
+		time.Sleep(5 * time.Millisecond)
+		s.mu.Lock()
+		running := false
+		for _, bs := range s.blocks {
+			running = running || bs.running
+		}
+		s.mu.Unlock()
+		if running {
+			quiet = 0
+		} else {
+			quiet++
+		}
+	}
+}
+
+// TestProtocolBlockAllocBudget pins what one computed protocol round
+// allocates in the benchmark's stream shape (3 terminals, erasure 0.45,
+// 128 x-packets of 4 KiB, 128 KiB blocks), counting the whole block
+// derivation — leader exchange and compute, bus, both terminals. The
+// budgets are the values measured on linux/amd64 (Go 1.24) plus 25%:
+// 4208 KB and 1561 objects per round. Copying every x-payload on decode
+// and running rounds ahead that were thrown away cost 7029 KB and 2532.
+func TestProtocolBlockAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations swamp the budget")
+	}
+	const (
+		budgetKB   = 5260
+		budgetObjs = 1950
+	)
+	cfg := Config{Terminals: 3, Erasure: 0.45, XPerRound: 128, PayloadBytes: 4096, Seed: 3, BlockSize: 128 << 10}
+	if err := cfg.fill(); err != nil {
+		t.Fatal(err)
+	}
+	bc := &BlockContext{cfg: &cfg, es: &engineStats{}, health: newMemberHealth(cfg.Terminals), ins: &streamInstruments{}}
+	dst := make([]byte, cfg.BlockSize)
+	if err := bc.deriveProtocol(0, dst); err != nil { // warm up
+		t.Fatal(err)
+	}
+	rounds0 := bc.es.rounds.Load()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for idx := int64(1); idx <= 4; idx++ {
+		if err := bc.deriveProtocol(idx, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	rounds := float64(bc.es.rounds.Load() - rounds0)
+	kb := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / rounds
+	objs := float64(after.Mallocs-before.Mallocs) / rounds
+	t.Logf("per computed round: %.0f KB, %.0f objects (%v rounds over 4 blocks)", kb, objs, rounds)
+	if kb > budgetKB || objs > budgetObjs {
+		t.Fatalf("per computed round: %.0f KB, %.0f objects; budget %d KB, %d objects", kb, objs, budgetKB, budgetObjs)
+	}
+}

@@ -27,10 +27,21 @@ type Packet struct {
 // experiment's seeded source.
 func RandomPayload(rng *rand.Rand, n int) []byte {
 	b := make([]byte, n)
-	for i := range b {
-		b[i] = byte(rng.Intn(256))
-	}
+	FillPayload(rng, b)
 	return b
+}
+
+// FillPayload is RandomPayload into a caller-owned buffer: it draws the
+// same bytes from rng, in the same order.
+//
+// Each byte is byte(rng.Int63() >> 32), which is exactly what
+// rng.Intn(256) returns (Intn → Int31n's power-of-two mask → Int31)
+// without the two range-check calls per byte; the golden hashes in
+// packet_test.go pin the bytes and the rng's consumption.
+func FillPayload(rng *rand.Rand, b []byte) {
+	for i := range b {
+		b[i] = byte(rng.Int63() >> 32)
+	}
 }
 
 // NewBatch creates packets 0..n-1 with independent random payloads of

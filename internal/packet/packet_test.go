@@ -1,10 +1,69 @@
 package packet
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// TestRandomPayloadGolden pins the x-payload bytes: every keystream block
+// and every figure is a function of them. The hashes are SHA-256 over the
+// 128 payloads of NewBatch(rand.New(rand.NewSource(seed)), 128, 4096),
+// recorded with the original byte(rng.Intn(256)) generator, plus one
+// odd-length payload.
+func TestRandomPayloadGolden(t *testing.T) {
+	for _, g := range []struct {
+		seed int64
+		sum  string
+	}{
+		{0, "2dfc9dc05e4301a5ffec3c8f9eeccbb1db8d977fbc5c2aeb7f3e7fdfc248f4f6"},
+		{1, "584b8657b0063f8bfc76a17b2a2d5dbf6880392bb50680fae47af01ec8b16b73"},
+		{42, "d0cdcbb4669558b2828201a5b49b86628b7f2f47b04f325d5ec664a65442af93"},
+		{-7, "8bebfe104278d9083c970051b1827c598fdcc0790cc6b55077cd0572aa59d3bc"},
+		{1 << 40, "52a6db07c8ee075f3657f9ee03a1f3aebf36f536b480923ca13026bd87d865a6"},
+	} {
+		h := sha256.New()
+		for _, p := range NewBatch(rand.New(rand.NewSource(g.seed)), 128, 4096) {
+			h.Write(p.Payload)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != g.sum {
+			t.Errorf("seed %d: batch hash %s, want %s", g.seed, got, g.sum)
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	first := sha256.Sum256(RandomPayload(rng, 7))
+	if got := hex.EncodeToString(first[:]); got != "bead10a7ce345bb233230e36f6e5362f23461e547ae1317d566d8d890d3d52a7" {
+		t.Errorf("7-byte payload hash %s", got)
+	}
+}
+
+// TestRandomPayloadMatchesIntn: the fast form agrees byte for byte with
+// the definitional byte(rng.Intn(256)) loop, and leaves the rng in the
+// same state.
+func TestRandomPayloadMatchesIntn(t *testing.T) {
+	for seed := int64(0); seed < 50; seed++ {
+		a, b := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		got := RandomPayload(a, 257)
+		for i, v := range got {
+			if want := byte(b.Intn(256)); v != want {
+				t.Fatalf("seed %d byte %d: %d, want %d", seed, i, v, want)
+			}
+		}
+		if a.Int63() != b.Int63() {
+			t.Fatalf("seed %d: rng state diverged", seed)
+		}
+	}
+}
+
+func BenchmarkRandomPayload4K(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	b.SetBytes(4096)
+	for i := 0; i < b.N; i++ {
+		RandomPayload(rng, 4096)
+	}
+}
 
 func TestRandomPayloadAndBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))

@@ -7,7 +7,9 @@ import (
 
 // FuzzUnmarshal: the decoder must never panic or over-allocate, whatever
 // bytes arrive — Eve is on this network, and the UDP bus feeds the parser
-// raw datagrams. Runs its seed corpus under plain `go test`; use
+// raw datagrams. Every frame it accepts must re-marshal to itself, byte
+// for byte, although decoded payloads alias the input frame. Runs its seed
+// corpus under plain `go test`; use
 // `go test -fuzz=FuzzUnmarshal ./internal/wire` to explore further.
 func FuzzUnmarshal(f *testing.F) {
 	// Seed with valid frames of every type plus degenerate inputs.
@@ -23,8 +25,14 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(Marshal(&Beacon{Header: Header{Type: TypeBeacon}, Kind: BeaconEndOfX, Value: 90}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Unmarshal(data)
-		if err == nil && m == nil {
+		if err != nil {
+			return
+		}
+		if m == nil {
 			t.Fatal("nil message without error")
+		}
+		if again := Marshal(m); string(again) != string(data) {
+			t.Fatalf("accepted frame does not re-marshal to itself:\n in: %x\nout: %x", data, again)
 		}
 	})
 }

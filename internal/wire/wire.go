@@ -74,6 +74,8 @@ type Header struct {
 // Message is implemented by all wire messages.
 type Message interface {
 	Hdr() *Header
+	// bodyLen is the length of the type-specific payload encoding.
+	bodyLen() int
 	// body appends the type-specific payload encoding.
 	body(dst []byte) []byte
 	// parseBody decodes the type-specific payload.
@@ -173,10 +175,11 @@ const maxVec = 1 << 20
 
 const headerLen = 2 + 1 + 1 + 1 + 4 + 2 // magic, version, type, from, session, round
 
-// Marshal encodes a message into a self-delimiting frame.
+// Marshal encodes a message into a self-delimiting frame. The frame is
+// allocated once, at its exact length.
 func Marshal(m Message) []byte {
 	h := m.Hdr()
-	buf := make([]byte, 0, 64)
+	buf := make([]byte, 0, headerLen+m.bodyLen()+4)
 	buf = append(buf, magic0, magic1, Version, byte(h.Type), h.From)
 	buf = binary.BigEndian.AppendUint32(buf, h.Session)
 	buf = binary.BigEndian.AppendUint16(buf, h.Round)
@@ -185,6 +188,12 @@ func Marshal(m Message) []byte {
 }
 
 // Unmarshal decodes one frame into the appropriate message type.
+//
+// XPacket and ZPacket payloads are not copied: they alias b (capped at
+// their own length, so an append never writes into b). The frame is
+// therefore shared with the message and must not be modified while the
+// message is in use, and neither may the payloads. Every bus hands its
+// receivers frames that nobody writes to afterwards.
 func Unmarshal(b []byte) (Message, error) {
 	if len(b) < headerLen+4 {
 		return nil, ErrShort
@@ -273,6 +282,8 @@ func (r *reader) count() (int, error) {
 	return int(v), nil
 }
 
+// bytes returns the next length-prefixed vector as a sub-slice of the
+// frame, not a copy (see Unmarshal).
 func (r *reader) bytes() ([]byte, error) {
 	n, err := r.count()
 	if err != nil {
@@ -281,7 +292,7 @@ func (r *reader) bytes() ([]byte, error) {
 	if len(r.b) < n {
 		return nil, ErrShort
 	}
-	out := append([]byte(nil), r.b[:n]...)
+	out := r.b[:n:n]
 	r.b = r.b[n:]
 	return out, nil
 }
@@ -363,6 +374,8 @@ func appendU64s(dst []byte, v []uint64) []byte {
 	return dst
 }
 
+func (m *XPacket) bodyLen() int { return 4 + 4 + len(m.Payload) }
+
 func (m *XPacket) body(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, m.Seq)
 	return appendBytes(dst, m.Payload)
@@ -376,6 +389,8 @@ func (m *XPacket) parseBody(r *reader) (err error) {
 	return err
 }
 
+func (m *AckReport) bodyLen() int { return 4 + 4 + 8*len(m.Bitmap) }
+
 func (m *AckReport) body(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, m.NumX)
 	return appendU64s(dst, m.Bitmap)
@@ -387,6 +402,17 @@ func (m *AckReport) parseBody(r *reader) (err error) {
 	}
 	m.Bitmap, err = r.u64s()
 	return err
+}
+
+func (m *YAnnounce) bodyLen() int {
+	n := 4
+	for _, cb := range m.Classes {
+		n += 4 + 4*len(cb.XIDs) + 4
+		for _, row := range cb.Coeffs {
+			n += 4 + 2*len(row)
+		}
+	}
+	return n
 }
 
 func (m *YAnnounce) body(dst []byte) []byte {
@@ -425,6 +451,8 @@ func (m *YAnnounce) parseBody(r *reader) error {
 	return nil
 }
 
+func (m *ZPacket) bodyLen() int { return 2 + 4 + 2*len(m.Coeffs) + 4 + len(m.Payload) }
+
 func (m *ZPacket) body(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint16(dst, m.Index)
 	dst = appendU16s(dst, m.Coeffs)
@@ -440,6 +468,14 @@ func (m *ZPacket) parseBody(r *reader) (err error) {
 	}
 	m.Payload, err = r.bytes()
 	return err
+}
+
+func (m *SAnnounce) bodyLen() int {
+	n := 4
+	for _, row := range m.Coeffs {
+		n += 4 + 2*len(row)
+	}
+	return n
 }
 
 func (m *SAnnounce) body(dst []byte) []byte {
@@ -463,6 +499,8 @@ func (m *SAnnounce) parseBody(r *reader) error {
 	}
 	return nil
 }
+
+func (m *Beacon) bodyLen() int { return 1 + 4 }
 
 func (m *Beacon) body(dst []byte) []byte {
 	dst = append(dst, byte(m.Kind))

@@ -198,12 +198,69 @@ func TestRandomizedRoundTrips(t *testing.T) {
 			m = &SAnnounce{Header: h, Coeffs: rows}
 		}
 		b := Marshal(m)
+		if cap(b) != len(b) {
+			t.Fatalf("trial %d: %s frame has cap %d for %d bytes, want one exact allocation", trial, h.Type, cap(b), len(b))
+		}
 		got, err := Unmarshal(b)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if !messagesEquivalent(m, got) {
 			t.Fatalf("trial %d mismatch:\n in: %#v\nout: %#v", trial, m, got)
+		}
+	}
+}
+
+// TestPayloadAliasesFrame: decoded x- and z-payloads are sub-slices of
+// the frame, not copies, capped so an append cannot write into the frame;
+// re-marshalling the decoded message reproduces the frame exactly.
+func TestPayloadAliasesFrame(t *testing.T) {
+	for _, m := range []Message{
+		&XPacket{Header: Header{Type: TypeX, From: 1, Session: 7, Round: 3}, Seq: 9, Payload: []byte{1, 2, 3, 4, 5, 6}},
+		&ZPacket{Header: Header{Type: TypeZ, Session: 7, Round: 3}, Index: 2, Coeffs: []uint16{4, 5}, Payload: []byte{7, 8, 9, 10}},
+	} {
+		frame := Marshal(m)
+		got, err := Unmarshal(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var p []byte
+		switch v := got.(type) {
+		case *XPacket:
+			p = v.Payload
+		case *ZPacket:
+			p = v.Payload
+		}
+		start := len(frame) - 4 - len(p) // the payload is the last field before the CRC
+		if &p[0] != &frame[start] {
+			t.Fatalf("%s payload was copied, want a sub-slice of the frame", got.Hdr().Type)
+		}
+		if cap(p) != len(p) {
+			t.Fatalf("%s payload cap %d > len %d: an append would overwrite the CRC", got.Hdr().Type, cap(p), len(p))
+		}
+		crc := append([]byte(nil), frame[len(frame)-4:]...)
+		_ = append(p, 0xee)
+		if string(frame[len(frame)-4:]) != string(crc) {
+			t.Fatalf("%s: appending to the payload wrote into the frame", got.Hdr().Type)
+		}
+		if again := Marshal(got); string(again) != string(frame) {
+			t.Fatalf("%s: re-marshalled frame differs from the original", got.Hdr().Type)
+		}
+	}
+}
+
+// TestMarshalSmallFramesStaySmall: control frames are allocated at their
+// exact length, never more than the fixed 64-byte start buffer the codec
+// used to grow from.
+func TestMarshalSmallFramesStaySmall(t *testing.T) {
+	for _, m := range []Message{
+		&Beacon{Header: Header{Type: TypeBeacon}, Kind: BeaconEndOfX, Value: 90},
+		&AckReport{Header: Header{Type: TypeAck}, NumX: 90, Bitmap: []uint64{1, 2}},
+		&SAnnounce{Header: Header{Type: TypeSAnnounce}, Coeffs: [][]uint16{{1, 2, 3}}},
+	} {
+		b := Marshal(m)
+		if cap(b) != len(b) || cap(b) > 64 {
+			t.Fatalf("%s frame: len %d cap %d, want cap == len <= 64", m.Hdr().Type, len(b), cap(b))
 		}
 	}
 }
