@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"repro/internal/auth"
-	"repro/internal/radio"
 	"repro/internal/transport"
 
 	thinair "repro"
@@ -44,10 +43,10 @@ func main() {
 		var bus transport.Bus
 		var err error
 		if *udp {
-			bus, err = transport.NewUDPBus(radio.Uniform{P: *erasure}, *seed+int64(s), 10)
+			bus, err = transport.NewUDPBus(*erasure, *seed+int64(s))
 			fatal(err)
 		} else {
-			bus = transport.NewChanBus(radio.Uniform{P: *erasure}, *seed+int64(s), 10)
+			bus = transport.NewChanBus(*erasure, *seed+int64(s))
 		}
 
 		session := uint32(1000 + s)

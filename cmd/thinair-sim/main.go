@@ -11,22 +11,24 @@
 //	thinair-sim -n 4 -cells 0,2,6,8 -eve 4 -estimator loo
 //	thinair-sim -n 3 -erasure 0.5 -estimator oracle -antennas 2
 //	thinair-sim -n 3 -erasure 0.5 -repeat 64 -workers 8
+//	thinair-sim -n 3 -erasure 0.45 -rounds 2 -trace json | jq length
 package main
 
 import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strconv"
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/testbed"
-	"repro/internal/trace"
 
 	thinair "repro"
 )
@@ -46,7 +48,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "seed")
 		repeat    = flag.Int("repeat", 1, "number of independently seeded replicas of the experiment")
 		workers   = flag.Int("workers", 0, "replicas evaluated concurrently (0 = one per CPU)")
-		traceOut  = flag.String("trace", "", "emit a structured round trace: 'text' or 'json' (single run only)")
+		traceOut  = flag.String("trace", "", "emit the session's span events: 'text', or 'json' — the /debug/trace array on stdout, the summary on stderr (single run only)")
 	)
 	flag.Parse()
 
@@ -56,9 +58,11 @@ func main() {
 		fatal(fmt.Errorf("-trace requires -repeat 1"))
 	}
 
-	var log *trace.Log
+	var log *obs.SpanLog
 	if *traceOut != "" {
-		log = trace.NewLog()
+		// Four events per round (start, x phase, plan, outcome) plus
+		// session_done: the whole session fits (-rounds 0 runs one round).
+		log = obs.NewSpanLog(4*max(*rounds, 1) + 1)
 	}
 
 	var tc []thinair.Cell
@@ -86,7 +90,7 @@ func main() {
 				Protocol: thinair.Config{
 					XPerRound: *xPerRound, PayloadBytes: *payload,
 					Rounds: *rounds, Rotate: *rotate, Estimator: est, Seed: rs,
-					Tracer: tracerOrNil(log),
+					Tracer: log,
 				},
 				Seed: rs + 1,
 			})
@@ -95,7 +99,7 @@ func main() {
 				Terminals: *n, Erasure: *erasure, XPerRound: *xPerRound,
 				PayloadBytes: *payload, Rounds: *rounds, Rotate: *rotate,
 				Estimator: est, EveAntennas: *antennas, Seed: rs,
-				Tracer: tracerOrNil(log),
+				Tracer: log,
 			})
 		}
 		return nil, fmt.Errorf("specify either -erasure or -cells")
@@ -113,29 +117,30 @@ func main() {
 	res, err := run(0)
 	fatal(err)
 
-	fmt.Printf("terminals:        %d\n", *n)
-	fmt.Printf("rounds:           %d\n", len(res.Rounds))
+	var out io.Writer = os.Stdout
+	if *traceOut == "json" {
+		out = os.Stderr // stdout carries only the event array
+	}
+	fmt.Fprintf(out, "terminals:        %d\n", *n)
+	fmt.Fprintf(out, "rounds:           %d\n", len(res.Rounds))
 	digest := sha256.Sum256(res.Secret)
-	fmt.Printf("secret bytes:     %d (sha256 %x…)\n", len(res.Secret), digest[:8])
-	fmt.Printf("secret packets:   %d (Eve knows nothing about %d)\n", res.SecretDims, res.UnknownDims)
-	fmt.Printf("bits transmitted: %d\n", res.BitsTransmitted)
-	fmt.Printf("efficiency:       %.4f  (%.1f secret kbps at 1 Mbps; %.1f kbps by 802.11 airtime)\n",
+	fmt.Fprintf(out, "secret bytes:     %d (sha256 %x…)\n", len(res.Secret), digest[:8])
+	fmt.Fprintf(out, "secret packets:   %d (Eve knows nothing about %d)\n", res.SecretDims, res.UnknownDims)
+	fmt.Fprintf(out, "bits transmitted: %d\n", res.BitsTransmitted)
+	fmt.Fprintf(out, "efficiency:       %.4f  (%.1f secret kbps at 1 Mbps; %.1f kbps by 802.11 airtime)\n",
 		res.Efficiency, res.SecretKbpsAt(testbed.ChannelBitsPerSec), res.SecretKbpsAirtime())
-	fmt.Printf("channel airtime:  %v\n", res.Airtime)
-	fmt.Printf("reliability:      %.3f  (Eve guesses a secret bit w.p. %.3f)\n", res.Reliability, core.GuessProbability(res.Reliability))
-	fmt.Printf("all agreed:       %v\n", res.AllAgreed)
+	fmt.Fprintf(out, "channel airtime:  %v\n", res.Airtime)
+	fmt.Fprintf(out, "reliability:      %.3f  (Eve guesses a secret bit w.p. %.3f)\n", res.Reliability, core.GuessProbability(res.Reliability))
+	fmt.Fprintf(out, "all agreed:       %v\n", res.AllAgreed)
 	for _, ri := range res.Rounds {
-		fmt.Printf("  round %d: leader=%d pools=%d M=%d L=%d eveMiss=%.2f unknown=%d\n",
+		fmt.Fprintf(out, "  round %d: leader=%d pools=%d M=%d L=%d eveMiss=%.2f unknown=%d\n",
 			ri.Round, ri.Leader, ri.NumClasses, ri.M, ri.L, ri.EveMissRate, ri.UnknownDims)
 	}
-	if log != nil {
-		fmt.Println("\ntrace:")
-		switch *traceOut {
-		case "json":
-			fatal(log.WriteJSON(os.Stdout))
-		default:
-			fatal(log.WriteText(os.Stdout))
-		}
+	switch {
+	case *traceOut == "json":
+		fatal(obs.WriteEvents(os.Stdout, log.Recent(0)))
+	case log != nil:
+		fmt.Print("\ntrace:\n" + obs.RenderTrace(log.Recent(0)))
 	}
 }
 
@@ -163,14 +168,6 @@ func printAggregate(results []*thinair.SessionResult) {
 	fmt.Printf("\nreplicas:    %d (%d produced no secret)\n", len(results), noSecret)
 	fmt.Printf("efficiency:  min %.4f  p50 %.4f  mean %.4f\n", es.Min, es.P50, es.Mean)
 	fmt.Printf("reliability: min %.3f  p50 %.3f  mean %.3f\n", rs.Min, rs.P50, rs.Mean)
-}
-
-// tracerOrNil avoids storing a typed nil in the Tracer interface field.
-func tracerOrNil(log *trace.Log) trace.Tracer {
-	if log == nil {
-		return nil
-	}
-	return log
 }
 
 func parseEstimator(s string) (core.Estimator, error) {

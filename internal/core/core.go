@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/gf"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // Sym is the protocol's field symbol: GF(2^16), two payload bytes each.
@@ -63,9 +62,10 @@ type Config struct {
 	// transmissions are spread across (the testbed rotates through all 9
 	// noise patterns per experiment). 0 means DefaultSlotsPerRound.
 	SlotsPerRound int
-	// Tracer, when non-nil, receives structured per-round events
-	// (see internal/trace). Nil disables tracing.
-	Tracer trace.Tracer
+	// Tracer, when non-nil, records the session's protocol events
+	// (round_start … session_done) under one engine-tier span. Nil
+	// disables tracing.
+	Tracer *obs.SpanLog
 	// Obs, when non-nil, receives engine phase timings (round, x-phase
 	// and compute durations) as histograms. Nil disables timing — the
 	// engine then performs no clock reads at all.

@@ -117,7 +117,7 @@ func RunSession(cfg Config, med *radio.Medium, eveNodes []radio.NodeID) (*Sessio
 	// dominated the session's allocation profile.
 	var tsc RoundScratch
 	rm := make(map[packet.ID][]Sym)
-	em := emitter{cfg.Tracer}
+	em := newEmitter(cfg.Tracer)
 	// Phase-timing instruments resolve once per session; when no
 	// registry is plumbed they are nil and every Observe below is a
 	// single nil check, with the time.Now calls skipped entirely.

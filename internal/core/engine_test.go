@@ -8,9 +8,9 @@ import (
 
 	"repro/internal/eve"
 	"repro/internal/gf"
+	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/radio"
-	"repro/internal/trace"
 )
 
 // mediumFor builds a symmetric-erasure medium with n terminals plus one
@@ -359,7 +359,7 @@ func TestAirtimeAccounting(t *testing.T) {
 }
 
 func TestTracerReceivesEvents(t *testing.T) {
-	log := trace.NewLog()
+	log := obs.NewSpanLog(64)
 	cfg := Config{
 		Terminals: 3, XPerRound: 40, PayloadBytes: 8,
 		Rounds: 2, Estimator: Oracle{}, Seed: 4, Tracer: log,
@@ -369,19 +369,19 @@ func TestTracerReceivesEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	kinds := map[string]int{}
-	for _, e := range log.Events() {
-		kinds[e.Kind]++
+	for _, e := range log.Recent(0) {
+		kinds[e.Name]++
 	}
-	if kinds[trace.KindRoundStart] != 2 {
-		t.Fatalf("round_start count = %d", kinds[trace.KindRoundStart])
+	if kinds["round_start"] != 2 {
+		t.Fatalf("round_start count = %d", kinds["round_start"])
 	}
-	if kinds[trace.KindSessionDone] != 1 {
-		t.Fatalf("session_done count = %d", kinds[trace.KindSessionDone])
+	if kinds["session_done"] != 1 {
+		t.Fatalf("session_done count = %d", kinds["session_done"])
 	}
-	if kinds[trace.KindPlanBuilt] != 2 {
-		t.Fatalf("plan_built count = %d", kinds[trace.KindPlanBuilt])
+	if kinds["plan_built"] != 2 {
+		t.Fatalf("plan_built count = %d", kinds["plan_built"])
 	}
-	if kinds[trace.KindSecretDerived]+kinds[trace.KindRoundAborted] != 2 {
+	if kinds["secret_derived"]+kinds["round_aborted"] != 2 {
 		t.Fatal("every round must end in secret or abort")
 	}
 }

@@ -3,13 +3,12 @@ package core
 import (
 	"testing"
 
-	"repro/internal/trace"
+	"repro/internal/obs"
 )
 
-// TestDisabledTracerEmitZeroAlloc gates the "zero-cost default" claim
-// in internal/trace: with no tracer configured, every emit site in the
-// engine is a nil check and nothing else — in particular no attrs map
-// is built.
+// TestDisabledTracerEmitZeroAlloc gates the "zero-cost default" claim:
+// with no span log configured, every emit site in the engine is a nil
+// check and nothing else — in particular no attribute string is built.
 func TestDisabledTracerEmitZeroAlloc(t *testing.T) {
 	em := emitter{}
 	if n := testing.AllocsPerRun(100, func() {
@@ -26,22 +25,27 @@ func TestDisabledTracerEmitZeroAlloc(t *testing.T) {
 
 // The enabled path must still deliver every event with its attrs.
 func TestEmitterDeliversEventsWhenEnabled(t *testing.T) {
-	log := trace.NewLog()
-	em := emitter{log}
+	log := obs.NewSpanLog(16)
+	em := newEmitter(log)
 	em.roundStart(0, 1, 90)
 	em.planBuilt(0, 4, 5, 2, "oracle", "balanced")
 	em.sessionDone(1, 64, 0.038)
-	events := log.Events()
+	events := log.Recent(0)
 	if len(events) != 3 {
 		t.Fatalf("got %d events, want 3", len(events))
 	}
-	if events[0].Kind != trace.KindRoundStart || events[0].Attrs["leader"] != 1 {
+	for _, e := range events {
+		if e.Span != events[0].Span || e.Tier != "engine" {
+			t.Fatalf("event %+v not on the session's engine span %s", e, events[0].Span)
+		}
+	}
+	if events[0].Name != "round_start" || events[0].Attrs["leader"] != "1" || events[0].Attrs["round"] != "0" {
 		t.Fatalf("round_start event = %+v", events[0])
 	}
 	if events[1].Attrs["estimator"] != "oracle" {
 		t.Fatalf("plan_built event = %+v", events[1])
 	}
-	if events[2].Attrs["secret_bytes"] != 64 {
+	if events[2].Attrs["secret_bytes"] != "64" {
 		t.Fatalf("session_done event = %+v", events[2])
 	}
 }

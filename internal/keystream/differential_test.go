@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/transport"
 )
 
 // protoCfg is the small protocol-engine shape the differential suite
@@ -61,6 +63,36 @@ func TestStreamMatchesReference(t *testing.T) {
 	}
 	if st.Blocks < nblocks {
 		t.Fatalf("stats count %d blocks, want >= %d", st.Blocks, nblocks)
+	}
+}
+
+// TestStreamOverUDPBus: the engine also runs over the loopback UDP bus.
+// The bytes come from the schedule whatever the bus; because the UDP hub
+// erases by the same coin the schedule uses, the members' own derivations
+// verify too. The 10% allowance is for a rare loopback drop.
+func TestStreamOverUDPBus(t *testing.T) {
+	cfg := protoCfg(61)
+	const nblocks = 4
+	want := readRef(t, cfg, nblocks)
+	cfg.NewBus = func(_, blockSeed int64) (transport.Bus, error) {
+		return transport.NewUDPBus(cfg.Erasure, blockSeed)
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(want))
+	if _, err := io.ReadFull(s, got); err != nil {
+		t.Fatal(err)
+	}
+	s.Close() // waits for in-flight derivations, so Stats counts them all
+	if !bytes.Equal(got, want) {
+		t.Fatal("stream bytes over UDPBus != sequential reference derivation")
+	}
+	st := s.Stats()
+	checked := st.VerifyOK + st.VerifyMismatch
+	if checked == 0 || float64(st.VerifyOK) < 0.9*float64(checked) {
+		t.Fatalf("members verified %d of %d rounds over UDPBus, want >= 90%%: %+v", st.VerifyOK, checked, st)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gf"
 	"repro/internal/packet"
+	"repro/internal/radio"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -129,7 +130,7 @@ type verifyResult struct {
 // block's secret bytes cover dst.
 //
 // Determinism: the leader derives each round's reception sets from the
-// Delivered schedule, never from the live reception reports — the
+// radio.Delivered schedule, never from the live reception reports — the
 // reports' content only feeds memberHealth and the stats. Since the block
 // bus erases by the same schedule, a healthy member's live view matches
 // the schedule exactly; a stalled member whose frames were shed diverges,
@@ -161,7 +162,7 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 	if cfg.NewBus != nil {
 		bus, err = cfg.NewBus(idx, blockSeed)
 	} else {
-		bus = NewSimBus(blockSeed, cfg.Erasure, &bc.es.shed)
+		bus = transport.NewChanBus(cfg.Erasure, blockSeed)
 	}
 	if err != nil {
 		return fmt.Errorf("keystream: block %d bus: %w", idx, err)
@@ -341,6 +342,7 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 	termWG.Wait()
 	close(verifyCh)
 	collectWG.Wait()
+	bc.es.shed.Add(bus.ShedFrames())
 	return derr
 }
 
@@ -353,7 +355,7 @@ func firstErr(errs ...error) error {
 	return nil
 }
 
-// roundPlan builds round r's plan from the Delivered schedule. It never
+// roundPlan builds round r's plan from the radio.Delivered schedule. It never
 // looks at x-payloads, which is what lets the exchange plan a round before
 // broadcasting it.
 func roundPlan(cfg *Config, cc *core.Config, blockSeed int64, r, leader int) *core.Plan {
@@ -369,14 +371,14 @@ func roundPlan(cfg *Config, cc *core.Config, blockSeed int64, r, leader int) *co
 	return core.BuildPlan(ectx, cc.Estimator)
 }
 
-// scheduleRecv derives round r's reception sets from the Delivered
+// scheduleRecv derives round r's reception sets from the radio.Delivered
 // schedule — the authoritative inputs to the round plan.
 func scheduleRecv(blockSeed int64, r, leader, terminals, numX int, p float64) []*packet.IDSet {
 	recv := make([]*packet.IDSet, terminals)
 	for t := 0; t < terminals; t++ {
 		s := packet.NewIDSet(numX)
 		for seq := 0; seq < numX; seq++ {
-			if t == leader || Delivered(blockSeed, r, seq, t, p) {
+			if t == leader || radio.Delivered(blockSeed, r, seq, t, p) {
 				s.Add(packet.ID(seq))
 			}
 		}

@@ -13,8 +13,8 @@ import (
 // resumed. It is the stall-injection suite's fault model: because the
 // degraded member's own node goroutine is what blocks in Send, a stalled
 // member also stops draining its inbox — exactly the failure shape of a
-// stopped process — and the underlying simBus sheds its frames while the
-// stream keeps producing.
+// stopped process — and the underlying bus sheds its frames (ShedFrames,
+// forwarded by embedding) while the stream keeps producing.
 type Injector struct {
 	transport.Bus
 

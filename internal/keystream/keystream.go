@@ -91,10 +91,11 @@ type Config struct {
 	Obs *obs.Registry
 
 	// NewBus, when non-nil, builds the broadcast bus for each block
-	// (tests wrap the default deterministic bus in an Injector). The
-	// default is NewSimBus(cfg, blockSeed). The bus only carries the
-	// exchange; erasure outcomes must follow Delivered for the block's
-	// bytes to be re-derivable.
+	// (tests wrap the default bus in an Injector, or run the exchange over
+	// a UDPBus). The default is transport.NewChanBus(cfg.Erasure,
+	// blockSeed). The block's bytes follow the schedule whatever the bus;
+	// its members verify them only if the bus erases by radio.Delivered
+	// keyed by blockSeed, as both transport buses do.
 	NewBus func(block int64, blockSeed int64) (transport.Bus, error)
 	// Source, when non-nil, replaces the protocol engine as the block
 	// deriver (tests and benchmarks use cheap GF(2^8) pad expansion; see
@@ -184,7 +185,7 @@ type Stats struct {
 	AckTimeouts  int64 `json:"ack_timeouts"`
 	SkippedWaits int64 `json:"skipped_waits"`
 	// ShedFrames counts frames dropped because a member's inbox
-	// overflowed while it was stalled (see simBus).
+	// overflowed while it was stalled (see transport.Bus.ShedFrames).
 	ShedFrames int64 `json:"shed_frames"`
 	// CacheHits / CacheMisses classify block acquisitions: a hit found
 	// the block already derived; a miss created or waited for it.

@@ -8,7 +8,15 @@ import (
 	"repro/internal/core"
 	"repro/internal/gf"
 	"repro/internal/packet"
+	"repro/internal/radio"
 )
+
+// BlockSeed derives block b's seed from the stream seed. Every value a
+// block's bytes depend on (x-payload rng, erasure coins) is keyed off
+// this, which is what makes blocks independently re-derivable.
+func BlockSeed(streamSeed, block int64) int64 {
+	return int64(radio.Mix64(radio.Mix64(uint64(streamSeed)) ^ uint64(block)))
+}
 
 // XOFSource8 is a cheap deterministic block source built on the GF(2^8)
 // kernel: a splitmix counter stream mixed by byte-field multiply-add
@@ -22,7 +30,7 @@ func XOFSource8(seed int64) Source {
 		bs := uint64(BlockSeed(seed, idx))
 		var word [8]byte
 		for i := 0; i < len(dst); i += 8 {
-			binary.LittleEndian.PutUint64(word[:], mix64(bs^uint64(i)))
+			binary.LittleEndian.PutUint64(word[:], radio.Mix64(bs^uint64(i)))
 			copy(dst[i:], word[:])
 		}
 		// Two multiply-add passes over a rotation of the block, with
@@ -40,7 +48,7 @@ func XOFSource8(seed int64) Source {
 
 // ReferenceBlock derives block idx of a protocol stream with a plain
 // sequential loop — no bus, no goroutines, no pipeline — straight from
-// the Delivered schedule. It is the differential-test oracle the
+// the radio.Delivered schedule. It is the differential-test oracle the
 // pipelined engine must match byte for byte.
 func ReferenceBlock(cfg Config, idx int64, dst []byte) error {
 	if err := cfg.fill(); err != nil {

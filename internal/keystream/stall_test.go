@@ -5,7 +5,6 @@ import (
 	"io"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,7 +21,6 @@ type injectorFleet struct {
 	slow  map[int]time.Duration
 	stall map[int]bool
 	made  int
-	shed  atomic.Int64
 }
 
 func newInjectorFleet() *injectorFleet {
@@ -43,7 +41,7 @@ func (fl *injectorFleet) stallMember(id int) {
 
 func (fl *injectorFleet) newBus(erasure float64) func(block, blockSeed int64) (transport.Bus, error) {
 	return func(block, blockSeed int64) (transport.Bus, error) {
-		in := NewInjector(NewSimBus(blockSeed, erasure, &fl.shed))
+		in := NewInjector(transport.NewChanBus(erasure, blockSeed))
 		fl.mu.Lock()
 		for id, d := range fl.slow {
 			in.SlowMember(id, d)
@@ -166,5 +164,5 @@ func TestStreamStalledMemberMidStream(t *testing.T) {
 		n := runtime.Stack(buf, true)
 		t.Fatalf("goroutines leaked after close: %d before, %d after\n%s", before, g, buf[:n])
 	}
-	t.Logf("stall stats: %+v, fleet shed %d", st, fl.shed.Load())
+	t.Logf("stall stats: %+v", st)
 }

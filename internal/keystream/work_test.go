@@ -46,7 +46,7 @@ func TestExchangeRunsOnlyNeededRounds(t *testing.T) {
 	cfg := protoCfg(11)
 	var x atomic.Int64
 	cfg.NewBus = func(_, blockSeed int64) (transport.Bus, error) {
-		return countingBus{Bus: NewSimBus(blockSeed, cfg.Erasure, nil), x: &x}, nil
+		return countingBus{Bus: transport.NewChanBus(cfg.Erasure, blockSeed), x: &x}, nil
 	}
 	s, err := New(cfg)
 	if err != nil {

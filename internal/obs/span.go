@@ -5,8 +5,12 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
+	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -163,14 +167,20 @@ func (l *SpanLog) Handler() http.Handler {
 			}
 			events = l.Recent(n)
 		}
-		if events == nil {
-			events = []SpanEvent{}
-		}
 		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(events)
+		_ = WriteEvents(w, events)
 	})
+}
+
+// WriteEvents writes events as the indented JSON array /debug/trace
+// serves ([] when there are none).
+func WriteEvents(w io.Writer, events []SpanEvent) error {
+	if events == nil {
+		events = []SpanEvent{}
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(events)
 }
 
 type spanCtxKey struct{}
@@ -251,4 +261,70 @@ func RequestSpan(w http.ResponseWriter, r *http.Request) string {
 		w.Header().Set(SpanHeader, id)
 	}
 	return id
+}
+
+// RenderTrace groups events by span (chronological within each span)
+// and prints offsets relative to the span's first event, so one draw
+// reads as its edge → worker → engine chain and one simulated session as
+// its rounds. `thinaird trace` and `thinair-sim -trace text` print it.
+func RenderTrace(events []SpanEvent) string {
+	bySpan := make(map[string][]SpanEvent)
+	var order []string
+	for _, e := range events {
+		if _, seen := bySpan[e.Span]; !seen {
+			order = append(order, e.Span)
+		}
+		bySpan[e.Span] = append(bySpan[e.Span], e)
+	}
+	// Oldest span first, by its earliest event.
+	sort.SliceStable(order, func(i, j int) bool {
+		return earliest(bySpan[order[i]]).Before(earliest(bySpan[order[j]]))
+	})
+
+	var b strings.Builder
+	for _, id := range order {
+		evs := bySpan[id]
+		sort.SliceStable(evs, func(i, j int) bool { return evs[i].Time.Before(evs[j].Time) })
+		t0 := evs[0].Time
+		fmt.Fprintf(&b, "span %s\n", id)
+		for _, e := range evs {
+			fmt.Fprintf(&b, "  %+9s  %-6s %-8s %s\n",
+				fmtOffset(e.Time.Sub(t0)), e.Tier, e.Name, fmtAttrs(e.Attrs))
+		}
+	}
+	return b.String()
+}
+
+func earliest(evs []SpanEvent) time.Time {
+	t := evs[0].Time
+	for _, e := range evs[1:] {
+		if e.Time.Before(t) {
+			t = e.Time
+		}
+	}
+	return t
+}
+
+func fmtOffset(d time.Duration) string {
+	if d <= 0 {
+		return "+0µs"
+	}
+	return "+" + d.Round(time.Microsecond).String()
+}
+
+// fmtAttrs renders attributes key-sorted so output is deterministic.
+func fmtAttrs(attrs map[string]string) string {
+	if len(attrs) == 0 {
+		return ""
+	}
+	keys := make([]string, 0, len(attrs))
+	for k := range attrs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	parts := make([]string, len(keys))
+	for i, k := range keys {
+		parts[i] = k + "=" + attrs[k]
+	}
+	return strings.Join(parts, " ")
 }

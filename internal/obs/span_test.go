@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestSpanIDsAreUniqueAndHex(t *testing.T) {
@@ -124,5 +125,26 @@ func TestEnsureSpanMintsAndEchoes(t *testing.T) {
 	}
 	if got := rec.Header().Get(SpanHeader); got != "upstream01234567" {
 		t.Fatalf("supplied span not echoed: %q", got)
+	}
+}
+
+// TestRenderTrace: events group by span, oldest span first, each span's
+// events in time order with offsets from its first event and key-sorted
+// attributes.
+func TestRenderTrace(t *testing.T) {
+	t0 := time.Date(2012, 10, 29, 0, 0, 0, 0, time.UTC)
+	events := []SpanEvent{
+		{Span: "b", Time: t0.Add(5 * time.Millisecond), Tier: "edge", Name: "draw"},
+		{Span: "a", Time: t0.Add(1500 * time.Microsecond), Tier: "engine", Name: "session_done",
+			Attrs: map[string]string{"secret_bytes": "64", "rounds": "2"}},
+		{Span: "a", Time: t0, Tier: "engine", Name: "round_start", Attrs: map[string]string{"round": "0"}},
+	}
+	want := "span a\n" +
+		"       +0µs  engine round_start round=0\n" +
+		"     +1.5ms  engine session_done rounds=2 secret_bytes=64\n" +
+		"span b\n" +
+		"       +0µs  edge   draw     \n"
+	if got := RenderTrace(events); got != want {
+		t.Fatalf("RenderTrace =\n%s\nwant\n%s", got, want)
 	}
 }

@@ -10,7 +10,9 @@
 // erasure process, which is what this package provides.
 //
 // Determinism: a Medium draws all erasures from a single seeded source, so
-// an experiment is exactly reproducible from its seed.
+// an experiment is exactly reproducible from its seed. The broadcast buses
+// of the concurrent runtime erase by Delivered instead, a pure
+// per-(round, packet, receiver) coin.
 package radio
 
 import (

@@ -209,3 +209,27 @@ func TestJammerRaisesEveLoss(t *testing.T) {
 		}
 	}
 }
+
+// TestDeliveredCoin: the shared erasure coin is a pure function of its
+// arguments, never delivers at p=1, always delivers at p=0, and erases
+// at the configured rate in between.
+func TestDeliveredCoin(t *testing.T) {
+	const n = 20000
+	erased := 0
+	for i := 0; i < n; i++ {
+		round, seq, to := i/512, i%512, 1+i%3
+		if !Delivered(9, round, seq, to, 0) || Delivered(9, round, seq, to, 1) {
+			t.Fatalf("coin (%d, %d, %d) ignores p=0 or p=1", round, seq, to)
+		}
+		got := Delivered(9, round, seq, to, 0.4)
+		if got != Delivered(9, round, seq, to, 0.4) {
+			t.Fatal("coin is not a pure function of its arguments")
+		}
+		if !got {
+			erased++
+		}
+	}
+	if rate := float64(erased) / n; math.Abs(rate-0.4) > 0.02 {
+		t.Fatalf("erasure rate %.3f, want 0.4", rate)
+	}
+}

@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/keypool"
 	"repro/internal/keystream"
-	"repro/internal/radio"
 	"repro/internal/sweep"
 	"repro/internal/transport"
 )
@@ -657,12 +656,11 @@ func (s *Session) refresh(eps []transport.Endpoint, chains []*auth.KeyChain) err
 // newBus builds the session's broadcast domain. The bus seed derives from
 // the session seed so the erasure process is reproducible per session.
 func (s *Session) newBus() (transport.Bus, error) {
-	model := radio.Uniform{P: s.spec.Erasure}
 	seed := sweep.Seed(s.spec.Seed, 1)
 	if s.spec.UDP {
-		return transport.NewUDPBus(model, seed, 10)
+		return transport.NewUDPBus(s.spec.Erasure, seed)
 	}
-	return transport.NewChanBus(model, seed, 10), nil
+	return transport.NewChanBus(s.spec.Erasure, seed), nil
 }
 
 // observe consumes Eve's tap until the bus closes or the session stops.

@@ -1,43 +1,40 @@
 package transport
 
 import (
-	"fmt"
-	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/radio"
 )
 
-// ChanBus is an in-process broadcast domain. Data frames suffer
-// per-receiver Bernoulli erasures drawn from an ErasureModel (with a slot
-// clock that advances every SlotEvery data frames, mirroring the testbed's
-// interference rotation); control frames are delivered reliably to every
-// endpoint.
+// ChanBus is an in-process broadcast domain. Each data frame reaches each
+// receiver according to the shared erasure coin (see coinKey); control
+// frames are delivered to every endpoint.
+//
+// Every receiver is handed the same frame, not a copy: receivers treat
+// Env.Frame as read-only, and senders do not touch a frame after sending
+// it. A full inbox sheds the frame (counted by ShedFrames) instead of
+// failing the send, so a receiver that stops draining — a stalled member,
+// a slow observer — costs only its own frames.
 type ChanBus struct {
-	model     radio.ErasureModel
-	slotEvery int
+	erasure float64
+	seed    int64
 
 	mu        sync.Mutex
-	rng       *rand.Rand
 	endpoints map[int]*chanEndpoint
-	dataCount int
-	slot      int
 	closed    bool
 
 	bits atomic.Int64
+	shed atomic.Int64
 }
 
-// NewChanBus creates a bus over the given erasure model. slotEvery <= 0
-// disables the slot clock (slot stays 0).
-func NewChanBus(model radio.ErasureModel, seed int64, slotEvery int) *ChanBus {
-	return &ChanBus{
-		model:     model,
-		slotEvery: slotEvery,
-		rng:       rand.New(rand.NewSource(seed)),
-		endpoints: make(map[int]*chanEndpoint),
-	}
+// inboxFrames is the receive buffer of every endpoint, in frames.
+const inboxFrames = 4096
+
+// NewChanBus creates a bus erasing each data frame at each receiver with
+// probability erasure, keyed by seed.
+func NewChanBus(erasure float64, seed int64) *ChanBus {
+	return &ChanBus{erasure: erasure, seed: seed, endpoints: make(map[int]*chanEndpoint)}
 }
 
 // Endpoint implements Bus.
@@ -50,13 +47,16 @@ func (b *ChanBus) Endpoint(id int) (Endpoint, error) {
 	if ep, ok := b.endpoints[id]; ok {
 		return ep, nil
 	}
-	ep := &chanEndpoint{bus: b, id: id, ch: make(chan Env, 4096)}
+	ep := &chanEndpoint{bus: b, id: id, ch: make(chan Env, inboxFrames)}
 	b.endpoints[id] = ep
 	return ep, nil
 }
 
 // BitsSent implements Bus.
 func (b *ChanBus) BitsSent() int64 { return b.bits.Load() }
+
+// ShedFrames implements Bus.
+func (b *ChanBus) ShedFrames() int64 { return b.shed.Load() }
 
 // Close implements Bus.
 func (b *ChanBus) Close() error {
@@ -73,42 +73,22 @@ func (b *ChanBus) Close() error {
 }
 
 func (b *ChanBus) broadcast(from int, frame []byte, reliable bool) error {
-	b.bits.Add(int64(len(frame)) * 8)
+	round, seq := coinKey(frame)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
 		return ErrClosed
 	}
-	if !reliable && b.slotEvery > 0 {
-		b.dataCount++
-		if b.dataCount%b.slotEvery == 0 {
-			b.slot++
-		}
-	}
-	ids := make([]int, 0, len(b.endpoints))
-	for id := range b.endpoints {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids) // deterministic erasure draws for a given seed
-	for _, id := range ids {
-		ep := b.endpoints[id]
-		if id == from {
+	b.bits.Add(int64(len(frame)) * 8)
+	env := Env{From: from, Reliable: reliable, Frame: frame}
+	for id, ep := range b.endpoints {
+		if id == from || !reliable && !radio.Delivered(b.seed, round, seq, id, b.erasure) {
 			continue
 		}
-		if !reliable {
-			p := b.model.PErase(radio.NodeID(from), radio.NodeID(id), b.slot)
-			if b.rng.Float64() < p {
-				continue
-			}
-		}
-		env := Env{From: from, Reliable: reliable, Frame: append([]byte(nil), frame...)}
 		select {
 		case ep.ch <- env:
 		default:
-			// A full inbox means the consumer stalled for thousands of
-			// frames; treat as a fatal protocol bug rather than silently
-			// dropping a reliable frame.
-			return fmt.Errorf("transport: endpoint %d inbox overflow", id)
+			b.shed.Add(1)
 		}
 	}
 	return nil

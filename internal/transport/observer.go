@@ -55,6 +55,16 @@ func (o *Observer) Run(ctx context.Context, ep Endpoint, idle time.Duration) {
 	for {
 		select {
 		case <-ctx.Done():
+			// Frames the bus delivered before the cancel were overheard:
+			// ingest them before scoring, or a tap that lagged behind a
+			// fast session would miss rounds the session completed.
+			for n := len(ep.Recv()); n > 0; n-- {
+				env, ok := <-ep.Recv()
+				if !ok {
+					break
+				}
+				o.Ingest(env)
+			}
 			o.Finish()
 			return
 		case <-timer.C:

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/radio"
 )
 
 // TestConcurrentSessionsWithObservers is the concurrency stress for the
@@ -28,7 +26,7 @@ func TestConcurrentSessionsWithObservers(t *testing.T) {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			bus := NewChanBus(radio.Uniform{P: 0.4}, int64(100+s), 10)
+			bus := NewChanBus(0.4, int64(100+s))
 			defer bus.Close()
 
 			obsEp, err := bus.Endpoint(n)
@@ -82,7 +80,7 @@ func TestConcurrentSessionsWithObservers(t *testing.T) {
 // path a long-running key daemon exercises on every session boundary.
 func TestObserverShutdownDuringTraffic(t *testing.T) {
 	const n = 3
-	bus := NewChanBus(radio.Uniform{P: 0.2}, 31, 10)
+	bus := NewChanBus(0.2, 31)
 	defer bus.Close()
 	obsEp, err := bus.Endpoint(n)
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/radio"
 )
 
 // TestUDPSoakMultiSession is the UDP-bus soak: many concurrent loopback
@@ -44,7 +43,7 @@ func TestUDPSoakMultiSession(t *testing.T) {
 			if s%2 == 1 {
 				p = 0.6
 			}
-			bus, err := NewUDPBus(radio.Uniform{P: p}, int64(4000+s*13), 10)
+			bus, err := NewUDPBus(p, int64(4000+s*13))
 			if err != nil {
 				fail("session %d: %v", s, err)
 				return

@@ -3,12 +3,16 @@
 // nodes, the way real wireless devices would run it: one goroutine per
 // terminal exchanging wire-encoded frames over a broadcast Bus.
 //
-// Two Bus implementations are provided:
+// Two Bus implementations are provided, and both erase by one coin:
+// data frame → receiver `to` is delivered iff radio.Delivered(seed, round,
+// seq, to, p), with (round, seq) peeked from the x-packet header. The
+// outcome is a pure function of the frame and the receiver, so it does
+// not depend on arrival order or on which other endpoints are attached,
+// and a leader can compute every reception set from the schedule alone.
 //
-//   - ChanBus: an in-process broadcast domain backed by channels, with the
-//     same erasure semantics as radio.Medium (data frames are dropped per
-//     receiver according to an ErasureModel; control frames are reliable
-//     and overheard by everyone, including the eavesdropper's tap).
+//   - ChanBus: an in-process broadcast domain backed by channels. Control
+//     frames are reliable and overheard by everyone, including the
+//     eavesdropper's tap.
 //   - UDPBus: a loopback UDP hub with a small ARQ (sequence numbers,
 //     acknowledgments, retransmission timers) providing the reliable
 //     control plane over actual sockets.
@@ -17,7 +21,11 @@
 // packet transmission maps to SendData.
 package transport
 
-import "errors"
+import (
+	"errors"
+
+	"repro/internal/wire"
+)
 
 // Env is a frame delivered to an endpoint.
 type Env struct {
@@ -50,9 +58,26 @@ type Bus interface {
 	// BitsSent returns the total bits transmitted on the bus (efficiency
 	// accounting).
 	BitsSent() int64
+	// ShedFrames returns the number of frames dropped because a
+	// receiver's inbox was full.
+	ShedFrames() int64
 	// Close shuts the bus down and closes all endpoint channels.
 	Close() error
 }
 
 // ErrClosed is returned when using a closed bus or endpoint.
 var ErrClosed = errors.New("transport: closed")
+
+// nonXRound keys the coin for data frames that are not x-packets. It lies
+// outside the uint16 round space, so it never collides with an x-packet.
+const nonXRound = 1 << 16
+
+// coinKey returns the (round, seq) under which a data frame takes the
+// erasure coin: an x-packet's own header fields, or one fixed key for any
+// other frame.
+func coinKey(frame []byte) (round, seq int) {
+	if r, s, ok := wire.PeekX(frame); ok {
+		return int(r), int(s)
+	}
+	return nonXRound, 0
+}

@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/auth"
 	"repro/internal/core"
-	"repro/internal/radio"
+	"repro/internal/wire"
 )
 
 func baseNodeConfig(n int) NodeConfig {
@@ -22,7 +22,7 @@ func baseNodeConfig(n int) NodeConfig {
 }
 
 func TestChanBusBasics(t *testing.T) {
-	bus := NewChanBus(radio.Uniform{P: 0}, 1, 0)
+	bus := NewChanBus(0, 1)
 	defer bus.Close()
 	a, err := bus.Endpoint(0)
 	if err != nil {
@@ -62,7 +62,7 @@ func TestChanBusBasics(t *testing.T) {
 }
 
 func TestChanBusErasures(t *testing.T) {
-	bus := NewChanBus(radio.Uniform{P: 1}, 1, 0) // everything erased
+	bus := NewChanBus(1, 1) // everything erased
 	defer bus.Close()
 	a, _ := bus.Endpoint(0)
 	b, _ := bus.Endpoint(1)
@@ -79,11 +79,14 @@ func TestChanBusErasures(t *testing.T) {
 }
 
 func TestChanBusClosed(t *testing.T) {
-	bus := NewChanBus(radio.Uniform{}, 1, 0)
+	bus := NewChanBus(0, 1)
 	a, _ := bus.Endpoint(0)
 	bus.Close()
 	if err := a.SendData([]byte("x")); err == nil {
 		t.Fatal("send on closed bus accepted")
+	}
+	if bits := bus.BitsSent(); bits != 0 {
+		t.Fatalf("a refused send counted %d bits", bits)
 	}
 	if _, err := bus.Endpoint(5); err == nil {
 		t.Fatal("endpoint on closed bus accepted")
@@ -93,7 +96,7 @@ func TestChanBusClosed(t *testing.T) {
 
 func TestRunGroupOverChanBus(t *testing.T) {
 	const n = 4
-	bus := NewChanBus(radio.Uniform{P: 0.4}, 7, 10)
+	bus := NewChanBus(0.4, 7)
 	defer bus.Close()
 	cfg := baseNodeConfig(n)
 	results, err := RunGroup(context.Background(), bus, cfg, nil)
@@ -116,9 +119,68 @@ func TestRunGroupOverChanBus(t *testing.T) {
 	}
 }
 
+// TestChanBusBroadcastAllocFree: broadcasting an x-packet to three
+// receivers allocates nothing — the coin key is peeked from the header and
+// every receiver shares the one frame.
+func TestChanBusBroadcastAllocFree(t *testing.T) {
+	bus := NewChanBus(0.4, 3)
+	defer bus.Close()
+	var eps []Endpoint
+	for id := 0; id < 4; id++ {
+		ep, err := bus.Endpoint(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eps = append(eps, ep)
+	}
+	xh := wire.Header{Type: wire.TypeX, Session: 1, Round: 2}
+	frame := wire.Marshal(&wire.XPacket{Header: xh, Seq: 5, Payload: make([]byte, 64)})
+	if n := testing.AllocsPerRun(100, func() {
+		if err := eps[0].SendData(frame); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("x-frame broadcast to 3 receivers allocates %v times, want 0", n)
+	}
+}
+
+// TestObserverDoesNotChangeKey: attaching a wire-level observer to a bus
+// leaves every terminal's erasures, hence the group secret, unchanged.
+func TestObserverDoesNotChangeKey(t *testing.T) {
+	const n = 3
+	run := func(observed bool) []byte {
+		bus := NewChanBus(0.4, 19)
+		defer bus.Close()
+		if observed {
+			obsEp, err := bus.Endpoint(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan struct{})
+			go func() {
+				NewObserver(777).Run(ctx, obsEp, time.Second)
+				close(done)
+			}()
+			defer func() { cancel(); <-done }()
+		}
+		results, err := RunGroup(context.Background(), bus, baseNodeConfig(n), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(results[0].Secret) == 0 {
+			t.Fatal("no secret generated")
+		}
+		return results[0].Secret
+	}
+	if bare, observed := run(false), run(true); string(bare) != string(observed) {
+		t.Fatalf("an observer changed the key: %d bytes bare, %d observed", len(bare), len(observed))
+	}
+}
+
 func TestRunGroupWithWireLevelObserver(t *testing.T) {
 	const n = 3
-	bus := NewChanBus(radio.Uniform{P: 0.5}, 11, 10)
+	bus := NewChanBus(0.5, 11)
 	defer bus.Close()
 	obsEp, err := bus.Endpoint(n) // Eve's tap
 	if err != nil {
@@ -156,7 +218,7 @@ func TestRunGroupWithWireLevelObserver(t *testing.T) {
 
 func TestRunGroupAuthenticated(t *testing.T) {
 	const n = 3
-	bus := NewChanBus(radio.Uniform{P: 0.3}, 5, 10)
+	bus := NewChanBus(0.3, 5)
 	defer bus.Close()
 	chains := make([]*auth.KeyChain, n)
 	for i := range chains {
@@ -185,7 +247,7 @@ func TestAuthenticatedGroupRejectsForgery(t *testing.T) {
 	// An active Eve injects a forged ack report claiming she is terminal
 	// 1 with a full reception set; authenticated nodes must drop it.
 	const n = 3
-	bus := NewChanBus(radio.Uniform{P: 0.3}, 9, 10)
+	bus := NewChanBus(0.3, 9)
 	defer bus.Close()
 	eveEp, err := bus.Endpoint(n)
 	if err != nil {
@@ -232,7 +294,7 @@ func TestAuthenticatedGroupRejectsForgery(t *testing.T) {
 }
 
 func TestRunNodeValidation(t *testing.T) {
-	bus := NewChanBus(radio.Uniform{}, 1, 0)
+	bus := NewChanBus(0, 1)
 	defer bus.Close()
 	ep, _ := bus.Endpoint(0)
 	// Oracle estimator is analysis-only.
@@ -250,7 +312,7 @@ func TestRunNodeValidation(t *testing.T) {
 
 func TestRunNodeTimeout(t *testing.T) {
 	// A terminal alone on the bus times out waiting for the leader.
-	bus := NewChanBus(radio.Uniform{}, 1, 0)
+	bus := NewChanBus(0, 1)
 	defer bus.Close()
 	ep, _ := bus.Endpoint(1)
 	cfg := baseNodeConfig(2)
@@ -263,7 +325,7 @@ func TestRunNodeTimeout(t *testing.T) {
 }
 
 func TestRunNodeContextCancel(t *testing.T) {
-	bus := NewChanBus(radio.Uniform{}, 1, 0)
+	bus := NewChanBus(0, 1)
 	defer bus.Close()
 	ep, _ := bus.Endpoint(1)
 	cfg := baseNodeConfig(2)
@@ -288,7 +350,7 @@ func TestRunNodeContextCancel(t *testing.T) {
 
 func TestUDPBusEndToEnd(t *testing.T) {
 	const n = 3
-	bus, err := NewUDPBus(radio.Uniform{P: 0.3}, 13, 10)
+	bus, err := NewUDPBus(0.3, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +377,7 @@ func TestUDPBusCtrlSurvivesTotalDataLoss(t *testing.T) {
 	// control frames; the protocol then aborts rounds cleanly (terminals
 	// received nothing, so L = 0) rather than deadlocking.
 	const n = 2
-	bus, err := NewUDPBus(radio.Uniform{P: 1}, 3, 10)
+	bus, err := NewUDPBus(1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +403,7 @@ func TestRunGroupSurvivesGarbageInjection(t *testing.T) {
 	// messages) must not break an unauthenticated session: decode failures
 	// are dropped silently.
 	const n = 3
-	bus := NewChanBus(radio.Uniform{P: 0.3}, 15, 10)
+	bus := NewChanBus(0.3, 15)
 	defer bus.Close()
 	junkEp, err := bus.Endpoint(n)
 	if err != nil {
@@ -379,7 +441,7 @@ func TestRunGroupSurvivesGarbageInjection(t *testing.T) {
 func TestSequentialSessionsOnOneBus(t *testing.T) {
 	// Reuse a bus for several sessions back to back; session IDs keep
 	// the streams separate.
-	bus := NewChanBus(radio.Uniform{P: 0.4}, 23, 10)
+	bus := NewChanBus(0.4, 23)
 	defer bus.Close()
 	var prev []byte
 	for s := 0; s < 3; s++ {
@@ -402,7 +464,7 @@ func TestSequentialSessionsOnOneBus(t *testing.T) {
 
 func TestObserverOverUDP(t *testing.T) {
 	const n = 3
-	bus, err := NewUDPBus(radio.Uniform{P: 0.4}, 29, 10)
+	bus, err := NewUDPBus(0.4, 29)
 	if err != nil {
 		t.Fatal(err)
 	}

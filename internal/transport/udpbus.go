@@ -3,9 +3,7 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
-	"math/rand"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,10 +12,11 @@ import (
 )
 
 // UDPBus emulates the broadcast medium over loopback UDP sockets: every
-// node dials a hub, data frames are fanned out with per-receiver erasures,
-// and control frames ride a small ARQ (sequence numbers, per-receiver
-// acknowledgments, retransmission timers) so the paper's "reliable
-// broadcast" holds over an actually lossy transport.
+// node dials a hub, data frames are fanned out with per-receiver erasures
+// (the same coin as ChanBus), and control frames ride a small ARQ
+// (sequence numbers, per-receiver acknowledgments, retransmission timers)
+// so the paper's "reliable broadcast" holds over an actually lossy
+// transport.
 //
 // Datagram layout (hub <-> client), big endian:
 //
@@ -26,22 +25,22 @@ import (
 //	bytes 3-6  sequence number
 //	bytes 7+   frame payload
 type UDPBus struct {
-	model     radio.ErasureModel
-	slotEvery int
+	erasure float64
+	seed    int64
 
 	conn *net.UDPConn
 
-	mu        sync.Mutex
-	rng       *rand.Rand
-	addrs     map[int]*net.UDPAddr
-	pending   map[pendingKey]*pendingCtrl
-	seen      map[int]*seqWindow // per-sender ctrl dedup, constant memory
-	eps       []*udpEndpoint     // every endpoint this bus handed out
-	dataCount int
-	slot      int
-	closed    bool
+	mu sync.Mutex
+	// addrs is written only by readLoop, under mu; readLoop itself reads
+	// it without the lock.
+	addrs   map[int]*net.UDPAddr
+	pending map[pendingKey]*pendingCtrl
+	seen    map[int]*seqWindow // per-sender ctrl dedup, constant memory
+	eps     []*udpEndpoint     // every endpoint this bus handed out
+	closed  bool
 
 	bits atomic.Int64
+	shed atomic.Int64
 	wg   sync.WaitGroup
 }
 
@@ -72,20 +71,20 @@ const (
 	maxRetries      = 200
 )
 
-// NewUDPBus starts a hub on a loopback UDP port.
-func NewUDPBus(model radio.ErasureModel, seed int64, slotEvery int) (*UDPBus, error) {
+// NewUDPBus starts a hub on a loopback UDP port. The hub erases each data
+// frame at each receiver with probability erasure, keyed by seed.
+func NewUDPBus(erasure float64, seed int64) (*UDPBus, error) {
 	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		return nil, fmt.Errorf("transport: hub listen: %w", err)
 	}
 	b := &UDPBus{
-		model:     model,
-		slotEvery: slotEvery,
-		conn:      conn,
-		rng:       rand.New(rand.NewSource(seed)),
-		addrs:     make(map[int]*net.UDPAddr),
-		pending:   make(map[pendingKey]*pendingCtrl),
-		seen:      make(map[int]*seqWindow),
+		erasure: erasure,
+		seed:    seed,
+		conn:    conn,
+		addrs:   make(map[int]*net.UDPAddr),
+		pending: make(map[pendingKey]*pendingCtrl),
+		seen:    make(map[int]*seqWindow),
 	}
 	b.wg.Add(2)
 	go b.readLoop()
@@ -98,6 +97,10 @@ func (b *UDPBus) Addr() *net.UDPAddr { return b.conn.LocalAddr().(*net.UDPAddr) 
 
 // BitsSent implements Bus.
 func (b *UDPBus) BitsSent() int64 { return b.bits.Load() }
+
+// ShedFrames implements Bus: frames a client endpoint dropped because its
+// inbox was full.
+func (b *UDPBus) ShedFrames() int64 { return b.shed.Load() }
 
 // Close implements Bus. It tears down the hub socket AND every endpoint
 // the bus handed out: a client endpoint blocks in a read on its own
@@ -143,7 +146,7 @@ func (b *UDPBus) readLoop() {
 			b.mu.Unlock()
 			b.send(addr, kindHelloAck, from, 0, nil)
 		case kindData:
-			b.fanoutData(from, payload)
+			b.fanoutData(from, buf[:n])
 		case kindCtrl:
 			b.acceptCtrl(from, seq, payload)
 		case kindAck:
@@ -163,37 +166,16 @@ func (b *UDPBus) readLoop() {
 	}
 }
 
-func (b *UDPBus) fanoutData(from int, frame []byte) {
+// fanoutData forwards a data datagram, as received, to every receiver the
+// erasure coin delivers it to.
+func (b *UDPBus) fanoutData(from int, datagram []byte) {
+	frame := datagram[udpHeader:]
 	b.bits.Add(int64(len(frame)) * 8)
-	b.mu.Lock()
-	if b.slotEvery > 0 {
-		b.dataCount++
-		if b.dataCount%b.slotEvery == 0 {
-			b.slot++
+	round, seq := coinKey(frame)
+	for id, addr := range b.addrs {
+		if id != from && radio.Delivered(b.seed, round, seq, id, b.erasure) {
+			_, _ = b.conn.WriteToUDP(datagram, addr) // best effort, like the air
 		}
-	}
-	type dst struct {
-		id   int
-		addr *net.UDPAddr
-	}
-	ids := make([]int, 0, len(b.addrs))
-	for id := range b.addrs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids) // deterministic erasure draws for a given seed
-	var deliver []dst
-	for _, id := range ids {
-		if id == from {
-			continue
-		}
-		p := b.model.PErase(radio.NodeID(from), radio.NodeID(id), b.slot)
-		if b.rng.Float64() >= p {
-			deliver = append(deliver, dst{id, b.addrs[id]})
-		}
-	}
-	b.mu.Unlock()
-	for _, d := range deliver {
-		b.send(d.addr, kindData, from, 0, frame)
 	}
 }
 
@@ -296,7 +278,8 @@ func (b *UDPBus) Endpoint(id int) (Endpoint, error) {
 	ep := &udpEndpoint{
 		id:    id,
 		conn:  conn,
-		ch:    make(chan Env, 4096),
+		ch:    make(chan Env, inboxFrames),
+		shed:  &b.shed,
 		acked: make(map[uint32]chan struct{}),
 		seen:  make(map[int]*seqWindow),
 	}
@@ -328,6 +311,7 @@ type udpEndpoint struct {
 	conn *net.UDPConn
 	ch   chan Env
 	seq  atomic.Uint32
+	shed *atomic.Int64 // the bus's shed counter
 
 	mu        sync.Mutex
 	acked     map[uint32]chan struct{}
@@ -423,10 +407,7 @@ func (e *udpEndpoint) readLoop() {
 			}
 			e.mu.Unlock()
 		case kindData:
-			select {
-			case e.ch <- Env{From: from, Reliable: false, Frame: payload}:
-			default:
-			}
+			e.deliver(Env{From: from, Reliable: false, Frame: payload})
 		case kindCtrl:
 			// Ack to the hub, dedup, deliver once.
 			ackPayload := make([]byte, 2)
@@ -441,11 +422,18 @@ func (e *udpEndpoint) readLoop() {
 			dup := w.observe(seq)
 			e.mu.Unlock()
 			if !dup {
-				select {
-				case e.ch <- Env{From: from, Reliable: true, Frame: payload}:
-				default:
-				}
+				e.deliver(Env{From: from, Reliable: true, Frame: payload})
 			}
 		}
+	}
+}
+
+// deliver hands env to the endpoint's inbox without blocking the socket
+// reader: a full inbox sheds the frame.
+func (e *udpEndpoint) deliver(env Env) {
+	select {
+	case e.ch <- env:
+	default:
+		e.shed.Add(1)
 	}
 }

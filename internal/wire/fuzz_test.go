@@ -8,7 +8,8 @@ import (
 // FuzzUnmarshal: the decoder must never panic or over-allocate, whatever
 // bytes arrive — Eve is on this network, and the UDP bus feeds the parser
 // raw datagrams. Every frame it accepts must re-marshal to itself, byte
-// for byte, although decoded payloads alias the input frame. Runs its seed
+// for byte, although decoded payloads alias the input frame, and PeekX
+// must agree with it on x/non-x and on (round, seq). Runs its seed
 // corpus under plain `go test`; use
 // `go test -fuzz=FuzzUnmarshal ./internal/wire` to explore further.
 func FuzzUnmarshal(f *testing.F) {
@@ -16,6 +17,7 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x54, 0x41})
 	f.Add(Marshal(&XPacket{Header: Header{Type: TypeX}, Seq: 1, Payload: []byte{1, 2, 3}}))
+	f.Add(Marshal(&XPacket{Header: Header{Type: TypeX, Round: 513}, Seq: 70000}))
 	f.Add(Marshal(&AckReport{Header: Header{Type: TypeAck}, NumX: 9, Bitmap: []uint64{7}}))
 	f.Add(Marshal(&YAnnounce{Header: Header{Type: TypeYAnnounce}, Classes: []ClassBatch{
 		{XIDs: []uint32{1, 2}, Coeffs: [][]uint16{{3, 4}}},
@@ -33,6 +35,14 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 		if again := Marshal(m); string(again) != string(data) {
 			t.Fatalf("accepted frame does not re-marshal to itself:\n in: %x\nout: %x", data, again)
+		}
+		round, seq, isX := PeekX(data)
+		xp, wantX := m.(*XPacket)
+		if isX != wantX {
+			t.Fatalf("PeekX says x=%v for a decoded %v", isX, m.Hdr().Type)
+		}
+		if isX && (round != xp.Round || seq != xp.Seq) {
+			t.Fatalf("PeekX = (round %d, seq %d), decoded (%d, %d)", round, seq, xp.Round, xp.Seq)
 		}
 	})
 }

@@ -241,6 +241,20 @@ func Unmarshal(b []byte) (Message, error) {
 	return m, nil
 }
 
+// PeekX reads an x-packet frame's round (header bytes 9–10) and sequence
+// number (bytes 11–14) without decoding it. ok is false for every frame
+// that is not shaped like an x-packet: other message types, foreign or
+// truncated bytes. It checks no CRC, so a frame it accepts may still fail
+// Unmarshal; for every frame Unmarshal accepts, the two agree. It never
+// allocates — buses call it on every data frame to key the erasure coin.
+func PeekX(b []byte) (round uint16, seq uint32, ok bool) {
+	const minX = headerLen + 4 + 4 + 4 // header, seq, payload length, CRC
+	if len(b) < minX || b[0] != magic0 || b[1] != magic1 || b[2] != Version || Type(b[3]) != TypeX {
+		return 0, 0, false
+	}
+	return binary.BigEndian.Uint16(b[9:11]), binary.BigEndian.Uint32(b[headerLen:]), true
+}
+
 // reader is a bounds-checked big-endian cursor.
 type reader struct{ b []byte }
 

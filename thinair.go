@@ -41,10 +41,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/gate"
 	"repro/internal/keypool"
+	"repro/internal/obs"
 	"repro/internal/radio"
 	"repro/internal/service"
 	"repro/internal/testbed"
-	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/unicast"
 )
@@ -98,15 +98,14 @@ type (
 // per-round ratchet).
 type KeyChain = auth.KeyChain
 
-// Tracer receives structured protocol events; TraceLog collects them
-// (see internal/trace).
-type (
-	Tracer   = trace.Tracer
-	TraceLog = trace.Log
-)
+// SpanLog is the one event model of every tier (see internal/obs): a
+// fixed-size ring of span events. A simulated session records its rounds
+// into it (SimOptions.Tracer, Config.Tracer) as one engine-tier span, in
+// the same form a daemon serves on /debug/trace.
+type SpanLog = obs.SpanLog
 
-// NewTraceLog returns an in-memory event collector usable as a Tracer.
-func NewTraceLog() *TraceLog { return trace.NewLog() }
+// NewSpanLog returns a span log holding the newest capacity events.
+func NewSpanLog(capacity int) *SpanLog { return obs.NewSpanLog(capacity) }
 
 // KeyPool banks session secrets and dispenses never-reused one-time keys
 // (see internal/keypool).
@@ -153,8 +152,8 @@ type SimOptions struct {
 	// (default 1).
 	EveAntennas int
 	Seed        int64
-	// Tracer, when non-nil, receives structured per-round events.
-	Tracer Tracer
+	// Tracer, when non-nil, records the session's per-round events.
+	Tracer *SpanLog
 }
 
 // Simulate runs one protocol session on a symmetric erasure channel and
@@ -282,13 +281,13 @@ type (
 // NewChanBus creates an in-process broadcast bus with the given symmetric
 // erasure probability on the data plane.
 func NewChanBus(erasure float64, seed int64) Bus {
-	return transport.NewChanBus(radio.Uniform{P: erasure}, seed, 10)
+	return transport.NewChanBus(erasure, seed)
 }
 
 // NewUDPBus creates a loopback-UDP broadcast bus (hub + ARQ control
 // plane) with the given symmetric erasure probability on the data plane.
 func NewUDPBus(erasure float64, seed int64) (Bus, error) {
-	return transport.NewUDPBus(radio.Uniform{P: erasure}, seed, 10)
+	return transport.NewUDPBus(erasure, seed)
 }
 
 // NewObserver creates a wire-level eavesdropper for a session.

@@ -166,12 +166,12 @@ func TestServiceFacade(t *testing.T) {
 }
 
 func TestTracerFacade(t *testing.T) {
-	log := NewTraceLog()
+	log := NewSpanLog(64)
 	_, err := Simulate(SimOptions{Terminals: 3, Erasure: 0.4, Seed: 2, Tracer: log})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if log.Len() == 0 {
+	if len(log.Recent(0)) == 0 {
 		t.Fatal("no events traced")
 	}
 }
