@@ -30,7 +30,7 @@ type serviceBenchReport struct {
 	Shards     int    `json:"shards"`
 
 	// Aggregate protocol rounds/sec across RefreshSessions concurrently
-	// refreshing lockstep sessions (the dispatch/executor tier at work).
+	// refreshing stream-fed sessions (the dispatch/executor tier at work).
 	RefreshSessions int     `json:"refresh_sessions"`
 	RoundsPerSec    float64 `json:"sessions_rounds_per_sec"`
 
@@ -151,10 +151,10 @@ func serviceBench(out string) {
 		rep.DrawsPerSec.C64, rep.DrawIntoAllocsPerOp, out)
 }
 
-// svcRoundsPerSec runs a small fleet of lockstep (engine-refresh)
-// sessions and keeps every pool permanently under its watermark, so the
-// executors refresh continuously; the aggregate round rate is the
-// dispatch tier's sustained throughput.
+// svcRoundsPerSec runs a small fleet of in-process sessions and keeps
+// every pool permanently under its watermark, so each session's
+// refresher reads its keystream continuously; the aggregate round rate
+// is the dispatch tier's sustained throughput.
 func svcRoundsPerSec() (sessions int, perSec float64) {
 	sessions = 4
 	svc := service.New(service.Config{MaxSessions: sessions})
@@ -163,11 +163,10 @@ func svcRoundsPerSec() (sessions int, perSec float64) {
 		sp := service.SessionSpec{
 			Name:      fmt.Sprintf("bench-rounds-%d", i),
 			Terminals: 3, Erasure: 0.45,
-			XPerRound: 64, PayloadBytes: 256, Rounds: 1,
+			XPerRound: 64, PayloadBytes: 256,
 			Rotate: true, Seed: int64(9000 + i),
 			LowWater: 1 << 10, TargetDepth: 2 << 10,
 			Timeout: 60 * time.Second,
-			UDP:     false, Streamed: false,
 		}
 		s, err := svc.Create(sp)
 		fatal(err)

@@ -67,7 +67,6 @@ func streamBenchSpec() service.SessionSpec {
 		Erasure:      0.45,
 		XPerRound:    128,
 		PayloadBytes: 4096,
-		Rounds:       1,
 		Rotate:       true,
 		Seed:         4242,
 		LowWater:     128 << 10,

@@ -1,7 +1,8 @@
 // Command thinaird is the multi-session key-agreement daemon: it runs
-// many concurrent secret-agreement group sessions — each a broadcast bus
-// with one goroutine per terminal and a key pool refreshed in the
-// background — and exposes creation, key draws and telemetry over HTTP.
+// many concurrent secret-agreement group sessions — each a keystream
+// derived on broadcast buses with one goroutine per terminal, and a key
+// pool refilled from it in the background — and exposes creation, key
+// draws, stream ranges and telemetry over HTTP.
 //
 // Serve mode (default):
 //
@@ -91,10 +92,9 @@ func main() {
 		erasure = flag.Float64("erasure", 0.45, "per-link erasure probability")
 		x       = flag.Int("x", 90, "x-packets per round")
 		payload = flag.Int("payload", 16, "payload bytes per x-packet")
-		rounds  = flag.Int("rounds", 2, "protocol rounds per refresh batch")
-		udp     = flag.Bool("udp", false, "run groups over loopback UDP instead of in-process channels")
+		udp     = flag.Bool("udp", false, "run each keystream block's exchange over loopback UDP instead of in-process channels")
 		observe = flag.Bool("observe", false, "attach a wire-level eavesdropper to each session")
-		low     = flag.Int("low-water", 1024, "pool bytes below which the background refresher runs")
+		low     = flag.Int("low-water", 1024, "pool bytes below which the background refresher reads more keystream")
 		seed    = flag.Int64("seed", time.Now().UnixNano()%1000000, "base seed for pre-created sessions")
 
 		// Client mode.
@@ -109,7 +109,7 @@ func main() {
 
 	spec := service.SessionSpec{
 		Terminals: *n, Erasure: *erasure, XPerRound: *x, PayloadBytes: *payload,
-		Rounds: *rounds, Rotate: true, UDP: *udp, Observe: *observe, LowWater: *low,
+		Rotate: true, UDP: *udp, Observe: *observe, LowWater: *low,
 	}
 
 	if *connect != "" {

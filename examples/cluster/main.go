@@ -51,7 +51,7 @@ func main() {
 	for i := 0; i < 6; i++ {
 		info, err := coord.Create(thinair.SessionSpec{
 			Name: fmt.Sprintf("grp-%d", i), Terminals: 3, Erasure: 0.45,
-			XPerRound: 64, PayloadBytes: 16, Rounds: 1, Rotate: true,
+			XPerRound: 64, PayloadBytes: 16, Rotate: true,
 			Seed: int64(40 + i*11), LowWater: 512, TargetDepth: 1024,
 		})
 		if err != nil {

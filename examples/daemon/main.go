@@ -35,7 +35,6 @@ func main() {
 		specs[i].Rotate = true
 		specs[i].XPerRound = 64
 		specs[i].PayloadBytes = 16
-		specs[i].Rounds = 1
 		specs[i].LowWater = 512
 		s, err := svc.Create(specs[i])
 		if err != nil {
@@ -51,7 +50,7 @@ func main() {
 			log.Fatal(err)
 		}
 		m := s.Metrics()
-		fmt.Printf("session %d (%s): pool %d bytes after %d refresh batches\n",
+		fmt.Printf("session %d (%s): pool %d bytes after %d keystream blocks\n",
 			s.ID, m.Name, m.Pool.Available, m.Refreshes)
 	}
 

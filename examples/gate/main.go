@@ -1,5 +1,5 @@
 // Gate: the persistent-client tier in one program. A daemon hosts a
-// stream-fed session; a Gate serves it over the multiplexed frame
+// session; a Gate serves it over the multiplexed frame
 // protocol; and the same thinair.Client interface reads key material
 // over three transports — daemon HTTP, the gate's TCP frames, and the
 // gate's WebSocket upgrade — returning byte-identical answers.
@@ -28,12 +28,12 @@ func main() {
 		DrainTimeout: 5 * time.Second,
 	})
 
-	// One stream-fed session: offset-addressable, so ranges are
+	// One session: its ranges are offset-addressable, so they are
 	// repeatable across transports.
 	s, err := svc.Create(thinair.SessionSpec{
 		Name: "padsource", Terminals: 3, Erasure: 0.45,
 		XPerRound: 64, PayloadBytes: 16, Rotate: true,
-		Seed: 7, LowWater: 512, TargetDepth: 1024, Streamed: true,
+		Seed: 7, LowWater: 512, TargetDepth: 1024,
 	})
 	if err != nil {
 		log.Fatal(err)

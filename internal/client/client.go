@@ -38,9 +38,8 @@ type Client interface {
 	// array). n×count is capped at httpapi.MaxDrawBytes.
 	DrawN(ctx context.Context, session uint64, n, count int) ([][]byte, error)
 	// StreamRange reads length bytes at offset off of the session's key
-	// stream. On stream-fed sessions the range is repeatable and
-	// non-consuming (pad consumers own offset non-reuse); on pool-fed
-	// sessions only off=0 is addressable and the read consumes.
+	// stream. Every session's ranges are addressed: repeatable and
+	// non-consuming (pad consumers own offset non-reuse).
 	StreamRange(ctx context.Context, session uint64, off, length int64) ([]byte, error)
 	// ReaderAt adapts one session's stream surface to io.ReaderAt.
 	ReaderAt(session uint64) io.ReaderAt
@@ -156,9 +155,7 @@ func CodeFromError(err error) string {
 		return httpapi.CodeShutdown
 	case errors.Is(err, ErrUnreachable):
 		return httpapi.CodeUnreachable
-	case errors.Is(err, ErrBadRequest), errors.Is(err, service.ErrNoStream):
-		// The daemon's only bad-request sentinel: a non-zero offset on a
-		// pool-fed session.
+	case errors.Is(err, ErrBadRequest):
 		return httpapi.CodeBadRequest
 	}
 	return httpapi.CodeInternal

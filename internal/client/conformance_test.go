@@ -18,9 +18,9 @@ import (
 	"repro/internal/service"
 )
 
-// streamSpec is a small stream-fed session (no UDP, no observer, no
-// auth): offset-addressable, deterministic for a seed, converges in a
-// couple of seconds.
+// streamSpec is a small in-process session (Streamed keeps it off UDP
+// on the coordinator too): offset-addressable, deterministic for a seed,
+// converges in a couple of seconds.
 func streamSpec(seed int64) service.SessionSpec {
 	return service.SessionSpec{
 		Terminals:    3,
@@ -58,9 +58,10 @@ func tiers() []tier {
 	}
 }
 
-// poolFedTiers hands back a ready pool-fed session on each tier: a UDP
-// session on the daemon and the gate, and a default (not Streamed)
-// session on the coordinator, which forces UDP itself.
+// poolFedTiers hands back a ready session of each tier's default UDP
+// shape: a UDP session on the daemon and the gate, and a default (not
+// Streamed) session on the coordinator, which forces UDP itself. Its
+// ranges are as addressable as a Streamed session's.
 func poolFedTiers() []tier {
 	udpSpec := func(seed int64) service.SessionSpec {
 		sp := streamSpec(seed)
@@ -381,54 +382,60 @@ func TestConcurrentDrawConformance(t *testing.T) {
 	}
 }
 
-// TestPoolFedRangeConformance pins the one range surface of a pool-fed
-// session across all three transports: a non-zero offset is a bad
-// request, and a range at offset 0 is a consuming draw — n bytes that no
-// later draw returns again.
+// TestPoolFedRangeConformance runs the range cases of
+// TestClientConformance over each tier's default UDP session: ranges at
+// non-zero offsets are addressed and re-read byte-identically there too.
 func TestPoolFedRangeConformance(t *testing.T) {
 	for _, tr := range poolFedTiers() {
 		t.Run(tr.name, func(t *testing.T) {
 			c, session := tr.setup(t)
-			ctx := context.Background()
-
-			if _, err := c.StreamRange(ctx, session, 64, 32); !errors.Is(err, client.ErrBadRequest) {
-				t.Fatalf("range at offset 64 on a pool-fed session: got %v, want ErrBadRequest", err)
-			}
-
-			// The refresher tops the pool up in the background; a
-			// momentarily short pool consumes nothing, so retry it.
-			served := func(op func() ([]byte, error)) []byte {
-				t.Helper()
-				deadline := time.Now().Add(60 * time.Second)
-				for {
-					b, err := op()
-					if err == nil {
-						return b
-					}
-					if !errors.Is(err, client.ErrExhausted) || time.Now().After(deadline) {
-						t.Fatal(err)
-					}
-					time.Sleep(20 * time.Millisecond)
-				}
-			}
-			const n = 96
-			rng := served(func() ([]byte, error) { return c.StreamRange(ctx, session, 0, n) })
-			if len(rng) != n {
-				t.Fatalf("range returned %d bytes, want %d", len(rng), n)
-			}
-			var later []byte
-			for i := 0; i < 8; i++ {
-				later = append(later, served(func() ([]byte, error) { return c.Draw(ctx, session, 32) })...)
-			}
-			// Every 8-byte window of the range: a random window recurs by
-			// chance with probability ~2^-64.
-			for i := 0; i+8 <= n; i++ {
-				if bytes.Contains(later, rng[i:i+8]) {
-					t.Fatalf("a later draw returned range bytes [%d,%d) again", i, i+8)
-				}
-			}
+			rangeCases(t, c, session)
 		})
 	}
+}
+
+// rangeCases asserts the addressed-range contract on one session:
+// repeatable reads, offset arithmetic, and ReaderAt agreeing with
+// StreamRange.
+func rangeCases(t *testing.T, c client.Client, session uint64) {
+	ctx := context.Background()
+	t.Run("stream-repeatable", func(t *testing.T) {
+		a, err := c.StreamRange(ctx, session, 16, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := c.StreamRange(ctx, session, 16, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatal("same range read twice returned different bytes")
+		}
+		// Offset addressability: a wider read must contain the
+		// narrow one at its offset.
+		wide, err := c.StreamRange(ctx, session, 0, 96)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wide[16:80], a) {
+			t.Fatal("range [16,80) disagrees with the wider [0,96) read")
+		}
+	})
+
+	t.Run("reader-at", func(t *testing.T) {
+		want, err := c.StreamRange(ctx, session, 128, 48)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 48)
+		n, err := c.ReaderAt(session).ReadAt(buf, 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != 48 || !bytes.Equal(buf, want) {
+			t.Fatal("ReaderAt disagrees with StreamRange over the same range")
+		}
+	})
 }
 
 // TestClientConformance runs the same behavioural assertions against all
@@ -476,43 +483,7 @@ func TestClientConformance(t *testing.T) {
 				}
 			})
 
-			t.Run("stream-repeatable", func(t *testing.T) {
-				a, err := c.StreamRange(ctx, session, 16, 64)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := c.StreamRange(ctx, session, 16, 64)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(a, b) {
-					t.Fatal("same range read twice returned different bytes")
-				}
-				// Offset addressability: a wider read must contain the
-				// narrow one at its offset.
-				wide, err := c.StreamRange(ctx, session, 0, 96)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(wide[16:80], a) {
-					t.Fatal("range [16,80) disagrees with the wider [0,96) read")
-				}
-			})
-
-			t.Run("reader-at", func(t *testing.T) {
-				want, err := c.StreamRange(ctx, session, 128, 48)
-				if err != nil {
-					t.Fatal(err)
-				}
-				buf := make([]byte, 48)
-				n, err := c.ReaderAt(session).ReadAt(buf, 128)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if n != 48 || !bytes.Equal(buf, want) {
-					t.Fatal("ReaderAt disagrees with StreamRange over the same range")
-				}
-			})
+			rangeCases(t, c, session)
 
 			t.Run("errors", func(t *testing.T) {
 				if _, err := c.Draw(ctx, session+9999, 8); !errors.Is(err, client.ErrNotFound) {

@@ -38,6 +38,7 @@ import (
 
 	"repro/internal/httpapi"
 	"repro/internal/keypool"
+	"repro/internal/keystream"
 	"repro/internal/service"
 )
 
@@ -133,14 +134,11 @@ func writeDrawError(w http.ResponseWriter, err error) {
 		// close, checked before ErrClosed because failed errors may wrap
 		// the zeroized pool's sentinel too.
 		httpError(w, http.StatusGone, codeFailed, err)
-	case errors.Is(err, keypool.ErrClosed):
+	case errors.Is(err, keypool.ErrClosed), errors.Is(err, keystream.ErrClosed):
 		httpError(w, http.StatusGone, codeClosed, err)
-	case errors.Is(err, service.ErrNoStream):
-		// A non-zero offset on a pool-fed session.
-		httpError(w, http.StatusBadRequest, httpapi.CodeBadRequest, err)
 	default:
-		// Exhausted: the background refresher is behind; the client
-		// retries after the pool recovers.
+		// Exhausted: the background refresher is behind, or the
+		// session's keystream is not up yet; the client retries.
 		httpError(w, http.StatusConflict, codeExhausted, err)
 	}
 }

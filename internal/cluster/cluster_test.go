@@ -19,7 +19,6 @@ func fastSpec(seed int64) service.SessionSpec {
 		Erasure:      0.45,
 		XPerRound:    48,
 		PayloadBytes: 16,
-		Rounds:       1,
 		Rotate:       true,
 		Seed:         seed,
 		LowWater:     192,

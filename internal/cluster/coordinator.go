@@ -792,10 +792,11 @@ func (c *Coordinator) placeOrphans() {
 }
 
 // Create admits a cluster session and places it on the least-loaded
-// worker. The tier runs real sockets, so UDP is forced in the spec —
-// unless the spec asks for a Streamed session, which keeps the worker's
-// in-process bus so the session's keystream stays offset-addressable
-// (and re-reads byte-identical after a reassignment re-derives it).
+// worker. The tier runs real sockets, so UDP is forced in the spec
+// unless it asks for a Streamed session, which keeps the worker's
+// in-process bus. Either way the session's keystream is offset-
+// addressable and its bytes do not depend on the bus, so a range re-reads
+// byte-identical after a reassignment re-derives it.
 func (c *Coordinator) Create(spec service.SessionSpec) (SessionInfo, error) {
 	if !spec.Streamed {
 		spec.UDP = true
@@ -857,8 +858,7 @@ func (c *Coordinator) Draw(ctx context.Context, cid uint64, n int) ([]byte, erro
 }
 
 // StreamRange routes a bulk stream-range read to the worker owning the
-// session (the worker serves it from the session's keystream or, for the
-// UDP sessions the coordinator creates, the consuming bulk-draw fallback).
+// session, which serves it from the session's keystream.
 func (c *Coordinator) StreamRange(ctx context.Context, cid uint64, off, n int64) ([]byte, error) {
 	return c.routeKeyRead(cid, func(client *WorkerClient) ([]byte, error) {
 		return client.StreamRange(ctx, cid, off, n)

@@ -160,8 +160,10 @@ func TestCoordinatorSaturation(t *testing.T) {
 
 // TestCoordinatorChaosKillAndReassign is the in-process chaos test: a
 // worker is killed mid-operation, the coordinator must notice, respawn
-// the slot, reassign the dead worker's sessions, and draws must succeed
-// again; coordinator shutdown then leaks no goroutines. The e2e harness
+// the slot, reassign the dead worker's sessions, draws must succeed
+// again, and a range read on a default (UDP) session before the kill must
+// re-read byte-identical after it; coordinator shutdown then leaks no
+// goroutines. The e2e harness
 // repeats this across real OS processes.
 func TestCoordinatorChaosKillAndReassign(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -185,8 +187,17 @@ func TestCoordinatorChaosKillAndReassign(t *testing.T) {
 		}
 		ids = append(ids, info.ID)
 	}
+	// Every session serves addressed ranges: one read before the kill
+	// must come back byte-identical from whichever worker owns it after.
+	const rangeOff, rangeLen = 1000, 64
+	ranges := make(map[uint64][]byte)
 	for _, id := range ids {
 		waitConverged(t, c, id, spec.TargetDepth)
+		r, err := c.StreamRange(ctx, id, rangeOff, rangeLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranges[id] = r
 	}
 
 	// Kill the worker owning the first session, while its sessions are
@@ -221,6 +232,15 @@ func TestCoordinatorChaosKillAndReassign(t *testing.T) {
 			_, err := c.Draw(ctx, id, 32)
 			return err == nil
 		})
+	}
+	for _, id := range ids {
+		r, err := c.StreamRange(ctx, id, rangeOff, rangeLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(r, ranges[id]) {
+			t.Fatalf("session %d: range re-read after reassignment differs", id)
+		}
 	}
 	// Draws recover through survivors before the slot is respawned; the
 	// replacement worker comes up shortly after.

@@ -8,12 +8,16 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
+
+	"repro/internal/keypool"
 )
 
 // TestCoordinatorStreamRangeRouting: the bulk stream surface routes to
-// the owning worker, and — because cluster sessions are pool-fed — it is
-// served by the consuming bulk draw, so a stream read on one session
-// equals a plain draw on its same-seed twin placed on a different worker.
+// the owning worker and addresses the session's keystream, so a range on
+// one session equals the same bytes of its same-seed twin placed on a
+// different worker — at offset 0, where the twin's first pool draw reads
+// them, and at any other offset.
 func TestCoordinatorStreamRangeRouting(t *testing.T) {
 	c, err := New(testConfig(nil))
 	if err != nil {
@@ -46,19 +50,55 @@ func TestCoordinatorStreamRangeRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(streamed, drawn) {
-		t.Fatal("routed stream read != same-seed draw: bulk path broke pool ordering")
+		t.Fatal("routed stream read != same-seed draw: range and pool disagree on the keystream")
 	}
-
-	// Pool-fed sessions have no address space: non-zero offsets are
-	// rejected rather than silently mis-addressed.
-	if _, err := c.StreamRange(ctx, a.ID, 64, 32); err == nil {
-		t.Fatal("non-zero offset on a pool-fed session succeeded")
+	// Ranges are addressed, not consumed: the twin's offset range is the
+	// same bytes, and so is a re-read after the twin's draw.
+	for _, id := range []uint64{b.ID, a.ID, a.ID} {
+		got, err := c.StreamRange(ctx, id, 64, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, drawn[64:]) {
+			t.Fatalf("session %d: range [64,96) != the same bytes of the keystream", id)
+		}
 	}
 
 	// Unknown sessions surface the typed not-found error through the RPC.
 	if _, err := c.StreamRange(ctx, 99999, 0, 32); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("unknown session: got %v, want ErrNotFound", err)
 	}
+}
+
+// TestWorkerRangeBeforeStreamUp: on the worker tier, a range on a session
+// queued behind the worker's capacity answers exhausted — the retry
+// signal — and is served once the session runs.
+func TestWorkerRangeBeforeStreamUp(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	w, cl := newTestWorker(t, WorkerConfig{Capacity: 1})
+	spec := fastSpec(81)
+	spec.UDP = true // the coordinator's default cluster shape
+	for cid := uint64(1); cid <= 2; cid++ {
+		spec.Seed = int64(80 + cid)
+		if _, err := cl.Assign(ctx, cid, spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 15*time.Second, "second session queued", func() bool {
+		m := w.Service().Metrics()
+		return m.Running == 1 && m.Queued == 1
+	})
+	if _, err := cl.StreamRange(ctx, 2, 4096, 16); !errors.Is(err, keypool.ErrExhausted) {
+		t.Fatalf("range on a queued session: %v, want keypool.ErrExhausted", err)
+	}
+	if err := cl.Close(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 30*time.Second, "range served once the session runs", func() bool {
+		_, err := cl.StreamRange(ctx, 2, 4096, 16)
+		return err == nil
+	})
 }
 
 // TestCoordinatorStreamHTTP exercises the public stream endpoint

@@ -112,7 +112,9 @@ func (w *Worker) Spans() *obs.SpanLog { return w.spans }
 func (w *Worker) Service() *service.Service { return w.svc }
 
 // Assign places cluster session cid on this worker. Cluster sessions run
-// over real sockets: the coordinator forces UDP in the spec it sends.
+// over real sockets: the coordinator forces UDP in the spec it sends
+// unless the session is Streamed. The session's bytes are the same on
+// either bus, so any worker re-derives them from the spec.
 func (w *Worker) Assign(cid uint64, spec service.SessionSpec) (*service.Session, error) {
 	w.mu.Lock()
 	if w.draining {
@@ -235,17 +237,15 @@ func (w *Worker) Draw(cid uint64, n int) ([]byte, error) {
 }
 
 // streamSource resolves a cluster session's [off, off+n) key-material
-// range to a reader (Session.KeyRange). Cluster sessions run over UDP
-// unless created Streamed, so most are pool-fed: the read is one
-// consuming draw at offset 0 only. A stream-fed session's range addresses
-// its keystream instead — on demand, never materializing the range
-// worker-side.
+// range to a reader over its keystream (Session.StreamRange): derived on
+// demand, never materialized worker-side, and re-derived byte-identical
+// by whichever worker owns the session next.
 func (w *Worker) streamSource(cid uint64, off, n int64) (io.Reader, error) {
 	s, err := w.lookup(cid)
 	if err != nil {
 		return nil, err
 	}
-	return s.KeyRange(off, n)
+	return s.StreamRange(off, n)
 }
 
 // StreamRead returns key-material bytes [off, off+n) from a cluster

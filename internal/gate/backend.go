@@ -384,7 +384,7 @@ func (sb ServiceBackend) StreamTo(_ context.Context, session uint64, off, n int6
 	if err != nil {
 		return 0, err
 	}
-	src, err := s.KeyRange(off, n)
+	src, err := s.StreamRange(off, n)
 	if err != nil {
 		return 0, err
 	}

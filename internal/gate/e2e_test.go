@@ -3,6 +3,8 @@ package gate
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -174,6 +176,78 @@ func TestOwnershipInvalidationOnWorkerKill(t *testing.T) {
 	}
 	if m := backend.misses.Value(); m < 2 {
 		t.Fatalf("owner cache misses %d, want at least 2 (initial + re-resolve)", m)
+	}
+}
+
+// cutBackend forwards to a real backend, but once armed it severs the
+// connection halfway through the next stream call.
+type cutBackend struct {
+	Backend
+	kill  func()
+	armed atomic.Bool
+}
+
+func (b *cutBackend) StreamTo(ctx context.Context, session uint64, off, n int64, w io.Writer) (int64, error) {
+	if !b.armed.CompareAndSwap(true, false) {
+		return b.Backend.StreamTo(ctx, session, off, n, w)
+	}
+	written, err := b.Backend.StreamTo(ctx, session, off, n/2, w)
+	if err != nil {
+		return written, err
+	}
+	b.kill()
+	return written, fmt.Errorf("wire cut after %d of %d bytes", written, n)
+}
+
+// TestReconnectResumesDefaultClusterSession: on a default cluster
+// session (UDP, not Streamed) a range cut mid-flight resumes from the
+// written offset on a fresh connection, and the assembled range equals
+// an uncut read of the same bytes.
+func TestReconnectResumesDefaultClusterSession(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster e2e test")
+	}
+	co := newE2ECoordinator(t, nil)
+	spec := e2eSpec(8803)
+	spec.Streamed = false
+	info, err := co.Create(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend := NewClusterBackend(ClusterBackendConfig{
+		Resolver: LocalResolver{C: co},
+		Obs:      obs.New(),
+	})
+	t.Cleanup(func() { backend.Close() })
+	cb := &cutBackend{Backend: backend}
+	g := newTestGate(t, Config{Backend: cb})
+	c := dialPipe(t, g)
+	ctx := context.Background()
+
+	const off, length = 4096, 96
+	var want []byte
+	waitFor(t, 60*time.Second, "uncut range", func() bool {
+		want, err = c.StreamRange(ctx, info.ID, off, length)
+		return err == nil
+	})
+
+	d := &pipeDialer{g: g}
+	cb.kill = d.killLast
+	rc := NewReconnectClient(ReconnectConfig{Dial: d.dial})
+	defer rc.Close()
+	cb.armed.Store(true)
+	got, err := rc.StreamRange(ctx, info.ID, off, length)
+	if err != nil {
+		t.Fatalf("range across a mid-range cut: %v", err)
+	}
+	if cb.armed.Load() {
+		t.Fatal("the range was never cut")
+	}
+	if rc.Redials() != 1 {
+		t.Fatalf("redials = %d, want 1", rc.Redials())
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("resumed range differs from the uncut read:\n got %x\nwant %x", got, want)
 	}
 }
 

@@ -218,9 +218,7 @@ func (rc *ReconnectClient) DrawN(ctx context.Context, session uint64, n, count i
 // riding through connection losses: the prefix received before a cut is
 // kept and the remainder re-requested from the written offset on the
 // next connection — each byte of the range is delivered exactly once.
-// (Pool-fed sessions only address offset 0, so a mid-range resume there
-// is rejected by the worker; stream-fed sessions — the addressable
-// surface — resume cleanly.)
+// Every session's ranges are addressed, so the resume re-reads nothing.
 func (rc *ReconnectClient) StreamRange(ctx context.Context, session uint64, off, length int64) ([]byte, error) {
 	var buf []byte
 	for {

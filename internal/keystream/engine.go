@@ -112,12 +112,14 @@ func (s *Stream) derive(idx int64, dst []byte) error {
 }
 
 // exchRound is one round's transmit-phase outcome, handed from the
-// exchange goroutine to the compute goroutine: the round's plan and, when
-// the plan yields secret, its x-payload symbols.
+// exchange goroutine to the compute goroutine: the round's plan, when
+// the plan yields secret its x-payload symbols, and (when timed) the
+// instant its exchange began.
 type exchRound struct {
 	round int
 	plan  *core.Plan
 	xSym  [][]core.Sym
+	start time.Time
 }
 
 // verifyResult is one terminal's derived secret for one round.
@@ -155,7 +157,7 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 	if cfg.Rotate {
 		leader = int(((idx % int64(cfg.Terminals)) + int64(cfg.Terminals)) % int64(cfg.Terminals))
 	}
-	session := uint32(uint64(blockSeed))
+	session := BlockSession(blockSeed)
 
 	var bus transport.Bus
 	var err error
@@ -254,6 +256,7 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 			er, err := bc.exchange(ctx, eps[leader], r, leader, session, blockSeed, plan)
 			if timed {
 				bc.ins.exchangeLat.ObserveSince(t0)
+				er.start = t0
 			}
 			if err != nil {
 				return
@@ -283,6 +286,7 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 			bc.es.aborted.Add(1)
 			if computeTimed {
 				bc.ins.computeLat.ObserveSince(computeT0)
+				bc.ins.roundLat.ObserveSince(er.start)
 			}
 			consecAborts++
 			ah := h
@@ -322,6 +326,9 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 			break
 		}
 		bc.es.productive.Add(1)
+		if computeTimed {
+			bc.ins.roundLat.ObserveSince(er.start)
+		}
 		written += copy(dst[written:], secret)
 		if written >= len(dst) {
 			break

@@ -18,6 +18,10 @@ func BlockSeed(streamSeed, block int64) int64 {
 	return int64(radio.Mix64(radio.Mix64(uint64(streamSeed)) ^ uint64(block)))
 }
 
+// BlockSession is the wire session id a block's frames carry: the low 32
+// bits of its block seed. An observer tapping a block's bus filters on it.
+func BlockSession(blockSeed int64) uint32 { return uint32(uint64(blockSeed)) }
+
 // XOFSource8 is a cheap deterministic block source built on the GF(2^8)
 // kernel: a splitmix counter stream mixed by byte-field multiply-add
 // passes. It exists so the stream's framing and offset arithmetic can be

@@ -30,11 +30,9 @@ import (
 // deployment would keep keys on-box and hand out references.
 //
 // The stream endpoint is the bulk surface: a chunked
-// application/octet-stream body of exactly len bytes. On stream-fed
-// sessions it addresses the deterministic keystream by offset (repeatable,
-// non-consuming — pad consumers own offset non-reuse); on UDP/observed/
-// authenticated sessions it is one consuming pool draw, and only
-// offset=0 is accepted (see Session.KeyRange).
+// application/octet-stream body of exactly len bytes, addressing the
+// session's deterministic keystream by offset (repeatable, non-consuming
+// — pad consumers own offset non-reuse; see Session.StreamRange).
 func (sv *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -205,7 +203,7 @@ func (sv *Service) Handler() http.Handler {
 // aborts the connection — truncation is loud, never a valid-looking
 // short body (see httpapi.StreamBody).
 func (sv *Service) serveStream(w http.ResponseWriter, r *http.Request, s *Session, off, n int64) bool {
-	src, err := s.KeyRange(off, n)
+	src, err := s.StreamRange(off, n)
 	if err != nil {
 		keyError(w, s, err)
 		return false
@@ -214,9 +212,8 @@ func (sv *Service) serveStream(w http.ResponseWriter, r *http.Request, s *Sessio
 }
 
 // keyError writes a failed draw or range and returns the error as sent.
-// Exhausted is the backpressure signal: the refresher is behind, and the
-// client retries after the pool recovers. A non-zero offset on a
-// pool-fed session is the caller's mistake. Anything else means the
+// Exhausted is the backpressure signal: the refresher is behind (or the
+// keystream not yet up), and the client retries. Anything else means the
 // session's material is gone for good — Gone tells the client to stop
 // retrying, with the code distinguishing a session that died on its own
 // (failed) from one that was closed.
@@ -225,8 +222,6 @@ func keyError(w http.ResponseWriter, s *Session, err error) error {
 	switch {
 	case errors.Is(err, keypool.ErrExhausted):
 		status, code = http.StatusConflict, httpapi.CodeExhausted
-	case errors.Is(err, ErrNoStream):
-		status, code = http.StatusBadRequest, httpapi.CodeBadRequest
 	case s.State() == StateFailed:
 		code = httpapi.CodeFailed
 		err = fmt.Errorf("%w: %w", ErrFailed, err)

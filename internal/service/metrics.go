@@ -22,7 +22,8 @@ type SessionMetrics struct {
 	UDP       bool    `json:"udp"`
 
 	// Rounds / Productive count protocol rounds executed so far;
-	// Refreshes / RefreshErrors count background refresh batches.
+	// Refreshes / RefreshErrors count keystream blocks the background
+	// refresher read into the pool, and those that failed.
 	Rounds        int64 `json:"rounds"`
 	Productive    int64 `json:"productive"`
 	Refreshes     int64 `json:"refreshes"`
@@ -32,8 +33,8 @@ type SessionMetrics struct {
 
 	Pool keypool.Stats `json:"pool"`
 
-	// Stream is the keystream snapshot for stream-fed sessions (nil for
-	// UDP/observed/authenticated sessions on the lockstep refresh path).
+	// Stream is the session's keystream snapshot (nil while the session
+	// is queued or after it has stopped).
 	Stream *keystream.Stats `json:"stream,omitempty"`
 
 	// Eve-bound estimate from the wire-level observer, when attached:
@@ -157,9 +158,9 @@ func (m ServiceMetrics) WriteProm(w io.Writer) {
 		always(func(s SessionMetrics) float64 { return float64(s.Rounds) }))
 	emit("thinaird_session_productive_rounds_total", "Rounds that certified secret bits.", "counter",
 		always(func(s SessionMetrics) float64 { return float64(s.Productive) }))
-	emit("thinaird_session_refreshes_total", "Background refresh batches attempted.", "counter",
+	emit("thinaird_session_refreshes_total", "Keystream blocks the background refresher read into the pool.", "counter",
 		always(func(s SessionMetrics) float64 { return float64(s.Refreshes) }))
-	emit("thinaird_session_refresh_errors_total", "Refresh batches that failed.", "counter",
+	emit("thinaird_session_refresh_errors_total", "Keystream block reads that failed.", "counter",
 		always(func(s SessionMetrics) float64 { return float64(s.RefreshErrors) }))
 	emit("thinaird_session_secret_bytes_total", "Key material deposited into the pool.", "counter",
 		always(func(s SessionMetrics) float64 { return float64(s.SecretBytes) }))

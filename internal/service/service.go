@@ -1,17 +1,16 @@
 // Package service is the long-lived daemon layer over the protocol
 // engine: it runs many concurrent secret-agreement group sessions, each
-// with its own broadcast bus (in-process channels or loopback UDP), a
-// goroutine-per-node runtime, and a key pool refreshed in the background
-// by re-entering the engine whenever draws push the pool below its
-// watermark.
+// a deterministic keystream (internal/keystream) whose blocks derive on
+// per-block broadcast buses (in-process channels or loopback UDP), and a
+// key pool refilled from that stream in the background whenever draws
+// push the pool below its watermark.
 //
 // The Service owns admission control, lifecycle (create / close /
 // drain), and telemetry (per-session rounds, secret bytes, pool depth,
 // Eve-bound estimates) exposed over HTTP by Handler. Sessions are
 // partitioned across shards (id → shard by hash): each shard runs one
 // dispatch goroutine feeding on-demand executors over a channel handoff
-// and owns the pinned scratch arenas its sessions' engine batches run
-// on, while a global token semaphore bounds total running sessions.
+// and owns the block buffers its sessions' refreshers read into, while a global token semaphore bounds total running sessions.
 // cmd/thinaird is the CLI front end.
 package service
 
@@ -56,12 +55,12 @@ type Config struct {
 	// beyond it Create fails fast with ErrSaturated. 0 means MaxSessions.
 	MaxQueued int
 	// Shards is the number of session partitions, each with its own
-	// dispatch goroutine, work queue, and pinned scratch arenas. Sessions
+	// dispatch goroutine, work queue, and block buffer arenas. Sessions
 	// hash to a shard by id and never migrate. 0 means GOMAXPROCS,
 	// capped at MaxSessions.
 	Shards int
 	// DrainTimeout is how long a closing session may spend finishing its
-	// in-flight refresh batch before being cancelled hard. 0 means 10s.
+	// in-flight block derivation before being cancelled hard. 0 means 10s.
 	DrainTimeout time.Duration
 	// Obs is the metrics registry the daemon's hot paths (HTTP draws,
 	// stream ranges, the engine and keystream underneath) observe into.
@@ -112,7 +111,7 @@ type Service struct {
 	closed   bool
 
 	// shards partition the sessions: each owns a work queue, a dispatch
-	// goroutine, on-demand executors, and pinned scratch arenas. Nothing
+	// goroutine, on-demand executors, and block buffer arenas. Nothing
 	// on the dispatch or draw hot paths touches sv.mu.
 	shards []*shard
 	// tokens is the global running-session semaphore: a dispatcher takes
@@ -325,7 +324,7 @@ func (sv *Service) Sessions() []*Session {
 	return out
 }
 
-// Close gracefully stops one session (draining its in-flight batch) and
+// Close gracefully stops one session (draining its in-flight block) and
 // forgets it.
 func (sv *Service) Close(id uint32) error {
 	s, err := sv.Get(id)
@@ -338,7 +337,7 @@ func (sv *Service) Close(id uint32) error {
 }
 
 // Shutdown stops the daemon: no new sessions are admitted, every session
-// is asked to drain its in-flight refresh batch, and once ctx expires any
+// is asked to drain its in-flight block derivation, and once ctx expires any
 // stragglers are cancelled hard. All dispatcher and executor goroutines
 // have exited and all pools are zeroized when Shutdown returns.
 func (sv *Service) Shutdown(ctx context.Context) error {

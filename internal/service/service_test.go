@@ -23,7 +23,6 @@ func fastSpec(seed int64) SessionSpec {
 		Erasure:      0.45,
 		XPerRound:    64,
 		PayloadBytes: 16,
-		Rounds:       1,
 		Rotate:       true,
 		Seed:         seed,
 		LowWater:     256,
@@ -330,7 +329,6 @@ func TestServe32UDPSessions(t *testing.T) {
 			Erasure:      0.45,
 			XPerRound:    48,
 			PayloadBytes: 16,
-			Rounds:       1,
 			Rotate:       true,
 			UDP:          true,
 			Seed:         int64(9000 + i*31),

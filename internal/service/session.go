@@ -1,9 +1,8 @@
 package service
 
 import (
-	"bytes"
 	"context"
-	"errors"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"sync"
@@ -14,11 +13,15 @@ import (
 	"repro/internal/core"
 	"repro/internal/keypool"
 	"repro/internal/keystream"
-	"repro/internal/sweep"
 	"repro/internal/transport"
 )
 
 // SessionSpec describes one long-lived secret-agreement group session.
+// Every session is fed by a deterministic keystream: its bytes are a
+// pure function of (Terminals, XPerRound, PayloadBytes, Erasure, Seed,
+// Rotate, StreamBlock) — keystream.ReferenceBlock recomputes any block —
+// whatever its UDP, Observe or AuthBootstrap setting, which choose only
+// the bus each block's exchange runs over.
 type SessionSpec struct {
 	// Name labels the session in metrics and the HTTP API (optional).
 	Name string
@@ -26,49 +29,43 @@ type SessionSpec struct {
 	Terminals int
 	// Erasure is the symmetric per-link data-plane loss probability.
 	Erasure float64
-	// XPerRound, PayloadBytes, Rounds configure each refresh batch
-	// (Rounds protocol rounds per batch). Zero values select 90 / 16 / 2.
+	// XPerRound and PayloadBytes configure each protocol round. Zero
+	// values select 90 / 16.
 	XPerRound    int
 	PayloadBytes int
-	Rounds       int
-	// Rotate rotates the leader role across rounds (recommended; §3.2).
+	// Rounds is ignored: a session runs as many rounds as its keystream
+	// blocks need.
+	Rounds int
+	// Rotate rotates the leader role across keystream blocks (§3.2).
 	Rotate bool
-	// UDP runs the group over a loopback-UDP bus instead of in-process
-	// channels.
+	// UDP runs each block's exchange over a loopback-UDP bus instead of
+	// in-process channels.
 	UDP bool
-	// Seed pins the session's randomness (payloads, erasures, refresh
-	// batch seeds). Two sessions with the same spec and seed produce the
-	// same key stream.
+	// Seed pins the session's randomness (payloads, erasures). Two
+	// sessions with the same spec and seed produce the same key stream.
 	Seed int64
-	// AuthBootstrap, when non-empty, enables the active-Eve
-	// authentication chain with this shared bootstrap secret.
+	// AuthBootstrap, when non-empty, authenticates every control frame
+	// against an active Eve. Block b's tag key is this bootstrap's key
+	// chain ratcheted once with (Seed, b); see blockChain.
 	AuthBootstrap []byte
 	// LowWater is the pool depth (bytes) below which the background
-	// refresher runs more protocol rounds; TargetDepth is where it stops.
-	// Zero values select 1024 and 2*LowWater.
+	// refresher reads more of the keystream; TargetDepth is where it
+	// stops. Zero values select 1024 and 2*LowWater.
 	LowWater    int
 	TargetDepth int
-	// Observe attaches a wire-level eavesdropper to the session's bus and
-	// exposes its certificate in the metrics.
+	// Observe attaches a wire-level eavesdropper to each block's bus and
+	// exposes its accumulated certificate in the metrics.
 	Observe bool
-	// Streamed requests a stream-fed session on the cluster tier. The
-	// coordinator normally forces UDP on every cluster session, which
-	// makes the pool a consuming one-shot surface; Streamed keeps the
-	// in-process bus so the worker hosts a deterministic, offset-
-	// addressable keystream — ranges re-read byte-identical after a
-	// reassignment, which the gate's stream surface depends on.
-	// Incompatible with UDP, Observe and AuthBootstrap (those paths keep
-	// the lockstep engine refresh and have no address space).
+	// Streamed keeps a cluster session on the worker's in-process bus:
+	// the coordinator otherwise forces UDP on every session it creates.
+	// The daemon itself ignores it.
 	Streamed bool
-	// Timeout bounds each protocol wait inside a node (default 10s).
+	// Timeout bounds one keystream block derivation (default 10s).
 	Timeout time.Duration
-	// StreamBlock is the keystream block size (bytes) for stream-fed
-	// sessions (default 4096, scaled down to TargetDepth for shallow
-	// pools). In-process sessions without an observer or
-	// an auth chain are fed by an internal/keystream Stream — the pool
-	// becomes one sequential consumer of it, and the random-access
-	// /stream surface (Session.StreamRange) opens up; UDP, observed and
-	// authenticated sessions keep the lockstep engine refresh path.
+	// StreamBlock is the keystream block size in bytes (default 4096,
+	// scaled down to TargetDepth for shallow pools). The pool is one
+	// sequential consumer of the keystream; Session.StreamRange addresses
+	// it by offset.
 	StreamBlock int
 }
 
@@ -78,9 +75,6 @@ func (sp *SessionSpec) fill() error {
 	}
 	if sp.PayloadBytes == 0 {
 		sp.PayloadBytes = 16
-	}
-	if sp.Rounds == 0 {
-		sp.Rounds = 2
 	}
 	if sp.LowWater == 0 {
 		sp.LowWater = 1024
@@ -111,15 +105,12 @@ func (sp *SessionSpec) fill() error {
 	if sp.Erasure < 0 || sp.Erasure >= 1 {
 		return fmt.Errorf("service: erasure %v outside [0, 1)", sp.Erasure)
 	}
-	if sp.Streamed && (sp.UDP || sp.Observe || len(sp.AuthBootstrap) > 0) {
-		return errors.New("service: streamed sessions cannot combine UDP, observers, or auth")
-	}
 	if sp.TargetDepth < sp.LowWater {
 		return fmt.Errorf("service: target depth %d below low-water %d", sp.TargetDepth, sp.LowWater)
 	}
 	cfg := core.Config{
 		Terminals: sp.Terminals, XPerRound: sp.XPerRound,
-		PayloadBytes: sp.PayloadBytes, Rounds: sp.Rounds,
+		PayloadBytes: sp.PayloadBytes, Rounds: 1,
 	}
 	return cfg.Validate()
 }
@@ -130,10 +121,10 @@ type State int32
 const (
 	// StateQueued: admitted but waiting for a runner slot.
 	StateQueued State = iota
-	// StateRunning: bus up, background refresher active.
+	// StateRunning: keystream up, background refresher active.
 	StateRunning
-	// StateFailed: terminated by errors (bus setup failure, too many
-	// consecutive refresh failures, or an exhausted round space).
+	// StateFailed: terminated by errors (keystream setup failure or too
+	// many consecutive failed block derivations).
 	StateFailed
 	// StateClosed: torn down cleanly; the pool is zeroized.
 	StateClosed
@@ -153,42 +144,34 @@ func (s State) String() string {
 	return fmt.Sprintf("state(%d)", int32(s))
 }
 
-// maxRefreshFailures is how many consecutive erroring refresh batches
-// (timeouts, bus failures) move a session to StateFailed instead of
-// hammering the bus forever. Aborted rounds (the estimator refusing to
-// certify any secret, a normal outcome on a bad channel) get the much
-// longer maxAbortStreak before the session is declared dead.
-const (
-	maxRefreshFailures = 5
-	maxAbortStreak     = 64
-)
+// maxRefreshFailures is how many consecutive failed block derivations
+// (timeouts, bus failures, a channel too lossy to certify any secret)
+// move a session to StateFailed instead of retrying forever.
+const maxRefreshFailures = 5
 
-// errNoSecret marks a refresh batch whose rounds all aborted.
-var errNoSecret = errors.New("service: refresh batch produced no secret")
-
-// Session is one running group: a broadcast bus, the goroutine-per-node
-// protocol engine re-entered batch by batch, and a key pool topped up by a
-// background refresher whenever draws push it below the watermark.
+// Session is one running group: a keystream deriving blocks on per-block
+// buses through the pipelined engine, and a key pool topped up from it by
+// a background refresher whenever draws push the pool below the
+// watermark.
 type Session struct {
-	// ID doubles as the wire session id in message headers.
+	// ID names the session in the daemon's registry and HTTP API.
 	ID   uint32
 	spec SessionSpec
 
 	svc  *Service
 	pool *keypool.Pool
 	// shard is the partition this session hashes to (assigned at Create,
-	// never migrates); arena is the shard-owned scratch checked out by
-	// the executor for the session's whole run (engine round scratch,
-	// stream block buffer). arena is touched only by the executor
-	// goroutine between checkout and return.
+	// never migrates); arena is the shard-owned stream block buffer
+	// checked out by the executor for the session's whole run, touched
+	// only by the executor goroutine between checkout and return.
 	shard *shard
 	arena *sessionArena
 
 	ctx     context.Context
 	cancel  context.CancelFunc
-	closing chan struct{} // Close() signal: finish the in-flight batch, then exit
+	closing chan struct{} // Close() signal: finish the in-flight block, then exit
 	done    chan struct{} // closed when run() has returned
-	ready   chan struct{} // closed after the first successful refresh
+	ready   chan struct{} // closed after the pool first reaches its target depth
 
 	closeOnce sync.Once
 	readyOnce sync.Once
@@ -205,21 +188,23 @@ type Session struct {
 	rounds    atomic.Int64
 	prodRound atomic.Int64
 	secretOut atomic.Int64 // lifetime secret bytes deposited
-	refreshes atomic.Int64 // refresh batches attempted
-	refreshEr atomic.Int64 // refresh batches failed
-	nextRound atomic.Int64 // FirstRound for the next batch
+	refreshes atomic.Int64 // pool refreshes (stream blocks) attempted
+	refreshEr atomic.Int64 // pool refreshes failed
 
 	errMu   sync.Mutex
 	lastErr error
 
-	obsMu sync.Mutex
-	obs   *transport.Observer
+	// obsMu guards the Eve certificate the per-block observers of an
+	// Observe session fold into as their buses close.
+	obsMu      sync.Mutex
+	eveSecret  int
+	eveUnknown int
 
-	// strMu guards str, the keystream feeding a stream-fed session. It is
-	// non-nil only while run() is live; readers (HTTP /stream, Metrics)
-	// take the pointer under the lock and then use it lock-free — a
-	// concurrent teardown closes the Stream, which wakes them with
-	// keystream.ErrClosed instead of leaving them blocked.
+	// strMu guards str, the session's keystream. It is non-nil only while
+	// run() is live; readers (HTTP /stream, Metrics) take the pointer under
+	// the lock and then use it lock-free — a concurrent teardown closes the
+	// Stream, which wakes them with keystream.ErrClosed instead of leaving
+	// them blocked.
 	strMu sync.RWMutex
 	str   *keystream.Stream
 }
@@ -249,19 +234,8 @@ func (s *Session) State() State { return State(s.state.Load()) }
 // never-reused key material from it.
 func (s *Session) Pool() *keypool.Pool { return s.pool }
 
-// ErrNoStream marks a session without a random-access keystream (UDP,
-// observed or authenticated sessions use the lockstep refresh engine;
-// their key material is pool-draw only).
-var ErrNoStream = errors.New("service: session has no keystream")
-
-// StreamFed reports whether this session's pool is fed by a keystream
-// (and so Stream/StreamRange work on it).
-func (s *Session) StreamFed() bool {
-	return !s.spec.UDP && !s.spec.Observe && len(s.spec.AuthBootstrap) == 0
-}
-
 // Stream returns the session's keystream, or nil when the session is not
-// stream-fed (or not running).
+// running.
 func (s *Session) Stream() *keystream.Stream {
 	s.strMu.RLock()
 	defer s.strMu.RUnlock()
@@ -269,38 +243,21 @@ func (s *Session) Stream() *keystream.Stream {
 }
 
 // StreamRange returns a reader over key-material bytes [off, off+n) —
-// the non-consuming, randomly addressable surface. Offsets address the
-// session's deterministic keystream: reading a range twice returns the
-// same bytes, and one-time-pad users own offset non-reuse.
+// the non-consuming, randomly addressable surface every tier serves.
+// Offsets address the session's deterministic keystream: reading a range
+// twice returns the same bytes, and one-time-pad users own offset
+// non-reuse. Before the stream is up (queued, or not yet started by its
+// executor) it fails with keypool.ErrExhausted, the retry signal; once
+// the session is torn down, with keystream.ErrClosed.
 func (s *Session) StreamRange(off, n int64) (io.Reader, error) {
 	str := s.Stream()
 	if str == nil {
-		if !s.StreamFed() {
-			return nil, ErrNoStream
+		if st := s.State(); st == StateQueued || st == StateRunning {
+			return nil, fmt.Errorf("%w: session %d keystream not started", keypool.ErrExhausted, s.ID)
 		}
 		return nil, keystream.ErrClosed
 	}
 	return str.RangeReader(off, n), nil
-}
-
-// KeyRange returns key-material bytes [off, off+n) as a reader — the
-// range surface every tier serves. On a stream-fed session it is
-// StreamRange: addressed and non-consuming. A pool-fed session has no
-// address space, so at offset 0 the range is one consuming,
-// all-or-nothing draw of n bytes, and any other offset fails with
-// ErrNoStream.
-func (s *Session) KeyRange(off, n int64) (io.Reader, error) {
-	if s.StreamFed() {
-		return s.StreamRange(off, n)
-	}
-	if off != 0 {
-		return nil, fmt.Errorf("%w: offsets are only addressable on stream-fed sessions", ErrNoStream)
-	}
-	key, err := s.Draw(int(n))
-	if err != nil {
-		return nil, err
-	}
-	return bytes.NewReader(key), nil
 }
 
 // Draw dispenses n bytes of one-time key material. It never runs
@@ -349,10 +306,10 @@ func (s *Session) setErr(err error) {
 	s.errMu.Unlock()
 }
 
-// Close gracefully stops the session: the in-flight refresh batch drains
-// (up to the service's drain timeout, after which it is cancelled hard),
-// the bus is torn down and the pool zeroized. It blocks until teardown
-// finishes and is safe to call multiple times.
+// Close gracefully stops the session: the in-flight block derivation
+// drains (up to the service's drain timeout, after which it is cancelled
+// hard), the keystream is closed and the pool zeroized. It blocks until
+// teardown finishes and is safe to call multiple times.
 func (s *Session) Close() { s.closeNow() }
 
 func (s *Session) closeNow() {
@@ -375,7 +332,7 @@ func (s *Session) closeNow() {
 	select {
 	case <-s.done:
 	case <-time.After(s.svc.cfg.DrainTimeout):
-		s.cancel() // drain window elapsed: abort the in-flight batch
+		s.cancel() // drain window elapsed: abort the in-flight block
 	}
 	<-s.done
 }
@@ -397,7 +354,11 @@ func (s *Session) stopRequested() bool {
 	}
 }
 
-// run is the session's whole life, executed on one Service runner slot.
+// run is the session's whole life, executed on one Service runner slot:
+// a keystream.Stream derives blocks through the pipelined engine, and the
+// pool becomes its first sequential consumer — every pool draw returns a
+// prefix-exact slice of the same deterministic stream that StreamRange
+// addresses by offset.
 func (s *Session) run() {
 	defer close(s.done)
 	defer func() {
@@ -415,111 +376,6 @@ func (s *Session) run() {
 		return
 	}
 
-	if s.StreamFed() {
-		s.runStream()
-		return
-	}
-
-	// The observer goroutine only exits once the bus is down (its Recv
-	// channel closes), so the wait must be registered BEFORE bus.Close:
-	// defers run last-in-first-out.
-	obsDone := make(chan struct{})
-	obsStarted := false
-	defer func() {
-		if obsStarted {
-			<-obsDone
-		}
-	}()
-
-	bus, err := s.newBus()
-	if err != nil {
-		s.setErr(err)
-		s.state.Store(int32(StateFailed))
-		return
-	}
-	defer bus.Close()
-
-	// Attach every terminal endpoint once; refresh batches re-enter the
-	// engine on these endpoints (a per-batch re-dial would leak sockets
-	// on the UDP bus and re-register receivers mid-flight).
-	eps := make([]transport.Endpoint, s.spec.Terminals)
-	for i := range eps {
-		if eps[i], err = bus.Endpoint(i); err != nil {
-			s.setErr(err)
-			s.state.Store(int32(StateFailed))
-			return
-		}
-	}
-
-	var chains []*auth.KeyChain
-	if len(s.spec.AuthBootstrap) > 0 {
-		chains = make([]*auth.KeyChain, s.spec.Terminals)
-		for i := range chains {
-			chains[i] = auth.NewKeyChain(s.spec.AuthBootstrap)
-		}
-	}
-
-	// The observer taps the bus as node n, exactly like a real Eve.
-	if s.spec.Observe {
-		obsEp, err := bus.Endpoint(s.spec.Terminals)
-		if err != nil {
-			s.setErr(err)
-			s.state.Store(int32(StateFailed))
-			return
-		}
-		s.obsMu.Lock()
-		s.obs = transport.NewObserver(s.ID)
-		s.obsMu.Unlock()
-		obsStarted = true
-		go s.observe(obsEp, obsDone)
-	}
-
-	s.pool.SetLowWater(s.spec.LowWater)
-	low := s.pool.LowWaterSignal()
-
-	consecFail, abortStreak := 0, 0
-	for {
-		// Top the pool up to the target depth.
-		for s.pool.Available() < s.spec.TargetDepth {
-			if s.stopRequested() {
-				return
-			}
-			err := s.refresh(eps, chains)
-			if err != nil {
-				if s.ctx.Err() != nil {
-					return
-				}
-				s.refreshEr.Add(1)
-				s.setErr(err)
-				if errors.Is(err, errNoSecret) {
-					abortStreak++
-				} else {
-					consecFail++
-				}
-				if consecFail >= maxRefreshFailures || abortStreak >= maxAbortStreak {
-					s.state.Store(int32(StateFailed))
-					return
-				}
-				continue
-			}
-			consecFail, abortStreak = 0, 0
-		}
-		s.readyOnce.Do(func() { close(s.ready) })
-		select {
-		case <-s.ctx.Done():
-			return
-		case <-s.closing:
-			return
-		case <-low:
-		}
-	}
-}
-
-// runStream is the stream-fed session body: a keystream.Stream derives
-// blocks through the pipelined engine, and the pool becomes its first
-// sequential consumer — every pool draw returns a prefix-exact slice of
-// the same deterministic stream that StreamRange addresses by offset.
-func (s *Session) runStream() {
 	str, err := keystream.New(keystream.Config{
 		Terminals:    s.spec.Terminals,
 		XPerRound:    s.spec.XPerRound,
@@ -530,6 +386,7 @@ func (s *Session) runStream() {
 		BlockSize:    s.spec.StreamBlock,
 		Timeout:      s.spec.Timeout,
 		Obs:          s.svc.obs,
+		NewBus:       s.blockBus,
 	})
 	if err != nil {
 		s.setErr(err)
@@ -560,7 +417,7 @@ func (s *Session) runStream() {
 			if s.stopRequested() {
 				return
 			}
-			if err := s.refreshFromStream(str, buf); err != nil {
+			if err := s.refresh(str, buf); err != nil {
 				if s.ctx.Err() != nil {
 					return
 				}
@@ -586,11 +443,10 @@ func (s *Session) runStream() {
 	}
 }
 
-// refreshFromStream deposits the next sequential stream block into the
-// pool. A failed block derivation (dead channel, timeout) surfaces here
-// and counts against the session's failure limit, exactly like a failed
-// lockstep refresh batch.
-func (s *Session) refreshFromStream(str *keystream.Stream, buf []byte) error {
+// refresh deposits the next sequential stream block into the pool. A
+// failed block derivation (dead channel, timeout) surfaces here and
+// counts against the session's failure limit.
+func (s *Session) refresh(str *keystream.Stream, buf []byte) error {
 	s.refreshes.Add(1)
 	if _, err := io.ReadFull(str, buf); err != nil {
 		return err
@@ -604,96 +460,89 @@ func (s *Session) refreshFromStream(str *keystream.Stream, buf []byte) error {
 	return nil
 }
 
-// refresh runs one batch of protocol rounds on the session's endpoints
-// and deposits the agreed secret into the pool.
-func (s *Session) refresh(eps []transport.Endpoint, chains []*auth.KeyChain) error {
-	first := int(s.nextRound.Load())
-	if first+s.spec.Rounds > 1<<16 {
-		return fmt.Errorf("service: session %d exhausted the 16-bit round space", s.ID)
-	}
-	cfg := transport.NodeConfig{
-		Config: core.Config{
-			Terminals:    s.spec.Terminals,
-			XPerRound:    s.spec.XPerRound,
-			PayloadBytes: s.spec.PayloadBytes,
-			Rounds:       s.spec.Rounds,
-			Rotate:       s.spec.Rotate,
-			// One deterministic stream per session: the x-payload rng is
-			// already diversified per round inside the engine, so the seed
-			// stays fixed while FirstRound advances.
-			Seed: s.spec.Seed,
-			Obs:  s.svc.obs,
-		},
-		Session:    s.ID,
-		Timeout:    s.spec.Timeout,
-		FirstRound: first,
-	}
-	if s.arena != nil {
-		cfg.Scratches = s.arena.scratchesFor(s.spec.Terminals)
-	}
-	s.refreshes.Add(1)
-	results, err := transport.RunGroupOn(s.ctx, eps, cfg, chains)
-	if err != nil {
-		return err
-	}
-	s.nextRound.Store(int64(first + s.spec.Rounds))
-	s.rounds.Add(int64(results[0].Rounds))
-	s.prodRound.Add(int64(results[0].Productive))
-	secret := results[0].Secret
-	if len(secret) == 0 {
-		return errNoSecret
-	}
-	s.pool.Deposit(secret)
-	s.secretOut.Add(int64(len(secret)))
-	for _, r := range results { // the pool holds the only live copy now
-		for i := range r.Secret {
-			r.Secret[i] = 0
-		}
-	}
-	return nil
-}
-
-// newBus builds the session's broadcast domain. The bus seed derives from
-// the session seed so the erasure process is reproducible per session.
-func (s *Session) newBus() (transport.Bus, error) {
-	seed := sweep.Seed(s.spec.Seed, 1)
+// blockBus builds block b's bus (keystream.Config.NewBus): a UDP or
+// in-process bus erasing by the block seed; when Observe is set, an
+// eavesdropper's tap attached before the first frame; when AuthBootstrap
+// is set, a sealing layer over the terminals' endpoints. The tap stays on
+// the raw bus, so it overhears sealed control frames exactly as a real
+// Eve would. None of it changes the block's bytes.
+func (s *Session) blockBus(block, blockSeed int64) (transport.Bus, error) {
+	var bus transport.Bus
 	if s.spec.UDP {
-		return transport.NewUDPBus(s.spec.Erasure, seed)
-	}
-	return transport.NewChanBus(s.spec.Erasure, seed), nil
-}
-
-// observe consumes Eve's tap until the bus closes or the session stops.
-// Observer itself is not goroutine-safe, so every Ingest and every metrics
-// read goes through obsMu.
-func (s *Session) observe(ep transport.Endpoint, done chan<- struct{}) {
-	defer close(done)
-	defer func() {
-		s.obsMu.Lock()
-		s.obs.Finish()
-		s.obsMu.Unlock()
-	}()
-	for {
-		select {
-		case <-s.ctx.Done():
-			return
-		case env, ok := <-ep.Recv():
-			if !ok {
-				return
-			}
-			s.obsMu.Lock()
-			s.obs.Ingest(env)
-			s.obsMu.Unlock()
+		udp, err := transport.NewUDPBus(s.spec.Erasure, blockSeed)
+		if err != nil {
+			return nil, err
 		}
+		bus = udp
+	} else {
+		bus = transport.NewChanBus(s.spec.Erasure, blockSeed)
 	}
+	if s.spec.Observe {
+		tap, err := bus.Endpoint(s.spec.Terminals)
+		if err != nil {
+			bus.Close()
+			return nil, err
+		}
+		ob := &observedBus{Bus: bus, done: make(chan struct{})}
+		go s.observe(tap, keystream.BlockSession(blockSeed), ob.done)
+		bus = ob
+	}
+	if len(s.spec.AuthBootstrap) > 0 {
+		bus = transport.NewSealedBus(bus, blockChain(s.spec.AuthBootstrap, s.spec.Seed, block))
+	}
+	return bus, nil
 }
 
-// eveCertificate snapshots the observer's accumulated certificate.
-func (s *Session) eveCertificate() (secretDims, unknownDims int, ok bool) {
+// blockChain is block b's control-plane key chain: the bootstrap's chain
+// ratcheted once with (session seed, b). The session seed determines
+// every key byte, so the tag key stays secret exactly as long as the key
+// does; the bootstrap alone authenticates no block, and one block's chain
+// says nothing about another's. The per-round ratchet of
+// transport.RunGroup cannot apply here: the pipelined exchange sends
+// round r+1's control frames before round r's secret exists.
+func blockChain(bootstrap []byte, seed, block int64) *auth.KeyChain {
+	kc := auth.NewKeyChain(bootstrap)
+	var in [16]byte
+	binary.BigEndian.PutUint64(in[:8], uint64(seed))
+	binary.BigEndian.PutUint64(in[8:], uint64(block))
+	kc.Ratchet(in[:])
+	return kc
+}
+
+// observedBus is a block bus with an observer on its tap: Close returns
+// once the observer has folded its certificate into the session's.
+type observedBus struct {
+	transport.Bus
+	done chan struct{}
+}
+
+func (b *observedBus) Close() error {
+	err := b.Bus.Close()
+	<-b.done
+	return err
+}
+
+// observe runs one block's observer over the tap until the bus closes,
+// then adds its certificate to the session's under obsMu.
+func (s *Session) observe(tap transport.Endpoint, session uint32, done chan<- struct{}) {
+	defer close(done)
+	o := transport.NewObserver(session)
+	for env := range tap.Recv() {
+		o.Ingest(env)
+	}
+	o.Finish()
 	s.obsMu.Lock()
-	defer s.obsMu.Unlock()
-	if s.obs == nil {
+	s.eveSecret += o.SecretDims
+	s.eveUnknown += o.UnknownDims
+	s.obsMu.Unlock()
+}
+
+// eveCertificate snapshots the observers' accumulated certificate.
+func (s *Session) eveCertificate() (secretDims, unknownDims int, ok bool) {
+	if !s.spec.Observe {
 		return 0, 0, false
 	}
-	return s.obs.SecretDims, s.obs.UnknownDims, true
+	s.obsMu.Lock()
+	defer s.obsMu.Unlock()
+	return s.eveSecret, s.eveUnknown, true
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -20,10 +19,9 @@ import (
 // starve: a shard that hashes hot simply grows more executors while cold
 // shards hold none of the running budget.
 //
-// The shard also owns the arena pool its sessions' engine batches run
-// on: scratch never crosses a shard boundary, so the accumulator rows a
-// refresh batch eliminates over stay in the cache domain of the
-// executors that touch them.
+// The shard also owns the arena pool its sessions' refreshers read
+// keystream blocks into: a buffer never crosses a shard boundary, so it
+// stays in the cache domain of the executors that touch it.
 type shard struct {
 	sv    *Service
 	id    int
@@ -204,24 +202,12 @@ func (sh *shard) queueDepth() int {
 	return len(sh.pending)
 }
 
-// sessionArena is the reusable per-shard scratch a session's engine
-// batches run on: one pinned RoundScratch per terminal (plumbed into
-// the transport runtime via NodeConfig.Scratches) plus the stream-feed
-// block buffer. Buffers size themselves to the largest session shape the
-// shard has served and are then stable — a long-lived shard reaches a
-// zero-allocation refresh steady state without any cross-shard sharing.
+// sessionArena is the reusable per-shard block buffer a session's
+// refresher reads keystream blocks into. It sizes itself to the largest
+// block the shard has served and is then stable, so a long-lived shard
+// refreshes pools without per-session allocation.
 type sessionArena struct {
-	scratches []*core.RoundScratch
-	buf       []byte
-}
-
-// scratchesFor returns n pinned per-terminal scratches, growing the set
-// on first use.
-func (a *sessionArena) scratchesFor(n int) []*core.RoundScratch {
-	for len(a.scratches) < n {
-		a.scratches = append(a.scratches, new(core.RoundScratch))
-	}
-	return a.scratches[:n]
+	buf []byte
 }
 
 // bytes returns an n-byte buffer backed by the arena.

@@ -4,12 +4,20 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/httpapi"
+	"repro/internal/keystream"
 )
 
 // TestStreamMatchesPoolDraws is the service-layer differential: on a
@@ -24,9 +32,6 @@ func TestStreamMatchesPoolDraws(t *testing.T) {
 	s, err := sv.Create(spec)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !s.StreamFed() {
-		t.Fatal("fastSpec session should be stream-fed")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -86,31 +91,234 @@ func TestStreamMatchesPoolDraws(t *testing.T) {
 	}
 }
 
-// TestStreamEligibility: UDP, observed and authenticated sessions keep
-// the lockstep refresh path — StreamRange on them is ErrNoStream, and
-// Session.KeyRange serves their ranges as consuming draws at offset 0.
+// sessionKinds are the bus shapes a session can ask for, each a
+// mutation of fastSpec.
+var sessionKinds = []struct {
+	name   string
+	mutate func(*SessionSpec)
+}{
+	{"plain", func(*SessionSpec) {}},
+	{"udp", func(sp *SessionSpec) { sp.UDP = true }},
+	{"observed", func(sp *SessionSpec) { sp.Observe = true }},
+	{"auth", func(sp *SessionSpec) { sp.AuthBootstrap = []byte("bootstrap-secret") }},
+	{"udp+observed+auth", func(sp *SessionSpec) {
+		sp.UDP, sp.Observe, sp.AuthBootstrap = true, true, []byte("bootstrap-secret")
+	}},
+}
+
+// TestStreamEligibility: UDP, observed and authenticated sessions, and
+// all three combined, are stream-fed like a plain one — their ranges are
+// addressed, so an offset past the first block re-reads identically.
 func TestStreamEligibility(t *testing.T) {
-	sv := New(Config{MaxSessions: 3})
+	sv := New(Config{MaxSessions: 1})
 	defer sv.Shutdown(context.Background())
-	for name, mutate := range map[string]func(*SessionSpec){
-		"udp":      func(sp *SessionSpec) { sp.UDP = true },
-		"observed": func(sp *SessionSpec) { sp.Observe = true },
-		"auth":     func(sp *SessionSpec) { sp.AuthBootstrap = []byte("bootstrap-secret") },
-	} {
+	for _, kind := range sessionKinds[1:] {
 		spec := fastSpec(909)
-		mutate(&spec)
+		kind.mutate(&spec)
 		s, err := sv.Create(spec)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", kind.name, err)
 		}
-		if s.StreamFed() {
-			t.Fatalf("%s session claims to be stream-fed", name)
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		err = s.WaitReady(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("%s: %v", kind.name, err)
 		}
-		if _, err := s.StreamRange(0, 16); !errors.Is(err, ErrNoStream) {
-			t.Fatalf("%s: StreamRange err %v, want ErrNoStream", name, err)
+		if s.Stream() == nil {
+			t.Fatalf("%s session has no keystream", kind.name)
+		}
+		a := readRange(t, s, 700, 64)
+		if b := readRange(t, s, 700, 64); !bytes.Equal(a, b) {
+			t.Fatalf("%s: range at offset 700 re-read differently", kind.name)
 		}
 		sv.Close(s.ID)
 	}
+}
+
+func readRange(t *testing.T, s *Session, off, n int64) []byte {
+	t.Helper()
+	src, err := s.StreamRange(off, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, n)
+	if _, err := io.ReadFull(src, b); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestEverySessionKindSameBytes: a session's bytes do not depend on its
+// bus. Every kind, with one seed, serves keystream.ReferenceBlock over
+// its first four blocks. Bytes are leader-authoritative, so they would
+// match even if members dropped every frame: the VerifyOK bar is what
+// proves members really receive — and, on auth sessions, open — the
+// control frames. The observed kinds must also certify that Eve misses
+// some secret dimensions.
+func TestEverySessionKindSameBytes(t *testing.T) {
+	const blocks = 4
+	sv := New(Config{MaxSessions: len(sessionKinds)})
+	defer sv.Shutdown(context.Background())
+	var want []byte
+	for _, kind := range sessionKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			spec := fastSpec(5150)
+			kind.mutate(&spec)
+			s, err := sv.Create(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sv.Close(s.ID)
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			if err := s.WaitReady(ctx); err != nil {
+				t.Fatal(err)
+			}
+			sp := s.Spec()
+			if want == nil {
+				cfg := keystream.Config{
+					Terminals: sp.Terminals, XPerRound: sp.XPerRound, PayloadBytes: sp.PayloadBytes,
+					Erasure: sp.Erasure, Seed: sp.Seed, Rotate: sp.Rotate, BlockSize: sp.StreamBlock,
+				}
+				want = make([]byte, blocks*sp.StreamBlock)
+				for b := 0; b < blocks; b++ {
+					if err := keystream.ReferenceBlock(cfg, int64(b), want[b*sp.StreamBlock:(b+1)*sp.StreamBlock]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if got := readRange(t, s, 0, int64(len(want))); !bytes.Equal(got, want) {
+				t.Fatal("stream bytes != keystream.ReferenceBlock")
+			}
+			st := s.Stream().Stats()
+			checked := st.VerifyOK + st.VerifyMismatch
+			if checked == 0 || float64(st.VerifyOK) < 0.9*float64(checked) {
+				t.Fatalf("members verified %d of %d rounds, want >= 90%%", st.VerifyOK, checked)
+			}
+			m := s.Metrics()
+			if sp.Observe && m.EveUnknownDims == 0 {
+				t.Fatalf("observed session certified no unknown dimensions: %+v", m)
+			}
+			if !sp.Observe && m.EveSecretDims != 0 {
+				t.Fatalf("unobserved session reports an Eve certificate: %+v", m)
+			}
+		})
+	}
+}
+
+// TestRangeBeforeStreamUp: a range on a session whose keystream is not up
+// yet — here queued behind MaxSessions — is the retry signal (409
+// exhausted), not a torn-down session's 410. Once the session runs, the
+// same range is served.
+func TestRangeBeforeStreamUp(t *testing.T) {
+	sv := New(Config{MaxSessions: 1, MaxQueued: 1, DrainTimeout: 5 * time.Second})
+	defer sv.Shutdown(context.Background())
+	first, err := sv.Create(fastSpec(61))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 15*time.Second, "first session running", func() bool {
+		return first.State() == StateRunning
+	})
+	queued, err := sv.Create(fastSpec(62))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := queued.State(); st != StateQueued {
+		t.Fatalf("second session is %v, want queued", st)
+	}
+	srv := httptest.NewServer(sv.Handler())
+	defer srv.Close()
+	url := fmt.Sprintf("%s/v1/sessions/%d/stream?offset=4096&len=16", srv.URL, queued.ID)
+	get := func() (int, string) {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	if code, body := get(); code != http.StatusConflict || !strings.Contains(body, httpapi.CodeExhausted) {
+		t.Fatalf("range on a queued session: %d %s, want 409 %s", code, body, httpapi.CodeExhausted)
+	}
+	if err := sv.Close(first.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 30*time.Second, "range served once the session runs", func() bool {
+		code, _ := get()
+		return code == http.StatusOK
+	})
+	queued.Close()
+	if _, err := queued.StreamRange(0, 16); !errors.Is(err, keystream.ErrClosed) {
+		t.Fatalf("range on a closed session: %v, want keystream.ErrClosed", err)
+	}
+}
+
+// TestUDPSessionReleasesBlockBuses: every block of a UDP+observed session
+// runs on its own UDP bus with an observer tap. After the session has
+// derived 16 blocks and closed, its goroutines and file descriptors are
+// all released.
+func TestUDPSessionReleasesBlockBuses(t *testing.T) {
+	// The runtime's network poller lives for the whole process: start it
+	// before taking the baseline.
+	if c, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)}); err == nil {
+		c.Close()
+	}
+	sv := New(Config{MaxSessions: 1, Shards: 1, DrainTimeout: 5 * time.Second})
+	defer sv.Shutdown(context.Background())
+	start := func(spec SessionSpec) *Session {
+		t.Helper()
+		s, err := sv.Create(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		if err := s.WaitReady(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	// The shard's executor outlives any one session: spawn it first.
+	sv.Close(start(fastSpec(71)).ID)
+	before, fdsBefore := runtime.NumGoroutine(), openFDs(t)
+
+	spec := fastSpec(72)
+	spec.UDP, spec.Observe = true, true
+	s := start(spec)
+	const blocks = 16
+	readRange(t, s, 0, int64(blocks*s.Spec().StreamBlock))
+	if got := s.Stream().Stats().Blocks; got < blocks {
+		t.Fatalf("derived %d blocks, want >= %d", got, blocks)
+	}
+	if err := sv.Close(s.ID); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before || openFDs(t) > fdsBefore {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("after close: %d goroutines (baseline %d), %d fds (baseline %d)\n%s",
+				runtime.NumGoroutine(), before, openFDs(t), fdsBefore, buf[:n])
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// openFDs counts the process's open file descriptors (-1 where /proc is
+// unavailable).
+func openFDs(t *testing.T) int {
+	if runtime.GOOS != "linux" {
+		return -1
+	}
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(ents)
 }
 
 // TestStreamCloseDuringHTTPRead: closing a session while a chunked

@@ -30,18 +30,12 @@ type NodeConfig struct {
 	// 10 seconds.
 	Timeout time.Duration
 	// FirstRound offsets the round numbering: the session runs rounds
-	// FirstRound .. FirstRound+Rounds-1. A long-lived daemon re-enters the
-	// engine for key-refresh batches on the same bus and session id; the
+	// FirstRound .. FirstRound+Rounds-1. A caller re-entering the engine
+	// for more batches on the same bus and session id advances it; the
 	// monotone round numbers keep stale frames from a previous batch
 	// filtered by the ordinary round check. Round numbers live in a uint16
 	// on the wire, so FirstRound+Rounds must stay <= 65536.
 	FirstRound int
-	// Scratches, when non-nil, supplies caller-pinned round scratch for
-	// each terminal: RunNode with Self=i reuses Scratches[i] instead of a
-	// per-call zero scratch, so a daemon re-entering the engine batch
-	// after batch keeps its decode buffers warm across batches. Entries
-	// must not be shared between concurrently running nodes.
-	Scratches []*core.RoundScratch
 }
 
 // NodeResult is what one node took away from a session.
@@ -76,12 +70,7 @@ func RunNode(ctx context.Context, ep Endpoint, cfg NodeConfig) (*NodeResult, err
 		return nil, fmt.Errorf("transport: rounds %d..%d outside the uint16 wire range",
 			cfg.FirstRound, cfg.FirstRound+cfg.Rounds-1)
 	}
-	n := &node{cfg: cfg, ep: ep, res: &NodeResult{}}
-	if cfg.Scratches != nil && cfg.Self < len(cfg.Scratches) && cfg.Scratches[cfg.Self] != nil {
-		n.scratch = cfg.Scratches[cfg.Self]
-	} else {
-		n.scratch = new(core.RoundScratch)
-	}
+	n := &node{cfg: cfg, ep: ep, res: &NodeResult{}, scratch: new(core.RoundScratch)}
 	// The distributed runtime shares the in-process engine's round-timing
 	// family: a worker's rounds land in the same fleet histogram whether
 	// the session runs lockstep or over a bus. Resolved once per call;
@@ -124,9 +113,8 @@ type node struct {
 	res     *NodeResult
 	backlog []Env
 	// scratch carries the terminal-side round buffers across the session's
-	// rounds (and, when pinned via NodeConfig.Scratches, across batches),
-	// so a long-lived daemon node combines packets without per-round
-	// allocation churn.
+	// rounds, so a node combines packets without per-round allocation
+	// churn.
 	scratch *core.RoundScratch
 }
 
@@ -433,9 +421,9 @@ func RunGroup(ctx context.Context, bus Bus, cfg NodeConfig, chains []*auth.KeyCh
 }
 
 // RunGroupOn runs one session batch over endpoints the caller already
-// holds — the re-entry path for long-lived daemons that keep a bus and
-// its endpoints alive across many key-refresh batches (advance
-// cfg.FirstRound between calls). eps[i] runs as terminal i.
+// holds — the re-entry path for a caller that keeps a bus and its
+// endpoints alive across many batches (advance cfg.FirstRound between
+// calls). eps[i] runs as terminal i.
 func RunGroupOn(ctx context.Context, eps []Endpoint, cfg NodeConfig, chains []*auth.KeyChain) ([]*NodeResult, error) {
 	if err := cfg.Config.Validate(); err != nil {
 		return nil, err
@@ -449,8 +437,8 @@ func RunGroupOn(ctx context.Context, eps []Endpoint, cfg NodeConfig, chains []*a
 		err error
 	}
 	// A failing node cancels its peers, and EVERY node is drained before
-	// returning: the caller re-enters this function on the same endpoints
-	// (and pinned scratches) for the next batch, so no straggler goroutine
+	// returning: the caller may re-enter this function on the same
+	// endpoints for the next batch, so no straggler goroutine
 	// may still be touching them after an error return.
 	gctx, cancel := context.WithCancel(ctx)
 	defer cancel()

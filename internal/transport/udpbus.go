@@ -384,9 +384,11 @@ func (e *udpEndpoint) readLoop() {
 	for {
 		n, err := e.conn.Read(buf)
 		if err != nil {
-			e.mu.Lock()
-			e.closed = true
-			e.mu.Unlock()
+			// Closed, or the hub is gone (a connected UDP socket reads
+			// ECONNREFUSED once the hub's port stops answering). Either
+			// way the endpoint is done: release its socket, or a later
+			// Close would find it marked closed and leak the descriptor.
+			e.Close()
 			return
 		}
 		if n < udpHeader {
