@@ -369,12 +369,12 @@ func TestClusterE2EProcesses(t *testing.T) {
 	}
 
 	// Fleet observability after chaos: /v1/cluster/metrics merges every
-	// live worker's registry, and the coordinator runs no engine rounds
+	// live worker's registry, and the coordinator derives no blocks
 	// itself — so the fleet total must equal the sum of direct per-worker
 	// scrapes. Background refreshers advance the counts between reads, so
 	// retry until one pass brackets the fleet scrape with two identical
 	// worker sums.
-	const roundsFamily = "thinaird_engine_round_seconds"
+	const blocksFamily = "thinaird_keystream_block_derive_seconds"
 	scrapeWorkers := func() (float64, bool) {
 		var sum float64
 		for _, wi := range cp.cluster(t).Workers {
@@ -391,7 +391,7 @@ func TestClusterE2EProcesses(t *testing.T) {
 			if err != nil {
 				return 0, false
 			}
-			sum += snap.Total(roundsFamily)
+			sum += snap.Total(blocksFamily)
 		}
 		return sum, true
 	}
@@ -406,11 +406,11 @@ func TestClusterE2EProcesses(t *testing.T) {
 			return false
 		}
 		after, ok := scrapeWorkers()
-		return ok && after == before && fleet.Total(roundsFamily) == before
+		return ok && after == before && fleet.Total(blocksFamily) == before
 	})
-	rf := fleet.Family(roundsFamily)
+	rf := fleet.Family(blocksFamily)
 	if rf == nil || len(rf.Series) == 0 || rf.Series[0].Hist == nil {
-		t.Fatalf("fleet view lacks the merged %s histogram", roundsFamily)
+		t.Fatalf("fleet view lacks the merged %s histogram", blocksFamily)
 	}
 	if h := rf.Series[0].Hist; h.Count == 0 || h.P99 <= 0 {
 		t.Fatalf("merged fleet histogram missing quantiles: count=%d p99=%g", h.Count, h.P99)

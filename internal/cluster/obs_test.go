@@ -134,9 +134,9 @@ func TestFleetMetricsMergeAcrossWorkers(t *testing.T) {
 	if got := fleet.Total("thinaird_cluster_rpc_seconds"); got == 0 {
 		t.Fatal("fleet view lacks coordinator RPC latency observations")
 	}
-	blocks := fleet.Family("thinaird_engine_round_seconds")
+	blocks := fleet.Family("thinaird_keystream_block_derive_seconds")
 	if blocks == nil || len(blocks.Series) == 0 || blocks.Series[0].Hist == nil {
-		t.Fatalf("fleet view lacks merged engine histogram: %+v", blocks)
+		t.Fatalf("fleet view lacks merged block-derive histogram: %+v", blocks)
 	}
 	h := blocks.Series[0].Hist
 	if h.Count == 0 || h.P99 <= 0 {
@@ -144,23 +144,23 @@ func TestFleetMetricsMergeAcrossWorkers(t *testing.T) {
 	}
 
 	// The merged total must equal the sum of the per-worker scrapes —
-	// the coordinator runs no engine rounds itself.
+	// the coordinator derives no blocks itself.
 	var workerSum float64
 	for _, cl := range c.aliveClients() {
 		snap, err := cl.ObsSnapshot(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := snap.Total("thinaird_engine_round_seconds")
+		n := snap.Total("thinaird_keystream_block_derive_seconds")
 		if n == 0 {
-			t.Fatal("a worker served draws but ran no engine rounds")
+			t.Fatal("a worker served draws but derived no blocks")
 		}
 		workerSum += n
 	}
-	// Re-scrape the fleet: engine rounds may have advanced between the
+	// Re-scrape the fleet: derivations may have advanced between the
 	// two reads, so compare against a fresh merged view instead.
 	fresh := c.FleetSnapshot(context.Background())
-	if got := fresh.Total("thinaird_engine_round_seconds"); got < workerSum {
+	if got := fresh.Total("thinaird_keystream_block_derive_seconds"); got < workerSum {
 		t.Fatalf("fleet total %g < sum of worker scrapes %g", got, workerSum)
 	}
 
@@ -174,7 +174,7 @@ func TestFleetMetricsMergeAcrossWorkers(t *testing.T) {
 	if issues := obs.Lint(strings.NewReader(string(body))); len(issues) > 0 {
 		t.Fatalf("fleet prom view not lint-clean:\n%s", strings.Join(issues, "\n"))
 	}
-	if !strings.Contains(string(body), "thinaird_engine_round_seconds_bucket") {
+	if !strings.Contains(string(body), "thinaird_keystream_block_derive_seconds_bucket") {
 		t.Fatal("fleet prom view lacks merged histogram buckets")
 	}
 }

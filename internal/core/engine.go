@@ -86,6 +86,15 @@ func (r *SessionResult) SecretKbpsAirtime() float64 {
 	return mac.SecretRateKbps(r.SecretBits, r.Airtime)
 }
 
+// RoundLatency is the protocol engines' shared round-timing family: this
+// lockstep engine and the distributed runtime (transport.RunNode) each
+// observe one sample per node per round. The keystream's pipelined rounds
+// have their own exchange and compute families.
+func RoundLatency(r *obs.Registry) *obs.Histogram {
+	return r.Histogram("thinaird_engine_round_seconds",
+		"Wall time of one protocol round (per node running the engine).", obs.LatencyBuckets)
+}
+
 // RunSession executes cfg over the medium. Terminals occupy medium nodes
 // 0..n-1; eveNodes lists the eavesdropper's antenna node indices (usually
 // one). Eve's antennas must not be terminal nodes.
@@ -123,8 +132,7 @@ func RunSession(cfg Config, med *radio.Medium, eveNodes []radio.NodeID) (*Sessio
 	// single nil check, with the time.Now calls skipped entirely.
 	var roundLat, xPhaseLat, computeLat *obs.Histogram
 	if cfg.Obs.Enabled() {
-		roundLat = cfg.Obs.Histogram("thinaird_engine_round_seconds",
-			"Wall time of one protocol round (per node running the engine).", obs.LatencyBuckets)
+		roundLat = RoundLatency(cfg.Obs)
 		xPhaseLat = cfg.Obs.Histogram("thinaird_engine_xphase_seconds",
 			"Wall time of the x-packet exchange phase of a round.", obs.LatencyBuckets)
 		computeLat = cfg.Obs.Histogram("thinaird_engine_compute_seconds",

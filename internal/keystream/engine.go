@@ -112,14 +112,12 @@ func (s *Stream) derive(idx int64, dst []byte) error {
 }
 
 // exchRound is one round's transmit-phase outcome, handed from the
-// exchange goroutine to the compute goroutine: the round's plan, when
-// the plan yields secret its x-payload symbols, and (when timed) the
-// instant its exchange began.
+// exchange goroutine to the compute goroutine: the round's plan and, when
+// the plan yields secret, its x-payload symbols.
 type exchRound struct {
 	round int
 	plan  *core.Plan
 	xSym  [][]core.Sym
-	start time.Time
 }
 
 // verifyResult is one terminal's derived secret for one round.
@@ -256,7 +254,6 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 			er, err := bc.exchange(ctx, eps[leader], r, leader, session, blockSeed, plan)
 			if timed {
 				bc.ins.exchangeLat.ObserveSince(t0)
-				er.start = t0
 			}
 			if err != nil {
 				return
@@ -286,7 +283,6 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 			bc.es.aborted.Add(1)
 			if computeTimed {
 				bc.ins.computeLat.ObserveSince(computeT0)
-				bc.ins.roundLat.ObserveSince(er.start)
 			}
 			consecAborts++
 			ah := h
@@ -326,9 +322,6 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 			break
 		}
 		bc.es.productive.Add(1)
-		if computeTimed {
-			bc.ins.roundLat.ObserveSince(er.start)
-		}
 		written += copy(dst[written:], secret)
 		if written >= len(dst) {
 			break

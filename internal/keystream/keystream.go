@@ -210,7 +210,6 @@ type Stats struct {
 // reads when the relevant histogram is nil.
 type streamInstruments struct {
 	blockLat    *obs.Histogram
-	roundLat    *obs.Histogram
 	exchangeLat *obs.Histogram
 	computeLat  *obs.Histogram
 	resident    *obs.Gauge
@@ -223,10 +222,6 @@ func newStreamInstruments(r *obs.Registry) streamInstruments {
 	return streamInstruments{
 		blockLat: r.Histogram("thinaird_keystream_block_derive_seconds",
 			"Wall time to derive one keystream block.", obs.LatencyBuckets),
-		// The protocol engines' shared round family: a session's rounds
-		// land in it whichever bus its blocks run on.
-		roundLat: r.Histogram("thinaird_engine_round_seconds",
-			"Wall time of one protocol round (per node running the engine).", obs.LatencyBuckets),
 		exchangeLat: r.Histogram("thinaird_keystream_exchange_seconds",
 			"Wall time of one pipelined round's plan and x-packet exchange phase.", obs.LatencyBuckets),
 		computeLat: r.Histogram("thinaird_keystream_compute_seconds",

@@ -38,6 +38,9 @@ func TestCacheCountersInStatsAndRegistry(t *testing.T) {
 	if _, err := s.ReadAt(buf, 5*blockSize); err != nil {
 		t.Fatal(err)
 	}
+	// Stop the prefetcher before reading either view: it may still evict
+	// a block, and one landing between the two reads would split them.
+	s.Close()
 
 	st := s.Stats()
 	// Seven single-block acquisitions total; the prefetcher decides how

@@ -38,7 +38,8 @@ type SessionMetrics struct {
 	Stream *keystream.Stats `json:"stream,omitempty"`
 
 	// Eve-bound estimate from the wire-level observer, when attached:
-	// the paper's reliability metric over everything Eve overheard.
+	// the paper's reliability metric over everything Eve overheard,
+	// each derived block counted once.
 	EveSecretDims  int     `json:"eve_secret_dims,omitempty"`
 	EveUnknownDims int     `json:"eve_unknown_dims,omitempty"`
 	EveReliability float64 `json:"eve_reliability,omitempty"`

@@ -195,10 +195,13 @@ type Session struct {
 	lastErr error
 
 	// obsMu guards the Eve certificate the per-block observers of an
-	// Observe session fold into as their buses close.
-	obsMu      sync.Mutex
-	eveSecret  int
-	eveUnknown int
+	// Observe session fold into as their buses close, and the record of
+	// tapped blocks: every block below tappedBelow, and those in tapped.
+	obsMu       sync.Mutex
+	eveSecret   int
+	eveUnknown  int
+	tappedBelow int64
+	tapped      map[int64]struct{}
 
 	// strMu guards str, the session's keystream. It is non-nil only while
 	// run() is live; readers (HTTP /stream, Metrics) take the pointer under
@@ -461,11 +464,12 @@ func (s *Session) refresh(str *keystream.Stream, buf []byte) error {
 }
 
 // blockBus builds block b's bus (keystream.Config.NewBus): a UDP or
-// in-process bus erasing by the block seed; when Observe is set, an
-// eavesdropper's tap attached before the first frame; when AuthBootstrap
-// is set, a sealing layer over the terminals' endpoints. The tap stays on
-// the raw bus, so it overhears sealed control frames exactly as a real
-// Eve would. None of it changes the block's bytes.
+// in-process bus erasing by the block seed; when Observe is set and this
+// is the block's first derivation, an eavesdropper's tap attached before
+// the first frame; when AuthBootstrap is set, a sealing layer over the
+// terminals' endpoints. The tap stays on the raw bus, so it overhears
+// sealed control frames exactly as a real Eve would. None of it changes
+// the block's bytes.
 func (s *Session) blockBus(block, blockSeed int64) (transport.Bus, error) {
 	var bus transport.Bus
 	if s.spec.UDP {
@@ -477,7 +481,7 @@ func (s *Session) blockBus(block, blockSeed int64) (transport.Bus, error) {
 	} else {
 		bus = transport.NewChanBus(s.spec.Erasure, blockSeed)
 	}
-	if s.spec.Observe {
+	if s.spec.Observe && s.claimTap(block) {
 		tap, err := bus.Endpoint(s.spec.Terminals)
 		if err != nil {
 			bus.Close()
@@ -507,6 +511,32 @@ func blockChain(bootstrap []byte, seed, block int64) *auth.KeyChain {
 	binary.BigEndian.PutUint64(in[8:], uint64(block))
 	kc.Ratchet(in[:])
 	return kc
+}
+
+// claimTap reports whether block b's bus gets a tap: only the block's
+// first derivation does. The keystream derives a block again after the
+// LRU evicts it (a range re-read, a prefetch); tapping it again would
+// count its certificate twice. A failed first derivation still counts
+// what its tap overheard, and its retry is not tapped.
+func (s *Session) claimTap(b int64) bool {
+	s.obsMu.Lock()
+	defer s.obsMu.Unlock()
+	if _, seen := s.tapped[b]; seen || b < s.tappedBelow {
+		return false
+	}
+	if s.tapped == nil {
+		s.tapped = make(map[int64]struct{})
+	}
+	s.tapped[b] = struct{}{}
+	// Fold the contiguous tapped prefix into tappedBelow, so the
+	// sequential pool refill keeps the set small.
+	for {
+		if _, ok := s.tapped[s.tappedBelow]; !ok {
+			return true
+		}
+		delete(s.tapped, s.tappedBelow)
+		s.tappedBelow++
+	}
 }
 
 // observedBus is a block bus with an observer on its tap: Close returns

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/httpapi"
+	"repro/internal/keypool"
 	"repro/internal/keystream"
 )
 
@@ -203,8 +204,47 @@ func TestEverySessionKindSameBytes(t *testing.T) {
 			if !sp.Observe && m.EveSecretDims != 0 {
 				t.Fatalf("unobserved session reports an Eve certificate: %+v", m)
 			}
+			if !sp.Observe {
+				return
+			}
+			// Re-reading evicted blocks derives them again, but their
+			// certificate counts once: the Eve dims do not move.
+			settle(t, s)
+			readRange(t, s, 64*int64(sp.StreamBlock), 16*int64(sp.StreamBlock))
+			settle(t, s)
+			before, stBefore := s.Metrics(), s.Stream().Stats()
+			if got := readRange(t, s, 0, int64(len(want))); !bytes.Equal(got, want) {
+				t.Fatal("re-read bytes != keystream.ReferenceBlock")
+			}
+			settle(t, s)
+			after, st := s.Metrics(), s.Stream().Stats()
+			if st.Blocks-stBefore.Blocks < blocks {
+				t.Fatalf("re-read derived %d blocks, want the %d evicted ones again", st.Blocks-stBefore.Blocks, blocks)
+			}
+			if after.EveSecretDims != before.EveSecretDims || after.EveUnknownDims != before.EveUnknownDims {
+				t.Fatalf("re-deriving blocks moved the Eve certificate: %d/%d -> %d/%d",
+					before.EveUnknownDims, before.EveSecretDims, after.EveUnknownDims, after.EveSecretDims)
+			}
 		})
 	}
+}
+
+// settle waits until s's keystream has run no round for 300ms: its
+// prefetchers are idle and every derived block's bus has closed.
+func settle(t *testing.T, s *Session) {
+	t.Helper()
+	last, quiet := int64(-1), 0
+	waitFor(t, 30*time.Second, "keystream idle", func() bool {
+		st := s.Stream().Stats()
+		n := st.Rounds + st.Blocks + st.BlockErrors
+		if n == last {
+			quiet++
+		} else {
+			last, quiet = n, 0
+		}
+		time.Sleep(50 * time.Millisecond)
+		return quiet >= 6
+	})
 }
 
 // TestRangeBeforeStreamUp: a range on a session whose keystream is not up
@@ -306,6 +346,131 @@ func TestUDPSessionReleasesBlockBuses(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// TestUDPSoakObservedSessions soaks the shape a daemon serves with -udp
+// -observe: concurrent UDP+observed sessions (every other one also
+// authenticated), each deriving many blocks on short-lived per-block UDP
+// buses with an observer tap. Readers sweep ranges over more blocks than
+// the stream cache holds, so blocks are evicted and derived again, and
+// every re-read must match the first read. After every session closes,
+// goroutines and file descriptors return to baseline. Skipped under
+// -short; set THINAIR_SOAK=1 for the long CI variant.
+func TestUDPSoakObservedSessions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("UDP soak skipped in -short")
+	}
+	sessions, sweeps := 4, 2
+	if os.Getenv("THINAIR_SOAK") != "" {
+		sessions, sweeps = 16, 4
+	}
+	if c, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)}); err == nil {
+		c.Close()
+	}
+	sv := New(Config{MaxSessions: sessions, Shards: 1, DrainTimeout: 5 * time.Second})
+	defer sv.Shutdown(context.Background())
+	// The shard's executors outlive the sessions they run: spawn all of
+	// them before taking the baseline.
+	warm := make([]*Session, sessions)
+	for i := range warm {
+		var err error
+		if warm[i], err = sv.Create(fastSpec(int64(80 + i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, s := range warm {
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		err := s.WaitReady(ctx)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sv.Close(s.ID)
+	}
+	before, fdsBefore := runtime.NumGoroutine(), openFDs(t)
+
+	const span = 24 // blocks per sweep, more than the stream cache holds
+	var wg sync.WaitGroup
+	errs := make(chan error, sessions)
+	for i := 0; i < sessions; i++ {
+		spec := fastSpec(int64(8100 + i))
+		spec.UDP, spec.Observe = true, true
+		if i%2 == 1 {
+			spec.AuthBootstrap = []byte("soak-bootstrap")
+		}
+		s, err := sv.Create(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(s *Session) {
+			defer wg.Done()
+			defer sv.Close(s.ID)
+			errs <- soakSession(s, span, sweeps)
+		}(s)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before || openFDs(t) > fdsBefore {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("soak leaked: %d goroutines (baseline %d), %d fds (baseline %d)\n%s",
+				runtime.NumGoroutine(), before, openFDs(t), fdsBefore, buf[:n])
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// soakSession sweeps span blocks of s one block at a time, sweeps times,
+// drawing from the pool between sweeps. Every sweep after the first must
+// re-read the first sweep's bytes; the session's Eve certificate must end
+// non-empty and in range.
+func soakSession(s *Session, span, sweeps int) error {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := s.WaitReady(ctx); err != nil {
+		return fmt.Errorf("session %d: %w", s.ID, err)
+	}
+	bs := int64(s.Spec().StreamBlock)
+	first := make([][]byte, span)
+	for sweep := 0; sweep < sweeps; sweep++ {
+		for b := 0; b < span; b++ {
+			src, err := s.StreamRange(int64(b)*bs, bs)
+			if err != nil {
+				return fmt.Errorf("session %d block %d: %w", s.ID, b, err)
+			}
+			got := make([]byte, bs)
+			if _, err := io.ReadFull(src, got); err != nil {
+				return fmt.Errorf("session %d block %d: %w", s.ID, b, err)
+			}
+			if first[b] == nil {
+				first[b] = got
+			} else if !bytes.Equal(got, first[b]) {
+				return fmt.Errorf("session %d block %d: re-read differs", s.ID, b)
+			}
+		}
+		if _, err := s.Draw(64); err != nil && !errors.Is(err, keypool.ErrExhausted) {
+			return fmt.Errorf("session %d draw: %w", s.ID, err)
+		}
+	}
+	if st := s.Stream().Stats(); st.CacheEvictions == 0 {
+		return fmt.Errorf("session %d: no block was evicted; the soak re-read nothing", s.ID)
+	}
+	m := s.Metrics()
+	if m.EveUnknownDims == 0 || m.EveUnknownDims > m.EveSecretDims {
+		return fmt.Errorf("session %d: Eve certificate %d/%d", s.ID, m.EveUnknownDims, m.EveSecretDims)
+	}
+	return nil
 }
 
 // openFDs counts the process's open file descriptors (-1 where /proc is

@@ -29,13 +29,6 @@ type NodeConfig struct {
 	// Timeout bounds each wait (for acks, announcements, ...). 0 means
 	// 10 seconds.
 	Timeout time.Duration
-	// FirstRound offsets the round numbering: the session runs rounds
-	// FirstRound .. FirstRound+Rounds-1. A caller re-entering the engine
-	// for more batches on the same bus and session id advances it; the
-	// monotone round numbers keep stale frames from a previous batch
-	// filtered by the ordinary round check. Round numbers live in a uint16
-	// on the wire, so FirstRound+Rounds must stay <= 65536.
-	FirstRound int
 }
 
 // NodeResult is what one node took away from a session.
@@ -66,22 +59,19 @@ func RunNode(ctx context.Context, ep Endpoint, cfg NodeConfig) (*NodeResult, err
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 10 * time.Second
 	}
-	if cfg.FirstRound < 0 || cfg.FirstRound+cfg.Rounds > 1<<16 {
-		return nil, fmt.Errorf("transport: rounds %d..%d outside the uint16 wire range",
-			cfg.FirstRound, cfg.FirstRound+cfg.Rounds-1)
+	if cfg.Rounds > 1<<16 {
+		return nil, fmt.Errorf("transport: %d rounds overflow the uint16 wire round number", cfg.Rounds)
 	}
 	n := &node{cfg: cfg, ep: ep, res: &NodeResult{}, scratch: new(core.RoundScratch)}
 	// The distributed runtime shares the in-process engine's round-timing
-	// family: a worker's rounds land in the same fleet histogram whether
-	// the session runs lockstep or over a bus. Resolved once per call;
-	// nil (no registry) keeps the loop clock-free.
+	// family. Resolved once per call; nil (no registry) keeps the loop
+	// clock-free.
 	var roundLat *obs.Histogram
 	if cfg.Obs.Enabled() {
-		roundLat = cfg.Obs.Histogram("thinaird_engine_round_seconds",
-			"Wall time of one protocol round (per node running the engine).", obs.LatencyBuckets)
+		roundLat = core.RoundLatency(cfg.Obs)
 	}
 	timed := roundLat != nil
-	for round := cfg.FirstRound; round < cfg.FirstRound+cfg.Rounds; round++ {
+	for round := 0; round < cfg.Rounds; round++ {
 		var t0 time.Time
 		if timed {
 			t0 = time.Now()
@@ -417,29 +407,14 @@ func RunGroup(ctx context.Context, bus Bus, cfg NodeConfig, chains []*auth.KeyCh
 		}
 		eps[i] = ep
 	}
-	return RunGroupOn(ctx, eps, cfg, chains)
-}
-
-// RunGroupOn runs one session batch over endpoints the caller already
-// holds — the re-entry path for a caller that keeps a bus and its
-// endpoints alive across many batches (advance cfg.FirstRound between
-// calls). eps[i] runs as terminal i.
-func RunGroupOn(ctx context.Context, eps []Endpoint, cfg NodeConfig, chains []*auth.KeyChain) ([]*NodeResult, error) {
-	if err := cfg.Config.Validate(); err != nil {
-		return nil, err
-	}
-	if len(eps) != cfg.Terminals {
-		return nil, fmt.Errorf("transport: %d endpoints for %d terminals", len(eps), cfg.Terminals)
-	}
 	type outcome struct {
 		idx int
 		res *NodeResult
 		err error
 	}
 	// A failing node cancels its peers, and EVERY node is drained before
-	// returning: the caller may re-enter this function on the same
-	// endpoints for the next batch, so no straggler goroutine
-	// may still be touching them after an error return.
+	// returning, so no straggler goroutine is still touching the bus
+	// after an error return.
 	gctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	ch := make(chan outcome, cfg.Terminals)
