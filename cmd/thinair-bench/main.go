@@ -13,7 +13,6 @@
 //	thinair-bench -ablation estimators|allocation|interference|rotation
 //	thinair-bench -all -quick
 //	thinair-bench -gf-json BENCH_gf.json           # GF kernel matrix as JSON
-//	thinair-bench -stream-json BENCH_stream.json   # bulk stream vs per-draw HTTP
 //	thinair-bench -obs-json BENCH_obs.json         # instrumented vs stripped draw path
 package main
 
@@ -32,10 +31,8 @@ func main() {
 		rotation  = flag.Bool("rotation", false, "run the §3.2 rotation worst-case check")
 		ablation  = flag.String("ablation", "", "run an ablation: estimators, allocation, interference, rotation, selfjam, burstiness, cancelling-eve")
 		gfJSON    = flag.String("gf-json", "", "run the GF kernel benchmark matrix and write the results as JSON to this file")
-		strJSON   = flag.String("stream-json", "", "run the bulk-stream vs per-draw HTTP benchmark and write the results as JSON to this file")
 		obsJSON   = flag.String("obs-json", "", "run the observability overhead benchmark and write the results as JSON to this file")
 		gateJSON  = flag.String("gate-json", "", "run the gate concurrency benchmark and write the results as JSON to this file")
-		svcJSON   = flag.String("service-json", "", "run the sharded-service benchmark (rounds/sec, draws/sec at 1/8/64 callers, allocs) and write the results as JSON to this file")
 		gateConns = flag.Int("gate-conns", 100000, "concurrent mock gate connections for -gate-json")
 		all       = flag.Bool("all", false, "run everything")
 		quick     = flag.Bool("quick", false, "subsample placements for a fast run")
@@ -55,10 +52,6 @@ func main() {
 		ran = true
 		gfBench(*gfJSON)
 	}
-	if *strJSON != "" {
-		ran = true
-		streamBench(*strJSON)
-	}
 	if *obsJSON != "" {
 		ran = true
 		obsBench(*obsJSON)
@@ -66,10 +59,6 @@ func main() {
 	if *gateJSON != "" {
 		ran = true
 		gateBench(*gateJSON, *gateConns)
-	}
-	if *svcJSON != "" {
-		ran = true
-		serviceBench(*svcJSON)
 	}
 	if *all || *figure == 1 {
 		ran = true

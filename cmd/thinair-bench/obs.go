@@ -48,6 +48,24 @@ type obsBenchReport struct {
 	MetricFamilies int `json:"metric_families"`
 }
 
+// streamBenchSpec is the stream-fed session shape the draw path is
+// measured on.
+func streamBenchSpec() service.SessionSpec {
+	return service.SessionSpec{
+		Name:         "bench-stream",
+		Terminals:    3,
+		Erasure:      0.45,
+		XPerRound:    128,
+		PayloadBytes: 4096,
+		Rotate:       true,
+		Seed:         4242,
+		LowWater:     128 << 10,
+		TargetDepth:  256 << 10,
+		Timeout:      60 * time.Second,
+		StreamBlock:  1 << 17,
+	}
+}
+
 func obsBench(out string) {
 	reg := obs.New()
 	spans := obs.NewSpanLog(obs.DefaultSpanCapacity)

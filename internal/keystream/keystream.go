@@ -5,8 +5,8 @@
 // The stream is framed into fixed-size blocks. Each block is a
 // deterministically re-derivable round batch: block index b and the
 // stream seed fully determine the protocol rounds the block runs (their
-// x-payloads AND their erasure outcomes, via a content-keyed coin — see
-// bus.go), so random access at any offset derives exactly the blocks it
+// x-payloads AND their erasure outcomes, via the content-keyed coin
+// radio.Delivered that both transport buses erase by), so random access at any offset derives exactly the blocks it
 // needs, with no history. In the eestream idiom, blocks are produced by a
 // pipelined engine and consumed on demand: a bounded worker pool derives
 // blocks ahead of the read cursor into a bounded cache (backpressure
@@ -63,13 +63,13 @@ type Config struct {
 	// boundaries stay offset-computable.
 	BlockSize int
 	// Workers bounds concurrent block derivations (default 4, capped at
-	// GOMAXPROCS). Window is how many blocks ahead of the sequential read
-	// cursor the workers prefetch (default Workers); CacheBlocks bounds
-	// the derived-block cache (default Workers+Window+2). A full cache
-	// halts prefetch until a reader consumes — backpressure, not lockstep.
-	Workers     int
-	Window      int
-	CacheBlocks int
+	// GOMAXPROCS) and is the prefetch lookahead: the sequential Read
+	// cursor and the ReadAt callers each have the workers derive the
+	// Workers blocks they are predicted to read next, into a cache of
+	// 2·Workers+2 blocks. A prefetch never evicts a block nobody has read
+	// yet, so a cache full of unread blocks halts prefetch until a reader
+	// consumes — backpressure, not lockstep.
+	Workers int
 
 	// AckWait bounds how long a block's leader waits for reception
 	// reports each round (default 50ms); AckSlack is the extra grace
@@ -118,15 +118,6 @@ func (c *Config) fill() error {
 	}
 	if c.Workers < 1 {
 		c.Workers = 1
-	}
-	if c.Window == 0 {
-		c.Window = c.Workers
-	}
-	if c.CacheBlocks == 0 {
-		c.CacheBlocks = c.Workers + c.Window + 2
-	}
-	if c.CacheBlocks < c.Workers+1 {
-		c.CacheBlocks = c.Workers + 1
 	}
 	if c.AckWait == 0 {
 		c.AckWait = 50 * time.Millisecond
@@ -194,9 +185,9 @@ type Stats struct {
 	CacheHits      int64 `json:"cache_hits"`
 	CacheMisses    int64 `json:"cache_misses"`
 	CacheEvictions int64 `json:"cache_evictions"`
-	// StridePrefetches counts blocks the prefetcher claimed because the
-	// stride detector saw a repeating non-sequential ReadAt pattern.
-	StridePrefetches int64 `json:"stride_prefetches"`
+	// Prefetches counts blocks the workers claimed because a read was
+	// predicted to need them, rather than because a read demanded them.
+	Prefetches int64 `json:"prefetches"`
 	// HealthSkips counts report waits skipped because the member was
 	// marked unresponsive; HealthProbes counts the periodic liveness
 	// re-probes of such members (see memberHealth).
@@ -245,6 +236,47 @@ type blockState struct {
 	err     error
 	demand  int   // readers waiting on it
 	lastUse int64 // cache clock, for LRU eviction
+	read    bool  // handed to a reader at least once
+}
+
+// history is one access stream's prefetch prediction: the sequential
+// Read cursor has one, and the ReadAt callers share another. Its most
+// recent read covered blocks [first, last]; the next read is predicted
+// to cover as many blocks again, right after it — unless the
+// start-to-start jump exceeded the span twice in a row by the same
+// amount. Then the reads are predicted every stride blocks, the lattice
+// of an OTP consumer padding every Nth record.
+type history struct {
+	first, last int64
+	jump        int64 // start-to-start jump from the read before
+	stride      int64 // 0: sequential continuation
+	// next is the high-water mark: every predicted block below it was
+	// already claimed (or found resident) once, so a block evicted
+	// unread is derived again only when a read demands it. A read that
+	// starts before the previous one begins a new pass and lowers it.
+	next int64
+}
+
+// note records a read over blocks [first, last]. Caller holds mu.
+func (h *history) note(first, last int64) {
+	jump := first - h.first
+	h.stride = 0
+	if jump > last-first+1 && jump == h.jump {
+		h.stride = jump
+	}
+	if first < h.first {
+		h.next = first
+	}
+	h.first, h.last, h.jump = first, last, jump
+}
+
+func (h *history) span() int64 { return h.last - h.first + 1 }
+
+// block returns the i-th block h expects to be read: the most recent
+// read's own blocks for i < span, then the predicted next reads'.
+func (h *history) block(i int64) int64 {
+	span := h.span()
+	return h.first + i/span*max(h.stride, span) + i%span
 }
 
 // Stream is a pipelined, randomly addressable keystream. It implements
@@ -257,26 +289,10 @@ type Stream struct {
 	cond   *sync.Cond
 	blocks map[int64]*blockState
 	tick   int64
-	pos    int64 // sequential read cursor (bytes)
-	hint   int64 // first block after the most recent acquisition (blocks)
-	// seqHigh is the sequential-cursor window's high-water mark: the
-	// window has already prefetched (or found resident) every block below
-	// it, and claims only blocks at or beyond it, so a block the LRU
-	// evicts is derived again only when a reader demands it.
-	seqHigh int64
-	closed  bool
-
-	// Stride detector state (guarded by mu): strideLast is the first
-	// block of the most recent ReadAt, strideDelta the last inter-call
-	// jump, strideHits how many times in a row that jump repeated. Two
-	// repeats of a jump that is neither a re-read (0) nor sequential (1)
-	// switch prefetch from the contiguous hint window to the strided
-	// lattice strideLast + k·strideDelta — the access pattern of an OTP
-	// consumer padding every Nth record, which the contiguous window
-	// never anticipates.
-	strideLast  int64
-	strideDelta int64
-	strideHits  int
+	pos    int64   // sequential read cursor (bytes)
+	seq    history // the Read cursor's accesses
+	ranged history // the ReadAt callers' accesses
+	closed bool
 
 	readMu sync.Mutex // serializes sequential Reads (cursor integrity)
 
@@ -330,8 +346,8 @@ func (s *Stream) Stats() Stats {
 }
 
 // worker derives blocks until the stream closes: demanded blocks first
-// (lowest index — a waiting reader), then prefetch within the window
-// ahead of the sequential cursor, bounded by the cache budget.
+// (lowest index — a waiting reader), then the blocks each history
+// predicts, bounded by the cache budget.
 func (s *Stream) worker() {
 	defer s.wg.Done()
 	s.mu.Lock()
@@ -397,57 +413,31 @@ func (s *Stream) pickNext() *blockState {
 	if best != nil {
 		return best
 	}
-	// With an established stride, prefetch along the strided lattice
-	// instead of the contiguous hint window — the window would fill the
-	// cache with blocks a strided reader is about to jump over.
-	if s.strideActive() {
-		for k := int64(1); k <= int64(s.cfg.Window); k++ {
-			idx := s.strideLast + k*s.strideDelta
-			if idx < 0 {
-				break // backward stride ran off the stream's start
-			}
-			if _, ok := s.blocks[idx]; ok {
-				continue
-			}
-			if !s.makeRoom() {
-				return nil
-			}
-			s.stats.StridePrefetches++
-			return s.claim(idx)
-		}
-	} else {
-		// Prefetch within the window, respecting the cache budget. The hint
-		// cursor (where the most recent reader actually is — random-access
-		// readers included) is the better bet; the sequential cursor's
-		// window keeps a drained-by-Read consumer pipelined when no one
-		// else reads.
-		for idx := s.hint; idx < s.hint+int64(s.cfg.Window); idx++ {
-			if _, ok := s.blocks[idx]; ok {
-				continue
-			}
-			if !s.makeRoom() {
-				return nil // cache full of live blocks: backpressure
-			}
-			return s.claim(idx)
-		}
+	if bs := s.prefetch(&s.ranged); bs != nil {
+		return bs
 	}
-	// The sequential cursor's window applies either way: the session pool
-	// drains the stream through Read and must stay pipelined even while a
-	// random-access reader drives the stride or hint state elsewhere. It
-	// prefetches each block once (see seqHigh): with the cursor idle and
-	// random-access readers cycling the cache, re-claiming the window's
-	// evicted blocks would derive them over and over for nobody.
-	base := s.pos / int64(s.cfg.BlockSize)
-	for idx := max(base, s.seqHigh); idx < base+int64(s.cfg.Window); idx++ {
-		if _, ok := s.blocks[idx]; ok {
-			s.seqHigh = idx + 1
+	return s.prefetch(&s.seq)
+}
+
+// prefetch claims the first block h predicts that it has not claimed
+// before and that is not resident: within the most recent read, then up
+// to Workers blocks past it. It returns nil when there is none, or when
+// the cache holds no room for it (backpressure). Caller holds mu.
+func (s *Stream) prefetch(h *history) *blockState {
+	for i := int64(0); i < h.span()+int64(s.cfg.Workers); i++ {
+		idx := h.block(i)
+		if idx < h.next {
 			continue
 		}
-		if !s.makeRoom() {
-			return nil
+		if _, ok := s.blocks[idx]; !ok {
+			if !s.makeRoom(true) {
+				return nil
+			}
+			h.next = idx + 1
+			s.stats.Prefetches++
+			return s.claim(idx)
 		}
-		s.seqHigh = idx + 1
-		return s.claim(idx)
+		h.next = idx + 1
 	}
 	return nil
 }
@@ -461,40 +451,18 @@ func (s *Stream) claim(idx int64) *blockState {
 	return bs
 }
 
-// strideMinHits is how many consecutive repeats of the same jump
-// establish a stride. Caller of strideActive holds mu.
-const strideMinHits = 2
-
-func (s *Stream) strideActive() bool {
-	return s.strideHits >= strideMinHits && s.strideDelta != 0 && s.strideDelta != 1
-}
-
-// noteStride feeds the detector the first block index of one ReadAt
-// call. Re-reads (delta 0) and sequential continuation (delta 1) are
-// already served by the hint window; any other jump that repeats
-// strideMinHits times in a row flips prefetch to the strided lattice.
-// Caller holds mu.
-func (s *Stream) noteStride(idx int64) {
-	delta := idx - s.strideLast
-	s.strideLast = idx
-	if delta == s.strideDelta && delta != 0 && delta != 1 {
-		s.strideHits++
-	} else {
-		s.strideDelta = delta
-		s.strideHits = 0
-	}
-}
-
 // makeRoom evicts the least-recently-used idle derived block if the cache
-// is at capacity. Returns false when nothing can be evicted. Caller holds
-// mu.
-func (s *Stream) makeRoom() bool {
-	if len(s.blocks) < s.cfg.CacheBlocks {
+// (2·Workers+2 blocks) is full. A prefetch may evict only a block some
+// reader has read, so one prediction never pushes out another before it
+// is read; a demand read may evict any idle block. Returns false when
+// nothing can be evicted. Caller holds mu.
+func (s *Stream) makeRoom(prefetch bool) bool {
+	if len(s.blocks) < 2*s.cfg.Workers+2 {
 		return true
 	}
 	var victim *blockState
 	for _, bs := range s.blocks {
-		if bs.data == nil || bs.demand > 0 || bs.running {
+		if bs.data == nil || bs.demand > 0 || bs.running || (prefetch && !bs.read) {
 			continue
 		}
 		if victim == nil || bs.lastUse < victim.lastUse {
@@ -540,22 +508,13 @@ func (s *Stream) acquire(idx int64) (*blockState, error) {
 			}
 		}
 		if !ok {
-			if !s.makeRoom() {
+			if !s.makeRoom(false) {
 				// Every cache slot is a live (demanded or running) block.
 				// Wait for one to free rather than overcommitting memory.
 				s.cond.Wait()
 				continue
 			}
-			bs = &blockState{idx: idx}
-			s.blocks[idx] = bs
-			s.ins.resident.Set(float64(len(s.blocks)))
-		}
-		if s.hint != idx+1 {
-			// Move the prefetch hint to where this reader is so the workers
-			// pipeline ahead of random-access readers too, and wake an idle
-			// worker to start on the new window.
-			s.hint = idx + 1
-			s.cond.Broadcast()
+			bs = s.claim(idx)
 		}
 		if bs.err != nil {
 			return nil, bs.err
@@ -563,6 +522,7 @@ func (s *Stream) acquire(idx int64) (*blockState, error) {
 		if bs.data != nil {
 			bs.demand++
 			bs.lastUse = s.nextTick()
+			bs.read = true
 			return bs, nil
 		}
 		bs.demand++
@@ -593,15 +553,20 @@ func (s *Stream) release(bs *blockState) {
 // so ReadAt never returns io.EOF for in-range offsets; short reads only
 // happen on error.
 func (s *Stream) ReadAt(p []byte, off int64) (int, error) {
+	return s.readAt(p, off, &s.ranged)
+}
+
+// readAt fills p from offset off and records the read in h, whose
+// prediction the workers follow from then on.
+func (s *Stream) readAt(p []byte, off int64, h *history) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("keystream: negative offset %d", off)
 	}
 	bsz := int64(s.cfg.BlockSize)
 	s.mu.Lock()
-	s.noteStride(off / bsz)
-	if s.strideActive() {
-		s.cond.Broadcast() // wake idle workers onto the strided lattice
-	}
+	first := off / bsz
+	h.note(first, max(first, (off+int64(len(p))-1)/bsz))
+	s.cond.Broadcast() // wake idle workers onto the new prediction
 	s.mu.Unlock()
 	n := 0
 	for n < len(p) {
@@ -632,16 +597,15 @@ func (s *Stream) Read(p []byte) (int, error) {
 	s.mu.Unlock()
 	bsz := int64(s.cfg.BlockSize)
 	// Clamp to the current block so the cursor advances block by block —
-	// each Read wakes the prefetchers with a window that moved.
+	// each Read moves the cursor's prediction one block on.
 	max := int(bsz - pos%bsz)
 	if len(p) > max {
 		p = p[:max]
 	}
-	n, err := s.ReadAt(p, pos)
+	n, err := s.readAt(p, pos, &s.seq)
 	s.mu.Lock()
 	s.pos = pos + int64(n)
 	s.mu.Unlock()
-	s.cond.Broadcast() // window moved: wake prefetchers
 	return n, err
 }
 

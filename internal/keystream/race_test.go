@@ -13,7 +13,7 @@ import (
 // TestConcurrentReaders: sequential and random-access readers share one
 // protocol-engine stream concurrently; every reader sees the reference
 // bytes. Run under -race this is the suite's data-race probe for the
-// cache, the cursor, and the prefetch hint.
+// cache, the cursor, and the prefetch histories.
 func TestConcurrentReaders(t *testing.T) {
 	cfg := protoCfg(1234)
 	const nblocks = 8

@@ -15,12 +15,11 @@ func TestCacheCountersInStatsAndRegistry(t *testing.T) {
 	reg := obs.New()
 	s, err := New(Config{
 		Terminals: 2, XPerRound: 4, PayloadBytes: 4,
-		Seed:        9,
-		BlockSize:   blockSize,
-		CacheBlocks: 2, // tiny cache: a 6-block sweep must evict
-		Window:      1,
-		Source:      XOFSource8(9),
-		Obs:         reg,
+		Seed:      9,
+		BlockSize: blockSize,
+		Workers:   1, // a 4-block cache: a 6-block sweep must evict
+		Source:    XOFSource8(9),
+		Obs:       reg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -17,10 +17,11 @@ func gf8Cfg(seed int64) Config {
 
 // TestStrideDifferential: a strided ReadAt workload — the access pattern
 // of an OTP consumer padding every Nth record — returns bytes identical
-// to a plain stream reading the same ranges, while the detector engages
-// and prefetches along the lattice instead of the contiguous window.
+// to a plain stream reading the same ranges, while the prediction locks
+// onto the stride and prefetches along the lattice instead of the next
+// contiguous blocks.
 func TestStrideDifferential(t *testing.T) {
-	const strideBlocks = 5 // prime vs the window so contiguous prefetch never helps
+	const strideBlocks = 5 // prime vs the lookahead so contiguous prefetch never helps
 	const reads = 24
 	const readLen = 96
 
@@ -52,16 +53,14 @@ func TestStrideDifferential(t *testing.T) {
 	}
 
 	st := strided.Stats()
-	if st.StridePrefetches == 0 {
-		t.Fatalf("stride detector never engaged over %d strided reads: %+v", reads, st)
+	if st.Prefetches == 0 {
+		t.Fatalf("nothing prefetched over %d strided reads: %+v", reads, st)
 	}
 	strided.mu.Lock()
-	active := strided.strideActive()
-	delta := strided.strideDelta
+	stride := strided.ranged.stride
 	strided.mu.Unlock()
-	if !active || delta != strideBlocks {
-		t.Fatalf("detector state after strided reads: active=%v delta=%d, want active delta=%d",
-			active, delta, strideBlocks)
+	if stride != strideBlocks {
+		t.Fatalf("predicted stride after strided reads = %d, want %d", stride, strideBlocks)
 	}
 }
 
@@ -77,8 +76,8 @@ func TestStridePrefetchLandsAhead(t *testing.T) {
 	const strideBlocks = 7
 	bsz := int64(s.BlockSize())
 	buf := make([]byte, 32)
-	// Four reads at the same jump: the delta repeats twice after being
-	// set, and the stride locks in.
+	// Four reads at the same jump: from the third on the jump has
+	// repeated, and the stride locks in.
 	var last int64
 	for i := int64(0); i < 4; i++ {
 		last = i * strideBlocks * bsz
@@ -105,8 +104,8 @@ func TestStridePrefetchLandsAhead(t *testing.T) {
 }
 
 // TestStrideResetsOnSequential: re-reads and sequential continuation
-// break an established stride — the contiguous hint window is the right
-// policy again and the lattice must not linger.
+// break an established stride — predicting the next contiguous blocks is
+// the right policy again and the lattice must not linger.
 func TestStrideResetsOnSequential(t *testing.T) {
 	s, err := New(gf8Cfg(59))
 	if err != nil {
@@ -122,13 +121,13 @@ func TestStrideResetsOnSequential(t *testing.T) {
 		}
 	}
 	s.mu.Lock()
-	active := s.strideActive()
+	stride := s.ranged.stride
 	s.mu.Unlock()
-	if !active {
-		t.Fatal("stride of 3 blocks not established after 4 reads")
+	if stride != 3 {
+		t.Fatalf("stride of 3 blocks not established after 4 reads: stride %d", stride)
 	}
 
-	// Two sequential block reads: delta 1 twice → detector resets.
+	// Two sequential block reads: the jump is within the span → sequential.
 	if _, err := s.ReadAt(buf, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -136,9 +135,74 @@ func TestStrideResetsOnSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	active = s.strideActive()
+	stride = s.ranged.stride
 	s.mu.Unlock()
-	if active {
-		t.Fatal("stride survived sequential reads")
+	if stride != 0 {
+		t.Fatalf("stride %d survived sequential reads", stride)
+	}
+}
+
+// TestContiguousRangesPrefetchNextRange: back-to-back ranges that each
+// span two blocks are one sequential reader, not a stride of two: the
+// prediction must bring in both blocks of the next range, not only its
+// first, before any read demands them.
+func TestContiguousRangesPrefetchNextRange(t *testing.T) {
+	s := newWithWorkers(t, 2)
+	bsz := int64(s.BlockSize())
+	buf := make([]byte, 2*bsz)
+	const first = 64
+	for k := int64(0); k < 4; k++ {
+		if _, err := s.ReadAt(buf, (first+2*k)*bsz); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	next := int64(first + 2*4)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s.mu.Lock()
+		derived := 0
+		for _, idx := range []int64{next, next + 1} {
+			if bs, ok := s.blocks[idx]; ok && bs.data != nil {
+				derived++
+			}
+		}
+		s.mu.Unlock()
+		if derived == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of blocks %d and %d prefetched after four contiguous two-block ranges",
+				derived, next, next+1)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestPrefetchNeverEvictsUnread: a prediction nobody has read yet is
+// never pushed out by another prediction. The Read cursor's prefetched
+// blocks must survive a random-access reader's read-ahead cycling the
+// cache far away, so the cursor's next reads do not derive them again.
+func TestPrefetchNeverEvictsUnread(t *testing.T) {
+	const workers = 2
+	s := newWithWorkers(t, workers)
+	bsz := int64(s.BlockSize())
+	buf := make([]byte, bsz)
+	if _, err := s.Read(buf); err != nil {
+		t.Fatal(err)
+	}
+	settle(t, s)
+	for k := int64(0); k < 4*workers; k++ {
+		if _, err := s.ReadAt(buf, (100+k)*bsz); err != nil {
+			t.Fatal(err)
+		}
+		settle(t, s)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for idx := int64(1); idx <= workers; idx++ {
+		if bs, ok := s.blocks[idx]; !ok || bs.data == nil {
+			t.Errorf("the Read cursor's prefetched block %d was evicted before anyone read it", idx)
+		}
 	}
 }

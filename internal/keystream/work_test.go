@@ -1,6 +1,7 @@
 package keystream
 
 import (
+	"fmt"
 	"io"
 	"runtime"
 	"sync/atomic"
@@ -67,47 +68,69 @@ func TestExchangeRunsOnlyNeededRounds(t *testing.T) {
 	}
 }
 
-// TestNoPrefetchChurn: with the sequential cursor idle, random-access
-// ranges cycling the cache must not make the sequential window derive
-// its blocks again each time the LRU evicts them. The shape is a session
-// pool's stream: a short prefix drained through Read, then contiguous
-// two-block ranges far ahead. The ranges may derive their own blocks
-// plus one window of read-ahead past the last one; before the high-water
-// mark the stream derived about 4 blocks per range (60–74 over these 16
-// ranges on a 2-core machine, against 34 with it).
+// TestNoPrefetchChurn: prefetch derives each predicted block once, at
+// every worker count. Two shapes: a session pool's stream — a short
+// prefix drained through Read, then contiguous two-block ranges far ahead
+// while the cursor idles — may derive the ranges' blocks plus one
+// lookahead (Workers blocks) past the last; a sequential Read sweep may
+// derive the blocks it reads plus one lookahead. A prediction the LRU
+// evicts unread and the workers then derive again breaks the bound.
 func TestNoPrefetchChurn(t *testing.T) {
+	for _, workers := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("ranges/workers=%d", workers), func(t *testing.T) {
+			s := newWithWorkers(t, workers)
+			bsz := int64(s.BlockSize())
+			prefix := make([]byte, 4*bsz)
+			if _, err := io.ReadFull(s, prefix); err != nil {
+				t.Fatal(err)
+			}
+			settle(t, s)
+			before := s.Stats().Blocks
+
+			const ranges = 16
+			buf := make([]byte, 2*bsz)
+			for k := int64(0); k < ranges; k++ {
+				if _, err := s.ReadAt(buf, (64+2*k)*bsz); err != nil {
+					t.Fatal(err)
+				}
+			}
+			settle(t, s)
+			got := s.Stats().Blocks - before
+			if limit := int64(2*ranges + workers); got > limit {
+				t.Fatalf("%d ranges of 2 blocks derived %d blocks, want <= %d", ranges, got, limit)
+			}
+			t.Logf("%d two-block ranges derived %d blocks", ranges, got)
+		})
+		t.Run(fmt.Sprintf("sweep/workers=%d", workers), func(t *testing.T) {
+			s := newWithWorkers(t, workers)
+			const blocks = 32
+			buf := make([]byte, blocks*s.BlockSize())
+			if _, err := io.ReadFull(s, buf); err != nil {
+				t.Fatal(err)
+			}
+			settle(t, s)
+			if got, limit := s.Stats().Blocks, int64(blocks+workers); got > limit {
+				t.Fatalf("a %d-block Read sweep derived %d blocks, want <= %d", blocks, got, limit)
+			}
+		})
+	}
+}
+
+// newWithWorkers starts a GF(2^8) stream with the given worker count,
+// raising GOMAXPROCS to match for the rest of the test (Workers is capped
+// at it), and closes the stream when the test ends.
+func newWithWorkers(t *testing.T, workers int) *Stream {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(workers)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	cfg := gf8Cfg(5)
-	// Two workers at most, whatever the core count: with a 4-block window
-	// the stride lattice runs 8 blocks ahead and the 10-block LRU evicts
-	// some of its blocks before they are read — a read-ahead cost this
-	// test does not measure.
-	cfg.Workers = 2
+	cfg.Workers = workers
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	bsz := int64(s.BlockSize())
-	prefix := make([]byte, 4*bsz)
-	if _, err := io.ReadFull(s, prefix); err != nil {
-		t.Fatal(err)
-	}
-	settle(t, s)
-	before := s.Stats().Blocks
-
-	const ranges = 16
-	buf := make([]byte, 2*bsz)
-	for k := int64(0); k < ranges; k++ {
-		if _, err := s.ReadAt(buf, (64+2*k)*bsz); err != nil {
-			t.Fatal(err)
-		}
-	}
-	settle(t, s)
-	got := s.Stats().Blocks - before
-	if limit := int64(2*ranges + s.cfg.Window); got > limit {
-		t.Fatalf("%d ranges of 2 blocks derived %d blocks, want <= %d", ranges, got, limit)
-	}
-	t.Logf("%d two-block ranges derived %d blocks (window %d)", ranges, got, s.cfg.Window)
+	t.Cleanup(func() { s.Close() })
+	return s
 }
 
 // settle waits until no block derivation has been running for a while,

@@ -253,7 +253,8 @@ func TestConcurrentDrawShortPoolAllOrNothing(t *testing.T) {
 }
 
 // TestDrawIntoZeroAlloc pins the draw path's steady-state allocation
-// budget at zero: DrawInto into a caller buffer must not allocate.
+// budget: DrawInto into a caller buffer must not allocate, and Draw
+// allocates only the buffer it returns.
 func TestDrawIntoZeroAlloc(t *testing.T) {
 	s := &Session{pool: keypool.New()}
 	seed := make([]byte, 1<<20)
@@ -271,5 +272,12 @@ func TestDrawIntoZeroAlloc(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("DrawInto allocates %.1f per op in steady state, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := s.Draw(len(dst)); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 1 {
+		t.Fatalf("Draw allocates %.1f per op in steady state, want <= 1 (the result)", allocs)
 	}
 }
