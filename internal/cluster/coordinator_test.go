@@ -3,7 +3,10 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
@@ -148,6 +151,25 @@ func TestCoordinatorSaturation(t *testing.T) {
 	}
 	if _, err := c.Create(fastSpec(999)); !errors.Is(err, ErrNoWorkers) {
 		t.Fatalf("5th create: %v, want ErrNoWorkers", err)
+	}
+	// Over HTTP the tier answers saturation as the daemon and the worker
+	// do: 429 with code saturated.
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	raw, err := json.Marshal(fastSpec(998))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/v1/sessions", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb errorBody
+	_ = json.NewDecoder(resp.Body).Decode(&eb)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests || eb.Error.Code != codeSaturated {
+		t.Fatalf("POST /v1/sessions at capacity: %d %q, want %d %q",
+			resp.StatusCode, eb.Error.Code, http.StatusTooManyRequests, codeSaturated)
 	}
 	if err := c.CloseSession(ctx, ids[0]); err != nil {
 		t.Fatal(err)

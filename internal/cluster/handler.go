@@ -112,7 +112,7 @@ func (c *Coordinator) Handler() http.Handler {
 			case errors.Is(err, ErrShutdown):
 				httpError(w, http.StatusServiceUnavailable, codeShutdown, err)
 			case errors.Is(err, ErrNoWorkers):
-				httpError(w, http.StatusServiceUnavailable, codeSaturated, err)
+				httpError(w, http.StatusTooManyRequests, codeSaturated, err)
 			default:
 				httpError(w, http.StatusBadRequest, "", err)
 			}

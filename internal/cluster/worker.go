@@ -23,7 +23,7 @@ import (
 // WorkerConfig parameterizes one worker process.
 type WorkerConfig struct {
 	// Capacity bounds concurrently running sessions on this worker (the
-	// underlying service's runner pool). 0 means 16.
+	// underlying service's run slots). 0 means 16.
 	Capacity int
 	// DrainTimeout bounds each session's graceful drain. 0 means 10s.
 	DrainTimeout time.Duration

@@ -12,102 +12,6 @@ import (
 	"repro/internal/keypool"
 )
 
-// streamedSpec is fastSpec with the keystream feed: deterministic,
-// offset-addressable key material — the shape the concurrent-draw tests
-// lean on.
-func streamedSpec(seed int64) SessionSpec {
-	sp := fastSpec(seed)
-	sp.Streamed = true
-	return sp
-}
-
-// TestDispatchWakesExactlyOneExecutor pins the thundering-herd fix: each
-// dispatched session wakes EXACTLY one executor (the handoff is an
-// unbuffered channel send), even when a pool of idle executors is parked
-// on the shard. The old condvar runner pool broadcast-woke every parked
-// runner per enqueue; here wakeCount must equal sessions dispatched, not
-// sessions × executors.
-func TestDispatchWakesExactlyOneExecutor(t *testing.T) {
-	const parallel = 4 // builds a pool of idle executors on the one shard
-	const serial = 8   // then dispatches with all of them parked
-	sv := New(Config{MaxSessions: parallel, Shards: 1, DrainTimeout: 5 * time.Second})
-	defer sv.Shutdown(context.Background())
-
-	run := func(n int) {
-		t.Helper()
-		ss := make([]*Session, 0, n)
-		for i := 0; i < n; i++ {
-			s, err := sv.Create(streamedSpec(int64(4000 + i)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ss = append(ss, s)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		for _, s := range ss {
-			if err := s.WaitReady(ctx); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, s := range ss {
-			s.Close()
-		}
-	}
-
-	run(parallel) // spawns up to `parallel` executors, all idle afterwards
-	for i := 0; i < serial; i++ {
-		run(1) // every dispatch here faces multiple parked executors
-	}
-
-	dispatched := int64(parallel + serial)
-	if got := sv.wakeCount(); got != dispatched {
-		t.Fatalf("%d executor wakes for %d dispatched sessions; want exactly one wake per dispatch",
-			got, dispatched)
-	}
-}
-
-// TestShardPlacementDeterministic pins the placement contract: a session
-// id maps to one shard, the same shard on every lookup, and the hash
-// spreads dense sequential ids instead of clumping them.
-func TestShardPlacementDeterministic(t *testing.T) {
-	sv := New(Config{MaxSessions: 64, Shards: 8, DrainTimeout: time.Second})
-	defer sv.Shutdown(context.Background())
-
-	counts := make([]int, len(sv.shards))
-	for id := uint32(1); id <= 4096; id++ {
-		sh := sv.shardOf(id)
-		if sh < 0 || sh >= len(sv.shards) {
-			t.Fatalf("shardOf(%d) = %d outside [0,%d)", id, sh, len(sv.shards))
-		}
-		for trial := 0; trial < 3; trial++ {
-			if again := sv.shardOf(id); again != sh {
-				t.Fatalf("shardOf(%d) flapped: %d then %d", id, sh, again)
-			}
-		}
-		counts[sh]++
-	}
-	// 4096 ids over 8 shards: a uniform hash puts ~512 on each. Require
-	// every shard to hold at least a quarter of its fair share — loose
-	// enough to never flake, tight enough to catch identity-style striding
-	// (which would leave shards empty for dense id ranges).
-	for i, c := range counts {
-		if c < 4096/len(sv.shards)/4 {
-			t.Fatalf("shard %d holds %d of 4096 ids; distribution %v too skewed", i, c, counts)
-		}
-	}
-
-	// And the placement Create applies is the same pure function.
-	s, err := sv.Create(streamedSpec(4500))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if want := sv.shards[sv.shardOf(s.ID)]; s.shard != want {
-		t.Fatalf("session %d placed on shard %d, shardOf says %d", s.ID, s.shard.id, want.id)
-	}
-}
-
 // TestConcurrentDrawsDisjointGapFree is the draw path's core correctness
 // property: N goroutines drawing concurrently from one session receive
 // pairwise byte-disjoint slices that tile the session's deterministic
@@ -116,7 +20,7 @@ func TestShardPlacementDeterministic(t *testing.T) {
 func TestConcurrentDrawsDisjointGapFree(t *testing.T) {
 	sv := New(Config{MaxSessions: 2, DrainTimeout: 5 * time.Second})
 	defer sv.Shutdown(context.Background())
-	s, err := sv.Create(streamedSpec(4600))
+	s, err := sv.Create(fastSpec(4600))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +86,7 @@ func TestConcurrentDrawsDisjointGapFree(t *testing.T) {
 func TestConcurrentDrawShortPoolAllOrNothing(t *testing.T) {
 	sv := New(Config{MaxSessions: 2, DrainTimeout: 5 * time.Second})
 	defer sv.Shutdown(context.Background())
-	sp := streamedSpec(4700)
+	sp := fastSpec(4700)
 	s, err := sv.Create(sp)
 	if err != nil {
 		t.Fatal(err)

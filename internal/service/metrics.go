@@ -132,7 +132,7 @@ func (m ServiceMetrics) WriteProm(w io.Writer) {
 	}
 	daemon("thinaird_uptime_seconds", "Seconds since the daemon started.", "gauge", m.UptimeSeconds)
 	daemon("thinaird_sessions_running", "Sessions currently running.", "gauge", float64(m.Running))
-	daemon("thinaird_sessions_queued", "Sessions admitted but waiting for a runner slot.", "gauge", float64(m.Queued))
+	daemon("thinaird_sessions_queued", "Sessions admitted but waiting for a run slot.", "gauge", float64(m.Queued))
 	daemon("thinaird_sessions_created_total", "Sessions admitted over the daemon's lifetime.", "counter", float64(m.Created))
 	daemon("thinaird_sessions_rejected_total", "Session creations refused by admission control.", "counter", float64(m.Rejected))
 	daemon("thinaird_sessions_removed_total", "Sessions torn down and forgotten.", "counter", float64(m.Removed))

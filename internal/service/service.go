@@ -7,10 +7,10 @@
 //
 // The Service owns admission control, lifecycle (create / close /
 // drain), and telemetry (per-session rounds, secret bytes, pool depth,
-// Eve-bound estimates) exposed over HTTP by Handler. Sessions are
-// partitioned across shards (id → shard by hash): each shard runs one
-// dispatch goroutine feeding on-demand executors over a channel handoff
-// and owns the block buffers its sessions' refreshers read into, while a global token semaphore bounds total running sessions.
+// Eve-bound estimates) exposed over HTTP by Handler. Admitted sessions
+// wait in one FIFO run queue; each running session holds one of
+// MaxSessions run slots on its own goroutine, which starts the queue head
+// when the session ends.
 // cmd/thinaird is the CLI front end.
 package service
 
@@ -18,9 +18,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
+	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,17 +47,11 @@ var ErrFailed = errors.New("service: session failed")
 // Config parameterizes the daemon.
 type Config struct {
 	// MaxSessions bounds the number of concurrently RUNNING sessions
-	// across all shards (the size of the global token semaphore).
-	// 0 means 64.
+	// (the number of run slots). 0 means 64.
 	MaxSessions int
-	// MaxQueued bounds sessions admitted but waiting for a runner slot;
+	// MaxQueued bounds sessions admitted but waiting for a run slot;
 	// beyond it Create fails fast with ErrSaturated. 0 means MaxSessions.
 	MaxQueued int
-	// Shards is the number of session partitions, each with its own
-	// dispatch goroutine, work queue, and block buffer arenas. Sessions
-	// hash to a shard by id and never migrate. 0 means GOMAXPROCS,
-	// capped at MaxSessions.
-	Shards int
 	// DrainTimeout is how long a closing session may spend finishing its
 	// in-flight block derivation before being cancelled hard. 0 means 10s.
 	DrainTimeout time.Duration
@@ -92,12 +85,6 @@ func (c *Config) fill() {
 	if c.DrainTimeout == 0 {
 		c.DrainTimeout = 10 * time.Second
 	}
-	if c.Shards <= 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
-	}
-	if c.Shards > c.MaxSessions {
-		c.Shards = c.MaxSessions
-	}
 }
 
 // Service is the multi-session key-agreement daemon.
@@ -105,24 +92,17 @@ type Service struct {
 	cfg   Config
 	start time.Time
 
-	mu       sync.Mutex // registry lock: sessions map, nextID, closed
+	mu       sync.Mutex // registry and run queue lock
 	sessions map[uint32]*Session
 	nextID   uint32
 	closed   bool
+	// queue holds admitted sessions waiting for a run slot, in Create
+	// order; running counts the slots held (at most MaxSessions). Nothing
+	// on the draw hot path touches sv.mu.
+	queue   []*Session
+	running int
 
-	// shards partition the sessions: each owns a work queue, a dispatch
-	// goroutine, on-demand executors, and block buffer arenas. Nothing
-	// on the dispatch or draw hot paths touches sv.mu.
-	shards []*shard
-	// tokens is the global running-session semaphore: a dispatcher takes
-	// one token per session before handing it to an executor, the
-	// executor returns it when the session ends. Shards therefore share
-	// one MaxSessions budget — a hash-skewed load grows one shard's
-	// executor set instead of starving behind a fixed per-shard split.
-	tokens chan struct{}
-	stopc  chan struct{} // closed at the end of Shutdown; parks exit
-
-	wg sync.WaitGroup // dispatcher + executor goroutines
+	wg sync.WaitGroup // run goroutines
 
 	created  atomic.Int64
 	rejected atomic.Int64
@@ -145,8 +125,8 @@ type Service struct {
 	streamOK, streamErr *obs.Histogram
 }
 
-// New starts a daemon with cfg.Shards dispatch shards sharing a
-// cfg.MaxSessions running budget. Call Shutdown to stop it.
+// New starts a daemon with cfg.MaxSessions run slots. Call Shutdown to
+// stop it.
 func New(cfg Config) *Service {
 	cfg.fill()
 	cfg.fillObs()
@@ -155,13 +135,8 @@ func New(cfg Config) *Service {
 		start:    time.Now(),
 		sessions: make(map[uint32]*Session),
 		nextID:   1,
-		stopc:    make(chan struct{}),
-		tokens:   make(chan struct{}, cfg.MaxSessions),
 		obs:      cfg.Obs,
 		spans:    cfg.Spans,
-	}
-	for i := 0; i < cfg.MaxSessions; i++ {
-		sv.tokens <- struct{}{}
 	}
 	drawLat := sv.obs.HistogramVec("thinaird_draw_seconds",
 		"HTTP draw handler latency, by outcome.", obs.LatencyBuckets, "outcome")
@@ -171,42 +146,52 @@ func New(cfg Config) *Service {
 	sv.drawErr = drawLat.With("error")
 	sv.streamOK = streamLat.With("ok")
 	sv.streamErr = streamLat.With("error")
-	depthVec := sv.obs.GaugeVec("thinaird_shard_queue_depth",
-		"Sessions waiting in each shard's dispatch queue.", "shard")
-	sv.shards = make([]*shard, cfg.Shards)
-	sv.wg.Add(cfg.Shards)
-	for i := range sv.shards {
-		label := strconv.Itoa(i)
-		sv.shards[i] = newShard(sv, i, label, depthVec.With(label))
-		go sv.shards[i].dispatch()
-	}
 	return sv
 }
 
-// shardOf maps a session id to its owning shard. The hash is a fixed
-// integer mix (not the identity) so dense sequential ids spread instead
-// of striding, and it is a pure function of the id — the same session
-// lands on the same shard on every lookup and every restart.
-func (sv *Service) shardOf(id uint32) int {
-	x := id
-	x ^= x >> 16
-	x *= 0x7feb352d
-	x ^= x >> 15
-	x *= 0x846ca68b
-	x ^= x >> 16
-	return int(x % uint32(len(sv.shards)))
+// runLoop runs s, then each queue head in turn, on the run slot Create
+// took for s. When a session's run returns, the same goroutine accounts a
+// failure and forgets it before starting the next.
+func (sv *Service) runLoop(s *Session) {
+	defer sv.wg.Done()
+	for ; s != nil; s = sv.next() {
+		// The claim is a state CAS so a session closed while still queued
+		// is skipped instead of spun up and immediately torn down.
+		if !s.state.CompareAndSwap(int32(StateQueued), int32(StateRunning)) {
+			continue
+		}
+		s.run()
+		if s.State() == StateFailed {
+			sv.failed.Add(1)
+			sv.noteFailed(s.ID)
+		}
+		sv.forget(s.ID)
+	}
 }
 
-// wakeCount sums executor wake events across shards. Each dispatched
-// session wakes exactly one executor (the handoff is an unbuffered
-// channel send), so this equals sessions dispatched — the property the
-// thundering-herd regression test pins.
-func (sv *Service) wakeCount() int64 {
-	var n int64
-	for _, sh := range sv.shards {
-		n += sh.wakes.Load()
+// next pops the queue head onto the caller's run slot, or releases the
+// slot when the queue is empty.
+func (sv *Service) next() *Session {
+	sv.mu.Lock()
+	defer sv.mu.Unlock()
+	if len(sv.queue) == 0 {
+		sv.running--
+		return nil
 	}
-	return n
+	s := sv.queue[0]
+	sv.queue[0] = nil
+	sv.queue = sv.queue[1:]
+	return s
+}
+
+// dequeue removes a session closed while queued from the run queue, so
+// it no longer holds a queue slot.
+func (sv *Service) dequeue(s *Session) {
+	sv.mu.Lock()
+	if i := slices.Index(sv.queue, s); i >= 0 {
+		sv.queue = slices.Delete(sv.queue, i, i+1)
+	}
+	sv.mu.Unlock()
 }
 
 // forget drops a finished session from the registry (idempotent — the
@@ -221,9 +206,10 @@ func (sv *Service) forget(id uint32) {
 }
 
 // Create admits a new session. It returns immediately; the session starts
-// when its shard dispatches it to an executor and a running token frees
-// up (WaitReady blocks until its pool has key material). Create fails
-// fast with ErrSaturated when the queue is full.
+// at once if a run slot is free, or else when every session queued before
+// it has started and a slot frees up (WaitReady blocks until its pool has
+// key material). Create fails fast with ErrSaturated when the queue is
+// full.
 func (sv *Service) Create(spec SessionSpec) (*Session, error) {
 	if err := spec.fill(); err != nil {
 		return nil, err
@@ -236,13 +222,7 @@ func (sv *Service) Create(spec SessionSpec) (*Session, error) {
 	// Admission is counted against live sessions (queued or running):
 	// MaxSessions may run, MaxQueued more may wait; beyond that the
 	// caller gets immediate backpressure.
-	live := 0
-	for _, s := range sv.sessions {
-		if st := s.State(); st == StateQueued || st == StateRunning {
-			live++
-		}
-	}
-	if live >= sv.cfg.MaxSessions+sv.cfg.MaxQueued {
+	if live := sv.running + len(sv.queue); live >= sv.cfg.MaxSessions+sv.cfg.MaxQueued {
 		sv.rejected.Add(1)
 		sv.mu.Unlock()
 		return nil, fmt.Errorf("%w: %d live, %d running + %d queued allowed",
@@ -250,12 +230,17 @@ func (sv *Service) Create(spec SessionSpec) (*Session, error) {
 	}
 	id := sv.nextID
 	s := newSession(sv, id, spec)
-	s.shard = sv.shards[sv.shardOf(id)]
 	sv.nextID++
 	sv.sessions[id] = s
 	sv.created.Add(1)
+	if sv.running < sv.cfg.MaxSessions {
+		sv.running++
+		sv.wg.Add(1)
+		go sv.runLoop(s)
+	} else {
+		sv.queue = append(sv.queue, s)
+	}
 	sv.mu.Unlock()
-	s.shard.enqueue(s)
 	return s, nil
 }
 
@@ -338,8 +323,8 @@ func (sv *Service) Close(id uint32) error {
 
 // Shutdown stops the daemon: no new sessions are admitted, every session
 // is asked to drain its in-flight block derivation, and once ctx expires any
-// stragglers are cancelled hard. All dispatcher and executor goroutines
-// have exited and all pools are zeroized when Shutdown returns.
+// stragglers are cancelled hard. All run goroutines have exited and all
+// pools are zeroized when Shutdown returns.
 func (sv *Service) Shutdown(ctx context.Context) error {
 	sv.mu.Lock()
 	if sv.closed {
@@ -374,10 +359,6 @@ func (sv *Service) Shutdown(ctx context.Context) error {
 		}
 		<-drained
 	}
-	// Every session is down; release the parked dispatchers and
-	// executors. Closing stopc only after the drain keeps executors
-	// alive while their sessions finish.
-	close(sv.stopc)
 	sv.wg.Wait()
 	return err
 }

@@ -310,6 +310,82 @@ func TestQueuedCreateCloseCycle(t *testing.T) {
 	}
 }
 
+// TestQueuedSessionsStartInOrder pins Create's FIFO promise: with one run
+// slot, queued sessions start in the order they were created.
+func TestQueuedSessionsStartInOrder(t *testing.T) {
+	sv := New(Config{MaxSessions: 1, MaxQueued: 3, DrainTimeout: 5 * time.Second})
+	defer sv.Shutdown(context.Background())
+	ss := make([]*Session, 4) // A runs; B, C, D queue
+	for i := range ss {
+		var err error
+		if ss[i], err = sv.Create(fastSpec(int64(200 + i))); err != nil {
+			t.Fatalf("create %d: %v", i, err)
+		}
+	}
+	for i := 0; i < 3; i++ { // closing A starts B, closing B starts C
+		if i > 0 {
+			if err := sv.Close(ss[i-1].ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitFor(t, 15*time.Second, fmt.Sprintf("session %d running", ss[i].ID), func() bool {
+			return ss[i].State() == StateRunning
+		})
+		for _, s := range ss[i+1:] {
+			if st := s.State(); st != StateQueued {
+				t.Fatalf("session %d is %v while session %d runs; want queued", s.ID, st, ss[i].ID)
+			}
+		}
+	}
+}
+
+// TestNoGoroutineOutlivesSession: a session's run slot is a goroutine
+// that exits with the last session it ran, so once every session has
+// closed the daemon holds no goroutine it did not hold before the first
+// Create — without waiting for Shutdown.
+func TestNoGoroutineOutlivesSession(t *testing.T) {
+	sv := New(Config{MaxSessions: 4, DrainTimeout: 5 * time.Second})
+	defer sv.Shutdown(context.Background())
+	before := runtime.NumGoroutine()
+
+	ss := make([]*Session, 6) // four run, two queue
+	for i := range ss {
+		var err error
+		if ss[i], err = sv.Create(fastSpec(int64(500 + i))); err != nil {
+			t.Fatalf("create %d: %v", i, err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	ready := func(ss []*Session) {
+		t.Helper()
+		for _, s := range ss {
+			if err := s.WaitReady(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ready(ss[:4])
+	for _, s := range ss[:2] { // frees two slots for the queued pair
+		s.Close()
+	}
+	ready(ss[4:])
+	for _, s := range ss[2:] {
+		s.Close()
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("%d goroutines after every session closed, %d before the first Create\n%s",
+				runtime.NumGoroutine(), before, buf[:n])
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
 // TestServe32UDPSessions is the acceptance bar: >= 32 concurrent group
 // sessions over loopback UDP, background keypool refresh observed (depth
 // recovers after draws), graceful shutdown, no goroutines leaked.

@@ -119,7 +119,7 @@ func (sp *SessionSpec) fill() error {
 type State int32
 
 const (
-	// StateQueued: admitted but waiting for a runner slot.
+	// StateQueued: admitted but waiting for a run slot.
 	StateQueued State = iota
 	// StateRunning: keystream up, background refresher active.
 	StateRunning
@@ -160,12 +160,6 @@ type Session struct {
 
 	svc  *Service
 	pool *keypool.Pool
-	// shard is the partition this session hashes to (assigned at Create,
-	// never migrates); arena is the shard-owned stream block buffer
-	// checked out by the executor for the session's whole run, touched
-	// only by the executor goroutine between checkout and return.
-	shard *shard
-	arena *sessionArena
 
 	ctx     context.Context
 	cancel  context.CancelFunc
@@ -249,9 +243,9 @@ func (s *Session) Stream() *keystream.Stream {
 // the non-consuming, randomly addressable surface every tier serves.
 // Offsets address the session's deterministic keystream: reading a range
 // twice returns the same bytes, and one-time-pad users own offset
-// non-reuse. Before the stream is up (queued, or not yet started by its
-// executor) it fails with keypool.ErrExhausted, the retry signal; once
-// the session is torn down, with keystream.ErrClosed.
+// non-reuse. Before the stream is up (queued, or running but its
+// keystream not yet built) it fails with keypool.ErrExhausted, the retry
+// signal; once the session is torn down, with keystream.ErrClosed.
 func (s *Session) StreamRange(off, n int64) (io.Reader, error) {
 	str := s.Stream()
 	if str == nil {
@@ -317,9 +311,9 @@ func (s *Session) Close() { s.closeNow() }
 
 func (s *Session) closeNow() {
 	s.closeOnce.Do(func() { close(s.closing) })
-	// A session closed while still queued is never claimed by a runner
-	// (the runner's claim CAS fails), so finish its lifecycle here and
-	// release its queue slot immediately.
+	// A session closed while still queued is never claimed by a run slot
+	// (the claim CAS fails), so finish its lifecycle here and release its
+	// queue slot immediately.
 	s.snapMu.Lock()
 	queued := s.state.CompareAndSwap(int32(StateQueued), int32(StateClosed))
 	if queued {
@@ -327,7 +321,7 @@ func (s *Session) closeNow() {
 	}
 	s.snapMu.Unlock()
 	if queued {
-		s.shard.dropPending(s)
+		s.svc.dequeue(s)
 		s.svc.forget(s.ID)
 		close(s.done)
 		return
@@ -357,8 +351,8 @@ func (s *Session) stopRequested() bool {
 	}
 }
 
-// run is the session's whole life, executed on one Service runner slot:
-// a keystream.Stream derives blocks through the pipelined engine, and the
+// run is the session's whole life, executed on one Service run slot: a
+// keystream.Stream derives blocks through the pipelined engine, and the
 // pool becomes its first sequential consumer — every pool draw returns a
 // prefix-exact slice of the same deterministic stream that StreamRange
 // addresses by offset.
@@ -408,12 +402,10 @@ func (s *Session) run() {
 
 	s.pool.SetLowWater(s.spec.LowWater)
 	low := s.pool.LowWaterSignal()
-	var buf []byte
-	if s.arena != nil {
-		buf = s.arena.bytes(str.BlockSize())
-	} else {
-		buf = make([]byte, str.BlockSize())
-	}
+	// One block buffer per run, zeroed on return: a failed read may leave
+	// part of a block in it.
+	buf := make([]byte, str.BlockSize())
+	defer zeroBytes(buf)
 	consecFail := 0
 	for {
 		for s.pool.Available() < s.spec.TargetDepth {

@@ -306,8 +306,9 @@ func TestUDPSessionReleasesBlockBuses(t *testing.T) {
 	if c, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)}); err == nil {
 		c.Close()
 	}
-	sv := New(Config{MaxSessions: 1, Shards: 1, DrainTimeout: 5 * time.Second})
+	sv := New(Config{MaxSessions: 1, DrainTimeout: 5 * time.Second})
 	defer sv.Shutdown(context.Background())
+	before, fdsBefore := runtime.NumGoroutine(), openFDs(t)
 	start := func(spec SessionSpec) *Session {
 		t.Helper()
 		s, err := sv.Create(spec)
@@ -321,10 +322,6 @@ func TestUDPSessionReleasesBlockBuses(t *testing.T) {
 		}
 		return s
 	}
-	// The shard's executor outlives any one session: spawn it first.
-	sv.Close(start(fastSpec(71)).ID)
-	before, fdsBefore := runtime.NumGoroutine(), openFDs(t)
-
 	spec := fastSpec(72)
 	spec.UDP, spec.Observe = true, true
 	s := start(spec)
@@ -367,26 +364,8 @@ func TestUDPSoakObservedSessions(t *testing.T) {
 	if c, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)}); err == nil {
 		c.Close()
 	}
-	sv := New(Config{MaxSessions: sessions, Shards: 1, DrainTimeout: 5 * time.Second})
+	sv := New(Config{MaxSessions: sessions, DrainTimeout: 5 * time.Second})
 	defer sv.Shutdown(context.Background())
-	// The shard's executors outlive the sessions they run: spawn all of
-	// them before taking the baseline.
-	warm := make([]*Session, sessions)
-	for i := range warm {
-		var err error
-		if warm[i], err = sv.Create(fastSpec(int64(80 + i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, s := range warm {
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		err := s.WaitReady(ctx)
-		cancel()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sv.Close(s.ID)
-	}
 	before, fdsBefore := runtime.NumGoroutine(), openFDs(t)
 
 	const span = 24 // blocks per sweep, more than the stream cache holds
