@@ -489,6 +489,14 @@ func TestClientConformance(t *testing.T) {
 				if _, err := c.Draw(ctx, session+9999, 8); !errors.Is(err, client.ErrNotFound) {
 					t.Fatalf("draw on unknown session: got %v, want ErrNotFound", err)
 				}
+				// Session ids are 64-bit on every tier: one beyond the
+				// daemon's 32-bit space is unknown, not malformed.
+				if _, err := c.Draw(ctx, session+1<<32, 8); !errors.Is(err, client.ErrNotFound) {
+					t.Fatalf("draw on session %d: got %v, want ErrNotFound", session+1<<32, err)
+				}
+				if _, err := c.StreamRange(ctx, session+1<<32, 0, 8); !errors.Is(err, client.ErrNotFound) {
+					t.Fatalf("range on session %d: got %v, want ErrNotFound", session+1<<32, err)
+				}
 				if _, err := c.Draw(ctx, session, httpapi.MaxDrawBytes+1); !errors.Is(err, client.ErrBadRequest) {
 					t.Fatalf("oversized draw: got %v, want ErrBadRequest", err)
 				}

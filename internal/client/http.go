@@ -46,15 +46,10 @@ func (c *HTTP) do(ctx context.Context, method, path string) (*http.Response, err
 		return nil, fmt.Errorf("%w: %v", ErrUnreachable, err)
 	}
 	if resp.StatusCode >= 400 {
-		var eb httpapi.ErrorBody
-		_ = json.NewDecoder(resp.Body).Decode(&eb)
+		err := httpapi.DecodeError(resp)
 		_, _ = io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		msg := eb.Error.Message
-		if msg == "" {
-			msg = resp.Status
-		}
-		return nil, ErrorFromCode(eb.Error.Code, msg)
+		return nil, err
 	}
 	return resp, nil
 }

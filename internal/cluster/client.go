@@ -11,15 +11,16 @@ import (
 	"net/url"
 	"time"
 
-	"repro/internal/keypool"
+	"repro/internal/httpapi"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
 
 // WorkerClient is the coordinator's handle on one worker's control RPC.
-// Transport-level failures surface as ErrUnreachable; RPC rejections map
-// back to the typed errors the worker raised (ErrDraining, ErrDuplicate,
-// service.ErrSaturated, keypool.ErrExhausted/ErrClosed, ErrNotFound).
+// Transport-level failures surface as ErrUnreachable; RPC rejections
+// decode through httpapi.DecodeError back to the typed errors the worker
+// raised (ErrDraining, ErrDuplicate, service.ErrSaturated,
+// keypool.ErrExhausted/ErrClosed, ErrNotFound, ...).
 type WorkerClient struct {
 	base string
 	hc   *http.Client
@@ -69,7 +70,7 @@ func (c *WorkerClient) URL() string { return c.base }
 func (c *WorkerClient) CloseIdle() { c.hc.CloseIdleConnections() }
 
 // do performs one RPC and decodes the JSON response into out (when
-// non-nil). Non-2xx statuses are mapped to typed errors via the body's
+// non-nil). Non-2xx statuses decode to the typed error of the body's
 // error code.
 func (c *WorkerClient) do(ctx context.Context, op, method, path string, body, out any) error {
 	t0 := c.rpcStart()
@@ -109,9 +110,7 @@ func (c *WorkerClient) do(ctx context.Context, op, method, path string, body, ou
 		resp.Body.Close()
 	}()
 	if resp.StatusCode >= 400 {
-		var eb errorBody
-		_ = json.NewDecoder(resp.Body).Decode(&eb)
-		return rpcError(resp.StatusCode, eb)
+		return httpapi.DecodeError(resp)
 	}
 	if out != nil {
 		return json.NewDecoder(resp.Body).Decode(out)
@@ -147,9 +146,7 @@ func (c *WorkerClient) doStream(ctx context.Context, path string, n int64, w io.
 		resp.Body.Close()
 	}()
 	if resp.StatusCode >= 400 {
-		var eb errorBody
-		_ = json.NewDecoder(resp.Body).Decode(&eb)
-		return 0, rpcError(resp.StatusCode, eb)
+		return 0, httpapi.DecodeError(resp)
 	}
 	written, err := io.Copy(w, io.LimitReader(resp.Body, n))
 	if err != nil {
@@ -162,36 +159,6 @@ func (c *WorkerClient) doStream(ctx context.Context, path string, n int64, w io.
 		return written, fmt.Errorf("%w: stream truncated at %d/%d bytes", ErrUnreachable, written, n)
 	}
 	return written, nil
-}
-
-// rpcError maps a worker error response back to the typed error the
-// worker raised.
-func rpcError(status int, eb errorBody) error {
-	msg := eb.Error.Message
-	if msg == "" {
-		msg = http.StatusText(status)
-	}
-	switch eb.Error.Code {
-	case codeDraining:
-		return fmt.Errorf("%w: %s", ErrDraining, msg)
-	case codeDuplicate:
-		return fmt.Errorf("%w: %s", ErrDuplicate, msg)
-	case codeSaturated:
-		return fmt.Errorf("%w: %s", service.ErrSaturated, msg)
-	case codeExhausted:
-		return fmt.Errorf("%w: %s", keypool.ErrExhausted, msg)
-	case codeClosed:
-		return fmt.Errorf("%w: %s", keypool.ErrClosed, msg)
-	case codeFailed:
-		return fmt.Errorf("%w: %s", service.ErrFailed, msg)
-	case codeNotFound:
-		return fmt.Errorf("%w: %s", ErrNotFound, msg)
-	case codeOrphaned:
-		return fmt.Errorf("%w: %s", ErrOrphaned, msg)
-	case codeShutdown:
-		return fmt.Errorf("%w: %s", ErrShutdown, msg)
-	}
-	return fmt.Errorf("cluster: worker rpc status %d: %s", status, msg)
 }
 
 // Health probes /ctl/healthz — the heartbeat.

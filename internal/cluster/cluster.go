@@ -32,38 +32,37 @@
 package cluster
 
 import (
-	"errors"
 	"net/http"
 	"strconv"
 
 	"repro/internal/httpapi"
-	"repro/internal/keypool"
-	"repro/internal/keystream"
 	"repro/internal/service"
 )
 
-// Control-RPC error conditions, surfaced as typed errors by WorkerClient
-// so the coordinator's placement logic can tell them apart.
+// The cluster tier's typed errors, which WorkerClient decodes back from
+// the control RPC so the coordinator's placement logic can tell them
+// apart. internal/httpapi defines them with their wire codes and HTTP
+// statuses.
 var (
 	// ErrUnreachable wraps transport-level failures talking to a worker
 	// (dead process, closed socket, connection refused).
-	ErrUnreachable = errors.New("cluster: worker unreachable")
+	ErrUnreachable = httpapi.ErrUnreachable
 	// ErrDraining rejects assignments to a worker that has begun its
 	// graceful drain.
-	ErrDraining = errors.New("cluster: worker draining")
+	ErrDraining = httpapi.ErrDraining
 	// ErrDuplicate rejects assigning a cluster session id a worker
 	// already hosts.
-	ErrDuplicate = errors.New("cluster: session already assigned")
+	ErrDuplicate = httpapi.ErrDuplicate
 	// ErrNotFound is returned when addressing an unknown cluster session.
-	ErrNotFound = errors.New("cluster: no such session")
+	ErrNotFound = httpapi.ErrClusterNotFound
 	// ErrNoWorkers is returned by Create/reassignment when no live worker
 	// has capacity left.
-	ErrNoWorkers = errors.New("cluster: no live worker with capacity")
+	ErrNoWorkers = httpapi.ErrNoWorkers
 	// ErrShutdown is returned after coordinator shutdown has begun.
-	ErrShutdown = errors.New("cluster: shutting down")
+	ErrShutdown = httpapi.ErrClusterShutdown
 	// ErrOrphaned is returned for operations on a session that lost its
 	// worker and has not been placed again yet — retryable.
-	ErrOrphaned = errors.New("cluster: session awaiting reassignment")
+	ErrOrphaned = httpapi.ErrOrphaned
 )
 
 // assignRequest is the wire body of POST /ctl/assign.
@@ -80,65 +79,27 @@ type drawResponse struct {
 	Key     string `json:"key"`
 }
 
-// errorBody is the shared wire error envelope
-// ({"error":{"code","message"}}); the code slugs live in httpapi so the
-// daemon, coordinator, worker /ctl and gate surfaces share one set.
-type errorBody = httpapi.ErrorBody
-
-const (
-	codeDraining  = httpapi.CodeDraining
-	codeDuplicate = httpapi.CodeDuplicate
-	codeSaturated = httpapi.CodeSaturated
-	codeExhausted = httpapi.CodeExhausted
-	codeClosed    = httpapi.CodeClosed
-	codeFailed    = httpapi.CodeFailed
-	codeOrphaned  = httpapi.CodeOrphaned
-	codeNotFound  = httpapi.CodeNotFound
-	codeShutdown  = httpapi.CodeShutdown
-)
-
 // The wire helpers are shared with the single-process service API
 // (internal/httpapi) so the two tiers' envelopes cannot diverge.
 var (
 	writeJSON   = httpapi.WriteJSON
-	httpError   = httpapi.Error
+	writeError  = httpapi.WriteError
 	drawBytes   = httpapi.DrawBytes
 	streamRange = httpapi.StreamRange
 )
+
+// badRequest rejects a malformed path, query or body parameter.
+func badRequest(w http.ResponseWriter, err error) {
+	httpapi.Error(w, http.StatusBadRequest, httpapi.CodeBadRequest, err)
+}
 
 // sessionIDFromPath parses the {id} path value both tiers use to
 // address cluster sessions.
 func sessionIDFromPath(w http.ResponseWriter, r *http.Request) (uint64, bool) {
 	cid, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "", err)
+		badRequest(w, err)
 		return 0, false
 	}
 	return cid, true
-}
-
-// writeDrawError maps a draw failure to its HTTP status — shared by the
-// worker control RPC and the coordinator's public API so the mapping
-// cannot diverge between tiers.
-func writeDrawError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, ErrNotFound):
-		httpError(w, http.StatusNotFound, codeNotFound, err)
-	case errors.Is(err, ErrOrphaned):
-		// The owner died moments ago; reassignment is in flight.
-		httpError(w, http.StatusServiceUnavailable, codeOrphaned, err)
-	case errors.Is(err, ErrUnreachable):
-		httpError(w, http.StatusBadGateway, httpapi.CodeUnreachable, err)
-	case errors.Is(err, service.ErrFailed):
-		// Permanent session death — distinct from a caller-initiated
-		// close, checked before ErrClosed because failed errors may wrap
-		// the zeroized pool's sentinel too.
-		httpError(w, http.StatusGone, codeFailed, err)
-	case errors.Is(err, keypool.ErrClosed), errors.Is(err, keystream.ErrClosed):
-		httpError(w, http.StatusGone, codeClosed, err)
-	default:
-		// Exhausted: the background refresher is behind, or the
-		// session's keystream is not up yet; the client retries.
-		httpError(w, http.StatusConflict, codeExhausted, err)
-	}
 }

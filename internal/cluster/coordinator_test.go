@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/httpapi"
 )
 
 // recordingSpawner wraps InProcess so tests can reach the procs behind
@@ -164,12 +166,12 @@ func TestCoordinatorSaturation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var eb errorBody
+	var eb httpapi.ErrorBody
 	_ = json.NewDecoder(resp.Body).Decode(&eb)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests || eb.Error.Code != codeSaturated {
+	if resp.StatusCode != http.StatusTooManyRequests || eb.Error.Code != httpapi.CodeSaturated {
 		t.Fatalf("POST /v1/sessions at capacity: %d %q, want %d %q",
-			resp.StatusCode, eb.Error.Code, http.StatusTooManyRequests, codeSaturated)
+			resp.StatusCode, eb.Error.Code, http.StatusTooManyRequests, httpapi.CodeSaturated)
 	}
 	if err := c.CloseSession(ctx, ids[0]); err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/httpapi"
 	"repro/internal/keypool"
 	"repro/internal/service"
 )
@@ -209,32 +208,6 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if err := c.Shutdown(sctx); err != nil { // idempotent
 		t.Fatal(err)
-	}
-}
-
-// TestRPCErrorMapping pins the full wire error-code table, including
-// codes only minted by the coordinator-facing surface.
-func TestRPCErrorMapping(t *testing.T) {
-	cases := []struct {
-		code string
-		want error
-	}{
-		{codeDraining, ErrDraining},
-		{codeDuplicate, ErrDuplicate},
-		{codeNotFound, ErrNotFound},
-		{codeOrphaned, ErrOrphaned},
-		{codeShutdown, ErrShutdown},
-		{codeClosed, keypool.ErrClosed},
-		{codeFailed, service.ErrFailed},
-		{codeExhausted, keypool.ErrExhausted},
-	}
-	for _, tc := range cases {
-		if err := rpcError(400, errorBody{Error: httpapi.ErrorDetail{Code: tc.code, Message: "x"}}); !errors.Is(err, tc.want) {
-			t.Fatalf("code %q mapped to %v, want %v", tc.code, err, tc.want)
-		}
-	}
-	if err := rpcError(500, errorBody{}); err == nil || !strings.Contains(err.Error(), "500") {
-		t.Fatalf("unknown code: %v", err)
 	}
 }
 

@@ -3,7 +3,6 @@ package cluster
 import (
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"strconv"
@@ -71,12 +70,12 @@ func (c *Coordinator) Handler() http.Handler {
 		if s := q.Get("session"); s != "" {
 			cid, err := strconv.ParseUint(s, 10, 64)
 			if err != nil {
-				httpError(w, http.StatusBadRequest, "", err)
+				badRequest(w, err)
 				return
 			}
 			oi, err := c.Owner(cid)
 			if err != nil {
-				httpError(w, http.StatusNotFound, codeNotFound, err)
+				writeError(w, err)
 				return
 			}
 			writeJSON(w, http.StatusOK, oi)
@@ -87,7 +86,7 @@ func (c *Coordinator) Handler() http.Handler {
 		if e := q.Get("epoch"); e != "" {
 			have, err := strconv.ParseUint(e, 10, 64)
 			if err != nil {
-				httpError(w, http.StatusBadRequest, "", err)
+				badRequest(w, err)
 				return
 			}
 			if c.OwnersEpoch() == have {
@@ -103,19 +102,12 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
 		var spec service.SessionSpec
 		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			httpError(w, http.StatusBadRequest, "", err)
+			badRequest(w, err)
 			return
 		}
 		info, err := c.Create(spec)
 		if err != nil {
-			switch {
-			case errors.Is(err, ErrShutdown):
-				httpError(w, http.StatusServiceUnavailable, codeShutdown, err)
-			case errors.Is(err, ErrNoWorkers):
-				httpError(w, http.StatusTooManyRequests, codeSaturated, err)
-			default:
-				httpError(w, http.StatusBadRequest, "", err)
-			}
+			writeError(w, err)
 			return
 		}
 		writeJSON(w, http.StatusCreated, info)
@@ -127,7 +119,7 @@ func (c *Coordinator) Handler() http.Handler {
 		}
 		info, err := c.Session(r.Context(), cid)
 		if err != nil {
-			httpError(w, http.StatusNotFound, codeNotFound, err)
+			writeError(w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, info)
@@ -138,11 +130,7 @@ func (c *Coordinator) Handler() http.Handler {
 			return
 		}
 		if err := c.CloseSession(r.Context(), cid); err != nil {
-			status := http.StatusInternalServerError
-			if errors.Is(err, ErrNotFound) {
-				status = http.StatusNotFound
-			}
-			httpError(w, status, "", err)
+			writeError(w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"closed": cid})
@@ -168,7 +156,7 @@ func (c *Coordinator) Handler() http.Handler {
 		}
 		key, err := c.Draw(ctx, cid, n)
 		if err != nil {
-			writeDrawError(w, err)
+			writeError(w, err)
 			return
 		}
 		if span != "" {
@@ -205,7 +193,7 @@ func (c *Coordinator) Handler() http.Handler {
 		sw := &passthroughWriter{w: w, n: n}
 		if _, err := c.StreamRangeTo(ctx, cid, off, n, sw); err != nil {
 			if !sw.wrote {
-				writeDrawError(w, err)
+				writeError(w, err)
 			}
 			return
 		}
@@ -261,8 +249,6 @@ func (m ClusterMetrics) WriteProm(w io.Writer) {
 	single("thinaird_cluster_sessions_created_total", "Cluster sessions admitted over the coordinator's lifetime.", "counter", float64(m.Created))
 	single("thinaird_cluster_sessions_removed_total", "Cluster sessions closed and forgotten.", "counter", float64(m.Removed))
 	single("thinaird_cluster_sessions_failed_total", "Cluster sessions that could not be re-placed.", "counter", float64(m.Failed))
-	single("thinaird_cluster_sessions_reassigned_total", "Sessions moved to a new worker after their old one died.", "counter", float64(m.Reassigned))
-	single("thinaird_cluster_worker_restarts_total", "Worker processes respawned by supervision.", "counter", float64(m.Restarts))
 	pw.Family("thinaird_cluster_worker_sessions", "Assigned sessions per worker slot.", "gauge")
 	for _, wi := range m.Workers {
 		pw.Sample("thinaird_cluster_worker_sessions", float64(wi.Sessions),

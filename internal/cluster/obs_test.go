@@ -211,9 +211,19 @@ func TestCoordinatorMetricsEndpointLintClean(t *testing.T) {
 		"# TYPE thinaird_cluster_rpc_seconds histogram",
 		`thinaird_cluster_rpc_seconds_bucket{op="draw",le="+Inf"}`,
 		"thinaird_cluster_respawns_total 0",
+		"thinaird_cluster_reassignments_total 0",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	// Each counter is exported once, by its registry family.
+	for _, dup := range []string{
+		"thinaird_cluster_sessions_reassigned_total",
+		"thinaird_cluster_worker_restarts_total",
+	} {
+		if strings.Contains(string(body), dup) {
+			t.Errorf("/metrics still exports the duplicate %q", dup)
 		}
 	}
 }

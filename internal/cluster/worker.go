@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -248,21 +247,6 @@ func (w *Worker) streamSource(cid uint64, off, n int64) (io.Reader, error) {
 	return s.StreamRange(off, n)
 }
 
-// StreamRead returns key-material bytes [off, off+n) from a cluster
-// session, materialized — the programmatic convenience over the
-// streaming streamSource the HTTP handler uses.
-func (w *Worker) StreamRead(cid uint64, off, n int64) ([]byte, error) {
-	src, err := w.streamSource(cid, off, n)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(src, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
 // Metrics snapshots one cluster session.
 func (w *Worker) Metrics(cid uint64) (service.SessionMetrics, error) {
 	s, err := w.lookup(cid)
@@ -374,21 +358,12 @@ func (w *Worker) ctlMux() http.Handler {
 	mux.HandleFunc("POST /ctl/assign", func(rw http.ResponseWriter, r *http.Request) {
 		var req assignRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(rw, http.StatusBadRequest, "", err)
+			badRequest(rw, err)
 			return
 		}
 		s, err := w.Assign(req.ID, req.Spec)
 		if err != nil {
-			switch {
-			case errors.Is(err, ErrDraining):
-				httpError(rw, http.StatusServiceUnavailable, codeDraining, err)
-			case errors.Is(err, ErrDuplicate):
-				httpError(rw, http.StatusConflict, codeDuplicate, err)
-			case errors.Is(err, service.ErrSaturated):
-				httpError(rw, http.StatusTooManyRequests, codeSaturated, err)
-			default:
-				httpError(rw, http.StatusBadRequest, "", err)
-			}
+			writeError(rw, err)
 			return
 		}
 		writeJSON(rw, http.StatusCreated, s.Metrics())
@@ -396,9 +371,8 @@ func (w *Worker) ctlMux() http.Handler {
 	mux.HandleFunc("POST /ctl/drain", func(rw http.ResponseWriter, r *http.Request) {
 		ctx, cancel := context.WithTimeout(r.Context(), w.cfg.DrainTimeout+5*time.Second)
 		defer cancel()
-		err := w.Drain(ctx)
-		if err != nil {
-			httpError(rw, http.StatusInternalServerError, "", err)
+		if err := w.Drain(ctx); err != nil {
+			writeError(rw, err)
 			return
 		}
 		writeJSON(rw, http.StatusOK, map[string]any{"drained": true})
@@ -410,11 +384,7 @@ func (w *Worker) ctlMux() http.Handler {
 		}
 		m, err := w.Metrics(cid)
 		if err != nil {
-			if errors.Is(err, service.ErrFailed) {
-				httpError(rw, http.StatusGone, codeFailed, err)
-				return
-			}
-			httpError(rw, http.StatusNotFound, codeNotFound, err)
+			writeError(rw, err)
 			return
 		}
 		writeJSON(rw, http.StatusOK, m)
@@ -425,11 +395,7 @@ func (w *Worker) ctlMux() http.Handler {
 			return
 		}
 		if err := w.Close(cid); err != nil {
-			if errors.Is(err, service.ErrFailed) {
-				httpError(rw, http.StatusGone, codeFailed, err)
-				return
-			}
-			httpError(rw, http.StatusNotFound, codeNotFound, err)
+			writeError(rw, err)
 			return
 		}
 		writeJSON(rw, http.StatusOK, map[string]any{"closed": cid})
@@ -445,7 +411,7 @@ func (w *Worker) ctlMux() http.Handler {
 		}
 		key, err := w.Draw(cid, n)
 		if err != nil {
-			writeDrawError(rw, err)
+			writeError(rw, err)
 			return
 		}
 		w.recordSpan(r, cid, "draw", n)
@@ -464,7 +430,7 @@ func (w *Worker) ctlMux() http.Handler {
 		}
 		src, err := w.streamSource(cid, off, n)
 		if err != nil {
-			writeDrawError(rw, err)
+			writeError(rw, err)
 			return
 		}
 		// Chunked copy with a declared Content-Length: the range is never

@@ -235,8 +235,9 @@ func (a *agent) reply(reqID uint32, kind byte, payload []byte) error {
 // in one-byte form.
 func (a *agent) replyError(reqID uint32, err error) {
 	msg := err.Error()
+	code, _ := httpapi.CodeOf(err)
 	body := appendResponseHeader(make([]byte, 0, 6+len(msg)), reqID, kindError)
-	body = append(body, slugToCode[client.CodeFromError(err)])
+	body = append(body, slugToCode[code])
 	body = append(body, msg...)
 	_ = a.write(frameData, body)
 }

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/httpapi"
 	"repro/internal/obs"
@@ -85,7 +84,7 @@ func (r *HTTPResolver) EpochSince(ctx context.Context, since uint64) (uint64, bo
 		return since, false, nil
 	}
 	if resp.StatusCode >= 400 {
-		return 0, false, resolverError(resp)
+		return 0, false, httpapi.DecodeError(resp)
 	}
 	var om cluster.OwnerMap
 	if err := jsonDecode(resp, &om); err != nil {
@@ -105,7 +104,7 @@ func (r *HTTPResolver) getJSON(ctx context.Context, path string, out any) error 
 	}
 	defer drainClose(resp)
 	if resp.StatusCode >= 400 {
-		return resolverError(resp)
+		return httpapi.DecodeError(resp)
 	}
 	return jsonDecode(resp, out)
 }
@@ -398,16 +397,4 @@ func (sb ServiceBackend) get(session uint64) (*service.Session, error) {
 	// Lookup (not Get) so a permanently dead session surfaces as
 	// ErrFailed over the frame protocol too, matching the HTTP tiers.
 	return sb.SV.Lookup(uint32(session))
-}
-
-// resolverError decodes a resolver HTTP error through the shared
-// envelope so e.g. an unknown session surfaces as ErrNotFound.
-func resolverError(resp *http.Response) error {
-	var eb httpapi.ErrorBody
-	_ = jsonDecode(resp, &eb)
-	msg := eb.Error.Message
-	if msg == "" {
-		msg = resp.Status
-	}
-	return client.ErrorFromCode(eb.Error.Code, msg)
 }

@@ -341,7 +341,7 @@ func responseError(resp response) error {
 	if !ok {
 		return fmt.Errorf("gate: server error: %s", resp.Message)
 	}
-	return client.ErrorFromCode(slug, resp.Message)
+	return httpapi.ErrorFromCode(slug, resp.Message)
 }
 
 // Draw consumes and returns n bytes of the session's key material.

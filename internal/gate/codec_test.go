@@ -6,7 +6,6 @@ import (
 	"io"
 	"testing"
 
-	"repro/internal/client"
 	"repro/internal/httpapi"
 )
 
@@ -157,12 +156,12 @@ func TestWireCodeTable(t *testing.T) {
 		}
 		// Server side: typed error → slug → byte. Client side: byte →
 		// slug → typed error. The round trip must preserve errors.Is.
-		typed := client.ErrorFromCode(slug, "x")
-		if got := slugToCode[client.CodeFromError(typed)]; got != b {
-			t.Fatalf("typed error for %q encodes to 0x%02x, want 0x%02x", slug, got, b)
+		typed := httpapi.ErrorFromCode(slug, "x")
+		if code, _ := httpapi.CodeOf(typed); slugToCode[code] != b {
+			t.Fatalf("typed error for %q encodes to 0x%02x, want 0x%02x", slug, slugToCode[code], b)
 		}
-		back := client.ErrorFromCode(codeToSlug[b], "y")
-		if client.CodeFromError(back) != slug {
+		back := httpapi.ErrorFromCode(codeToSlug[b], "y")
+		if code, _ := httpapi.CodeOf(back); code != slug {
 			t.Fatalf("wire byte 0x%02x decodes to %v, losing slug %q", b, back, slug)
 		}
 	}

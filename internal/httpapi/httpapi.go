@@ -1,7 +1,9 @@
-// Package httpapi holds the small wire helpers the single-process
-// service API and the cluster tier share, so the two surfaces — which
-// are documented as the same shape — cannot silently diverge on JSON
-// envelopes, error bodies, or the draw-parameter contract.
+// Package httpapi is the key-access contract every tier serves — the
+// daemon's /v1 API, the coordinator's /v1 API, the worker /ctl RPC and
+// the gate's frames: the error codes, their HTTP statuses and the typed
+// errors behind them (errors.go, the one place that mapping is defined),
+// the JSON error envelope, and the draw and stream-range parameter
+// bounds.
 package httpapi
 
 import (
@@ -14,10 +16,9 @@ import (
 
 // Error codes: the machine-readable slugs carried in the /v1 error
 // envelope and in the gate frame protocol's error responses. Every tier
-// (daemon, coordinator, worker /ctl, gate) maps its typed errors onto
-// this one set, so a client can switch on the code without knowing which
-// tier answered. The mapping onto typed errors is asserted 1:1 in
-// internal/client's table-driven test.
+// (daemon, coordinator, worker /ctl, gate) classifies its typed errors
+// through the one table in errors.go, so a client can switch on the code
+// without knowing which tier answered.
 const (
 	// CodeBadRequest rejects malformed parameters or bodies.
 	CodeBadRequest = "bad_request"
@@ -77,20 +78,10 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// Error writes the error envelope. An empty code is filled from the
-// status (4xx → bad_request / not_found, 5xx → internal) so the wire
-// never carries an empty code.
+// Error writes the error envelope with the given status and code. A
+// returned error goes through WriteError instead; Error is for parameter
+// rejections, which name CodeBadRequest themselves.
 func Error(w http.ResponseWriter, status int, code string, err error) {
-	if code == "" {
-		switch {
-		case status == http.StatusNotFound:
-			code = CodeNotFound
-		case status >= 500:
-			code = CodeInternal
-		default:
-			code = CodeBadRequest
-		}
-	}
 	WriteJSON(w, status, ErrorBody{Error: ErrorDetail{Code: code, Message: err.Error()}})
 }
 

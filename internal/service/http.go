@@ -3,14 +3,13 @@ package service
 import (
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
 
 	"repro/internal/httpapi"
-	"repro/internal/keypool"
 	"repro/internal/obs"
 )
 
@@ -58,19 +57,12 @@ func (sv *Service) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
 		var spec SessionSpec
 		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			httpError(w, http.StatusBadRequest, httpapi.CodeBadRequest, err)
+			httpapi.Error(w, http.StatusBadRequest, httpapi.CodeBadRequest, err)
 			return
 		}
 		s, err := sv.Create(spec)
 		if err != nil {
-			status, code := http.StatusBadRequest, httpapi.CodeBadRequest
-			switch {
-			case errors.Is(err, ErrSaturated):
-				status, code = http.StatusTooManyRequests, httpapi.CodeSaturated
-			case errors.Is(err, ErrShutdown):
-				status, code = http.StatusServiceUnavailable, httpapi.CodeShutdown
-			}
-			httpError(w, status, code, err)
+			httpapi.WriteError(w, err)
 			return
 		}
 		writeJSON(w, http.StatusCreated, s.Metrics())
@@ -88,7 +80,7 @@ func (sv *Service) Handler() http.Handler {
 			return
 		}
 		if err := sv.Close(s.ID); err != nil {
-			httpError(w, http.StatusNotFound, httpapi.CodeNotFound, err)
+			httpapi.WriteError(w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"closed": s.ID})
@@ -212,50 +204,36 @@ func (sv *Service) serveStream(w http.ResponseWriter, r *http.Request, s *Sessio
 }
 
 // keyError writes a failed draw or range and returns the error as sent.
-// Exhausted is the backpressure signal: the refresher is behind (or the
-// keystream not yet up), and the client retries. Anything else means the
-// session's material is gone for good — Gone tells the client to stop
-// retrying, with the code distinguishing a session that died on its own
-// (failed) from one that was closed.
+// A failed session answers failed whatever its pool or stream reported,
+// so clients can tell its death from their own Close.
 func keyError(w http.ResponseWriter, s *Session, err error) error {
-	status, code := http.StatusGone, httpapi.CodeClosed
-	switch {
-	case errors.Is(err, keypool.ErrExhausted):
-		status, code = http.StatusConflict, httpapi.CodeExhausted
-	case s.State() == StateFailed:
-		code = httpapi.CodeFailed
+	if s.State() == StateFailed {
 		err = fmt.Errorf("%w: %w", ErrFailed, err)
 	}
-	httpError(w, status, code, err)
+	httpapi.WriteError(w, err)
 	return err
 }
 
+// sessionFromPath resolves the {id} path value. Ids are 64-bit on every
+// tier; one beyond the daemon's 32-bit space is unknown, not malformed.
 func (sv *Service) sessionFromPath(w http.ResponseWriter, r *http.Request) (*Session, bool) {
-	id, err := strconv.ParseUint(r.PathValue("id"), 10, 32)
+	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, httpapi.CodeBadRequest, err)
+		httpapi.Error(w, http.StatusBadRequest, httpapi.CodeBadRequest, err)
+		return nil, false
+	}
+	if id > math.MaxUint32 {
+		httpapi.WriteError(w, fmt.Errorf("%w: %d", ErrNotFound, id))
 		return nil, false
 	}
 	s, err := sv.Lookup(uint32(id))
 	if err != nil {
-		if errors.Is(err, ErrFailed) {
-			// The session died permanently — Gone with the failed code,
-			// so clients can tell death from their own Close (closed) and
-			// from a plain unknown id (not_found).
-			httpError(w, http.StatusGone, httpapi.CodeFailed, err)
-			return nil, false
-		}
-		httpError(w, http.StatusNotFound, httpapi.CodeNotFound, err)
+		httpapi.WriteError(w, err)
 		return nil, false
 	}
 	return s, true
 }
 
-// writeJSON and httpError are the wire helpers shared with the cluster
-// tier (internal/httpapi), so both surfaces speak the same envelope —
-// every daemon error now carries a typed code slug next to its message.
+// writeJSON is the JSON writer shared with the cluster tier
+// (internal/httpapi), so both surfaces speak the same envelope.
 func writeJSON(w http.ResponseWriter, status int, v any) { httpapi.WriteJSON(w, status, v) }
-
-func httpError(w http.ResponseWriter, status int, code string, err error) {
-	httpapi.Error(w, status, code, err)
-}

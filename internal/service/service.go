@@ -24,25 +24,24 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/httpapi"
 	"repro/internal/obs"
 )
 
-// ErrSaturated is returned by Create when the admission queue is full:
-// the caller should back off and retry, the daemon is at capacity.
-var ErrSaturated = errors.New("service: session queue saturated")
-
-// ErrShutdown is returned by Create after Shutdown has begun.
-var ErrShutdown = errors.New("service: shutting down")
-
-// ErrNotFound is returned when addressing an unknown session id.
-var ErrNotFound = errors.New("service: no such session")
-
-// ErrFailed is returned when addressing a session that died permanently
-// on its own — dead channel, refresh-failure budget exhausted — as
-// opposed to one the caller closed. The distinction matters to clients:
-// closed means "you asked for this", failed means "the session is gone
-// and retrying will not bring it back".
-var ErrFailed = errors.New("service: session failed")
+// The daemon's typed errors; internal/httpapi defines them with their
+// wire codes and HTTP statuses.
+var (
+	// ErrSaturated is returned by Create when the admission queue is
+	// full: the caller should back off and retry.
+	ErrSaturated = httpapi.ErrSaturated
+	// ErrShutdown is returned by Create after Shutdown has begun.
+	ErrShutdown = httpapi.ErrServiceShutdown
+	// ErrNotFound is returned when addressing an unknown session id.
+	ErrNotFound = httpapi.ErrServiceNotFound
+	// ErrFailed is returned when addressing a session that died
+	// permanently on its own, as opposed to one the caller closed.
+	ErrFailed = httpapi.ErrFailed
+)
 
 // Config parameterizes the daemon.
 type Config struct {
@@ -212,7 +211,7 @@ func (sv *Service) forget(id uint32) {
 // full.
 func (sv *Service) Create(spec SessionSpec) (*Session, error) {
 	if err := spec.fill(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", httpapi.ErrBadRequest, err)
 	}
 	sv.mu.Lock()
 	if sv.closed {
