@@ -265,7 +265,7 @@ func RunSession(cfg Config, med *radio.Medium, eveNodes []radio.NodeID) (*Sessio
 		}
 
 		// Phase 1 steps 3-4 and Phase 2 on the leader.
-		lr := ComputeLeaderRound(plan, xSym)
+		lr := ComputeLeaderRound(nil, plan, xSym)
 		ya := BuildYAnnounce(h, plan)
 		yaFrame := wire.Marshal(ya)
 		acct.Reliable(len(yaFrame), n-1)

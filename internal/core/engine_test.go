@@ -271,7 +271,7 @@ func TestRankCertificateMatchesConstructiveAttack(t *testing.T) {
 			}
 			xSym[i] = p
 		}
-		lr := ComputeLeaderRound(plan, xSym)
+		lr := ComputeLeaderRound(nil, plan, xSym)
 
 		know := eve.NewKnowledge(f, numX)
 		for _, id := range eveSet.Slice() {

@@ -154,7 +154,7 @@ func TestLeaderRoundLinearConsistency(t *testing.T) {
 		for i := range xSym {
 			xSym[i] = []Sym{Sym(rng.Intn(65536)), Sym(rng.Intn(65536))}
 		}
-		lr := ComputeLeaderRound(plan, xSym)
+		lr := ComputeLeaderRound(nil, plan, xSym)
 		f := Field()
 		yox := plan.YOverX()
 		for j := 0; j < plan.M; j++ {

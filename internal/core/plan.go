@@ -116,15 +116,6 @@ func (p *Plan) YOverX() *matrix.Matrix[Sym] {
 	return m
 }
 
-// xSymbolsForClass gathers the payload symbol rows of a class's x-packets.
-func xSymbolsForClass(cl Class, xSym [][]Sym) [][]Sym {
-	out := make([][]Sym, len(cl.IDs))
-	for i, id := range cl.IDs {
-		out[i] = xSym[int(id)]
-	}
-	return out
-}
-
 // receivedSet builds the full ID set 0..n-1 (the leader's own view).
 func fullIDSet(n int) *packet.IDSet {
 	s := packet.NewIDSet(n)

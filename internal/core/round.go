@@ -19,31 +19,74 @@ type LeaderRound struct {
 
 // ComputeLeaderRound executes Phase 1 steps 3-4 and Phase 2 on the leader,
 // given the plan and the x-packet payload symbols. The plan must have
-// L > 0.
-func ComputeLeaderRound(plan *Plan, xSym [][]Sym) *LeaderRound {
+// L > 0. Each y-packet is one fused kernel combination over its class's
+// x-payloads with the extractor's coefficient row, and each z- and
+// s-packet one combination over the y-packets with its row of Q — the
+// calls Matrix.Mul makes per output row, without copying the sources into
+// a matrix or the products out of one.
+//
+// sc may be nil (a throwaway scratch is used and the rows are fresh);
+// otherwise the returned round and its rows alias sc's arena and stay
+// valid until the next call with sc (see RoundScratch).
+func ComputeLeaderRound(sc *RoundScratch, plan *Plan, xSym [][]Sym) *LeaderRound {
 	if plan.L <= 0 {
 		panic("core: ComputeLeaderRound on a round with no secret")
 	}
-	if len(xSym) != plan.NumX {
-		panic("core: x payload count mismatch")
+	if sc == nil {
+		sc = &RoundScratch{}
 	}
-	lr := &LeaderRound{Plan: plan, Y: ComputeY(plan, xSym)}
-	lr.Z = plan.Redist.EncodeZ(lr.Y)
-	lr.Secret = plan.Redist.EncodeS(lr.Y)
+	sc.reset()
+	lr := &sc.lr
+	lr.Plan = plan
+	lr.Y = sc.computeY(plan, xSym)
+	f := Field()
+	width := len(xSym[0])
+	zn := plan.M - plan.L
+	lr.Z = lr.Z[:0]
+	for j := 0; j < zn; j++ {
+		z := sc.payload(width)
+		f.AddMulSlices(z, lr.Y, plan.Redist.Row(j))
+		lr.Z = append(lr.Z, z)
+	}
+	lr.Secret = lr.Secret[:0]
+	for j := 0; j < plan.L; j++ {
+		s := sc.payload(width)
+		f.AddMulSlices(s, lr.Y, plan.Redist.Row(zn+j))
+		lr.Secret = append(lr.Secret, s)
+	}
 	return lr
 }
 
 // ComputeY evaluates the plan's y-packet payloads from the x-packet
-// payload symbols (Phase 1 step 3 without the Phase 2 coding). Exposed for
-// the unicast baseline, which shares Phase 1 with the group protocol.
+// payload symbols (Phase 1 step 3 without the Phase 2 coding), into fresh
+// rows. Exposed for the unicast baseline, which shares Phase 1 with the
+// group protocol.
 func ComputeY(plan *Plan, xSym [][]Sym) [][]Sym {
+	return new(RoundScratch).computeY(plan, xSym)
+}
+
+// computeY writes the plan's y-packets into sc's arena: per class, one
+// fused combination of the class's x-payloads per extractor row.
+func (sc *RoundScratch) computeY(plan *Plan, xSym [][]Sym) [][]Sym {
 	if len(xSym) != plan.NumX {
 		panic("core: x payload count mismatch")
 	}
-	var y [][]Sym
+	f := Field()
+	y := sc.lr.Y[:0]
 	for k, cl := range plan.Classes {
-		y = append(y, plan.Extractors[k].Extract(xSymbolsForClass(cl, xSym))...)
+		srcs := sc.srcs[:0]
+		for _, id := range cl.IDs {
+			srcs = append(srcs, xSym[int(id)])
+		}
+		sc.srcs = srcs
+		h := plan.Extractors[k].Coeffs()
+		for i := 0; i < h.Rows(); i++ {
+			row := sc.payload(len(srcs[0]))
+			f.AddMulSlices(row, srcs, h.Row(i))
+			y = append(y, row)
+		}
 	}
+	sc.lr.Y = y
 	return y
 }
 
@@ -70,13 +113,12 @@ func BuildYAnnounce(h wire.Header, plan *Plan) *wire.YAnnounce {
 // reliable broadcast (step 1 of Phase 2).
 func BuildZPackets(h wire.Header, plan *Plan, z [][]Sym) []*wire.ZPacket {
 	h.Type = wire.TypeZ
-	zc := plan.Redist.ZCoeffs()
 	out := make([]*wire.ZPacket, len(z))
 	for j := range z {
 		out[j] = &wire.ZPacket{
 			Header:  h,
 			Index:   uint16(j),
-			Coeffs:  append([]Sym(nil), zc.Row(j)...),
+			Coeffs:  append([]Sym(nil), plan.Redist.Row(j)...),
 			Payload: gf.Bytes16(z[j]),
 		}
 	}
@@ -87,22 +129,30 @@ func BuildZPackets(h wire.Header, plan *Plan, z [][]Sym) []*wire.ZPacket {
 // Phase 2: identities only, never contents).
 func BuildSAnnounce(h wire.Header, plan *Plan) *wire.SAnnounce {
 	h.Type = wire.TypeSAnnounce
-	return &wire.SAnnounce{Header: h, Coeffs: mds.MatrixToRows(plan.Redist.SCoeffs())}
+	coeffs := make([][]Sym, plan.L)
+	for i := range coeffs {
+		coeffs[i] = append([]Sym(nil), plan.Redist.Row(plan.M-plan.L+i)...)
+	}
+	return &wire.SAnnounce{Header: h, Coeffs: coeffs}
 }
 
-// RoundScratch holds the reusable buffers one node needs to run the
-// terminal side of a round without per-round allocation churn: the
-// gathered class sources and combination rows ([][]Sym headers), the
-// known-y index, the z-packet ordering buffers, and a payload arena the
-// reconstructed y-packets and s-packets are written into. The zero value
-// is ready to use; buffers grow on first use and are reused afterwards,
-// so a long-lived session node reaches a zero-allocation steady state
-// (pinned by TestRoundCombinationSteadyStateAllocs).
+// RoundScratch holds the reusable buffers one node needs to run either
+// side of a round without per-round allocation churn: the gathered class
+// sources and combination rows ([][]Sym headers), the known-y index, the
+// z-packet ordering buffers, the erasure-completion system, and a payload
+// arena every computed row is written into — the leader's y-, z- and
+// s-packets (ComputeLeaderRound), a terminal's reconstructed y-packets,
+// decoded z-payloads and s-packets (ReceiveRoundInto, Eliminate). The zero
+// value is ready to use; buffers grow on first use and are reused
+// afterwards, so a long-lived node reaches a zero-allocation steady state
+// (pinned by TestRoundCombinationSteadyStateAllocs and
+// TestLeaderRoundSteadyStateAllocs).
 //
-// Rows returned by ComputeTerminalSecretInto alias the scratch arena and
-// stay valid until the next call with the same scratch; callers that
-// retain a round's secret (every current caller copies it into the
-// session key pool or result buffer) are unaffected.
+// Rows returned by a call that takes the scratch alias its arena and stay
+// valid until the next call with the same scratch; callers that retain a
+// round's secret (every current caller copies it into the session key
+// pool, the keystream block or a result buffer) are unaffected. Zero
+// clears the arena once its owner is done with it.
 type RoundScratch struct {
 	srcs   [][]Sym
 	known  map[int][]Sym
@@ -111,6 +161,8 @@ type RoundScratch struct {
 	zp     [][]Sym
 	full   [][]Sym
 	secret [][]Sym
+	comp   mds.Completion[Sym]
+	lr     LeaderRound
 	bufs   [][]Sym
 	nbuf   int
 }
@@ -137,11 +189,17 @@ func (sc *RoundScratch) payload(width int) []Sym {
 // reset prepares the scratch for a new round.
 func (sc *RoundScratch) reset() {
 	sc.nbuf = 0
-	if sc.known == nil {
-		sc.known = make(map[int][]Sym)
-	} else {
-		clear(sc.known)
+	clear(sc.known)
+}
+
+// Zero clears every row the arena holds — x-derived y-, z- and s-packets
+// and the completion system — so key material does not outlive the
+// scratch's owner unzeroed.
+func (sc *RoundScratch) Zero() {
+	for _, b := range sc.bufs {
+		clear(b[:cap(b)])
 	}
+	sc.comp.Zero()
 }
 
 // ComputeTerminalSecret executes the terminal side of a round purely from
@@ -224,6 +282,9 @@ func ReceiveRoundInto(
 		sc = &RoundScratch{}
 	}
 	sc.reset()
+	if sc.known == nil {
+		sc.known = make(map[int][]Sym)
+	}
 	f := Field()
 	// Reconstruct what we can of the y-packets.
 	known := sc.known
@@ -282,7 +343,6 @@ func (pr PartialRound) Eliminate(zs []*wire.ZPacket, sa *wire.SAnnounce) ([][]Sy
 	sc.zs = zsorted
 	sortZPackets(zsorted)
 	coeffs := sc.zc[:0]
-	payloads := sc.zp[:0]
 	for j, zp := range zsorted {
 		if int(zp.Index) != j {
 			return nil, fmt.Errorf("core: z-packet indices not contiguous (saw %d at position %d)", zp.Index, j)
@@ -294,23 +354,31 @@ func (pr PartialRound) Eliminate(zs []*wire.ZPacket, sa *wire.SAnnounce) ([][]Sy
 			return nil, fmt.Errorf("core: z-packet %d has odd payload length", j)
 		}
 		coeffs = append(coeffs, zp.Coeffs)
-		payloads = append(payloads, gf.Symbols16(zp.Payload))
 	}
-	sc.zc, sc.zp = coeffs, payloads
+	sc.zc = coeffs
 
 	var full [][]Sym
 	if len(known) == m {
 		// Full reception: every y-packet was reconstructed directly, so the
-		// erasure completion (and its copies) is skipped entirely and the
-		// scratch rows are used as-is.
+		// erasure completion (and the z-payload decode) is skipped entirely
+		// and the scratch rows are used as-is.
 		full = sc.full[:0]
 		for i := 0; i < m; i++ {
 			full = append(full, known[i])
 		}
 		sc.full = full
 	} else {
+		// Decode the z-payloads into the arena and solve for the missing
+		// y-packets in the scratch's completion system.
+		payloads := sc.zp[:0]
+		for _, zp := range zsorted {
+			p := sc.payload(len(zp.Payload) / 2)
+			gf.PutSymbols16(p, zp.Payload)
+			payloads = append(payloads, p)
+		}
+		sc.zp = payloads
 		var err error
-		full, err = mds.CompleteFromEquations(f, m, known, coeffs, payloads)
+		full, err = sc.comp.Complete(f, m, known, coeffs, payloads)
 		if err != nil {
 			return nil, fmt.Errorf("core: completing y-packets: %w", err)
 		}
@@ -356,12 +424,30 @@ func SecretBytes(secret [][]Sym) []byte {
 		return nil
 	}
 	out := make([]byte, n)
-	off := 0
-	for _, row := range secret {
-		gf.PutBytes16(out[off:], row)
-		off += 2 * len(row)
-	}
+	PutSecretBytes(out, secret)
 	return out
+}
+
+// PutSecretBytes is SecretBytes into a caller-owned buffer: it writes the
+// longest prefix of the flattened secret that fits in dst and returns its
+// length.
+func PutSecretBytes(dst []byte, secret [][]Sym) int {
+	n := 0
+	for _, row := range secret {
+		k := min(len(row), (len(dst)-n)/2)
+		gf.PutBytes16(dst[n:], row[:k])
+		n += 2 * k
+		if k < len(row) {
+			if n < len(dst) { // half a symbol fits
+				var b [2]byte
+				gf.PutBytes16(b[:], row[k:k+1])
+				dst[n] = b[0]
+				n++
+			}
+			break
+		}
+	}
+	return n
 }
 
 // PairwiseSecret returns terminal i's Phase-1 pair-wise secret with the

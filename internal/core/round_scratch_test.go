@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/packet"
@@ -32,7 +34,7 @@ func buildTestRound(t *testing.T, seed int64, numX int, rcv func(term int) *pack
 			xSym[i][j] = Sym(rng.Intn(65536))
 		}
 	}
-	lr := ComputeLeaderRound(plan, xSym)
+	lr := ComputeLeaderRound(nil, plan, xSym)
 	h := wire.Header{From: 0, Session: 9, Round: 1}
 	ya := BuildYAnnounce(h, plan)
 	zs := BuildZPackets(h, plan, lr.Z)
@@ -162,25 +164,180 @@ func TestSplitHalvesMatchCombined(t *testing.T) {
 }
 
 // TestRoundCombinationSteadyStateAllocs is the zero-allocation gate on
-// the terminal round hot path: with a warm RoundScratch and full
-// reception (the common case — erasure completion has its own solver
-// allocations by design), the whole y-reconstruction + s-combination
-// pipeline must not allocate: no [][]Sym header churn, no per-round
-// nibble tables, no sort scratch.
+// the terminal round hot path: with a warm RoundScratch, the whole
+// y-reconstruction + s-combination pipeline must not allocate — no
+// [][]Sym header churn, no per-round nibble tables, no sort scratch — both
+// at full reception and with the erasure completion, whose z-payload
+// decode and augmented system live in the scratch too.
 func TestRoundCombinationSteadyStateAllocs(t *testing.T) {
-	_, ya, zs, sa, xSym := buildTestRound(t, 77, 8, func(int) *packet.IDSet { return fullIDSet(8) })
-	rm := make(map[packet.ID][]Sym)
-	for i := 0; i < 8; i++ {
-		rm[packet.ID(i)] = xSym[i]
-	}
-	var sc RoundScratch
-	run := func() {
-		if _, err := ComputeTerminalSecretInto(&sc, rm, ya, zs, sa); err != nil {
-			t.Fatal(err)
+	for name, shape := range map[string]func(term int) *packet.IDSet{
+		"full": func(int) *packet.IDSet { return fullIDSet(8) },
+		"partial": func(term int) *packet.IDSet {
+			if term == 1 {
+				return setOf(0, 1, 2, 3, 4, 5)
+			}
+			return setOf(2, 3, 4, 5, 6, 7)
+		},
+	} {
+		_, ya, zs, sa, xSym := buildTestRound(t, 77, 8, shape)
+		rm := make(map[packet.ID][]Sym)
+		for _, id := range shape(1).Slice() {
+			rm[id] = xSym[int(id)]
+		}
+		var sc RoundScratch
+		if pr, _ := ReceiveRoundInto(&sc, rm, ya); (pr.Known() < pr.M) != (name == "partial") {
+			t.Fatalf("%s reception: terminal knows %d of %d y-packets", name, pr.Known(), pr.M)
+		}
+		run := func() {
+			if _, err := ComputeTerminalSecretInto(&sc, rm, ya, zs, sa); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the scratch
+		if n := testing.AllocsPerRun(100, run); n != 0 {
+			t.Errorf("%s reception: steady-state round combination allocates %v times per run, want 0", name, n)
 		}
 	}
+}
+
+// TestLeaderRoundMatchesMatrixForm checks the fused leader round against
+// the matrix form it replaces, kept in internal/mds as the oracle: Y per
+// class through WiretapExtractor.Extract, Z and S through EncodeZ and
+// EncodeS. Plans come from BuildPlan over random receptions at several
+// group sizes and erasure rates, with payloads on both sides of the
+// kernel's fused-width threshold. Every round runs once on a fresh
+// scratch and once on a scratch reused, dirty, across rounds of
+// different M.
+func TestLeaderRoundMatchesMatrixForm(t *testing.T) {
+	var dirty RoundScratch
+	rng := rand.New(rand.NewSource(17))
+	rounds := 0
+	for _, n := range []int{2, 3, 4, 6} {
+		for _, p := range []float64{0.2, 0.45, 0.7} {
+			for _, width := range []int{8, 300} {
+				numX := 32 + rng.Intn(96)
+				leader := rng.Intn(n)
+				recv := make([]*packet.IDSet, n)
+				for i := range recv {
+					recv[i] = packet.NewIDSet(numX)
+					for id := 0; id < numX; id++ {
+						if i == leader || rng.Float64() >= p {
+							recv[i].Add(packet.ID(id))
+						}
+					}
+				}
+				ctx := &EstimatorContext{Terminals: n, Leader: leader, NumX: numX, Recv: recv,
+					Classes: BuildClasses(n, leader, numX, recv)}
+				ctx.Classes = BalancedPooling{}.Pools(ctx)
+				plan := BuildPlan(ctx, LeaveOneOut{})
+				if plan.L == 0 {
+					continue
+				}
+				rounds++
+				xSym := make([][]Sym, numX)
+				for i := range xSym {
+					xSym[i] = make([]Sym, width)
+					for j := range xSym[i] {
+						xSym[i][j] = Sym(rng.Intn(65536))
+					}
+				}
+				var wantY [][]Sym
+				for k, cl := range plan.Classes {
+					var srcs [][]Sym
+					for _, id := range cl.IDs {
+						srcs = append(srcs, xSym[int(id)])
+					}
+					wantY = append(wantY, plan.Extractors[k].Extract(srcs)...)
+				}
+				wantZ, wantS := plan.Redist.EncodeZ(wantY), plan.Redist.EncodeS(wantY)
+				for _, sc := range []*RoundScratch{nil, &dirty} {
+					lr := ComputeLeaderRound(sc, plan, xSym)
+					name := fmt.Sprintf("n=%d p=%v width=%d M=%d scratch=%v", n, p, width, plan.M, sc != nil)
+					equalRows(t, name+" Y", lr.Y, wantY)
+					equalRows(t, name+" Z", lr.Z, wantZ)
+					equalRows(t, name+" S", lr.Secret, wantS)
+				}
+			}
+		}
+	}
+	if rounds < 12 {
+		t.Fatalf("only %d of the grid's rounds yielded secret", rounds)
+	}
+}
+
+func equalRows(t *testing.T, name string, got, want [][]Sym) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("%s: row %d differs from the matrix form", name, i)
+		}
+	}
+}
+
+// TestLeaderRoundSteadyStateAllocs: with a warm scratch the leader's
+// whole round — y extraction, z and s combinations — allocates nothing.
+func TestLeaderRoundSteadyStateAllocs(t *testing.T) {
+	lr, _, _, _, xSym := buildTestRound(t, 78, 8, func(int) *packet.IDSet { return setOf(0, 1, 2, 3, 4, 5) })
+	var sc RoundScratch
+	run := func() { ComputeLeaderRound(&sc, lr.Plan, xSym) }
 	run() // warm the scratch
 	if n := testing.AllocsPerRun(100, run); n != 0 {
-		t.Errorf("steady-state round combination allocates %v times per run, want 0", n)
+		t.Errorf("steady-state leader round allocates %v times per run, want 0", n)
+	}
+}
+
+// TestRoundScratchZero: Zero clears every row the scratch handed out, on
+// the leader side and on the terminal side with erasure completion (the
+// completion system itself is covered by mds.TestCompletionReuse).
+func TestRoundScratchZero(t *testing.T) {
+	shape := func(term int) *packet.IDSet {
+		if term == 1 {
+			return setOf(0, 1, 2, 3, 4, 5)
+		}
+		return setOf(2, 3, 4, 5, 6, 7)
+	}
+	lr, ya, zs, sa, xSym := buildTestRound(t, 79, 8, shape)
+	var leader, term RoundScratch
+	got := ComputeLeaderRound(&leader, lr.Plan, xSym)
+	rows := append(append(append([][]Sym{}, got.Y...), got.Z...), got.Secret...)
+	rm := make(map[packet.ID][]Sym)
+	for _, id := range shape(1).Slice() {
+		rm[id] = xSym[int(id)]
+	}
+	pr, err := ReceiveRoundInto(&term, rm, ya)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pr.Known() == pr.M {
+		t.Fatal("shape needs erasure completion")
+	}
+	secret, err := pr.Eliminate(zs, sa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows = append(append(rows, secret...), term.bufs...)
+	leader.Zero()
+	term.Zero()
+	for i, row := range rows {
+		if slices.ContainsFunc(row, func(v Sym) bool { return v != 0 }) {
+			t.Fatalf("row %d not zeroed", i)
+		}
+	}
+}
+
+// TestPutSecretBytes: PutSecretBytes writes the longest prefix of
+// SecretBytes that fits — whole symbols, then half of one.
+func TestPutSecretBytes(t *testing.T) {
+	secret := [][]Sym{{0x0102, 0x0304}, {0x0506, 0x0708, 0x090a}}
+	want := SecretBytes(secret)
+	for n := 0; n <= len(want)+2; n++ {
+		dst := make([]byte, n)
+		got := PutSecretBytes(dst, secret)
+		if got != min(n, len(want)) || !bytes.Equal(dst[:got], want[:got]) {
+			t.Fatalf("dst of %d bytes: wrote %d bytes %x, want a prefix of %x", n, got, dst[:got], want)
+		}
 	}
 }

@@ -97,14 +97,16 @@ type BlockContext struct {
 	es     *engineStats
 	health *memberHealth
 	ins    *streamInstruments
+	arena  *arena // the deriving worker's buffers; nil: fresh ones per block
 }
 
 // Config returns the stream's (filled) configuration.
 func (bc *BlockContext) Config() *Config { return bc.cfg }
 
-// derive produces block idx into dst via the configured source.
-func (s *Stream) derive(idx int64, dst []byte) error {
-	bc := &BlockContext{cfg: &s.cfg, es: &s.es, health: s.health, ins: &s.ins}
+// derive produces block idx into dst via the configured source, over the
+// calling worker's arena.
+func (s *Stream) derive(a *arena, idx int64, dst []byte) error {
+	bc := &BlockContext{cfg: &s.cfg, es: &s.es, health: s.health, ins: &s.ins, arena: a}
 	if s.cfg.Source != nil {
 		return s.cfg.Source(bc, idx, dst)
 	}
@@ -120,14 +122,21 @@ type exchRound struct {
 	xSym  [][]core.Sym
 }
 
-// verifyResult is one terminal's derived secret for one round.
-type verifyResult struct {
-	round  int
-	secret []byte // nil: elimination failed (diverged reception)
+// secretSpan locates one productive round's secret in the block: the n
+// bytes at dst[off:] are the first n of its full flattened bytes (fewer
+// only in the round whose tail the block discards).
+type secretSpan struct {
+	off, n, full int
 }
 
 // deriveProtocol runs protocol rounds on a fresh per-block bus until the
 // block's secret bytes cover dst.
+//
+// Buffers: the leader's rows, the x-symbol slabs and the terminals' round
+// state come from bc.arena and go back to it when a round is computed or
+// abandoned, so a worker's steady state derives blocks without
+// reallocating them. A context without an arena (a test's) derives on a
+// fresh one, zeroed when the block is done.
 //
 // Determinism: the leader derives each round's reception sets from the
 // radio.Delivered schedule, never from the live reception reports — the
@@ -150,6 +159,11 @@ type verifyResult struct {
 // exchanged round is computed; none is broadcast only to be thrown away.
 func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 	cfg := bc.cfg
+	a := bc.arena
+	if a == nil {
+		a = newArena(cfg)
+		defer a.zero()
+	}
 	blockSeed := BlockSeed(cfg.Seed, idx)
 	leader := 0
 	if cfg.Rotate {
@@ -192,12 +206,24 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 		return err
 	}
 
-	// Authoritative per-round secrets, for the verification collector.
+	// Where each round's authoritative secret sits in dst. The compute loop
+	// writes a round's bytes and its span under authMu before announcing
+	// the round, so a member that completes it finds both.
 	var authMu sync.Mutex
-	auth := make(map[int][]byte)
+	auth := make(map[int]secretSpan)
+	verify := func(r int, secret []byte) {
+		authMu.Lock()
+		sp, ok := auth[r]
+		good := ok && len(secret) == sp.full && bytes.Equal(secret[:sp.n], dst[sp.off:sp.off+sp.n])
+		authMu.Unlock()
+		if good {
+			bc.es.verifyOK.Add(1)
+		} else {
+			bc.es.verifyMismatch.Add(1)
+		}
+	}
 
 	// Terminal goroutines: the live-workload and verification layer.
-	verifyCh := make(chan verifyResult, 64)
 	var termWG sync.WaitGroup
 	for t := 0; t < cfg.Terminals; t++ {
 		if t == leader {
@@ -206,24 +232,9 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 		termWG.Add(1)
 		go func(t int) {
 			defer termWG.Done()
-			bc.runTerminal(eps[t], t, leader, session, verifyCh)
+			bc.runTerminal(eps[t], &a.terms[t], t, leader, session, verify)
 		}(t)
 	}
-	var collectWG sync.WaitGroup
-	collectWG.Add(1)
-	go func() {
-		defer collectWG.Done()
-		for vr := range verifyCh {
-			authMu.Lock()
-			want := auth[vr.round]
-			authMu.Unlock()
-			if vr.secret != nil && want != nil && bytes.Equal(vr.secret, want) {
-				bc.es.verifyOK.Add(1)
-			} else {
-				bc.es.verifyMismatch.Add(1)
-			}
-		}
-	}()
 
 	// Exchange goroutine: plans round r+1 from the schedule, broadcasts its
 	// x-packets and collects its reception reports while compute still
@@ -251,7 +262,7 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 				aborts = 0
 				planned += plan.L * cfg.PayloadBytes // L secret rows of one payload each
 			}
-			er, err := bc.exchange(ctx, eps[leader], r, leader, session, blockSeed, plan)
+			er, err := bc.exchange(ctx, a, eps[leader], r, leader, session, blockSeed, plan)
 			if timed {
 				bc.ins.exchangeLat.ObserveSince(t0)
 			}
@@ -261,6 +272,7 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 			select {
 			case exchCh <- er:
 			case <-ctx.Done():
+				a.putXSlab(er.xSym)
 				return
 			}
 		}
@@ -296,14 +308,15 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 			continue
 		}
 		consecAborts = 0
-		lr := core.ComputeLeaderRound(plan, er.xSym)
-		secret := core.SecretBytes(lr.Secret)
+		lr := core.ComputeLeaderRound(&a.leader, plan, er.xSym)
+		a.putXSlab(er.xSym)
+		authMu.Lock()
+		sp := secretSpan{off: written, n: core.PutSecretBytes(dst[written:], lr.Secret), full: plan.L * cfg.PayloadBytes}
+		auth[r] = sp
+		authMu.Unlock()
 		if computeTimed {
 			bc.ins.computeLat.ObserveSince(computeT0)
 		}
-		authMu.Lock()
-		auth[r] = secret
-		authMu.Unlock()
 		if err := eps[leader].SendCtrl(wire.Marshal(core.BuildYAnnounce(h, plan))); err != nil {
 			derr = err
 			break
@@ -322,7 +335,7 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 			break
 		}
 		bc.es.productive.Add(1)
-		written += copy(dst[written:], secret)
+		written += sp.n
 		if written >= len(dst) {
 			break
 		}
@@ -337,11 +350,10 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 	cancel()
 	bus.Close()
 	exchWG.Wait()
-	for range exchCh { // release a pipelined round the compute loop abandoned
+	for er := range exchCh { // release a pipelined round the compute loop abandoned
+		a.putXSlab(er.xSym)
 	}
 	termWG.Wait()
-	close(verifyCh)
-	collectWG.Wait()
 	bc.es.shed.Add(bus.ShedFrames())
 	return derr
 }
@@ -395,19 +407,14 @@ func scheduleRecv(blockSeed int64, r, leader, terminals, numX int, p float64) []
 // The x-payloads are drawn one at a time into a reused buffer (the bytes
 // packet.NewBatch would draw, in the same order); Marshal copies each into
 // its frame. When the plan yields secret, the payloads are also decoded
-// into one symbol slab for the round.
-func (bc *BlockContext) exchange(ctx context.Context, ep transport.Endpoint, r, leader int, session uint32, blockSeed int64, plan *core.Plan) (exchRound, error) {
+// into an x-symbol slab from the arena, which the compute loop returns.
+func (bc *BlockContext) exchange(ctx context.Context, a *arena, ep transport.Endpoint, r, leader int, session uint32, blockSeed int64, plan *core.Plan) (exchRound, error) {
 	cfg := bc.cfg
 	er := exchRound{round: r, plan: plan}
 	h := wire.Header{From: uint8(leader), Session: session, Round: uint16(r)}
 	rng := rand.New(rand.NewSource(blockSeed + int64(r)*65537 + int64(leader)))
 	if plan.L > 0 {
-		w := cfg.PayloadBytes / 2
-		slab := make([]core.Sym, cfg.XPerRound*w)
-		er.xSym = make([][]core.Sym, cfg.XPerRound)
-		for i := range er.xSym {
-			er.xSym[i] = slab[i*w : (i+1)*w : (i+1)*w]
-		}
+		er.xSym = a.xSlab()
 	}
 	xp := &wire.XPacket{Header: h, Payload: make([]byte, cfg.PayloadBytes)}
 	xp.Type = wire.TypeX
@@ -418,12 +425,14 @@ func (bc *BlockContext) exchange(ctx context.Context, ep transport.Endpoint, r, 
 		}
 		xp.Seq = uint32(i)
 		if err := ep.SendData(wire.Marshal(xp)); err != nil {
+			a.putXSlab(er.xSym)
 			return exchRound{}, err
 		}
 	}
 	bh := h
 	bh.Type = wire.TypeBeacon
 	if err := ep.SendCtrl(wire.Marshal(&wire.Beacon{Header: bh, Kind: wire.BeaconEndOfX, Value: uint32(cfg.XPerRound)})); err != nil {
+		a.putXSlab(er.xSym)
 		return exchRound{}, err
 	}
 	bc.collectReports(ctx, ep, r, leader, session)
@@ -500,34 +509,36 @@ func (bc *BlockContext) collectReports(ctx context.Context, ep transport.Endpoin
 	}
 }
 
-// termRound is a terminal's in-flight state for one round.
-type termRound struct {
-	recvX map[packet.ID][]core.Sym
-	ya    *wire.YAnnounce
-	zs    []*wire.ZPacket
-	sa    *wire.SAnnounce
-	pr    core.PartialRound
-	recvd bool // ReceiveRoundInto has run
-}
-
 // runTerminal is one non-leader member's event loop: collect x-packets,
 // report receptions, run the receive half as soon as the y-announce
-// lands, eliminate once the z-packets complete, and push the derived
-// secret for verification. It is deliberately tolerant: missing frames
-// (shed during a stall) surface as elimination failures or abandoned
-// rounds — verification mismatches, never block failures.
-func (bc *BlockContext) runTerminal(ep transport.Endpoint, self, leader int, session uint32, verifyCh chan<- verifyResult) {
+// lands, eliminate once the z-packets complete, and hand the derived
+// secret to verify (nil when the round could not be completed). It is
+// deliberately tolerant: missing frames (shed during a stall) surface as
+// elimination failures or abandoned rounds — verification mismatches,
+// never block failures. Round states and their x-decode rows come from
+// ta and return to it when the round finishes, aborts or is
+// garbage-collected, and when the bus closes.
+func (bc *BlockContext) runTerminal(ep transport.Endpoint, ta *termArena, self, leader int, session uint32, verify func(round int, secret []byte)) {
+	cfg := bc.cfg
 	rounds := make(map[int]*termRound)
-	var scratch [2]core.RoundScratch // ping-pong: round r+1's receive half must not clobber round r's pending elimination
+	defer func() {
+		for _, st := range rounds {
+			ta.put(st)
+		}
+	}()
 	maxRound := -1
 
 	state := func(r int) *termRound {
 		st, ok := rounds[r]
 		if !ok {
-			st = &termRound{recvX: make(map[packet.ID][]core.Sym)}
+			st = ta.round()
 			rounds[r] = st
 		}
 		return st
+	}
+	drop := func(r int, st *termRound) {
+		delete(rounds, r)
+		ta.put(st)
 	}
 	finish := func(r int, st *termRound) {
 		m := 0
@@ -537,15 +548,14 @@ func (bc *BlockContext) runTerminal(ep transport.Endpoint, self, leader int, ses
 		if len(st.zs) < m-len(st.sa.Coeffs) {
 			return // z stragglers still in flight
 		}
-		var res verifyResult
-		res.round = r
+		var secret []byte
 		if st.recvd {
 			if rows, err := st.pr.Eliminate(st.zs, st.sa); err == nil {
-				res.secret = core.SecretBytes(rows)
+				secret = ta.secretBytes(rows)
 			}
 		}
-		verifyCh <- res
-		delete(rounds, r)
+		verify(r, secret)
+		drop(r, st)
 	}
 
 	for env := range ep.Recv() {
@@ -570,16 +580,16 @@ func (bc *BlockContext) runTerminal(ep transport.Endpoint, self, leader int, ses
 			for old, st := range rounds {
 				if old < maxRound-3 {
 					if st.ya != nil {
-						verifyCh <- verifyResult{round: old}
+						verify(old, nil)
 					}
-					delete(rounds, old)
+					drop(old, st)
 				}
 			}
 		}
 		switch mm := m.(type) {
 		case *wire.XPacket:
-			if len(mm.Payload)%2 == 0 {
-				state(r).recvX[packet.ID(mm.Seq)] = gf.Symbols16(mm.Payload)
+			if int(mm.Seq) < cfg.XPerRound && len(mm.Payload) == cfg.PayloadBytes {
+				ta.putX(state(r), packet.ID(mm.Seq), mm.Payload)
 			}
 		case *wire.Beacon:
 			switch mm.Kind {
@@ -597,12 +607,14 @@ func (bc *BlockContext) runTerminal(ep transport.Endpoint, self, leader int, ses
 				// fine — the leader's deadline does not depend on us.
 				ep.SendCtrl(wire.Marshal(&wire.AckReport{Header: ah, NumX: uint32(numX), Bitmap: mine.Words()}))
 			case wire.BeaconRoundAbort:
-				delete(rounds, r) // unproductive round: nothing to verify
+				if st, ok := rounds[r]; ok {
+					drop(r, st) // unproductive round: nothing to verify
+				}
 			}
 		case *wire.YAnnounce:
 			st := state(r)
 			st.ya = mm
-			pr, err := core.ReceiveRoundInto(&scratch[r%2], st.recvX, mm)
+			pr, err := core.ReceiveRoundInto(&ta.scratch[r%2], st.recvX, mm)
 			if err == nil {
 				st.pr = pr
 				st.recvd = true

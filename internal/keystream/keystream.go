@@ -297,6 +297,8 @@ type Stream struct {
 	readMu sync.Mutex // serializes sequential Reads (cursor integrity)
 
 	wg     sync.WaitGroup
+	arenas []*arena // one per worker, zeroed when it exits
+	spare  [][]byte // zeroed block buffers for the next derivations, guarded by mu
 	health *memberHealth
 	stats  Stats       // cache-side counters, guarded by mu
 	es     engineStats // derivation-side counters, atomic
@@ -320,7 +322,9 @@ func New(cfg Config) (*Stream, error) {
 	s.cond = sync.NewCond(&s.mu)
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
-		go s.worker()
+		a := newArena(&s.cfg)
+		s.arenas = append(s.arenas, a)
+		go s.worker(a)
 	}
 	return s, nil
 }
@@ -347,9 +351,11 @@ func (s *Stream) Stats() Stats {
 
 // worker derives blocks until the stream closes: demanded blocks first
 // (lowest index — a waiting reader), then the blocks each history
-// predicts, bounded by the cache budget.
-func (s *Stream) worker() {
+// predicts, bounded by the cache budget. Every derivation runs over the
+// worker's arena a, which it zeroes on exit.
+func (s *Stream) worker(a *arena) {
 	defer s.wg.Done()
+	defer a.zero()
 	s.mu.Lock()
 	for {
 		if s.closed {
@@ -362,15 +368,15 @@ func (s *Stream) worker() {
 			continue
 		}
 		bs.running = true
+		data := s.buffer()
 		s.mu.Unlock()
 
-		data := make([]byte, s.cfg.BlockSize)
 		timed := s.ins.blockLat != nil
 		var t0 time.Time
 		if timed {
 			t0 = time.Now()
 		}
-		err := s.derive(bs.idx, data)
+		err := s.derive(a, bs.idx, data)
 		if timed {
 			s.ins.blockLat.ObserveSince(t0)
 		}
@@ -383,6 +389,10 @@ func (s *Stream) worker() {
 			return
 		}
 		if err != nil {
+			// A failed derivation may have written part of the block's
+			// secret before it stopped.
+			zero(data)
+			s.spare = append(s.spare, data)
 			s.stats.BlockErrors++
 			bs.err = err
 			// Hand the error to the readers currently waiting, then forget
@@ -397,6 +407,17 @@ func (s *Stream) worker() {
 		}
 		s.cond.Broadcast()
 	}
+}
+
+// buffer returns a zeroed block buffer: one an eviction or a failed
+// derivation left behind, or a fresh one. Caller holds mu.
+func (s *Stream) buffer() []byte {
+	if n := len(s.spare); n > 0 {
+		b := s.spare[n-1]
+		s.spare = s.spare[:n-1]
+		return b
+	}
+	return make([]byte, s.cfg.BlockSize)
 }
 
 // pickNext chooses the next block to derive. Caller holds mu.
@@ -473,6 +494,7 @@ func (s *Stream) makeRoom(prefetch bool) bool {
 		return false
 	}
 	zero(victim.data)
+	s.spare = append(s.spare, victim.data)
 	delete(s.blocks, victim.idx)
 	s.stats.CacheEvictions++
 	s.ins.cacheEvicts.Inc()

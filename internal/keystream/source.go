@@ -91,7 +91,7 @@ func ReferenceBlock(cfg Config, idx int64, dst []byte) error {
 			continue
 		}
 		consecAborts = 0
-		lr := core.ComputeLeaderRound(plan, xSym)
+		lr := core.ComputeLeaderRound(nil, plan, xSym)
 		written += copy(dst[written:], core.SecretBytes(lr.Secret))
 	}
 	if written < len(dst) {

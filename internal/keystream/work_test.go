@@ -161,23 +161,25 @@ func settle(t *testing.T, s *Stream) {
 // TestProtocolBlockAllocBudget pins what one computed protocol round
 // allocates in the benchmark's stream shape (3 terminals, erasure 0.45,
 // 128 x-packets of 4 KiB, 128 KiB blocks), counting the whole block
-// derivation — leader exchange and compute, bus, both terminals. The
-// budgets are the values measured on linux/amd64 (Go 1.24) plus 25%:
-// 4208 KB and 1561 objects per round. Copying every x-payload on decode
-// and running rounds ahead that were thrown away cost 7029 KB and 2532.
+// derivation — leader exchange and compute, bus, both terminals — over a
+// worker arena, the path Stream.worker takes. The budgets are the values
+// measured on linux/amd64 (Go 1.24) plus 25%: 1043 KB and 827 objects per
+// round, nearly all of it the x frames and the bus inboxes. Allocating
+// the leader's and terminals' rows, x-symbol slabs, decode slabs and
+// secret copies fresh every round cost 4199 KB and 1306 objects.
 func TestProtocolBlockAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's own allocations swamp the budget")
 	}
 	const (
-		budgetKB   = 5260
-		budgetObjs = 1950
+		budgetKB   = 1304
+		budgetObjs = 1034
 	)
 	cfg := Config{Terminals: 3, Erasure: 0.45, XPerRound: 128, PayloadBytes: 4096, Seed: 3, BlockSize: 128 << 10}
 	if err := cfg.fill(); err != nil {
 		t.Fatal(err)
 	}
-	bc := &BlockContext{cfg: &cfg, es: &engineStats{}, health: newMemberHealth(cfg.Terminals), ins: &streamInstruments{}}
+	bc := &BlockContext{cfg: &cfg, es: &engineStats{}, health: newMemberHealth(cfg.Terminals), ins: &streamInstruments{}, arena: newArena(&cfg)}
 	dst := make([]byte, cfg.BlockSize)
 	if err := bc.deriveProtocol(0, dst); err != nil { // warm up
 		t.Fatal(err)

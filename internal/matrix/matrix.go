@@ -46,6 +46,26 @@ func New[E gf.Elem](f *gf.Field[E], rows, cols int) *Matrix[E] {
 	return &Matrix[E]{f: f, rows: rows, cols: cols, d: make([]E, rows*cols)}
 }
 
+// Reuse returns a zero rows x cols matrix over f backed by m's storage: m
+// itself, reshaped, when it is non-nil and holds rows*cols entries, and a
+// fresh matrix otherwise. A caller that solves a differently shaped system
+// every round keeps one matrix and stops reallocating once it has grown.
+func Reuse[E gf.Elem](m *Matrix[E], f *gf.Field[E], rows, cols int) *Matrix[E] {
+	if m == nil || rows < 0 || cols < 0 || cap(m.d) < rows*cols {
+		return New(f, rows, cols)
+	}
+	m.f, m.rows, m.cols = f, rows, cols
+	m.d = m.d[:rows*cols]
+	clear(m.d)
+	return m
+}
+
+// Zero clears all of m's storage, including any capacity beyond its
+// current shape that Reuse keeps for later rounds.
+func (m *Matrix[E]) Zero() {
+	clear(m.d[:cap(m.d)])
+}
+
 // FromRows builds a matrix from the given rows, which must all have equal
 // length. The rows are copied.
 func FromRows[E gf.Elem](f *gf.Field[E], rows [][]E) *Matrix[E] {

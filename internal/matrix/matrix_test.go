@@ -460,3 +460,32 @@ func TestCauchyDeterminantClosedForm(t *testing.T) {
 		}
 	}
 }
+
+// TestReuseAndZero: Reuse reshapes a matrix in place when its storage
+// suffices, returning it zeroed, and allocates otherwise; Zero clears the
+// storage beyond the current shape too.
+func TestReuseAndZero(t *testing.T) {
+	f := gf.GF65536()
+	rng := rand.New(rand.NewSource(4))
+	m := randomMatrix(f, rng, 4, 6)
+	r := Reuse(m, f, 3, 5)
+	if r != m || r.Rows() != 3 || r.Cols() != 5 || !r.Equal(New(f, 3, 5)) {
+		t.Fatalf("Reuse into a large enough matrix: got %dx%d, same=%v", r.Rows(), r.Cols(), r == m)
+	}
+	if g := Reuse(m, f, 5, 5); g == m || !g.Equal(New(f, 5, 5)) {
+		t.Fatal("Reuse past the storage did not allocate a zero matrix")
+	}
+	if n := Reuse(nil, f, 2, 2); !n.Equal(New(f, 2, 2)) {
+		t.Fatal("Reuse(nil) is not a zero matrix")
+	}
+	full := m.d[:cap(m.d)]
+	for i := range full {
+		full[i] = 7
+	}
+	m.Zero()
+	for i, v := range full {
+		if v != 0 {
+			t.Fatalf("Zero left entry %d of the storage", i)
+		}
+	}
+}

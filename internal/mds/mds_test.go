@@ -2,6 +2,7 @@ package mds
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/gf"
@@ -314,4 +315,41 @@ func TestEndToEndPipelineSecrecyCertificate(t *testing.T) {
 	}
 	_ = z
 	_ = s
+}
+
+// TestCompletionReuse: one Completion reused, dirty, across systems of
+// different size, width and erasure pattern solves each exactly, and Zero
+// clears the packets it solved.
+func TestCompletionReuse(t *testing.T) {
+	f := gf.GF65536()
+	rng := rand.New(rand.NewSource(8))
+	var c Completion[uint16]
+	for trial := 0; trial < 40; trial++ {
+		m := rng.Intn(12) + 2
+		l := rng.Intn(m-1) + 1
+		rc := NewRedistributionCode(f, m, l)
+		y := randRows(rng, m, 1+rng.Intn(40))
+		z := rc.EncodeZ(y)
+		known := map[int][]uint16{}
+		for _, i := range rng.Perm(m)[:l+rng.Intn(m-l)] {
+			known[i] = y[i]
+		}
+		full, err := c.Complete(f, m, known, MatrixToRows(rc.ZCoeffs()), z)
+		if err != nil {
+			t.Fatalf("trial %d (M=%d L=%d known=%d): %v", trial, m, l, len(known), err)
+		}
+		for i := range y {
+			if !slices.Equal(full[i], y[i]) {
+				t.Fatalf("trial %d: y[%d] mismatch", trial, i)
+			}
+		}
+		if trial == 39 {
+			c.Zero()
+			for i, row := range full {
+				if _, ok := known[i]; !ok && slices.ContainsFunc(row, func(v uint16) bool { return v != 0 }) {
+					t.Fatalf("solved y[%d] not zeroed", i)
+				}
+			}
+		}
+	}
 }

@@ -2,6 +2,7 @@ package mds
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/gf"
 	"repro/internal/matrix"
@@ -73,58 +74,84 @@ func (r *RedistributionCode[E]) EncodeS(y [][]E) [][]E {
 	return MatrixToRows(r.SCoeffs().Mul(RowsToMatrix(r.f, y)))
 }
 
+// Row returns row j of the M x M code matrix Q: rows below M-L are the
+// z-packet coefficients, the rest the s-packet coefficients. The slice
+// aliases the code and must not be modified; a leader combining y-packets
+// passes it straight to the kernel instead of copying Q_z or Q_s out.
+func (r *RedistributionCode[E]) Row(j int) []E { return r.q.Row(j) }
+
 // CompleteY recovers the full y-packet set for a terminal that knows the
 // y-packets in `known` (index -> payload) plus all z contents. It fails
 // with an error if the terminal knows fewer than L y-packets (more unknowns
 // than z equations), which the protocol prevents by setting L = min M_i.
+// The result aliases the known payloads.
 func (r *RedistributionCode[E]) CompleteY(known map[int][]E, z [][]E) ([][]E, error) {
 	if len(z) != r.m-r.l {
 		return nil, fmt.Errorf("mds: CompleteY expects %d z-packets, got %d", r.m-r.l, len(z))
 	}
 	coeffs := MatrixToRows(r.ZCoeffs())
-	return CompleteFromEquations(r.f, r.m, known, coeffs, z)
+	return new(Completion[E]).Complete(r.f, r.m, known, coeffs, z)
 }
 
-// CompleteFromEquations solves the general "fill in the missing packets"
-// problem from explicit linear equations: the caller knows some of m
-// packets (known: index -> payload) and observes extra equations
-// eq[j]: coeffs[j] * packets = payloads[j]. It returns the full packet set
-// or an error when the system does not determine the unknowns.
+// Completion solves the general "fill in the missing packets" problem
+// from explicit linear equations, over working storage it keeps from one
+// call to the next: the terminal side of Phase 2 completes a y-packet set
+// every round, and reuses one Completion instead of reallocating the
+// augmented system each time. The zero value is ready to use.
 //
-// The terminal side of Phase 2 uses this directly on the coefficient rows
-// it heard on the wire, so decoding never assumes the leader used any
-// particular matrix construction.
-func CompleteFromEquations[E gf.Elem](f *gf.Field[E], m int, known map[int][]E, coeffs, payloads [][]E) ([][]E, error) {
+// The terminal side applies it directly to the coefficient rows it heard
+// on the wire, so decoding never assumes the leader used any particular
+// matrix construction.
+type Completion[E gf.Elem] struct {
+	unknown  []int
+	knownIdx []int
+	knownPay [][]E
+	kcs      []E
+	aug      *matrix.Matrix[E]
+	full     [][]E
+}
+
+// Complete fills in the missing packets: the caller knows some of m
+// packets (known: index -> payload) and observes extra equations
+// eq[j]: coeffs[j] * packets = payloads[j]. It returns the full packet
+// set, or an error when the system does not determine the unknowns.
+//
+// The returned rows alias the known payloads and c's storage; they stay
+// valid until the next Complete or Zero on c.
+func (c *Completion[E]) Complete(f *gf.Field[E], m int, known map[int][]E, coeffs, payloads [][]E) ([][]E, error) {
 	if len(coeffs) != len(payloads) {
 		return nil, fmt.Errorf("mds: %d coefficient rows but %d payloads", len(coeffs), len(payloads))
 	}
-	var unknown []int
+	c.unknown, c.full = c.unknown[:0], c.full[:0]
 	for i := 0; i < m; i++ {
-		if _, ok := known[i]; !ok {
-			unknown = append(unknown, i)
+		p, ok := known[i]
+		if !ok {
+			c.unknown = append(c.unknown, i)
 		}
+		c.full = append(c.full, p)
 	}
-	if len(unknown) == 0 {
-		return gatherRows(m, known, nil, nil), nil
+	u := len(c.unknown)
+	if u == 0 {
+		return c.full, nil
 	}
 	if len(coeffs) == 0 {
-		return nil, fmt.Errorf("mds: %d unknown packets but no equations", len(unknown))
+		return nil, fmt.Errorf("mds: %d unknown packets but no equations", u)
 	}
 	width := len(payloads[0])
 	// Gather the known payloads once; every equation row moves the same
 	// set to the right-hand side in one batched kernel call.
-	knownIdx := make([]int, 0, len(known))
-	knownPay := make([][]E, 0, len(known))
+	c.knownIdx, c.knownPay = c.knownIdx[:0], c.knownPay[:0]
 	for i, payload := range known {
 		if len(payload) != width {
 			return nil, fmt.Errorf("mds: ragged known payloads")
 		}
-		knownIdx = append(knownIdx, i)
-		knownPay = append(knownPay, payload)
+		c.knownIdx = append(c.knownIdx, i)
+		c.knownPay = append(c.knownPay, payload)
 	}
-	cm := matrix.New(f, len(coeffs), m)
-	rhs := matrix.New(f, len(coeffs), width)
-	kcs := make([]E, len(knownIdx))
+	c.kcs = slices.Grow(c.kcs[:0], len(c.knownIdx))[:len(c.knownIdx)]
+	// The augmented system [A | b]: A holds the coefficients of the
+	// unknowns, b the payloads with the known packets moved across.
+	c.aug = matrix.Reuse(c.aug, f, len(coeffs), u+width)
 	for j := range coeffs {
 		if len(coeffs[j]) != m {
 			return nil, fmt.Errorf("mds: equation %d has %d coefficients, want %d", j, len(coeffs[j]), m)
@@ -132,45 +159,39 @@ func CompleteFromEquations[E gf.Elem](f *gf.Field[E], m int, known map[int][]E, 
 		if len(payloads[j]) != width {
 			return nil, fmt.Errorf("mds: ragged equation payloads")
 		}
-		copy(cm.Row(j), coeffs[j])
-		copy(rhs.Row(j), payloads[j])
-		for t, i := range knownIdx {
-			kcs[t] = cm.At(j, i)
+		row := c.aug.Row(j)
+		for k, i := range c.unknown {
+			row[k] = coeffs[j][i]
 		}
-		f.AddMulSlices(rhs.Row(j), knownPay, kcs)
+		copy(row[u:], payloads[j])
+		for t, i := range c.knownIdx {
+			c.kcs[t] = coeffs[j][i]
+		}
+		f.AddMulSlices(row[u:], c.knownPay, c.kcs)
 	}
-	sub := cm.SubCols(unknown)
-	x, err := matrix.Solve(sub, rhs)
-	if err != nil {
-		return nil, fmt.Errorf("mds: complete: %w", err)
+	pivots := matrix.GaussJordan(c.aug, u)
+	if len(pivots) < u {
+		return nil, fmt.Errorf("mds: complete: %w", matrix.ErrUnderdetermined)
 	}
-	return gatherRows(m, known, unknown, x), nil
+	// Any leftover row with a nonzero right-hand side is an inconsistency.
+	for i := len(pivots); i < len(coeffs); i++ {
+		for _, v := range c.aug.Row(i)[u:] {
+			if v != 0 {
+				return nil, fmt.Errorf("mds: complete: %w", matrix.ErrInconsistent)
+			}
+		}
+	}
+	for _, p := range pivots {
+		c.full[c.unknown[p.Col]] = c.aug.Row(p.Row)[u:]
+	}
+	return c.full, nil
 }
 
-// gatherRows assembles the full packet set into one contiguous backing
-// array (m rows, one allocation instead of m): known payloads are copied
-// at their indices, solved rows fill the unknowns.
-func gatherRows[E gf.Elem](m int, known map[int][]E, unknown []int, x *matrix.Matrix[E]) [][]E {
-	width := 0
-	for _, p := range known {
-		width = len(p)
-		break
+// Zero clears the solved packets c holds.
+func (c *Completion[E]) Zero() {
+	if c.aug != nil {
+		c.aug.Zero()
 	}
-	if x != nil && x.Rows() > 0 {
-		width = x.Cols()
-	}
-	backing := make([]E, m*width)
-	out := make([][]E, m)
-	for i := 0; i < m; i++ {
-		out[i] = backing[i*width : (i+1)*width : (i+1)*width]
-	}
-	for i, payload := range known {
-		copy(out[i], payload)
-	}
-	for k, i := range unknown {
-		copy(out[i], x.Row(k))
-	}
-	return out
 }
 
 // seq returns [lo, hi) as a slice.

@@ -241,7 +241,7 @@ func (n *node) leaderRound(ctx context.Context, round int) error {
 	}
 
 	// Phases 1.3-2.3: announce, repair, amplify.
-	lr := core.ComputeLeaderRound(plan, xSym)
+	lr := core.ComputeLeaderRound(nil, plan, xSym)
 	if err := n.sendCtrl(core.BuildYAnnounce(h, plan)); err != nil {
 		return err
 	}
