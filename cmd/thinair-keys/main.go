@@ -43,10 +43,10 @@ func main() {
 		var bus transport.Bus
 		var err error
 		if *udp {
-			bus, err = transport.NewUDPBus(*erasure, *seed+int64(s))
+			bus, err = transport.NewUDPBus(*erasure, *seed+int64(s), transport.DefaultInbox)
 			fatal(err)
 		} else {
-			bus = transport.NewChanBus(*erasure, *seed+int64(s))
+			bus = transport.NewChanBus(*erasure, *seed+int64(s), transport.DefaultInbox)
 		}
 
 		session := uint32(1000 + s)

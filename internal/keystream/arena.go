@@ -13,15 +13,22 @@ import (
 // arena holds one derivation worker's reusable block-derivation buffers.
 // A worker derives one block at a time, so the same buffers serve block
 // after block: the leader's round scratch, the x-symbol slabs its exchange
-// decodes payloads into, and each member terminal's round scratches and
-// x-decode rows. Every buffer's size follows from the Config, so the
-// arena stops growing after the first blocks.
+// decodes payloads into, the leader's outgoing frames, and each member
+// terminal's round scratches and x-decode rows. Every buffer's size
+// follows from the Config, so the arena stops growing after the first
+// blocks.
 type arena struct {
 	leader core.RoundScratch
 
 	xn, xw int            // x-packets per round, symbols per x-payload
 	mu     sync.Mutex     // the exchange takes x slabs, compute returns them
 	xfree  [][][]core.Sym // x-symbol slabs not in use, as per-packet row views
+
+	// The leader's frames: the exchange goroutine's x frames and end-of-X
+	// beacons, and the compute loop's abort beacons and announces. Each
+	// slab has one writer; both rewind at block teardown.
+	xframes, cframes frameSlab
+	xpay             []byte // the exchange's x-payload buffer
 
 	terms []termArena // indexed by terminal
 }
@@ -35,10 +42,32 @@ type termArena struct {
 	free    []*termRound // recycled round states
 	rows    [][]core.Sym // x-decode rows not in use, one x-payload each
 	secret  []byte       // the last completed round's secret, for verification
+	x       wire.XPacket // x frames decode in place into it
 }
 
 func newArena(cfg *Config) *arena {
-	return &arena{xn: cfg.XPerRound, xw: cfg.PayloadBytes / 2, terms: make([]termArena, cfg.Terminals)}
+	// The exchange's slab grows by one round's x frames and end-of-X
+	// beacon, its exact per-round need. The compute loop's frames vary
+	// with each round's plan, so its slab grows by its widest frame: a
+	// z frame with M ≤ XPerRound coefficients, or a y-announce whose one
+	// class spans every x-packet with M rows over them (an s-announce has
+	// at most as many rows of the same length).
+	x := &wire.XPacket{Header: wire.Header{Type: wire.TypeX}, Payload: make([]byte, cfg.PayloadBytes)}
+	beacon := &wire.Beacon{Header: wire.Header{Type: wire.TypeBeacon}}
+	row := make([]uint16, cfg.XPerRound)
+	z := &wire.ZPacket{Header: wire.Header{Type: wire.TypeZ}, Coeffs: row, Payload: x.Payload}
+	rows := make([][]uint16, cfg.XPerRound)
+	for i := range rows {
+		rows[i] = row
+	}
+	y := &wire.YAnnounce{Header: wire.Header{Type: wire.TypeYAnnounce}, Classes: []wire.ClassBatch{{XIDs: make([]uint32, cfg.XPerRound), Coeffs: rows}}}
+	return &arena{
+		xn: cfg.XPerRound, xw: cfg.PayloadBytes / 2,
+		xframes: frameSlab{chunk: cfg.XPerRound*wire.FrameLen(x) + wire.FrameLen(beacon)},
+		cframes: frameSlab{chunk: max(wire.FrameLen(z), wire.FrameLen(y))},
+		xpay:    x.Payload,
+		terms:   make([]termArena, cfg.Terminals),
+	}
 }
 
 // xSlab returns one x-symbol row per x-packet, all over one slab.
@@ -68,10 +97,20 @@ func (a *arena) putXSlab(x [][]core.Sym) {
 	a.mu.Unlock()
 }
 
+// rewindFrames zeroes the block's frames and makes the slabs reusable.
+// The block's teardown calls it once the bus is closed and every goroutine
+// that could read a frame has returned.
+func (a *arena) rewindFrames() {
+	a.xframes.rewind()
+	a.cframes.rewind()
+}
+
 // zero clears every buffer the arena holds. The worker calls it on exit;
 // by then every slab and decode row has been returned.
 func (a *arena) zero() {
 	a.leader.Zero()
+	a.rewindFrames()
+	clear(a.xpay)
 	for _, x := range a.xfree {
 		for _, row := range x {
 			clear(row)
@@ -82,10 +121,65 @@ func (a *arena) zero() {
 		ta.scratch[0].Zero()
 		ta.scratch[1].Zero()
 		clear(ta.secret)
+		ta.x = wire.XPacket{}
 		for _, row := range ta.rows {
 			clear(row)
 		}
 	}
+}
+
+// frameSlab carves one goroutine's outgoing frames out of reused chunks.
+// A frame stays unchanged until rewind: a bus hands receivers the frame
+// itself, which may sit unread in an inbox until the bus is closed.
+type frameSlab struct {
+	chunk  int      // bytes per chunk, from the Config
+	chunks [][]byte // chunks[:cur+1] hold this block's frames, by length
+	cur    int      // the chunk being filled; the chunks after it are empty
+}
+
+// marshal encodes m into the slab and returns its frame, capped at its
+// length. The slab starts a chunk when the current one is full, and
+// allocates one only when it has none left or the empty one it reached is
+// too small for the frame; so once a block as long as the longest so far
+// has run, it stops allocating.
+func (s *frameSlab) marshal(m wire.Message) []byte {
+	n := wire.FrameLen(m)
+	if s.cur < len(s.chunks) && len(s.chunks[s.cur]) > 0 && cap(s.chunks[s.cur])-len(s.chunks[s.cur]) < n {
+		s.cur++
+	}
+	if s.cur == len(s.chunks) {
+		s.chunks = append(s.chunks, nil)
+	}
+	if cap(s.chunks[s.cur]) < n {
+		s.chunks[s.cur] = make([]byte, 0, max(s.chunk, n))
+	}
+	c := s.chunks[s.cur]
+	s.chunks[s.cur] = c[:len(c)+n]
+	return wire.AppendMarshal(c[len(c):len(c):len(c)+n], m)
+}
+
+// rewind zeroes every frame the slab handed out and starts it over. The
+// zeroing is a loop, not clear: the compiler turns both into a memclr,
+// but only the loop is visible to the race detector, which then reports
+// any goroutine still reading a frame of the block.
+func (s *frameSlab) rewind() {
+	for i, c := range s.chunks {
+		for j := range c {
+			c[j] = 0
+		}
+		s.chunks[i] = c[:0]
+	}
+	s.cur = 0
+}
+
+// decode decodes one delivered frame. An x frame decodes in place into
+// ta.x, which the next x frame overwrites; other frames decode into
+// fresh messages.
+func (ta *termArena) decode(frame []byte) (wire.Message, error) {
+	if _, _, ok := wire.PeekX(frame); ok {
+		return &ta.x, wire.UnmarshalX(frame, &ta.x)
+	}
+	return wire.Unmarshal(frame)
 }
 
 // round returns a cleared round state.

@@ -46,9 +46,9 @@ func TestFailedDerivationZeroesBlock(t *testing.T) {
 }
 
 // TestArenaZeroedAfterClose: once Close returns, every worker has zeroed
-// its arena — the x-symbol slabs, the members' x-decode rows and secret
-// copies — and every slab and row is back in its free list rather than
-// abandoned unzeroed. (RoundScratch.Zero, which clears the leader's and members'
+// its arena — the x-symbol slabs, the leader's frame slabs and x-payload
+// buffer, the members' x-decode rows and secret copies — and every slab
+// and row is back in its free list rather than abandoned unzeroed. (RoundScratch.Zero, which clears the leader's and members'
 // y/z/s rows, is pinned by core.TestRoundScratchZero.)
 func TestArenaZeroedAfterClose(t *testing.T) {
 	cfg := protoCfg(23)
@@ -61,8 +61,19 @@ func TestArenaZeroedAfterClose(t *testing.T) {
 	}
 	s.Close()
 	nonzero := func(v uint16) bool { return v != 0 }
-	xslabs, rows := 0, 0
+	xslabs, rows, chunks := 0, 0, 0
 	for w, a := range s.arenas {
+		for _, fs := range []*frameSlab{&a.xframes, &a.cframes} {
+			for _, c := range fs.chunks {
+				chunks++
+				if len(c) != 0 || slices.ContainsFunc(c[:cap(c)], func(v byte) bool { return v != 0 }) {
+					t.Fatalf("worker %d: frame slab not rewound to zero", w)
+				}
+			}
+		}
+		if slices.ContainsFunc(a.xpay, func(v byte) bool { return v != 0 }) {
+			t.Fatalf("worker %d: x-payload buffer not zeroed", w)
+		}
 		for _, x := range a.xfree {
 			xslabs++
 			for _, row := range x {
@@ -84,8 +95,8 @@ func TestArenaZeroedAfterClose(t *testing.T) {
 			}
 		}
 	}
-	if xslabs == 0 || rows == 0 {
-		t.Fatalf("arenas hold %d x slabs and %d decode rows after 6 blocks; the derivation bypassed them", xslabs, rows)
+	if xslabs == 0 || rows == 0 || chunks == 0 {
+		t.Fatalf("arenas hold %d x slabs, %d decode rows and %d frame chunks after 6 blocks; the derivation bypassed them", xslabs, rows, chunks)
 	}
 }
 

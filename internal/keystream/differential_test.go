@@ -74,8 +74,8 @@ func TestStreamOverUDPBus(t *testing.T) {
 	cfg := protoCfg(61)
 	const nblocks = 4
 	want := readRef(t, cfg, nblocks)
-	cfg.NewBus = func(_, blockSeed int64) (transport.Bus, error) {
-		return transport.NewUDPBus(cfg.Erasure, blockSeed)
+	cfg.NewBus = func(_, blockSeed int64, inbox int) (transport.Bus, error) {
+		return transport.NewUDPBus(cfg.Erasure, blockSeed, inbox)
 	}
 	s, err := New(cfg)
 	if err != nil {

@@ -122,6 +122,21 @@ type exchRound struct {
 	xSym  [][]core.Sym
 }
 
+// pipelineDepth is how many rounds the exchange goroutine may run ahead
+// of the compute loop's control broadcasts: exchCh holds
+// pipelineDepth-1 rounds and one more is in flight.
+const pipelineDepth = 3
+
+// inboxDepth is the per-endpoint inbox, in frames, of a block's bus: the
+// frames of the pipeline's rounds plus the one a receiver is still
+// draining. One round sends an endpoint at most XPerRound x frames,
+// M ≤ XPerRound z frames, two beacons (end of X, abort), two announces
+// (y, s) and one reception report per other member. A receiver that keeps
+// up with its reports never sheds a frame from an inbox this deep.
+func inboxDepth(cfg *Config) int {
+	return (pipelineDepth + 1) * (2*cfg.XPerRound + 4 + cfg.Terminals - 1)
+}
+
 // secretSpan locates one productive round's secret in the block: the n
 // bytes at dst[off:] are the first n of its full flattened bytes (fewer
 // only in the round whose tail the block discards).
@@ -138,6 +153,12 @@ type secretSpan struct {
 // reallocating them. A context without an arena (a test's) derives on a
 // fresh one, zeroed when the block is done.
 //
+// Frames: every leader frame is carved from the arena's frame slabs and
+// stays unchanged from its send until teardown has closed the bus (which
+// joins the bus's own goroutines: a tap's observer, a sealed bus's
+// openers) and joined the exchange and the terminals. Only then do the
+// slabs rewind, zeroing the frames. Members decode x frames in place.
+//
 // Determinism: the leader derives each round's reception sets from the
 // radio.Delivered schedule, never from the live reception reports — the
 // reports' content only feeds memberHealth and the stats. Since the block
@@ -149,9 +170,9 @@ type secretSpan struct {
 //
 // Pipelining: the exchange goroutine runs round r+1's packet broadcast
 // and report collection while the compute goroutine is still eliminating
-// round r (exchCh is the 2-deep pipeline window); terminals split their
-// half with core.ReceiveRoundInto as soon as the y-announce arrives and
-// core.PartialRound.Eliminate once the z-packets complete.
+// round r (exchCh is the pipeline window, see pipelineDepth); terminals
+// split their half with core.ReceiveRoundInto as soon as the y-announce
+// arrives and core.PartialRound.Eliminate once the z-packets complete.
 //
 // Bounded exchange: a round's plan depends on the schedule alone, so the
 // exchange goroutine plans round r before broadcasting it and stops once
@@ -174,9 +195,9 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 	var bus transport.Bus
 	var err error
 	if cfg.NewBus != nil {
-		bus, err = cfg.NewBus(idx, blockSeed)
+		bus, err = cfg.NewBus(idx, blockSeed, inboxDepth(cfg))
 	} else {
-		bus = transport.NewChanBus(cfg.Erasure, blockSeed)
+		bus = transport.NewChanBus(cfg.Erasure, blockSeed, inboxDepth(cfg))
 	}
 	if err != nil {
 		return fmt.Errorf("keystream: block %d bus: %w", idx, err)
@@ -239,7 +260,7 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 	// Exchange goroutine: plans round r+1 from the schedule, broadcasts its
 	// x-packets and collects its reception reports while compute still
 	// owns round r. It stops at the last round the block needs.
-	exchCh := make(chan exchRound, 2)
+	exchCh := make(chan exchRound, pipelineDepth-1)
 	var exchWG sync.WaitGroup
 	exchWG.Add(1)
 	go func() {
@@ -299,7 +320,7 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 			consecAborts++
 			ah := h
 			ah.Type = wire.TypeBeacon
-			eps[leader].SendCtrl(wire.Marshal(&wire.Beacon{Header: ah, Kind: wire.BeaconRoundAbort}))
+			eps[leader].SendCtrl(a.cframes.marshal(&wire.Beacon{Header: ah, Kind: wire.BeaconRoundAbort}))
 			if consecAborts >= cfg.MaxAbortRounds {
 				derr = fmt.Errorf("keystream: block %d: %d consecutive unproductive rounds (erasure too high or channel dead)",
 					idx, consecAborts)
@@ -317,12 +338,12 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 		if computeTimed {
 			bc.ins.computeLat.ObserveSince(computeT0)
 		}
-		if err := eps[leader].SendCtrl(wire.Marshal(core.BuildYAnnounce(h, plan))); err != nil {
+		if err := eps[leader].SendCtrl(a.cframes.marshal(core.BuildYAnnounce(h, plan))); err != nil {
 			derr = err
 			break
 		}
 		for _, zp := range core.BuildZPackets(h, plan, lr.Z) {
-			if err := eps[leader].SendCtrl(wire.Marshal(zp)); err != nil {
+			if err := eps[leader].SendCtrl(a.cframes.marshal(zp)); err != nil {
 				derr = err
 				break
 			}
@@ -330,7 +351,7 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 		if derr != nil {
 			break
 		}
-		if err := eps[leader].SendCtrl(wire.Marshal(core.BuildSAnnounce(h, plan))); err != nil {
+		if err := eps[leader].SendCtrl(a.cframes.marshal(core.BuildSAnnounce(h, plan))); err != nil {
 			derr = err
 			break
 		}
@@ -346,7 +367,8 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 	}
 
 	// Teardown: stop the exchange, close the bus (releases any member
-	// wedged in an injected stall), drain the workload layer.
+	// wedged in an injected stall), drain the workload layer. After that
+	// nothing reads the block's frames, and the slabs rewind.
 	cancel()
 	bus.Close()
 	exchWG.Wait()
@@ -355,6 +377,7 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 	}
 	termWG.Wait()
 	bc.es.shed.Add(bus.ShedFrames())
+	a.rewindFrames()
 	return derr
 }
 
@@ -404,10 +427,11 @@ func scheduleRecv(blockSeed int64, r, leader, terminals, numX int, p float64) []
 // are pacing and health input only — their content never reaches the
 // round plan (see deriveProtocol).
 //
-// The x-payloads are drawn one at a time into a reused buffer (the bytes
-// packet.NewBatch would draw, in the same order); Marshal copies each into
-// its frame. When the plan yields secret, the payloads are also decoded
-// into an x-symbol slab from the arena, which the compute loop returns.
+// The x-payloads are drawn one at a time into the arena's payload buffer
+// (the bytes packet.NewBatch would draw, in the same order), and each is
+// encoded into a frame from the arena's x-frame slab. When the plan yields
+// secret, the payloads are also decoded into an x-symbol slab from the
+// arena, which the compute loop returns.
 func (bc *BlockContext) exchange(ctx context.Context, a *arena, ep transport.Endpoint, r, leader int, session uint32, blockSeed int64, plan *core.Plan) (exchRound, error) {
 	cfg := bc.cfg
 	er := exchRound{round: r, plan: plan}
@@ -416,7 +440,7 @@ func (bc *BlockContext) exchange(ctx context.Context, a *arena, ep transport.End
 	if plan.L > 0 {
 		er.xSym = a.xSlab()
 	}
-	xp := &wire.XPacket{Header: h, Payload: make([]byte, cfg.PayloadBytes)}
+	xp := wire.XPacket{Header: h, Payload: a.xpay}
 	xp.Type = wire.TypeX
 	for i := 0; i < cfg.XPerRound; i++ {
 		packet.FillPayload(rng, xp.Payload)
@@ -424,14 +448,14 @@ func (bc *BlockContext) exchange(ctx context.Context, a *arena, ep transport.End
 			gf.PutSymbols16(er.xSym[i], xp.Payload)
 		}
 		xp.Seq = uint32(i)
-		if err := ep.SendData(wire.Marshal(xp)); err != nil {
+		if err := ep.SendData(a.xframes.marshal(&xp)); err != nil {
 			a.putXSlab(er.xSym)
 			return exchRound{}, err
 		}
 	}
 	bh := h
 	bh.Type = wire.TypeBeacon
-	if err := ep.SendCtrl(wire.Marshal(&wire.Beacon{Header: bh, Kind: wire.BeaconEndOfX, Value: uint32(cfg.XPerRound)})); err != nil {
+	if err := ep.SendCtrl(a.xframes.marshal(&wire.Beacon{Header: bh, Kind: wire.BeaconEndOfX, Value: uint32(cfg.XPerRound)})); err != nil {
 		a.putXSlab(er.xSym)
 		return exchRound{}, err
 	}
@@ -559,7 +583,7 @@ func (bc *BlockContext) runTerminal(ep transport.Endpoint, ta *termArena, self, 
 	}
 
 	for env := range ep.Recv() {
-		m, err := wire.Unmarshal(env.Frame)
+		m, err := ta.decode(env.Frame)
 		if err != nil {
 			continue
 		}
@@ -572,13 +596,13 @@ func (bc *BlockContext) runTerminal(ep transport.Endpoint, ta *termArena, self, 
 			maxRound = r
 			// Garbage-collect rounds the pipeline has moved past: an
 			// incomplete round that had reached its announce phase means
-			// frames this member needed were shed. The threshold must
-			// exceed the pipeline depth — the exchange goroutine runs up
-			// to 3 rounds ahead of the compute goroutine's control
-			// broadcasts (exchCh holds 2 plus 1 in flight), so round r's
-			// announce can legitimately arrive after round r+3's x-packets.
+			// frames this member needed were shed. Only rounds more than
+			// pipelineDepth behind the newest go — the exchange goroutine
+			// runs up to pipelineDepth rounds ahead of the compute
+			// goroutine's control broadcasts, so round r's announce can
+			// legitimately arrive after round r+pipelineDepth's x-packets.
 			for old, st := range rounds {
-				if old < maxRound-3 {
+				if old < maxRound-pipelineDepth {
 					if st.ya != nil {
 						verify(old, nil)
 					}

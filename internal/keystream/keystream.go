@@ -93,10 +93,18 @@ type Config struct {
 	// NewBus, when non-nil, builds the broadcast bus for each block
 	// (tests wrap the default bus in an Injector, or run the exchange over
 	// a UDPBus). The default is transport.NewChanBus(cfg.Erasure,
-	// blockSeed). The block's bytes follow the schedule whatever the bus;
-	// its members verify them only if the bus erases by radio.Delivered
-	// keyed by blockSeed, as both transport buses do.
-	NewBus func(block int64, blockSeed int64) (transport.Bus, error)
+	// blockSeed, inbox). The block's bytes follow the schedule whatever the
+	// bus; its members verify them only if the bus erases by
+	// radio.Delivered keyed by blockSeed, as both transport buses do.
+	//
+	// inbox is the per-endpoint inbox depth the block needs, derived from
+	// the Config: (pipeline depth + 1) rounds of the most frames one round
+	// sends an endpoint. Every endpoint the bus hands out, a tap's
+	// included, should buffer that many frames. Frame lifetime: the block
+	// reuses its frames' memory once the bus's Close has returned, so
+	// Close must not return while any goroutine the bus started can still
+	// read a delivered frame.
+	NewBus func(block, blockSeed int64, inbox int) (transport.Bus, error)
 	// Source, when non-nil, replaces the protocol engine as the block
 	// deriver (tests and benchmarks use cheap GF(2^8) pad expansion; see
 	// XOFSource8). The default derives blocks by running protocol rounds.

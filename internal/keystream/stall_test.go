@@ -39,9 +39,9 @@ func (fl *injectorFleet) stallMember(id int) {
 	fl.mu.Unlock()
 }
 
-func (fl *injectorFleet) newBus(erasure float64) func(block, blockSeed int64) (transport.Bus, error) {
-	return func(block, blockSeed int64) (transport.Bus, error) {
-		in := NewInjector(transport.NewChanBus(erasure, blockSeed))
+func (fl *injectorFleet) newBus(erasure float64) func(block, blockSeed int64, inbox int) (transport.Bus, error) {
+	return func(block, blockSeed int64, inbox int) (transport.Bus, error) {
+		in := NewInjector(transport.NewChanBus(erasure, blockSeed, inbox))
 		fl.mu.Lock()
 		for id, d := range fl.slow {
 			in.SlowMember(id, d)

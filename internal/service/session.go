@@ -456,22 +456,23 @@ func (s *Session) refresh(str *keystream.Stream, buf []byte) error {
 }
 
 // blockBus builds block b's bus (keystream.Config.NewBus): a UDP or
-// in-process bus erasing by the block seed; when Observe is set and this
+// in-process bus erasing by the block seed, every endpoint buffering the
+// inbox frames the keystream asks for; when Observe is set and this
 // is the block's first derivation, an eavesdropper's tap attached before
 // the first frame; when AuthBootstrap is set, a sealing layer over the
 // terminals' endpoints. The tap stays on the raw bus, so it overhears
 // sealed control frames exactly as a real Eve would. None of it changes
 // the block's bytes.
-func (s *Session) blockBus(block, blockSeed int64) (transport.Bus, error) {
+func (s *Session) blockBus(block, blockSeed int64, inbox int) (transport.Bus, error) {
 	var bus transport.Bus
 	if s.spec.UDP {
-		udp, err := transport.NewUDPBus(s.spec.Erasure, blockSeed)
+		udp, err := transport.NewUDPBus(s.spec.Erasure, blockSeed, inbox)
 		if err != nil {
 			return nil, err
 		}
 		bus = udp
 	} else {
-		bus = transport.NewChanBus(s.spec.Erasure, blockSeed)
+		bus = transport.NewChanBus(s.spec.Erasure, blockSeed, inbox)
 	}
 	if s.spec.Observe && s.claimTap(block) {
 		tap, err := bus.Endpoint(s.spec.Terminals)
@@ -484,7 +485,7 @@ func (s *Session) blockBus(block, blockSeed int64) (transport.Bus, error) {
 		bus = ob
 	}
 	if len(s.spec.AuthBootstrap) > 0 {
-		bus = transport.NewSealedBus(bus, blockChain(s.spec.AuthBootstrap, s.spec.Seed, block))
+		bus = transport.NewSealedBus(bus, blockChain(s.spec.AuthBootstrap, s.spec.Seed, block), inbox)
 	}
 	return bus, nil
 }

@@ -11,14 +11,23 @@ import (
 // receiver according to the shared erasure coin (see coinKey); control
 // frames are delivered to every endpoint.
 //
-// Every receiver is handed the same frame, not a copy: receivers treat
-// Env.Frame as read-only, and senders do not touch a frame after sending
-// it. A full inbox sheds the frame (counted by ShedFrames) instead of
-// failing the send, so a receiver that stops draining — a stalled member,
-// a slow observer — costs only its own frames.
+// Every receiver is handed the same frame, not a copy. Frame lifetime:
+// receivers treat Env.Frame as read-only, and a sender keeps a frame
+// unchanged from the send until Close has returned and every goroutine
+// draining the bus's endpoints has exited — a frame may sit unread in an
+// inbox until then. Senders may therefore carve frames from a reused
+// buffer, and rewind it only after that point.
+//
+// Each endpoint's inbox holds the constructor's inbox frames. A full
+// inbox sheds the frame (counted by ShedFrames) instead of failing the
+// send, so a receiver that stops draining — a stalled member, a slow
+// observer — costs only its own frames. A sender that paces itself to
+// its receivers (as a keystream block does, sizing the inbox to its
+// pipeline) sheds nothing.
 type ChanBus struct {
 	erasure float64
 	seed    int64
+	inbox   int
 
 	mu        sync.Mutex
 	endpoints map[int]*chanEndpoint
@@ -28,13 +37,11 @@ type ChanBus struct {
 	shed atomic.Int64
 }
 
-// inboxFrames is the receive buffer of every endpoint, in frames.
-const inboxFrames = 4096
-
 // NewChanBus creates a bus erasing each data frame at each receiver with
-// probability erasure, keyed by seed.
-func NewChanBus(erasure float64, seed int64) *ChanBus {
-	return &ChanBus{erasure: erasure, seed: seed, endpoints: make(map[int]*chanEndpoint)}
+// probability erasure, keyed by seed, whose endpoints each buffer inbox
+// frames.
+func NewChanBus(erasure float64, seed int64, inbox int) *ChanBus {
+	return &ChanBus{erasure: erasure, seed: seed, inbox: inbox, endpoints: make(map[int]*chanEndpoint)}
 }
 
 // Endpoint implements Bus.
@@ -47,7 +54,7 @@ func (b *ChanBus) Endpoint(id int) (Endpoint, error) {
 	if ep, ok := b.endpoints[id]; ok {
 		return ep, nil
 	}
-	ep := &chanEndpoint{bus: b, id: id, ch: make(chan Env, inboxFrames)}
+	ep := &chanEndpoint{bus: b, id: id, ch: make(chan Env, b.inbox)}
 	b.endpoints[id] = ep
 	return ep, nil
 }

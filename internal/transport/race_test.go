@@ -26,7 +26,7 @@ func TestConcurrentSessionsWithObservers(t *testing.T) {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			bus := NewChanBus(0.4, int64(100+s))
+			bus := NewChanBus(0.4, int64(100+s), DefaultInbox)
 			defer bus.Close()
 
 			obsEp, err := bus.Endpoint(n)
@@ -80,7 +80,7 @@ func TestConcurrentSessionsWithObservers(t *testing.T) {
 // path a long-running key daemon exercises on every session boundary.
 func TestObserverShutdownDuringTraffic(t *testing.T) {
 	const n = 3
-	bus := NewChanBus(0.2, 31)
+	bus := NewChanBus(0.2, 31, DefaultInbox)
 	defer bus.Close()
 	obsEp, err := bus.Endpoint(n)
 	if err != nil {

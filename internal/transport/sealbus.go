@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/auth"
@@ -16,14 +17,26 @@ import (
 type SealedBus struct {
 	Bus
 	chain    *auth.KeyChain
+	inbox    int
 	rejected atomic.Int64
 	shed     atomic.Int64
+	openers  sync.WaitGroup // one per endpoint handed out
 }
 
 // NewSealedBus wraps bus so its endpoints seal and open control frames
-// under chain. Closing the SealedBus closes bus.
-func NewSealedBus(bus Bus, chain *auth.KeyChain) *SealedBus {
-	return &SealedBus{Bus: bus, chain: chain}
+// under chain; each sealed endpoint buffers inbox frames (see ChanBus).
+// Closing the SealedBus closes bus.
+func NewSealedBus(bus Bus, chain *auth.KeyChain, inbox int) *SealedBus {
+	return &SealedBus{Bus: bus, chain: chain, inbox: inbox}
+}
+
+// Close implements Bus: it closes the inner bus and returns once every
+// endpoint's opener goroutine has drained it and exited, so no goroutine
+// of the bus still holds a frame.
+func (b *SealedBus) Close() error {
+	err := b.Bus.Close()
+	b.openers.Wait()
+	return err
 }
 
 // Rejected returns how many reliable frames failed tag verification.
@@ -34,13 +47,15 @@ func (b *SealedBus) Rejected() int64 { return b.rejected.Load() }
 func (b *SealedBus) ShedFrames() int64 { return b.Bus.ShedFrames() + b.shed.Load() }
 
 // Endpoint implements Bus. The sealed endpoint's inbox is fed by one
-// goroutine that exits when the inner endpoint's Recv channel closes.
+// opener goroutine that exits when the inner endpoint's Recv channel
+// closes; Close waits for it.
 func (b *SealedBus) Endpoint(id int) (Endpoint, error) {
 	inner, err := b.Bus.Endpoint(id)
 	if err != nil {
 		return nil, err
 	}
-	ep := &sealedEndpoint{Endpoint: inner, bus: b, ch: make(chan Env, inboxFrames)}
+	ep := &sealedEndpoint{Endpoint: inner, bus: b, ch: make(chan Env, b.inbox)}
+	b.openers.Add(1)
 	go ep.open()
 	return ep, nil
 }
@@ -60,6 +75,7 @@ func (e *sealedEndpoint) Recv() <-chan Env { return e.ch }
 // open verifies the inner endpoint's reliable frames into e.ch. Like a
 // bus inbox it never blocks: a full inbox sheds the frame.
 func (e *sealedEndpoint) open() {
+	defer e.bus.openers.Done()
 	defer close(e.ch)
 	for env := range e.Endpoint.Recv() {
 		if env.Reliable {

@@ -40,8 +40,8 @@ func recvWithin(t *testing.T, ep Endpoint, d time.Duration) Env {
 // through untouched; a tap on the raw bus overhears everything.
 func TestSealedBusDropsForgeries(t *testing.T) {
 	bootstrap := []byte("group bootstrap")
-	raw := NewChanBus(0, 3)
-	sealed := NewSealedBus(raw, blockChainFor(bootstrap, "block 1"))
+	raw := NewChanBus(0, 3, DefaultInbox)
+	sealed := NewSealedBus(raw, blockChainFor(bootstrap, "block 1"), DefaultInbox)
 	defer sealed.Close()
 	tap, err := raw.Endpoint(9)
 	if err != nil {
@@ -116,8 +116,8 @@ func TestSealedBusDropsForgeries(t *testing.T) {
 // raw bus still decodes the sealed control frames into a certificate.
 func TestSealedBusObserverDecodes(t *testing.T) {
 	const n = 3
-	raw := NewChanBus(0.5, 11)
-	sealed := NewSealedBus(raw, blockChainFor([]byte("group bootstrap"), "block 0"))
+	raw := NewChanBus(0.5, 11, DefaultInbox)
+	sealed := NewSealedBus(raw, blockChainFor([]byte("group bootstrap"), "block 0"), DefaultInbox)
 	defer sealed.Close()
 	tap, err := raw.Endpoint(n)
 	if err != nil {
@@ -145,5 +145,63 @@ func TestSealedBusObserverDecodes(t *testing.T) {
 	}
 	if sealed.Rejected() != 0 {
 		t.Fatalf("genuine frames rejected: %d", sealed.Rejected())
+	}
+}
+
+// gatedBus is a one-endpoint bus whose endpoint's Recv blocks until the
+// test opens gate, holding a SealedBus opener inside the bus.
+type gatedBus struct {
+	ch   chan Env
+	gate chan struct{}
+}
+
+func (g *gatedBus) Endpoint(int) (Endpoint, error) { return gatedEndpoint{g}, nil }
+func (g *gatedBus) BitsSent() int64                { return 0 }
+func (g *gatedBus) ShedFrames() int64              { return 0 }
+func (g *gatedBus) Close() error                   { close(g.ch); return nil }
+
+type gatedEndpoint struct{ g *gatedBus }
+
+func (e gatedEndpoint) ID() int               { return 0 }
+func (e gatedEndpoint) SendData([]byte) error { return nil }
+func (e gatedEndpoint) SendCtrl([]byte) error { return nil }
+func (e gatedEndpoint) Close() error          { return nil }
+func (e gatedEndpoint) Recv() <-chan Env      { <-e.g.gate; return e.g.ch }
+
+// TestSealedBusCloseJoinsOpeners: Close returns only once every sealed
+// endpoint's opener goroutine has exited, so none outlives the bus and
+// reads a frame its sender has since reused. The opener is held inside
+// the inner bus until the gate opens; Close must still be waiting for it
+// then, and the sealed endpoint's inbox must be closed when it returns.
+func TestSealedBusCloseJoinsOpeners(t *testing.T) {
+	inner := &gatedBus{ch: make(chan Env, 1), gate: make(chan struct{})}
+	inner.ch <- Env{Frame: []byte("data")}
+	sealed := NewSealedBus(inner, blockChainFor([]byte("group bootstrap"), "block 0"), 4)
+	ep, err := sealed.Endpoint(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	go func() {
+		sealed.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while an opener was still running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(inner.gate)
+	<-closed
+	select {
+	case env, ok := <-ep.Recv():
+		if !ok || string(env.Frame) != "data" {
+			t.Fatalf("sealed inbox: got %q, open %v; want the buffered data frame", env.Frame, ok)
+		}
+	default:
+		t.Fatal("Close returned before the opener drained the inner bus")
+	}
+	if _, ok := <-ep.Recv(); ok {
+		t.Fatal("sealed inbox still open after Close returned")
 	}
 }

@@ -82,7 +82,7 @@ func TestUDPSoakMultiSession(t *testing.T) {
 // bounded by the participant count while the bus is up.
 func soakBlock(erasure float64, seed int64, session uint32) error {
 	const n = 3
-	bus, err := NewUDPBus(erasure, seed)
+	bus, err := NewUDPBus(erasure, seed, DefaultInbox)
 	if err != nil {
 		return err
 	}

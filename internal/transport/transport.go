@@ -65,6 +65,11 @@ type Bus interface {
 	Close() error
 }
 
+// DefaultInbox is the per-endpoint inbox depth, in frames, for buses that
+// carry whole multi-round sessions (RunGroup and its callers), where no
+// pipeline bounds how far a sender runs ahead of a receiver.
+const DefaultInbox = 4096
+
 // ErrClosed is returned when using a closed bus or endpoint.
 var ErrClosed = errors.New("transport: closed")
 

@@ -22,7 +22,7 @@ func baseNodeConfig(n int) NodeConfig {
 }
 
 func TestChanBusBasics(t *testing.T) {
-	bus := NewChanBus(0, 1)
+	bus := NewChanBus(0, 1, DefaultInbox)
 	defer bus.Close()
 	a, err := bus.Endpoint(0)
 	if err != nil {
@@ -62,7 +62,7 @@ func TestChanBusBasics(t *testing.T) {
 }
 
 func TestChanBusErasures(t *testing.T) {
-	bus := NewChanBus(1, 1) // everything erased
+	bus := NewChanBus(1, 1, DefaultInbox) // everything erased
 	defer bus.Close()
 	a, _ := bus.Endpoint(0)
 	b, _ := bus.Endpoint(1)
@@ -79,7 +79,7 @@ func TestChanBusErasures(t *testing.T) {
 }
 
 func TestChanBusClosed(t *testing.T) {
-	bus := NewChanBus(0, 1)
+	bus := NewChanBus(0, 1, DefaultInbox)
 	a, _ := bus.Endpoint(0)
 	bus.Close()
 	if err := a.SendData([]byte("x")); err == nil {
@@ -96,7 +96,7 @@ func TestChanBusClosed(t *testing.T) {
 
 func TestRunGroupOverChanBus(t *testing.T) {
 	const n = 4
-	bus := NewChanBus(0.4, 7)
+	bus := NewChanBus(0.4, 7, DefaultInbox)
 	defer bus.Close()
 	cfg := baseNodeConfig(n)
 	results, err := RunGroup(context.Background(), bus, cfg, nil)
@@ -123,7 +123,7 @@ func TestRunGroupOverChanBus(t *testing.T) {
 // receivers allocates nothing — the coin key is peeked from the header and
 // every receiver shares the one frame.
 func TestChanBusBroadcastAllocFree(t *testing.T) {
-	bus := NewChanBus(0.4, 3)
+	bus := NewChanBus(0.4, 3, DefaultInbox)
 	defer bus.Close()
 	var eps []Endpoint
 	for id := 0; id < 4; id++ {
@@ -149,7 +149,7 @@ func TestChanBusBroadcastAllocFree(t *testing.T) {
 func TestObserverDoesNotChangeKey(t *testing.T) {
 	const n = 3
 	run := func(observed bool) []byte {
-		bus := NewChanBus(0.4, 19)
+		bus := NewChanBus(0.4, 19, DefaultInbox)
 		defer bus.Close()
 		if observed {
 			obsEp, err := bus.Endpoint(n)
@@ -180,7 +180,7 @@ func TestObserverDoesNotChangeKey(t *testing.T) {
 
 func TestRunGroupWithWireLevelObserver(t *testing.T) {
 	const n = 3
-	bus := NewChanBus(0.5, 11)
+	bus := NewChanBus(0.5, 11, DefaultInbox)
 	defer bus.Close()
 	obsEp, err := bus.Endpoint(n) // Eve's tap
 	if err != nil {
@@ -218,7 +218,7 @@ func TestRunGroupWithWireLevelObserver(t *testing.T) {
 
 func TestRunGroupAuthenticated(t *testing.T) {
 	const n = 3
-	bus := NewChanBus(0.3, 5)
+	bus := NewChanBus(0.3, 5, DefaultInbox)
 	defer bus.Close()
 	chains := make([]*auth.KeyChain, n)
 	for i := range chains {
@@ -247,7 +247,7 @@ func TestAuthenticatedGroupRejectsForgery(t *testing.T) {
 	// An active Eve injects a forged ack report claiming she is terminal
 	// 1 with a full reception set; authenticated nodes must drop it.
 	const n = 3
-	bus := NewChanBus(0.3, 9)
+	bus := NewChanBus(0.3, 9, DefaultInbox)
 	defer bus.Close()
 	eveEp, err := bus.Endpoint(n)
 	if err != nil {
@@ -294,7 +294,7 @@ func TestAuthenticatedGroupRejectsForgery(t *testing.T) {
 }
 
 func TestRunNodeValidation(t *testing.T) {
-	bus := NewChanBus(0, 1)
+	bus := NewChanBus(0, 1, DefaultInbox)
 	defer bus.Close()
 	ep, _ := bus.Endpoint(0)
 	// Oracle estimator is analysis-only.
@@ -312,7 +312,7 @@ func TestRunNodeValidation(t *testing.T) {
 
 func TestRunNodeTimeout(t *testing.T) {
 	// A terminal alone on the bus times out waiting for the leader.
-	bus := NewChanBus(0, 1)
+	bus := NewChanBus(0, 1, DefaultInbox)
 	defer bus.Close()
 	ep, _ := bus.Endpoint(1)
 	cfg := baseNodeConfig(2)
@@ -325,7 +325,7 @@ func TestRunNodeTimeout(t *testing.T) {
 }
 
 func TestRunNodeContextCancel(t *testing.T) {
-	bus := NewChanBus(0, 1)
+	bus := NewChanBus(0, 1, DefaultInbox)
 	defer bus.Close()
 	ep, _ := bus.Endpoint(1)
 	cfg := baseNodeConfig(2)
@@ -350,7 +350,7 @@ func TestRunNodeContextCancel(t *testing.T) {
 
 func TestUDPBusEndToEnd(t *testing.T) {
 	const n = 3
-	bus, err := NewUDPBus(0.3, 13)
+	bus, err := NewUDPBus(0.3, 13, DefaultInbox)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestUDPBusCtrlSurvivesTotalDataLoss(t *testing.T) {
 	// control frames; the protocol then aborts rounds cleanly (terminals
 	// received nothing, so L = 0) rather than deadlocking.
 	const n = 2
-	bus, err := NewUDPBus(1, 3)
+	bus, err := NewUDPBus(1, 3, DefaultInbox)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func TestRunGroupSurvivesGarbageInjection(t *testing.T) {
 	// messages) must not break an unauthenticated session: decode failures
 	// are dropped silently.
 	const n = 3
-	bus := NewChanBus(0.3, 15)
+	bus := NewChanBus(0.3, 15, DefaultInbox)
 	defer bus.Close()
 	junkEp, err := bus.Endpoint(n)
 	if err != nil {
@@ -441,7 +441,7 @@ func TestRunGroupSurvivesGarbageInjection(t *testing.T) {
 func TestSequentialSessionsOnOneBus(t *testing.T) {
 	// Reuse a bus for several sessions back to back; session IDs keep
 	// the streams separate.
-	bus := NewChanBus(0.4, 23)
+	bus := NewChanBus(0.4, 23, DefaultInbox)
 	defer bus.Close()
 	var prev []byte
 	for s := 0; s < 3; s++ {
@@ -464,7 +464,7 @@ func TestSequentialSessionsOnOneBus(t *testing.T) {
 
 func TestObserverOverUDP(t *testing.T) {
 	const n = 3
-	bus, err := NewUDPBus(0.4, 29)
+	bus, err := NewUDPBus(0.4, 29, DefaultInbox)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,6 +27,7 @@ import (
 type UDPBus struct {
 	erasure float64
 	seed    int64
+	inbox   int
 
 	conn *net.UDPConn
 
@@ -72,8 +73,9 @@ const (
 )
 
 // NewUDPBus starts a hub on a loopback UDP port. The hub erases each data
-// frame at each receiver with probability erasure, keyed by seed.
-func NewUDPBus(erasure float64, seed int64) (*UDPBus, error) {
+// frame at each receiver with probability erasure, keyed by seed; each
+// client endpoint buffers inbox frames (see ChanBus).
+func NewUDPBus(erasure float64, seed int64, inbox int) (*UDPBus, error) {
 	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		return nil, fmt.Errorf("transport: hub listen: %w", err)
@@ -81,6 +83,7 @@ func NewUDPBus(erasure float64, seed int64) (*UDPBus, error) {
 	b := &UDPBus{
 		erasure: erasure,
 		seed:    seed,
+		inbox:   inbox,
 		conn:    conn,
 		addrs:   make(map[int]*net.UDPAddr),
 		pending: make(map[pendingKey]*pendingCtrl),
@@ -278,7 +281,7 @@ func (b *UDPBus) Endpoint(id int) (Endpoint, error) {
 	ep := &udpEndpoint{
 		id:    id,
 		conn:  conn,
-		ch:    make(chan Env, inboxFrames),
+		ch:    make(chan Env, b.inbox),
 		shed:  &b.shed,
 		acked: make(map[uint32]chan struct{}),
 		seen:  make(map[int]*seqWindow),

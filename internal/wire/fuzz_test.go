@@ -2,6 +2,7 @@ package wire
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -9,8 +10,10 @@ import (
 // bytes arrive — Eve is on this network, and the UDP bus feeds the parser
 // raw datagrams. Every frame it accepts must re-marshal to itself, byte
 // for byte, although decoded payloads alias the input frame, and PeekX
-// must agree with it on x/non-x and on (round, seq). Runs its seed
-// corpus under plain `go test`; use
+// must agree with it on x/non-x and on (round, seq). UnmarshalX must
+// accept exactly the x frames Unmarshal accepts, decoding every field the
+// same, and AppendMarshal must extend a prefix by exactly Marshal's frame.
+// Runs its seed corpus under plain `go test`; use
 // `go test -fuzz=FuzzUnmarshal ./internal/wire` to explore further.
 func FuzzUnmarshal(f *testing.F) {
 	// Seed with valid frames of every type plus degenerate inputs.
@@ -27,14 +30,28 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(Marshal(&Beacon{Header: Header{Type: TypeBeacon}, Kind: BeaconEndOfX, Value: 90}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Unmarshal(data)
+		var x XPacket
+		errX := UnmarshalX(data, &x)
+		if errX == nil {
+			if got, ok := m.(*XPacket); err != nil || !ok || !reflect.DeepEqual(*got, x) {
+				t.Fatalf("UnmarshalX decoded %+v; Unmarshal returned %#v, %v", x, m, err)
+			}
+		}
 		if err != nil {
 			return
+		}
+		if _, isX := m.(*XPacket); isX != (errX == nil) {
+			t.Fatalf("Unmarshal decoded a %v; UnmarshalX: %v", m.Hdr().Type, errX)
 		}
 		if m == nil {
 			t.Fatal("nil message without error")
 		}
 		if again := Marshal(m); string(again) != string(data) {
 			t.Fatalf("accepted frame does not re-marshal to itself:\n in: %x\nout: %x", data, again)
+		}
+		prefix := []byte("prefix")
+		if got := AppendMarshal(prefix, m); string(got) != string(prefix)+string(data) {
+			t.Fatalf("AppendMarshal(prefix, m) = %x, want prefix + %x", got, data)
 		}
 		round, seq, isX := PeekX(data)
 		xp, wantX := m.(*XPacket)

@@ -175,16 +175,26 @@ const maxVec = 1 << 20
 
 const headerLen = 2 + 1 + 1 + 1 + 4 + 2 // magic, version, type, from, session, round
 
+// FrameLen returns the length of m's frame: what Marshal allocates and
+// AppendMarshal appends.
+func FrameLen(m Message) int { return headerLen + m.bodyLen() + 4 }
+
 // Marshal encodes a message into a self-delimiting frame. The frame is
 // allocated once, at its exact length.
 func Marshal(m Message) []byte {
+	return AppendMarshal(make([]byte, 0, FrameLen(m)), m)
+}
+
+// AppendMarshal appends m's frame to dst and returns the extended slice.
+// With FrameLen(m) bytes of spare capacity in dst it does not allocate.
+func AppendMarshal(dst []byte, m Message) []byte {
+	start := len(dst)
 	h := m.Hdr()
-	buf := make([]byte, 0, headerLen+m.bodyLen()+4)
-	buf = append(buf, magic0, magic1, Version, byte(h.Type), h.From)
-	buf = binary.BigEndian.AppendUint32(buf, h.Session)
-	buf = binary.BigEndian.AppendUint16(buf, h.Round)
-	buf = m.body(buf)
-	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	dst = append(dst, magic0, magic1, Version, byte(h.Type), h.From)
+	dst = binary.BigEndian.AppendUint32(dst, h.Session)
+	dst = binary.BigEndian.AppendUint16(dst, h.Round)
+	dst = m.body(dst)
+	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
 }
 
 // Unmarshal decodes one frame into the appropriate message type.
@@ -193,52 +203,95 @@ func Marshal(m Message) []byte {
 // their own length, so an append never writes into b). The frame is
 // therefore shared with the message and must not be modified while the
 // message is in use, and neither may the payloads. Every bus hands its
-// receivers frames that nobody writes to afterwards.
+// receivers frames that nobody writes to afterwards: a sender keeps a
+// frame immutable from the send until the bus is closed and every
+// goroutine that drains it has returned (see transport.ChanBus), so a
+// message decoded from a delivered frame stays valid at least that long.
 func Unmarshal(b []byte) (Message, error) {
-	if len(b) < headerLen+4 {
-		return nil, ErrShort
+	h, body, err := header(b)
+	if err != nil {
+		return nil, err
 	}
-	body, sum := b[:len(b)-4], binary.BigEndian.Uint32(b[len(b)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return nil, ErrChecksum
-	}
-	if body[0] != magic0 || body[1] != magic1 {
-		return nil, ErrMagic
-	}
-	if body[2] != Version {
-		return nil, fmt.Errorf("%w: %d", ErrVersion, body[2])
-	}
-	typ := Type(body[3])
+	// Concrete parseBody calls keep the reader on the stack.
+	r := reader{b: body}
 	var m Message
-	switch typ {
+	switch h.Type {
 	case TypeX:
-		m = &XPacket{}
+		mm := &XPacket{Header: h}
+		m, err = mm, mm.parseBody(&r)
 	case TypeAck:
-		m = &AckReport{}
+		mm := &AckReport{Header: h}
+		m, err = mm, mm.parseBody(&r)
 	case TypeYAnnounce:
-		m = &YAnnounce{}
+		mm := &YAnnounce{Header: h}
+		m, err = mm, mm.parseBody(&r)
 	case TypeZ:
-		m = &ZPacket{}
+		mm := &ZPacket{Header: h}
+		m, err = mm, mm.parseBody(&r)
 	case TypeSAnnounce:
-		m = &SAnnounce{}
+		mm := &SAnnounce{Header: h}
+		m, err = mm, mm.parseBody(&r)
 	case TypeBeacon:
-		m = &Beacon{}
+		mm := &Beacon{Header: h}
+		m, err = mm, mm.parseBody(&r)
 	default:
-		return nil, fmt.Errorf("%w: %d", ErrType, body[3])
+		return nil, fmt.Errorf("%w: %d", ErrType, h.Type)
 	}
-	h := m.Hdr()
-	h.Type = typ
-	h.From = body[4]
-	h.Session = binary.BigEndian.Uint32(body[5:9])
-	h.Round = binary.BigEndian.Uint16(body[9:11])
-	r := &reader{b: body[headerLen:]}
-	if err := m.parseBody(r); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	if len(r.b) != 0 {
 		return nil, ErrTrailing
 	}
 	return m, nil
+}
+
+// UnmarshalX decodes an x-packet frame into m without allocating, with
+// every check Unmarshal makes; a frame of another type is an ErrType
+// error. m.Payload aliases b, as in Unmarshal. On error m is left in an
+// unspecified state.
+func UnmarshalX(b []byte, m *XPacket) error {
+	h, body, err := header(b)
+	if err != nil {
+		return err
+	}
+	if h.Type != TypeX {
+		return fmt.Errorf("%w: %v is not an x-packet", ErrType, h.Type)
+	}
+	m.Header = h
+	r := reader{b: body}
+	if err := m.parseBody(&r); err != nil {
+		return err
+	}
+	if len(r.b) != 0 {
+		return ErrTrailing
+	}
+	return nil
+}
+
+// header checks a frame's length, checksum, magic and version, and
+// returns its header and the body between header and checksum.
+func header(b []byte) (Header, []byte, error) {
+	if len(b) < headerLen+4 {
+		return Header{}, nil, ErrShort
+	}
+	body, sum := b[:len(b)-4], binary.BigEndian.Uint32(b[len(b)-4:])
+	if crc32.ChecksumIEEE(body) != sum {
+		return Header{}, nil, ErrChecksum
+	}
+	if body[0] != magic0 || body[1] != magic1 {
+		return Header{}, nil, ErrMagic
+	}
+	if body[2] != Version {
+		return Header{}, nil, fmt.Errorf("%w: %d", ErrVersion, body[2])
+	}
+	h := Header{
+		Type:    Type(body[3]),
+		From:    body[4],
+		Session: binary.BigEndian.Uint32(body[5:9]),
+		Round:   binary.BigEndian.Uint16(body[9:11]),
+	}
+	return h, body[headerLen:], nil
 }
 
 // PeekX reads an x-packet frame's round (header bytes 9–10) and sequence

@@ -265,6 +265,50 @@ func TestMarshalSmallFramesStaySmall(t *testing.T) {
 	}
 }
 
+// TestAppendMarshalAllocs: encoding into a buffer presized with FrameLen
+// allocates nothing, and matches Marshal byte for byte.
+func TestAppendMarshalAllocs(t *testing.T) {
+	for _, m := range []Message{
+		&XPacket{Header: Header{Type: TypeX, Session: 7, Round: 3}, Seq: 9, Payload: make([]byte, 4096)},
+		&Beacon{Header: Header{Type: TypeBeacon}, Kind: BeaconEndOfX, Value: 128},
+		&ZPacket{Header: Header{Type: TypeZ}, Index: 2, Coeffs: []uint16{4, 5, 6}, Payload: make([]byte, 64)},
+		&YAnnounce{Header: Header{Type: TypeYAnnounce}, Classes: []ClassBatch{{XIDs: []uint32{1, 2}, Coeffs: [][]uint16{{3, 4}}}}},
+		&SAnnounce{Header: Header{Type: TypeSAnnounce}, Coeffs: [][]uint16{{1, 2, 3}}},
+	} {
+		buf := make([]byte, 0, FrameLen(m))
+		var frame []byte
+		if allocs := testing.AllocsPerRun(100, func() { frame = AppendMarshal(buf[:0], m) }); allocs != 0 {
+			t.Errorf("%s: AppendMarshal into a presized buffer allocated %v times", m.Hdr().Type, allocs)
+		}
+		if want := Marshal(m); string(frame) != string(want) || len(want) != FrameLen(m) {
+			t.Errorf("%s: AppendMarshal frame differs from Marshal's, or FrameLen %d != %d", m.Hdr().Type, FrameLen(m), len(want))
+		}
+	}
+}
+
+// TestXFrameDecodeAllocs: decoding an x frame in place allocates nothing,
+// aliases the payload like Unmarshal, and refuses other frame types.
+func TestXFrameDecodeAllocs(t *testing.T) {
+	want := &XPacket{Header: Header{Type: TypeX, From: 1, Session: 7, Round: 3}, Seq: 9, Payload: make([]byte, 4096)}
+	want.Payload[17] = 0xab
+	frame := Marshal(want)
+	var x XPacket
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := UnmarshalX(frame, &x); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("UnmarshalX allocated %v times per frame", allocs)
+	}
+	if !messagesEquivalent(want, &x) || &x.Payload[0] != &frame[headerLen+8] || cap(x.Payload) != len(x.Payload) {
+		t.Fatalf("UnmarshalX decoded %+v, want %+v with the payload aliasing the frame", x.Header, want.Header)
+	}
+	if err := UnmarshalX(Marshal(&Beacon{Header: Header{Type: TypeBeacon}}), &x); !errors.Is(err, ErrType) {
+		t.Fatalf("UnmarshalX of a beacon: %v, want ErrType", err)
+	}
+}
+
 // messagesEquivalent compares messages treating nil and empty slices as
 // equal (the codec cannot distinguish them, by design).
 func messagesEquivalent(a, b Message) bool {

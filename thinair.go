@@ -281,13 +281,13 @@ type (
 // NewChanBus creates an in-process broadcast bus with the given symmetric
 // erasure probability on the data plane.
 func NewChanBus(erasure float64, seed int64) Bus {
-	return transport.NewChanBus(erasure, seed)
+	return transport.NewChanBus(erasure, seed, transport.DefaultInbox)
 }
 
 // NewUDPBus creates a loopback-UDP broadcast bus (hub + ARQ control
 // plane) with the given symmetric erasure probability on the data plane.
 func NewUDPBus(erasure float64, seed int64) (Bus, error) {
-	return transport.NewUDPBus(erasure, seed)
+	return transport.NewUDPBus(erasure, seed, transport.DefaultInbox)
 }
 
 // NewObserver creates a wire-level eavesdropper for a session.
