@@ -1,7 +1,9 @@
 package gate
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -57,7 +59,7 @@ func (a *agent) run() {
 		a.lastSeen.Store(time.Now().UnixNano())
 		switch typ {
 		case frameHeartbeat:
-			if a.write(frameHeartbeat, nil) != nil {
+			if a.send(newFrame(frameHeartbeat, nil)) != nil {
 				return
 			}
 		case frameData:
@@ -114,7 +116,7 @@ func (a *agent) handshake() bool {
 		HeartbeatMS: a.g.cfg.HeartbeatEvery.Milliseconds(),
 		MaxFrame:    MaxFrameBody,
 	})
-	if a.write(frameHandshake, ack) != nil {
+	if a.send(newFrame(frameHandshake, ack)) != nil {
 		return false
 	}
 	typ, _, err = readFrame(a.conn, nil, maxControlBody)
@@ -213,10 +215,13 @@ func (a *agent) handle(req request) {
 	}
 }
 
-// write emits one frame under the write lock.
-func (a *agent) write(typ byte, body []byte) error {
+// send emits one whole frame, headers written, under the write lock.
+func (a *agent) send(frame []byte) error {
+	if len(frame)-frameHeaderLen > MaxFrameBody {
+		return errFrameTooLarge
+	}
 	a.writeMu.Lock()
-	err := writeFrame(a.conn, typ, body)
+	_, err := a.conn.Write(frame)
 	a.writeMu.Unlock()
 	if err == nil {
 		a.g.framesOut.Inc()
@@ -224,11 +229,21 @@ func (a *agent) write(typ byte, body []byte) error {
 	return err
 }
 
+// replyFrame returns an exact-size data response frame, headers
+// written, with an n-byte payload slot at frame[dataHeaderLen:]. Draw
+// and control replies are sized to fit: they never hold a chunk-sized
+// stream frame.
+func replyFrame(reqID uint32, kind byte, n int) []byte {
+	frame := make([]byte, dataHeaderLen+n)
+	putResponseHeader(frame, reqID, kind)
+	return frame
+}
+
 // reply emits one data response frame.
 func (a *agent) reply(reqID uint32, kind byte, payload []byte) error {
-	body := appendResponseHeader(make([]byte, 0, 5+len(payload)), reqID, kind)
-	body = append(body, payload...)
-	return a.write(frameData, body)
+	frame := replyFrame(reqID, kind, len(payload))
+	copy(frame[dataHeaderLen:], payload)
+	return a.send(frame)
 }
 
 // replyError emits an error response carrying the shared envelope code
@@ -236,10 +251,10 @@ func (a *agent) reply(reqID uint32, kind byte, payload []byte) error {
 func (a *agent) replyError(reqID uint32, err error) {
 	msg := err.Error()
 	code, _ := httpapi.CodeOf(err)
-	body := appendResponseHeader(make([]byte, 0, 6+len(msg)), reqID, kindError)
-	body = append(body, slugToCode[code])
-	body = append(body, msg...)
-	_ = a.write(frameData, body)
+	frame := replyFrame(reqID, kindError, 1+len(msg))
+	frame[dataHeaderLen] = slugToCode[code]
+	copy(frame[dataHeaderLen+1:], msg)
+	_ = a.send(frame)
 }
 
 // kick closes the connection server-side, best-effort sending the kick
@@ -257,27 +272,73 @@ func (a *agent) kick(reason string) {
 	a.conn.Close()
 }
 
-// chunkWriter turns backend stream writes into partial response frames
-// of at most StreamChunk bytes each.
+// streamFrames recycles partial-response frames: the header slot plus
+// one StreamChunk of payload. One pool serves the whole gate, and a
+// stream holds a frame only while it relays, so an idle connection
+// keeps no chunk buffer (a gate holds 100k+ connections).
+var streamFrames = sync.Pool{New: func() any {
+	b := make([]byte, dataHeaderLen+httpapi.StreamChunk)
+	return &b
+}}
+
+// putStreamFrame clears a frame — the key material it carried — and
+// returns it to streamFrames. All of it is cleared: the source a frame
+// was read from may use all of the buffer Read is given as scratch.
+func putStreamFrame(frame *[]byte) {
+	clear(*frame)
+	streamFrames.Put(frame)
+}
+
+// chunkWriter turns a backend's stream into partial response frames of
+// at most StreamChunk bytes each, built in pooled frames: ReadFrom
+// (what io.Copy picks, so a worker's body is read straight into the
+// frame) and Write both copy each byte once, into the frame that goes
+// to the socket.
 type chunkWriter struct {
 	a     *agent
 	reqID uint32
-	wrote bool
 }
 
-func (cw *chunkWriter) Write(p []byte) (int, error) {
-	written := 0
-	for len(p) > 0 {
-		c := p
-		if len(c) > httpapi.StreamChunk {
-			c = c[:httpapi.StreamChunk]
+// ReadFrom relays src until a clean io.EOF, filling each frame to a
+// full chunk before it goes out. Any other error from src is returned
+// unchanged after the bytes read with it are relayed, so the backend
+// sees exactly what its source reported.
+func (cw *chunkWriter) ReadFrom(src io.Reader) (int64, error) {
+	fp := streamFrames.Get().(*[]byte)
+	defer putStreamFrame(fp)
+	chunk := (*fp)[dataHeaderLen:]
+	var total int64
+	for {
+		m := 0
+		var rerr error
+		for m < len(chunk) && rerr == nil {
+			var k int
+			k, rerr = src.Read(chunk[m:])
+			m += k
 		}
-		if err := cw.a.reply(cw.reqID, kindPartial, c); err != nil {
-			return written, err
+		if m > 0 {
+			if err := cw.emit((*fp)[:dataHeaderLen+m]); err != nil {
+				return total, err
+			}
+			total += int64(m)
 		}
-		cw.wrote = true
-		written += len(c)
-		p = p[len(c):]
+		if rerr == io.EOF {
+			return total, nil
+		}
+		if rerr != nil {
+			return total, rerr
+		}
 	}
-	return written, nil
+}
+
+// Write relays p, for backends that push their bytes.
+func (cw *chunkWriter) Write(p []byte) (int, error) {
+	n, err := cw.ReadFrom(bytes.NewReader(p))
+	return int(n), err
+}
+
+// emit sends one filled frame as a partial response.
+func (cw *chunkWriter) emit(frame []byte) error {
+	putResponseHeader(frame, cw.reqID, kindPartial)
+	return cw.a.send(frame)
 }

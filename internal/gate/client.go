@@ -48,10 +48,23 @@ type Client struct {
 // pending collects one request's responses. The queue is unbounded so
 // the reader can never block delivering to a slow waiter (memory is
 // bounded by the stream range the waiter itself asked for).
+//
+// A stream range's waiter also hands over a sink: its result buffer.
+// The reader appends each partial and final payload straight into it
+// under mu, so a chunk is copied once, from the read buffer into the
+// range. The waiter detaches the sink (under mu) after it has left the
+// waiter map, so no reader writes into the buffer once its call has
+// returned.
 type pending struct {
 	mu     sync.Mutex
 	queue  []response
 	notify chan struct{} // cap 1, sticky wakeup
+	sink   []byte
+}
+
+// newPending returns a waiter; a non-nil sink receives its payloads.
+func newPending(sink []byte) *pending {
+	return &pending{notify: make(chan struct{}, 1), sink: sink}
 }
 
 // Dial connects to a gate's TCP listener and performs the handshake.
@@ -177,12 +190,31 @@ func (p *pending) wake() {
 	}
 }
 
-// push delivers one response (payload already copied) to the waiter.
-func (p *pending) push(resp response) {
+// deliver hands one response to the waiter. Its payload aliases the
+// reader's buffer, so it is appended to the sink — or, without one,
+// copied — before the buffer is reused for the next frame.
+func (p *pending) deliver(resp response) {
 	p.mu.Lock()
+	if p.sink != nil && resp.Kind != kindError {
+		p.sink = append(p.sink, resp.Payload...)
+		resp.Payload = nil
+	} else if len(resp.Payload) > 0 {
+		resp.Payload = append([]byte(nil), resp.Payload...)
+	}
 	p.queue = append(p.queue, resp)
 	p.mu.Unlock()
 	p.wake()
+}
+
+// detach takes the sink back with every payload delivered so far. Call
+// it after forget: a reader that found the waiter before then has
+// finished its append once detach holds mu.
+func (p *pending) detach() []byte {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	sink := p.sink
+	p.sink = nil
+	return sink
 }
 
 func (p *pending) pop() (response, bool) {
@@ -192,40 +224,44 @@ func (p *pending) pop() (response, bool) {
 		return response{}, false
 	}
 	r := p.queue[0]
-	p.queue = p.queue[1:]
+	// Shift rather than reslice, so the queue reuses its array instead
+	// of growing a new one for every few responses.
+	n := copy(p.queue, p.queue[1:])
+	p.queue[n] = response{}
+	p.queue = p.queue[:n]
 	return r, true
 }
 
-// send registers a waiter and writes the request frame. It returns the
-// request id it assigned: req is a copy, so the caller has no other way
-// to learn which waiter to forget.
-func (c *Client) send(req request) (uint32, *pending, error) {
+// send registers p as the request's waiter and writes the request
+// frame. It returns the request id it assigned: req is a copy, so the
+// caller has no other way to learn which waiter to forget.
+func (c *Client) send(req request, p *pending) (uint32, error) {
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
-		return 0, nil, err
+		return 0, err
 	}
 	c.nextID++
 	req.ReqID = c.nextID
-	p := &pending{notify: make(chan struct{}, 1)}
 	c.waiters[req.ReqID] = p
 	c.mu.Unlock()
 
-	body, err := appendRequest(make([]byte, 0, 64), req)
+	frame, err := appendRequest(make([]byte, frameHeaderLen, frameHeaderLen+64), req)
 	if err != nil {
 		c.forget(req.ReqID)
-		return 0, nil, err
+		return 0, err
 	}
+	putFrameHeader(frame, frameData)
 	c.writeMu.Lock()
-	err = writeFrame(c.conn, frameData, body)
+	_, err = c.conn.Write(frame)
 	c.writeMu.Unlock()
 	if err != nil {
 		c.forget(req.ReqID)
 		c.fail(fmt.Errorf("gate: send: %w", err))
-		return 0, nil, err
+		return 0, err
 	}
-	return req.ReqID, p, nil
+	return req.ReqID, nil
 }
 
 func (c *Client) forget(reqID uint32) {
@@ -290,16 +326,11 @@ func (c *Client) readOne() error {
 		if err != nil {
 			return err
 		}
-		// The payload aliases the shared read buffer: copy before the
-		// buffer is reused for the next frame.
-		if len(resp.Payload) > 0 {
-			resp.Payload = append([]byte(nil), resp.Payload...)
-		}
 		c.mu.Lock()
 		p := c.waiters[resp.ReqID]
 		c.mu.Unlock()
 		if p != nil {
-			p.push(resp)
+			p.deliver(resp)
 		}
 		return nil
 	default:
@@ -313,7 +344,8 @@ func (c *Client) call(ctx context.Context, req request) ([]byte, error) {
 		return nil, err
 	}
 	req.Span = obs.SpanID(ctx)
-	reqID, p, err := c.send(req)
+	p := newPending(nil)
+	reqID, err := c.send(req, p)
 	if err != nil {
 		return nil, err
 	}
@@ -409,33 +441,38 @@ func (c *Client) streamRangePrefix(ctx context.Context, session uint64, off, len
 		return buf, err
 	}
 	req := request{Op: opStream, Session: session, Off: off, Len: length, Span: obs.SpanID(ctx)}
-	reqID, p, err := c.send(req)
-	if err != nil {
-		return buf, err
-	}
-	defer c.forget(reqID)
 	if buf == nil {
 		buf = make([]byte, 0, length)
 	}
-	got := int64(0)
+	start := len(buf)
+	p := newPending(buf)
+	reqID, err := c.send(req, p)
+	if err == nil {
+		err = c.awaitStream(ctx, reqID, p)
+		// Forget, then detach: once the waiter has left the map no
+		// reader can find it, and detach waits out one that already had.
+		c.forget(reqID)
+	}
+	buf = p.detach()
+	if got := int64(len(buf) - start); err == nil && got != length {
+		err = fmt.Errorf("gate: stream returned %d bytes, want %d", got, length)
+	}
+	return buf, err
+}
+
+// awaitStream waits for a stream's final or error response; the
+// payloads land in p's sink.
+func (c *Client) awaitStream(ctx context.Context, reqID uint32, p *pending) error {
 	for {
 		resp, err := c.next(ctx, reqID, p)
 		if err != nil {
-			return buf, err
+			return err
 		}
 		switch resp.Kind {
-		case kindPartial:
-			buf = append(buf, resp.Payload...)
-			got += int64(len(resp.Payload))
 		case kindFinal:
-			buf = append(buf, resp.Payload...)
-			got += int64(len(resp.Payload))
-			if got != length {
-				return buf, fmt.Errorf("gate: stream returned %d bytes, want %d", got, length)
-			}
-			return buf, nil
+			return nil
 		case kindError:
-			return buf, responseError(resp)
+			return responseError(resp)
 		}
 	}
 }
@@ -454,11 +491,13 @@ func (r gateReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
-	b, err := r.c.StreamRange(context.Background(), r.session, off, int64(len(p)))
-	if err != nil {
+	// The range is appended straight into p. Capping the sink at len(p)
+	// keeps an over-long reply from writing past it: append would move
+	// it to a fresh array, and the length check fails the call.
+	if _, err := r.c.streamRangePrefix(context.Background(), r.session, off, int64(len(p)), p[:0:len(p)]); err != nil {
 		return 0, err
 	}
-	return copy(p, b), nil
+	return len(p), nil
 }
 
 var _ client.Client = (*Client)(nil)

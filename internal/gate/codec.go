@@ -141,18 +141,46 @@ type handshakeAck struct {
 // protocolVersion is the only version both ends speak today.
 const protocolVersion = 1
 
+// Header sizes: every frame starts with type:1 + length:3, and every
+// data response continues with reqid:4 + kind:1. Frames are built in
+// place behind a header slot of this size, so each goes out in one
+// write — interleaving matters more than copies on a multiplexed
+// connection — without a second copy of its body.
+const (
+	frameHeaderLen = 4
+	dataHeaderLen  = frameHeaderLen + 5
+)
+
+// putFrameHeader writes the type and length of the frame whose body is
+// frame[frameHeaderLen:]. A body over MaxFrameBody does not fit the
+// length: writeFrame and agent.send refuse such a frame.
+func putFrameHeader(frame []byte, typ byte) {
+	n := len(frame) - frameHeaderLen
+	frame[0], frame[1], frame[2], frame[3] = typ, byte(n>>16), byte(n>>8), byte(n)
+}
+
+// putResponseHeader writes the frame and response headers of the data
+// response whose payload is frame[dataHeaderLen:].
+func putResponseHeader(frame []byte, reqID uint32, kind byte) {
+	putFrameHeader(frame, frameData)
+	binary.BigEndian.PutUint32(frame[frameHeaderLen:], reqID)
+	frame[frameHeaderLen+4] = kind
+}
+
+// newFrame returns the frame of type typ carrying body.
+func newFrame(typ byte, body []byte) []byte {
+	frame := make([]byte, frameHeaderLen+len(body))
+	copy(frame[frameHeaderLen:], body)
+	putFrameHeader(frame, typ)
+	return frame
+}
+
 // writeFrame emits one frame. Callers serialize access to w themselves.
 func writeFrame(w io.Writer, typ byte, body []byte) error {
 	if len(body) > MaxFrameBody {
 		return errFrameTooLarge
 	}
-	hdr := [4]byte{typ, byte(len(body) >> 16), byte(len(body) >> 8), byte(len(body))}
-	// One write per frame where it fits: interleaving matters more than
-	// copies on a multiplexed connection.
-	buf := make([]byte, 0, 4+len(body))
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, body...)
-	_, err := w.Write(buf)
+	_, err := w.Write(newFrame(typ, body))
 	return err
 }
 

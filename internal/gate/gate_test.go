@@ -451,8 +451,9 @@ func TestBackendErrorsMapThroughFrames(t *testing.T) {
 }
 
 // TestConcurrentMultiplexing hammers one connection from many
-// goroutines; the per-session pattern proves responses never land on
-// the wrong request.
+// goroutines with draws and stream ranges; the per-session pattern
+// proves responses never land on the wrong request, and no range's
+// chunks land in another's buffer.
 func TestConcurrentMultiplexing(t *testing.T) {
 	g := newTestGate(t, Config{})
 	c := dialPipe(t, g)
@@ -480,6 +481,25 @@ func TestConcurrentMultiplexing(t *testing.T) {
 						errc <- fmt.Errorf("worker %d: byte %d crossed wires", w, j)
 						return
 					}
+				}
+				if i%8 != 0 {
+					continue
+				}
+				off, length := int64(i*100), int64(1+(w*7919+i*104729)%(httpapi.StreamChunk+4096))
+				got, err := c.StreamRange(ctx, session, off, length)
+				if err != nil {
+					errc <- fmt.Errorf("worker %d range %d: %w", w, i, err)
+					return
+				}
+				for j, bch := range got {
+					if bch != patternByte(session, off+int64(j)) {
+						errc <- fmt.Errorf("worker %d: range byte %d crossed wires", w, j)
+						return
+					}
+				}
+				if int64(len(got)) != length {
+					errc <- fmt.Errorf("worker %d: range of %d bytes, want %d", w, len(got), length)
+					return
 				}
 			}
 			errc <- nil

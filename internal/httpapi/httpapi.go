@@ -12,6 +12,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 )
 
 // Error codes: the machine-readable slugs carried in the /v1 error
@@ -119,6 +120,20 @@ const (
 // time-to-first-byte stays a single block derivation.
 const StreamChunk = 64 << 10
 
+// streamChunks recycles StreamBody's StreamChunk copy buffers across
+// requests.
+var streamChunks = sync.Pool{New: func() any {
+	b := make([]byte, StreamChunk)
+	return &b
+}}
+
+// putStreamChunk clears the first used bytes of a chunk buffer — the key
+// material it carried — and returns it to streamChunks.
+func putStreamChunk(chunk *[]byte, used int) {
+	clear((*chunk)[:used])
+	streamChunks.Put(chunk)
+}
+
 // StreamBody writes the n-byte stream-range body from src as an
 // application/octet-stream response with Content-Length n, flushing each
 // chunk so the client's time-to-first-byte tracks the producer pipeline
@@ -135,13 +150,17 @@ func StreamBody(w http.ResponseWriter, r *http.Request, src io.Reader, n int64) 
 	w.Header().Set("Content-Length", strconv.FormatInt(n, 10))
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	buf := make([]byte, StreamChunk)
+	bp := streamChunks.Get().(*[]byte)
+	used := 0
+	defer func() { putStreamChunk(bp, used) }()
 	var written int64
 	for written < n {
-		c := buf
+		c := *bp
 		if rem := n - written; rem < int64(len(c)) {
 			c = c[:rem]
 		}
+		// A Reader may use all of c as scratch, so all of it is cleared.
+		used = max(used, len(c))
 		m, rerr := src.Read(c)
 		if m > 0 {
 			written += int64(m)
