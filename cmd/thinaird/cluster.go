@@ -99,7 +99,7 @@ func runCoordinator(args []string) {
 func runWorker(args []string) {
 	fs := flag.NewFlagSet("thinaird worker", flag.ExitOnError)
 	var (
-		ctl        = fs.String("ctl", "127.0.0.1:0", "control RPC listen address (loopback)")
+		ctl        = fs.String("ctl", "127.0.0.1:0", "listen address for the control RPC and the session data plane (loopback)")
 		capacity   = fs.Int("capacity", 16, "max concurrently running sessions")
 		drain      = fs.Duration("drain", 10*time.Second, "graceful drain window per session")
 		slot       = fs.Int("slot", 0, "coordinator slot index (labels logs)")
@@ -128,8 +128,10 @@ func runWorker(args []string) {
 	// gone. With -orphan-grace the worker keeps serving for a bounded
 	// window — a coordinator restarted on its state dir re-adopts the
 	// worker by probing /ctl, and every control RPC (heartbeats
-	// included) resets the silence clock. Only sustained control silence
-	// past the grace drains and exits; grace 0 is the immediate exit.
+	// included) resets the silence clock; draws and ranges on the /v1
+	// data plane, a gate's included, do not. Only sustained control
+	// silence past the grace drains and exits; grace 0 is the immediate
+	// exit.
 	orphaned := make(chan struct{})
 	if *supervised {
 		parent := os.Getppid()

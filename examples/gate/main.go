@@ -43,7 +43,7 @@ func main() {
 	if err := s.WaitReady(ctx); err != nil {
 		log.Fatal(err)
 	}
-	session := uint64(s.ID)
+	session := s.ID
 
 	// The gate serves the session over persistent frame connections.
 	g := thinair.NewGate(thinair.GateConfig{

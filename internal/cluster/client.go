@@ -16,10 +16,11 @@ import (
 	"repro/internal/service"
 )
 
-// WorkerClient is the coordinator's handle on one worker's control RPC.
-// Transport-level failures surface as ErrUnreachable; RPC rejections
-// decode through httpapi.DecodeError back to the typed errors the worker
-// raised (ErrDraining, ErrDuplicate, service.ErrSaturated,
+// WorkerClient is the coordinator's (and a gate's) handle on one worker:
+// its /ctl control RPC and its /v1 session data plane. Transport-level
+// failures surface as ErrUnreachable; rejections decode through
+// httpapi.DecodeError back to the typed errors the worker raised
+// (ErrDraining, ErrDuplicate, service.ErrSaturated,
 // keypool.ErrExhausted/ErrClosed, ErrNotFound, ...).
 type WorkerClient struct {
 	base string
@@ -202,20 +203,20 @@ func (c *WorkerClient) Assign(ctx context.Context, cid uint64, spec service.Sess
 
 // Close gracefully stops one cluster session on the worker.
 func (c *WorkerClient) Close(ctx context.Context, cid uint64) error {
-	return c.do(ctx, "close", http.MethodDelete, fmt.Sprintf("/ctl/sessions/%d", cid), nil, nil)
+	return c.do(ctx, "close", http.MethodDelete, fmt.Sprintf("/v1/sessions/%d", cid), nil, nil)
 }
 
 // Metrics snapshots one cluster session on the worker.
 func (c *WorkerClient) Metrics(ctx context.Context, cid uint64) (service.SessionMetrics, error) {
 	var m service.SessionMetrics
-	err := c.do(ctx, "metrics", http.MethodGet, fmt.Sprintf("/ctl/sessions/%d", cid), nil, &m)
+	err := c.do(ctx, "metrics", http.MethodGet, fmt.Sprintf("/v1/sessions/%d", cid), nil, &m)
 	return m, err
 }
 
 // Draw dispenses n bytes of key material from a cluster session.
 func (c *WorkerClient) Draw(ctx context.Context, cid uint64, n int) ([]byte, error) {
-	var dr drawResponse
-	if err := c.do(ctx, "draw", http.MethodPost, fmt.Sprintf("/ctl/sessions/%d/draw?bytes=%d", cid, n), nil, &dr); err != nil {
+	var dr httpapi.DrawResponse
+	if err := c.do(ctx, "draw", http.MethodPost, fmt.Sprintf("/v1/sessions/%d/draw?bytes=%d", cid, n), nil, &dr); err != nil {
 		return nil, err
 	}
 	return hex.DecodeString(dr.Key)
@@ -228,7 +229,7 @@ func (c *WorkerClient) Draw(ctx context.Context, cid uint64, n int) ([]byte, err
 // request, possibly short with an error on a mid-body failure.
 func (c *WorkerClient) StreamRangeTo(ctx context.Context, cid uint64, off, n int64, w io.Writer) (int64, error) {
 	return c.doStream(ctx,
-		fmt.Sprintf("/ctl/sessions/%d/stream?offset=%d&len=%d", cid, off, n), n, w)
+		fmt.Sprintf("/v1/sessions/%d/stream?offset=%d&len=%d", cid, off, n), n, w)
 }
 
 // StreamRange reads key-material bytes [off, off+n) from a cluster

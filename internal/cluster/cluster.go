@@ -13,17 +13,20 @@
 // deterministic seed re-derives the same key stream from round zero.
 //
 // Control plane (coordinator -> worker) is a small RPC surface over
-// loopback HTTP, mounted under /ctl/ next to the worker's ordinary
-// service handler:
+// loopback HTTP under /ctl/:
 //
-//	GET    /ctl/healthz                heartbeat probe
-//	GET    /ctl/stats                  worker + per-session snapshot
-//	POST   /ctl/assign                 place a cluster session (id + spec)
-//	POST   /ctl/drain                  drain every session, zeroize pools
-//	GET    /ctl/sessions/{cid}         one session's metrics
-//	DELETE /ctl/sessions/{cid}         close one session
-//	POST   /ctl/sessions/{cid}/draw    draw key material
-//	GET    /ctl/sessions/{cid}/stream  bulk key material (?offset=&len=)
+//	GET    /ctl/healthz   heartbeat probe
+//	GET    /ctl/stats     worker + per-session snapshot
+//	GET    /ctl/metrics   registry snapshot for the fleet merge
+//	GET    /ctl/trace     span events (?span= narrows)
+//	POST   /ctl/assign    place a cluster session (id + spec)
+//	POST   /ctl/drain     drain every session, zeroize pools
+//
+// Only these calls reset a worker's orphan clock. A worker's session data
+// plane is its service's ordinary /v1/sessions/{id} routes, on cluster
+// ids: the service holds each session under its cluster id, so draws,
+// ranges, snapshots and closes from the coordinator or a gate address the
+// same id a client does, and the worker's /metrics labels it so.
 //
 // cmd/thinaird exposes both halves as the `coordinator` and `worker`
 // subcommands; ExecSpawner wires them together as real OS processes and
@@ -71,14 +74,6 @@ type assignRequest struct {
 	Spec service.SessionSpec `json:"spec"`
 }
 
-// drawResponse is the wire body of a successful draw (both tiers use the
-// same shape as the single-process service API).
-type drawResponse struct {
-	Session uint64 `json:"session"`
-	Bytes   int    `json:"bytes"`
-	Key     string `json:"key"`
-}
-
 // The wire helpers are shared with the single-process service API
 // (internal/httpapi) so the two tiers' envelopes cannot diverge.
 var (
@@ -93,7 +88,7 @@ func badRequest(w http.ResponseWriter, err error) {
 	httpapi.Error(w, http.StatusBadRequest, httpapi.CodeBadRequest, err)
 }
 
-// sessionIDFromPath parses the {id} path value both tiers use to
+// sessionIDFromPath parses the {id} path value the coordinator uses to
 // address cluster sessions.
 func sessionIDFromPath(w http.ResponseWriter, r *http.Request) (uint64, bool) {
 	cid, err := strconv.ParseUint(r.PathValue("id"), 10, 64)

@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/httpapi"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
@@ -182,7 +183,7 @@ func (cp *coordProc) draw(t *testing.T, cid uint64, n int, within time.Duration)
 	t.Helper()
 	var key []byte
 	waitFor(t, within, fmt.Sprintf("draw from session %d", cid), func() bool {
-		var dr drawResponse
+		var dr httpapi.DrawResponse
 		code := cp.postJSON(fmt.Sprintf("/v1/sessions/%d/draw?bytes=%d", cid, n), nil, &dr)
 		if code != http.StatusOK {
 			return false

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"repro/internal/httpapi"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
@@ -164,7 +165,7 @@ func (c *Coordinator) Handler() http.Handler {
 				"cluster_session", strconv.FormatUint(cid, 10),
 				"bytes", strconv.Itoa(n))
 		}
-		writeJSON(w, http.StatusOK, drawResponse{
+		writeJSON(w, http.StatusOK, httpapi.DrawResponse{
 			Session: cid, Bytes: n, Key: hex.EncodeToString(key),
 		})
 	})

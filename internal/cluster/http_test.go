@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/httpapi"
 )
 
 // TestCoordinatorHTTPSurface drives the public API end to end over
@@ -81,7 +83,7 @@ func TestCoordinatorHTTPSurface(t *testing.T) {
 		return si.Metrics != nil && si.Metrics.Pool.Available >= spec.TargetDepth
 	})
 
-	var dr drawResponse
+	var dr httpapi.DrawResponse
 	if code := post(fmt.Sprintf("/v1/sessions/%d/draw?bytes=48", info.ID), nil, &dr); code != http.StatusOK {
 		t.Fatalf("draw status %d", code)
 	}

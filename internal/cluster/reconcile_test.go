@@ -47,7 +47,7 @@ func TestCoordinatorReconcileLostSession(t *testing.T) {
 
 	// Kill the session worker-side only; the worker stays healthy.
 	w := workerBehind(t, rs.current(0))
-	if err := w.Close(info.ID); err != nil {
+	if err := w.Service().Close(info.ID); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 30*time.Second, "reconcile to mark the session failed", func() bool {
@@ -95,7 +95,7 @@ func TestCoordinatorDrawDetectsLostSession(t *testing.T) {
 	}
 	waitConverged(t, c, info.ID, fastSpec(89).TargetDepth)
 	w := workerBehind(t, rs.current(0))
-	if err := w.Close(info.ID); err != nil {
+	if err := w.Service().Close(info.ID); err != nil {
 		t.Fatal(err)
 	}
 	// Inside the settling grace the miss is retryable — a draw racing a

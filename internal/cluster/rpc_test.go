@@ -1,9 +1,15 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -197,5 +203,138 @@ func TestWorkerAssignDrawRoundTrip(t *testing.T) {
 	}
 	if _, err := cl.Metrics(ctx, 11); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("metrics after close: %v, want ErrNotFound", err)
+	}
+}
+
+// TestSingleSessionIDSpace: a worker hosts each session under its cluster
+// id, so with sessions spread over two workers the coordinator's
+// snapshot, the worker's /v1 route, WorkerClient.Metrics and the
+// worker's /metrics all name session cid as cid.
+func TestSingleSessionIDSpace(t *testing.T) {
+	cfg := testConfig(nil)
+	cfg.Workers = 2
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown(context.Background())
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	ctx := context.Background()
+
+	workers := make(map[int]bool)
+	for i := range 3 {
+		spec := fastSpec(int64(500 + i))
+		spec.Name = fmt.Sprintf("idspace-%d", i)
+		info, err := c.Create(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		workers[info.Worker] = true
+	}
+	if len(workers) < 2 {
+		t.Fatalf("sessions placed on %d workers, want at least 2", len(workers))
+	}
+	for cid := uint64(1); cid <= 3; cid++ {
+		var info SessionInfo
+		getJSON(t, fmt.Sprintf("%s/v1/sessions/%d", srv.URL, cid), &info)
+		if info.Metrics == nil || info.Metrics.ID != cid {
+			t.Fatalf("coordinator snapshot of session %d: metrics %+v, want id %d", cid, info.Metrics, cid)
+		}
+		wurl := c.Metrics().Workers[info.Worker].URL
+		viaClient, err := NewWorkerClient(wurl).Metrics(ctx, cid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var viaRoute service.SessionMetrics
+		getJSON(t, fmt.Sprintf("%s/v1/sessions/%d", wurl, cid), &viaRoute)
+		if viaRoute.ID != cid || viaClient.ID != cid || viaRoute.Name != viaClient.Name || viaRoute.Name != info.Name {
+			t.Fatalf("session %d: worker /v1 route answers %d %q, WorkerClient.Metrics %d %q, want id %d %q",
+				cid, viaRoute.ID, viaRoute.Name, viaClient.ID, viaClient.Name, cid, info.Name)
+		}
+		resp, err := http.Get(wurl + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		prom, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if want := fmt.Sprintf(`session="%d",name=%q`, cid, info.Name); !strings.Contains(string(prom), want) {
+			t.Fatalf("worker /metrics does not label session %d as %s", cid, want)
+		}
+	}
+}
+
+// getJSON fetches url and decodes its 200 JSON body into out.
+func getJSON(t *testing.T, url string, out any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOnlyControlAdvancesOrphanClock: the orphan clock measures
+// coordinator silence, so draws and stream ranges through WorkerClient
+// leave LastControlActivity where it was, and a control call advances
+// it.
+func TestOnlyControlAdvancesOrphanClock(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	w, cl := newTestWorker(t, WorkerConfig{Capacity: 2})
+	s, err := w.Assign(3, fastSpec(61))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WaitReady(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Health(ctx); err != nil {
+		t.Fatal(err)
+	}
+	before := w.LastControlActivity()
+	if _, err := cl.Draw(ctx, 3, 16); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.StreamRange(ctx, 3, 0, 4096); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.LastControlActivity(); !got.Equal(before) {
+		t.Fatalf("data-plane traffic moved the orphan clock from %v to %v", before, got)
+	}
+	if err := cl.Health(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.LastControlActivity(); !got.After(before) {
+		t.Fatalf("/ctl/healthz left the orphan clock at %v, want after %v", got, before)
+	}
+}
+
+// TestWorkerRefusesOffBooksCreate: a worker creates sessions only through
+// /ctl/assign, so the service's POST /v1/sessions is refused and leaves
+// nothing the coordinator's reconcile could not see.
+func TestWorkerRefusesOffBooksCreate(t *testing.T) {
+	w, cl := newTestWorker(t, WorkerConfig{Capacity: 2})
+	body, err := json.Marshal(fastSpec(62))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(cl.URL()+"/v1/sessions", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode < 400 {
+		t.Fatalf("POST /v1/sessions on a worker answered %d, want a refusal", resp.StatusCode)
+	}
+	if n := len(w.Service().Sessions()); n != 0 {
+		t.Fatalf("worker service holds %d sessions after a refused create, want 0", n)
 	}
 }

@@ -122,7 +122,7 @@ type ClusterBackendConfig struct {
 }
 
 // ClusterBackend serves draws and stream ranges straight from owning
-// workers' /ctl RPCs. Ownership is resolved once per session via the
+// workers' /v1 session routes. Ownership is resolved once per session via the
 // Resolver and cached; the cache invalidates two ways — reactively,
 // when a worker RPC comes back with a stale-owner error (not-found,
 // unreachable, draining), and proactively, when the watch poll sees the
@@ -133,7 +133,7 @@ type ClusterBackend struct {
 
 	mu      sync.Mutex
 	owners  map[uint64]*cluster.WorkerClient // session → its owner's client
-	clients map[string]*cluster.WorkerClient // /ctl URL → shared client
+	clients map[string]*cluster.WorkerClient // worker URL → shared client
 	epoch   uint64
 
 	stop     chan struct{}
@@ -391,10 +391,7 @@ func (sb ServiceBackend) StreamTo(_ context.Context, session uint64, off, n int6
 }
 
 func (sb ServiceBackend) get(session uint64) (*service.Session, error) {
-	if session > 1<<32-1 {
-		return nil, fmt.Errorf("%w: session %d", service.ErrNotFound, session)
-	}
 	// Lookup (not Get) so a permanently dead session surfaces as
 	// ErrFailed over the frame protocol too, matching the HTTP tiers.
-	return sb.SV.Lookup(uint32(session))
+	return sb.SV.Lookup(session)
 }

@@ -31,7 +31,7 @@ type Client struct {
 	conn net.Conn
 
 	readSem chan struct{} // cap 1: its holder is the connection's reader
-	readBuf []byte        // owned by the readSem holder
+	readBuf []byte        // owned by the readSem holder; at most maxReadBuf
 
 	writeMu sync.Mutex
 
@@ -308,14 +308,39 @@ func (c *Client) next(ctx context.Context, reqID uint32, p *pending) (response, 
 	}
 }
 
+// maxReadBuf bounds the read buffer a client keeps between frames. A
+// larger frame — a stream partial — is read into a frame borrowed from
+// the gate-wide streamFrames pool and handed back once dispatched, so an
+// idle client holds no chunk-sized buffer (a process may hold 100k+
+// clients).
+const maxReadBuf = 4 << 10
+
 // readOne reads and dispatches a single frame. Runs only while holding
-// the reader role.
+// the reader role. Dispatch copies the payload out, so the body — key
+// material, mostly — is cleared before its buffer is reused or pooled.
 func (c *Client) readOne() error {
-	typ, body, err := readFrame(c.conn, c.readBuf, 0)
+	typ, n, err := readFrameHeader(c.conn, 0)
 	if err != nil {
 		return fmt.Errorf("gate: read: %w", err)
 	}
-	c.readBuf = body[:cap(body)]
+	var body []byte
+	switch {
+	case n <= maxReadBuf:
+		if n > cap(c.readBuf) {
+			c.readBuf = make([]byte, n)
+		}
+		body = c.readBuf[:n]
+	case n <= dataHeaderLen+httpapi.StreamChunk:
+		fp := streamFrames.Get().(*[]byte)
+		defer streamFrames.Put(fp)
+		body = (*fp)[:n]
+	default:
+		body = make([]byte, n)
+	}
+	defer clear(body)
+	if _, err := io.ReadFull(c.conn, body); err != nil {
+		return fmt.Errorf("gate: read: %w", err)
+	}
 	switch typ {
 	case frameHeartbeat:
 		return nil // server echo of our own heartbeat

@@ -2,8 +2,8 @@
 // long-lived TCP (or WebSocket) connections speaking a small binary
 // frame protocol, resolves session→worker ownership once via the
 // coordinator, caches it, and serves draws and stream ranges directly
-// from the owning worker's /ctl RPC surface — the coordinator only ever
-// resolves ownership, it never relays key material.
+// from the owning worker's /v1 session routes — the coordinator only
+// ever resolves ownership, it never relays key material.
 //
 // Frame format (the lonng/nano package shape):
 //
@@ -187,16 +187,9 @@ func writeFrame(w io.Writer, typ byte, body []byte) error {
 // readFrame reads one frame, reusing buf for the body when it fits.
 // maxBody bounds the accepted body length (0 means MaxFrameBody).
 func readFrame(r io.Reader, buf []byte, maxBody int) (typ byte, body []byte, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	typ, n, err := readFrameHeader(r, maxBody)
+	if err != nil {
 		return 0, nil, err
-	}
-	n := int(hdr[1])<<16 | int(hdr[2])<<8 | int(hdr[3])
-	if maxBody <= 0 {
-		maxBody = MaxFrameBody
-	}
-	if n > maxBody {
-		return 0, nil, errFrameTooLarge
 	}
 	if n > cap(buf) {
 		buf = make([]byte, n)
@@ -205,7 +198,24 @@ func readFrame(r io.Reader, buf []byte, maxBody int) (typ byte, body []byte, err
 	if _, err := io.ReadFull(r, body); err != nil {
 		return 0, nil, err
 	}
-	return hdr[0], body, nil
+	return typ, body, nil
+}
+
+// readFrameHeader reads one frame header: the type and the body length,
+// bounded by maxBody (0 means MaxFrameBody).
+func readFrameHeader(r io.Reader, maxBody int) (typ byte, n int, err error) {
+	var hdr [frameHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, 0, err
+	}
+	n = int(hdr[1])<<16 | int(hdr[2])<<8 | int(hdr[3])
+	if maxBody <= 0 {
+		maxBody = MaxFrameBody
+	}
+	if n > maxBody {
+		return 0, 0, errFrameTooLarge
+	}
+	return hdr[0], n, nil
 }
 
 // request is one decoded data-frame request.

@@ -252,7 +252,7 @@ func TestReconnectResumesDefaultClusterSession(t *testing.T) {
 }
 
 // TestGateServesWithoutCoordinatorRelay: every byte of key material the
-// gate serves comes from worker /ctl RPCs — the coordinator answers
+// gate serves comes from workers' session routes — the coordinator answers
 // ownership lookups only, never draw or stream requests.
 func TestGateServesWithoutCoordinatorRelay(t *testing.T) {
 	if testing.Short() {

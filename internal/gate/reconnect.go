@@ -220,7 +220,12 @@ func (rc *ReconnectClient) DrawN(ctx context.Context, session uint64, n, count i
 // next connection — each byte of the range is delivered exactly once.
 // Every session's ranges are addressed, so the resume re-reads nothing.
 func (rc *ReconnectClient) StreamRange(ctx context.Context, session uint64, off, length int64) ([]byte, error) {
-	var buf []byte
+	return rc.streamRangeInto(ctx, session, off, length, nil)
+}
+
+// streamRangeInto is StreamRange appending into the empty buf (a fresh
+// buffer when nil), which also holds the prefix each resume starts from.
+func (rc *ReconnectClient) streamRangeInto(ctx context.Context, session uint64, off, length int64, buf []byte) ([]byte, error) {
 	for {
 		c, err := rc.live(ctx)
 		if err != nil {
@@ -253,11 +258,13 @@ func (r reconnectReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
-	b, err := r.rc.StreamRange(context.Background(), r.session, off, int64(len(p)))
-	if err != nil {
+	// As with the plain client, the range is appended straight into p,
+	// capped at len(p) so an over-long reply cannot write past it; each
+	// resume after a cut appends the remainder behind the prefix.
+	if _, err := r.rc.streamRangeInto(context.Background(), r.session, off, int64(len(p)), p[:0:len(p)]); err != nil {
 		return 0, err
 	}
-	return copy(p, b), nil
+	return len(p), nil
 }
 
 // Close shuts the wrapper down; subsequent calls return ErrClientClosed.

@@ -7,10 +7,14 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/client"
 )
 
 // pipeDialer builds ReconnectConfig.Dial closures over net.Pipe so
@@ -285,5 +289,86 @@ func TestReconnectClosedStaysClosed(t *testing.T) {
 	rc.Close()
 	if _, err := rc.Draw(context.Background(), 1, 8); !errors.Is(err, ErrClientClosed) {
 		t.Fatalf("draw on closed reconnect client: %v, want ErrClientClosed", err)
+	}
+}
+
+// TestReconnectReaderAtReadsIntoCaller: the reconnecting client's ReadAt
+// appends the range straight into the caller's slice, as the plain
+// client's does — the same bytes as StreamRange, a typed error answered
+// without a resume, a gate cut mid-range ridden through with each byte
+// delivered once, and nothing range-sized allocated.
+func TestReconnectReaderAtReadsIntoCaller(t *testing.T) {
+	const length = 256 << 10
+	ctx := context.Background()
+	b := &bodyBackend{failAt: -1}
+	d := &pipeDialer{g: newTestGate(t, Config{Backend: b})}
+	rc := NewReconnectClient(ReconnectConfig{Dial: d.dial})
+	defer rc.Close()
+	want, err := rc.StreamRange(ctx, 6, 4096, length)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := make([]byte, length)
+	ra := rc.ReaderAt(6)
+	if n, err := ra.ReadAt(p, 4096); err != nil || n != length {
+		t.Fatalf("ReadAt: %d bytes, err %v", n, err)
+	}
+	if !bytes.Equal(p, want) {
+		t.Fatal("ReadAt bytes differ from StreamRange's")
+	}
+	if !raceEnabled {
+		var before, after runtime.MemStats
+		const reads = 16
+		runtime.ReadMemStats(&before)
+		for i := int64(0); i < reads; i++ {
+			if _, err := ra.ReadAt(p, i*length); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / reads; per >= 32<<10 {
+			t.Fatalf("ReadAt of %d KiB allocated %d bytes, want < 32 KiB", length>>10, per)
+		}
+	}
+
+	// A typed error is the backend's answer: no resume, no redial.
+	failing := &bodyBackend{failAt: 100 << 10, err: fmt.Errorf("worker body: %w", client.ErrFailed)}
+	fd := &pipeDialer{g: newTestGate(t, Config{Backend: failing})}
+	frc := NewReconnectClient(ReconnectConfig{Dial: fd.dial})
+	defer frc.Close()
+	if n, err := frc.ReaderAt(6).ReadAt(p, 0); !errors.Is(err, client.ErrFailed) || n != 0 {
+		t.Fatalf("ReadAt over a failing body: %d bytes, err %v; want 0 and ErrFailed", n, err)
+	}
+	if n := failing.streams.Load(); n != 1 || frc.Redials() != 0 {
+		t.Fatalf("failing ReadAt made %d backend streams and %d redials, want 1 and 0", n, frc.Redials())
+	}
+
+	// A cut halfway resumes from the written offset into the same slice.
+	rb := &resumeBackend{}
+	cd := &pipeDialer{g: newTestGate(t, Config{Backend: rb})}
+	rb.kill = cd.killLast
+	crc := NewReconnectClient(ReconnectConfig{Dial: cd.dial})
+	defer crc.Close()
+	const session, off, short = 9, 1000, 64
+	arr := make([]byte, short+16)
+	if n, err := crc.ReaderAt(session).ReadAt(arr[:short], off); err != nil || n != short {
+		t.Fatalf("ReadAt across a mid-range cut: %d bytes, err %v", n, err)
+	}
+	for i := range short {
+		if arr[i] != patternByte(session, off+int64(i)) {
+			t.Fatalf("byte %d of the resumed range differs from the pattern", i)
+		}
+	}
+	if !bytes.Equal(arr[short:], make([]byte, 16)) {
+		t.Fatal("ReadAt wrote past len(p)")
+	}
+	rb.smu.Lock()
+	calls := append([][2]int64(nil), rb.calls...)
+	rb.smu.Unlock()
+	if wantCalls := [][2]int64{{off, short}, {off + short/2, short / 2}}; !slices.Equal(calls, wantCalls) {
+		t.Fatalf("backend requests %v, want %v — not a written-offset resume", calls, wantCalls)
+	}
+	if crc.Redials() != 1 {
+		t.Fatalf("redials = %d, want 1", crc.Redials())
 	}
 }

@@ -41,8 +41,8 @@ func (r *patternReader) Read(p []byte) (int, error) {
 }
 
 // bodyBackend copies a patternReader body into the gate's writer the
-// way cluster.WorkerClient.doStream copies a worker's /ctl body: io.Copy
-// over a LimitReader — so the gate's chunkWriter.ReadFrom does the
+// way cluster.WorkerClient.doStream copies a worker's /v1 stream body:
+// io.Copy over a LimitReader — so the gate's chunkWriter.ReadFrom does the
 // reading — a copy error returned unchanged, and a short body reported
 // as a truncation.
 type bodyBackend struct {
@@ -327,5 +327,27 @@ func TestStreamFramePutClears(t *testing.T) {
 	putStreamFrame(fp)
 	if !bytes.Equal(frame, make([]byte, len(frame))) {
 		t.Fatal("pooled stream frame still holds key bytes")
+	}
+}
+
+// TestIdleClientKeepsNoReadBuffer: once a range has completed, the client
+// keeps no chunk-sized read buffer — partials are read into pooled frames
+// handed back after dispatch — and the small buffer it does keep holds no
+// key bytes.
+func TestIdleClientKeepsNoReadBuffer(t *testing.T) {
+	g := newTestGate(t, Config{Backend: &bodyBackend{failAt: -1}})
+	c := dialPipe(t, g)
+	ctx := context.Background()
+	if _, err := c.StreamRange(ctx, 2, 0, 4*httpapi.StreamChunk+100); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Draw(ctx, 2, 32); err != nil {
+		t.Fatal(err)
+	}
+	if n := cap(c.readBuf); n > 4<<10 {
+		t.Fatalf("idle client keeps a %d-byte read buffer, want at most 4 KiB", n)
+	}
+	if buf := c.readBuf[:cap(c.readBuf)]; !bytes.Equal(buf, make([]byte, len(buf))) {
+		t.Fatal("idle client's read buffer still holds key bytes")
 	}
 }

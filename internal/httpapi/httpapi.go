@@ -1,9 +1,9 @@
 // Package httpapi is the key-access contract every tier serves — the
-// daemon's /v1 API, the coordinator's /v1 API, the worker /ctl RPC and
-// the gate's frames: the error codes, their HTTP statuses and the typed
-// errors behind them (errors.go, the one place that mapping is defined),
-// the JSON error envelope, and the draw and stream-range parameter
-// bounds.
+// daemon's /v1 API, the coordinator's /v1 API, a cluster worker's /v1
+// data plane and /ctl RPC, and the gate's frames: the error codes, their
+// HTTP statuses and the typed errors behind them (errors.go, the one
+// place that mapping is defined), the JSON error envelope, the draw
+// response body, and the draw and stream-range parameter bounds.
 package httpapi
 
 import (
@@ -84,6 +84,13 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 // rejections, which name CodeBadRequest themselves.
 func Error(w http.ResponseWriter, status int, code string, err error) {
 	WriteJSON(w, status, ErrorBody{Error: ErrorDetail{Code: code, Message: err.Error()}})
+}
+
+// DrawResponse is the body of a successful draw on every HTTP tier.
+type DrawResponse struct {
+	Session uint64 `json:"session"`
+	Bytes   int    `json:"bytes"`
+	Key     string `json:"key"` // hex
 }
 
 // MaxDrawBytes caps one key draw (1 MiB).

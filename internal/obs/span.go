@@ -18,7 +18,7 @@ import (
 
 // SpanHeader carries a span ID across process boundaries: minted at
 // the daemon/coordinator HTTP edge, echoed on the response, and
-// forwarded on every /ctl RPC so one draw's record chains
+// forwarded on every worker RPC so one draw's record chains
 // edge → worker → engine round.
 const SpanHeader = "X-Thinair-Span"
 

@@ -4,8 +4,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
+	"os"
 	"strconv"
 	"time"
 
@@ -117,33 +117,28 @@ func (sv *Service) Handler() http.Handler {
 		if err != nil {
 			err = keyError(w, s, err)
 			if obsOn {
-				sv.drawErr.ObserveSince(t0)
+				now := time.Now()
+				sv.drawErr.Observe(now.Sub(t0).Seconds())
 				if span != "" {
-					sv.spans.RecordKV(span, "edge", "draw",
-						"session", strconv.FormatUint(uint64(s.ID), 10),
-						"error", err.Error())
+					sv.recordHop(now, span, s, "draw", "error", err.Error())
 				}
 			}
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"session": s.ID,
-			"bytes":   n,
-			"key":     hex.EncodeToString(key),
+		writeJSON(w, http.StatusOK, httpapi.DrawResponse{
+			Session: s.ID, Bytes: n, Key: hex.EncodeToString(key),
 		})
 		if obsOn {
 			// An untraced draw pays for two clock reads and the histogram
 			// observation — nothing else. A traced one (span != "") adds
-			// one ring record; RecordKVAt shares the clock read with the
+			// two ring records; RecordKVAt shares the clock read with the
 			// observation and takes attributes without a map allocation.
 			// The thinair-bench overhead gate holds the instrumented draw
 			// under 2% of the stripped one.
 			now := time.Now()
 			sv.drawOK.Observe(now.Sub(t0).Seconds())
 			if span != "" {
-				sv.spans.RecordKVAt(now, span, "edge", "draw",
-					"session", strconv.FormatUint(uint64(s.ID), 10),
-					"bytes", strconv.Itoa(n))
+				sv.recordHop(now, span, s, "draw", "bytes", strconv.Itoa(n))
 			}
 		}
 	})
@@ -178,8 +173,7 @@ func (sv *Service) Handler() http.Handler {
 				sv.streamErr.Observe(now.Sub(t0).Seconds())
 			}
 			if span != "" {
-				sv.spans.RecordKVAt(now, span, "edge", "stream",
-					"session", strconv.FormatUint(uint64(s.ID), 10),
+				sv.recordHop(now, span, s, "stream",
 					"offset", strconv.FormatInt(off, 10),
 					"len", strconv.FormatInt(n, 10))
 			}
@@ -214,24 +208,45 @@ func keyError(w http.ResponseWriter, s *Session, err error) error {
 	return err
 }
 
-// sessionFromPath resolves the {id} path value. Ids are 64-bit on every
-// tier; one beyond the daemon's 32-bit space is unknown, not malformed.
+// sessionFromPath resolves the {id} path value.
 func (sv *Service) sessionFromPath(w http.ResponseWriter, r *http.Request) (*Session, bool) {
 	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
 	if err != nil {
 		httpapi.Error(w, http.StatusBadRequest, httpapi.CodeBadRequest, err)
 		return nil, false
 	}
-	if id > math.MaxUint32 {
-		httpapi.WriteError(w, fmt.Errorf("%w: %d", ErrNotFound, id))
-		return nil, false
-	}
-	s, err := sv.Lookup(uint32(id))
+	s, err := sv.Lookup(id)
 	if err != nil {
 		httpapi.WriteError(w, err)
 		return nil, false
 	}
 	return s, true
+}
+
+// spanHop is how a session names itself in span events: its tier and id
+// attribute, taken from how it got its id.
+type spanHop struct{ tier, attr, id string }
+
+func newSpanHop(id uint64, cluster bool) spanHop {
+	if cluster {
+		return spanHop{"worker", "cluster_session", strconv.FormatUint(id, 10)}
+	}
+	return spanHop{"edge", "session", strconv.FormatUint(id, 10)}
+}
+
+// pid labels hop events, so a fleet trace shows which process served.
+var pid = strconv.Itoa(os.Getpid())
+
+// recordHop chains a traced key read into its span: the session's hop
+// event, then an engine-tier event carrying the session's protocol-round
+// counters, so one span id read back through /debug/trace walks
+// edge → worker → engine round.
+func (sv *Service) recordHop(at time.Time, span string, s *Session, op string, kv ...string) {
+	h := s.hop
+	sv.spans.RecordKVAt(at, span, h.tier, op, append([]string{h.attr, h.id, "pid", pid}, kv...)...)
+	sv.spans.RecordKVAt(at, span, "engine", "round", h.attr, h.id,
+		"rounds", strconv.FormatInt(s.rounds.Load(), 10),
+		"productive", strconv.FormatInt(s.prodRound.Load(), 10))
 }
 
 // writeJSON is the JSON writer shared with the cluster tier

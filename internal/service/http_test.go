@@ -47,7 +47,7 @@ func TestHTTPSurface(t *testing.T) {
 	created := doJSON(t, h, "POST", "/v1/sessions", string(body), http.StatusCreated)
 	id := fmt.Sprint(int(created["id"].(float64)))
 
-	s, err := sv.Get(uint32(created["id"].(float64)))
+	s, err := sv.Get(uint64(created["id"].(float64)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 
 // SessionMetrics is a point-in-time snapshot of one session's telemetry.
 type SessionMetrics struct {
-	ID    uint32 `json:"id"`
+	ID    uint64 `json:"id"`
 	Name  string `json:"name,omitempty"`
 	State string `json:"state"`
 
@@ -149,7 +149,7 @@ func (m ServiceMetrics) WriteProm(w io.Writer) {
 				pw.Family(family, help, typ)
 				first = false
 			}
-			pw.Sample(family, v, "session", strconv.FormatUint(uint64(s.ID), 10), "name", s.Name)
+			pw.Sample(family, v, "session", strconv.FormatUint(s.ID, 10), "name", s.Name)
 		}
 	}
 	always := func(f func(SessionMetrics) float64) func(SessionMetrics) (float64, bool) {

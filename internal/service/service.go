@@ -41,6 +41,9 @@ var (
 	// ErrFailed is returned when addressing a session that died
 	// permanently on its own, as opposed to one the caller closed.
 	ErrFailed = httpapi.ErrFailed
+	// ErrDuplicate is returned by CreateID when a live session already
+	// holds the id.
+	ErrDuplicate = httpapi.ErrDuplicate
 )
 
 // Config parameterizes the daemon.
@@ -91,15 +94,22 @@ type Service struct {
 	cfg   Config
 	start time.Time
 
-	mu       sync.Mutex // registry and run queue lock
-	sessions map[uint32]*Session
-	nextID   uint32
+	// mu guards the registry, the run queue and the failure memory.
+	// Nothing on the draw hot path touches it after the session lookup.
+	mu       sync.Mutex
+	sessions map[uint64]*Session
+	nextID   uint64
 	closed   bool
 	// queue holds admitted sessions waiting for a run slot, in Create
-	// order; running counts the slots held (at most MaxSessions). Nothing
-	// on the draw hot path touches sv.mu.
+	// order; running counts the slots held (at most MaxSessions).
 	queue   []*Session
 	running int
+	// Failed sessions leave the registry immediately (no unbounded
+	// accumulation in a long-lived daemon), but their ids are remembered
+	// in a bounded FIFO so lookups can answer ErrFailed instead of a
+	// bare ErrNotFound.
+	failedIDs map[uint64]struct{}
+	failedLog []uint64
 
 	wg sync.WaitGroup // run goroutines
 
@@ -107,14 +117,6 @@ type Service struct {
 	rejected atomic.Int64
 	removed  atomic.Int64
 	failed   atomic.Int64
-
-	// Failed sessions leave the registry immediately (no unbounded
-	// accumulation in a long-lived daemon), but their ids are remembered
-	// in a bounded FIFO so lookups can answer ErrFailed instead of a
-	// bare ErrNotFound.
-	failedMu  sync.Mutex
-	failedIDs map[uint32]struct{}
-	failedLog []uint32
 
 	obs   *obs.Registry
 	spans *obs.SpanLog
@@ -130,12 +132,13 @@ func New(cfg Config) *Service {
 	cfg.fill()
 	cfg.fillObs()
 	sv := &Service{
-		cfg:      cfg,
-		start:    time.Now(),
-		sessions: make(map[uint32]*Session),
-		nextID:   1,
-		obs:      cfg.Obs,
-		spans:    cfg.Spans,
+		cfg:       cfg,
+		start:     time.Now(),
+		sessions:  make(map[uint64]*Session),
+		nextID:    1,
+		failedIDs: make(map[uint64]struct{}),
+		obs:       cfg.Obs,
+		spans:     cfg.Spans,
 	}
 	drawLat := sv.obs.HistogramVec("thinaird_draw_seconds",
 		"HTTP draw handler latency, by outcome.", obs.LatencyBuckets, "outcome")
@@ -162,9 +165,8 @@ func (sv *Service) runLoop(s *Session) {
 		s.run()
 		if s.State() == StateFailed {
 			sv.failed.Add(1)
-			sv.noteFailed(s.ID)
 		}
-		sv.forget(s.ID)
+		sv.forget(s)
 	}
 }
 
@@ -193,43 +195,74 @@ func (sv *Service) dequeue(s *Session) {
 	sv.mu.Unlock()
 }
 
-// forget drops a finished session from the registry (idempotent — the
-// explicit Close path and the runner both call it).
-func (sv *Service) forget(id uint32) {
+// forget drops a finished session from the registry and remembers its
+// id if it failed. It is idempotent — the explicit Close path and the
+// runner both call it — and leaves alone an id that CreateID has
+// already handed to a successor.
+func (sv *Service) forget(s *Session) {
 	sv.mu.Lock()
-	if _, ok := sv.sessions[id]; ok {
-		delete(sv.sessions, id)
-		sv.removed.Add(1)
+	defer sv.mu.Unlock()
+	if sv.sessions[s.ID] != s {
+		return
 	}
-	sv.mu.Unlock()
+	delete(sv.sessions, s.ID)
+	sv.removed.Add(1)
+	if s.State() == StateFailed {
+		sv.noteFailed(s.ID)
+	}
 }
 
-// Create admits a new session. It returns immediately; the session starts
-// at once if a run slot is free, or else when every session queued before
-// it has started and a slot frees up (WaitReady blocks until its pool has
-// key material). Create fails fast with ErrSaturated when the queue is
-// full.
+// Create admits a new session under the next free id. It returns
+// immediately; the session starts at once if a run slot is free, or else
+// when every session queued before it has started and a slot frees up
+// (WaitReady blocks until its pool has key material). Create fails fast
+// with ErrSaturated when the queue is full.
 func (sv *Service) Create(spec SessionSpec) (*Session, error) {
+	return sv.create(spec, 0, false)
+}
+
+// CreateID admits a new session under a caller-chosen id — a cluster
+// worker hosts each session under its cluster id. A live session under
+// id answers ErrDuplicate; a closed or failed one still registered is
+// replaced, and the id's failure memory is cleared. Admission is
+// Create's.
+func (sv *Service) CreateID(id uint64, spec SessionSpec) (*Session, error) {
+	return sv.create(spec, id, true)
+}
+
+func (sv *Service) create(spec SessionSpec, id uint64, explicit bool) (*Session, error) {
 	if err := spec.fill(); err != nil {
 		return nil, fmt.Errorf("%w: %w", httpapi.ErrBadRequest, err)
 	}
 	sv.mu.Lock()
+	defer sv.mu.Unlock()
 	if sv.closed {
-		sv.mu.Unlock()
 		return nil, ErrShutdown
+	}
+	if !explicit {
+		id = sv.nextID
+	}
+	old, replacing := sv.sessions[id]
+	if replacing {
+		if st := old.State(); st != StateClosed && st != StateFailed {
+			return nil, fmt.Errorf("%w: session %d", ErrDuplicate, id)
+		}
 	}
 	// Admission is counted against live sessions (queued or running):
 	// MaxSessions may run, MaxQueued more may wait; beyond that the
 	// caller gets immediate backpressure.
 	if live := sv.running + len(sv.queue); live >= sv.cfg.MaxSessions+sv.cfg.MaxQueued {
 		sv.rejected.Add(1)
-		sv.mu.Unlock()
 		return nil, fmt.Errorf("%w: %d live, %d running + %d queued allowed",
 			ErrSaturated, live, sv.cfg.MaxSessions, sv.cfg.MaxQueued)
 	}
-	id := sv.nextID
-	s := newSession(sv, id, spec)
-	sv.nextID++
+	if replacing {
+		sv.removed.Add(1) // the finished session gives way
+	}
+	// Above every id in use, so Create never lands on a CreateID session.
+	sv.nextID = max(sv.nextID, id+1)
+	sv.clearFailed(id)
+	s := newSession(sv, id, spec, explicit)
 	sv.sessions[id] = s
 	sv.created.Add(1)
 	if sv.running < sv.cfg.MaxSessions {
@@ -239,12 +272,11 @@ func (sv *Service) Create(spec SessionSpec) (*Session, error) {
 	} else {
 		sv.queue = append(sv.queue, s)
 	}
-	sv.mu.Unlock()
 	return s, nil
 }
 
 // Get returns a session by id.
-func (sv *Service) Get(id uint32) (*Session, error) {
+func (sv *Service) Get(id uint64) (*Session, error) {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
 	if s, ok := sv.sessions[id]; ok {
@@ -258,12 +290,8 @@ func (sv *Service) Get(id uint32) (*Session, error) {
 // never matter.
 const failedMemory = 1024
 
-func (sv *Service) noteFailed(id uint32) {
-	sv.failedMu.Lock()
-	defer sv.failedMu.Unlock()
-	if sv.failedIDs == nil {
-		sv.failedIDs = make(map[uint32]struct{})
-	}
+// noteFailed remembers a dead session's id (caller holds sv.mu).
+func (sv *Service) noteFailed(id uint64) {
 	if _, ok := sv.failedIDs[id]; ok {
 		return
 	}
@@ -275,25 +303,30 @@ func (sv *Service) noteFailed(id uint32) {
 	}
 }
 
-// FailedRecently reports whether id belonged to a session that died
-// permanently (within the daemon's bounded failure memory).
-func (sv *Service) FailedRecently(id uint32) bool {
-	sv.failedMu.Lock()
-	defer sv.failedMu.Unlock()
-	_, ok := sv.failedIDs[id]
-	return ok
+// clearFailed forgets a death when its id lives again (caller holds
+// sv.mu).
+func (sv *Service) clearFailed(id uint64) {
+	if _, ok := sv.failedIDs[id]; !ok {
+		return
+	}
+	delete(sv.failedIDs, id)
+	sv.failedLog = slices.DeleteFunc(sv.failedLog, func(x uint64) bool { return x == id })
 }
 
 // Lookup is Get plus the failure memory: a session that died permanently
 // resolves to ErrFailed instead of a bare ErrNotFound, so the HTTP and
 // gate surfaces can tell clients to stop retrying. The returned error
 // still matches ErrNotFound (the registry really has no such session).
-func (sv *Service) Lookup(id uint32) (*Session, error) {
-	s, err := sv.Get(id)
-	if err != nil && sv.FailedRecently(id) {
+func (sv *Service) Lookup(id uint64) (*Session, error) {
+	sv.mu.Lock()
+	defer sv.mu.Unlock()
+	if s, ok := sv.sessions[id]; ok {
+		return s, nil
+	}
+	if _, ok := sv.failedIDs[id]; ok {
 		return nil, fmt.Errorf("session %d: %w", id, errors.Join(ErrNotFound, ErrFailed))
 	}
-	return s, err
+	return nil, fmt.Errorf("%w: %d", ErrNotFound, id)
 }
 
 // Sessions returns every session the daemon knows, sorted by id.
@@ -310,13 +343,13 @@ func (sv *Service) Sessions() []*Session {
 
 // Close gracefully stops one session (draining its in-flight block) and
 // forgets it.
-func (sv *Service) Close(id uint32) error {
+func (sv *Service) Close(id uint64) error {
 	s, err := sv.Get(id)
 	if err != nil {
 		return err
 	}
 	s.closeNow()
-	sv.forget(id)
+	sv.forget(s)
 	return nil
 }
 

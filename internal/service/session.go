@@ -154,9 +154,14 @@ const maxRefreshFailures = 5
 // a background refresher whenever draws push the pool below the
 // watermark.
 type Session struct {
-	// ID names the session in the daemon's registry and HTTP API.
-	ID   uint32
+	// ID names the session in the daemon's registry and HTTP API; on a
+	// cluster worker it is the session's cluster id.
+	ID   uint64
 	spec SessionSpec
+	// hop names the session's tier and id attribute in span events: a
+	// session placed under its cluster id (CreateID) records as the
+	// worker tier, one the daemon numbered (Create) as the edge.
+	hop spanHop
 
 	svc  *Service
 	pool *keypool.Pool
@@ -206,11 +211,12 @@ type Session struct {
 	str   *keystream.Stream
 }
 
-func newSession(svc *Service, id uint32, spec SessionSpec) *Session {
+func newSession(svc *Service, id uint64, spec SessionSpec, cluster bool) *Session {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Session{
 		ID:      id,
 		spec:    spec,
+		hop:     newSpanHop(id, cluster),
 		svc:     svc,
 		pool:    keypool.New(),
 		ctx:     ctx,
@@ -322,7 +328,7 @@ func (s *Session) closeNow() {
 	s.snapMu.Unlock()
 	if queued {
 		s.svc.dequeue(s)
-		s.svc.forget(s.ID)
+		s.svc.forget(s)
 		close(s.done)
 		return
 	}
