@@ -49,7 +49,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -57,6 +56,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/httpapi"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
@@ -164,11 +164,9 @@ func runServe(addr string, cfg service.Config, spec service.SessionSpec, session
 func runClient(base string, spec service.SessionSpec, list, create bool, draw uint, drawLen int, closeID uint) {
 	switch {
 	case list:
-		clientJSON("GET", base+"/v1/sessions", nil)
+		clientJSON(http.MethodGet, base+"/v1/sessions", nil)
 	case create:
-		body, err := json.Marshal(spec)
-		fatal(err)
-		clientJSON("POST", base+"/v1/sessions", body)
+		clientJSON(http.MethodPost, base+"/v1/sessions", spec)
 	case draw != 0:
 		// Draws go through the unified Client API — the same interface
 		// (and error mapping) the gate's frame protocol serves.
@@ -182,32 +180,22 @@ func runClient(base string, spec service.SessionSpec, list, create bool, draw ui
 		fatal(err)
 		fmt.Printf("%s\n", out)
 	case closeID != 0:
-		clientJSON("DELETE", fmt.Sprintf("%s/v1/sessions/%d", base, closeID), nil)
+		clientJSON(http.MethodDelete, fmt.Sprintf("%s/v1/sessions/%d", base, closeID), nil)
 	default:
-		clientJSON("GET", base+"/healthz", nil)
+		clientJSON(http.MethodGet, base+"/healthz", nil)
 	}
 }
 
-// clientJSON performs one API call and pretty-prints the JSON response.
-func clientJSON(method, url string, body []byte) {
-	req, err := http.NewRequest(method, url, bytes.NewReader(body))
-	fatal(err)
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := http.DefaultClient.Do(req)
-	fatal(err)
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	fatal(err)
+// clientJSON performs one API call and pretty-prints the JSON response;
+// an error response prints its typed message and exits 1.
+func clientJSON(method, url string, body any) {
+	var out json.RawMessage
+	fatal(httpapi.DoJSON(context.Background(), http.DefaultClient, method, url, body, &out))
 	var pretty bytes.Buffer
-	if json.Indent(&pretty, raw, "", "  ") == nil {
-		raw = pretty.Bytes()
+	if json.Indent(&pretty, out, "", "  ") == nil {
+		out = pretty.Bytes()
 	}
-	fmt.Printf("%s\n", raw)
-	if resp.StatusCode >= 400 {
-		os.Exit(1)
-	}
+	fmt.Printf("%s\n", out)
 }
 
 func fatal(err error) {

@@ -1,13 +1,12 @@
 package main
 
 import (
-	"encoding/json"
+	"context"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
 
+	"repro/internal/httpapi"
 	"repro/internal/obs"
 )
 
@@ -30,16 +29,8 @@ func runTrace(args []string) {
 	if *span != "" {
 		url = fmt.Sprintf("%s/debug/trace?span=%s", *connect, *span)
 	}
-	resp, err := http.Get(url)
-	fatal(err)
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	fatal(err)
-	if resp.StatusCode != http.StatusOK {
-		fatal(fmt.Errorf("trace: %s returned %s: %s", url, resp.Status, strings.TrimSpace(string(raw))))
-	}
 	var events []obs.SpanEvent
-	fatal(json.Unmarshal(raw, &events))
+	fatal(httpapi.DoJSON(context.Background(), http.DefaultClient, http.MethodGet, url, nil, &events))
 	if len(events) == 0 {
 		fmt.Println("trace: no events")
 		return

@@ -1,14 +1,15 @@
 // Package client defines the unified key-access API every tier serves:
-// one Client interface with three implementations — daemon HTTP,
-// coordinator HTTP (both here; after the envelope normalization the two
-// speak the same /v1 shape) and the gate frame protocol
+// one Client interface with two implementations — HTTP, here, over the
+// /v1/sessions/{id} routes that the daemon, the coordinator and a
+// cluster worker all serve, and the gate frame protocol
 // (internal/gate.Client). The root thinair package re-exports the
 // interface and constructors, so callers pick a tier by constructor and
-// never hand-roll per-tier HTTP.
+// never hand-roll per-tier HTTP; the cluster tier's own worker client
+// reads a worker's /v1 routes through HTTP too.
 //
 // Every implementation decodes error responses through the one error
-// contract in internal/httpapi, so errors.Is works identically against
-// all three.
+// contract in internal/httpapi, so errors.Is works identically on every
+// tier.
 package client
 
 import (

@@ -15,6 +15,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/gate"
 	"repro/internal/httpapi"
+	"repro/internal/obs"
 	"repro/internal/service"
 )
 
@@ -37,8 +38,11 @@ func streamSpec(seed int64) service.SessionSpec {
 }
 
 // tier builds one Client implementation over a live stack and hands back
-// a ready stream-fed session. The same assertions run against all
-// three — that equivalence is the point of the unified API.
+// a ready stream-fed session. The same assertions run against every
+// tier — that equivalence is the point of the unified API. Besides the
+// three public tiers, two arms cover the hops a gate in front of a
+// cluster crosses: client.HTTP against a worker's own /v1 routes, and a
+// gate whose backend reads the owning workers.
 type tier struct {
 	name  string
 	setup func(t *testing.T) (client.Client, uint64)
@@ -55,12 +59,19 @@ func tiers() []tier {
 		{name: "gate-frame", setup: func(t *testing.T) (client.Client, uint64) {
 			return setupGateFrame(t, streamSpec(7003))
 		}},
+		{name: "worker-http", setup: func(t *testing.T) (client.Client, uint64) {
+			return setupWorkerHTTP(t, streamSpec(7004))
+		}},
+		{name: "gate-cluster", setup: func(t *testing.T) (client.Client, uint64) {
+			return setupGateCluster(t, streamSpec(7005))
+		}},
 	}
 }
 
 // poolFedTiers hands back a ready session of each tier's default UDP
-// shape: a UDP session on the daemon and the gate, and a default (not
-// Streamed) session on the coordinator, which forces UDP itself. Its
+// shape: a UDP session on the daemon, the gate and the worker, and a
+// default (not Streamed) session on the coordinator and behind the
+// cluster gate, which the coordinator forces onto UDP itself. Its
 // ranges are as addressable as a Streamed session's.
 func poolFedTiers() []tier {
 	udpSpec := func(seed int64) service.SessionSpec {
@@ -79,6 +90,14 @@ func poolFedTiers() []tier {
 		}},
 		{name: "gate-frame", setup: func(t *testing.T) (client.Client, uint64) {
 			return setupGateFrame(t, udpSpec(7103))
+		}},
+		{name: "worker-http", setup: func(t *testing.T) (client.Client, uint64) {
+			return setupWorkerHTTP(t, udpSpec(7104))
+		}},
+		{name: "gate-cluster", setup: func(t *testing.T) (client.Client, uint64) {
+			sp := streamSpec(7105)
+			sp.Streamed = false
+			return setupGateCluster(t, sp)
 		}},
 	}
 }
@@ -131,8 +150,69 @@ func setupGateFrame(t *testing.T, spec service.SessionSpec) (client.Client, uint
 	if err := s.WaitReady(ctx); err != nil {
 		t.Fatal(err)
 	}
+	return dialGate(t, &gate.ServiceBackend{SV: sv}), uint64(s.ID)
+}
+
+// workerCID is the cluster id the worker arm places its session under:
+// beyond the 32-bit range, as a coordinator's ids may be.
+const workerCID = 1<<33 + 5
+
+// setupWorkerHTTP places a session on a cluster worker through its
+// /ctl/assign route, as a coordinator does, and reads it with
+// client.HTTP over the worker's /v1 routes.
+func setupWorkerHTTP(t *testing.T, spec service.SessionSpec) (client.Client, uint64) {
+	t.Helper()
+	c, cid := assignOnWorker(t, spec)
+	waitDrawable(t, c, cid)
+	return c, cid
+}
+
+func assignOnWorker(t *testing.T, spec service.SessionSpec) (client.Client, uint64) {
+	t.Helper()
+	w := cluster.NewWorker(cluster.WorkerConfig{Capacity: 2, DrainTimeout: 5 * time.Second})
+	t.Cleanup(func() { w.Drain(context.Background()) })
+	ts := httptest.NewServer(w.Handler())
+	t.Cleanup(ts.Close)
+	wc := cluster.NewWorkerClient(ts.URL)
+	t.Cleanup(wc.CloseIdle)
+	if _, err := wc.Assign(context.Background(), workerCID, spec); err != nil {
+		t.Fatal(err)
+	}
+	c := client.NewHTTP(ts.URL)
+	t.Cleanup(func() { c.Close() })
+	return c, workerCID
+}
+
+// setupGateCluster serves a coordinator's session through a gate whose
+// backend reads the owning worker directly.
+func setupGateCluster(t *testing.T, spec service.SessionSpec) (client.Client, uint64) {
+	t.Helper()
+	c, cid := createBehindClusterGate(t, spec)
+	waitDrawable(t, c, cid)
+	return c, cid
+}
+
+func createBehindClusterGate(t *testing.T, spec service.SessionSpec) (client.Client, uint64) {
+	t.Helper()
+	co := newTestCoordinator(t)
+	info, err := co.Create(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := gate.NewClusterBackend(gate.ClusterBackendConfig{
+		Resolver: gate.LocalResolver{C: co},
+		Obs:      obs.New(),
+	})
+	t.Cleanup(func() { b.Close() })
+	return dialGate(t, b), info.ID
+}
+
+// dialGate serves one frame-protocol connection over net.Pipe from a
+// gate on backend.
+func dialGate(t *testing.T, backend gate.Backend) client.Client {
+	t.Helper()
 	g := gate.New(gate.Config{
-		Backend: &gate.ServiceBackend{SV: sv},
+		Backend: backend,
 		Logf:    func(string, ...any) {},
 	})
 	t.Cleanup(func() { g.Close() })
@@ -143,7 +223,7 @@ func setupGateFrame(t *testing.T, spec service.SessionSpec) (client.Client, uint
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return c, uint64(s.ID)
+	return c
 }
 
 func newTestCoordinator(t *testing.T) *cluster.Coordinator {
@@ -238,26 +318,20 @@ func failedTiers() []failedTier {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g := gate.New(gate.Config{
-				Backend: &gate.ServiceBackend{SV: sv},
-				Logf:    func(string, ...any) {},
-			})
-			t.Cleanup(func() { g.Close() })
-			server, clientConn := net.Pipe()
-			go g.ServeConn(server)
-			c, err := gate.NewClient(clientConn)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { c.Close() })
-			return c, uint64(s.ID)
+			return dialGate(t, &gate.ServiceBackend{SV: sv}), uint64(s.ID)
+		}},
+		{name: "worker-http", setup: func(t *testing.T) (client.Client, uint64) {
+			return assignOnWorker(t, deadSpec(8004))
+		}},
+		{name: "gate-cluster", setup: func(t *testing.T) (client.Client, uint64) {
+			return createBehindClusterGate(t, deadSpec(8005))
 		}},
 	}
 }
 
 // TestFailedCodeConformance: a session that dies permanently surfaces as
-// ErrFailed — not ErrClosed, not a bare ErrNotFound — identically across
-// all three transports. This is the conformance half of the
+// ErrFailed — not ErrClosed, not a bare ErrNotFound — identically on
+// every tier. This is the conformance half of the
 // failed-vs-closed split; the envelope and wire halves are pinned by the
 // mapping and codec bijection tests.
 func TestFailedCodeConformance(t *testing.T) {
@@ -293,8 +367,8 @@ func TestFailedCodeConformance(t *testing.T) {
 	}
 }
 
-// TestConcurrentDrawConformance pins the concurrent-draw contract across
-// all three transports: concurrent Draw and DrawN callers against one
+// TestConcurrentDrawConformance pins the concurrent-draw contract on
+// every tier: concurrent Draw and DrawN callers against one
 // session receive pairwise byte-disjoint slices that tile the session's
 // deterministic keystream with no gaps (never torn, duplicated, or
 // skipped), an over-depth draw fails whole with ErrExhausted, and the
@@ -438,8 +512,8 @@ func rangeCases(t *testing.T, c client.Client, session uint64) {
 	})
 }
 
-// TestClientConformance runs the same behavioural assertions against all
-// three Client implementations.
+// TestClientConformance runs the same behavioural assertions against
+// every tier.
 func TestClientConformance(t *testing.T) {
 	for _, tr := range tiers() {
 		t.Run(tr.name, func(t *testing.T) {

@@ -3,73 +3,43 @@ package client
 import (
 	"context"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"repro/internal/httpapi"
-	"repro/internal/obs"
 )
 
-// HTTP is the Client implementation over the /v1 HTTP surface. The
-// daemon and the coordinator serve the same shape (same paths, same
-// error envelope), so one implementation covers both tiers — NewHTTP
-// against a daemon draws from its local sessions, against a coordinator
-// it draws through the routed worker RPC.
+// HTTP is the Client implementation over the /v1/sessions/{id} routes.
+// The daemon, the coordinator and a cluster worker serve the same shape
+// (same paths, same error envelope), so one implementation covers every
+// tier: against a daemon it draws from its local sessions, against a
+// coordinator through the routed worker call, and against a worker (the
+// coordinator's and a gate's data-plane hop) from the sessions it hosts
+// under their cluster ids. Every request goes through httpapi.Do.
 type HTTP struct {
 	base string
 	hc   *http.Client
 }
 
-// NewHTTP returns a Client talking /v1 to the daemon or coordinator at
-// base (e.g. "http://127.0.0.1:9309").
-func NewHTTP(base string) *HTTP {
-	return &HTTP{base: strings.TrimRight(base, "/"), hc: &http.Client{}}
-}
+// NewHTTP returns a Client talking /v1 to the daemon, coordinator or
+// worker at base (e.g. "http://127.0.0.1:9309").
+func NewHTTP(base string) *HTTP { return NewHTTPWith(base, &http.Client{}) }
 
-// do runs one request, decoding the error envelope on non-2xx statuses.
-func (c *HTTP) do(ctx context.Context, method, path string) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, nil)
-	if err != nil {
-		return nil, err
-	}
-	if span := obs.SpanID(ctx); span != "" {
-		req.Header.Set(obs.SpanHeader, span)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, fmt.Errorf("%w: %v", ErrUnreachable, err)
-	}
-	if resp.StatusCode >= 400 {
-		err := httpapi.DecodeError(resp)
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return nil, err
-	}
-	return resp, nil
+// NewHTTPWith is NewHTTP over the caller's http.Client, whose timeout
+// and transport then bound every call.
+func NewHTTPWith(base string, hc *http.Client) *HTTP {
+	return &HTTP{base: strings.TrimRight(base, "/"), hc: hc}
 }
 
 // Draw consumes n bytes via POST /v1/sessions/{id}/draw.
 func (c *HTTP) Draw(ctx context.Context, session uint64, n int) ([]byte, error) {
-	resp, err := c.do(ctx, http.MethodPost,
-		fmt.Sprintf("/v1/sessions/%d/draw?bytes=%d", session, n))
-	if err != nil {
+	var body httpapi.DrawResponse
+	if err := httpapi.DoJSON(ctx, c.hc, http.MethodPost,
+		c.base+"/v1/sessions/"+strconv.FormatUint(session, 10)+"/draw?bytes="+strconv.Itoa(n), nil, &body); err != nil {
 		return nil, err
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	var body struct {
-		Key string `json:"key"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return nil, fmt.Errorf("thinair: decoding draw response: %w", err)
 	}
 	key, err := hex.DecodeString(body.Key)
 	if err != nil {
@@ -94,36 +64,105 @@ func (c *HTTP) DrawN(ctx context.Context, session uint64, n, count int) ([][]byt
 	return splitKeys(flat, n, count), nil
 }
 
+// StreamRangeTo copies [off, off+n) of GET /v1/sessions/{id}/stream into
+// w as the body arrives, never holding the range: a w that implements
+// io.ReaderFrom (a gate's frame writer, a caller's slice) reads the
+// body straight into its own memory. It returns the bytes written: 0
+// with a typed error when the server rejected the read, possibly short
+// with an error on a mid-body failure. A body shorter than n (the server
+// aborted mid-range) is ErrUnreachable, never a silent short read.
+func (c *HTTP) StreamRangeTo(ctx context.Context, session uint64, off, n int64, w io.Writer) (int64, error) {
+	if err := checkStreamLength(n); err != nil {
+		return 0, err
+	}
+	url := c.base + "/v1/sessions/" + strconv.FormatUint(session, 10) +
+		"/stream?offset=" + strconv.FormatInt(off, 10) + "&len=" + strconv.FormatInt(n, 10)
+	var written int64
+	err := httpapi.Do(ctx, c.hc, http.MethodGet, url, nil, func(resp *http.Response) error {
+		var err error
+		written, err = io.Copy(w, io.LimitReader(resp.Body, n))
+		if err != nil {
+			return httpapi.TransportError(ctx, err)
+		}
+		if written < n {
+			return fmt.Errorf("%w: stream truncated at %d/%d bytes", ErrUnreachable, written, n)
+		}
+		return nil
+	})
+	return written, err
+}
+
 // StreamRange reads [off, off+length) via GET /v1/sessions/{id}/stream.
 func (c *HTTP) StreamRange(ctx context.Context, session uint64, off, length int64) ([]byte, error) {
-	if length <= 0 || length > httpapi.MaxStreamBytes {
-		return nil, fmt.Errorf("%w: stream length %d outside 1..%d",
-			ErrBadRequest, length, httpapi.MaxStreamBytes)
-	}
-	resp, err := c.do(ctx, http.MethodGet,
-		fmt.Sprintf("/v1/sessions/%d/stream?offset=%d&len=%d", session, off, length))
-	if err != nil {
+	if err := checkStreamLength(length); err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
 	buf := make([]byte, length)
-	if _, err := io.ReadFull(resp.Body, buf); err != nil {
-		// A short body is the server's loud truncation signal.
-		return nil, fmt.Errorf("%w: stream truncated: %v", ErrUnreachable, err)
+	if _, err := c.StreamRangeTo(ctx, session, off, length, &sliceWriter{p: buf}); err != nil {
+		return nil, err
 	}
 	return buf, nil
 }
 
 // ReaderAt adapts one session's stream surface to io.ReaderAt.
 func (c *HTTP) ReaderAt(session uint64) io.ReaderAt {
-	return readerAt{fetch: func(off int64, n int64) ([]byte, error) {
-		return c.StreamRange(context.Background(), session, off, n)
-	}}
+	return httpReaderAt{c: c, session: session}
+}
+
+type httpReaderAt struct {
+	c       *HTTP
+	session uint64
+}
+
+// ReadAt streams the range straight into p.
+func (r httpReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	if len(p) == 0 {
+		return 0, nil
+	}
+	if _, err := r.c.StreamRangeTo(context.Background(), r.session, off, int64(len(p)), &sliceWriter{p: p}); err != nil {
+		return 0, err
+	}
+	return len(p), nil
 }
 
 // Close releases idle connections; sessions stay up.
 func (c *HTTP) Close() error {
 	c.hc.CloseIdleConnections()
+	return nil
+}
+
+// sliceWriter fills a caller's slice. Its ReadFrom reads a body straight
+// into the slice, so io.Copy neither allocates nor copies through a
+// buffer of its own.
+type sliceWriter struct {
+	p []byte
+	n int
+}
+
+func (w *sliceWriter) Write(b []byte) (int, error) {
+	m := copy(w.p[w.n:], b)
+	w.n += m
+	if m < len(b) {
+		return m, io.ErrShortWrite
+	}
+	return m, nil
+}
+
+func (w *sliceWriter) ReadFrom(r io.Reader) (int64, error) {
+	m, err := io.ReadFull(r, w.p[w.n:])
+	w.n += m
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		err = nil // a short body is the caller's length check to report
+	}
+	return int64(m), err
+}
+
+// checkStreamLength validates a range length against the one-read cap.
+func checkStreamLength(n int64) error {
+	if n <= 0 || n > httpapi.MaxStreamBytes {
+		return fmt.Errorf("%w: stream length %d outside 1..%d",
+			ErrBadRequest, n, httpapi.MaxStreamBytes)
+	}
 	return nil
 }
 
@@ -143,21 +182,4 @@ func splitKeys(flat []byte, n, count int) [][]byte {
 		keys[i] = flat[i*n : (i+1)*n : (i+1)*n]
 	}
 	return keys
-}
-
-// readerAt adapts a range-fetch closure to io.ReaderAt; all three
-// Client implementations share it.
-type readerAt struct {
-	fetch func(off, n int64) ([]byte, error)
-}
-
-func (r readerAt) ReadAt(p []byte, off int64) (int, error) {
-	if len(p) == 0 {
-		return 0, nil
-	}
-	b, err := r.fetch(off, int64(len(p)))
-	if err != nil {
-		return 0, err
-	}
-	return copy(p, b), nil
 }

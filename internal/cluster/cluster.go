@@ -35,9 +35,6 @@
 package cluster
 
 import (
-	"net/http"
-	"strconv"
-
 	"repro/internal/httpapi"
 	"repro/internal/service"
 )
@@ -72,29 +69,4 @@ var (
 type assignRequest struct {
 	ID   uint64              `json:"id"`
 	Spec service.SessionSpec `json:"spec"`
-}
-
-// The wire helpers are shared with the single-process service API
-// (internal/httpapi) so the two tiers' envelopes cannot diverge.
-var (
-	writeJSON   = httpapi.WriteJSON
-	writeError  = httpapi.WriteError
-	drawBytes   = httpapi.DrawBytes
-	streamRange = httpapi.StreamRange
-)
-
-// badRequest rejects a malformed path, query or body parameter.
-func badRequest(w http.ResponseWriter, err error) {
-	httpapi.Error(w, http.StatusBadRequest, httpapi.CodeBadRequest, err)
-}
-
-// sessionIDFromPath parses the {id} path value the coordinator uses to
-// address cluster sessions.
-func sessionIDFromPath(w http.ResponseWriter, r *http.Request) (uint64, bool) {
-	cid, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
-	if err != nil {
-		badRequest(w, err)
-		return 0, false
-	}
-	return cid, true
 }

@@ -38,7 +38,7 @@ func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		m := c.Metrics()
-		writeJSON(w, http.StatusOK, map[string]any{
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 			"status":        "ok",
 			"uptime":        c.Uptime().String(),
 			"workers_alive": m.WorkersAlive,
@@ -51,10 +51,10 @@ func (c *Coordinator) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /debug/trace", func(w http.ResponseWriter, r *http.Request) {
 		evs := c.FleetTrace(r.Context(), r.URL.Query().Get("span"))
-		writeJSON(w, http.StatusOK, evs)
+		httpapi.WriteJSON(w, http.StatusOK, evs)
 	})
 	mux.HandleFunc("GET /v1/cluster", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, c.Metrics())
+		httpapi.WriteJSON(w, http.StatusOK, c.Metrics())
 	})
 	mux.HandleFunc("GET /v1/cluster/metrics", func(w http.ResponseWriter, r *http.Request) {
 		fleet := c.FleetSnapshot(r.Context())
@@ -63,7 +63,7 @@ func (c *Coordinator) Handler() http.Handler {
 			_ = fleet.WriteProm(w)
 			return
 		}
-		writeJSON(w, http.StatusOK, fleet)
+		httpapi.WriteJSON(w, http.StatusOK, fleet)
 	})
 	mux.HandleFunc("GET /v1/cluster/owners", func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
@@ -71,15 +71,15 @@ func (c *Coordinator) Handler() http.Handler {
 		if s := q.Get("session"); s != "" {
 			cid, err := strconv.ParseUint(s, 10, 64)
 			if err != nil {
-				badRequest(w, err)
+				httpapi.Error(w, http.StatusBadRequest, httpapi.CodeBadRequest, err)
 				return
 			}
 			oi, err := c.Owner(cid)
 			if err != nil {
-				writeError(w, err)
+				httpapi.WriteError(w, err)
 				return
 			}
-			writeJSON(w, http.StatusOK, oi)
+			httpapi.WriteJSON(w, http.StatusOK, oi)
 			return
 		}
 		// ?epoch=N is the watch poll: 304 while the map hasn't moved, so
@@ -87,7 +87,7 @@ func (c *Coordinator) Handler() http.Handler {
 		if e := q.Get("epoch"); e != "" {
 			have, err := strconv.ParseUint(e, 10, 64)
 			if err != nil {
-				badRequest(w, err)
+				httpapi.Error(w, http.StatusBadRequest, httpapi.CodeBadRequest, err)
 				return
 			}
 			if c.OwnersEpoch() == have {
@@ -95,53 +95,53 @@ func (c *Coordinator) Handler() http.Handler {
 				return
 			}
 		}
-		writeJSON(w, http.StatusOK, c.Owners())
+		httpapi.WriteJSON(w, http.StatusOK, c.Owners())
 	})
 	mux.HandleFunc("GET /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, c.Sessions(r.Context()))
+		httpapi.WriteJSON(w, http.StatusOK, c.Sessions(r.Context()))
 	})
 	mux.HandleFunc("POST /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
 		var spec service.SessionSpec
 		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			badRequest(w, err)
+			httpapi.Error(w, http.StatusBadRequest, httpapi.CodeBadRequest, err)
 			return
 		}
 		info, err := c.Create(spec)
 		if err != nil {
-			writeError(w, err)
+			httpapi.WriteError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusCreated, info)
+		httpapi.WriteJSON(w, http.StatusCreated, info)
 	})
 	mux.HandleFunc("GET /v1/sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
-		cid, ok := sessionIDFromPath(w, r)
+		cid, ok := httpapi.SessionID(w, r)
 		if !ok {
 			return
 		}
 		info, err := c.Session(r.Context(), cid)
 		if err != nil {
-			writeError(w, err)
+			httpapi.WriteError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, info)
+		httpapi.WriteJSON(w, http.StatusOK, info)
 	})
 	mux.HandleFunc("DELETE /v1/sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
-		cid, ok := sessionIDFromPath(w, r)
+		cid, ok := httpapi.SessionID(w, r)
 		if !ok {
 			return
 		}
 		if err := c.CloseSession(r.Context(), cid); err != nil {
-			writeError(w, err)
+			httpapi.WriteError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"closed": cid})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"closed": cid})
 	})
 	mux.HandleFunc("POST /v1/sessions/{id}/draw", func(w http.ResponseWriter, r *http.Request) {
-		cid, ok := sessionIDFromPath(w, r)
+		cid, ok := httpapi.SessionID(w, r)
 		if !ok {
 			return
 		}
-		n, ok := drawBytes(w, r)
+		n, ok := httpapi.DrawBytes(w, r)
 		if !ok {
 			return
 		}
@@ -157,7 +157,7 @@ func (c *Coordinator) Handler() http.Handler {
 		}
 		key, err := c.Draw(ctx, cid, n)
 		if err != nil {
-			writeError(w, err)
+			httpapi.WriteError(w, err)
 			return
 		}
 		if span != "" {
@@ -165,16 +165,16 @@ func (c *Coordinator) Handler() http.Handler {
 				"cluster_session", strconv.FormatUint(cid, 10),
 				"bytes", strconv.Itoa(n))
 		}
-		writeJSON(w, http.StatusOK, httpapi.DrawResponse{
+		httpapi.WriteJSON(w, http.StatusOK, httpapi.DrawResponse{
 			Session: cid, Bytes: n, Key: hex.EncodeToString(key),
 		})
 	})
 	mux.HandleFunc("GET /v1/sessions/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
-		cid, ok := sessionIDFromPath(w, r)
+		cid, ok := httpapi.SessionID(w, r)
 		if !ok {
 			return
 		}
-		off, n, ok := streamRange(w, r)
+		off, n, ok := httpapi.StreamRange(w, r)
 		if !ok {
 			return
 		}
@@ -194,7 +194,7 @@ func (c *Coordinator) Handler() http.Handler {
 		sw := &passthroughWriter{w: w, n: n}
 		if _, err := c.StreamRangeTo(ctx, cid, off, n, sw); err != nil {
 			if !sw.wrote {
-				writeError(w, err)
+				httpapi.WriteError(w, err)
 			}
 			return
 		}

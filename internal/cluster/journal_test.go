@@ -147,6 +147,15 @@ func TestJournalCompaction(t *testing.T) {
 	}
 }
 
+// restartMisses is the HeartbeatMisses of the restart tests: 40 probes
+// of 50ms each, so a worker must stay silent for 2s before it counts as
+// dead. These tests pin adoption and respawn counts; with the default 3,
+// three slow probes on a loaded host killed a live worker and moved
+// them. Neither needs heartbeats to find its dead worker — the
+// successor's adoption probe does that — and
+// TestCoordinatorHeartbeatDetection stays the test of detection.
+const restartMisses = 40
+
 // TestCoordinatorRestartAdoptsWorkers is the in-process restart chaos
 // test: a coordinator with a state dir is abandoned crash-style (no
 // drain, workers left running), and its successor on the same dir must
@@ -156,11 +165,12 @@ func TestJournalCompaction(t *testing.T) {
 func TestCoordinatorRestartAdoptsWorkers(t *testing.T) {
 	dir := t.TempDir()
 	c1, err := New(Config{
-		Workers:        2,
-		HeartbeatEvery: 50 * time.Millisecond,
-		StateDir:       dir,
-		Obs:            obs.New(),
-		Logf:           t.Logf,
+		Workers:         2,
+		HeartbeatEvery:  50 * time.Millisecond,
+		HeartbeatMisses: restartMisses,
+		StateDir:        dir,
+		Obs:             obs.New(),
+		Logf:            t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -210,11 +220,12 @@ func TestCoordinatorRestartAdoptsWorkers(t *testing.T) {
 	// The successor must adopt, never spawn: a spawn attempt is the
 	// failure.
 	c2, err := New(Config{
-		Workers:        2,
-		HeartbeatEvery: 50 * time.Millisecond,
-		StateDir:       dir,
-		Obs:            obs.New(),
-		Logf:           t.Logf,
+		Workers:         2,
+		HeartbeatEvery:  50 * time.Millisecond,
+		HeartbeatMisses: restartMisses,
+		StateDir:        dir,
+		Obs:             obs.New(),
+		Logf:            t.Logf,
 		Spawn: func(context.Context, WorkerSpawnOpts) (WorkerProc, error) {
 			return nil, errors.New("restart with surviving workers must adopt, not spawn")
 		},
@@ -279,11 +290,12 @@ func TestCoordinatorRestartRespawnsOnlyTheDead(t *testing.T) {
 	base := InProcess(nil)
 	procs := make(map[int]WorkerProc)
 	c1, err := New(Config{
-		Workers:        2,
-		HeartbeatEvery: 50 * time.Millisecond,
-		StateDir:       dir,
-		Obs:            obs.New(),
-		Logf:           t.Logf,
+		Workers:         2,
+		HeartbeatEvery:  50 * time.Millisecond,
+		HeartbeatMisses: restartMisses,
+		StateDir:        dir,
+		Obs:             obs.New(),
+		Logf:            t.Logf,
 		Spawn: func(ctx context.Context, opts WorkerSpawnOpts) (WorkerProc, error) {
 			p, err := base(ctx, opts)
 			if err == nil {
@@ -325,11 +337,12 @@ func TestCoordinatorRestartRespawnsOnlyTheDead(t *testing.T) {
 
 	spawns := 0
 	c2, err := New(Config{
-		Workers:        2,
-		HeartbeatEvery: 50 * time.Millisecond,
-		StateDir:       dir,
-		Obs:            obs.New(),
-		Logf:           t.Logf,
+		Workers:         2,
+		HeartbeatEvery:  50 * time.Millisecond,
+		HeartbeatMisses: restartMisses,
+		StateDir:        dir,
+		Obs:             obs.New(),
+		Logf:            t.Logf,
 		Spawn: func(ctx context.Context, opts WorkerSpawnOpts) (WorkerProc, error) {
 			spawns++
 			return base(ctx, opts)

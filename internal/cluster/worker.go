@@ -186,7 +186,7 @@ func (w *Worker) Handler() http.Handler {
 			w.lastCtl.Store(time.Now().UnixNano())
 			ctl.ServeHTTP(rw, r)
 		case r.Method == http.MethodPost && r.URL.Path == "/v1/sessions":
-			writeError(rw, fmt.Errorf("%w: a worker places sessions only through POST /ctl/assign", httpapi.ErrBadRequest))
+			httpapi.WriteError(rw, fmt.Errorf("%w: a worker places sessions only through POST /ctl/assign", httpapi.ErrBadRequest))
 		default:
 			data.ServeHTTP(rw, r)
 		}
@@ -200,40 +200,40 @@ func (w *Worker) ctlMux() http.Handler {
 		if w.draining.Load() {
 			status = "draining"
 		}
-		writeJSON(rw, http.StatusOK, map[string]any{
+		httpapi.WriteJSON(rw, http.StatusOK, map[string]any{
 			"status": status, "sessions": len(w.svc.Sessions()), "pid": os.Getpid(),
 		})
 	})
 	mux.HandleFunc("GET /ctl/stats", func(rw http.ResponseWriter, r *http.Request) {
-		writeJSON(rw, http.StatusOK, w.Stats())
+		httpapi.WriteJSON(rw, http.StatusOK, w.Stats())
 	})
 	mux.HandleFunc("GET /ctl/metrics", func(rw http.ResponseWriter, r *http.Request) {
 		// The coordinator's fleet scrape: the registry snapshot in its JSON
 		// wire form, ready for bucket-wise merging coordinator-side.
-		writeJSON(rw, http.StatusOK, w.obs.Snapshot())
+		httpapi.WriteJSON(rw, http.StatusOK, w.obs.Snapshot())
 	})
 	mux.Handle("GET /ctl/trace", w.spans.Handler())
 	mux.HandleFunc("POST /ctl/assign", func(rw http.ResponseWriter, r *http.Request) {
 		var req assignRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			badRequest(rw, err)
+			httpapi.Error(rw, http.StatusBadRequest, httpapi.CodeBadRequest, err)
 			return
 		}
 		s, err := w.Assign(req.ID, req.Spec)
 		if err != nil {
-			writeError(rw, err)
+			httpapi.WriteError(rw, err)
 			return
 		}
-		writeJSON(rw, http.StatusCreated, s.Metrics())
+		httpapi.WriteJSON(rw, http.StatusCreated, s.Metrics())
 	})
 	mux.HandleFunc("POST /ctl/drain", func(rw http.ResponseWriter, r *http.Request) {
 		ctx, cancel := context.WithTimeout(r.Context(), w.cfg.DrainTimeout+5*time.Second)
 		defer cancel()
 		if err := w.Drain(ctx); err != nil {
-			writeError(rw, err)
+			httpapi.WriteError(rw, err)
 			return
 		}
-		writeJSON(rw, http.StatusOK, map[string]any{"drained": true})
+		httpapi.WriteJSON(rw, http.StatusOK, map[string]any{"drained": true})
 	})
 	return mux
 }

@@ -2,6 +2,7 @@ package gate
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -65,48 +66,27 @@ func NewHTTPResolver(base string) *HTTPResolver {
 
 func (r *HTTPResolver) Owner(ctx context.Context, session uint64) (cluster.OwnerInfo, error) {
 	var oi cluster.OwnerInfo
-	err := r.getJSON(ctx, "/v1/cluster/owners?session="+strconv.FormatUint(session, 10), &oi)
+	err := httpapi.DoJSON(ctx, r.hc, http.MethodGet,
+		r.base+"/v1/cluster/owners?session="+strconv.FormatUint(session, 10), nil, &oi)
 	return oi, err
 }
 
 func (r *HTTPResolver) EpochSince(ctx context.Context, since uint64) (uint64, bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		r.base+"/v1/cluster/owners?epoch="+strconv.FormatUint(since, 10), nil)
-	if err != nil {
-		return 0, false, err
-	}
-	resp, err := r.hc.Do(req)
-	if err != nil {
-		return 0, false, fmt.Errorf("%w: %v", cluster.ErrUnreachable, err)
-	}
-	defer drainClose(resp)
-	if resp.StatusCode == http.StatusNotModified {
-		return since, false, nil
-	}
-	if resp.StatusCode >= 400 {
-		return 0, false, httpapi.DecodeError(resp)
-	}
 	var om cluster.OwnerMap
-	if err := jsonDecode(resp, &om); err != nil {
-		return 0, false, err
+	changed := false
+	err := httpapi.Do(ctx, r.hc, http.MethodGet,
+		r.base+"/v1/cluster/owners?epoch="+strconv.FormatUint(since, 10), nil,
+		func(resp *http.Response) error {
+			if resp.StatusCode == http.StatusNotModified {
+				return nil // the map has not moved past since
+			}
+			changed = true
+			return json.NewDecoder(resp.Body).Decode(&om)
+		})
+	if err != nil || !changed {
+		return since, false, err
 	}
 	return om.Epoch, true, nil
-}
-
-func (r *HTTPResolver) getJSON(ctx context.Context, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.base+path, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := r.hc.Do(req)
-	if err != nil {
-		return fmt.Errorf("%w: %v", cluster.ErrUnreachable, err)
-	}
-	defer drainClose(resp)
-	if resp.StatusCode >= 400 {
-		return httpapi.DecodeError(resp)
-	}
-	return jsonDecode(resp, out)
 }
 
 // ClusterBackendConfig parameterizes NewClusterBackend.

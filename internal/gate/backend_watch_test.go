@@ -2,12 +2,16 @@ package gate
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/httpapi"
 	"repro/internal/obs"
 )
 
@@ -130,5 +134,28 @@ func TestJitterDuration(t *testing.T) {
 	}
 	if jitterDuration(rng, 0) != 0 {
 		t.Fatal("zero duration must stay zero")
+	}
+}
+
+// TestHTTPResolverCancelIsTheCallers: a lookup whose context has ended
+// answers the context's own error, not ErrUnreachable. ErrUnreachable
+// means the coordinator is gone, which the watch loop backs off from;
+// the caller giving up says nothing about the coordinator.
+func TestHTTPResolverCancelIsTheCallers(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		httpapi.WriteJSON(w, http.StatusOK, cluster.OwnerInfo{Session: 1, URL: "http://worker", State: "assigned"})
+	}))
+	defer ts.Close()
+	r := NewHTTPResolver(ts.URL)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := r.Owner(ctx, 1); !errors.Is(err, context.Canceled) || errors.Is(err, cluster.ErrUnreachable) {
+		t.Fatalf("Owner with a cancelled context: %v, want context.Canceled", err)
+	}
+	if _, _, err := r.EpochSince(ctx, 0); !errors.Is(err, context.Canceled) || errors.Is(err, cluster.ErrUnreachable) {
+		t.Fatalf("EpochSince with a cancelled context: %v, want context.Canceled", err)
+	}
+	if oi, err := r.Owner(context.Background(), 1); err != nil || oi.URL != "http://worker" {
+		t.Fatalf("Owner with a live context: %+v, %v", oi, err)
 	}
 }

@@ -2,12 +2,9 @@ package gate
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"io"
 	"log"
 	"net"
-	"net/http"
 	"sync"
 	"time"
 
@@ -231,15 +228,4 @@ func (g *Gate) sweep() {
 			a.kick("heartbeat timeout")
 		}
 	}
-}
-
-// jsonDecode and drainClose are tiny HTTP helpers shared by the
-// resolver paths.
-func jsonDecode(resp *http.Response, out any) error {
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-func drainClose(resp *http.Response) {
-	_, _ = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
 }

@@ -41,7 +41,7 @@ func (r *patternReader) Read(p []byte) (int, error) {
 }
 
 // bodyBackend copies a patternReader body into the gate's writer the
-// way cluster.WorkerClient.doStream copies a worker's /v1 stream body:
+// way client.HTTP.StreamRangeTo copies a worker's /v1 stream body:
 // io.Copy over a LimitReader — so the gate's chunkWriter.ReadFrom does the
 // reading — a copy error returned unchanged, and a short body reported
 // as a truncation.

@@ -86,6 +86,17 @@ func Error(w http.ResponseWriter, status int, code string, err error) {
 	WriteJSON(w, status, ErrorBody{Error: ErrorDetail{Code: code, Message: err.Error()}})
 }
 
+// SessionID parses the {id} path value of a /v1/sessions/{id} route,
+// writing the 400 itself when it is not a uint64.
+func SessionID(w http.ResponseWriter, r *http.Request) (uint64, bool) {
+	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
+	if err != nil {
+		Error(w, http.StatusBadRequest, CodeBadRequest, err)
+		return 0, false
+	}
+	return id, true
+}
+
 // DrawResponse is the body of a successful draw on every HTTP tier.
 type DrawResponse struct {
 	Session uint64 `json:"session"`

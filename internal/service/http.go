@@ -35,7 +35,7 @@ import (
 func (sv *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 			"status": "ok",
 			"uptime": sv.Uptime().String(),
 		})
@@ -52,7 +52,7 @@ func (sv *Service) Handler() http.Handler {
 	})
 	mux.Handle("GET /debug/trace", sv.spans.Handler())
 	mux.HandleFunc("GET /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, sv.Metrics())
+		httpapi.WriteJSON(w, http.StatusOK, sv.Metrics())
 	})
 	mux.HandleFunc("POST /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
 		var spec SessionSpec
@@ -65,14 +65,14 @@ func (sv *Service) Handler() http.Handler {
 			httpapi.WriteError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusCreated, s.Metrics())
+		httpapi.WriteJSON(w, http.StatusCreated, s.Metrics())
 	})
 	mux.HandleFunc("GET /v1/sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
 		s, ok := sv.sessionFromPath(w, r)
 		if !ok {
 			return
 		}
-		writeJSON(w, http.StatusOK, s.Metrics())
+		httpapi.WriteJSON(w, http.StatusOK, s.Metrics())
 	})
 	mux.HandleFunc("DELETE /v1/sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
 		s, ok := sv.sessionFromPath(w, r)
@@ -83,7 +83,7 @@ func (sv *Service) Handler() http.Handler {
 			httpapi.WriteError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"closed": s.ID})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"closed": s.ID})
 	})
 	mux.HandleFunc("POST /v1/sessions/{id}/draw", func(w http.ResponseWriter, r *http.Request) {
 		// The whole observability block is behind one enabled check so the
@@ -125,7 +125,7 @@ func (sv *Service) Handler() http.Handler {
 			}
 			return
 		}
-		writeJSON(w, http.StatusOK, httpapi.DrawResponse{
+		httpapi.WriteJSON(w, http.StatusOK, httpapi.DrawResponse{
 			Session: s.ID, Bytes: n, Key: hex.EncodeToString(key),
 		})
 		if obsOn {
@@ -210,9 +210,8 @@ func keyError(w http.ResponseWriter, s *Session, err error) error {
 
 // sessionFromPath resolves the {id} path value.
 func (sv *Service) sessionFromPath(w http.ResponseWriter, r *http.Request) (*Session, bool) {
-	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
-	if err != nil {
-		httpapi.Error(w, http.StatusBadRequest, httpapi.CodeBadRequest, err)
+	id, ok := httpapi.SessionID(w, r)
+	if !ok {
 		return nil, false
 	}
 	s, err := sv.Lookup(id)
@@ -248,7 +247,3 @@ func (sv *Service) recordHop(at time.Time, span string, s *Session, op string, k
 		"rounds", strconv.FormatInt(s.rounds.Load(), 10),
 		"productive", strconv.FormatInt(s.prodRound.Load(), 10))
 }
-
-// writeJSON is the JSON writer shared with the cluster tier
-// (internal/httpapi), so both surfaces speak the same envelope.
-func writeJSON(w http.ResponseWriter, status int, v any) { httpapi.WriteJSON(w, status, v) }

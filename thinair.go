@@ -336,8 +336,9 @@ type (
 func NewCoordinator(cfg ClusterConfig) (*Coordinator, error) { return cluster.New(cfg) }
 
 // Client is the unified key-access API: Draw, DrawN, StreamRange and
-// ReaderAt against a session id, identical across the three transports —
-// daemon HTTP, coordinator HTTP and the gate frame protocol. All
+// ReaderAt against a session id, identical on every tier — /v1 HTTP to
+// a daemon, a coordinator or a cluster worker, and the gate frame
+// protocol. All
 // implementations decode the shared /v1 error envelope to the same typed
 // errors, so errors.Is works the same way regardless of tier.
 type Client = client.Client
@@ -360,9 +361,9 @@ var (
 	ErrInternal    = client.ErrInternal
 )
 
-// NewHTTPClient returns a Client talking /v1 over HTTP to a daemon or a
-// coordinator at base (e.g. "http://127.0.0.1:9309") — both serve the
-// same surface.
+// NewHTTPClient returns a Client talking /v1 over HTTP to a daemon, a
+// coordinator or a cluster worker at base (e.g. "http://127.0.0.1:9309")
+// — all three serve the same /v1/sessions/{id} routes.
 func NewHTTPClient(base string) Client { return client.NewHTTP(base) }
 
 // DialGate connects a persistent frame-protocol Client to a gate's TCP
