@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/httpapi"
 	"repro/internal/service"
 )
 
@@ -327,10 +329,11 @@ type adoptedProc struct {
 	url  string
 	pid  int
 	done chan struct{}
+	hc   *http.Client // the liveness probes' keep-alive client
 }
 
 func newAdoptedProc(url string, pid int) *adoptedProc {
-	return &adoptedProc{url: url, pid: pid, done: make(chan struct{})}
+	return &adoptedProc{url: url, pid: pid, done: make(chan struct{}), hc: &http.Client{}}
 }
 
 func (p *adoptedProc) URL() string           { return p.url }
@@ -346,16 +349,15 @@ func (p *adoptedProc) signal(sig os.Signal) {
 	}
 }
 
-// reachable probes the worker's control surface; any HTTP answer counts
-// (a drained worker between Drain and exit still responds).
+// reachable probes the worker's control surface. Any HTTP answer counts,
+// a typed error included (a drained worker between Drain and exit still
+// responds); only an unreachable worker or a probe past its deadline is
+// gone. Probes reuse one keep-alive connection.
 func (p *adoptedProc) reachable() bool {
-	cl := &http.Client{Timeout: 500 * time.Millisecond}
-	resp, err := cl.Get(p.url + "/ctl/healthz")
-	if err != nil {
-		return false
-	}
-	resp.Body.Close()
-	return true
+	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer cancel()
+	err := httpapi.Do(ctx, p.hc, http.MethodGet, p.url+"/ctl/healthz", nil, nil)
+	return !errors.Is(err, ErrUnreachable) && !errors.Is(err, context.DeadlineExceeded)
 }
 
 // Stop asks the adopted worker to exit and polls its control surface

@@ -5,10 +5,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
+	"net/http"
+	"net/http/httptest"
 	"os"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/httpapi"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
@@ -394,5 +399,39 @@ func TestCoordinatorRestartRespawnsOnlyTheDead(t *testing.T) {
 		if cm := c2.Metrics(); cm.Reassigned != int64(lost) {
 			t.Fatalf("reassigned %d sessions, want %d (only the dead worker's)", cm.Reassigned, lost)
 		}
+	}
+}
+
+// TestAdoptedProbeReusesConnection: an adopted worker's liveness probes
+// share one keep-alive connection, a typed error answer still counts as
+// reachable, and a worker that stopped answering is gone.
+func TestAdoptedProbeReusesConnection(t *testing.T) {
+	var conns atomic.Int64
+	var probes atomic.Int64
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if probes.Add(1) > 5 {
+			httpapi.WriteError(w, ErrDraining)
+			return
+		}
+		httpapi.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	}))
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	srv.Start()
+	p := newAdoptedProc(srv.URL, 0)
+	for i := 0; i < 10; i++ {
+		if !p.reachable() {
+			t.Fatalf("probe %d: a live worker is unreachable", i)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("10 probes opened %d connections, want 1", n)
+	}
+	srv.Close()
+	if p.reachable() {
+		t.Fatal("a closed worker is still reachable")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/eve"
@@ -126,6 +127,14 @@ func RunSession(cfg Config, med *radio.Medium, eveNodes []radio.NodeID) (*Sessio
 	// dominated the session's allocation profile.
 	var tsc RoundScratch
 	rm := make(map[packet.ID][]Sym)
+	// The round's z-packets, kept for the agreement check: their values,
+	// the pointers ComputeTerminalSecretInto takes, and the buffer their
+	// payloads are encoded into, all reused across rounds.
+	var (
+		zvals []wire.ZPacket
+		zs    []*wire.ZPacket
+		zbuf  []byte
+	)
 	em := newEmitter(cfg.Tracer)
 	// Phase-timing instruments resolve once per session; when no
 	// registry is plumbed they are nil and every Observe below is a
@@ -171,9 +180,9 @@ func RunSession(cfg Config, med *radio.Medium, eveNodes []radio.NodeID) (*Sessio
 			xSym[i] = gf.Symbols16(pkt.Payload)
 			xh := h
 			xh.Type = wire.TypeX
-			frame := wire.Marshal(&wire.XPacket{Header: xh, Seq: uint32(pkt.ID), Payload: pkt.Payload})
-			acct.Data(len(frame))
-			got := med.Broadcast(radio.NodeID(leader), len(frame)*8)
+			frame := wire.FrameLen(&wire.XPacket{Header: xh, Seq: uint32(pkt.ID), Payload: pkt.Payload})
+			acct.Data(frame)
+			got := med.Broadcast(radio.NodeID(leader), frame*8)
 			for t := 0; t < n; t++ {
 				if got[t] {
 					recv[t].Add(pkt.ID)
@@ -205,9 +214,9 @@ func RunSession(cfg Config, med *radio.Medium, eveNodes []radio.NodeID) (*Sessio
 			ah := h
 			ah.Type = wire.TypeAck
 			ah.From = uint8(t)
-			frame := wire.Marshal(&wire.AckReport{Header: ah, NumX: uint32(cfg.XPerRound), Bitmap: recv[t].Words()})
-			acct.Reliable(len(frame), n-1)
-			med.BroadcastReliable(radio.NodeID(t), len(frame)*8)
+			frame := wire.FrameLen(&wire.AckReport{Header: ah, NumX: uint32(cfg.XPerRound), Bitmap: recv[t].Words()})
+			acct.Reliable(frame, n-1)
+			med.BroadcastReliable(radio.NodeID(t), frame*8)
 		}
 
 		// Plan the round.
@@ -266,20 +275,25 @@ func RunSession(cfg Config, med *radio.Medium, eveNodes []radio.NodeID) (*Sessio
 
 		// Phase 1 steps 3-4 and Phase 2 on the leader.
 		lr := ComputeLeaderRound(nil, plan, xSym)
+		// The frames are only counted: FrameLen is each one's length.
 		ya := BuildYAnnounce(h, plan)
-		yaFrame := wire.Marshal(ya)
-		acct.Reliable(len(yaFrame), n-1)
-		med.BroadcastReliable(radio.NodeID(leader), len(yaFrame)*8)
-		zs := BuildZPackets(h, plan, lr.Z)
-		for _, zp := range zs {
-			zpFrame := wire.Marshal(zp)
-			acct.Reliable(len(zpFrame), n-1)
-			med.BroadcastReliable(radio.NodeID(leader), len(zpFrame)*8)
+		reliable := func(m wire.Message) {
+			frame := wire.FrameLen(m)
+			acct.Reliable(frame, n-1)
+			med.BroadcastReliable(radio.NodeID(leader), frame*8)
+		}
+		reliable(ya)
+		width := 2 * len(lr.Y[0])
+		zbuf = slices.Grow(zbuf[:0], len(lr.Z)*width)[:len(lr.Z)*width]
+		zvals = slices.Grow(zvals[:0], len(lr.Z))[:len(lr.Z)]
+		zs = zs[:0]
+		for j, z := range lr.Z {
+			FillZPacket(&zvals[j], h, plan, j, z, zbuf[j*width:])
+			reliable(&zvals[j])
+			zs = append(zs, &zvals[j])
 		}
 		sa := BuildSAnnounce(h, plan)
-		saFrame := wire.Marshal(sa)
-		acct.Reliable(len(saFrame), n-1)
-		med.BroadcastReliable(radio.NodeID(leader), len(saFrame)*8)
+		reliable(sa)
 
 		// Eve overhears everything reliable: compose her view.
 		yox := plan.YOverX()

@@ -92,46 +92,42 @@ func (sc *RoundScratch) computeY(plan *Plan, xSym [][]Sym) [][]Sym {
 
 // BuildYAnnounce renders the plan's y-packet constructions as the wire
 // message the leader reliably broadcasts (step 3 of Phase 1: identities
-// and coefficients, never contents).
+// and coefficients, never contents). Its coefficient rows alias the
+// plan's extractor matrices: they stay valid while the plan does, and
+// must not be written through.
 func BuildYAnnounce(h wire.Header, plan *Plan) *wire.YAnnounce {
 	h.Type = wire.TypeYAnnounce
-	msg := &wire.YAnnounce{Header: h}
+	msg := &wire.YAnnounce{Header: h, Classes: make([]wire.ClassBatch, len(plan.Classes))}
 	for k, cl := range plan.Classes {
 		ids := make([]uint32, len(cl.IDs))
 		for i, id := range cl.IDs {
 			ids[i] = uint32(id)
 		}
-		msg.Classes = append(msg.Classes, wire.ClassBatch{
-			XIDs:   ids,
-			Coeffs: mds.MatrixToRows(plan.Extractors[k].Coeffs()),
-		})
+		msg.Classes[k] = wire.ClassBatch{XIDs: ids, Coeffs: plan.Extractors[k].Coeffs().RowViews()}
 	}
 	return msg
 }
 
-// BuildZPackets renders the z-packets (coefficients and contents) for
-// reliable broadcast (step 1 of Phase 2).
-func BuildZPackets(h wire.Header, plan *Plan, z [][]Sym) []*wire.ZPacket {
+// FillZPacket renders z-packet j, whose payload symbols are z, for
+// reliable broadcast (step 1 of Phase 2) without allocating: zp's
+// coefficient row aliases plan.Redist.Row(j), and its payload is z
+// encoded into buf, which must hold 2·len(z) bytes. zp stays valid while
+// buf and the plan are unchanged, and neither its row nor its payload may
+// be written through.
+func FillZPacket(zp *wire.ZPacket, h wire.Header, plan *Plan, j int, z []Sym, buf []byte) {
 	h.Type = wire.TypeZ
-	out := make([]*wire.ZPacket, len(z))
-	for j := range z {
-		out[j] = &wire.ZPacket{
-			Header:  h,
-			Index:   uint16(j),
-			Coeffs:  append([]Sym(nil), plan.Redist.Row(j)...),
-			Payload: gf.Bytes16(z[j]),
-		}
-	}
-	return out
+	*zp = wire.ZPacket{Header: h, Index: uint16(j), Coeffs: plan.Redist.Row(j), Payload: buf[: 2*len(z) : 2*len(z)]}
+	gf.PutBytes16(zp.Payload, z)
 }
 
 // BuildSAnnounce renders the s-packet coefficient announcement (step 3 of
-// Phase 2: identities only, never contents).
+// Phase 2: identities only, never contents). Its rows alias the plan's
+// redistribution code, as BuildYAnnounce's alias its extractors.
 func BuildSAnnounce(h wire.Header, plan *Plan) *wire.SAnnounce {
 	h.Type = wire.TypeSAnnounce
 	coeffs := make([][]Sym, plan.L)
 	for i := range coeffs {
-		coeffs[i] = append([]Sym(nil), plan.Redist.Row(plan.M-plan.L+i)...)
+		coeffs[i] = plan.Redist.Row(plan.M - plan.L + i)
 	}
 	return &wire.SAnnounce{Header: h, Coeffs: coeffs}
 }

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/gf"
 	"repro/internal/packet"
 	"repro/internal/wire"
 )
@@ -37,9 +38,44 @@ func buildTestRound(t *testing.T, seed int64, numX int, rcv func(term int) *pack
 	lr := ComputeLeaderRound(nil, plan, xSym)
 	h := wire.Header{From: 0, Session: 9, Round: 1}
 	ya := BuildYAnnounce(h, plan)
-	zs := BuildZPackets(h, plan, lr.Z)
+	zs := make([]*wire.ZPacket, len(lr.Z))
+	for j, z := range lr.Z {
+		zs[j] = new(wire.ZPacket)
+		FillZPacket(zs[j], h, plan, j, z, make([]byte, 2*len(z)))
+	}
 	sa := BuildSAnnounce(h, plan)
 	return lr, ya, zs, sa, xSym
+}
+
+// TestFillZPacketAllocs: filling a z-packet allocates nothing, its row is
+// the plan's (capped, so an append cannot write into the next row), and
+// its payload is the z symbols' bytes in buf.
+func TestFillZPacketAllocs(t *testing.T) {
+	shape := func(term int) *packet.IDSet {
+		if term == 1 {
+			return setOf(0, 1, 2, 3, 4, 5)
+		}
+		return setOf(2, 3, 4, 5, 6, 7)
+	}
+	lr, _, _, _, _ := buildTestRound(t, 41, 8, shape)
+	if len(lr.Z) == 0 {
+		t.Fatal("test round has no z-packets; adjust the shape")
+	}
+	h := wire.Header{From: 0, Session: 9, Round: 1}
+	buf := make([]byte, 2*len(lr.Z[0]))
+	var zp wire.ZPacket
+	for j, z := range lr.Z {
+		if n := testing.AllocsPerRun(10, func() { FillZPacket(&zp, h, lr.Plan, j, z, buf) }); n != 0 {
+			t.Fatalf("z-packet %d: FillZPacket allocated %v times", j, n)
+		}
+		row := lr.Plan.Redist.Row(j)
+		if zp.Type != wire.TypeZ || zp.Index != uint16(j) || &zp.Coeffs[0] != &row[0] || cap(zp.Coeffs) != len(row) {
+			t.Fatalf("z-packet %d: header %+v, index %d, or a row that is not the plan's capped row", j, zp.Header, zp.Index)
+		}
+		if !bytes.Equal(zp.Payload, gf.Bytes16(z)) || &zp.Payload[0] != &buf[0] {
+			t.Fatalf("z-packet %d: payload is not z's bytes in buf", j)
+		}
+	}
 }
 
 // TestComputeTerminalSecretIntoMatchesFresh pins scratch reuse: the same

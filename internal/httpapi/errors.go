@@ -103,9 +103,12 @@ func WriteError(w http.ResponseWriter, err error) {
 // degrade to an opaque error carrying both.
 //
 // A message that crossed several tiers (worker → coordinator → gate →
-// client) already starts with the typed error's own text, added at each
-// hop; that prefix is stripped before it is added again, so the mapping
-// is idempotent and the final message carries the text once.
+// client) already starts with typed errors' own texts, added at each
+// hop: the row's first error, or another of its errors where a tier
+// raised its own spelling of the fact (a daemon's not-found under the
+// cluster's). Those prefixes are stripped before the row's first error
+// is added again, so the mapping is idempotent and the final message
+// carries the fact once.
 func ErrorFromCode(code, msg string) error {
 	if msg == "" {
 		msg = code
@@ -115,9 +118,14 @@ func ErrorFromCode(code, msg string) error {
 			continue
 		}
 		sentinel := row.errs[0]
-		prefix := sentinel.Error()
-		for strings.HasPrefix(msg, prefix) {
-			msg = strings.TrimPrefix(strings.TrimPrefix(msg, prefix), ": ")
+		for stripped := true; stripped; {
+			stripped = false
+			for _, e := range row.errs {
+				if prefix := e.Error(); strings.HasPrefix(msg, prefix) {
+					msg = strings.TrimPrefix(strings.TrimPrefix(msg, prefix), ": ")
+					stripped = true
+				}
+			}
 		}
 		if msg == "" {
 			return fmt.Errorf("%w", sentinel)

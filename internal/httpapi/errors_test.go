@@ -164,6 +164,33 @@ func TestErrorFromCodeIdempotent(t *testing.T) {
 	}
 }
 
+// TestErrorFromCodeStripsEveryRowPrefix: a daemon's own not-found text
+// (service's spelling of the fact) decodes to the cluster's sentinel
+// without the daemon's prefix: "cluster: no such session: 999", not
+// "cluster: no such session: service: no such session: 999". The same
+// holds for every row with more than one error.
+func TestErrorFromCodeStripsEveryRowPrefix(t *testing.T) {
+	for _, tc := range []struct {
+		code      string
+		raised    error // the error the server raised
+		sentinel  error // what the code decodes to
+		typedByIs error // what errors.Is must still match
+	}{
+		{httpapi.CodeNotFound, service.ErrNotFound, httpapi.ErrClusterNotFound, client.ErrNotFound},
+		{httpapi.CodeShutdown, service.ErrShutdown, httpapi.ErrClusterShutdown, client.ErrShutdown},
+		{httpapi.CodeSaturated, httpapi.ErrNoWorkers, httpapi.ErrSaturated, client.ErrSaturated},
+		{httpapi.CodeClosed, keystream.ErrClosed, keypool.ErrClosed, client.ErrClosed},
+	} {
+		got := httpapi.ErrorFromCode(tc.code, fmt.Errorf("%w: 999", tc.raised).Error())
+		if want := tc.sentinel.Error() + ": 999"; got.Error() != want {
+			t.Errorf("ErrorFromCode(%q, %q) = %q, want %q", tc.code, tc.raised, got, want)
+		}
+		if !errors.Is(got, tc.typedByIs) {
+			t.Errorf("ErrorFromCode(%q) = %v, want errors.Is %v", tc.code, got, tc.typedByIs)
+		}
+	}
+}
+
 // TestErrorFromCodeUnknownSlug: a newer server's slug degrades to an
 // opaque error that still carries both the code and the message.
 func TestErrorFromCodeUnknownSlug(t *testing.T) {

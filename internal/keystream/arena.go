@@ -1,22 +1,26 @@
 package keystream
 
 import (
+	"math/rand"
 	"slices"
 	"sync"
 
 	"repro/internal/core"
 	"repro/internal/gf"
 	"repro/internal/packet"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
 // arena holds one derivation worker's reusable block-derivation buffers.
 // A worker derives one block at a time, so the same buffers serve block
 // after block: the leader's round scratch, the x-symbol slabs its exchange
-// decodes payloads into, the leader's outgoing frames, and each member
-// terminal's round scratches and x-decode rows. Every buffer's size
-// follows from the Config, so the arena stops growing after the first
-// blocks.
+// decodes payloads into, the leader's outgoing frames, its x-payload
+// generator and payload buffers, and each member terminal's round
+// scratches, x-decode rows and decoded control messages. Every buffer's
+// size follows from the Config, so the arena stops growing after the
+// first blocks. The block's bus inboxes are not here: they come from the
+// stream's inboxPool, so an idle stream holds none.
 type arena struct {
 	leader core.RoundScratch
 
@@ -28,7 +32,11 @@ type arena struct {
 	// beacons, and the compute loop's abort beacons and announces. Each
 	// slab has one writer; both rewind at block teardown.
 	xframes, cframes frameSlab
-	xpay             []byte // the exchange's x-payload buffer
+	xpay             []byte     // the exchange's x-payload buffer
+	rng              *rand.Rand // the exchange's x-payload generator, reseeded each round
+
+	zp   wire.ZPacket // the compute loop's z-packet, marshalled as soon as it is filled
+	zpay []byte       // its payload buffer
 
 	terms []termArena // indexed by terminal
 }
@@ -42,7 +50,18 @@ type termArena struct {
 	free    []*termRound // recycled round states
 	rows    [][]core.Sym // x-decode rows not in use, one x-payload each
 	secret  []byte       // the last completed round's secret, for verification
-	x       wire.XPacket // x frames decode in place into it
+
+	// Frames decode in place: x frames into x, control frames into ya, z
+	// and sa, each taken from its free list when nil. A control message
+	// that decoded whole moves to its round's state, which returns it to
+	// the free list when the round is done.
+	x     wire.XPacket
+	ya    *wire.YAnnounce
+	z     *wire.ZPacket
+	sa    *wire.SAnnounce
+	yfree []*wire.YAnnounce
+	zfree []*wire.ZPacket
+	sfree []*wire.SAnnounce
 }
 
 func newArena(cfg *Config) *arena {
@@ -66,6 +85,8 @@ func newArena(cfg *Config) *arena {
 		xframes: frameSlab{chunk: cfg.XPerRound*wire.FrameLen(x) + wire.FrameLen(beacon)},
 		cframes: frameSlab{chunk: max(wire.FrameLen(z), wire.FrameLen(y))},
 		xpay:    x.Payload,
+		rng:     rand.New(rand.NewSource(0)),
+		zpay:    make([]byte, cfg.PayloadBytes),
 		terms:   make([]termArena, cfg.Terminals),
 	}
 }
@@ -111,6 +132,8 @@ func (a *arena) zero() {
 	a.leader.Zero()
 	a.rewindFrames()
 	clear(a.xpay)
+	clear(a.zpay)
+	a.zp = wire.ZPacket{}
 	for _, x := range a.xfree {
 		for _, row := range x {
 			clear(row)
@@ -121,7 +144,7 @@ func (a *arena) zero() {
 		ta.scratch[0].Zero()
 		ta.scratch[1].Zero()
 		clear(ta.secret)
-		ta.x = wire.XPacket{}
+		ta.x, ta.z = wire.XPacket{}, nil
 		for _, row := range ta.rows {
 			clear(row)
 		}
@@ -172,14 +195,41 @@ func (s *frameSlab) rewind() {
 	s.cur = 0
 }
 
-// decode decodes one delivered frame. An x frame decodes in place into
-// ta.x, which the next x frame overwrites; other frames decode into
-// fresh messages.
+// decode decodes one delivered frame in place into ta's message of its
+// type, which the next frame of that type overwrites unless the caller
+// has moved it to a round state and cleared ta's field. Reception
+// reports decode to nil: members ignore them.
 func (ta *termArena) decode(frame []byte) (wire.Message, error) {
-	if _, _, ok := wire.PeekX(frame); ok {
+	switch wire.PeekType(frame) {
+	case wire.TypeX:
 		return &ta.x, wire.UnmarshalX(frame, &ta.x)
+	case wire.TypeYAnnounce:
+		ta.ya = reuse(ta.ya, &ta.yfree)
+		return ta.ya, wire.UnmarshalY(frame, ta.ya)
+	case wire.TypeZ:
+		ta.z = reuse(ta.z, &ta.zfree)
+		return ta.z, wire.UnmarshalZ(frame, ta.z)
+	case wire.TypeSAnnounce:
+		ta.sa = reuse(ta.sa, &ta.sfree)
+		return ta.sa, wire.UnmarshalS(frame, ta.sa)
+	case wire.TypeAck:
+		return nil, nil
 	}
 	return wire.Unmarshal(frame)
+}
+
+// reuse returns m, or else a message from the free list, or else a new
+// one.
+func reuse[T any](m *T, free *[]*T) *T {
+	if m != nil {
+		return m
+	}
+	if n := len(*free); n > 0 {
+		m = (*free)[n-1]
+		*free = (*free)[:n-1]
+		return m
+	}
+	return new(T)
 }
 
 // round returns a cleared round state.
@@ -220,19 +270,31 @@ func (ta *termArena) secretBytes(rows [][]core.Sym) []byte {
 	return ta.secret
 }
 
-// put recycles a finished, aborted or abandoned round state and its
-// decode rows.
+// put recycles a finished, aborted or abandoned round state, its decode
+// rows and its control messages. The z-packets' payloads, views of the
+// block's frames, are dropped.
 func (ta *termArena) put(st *termRound) {
 	for _, row := range st.recvX {
 		ta.rows = append(ta.rows, row)
 	}
 	clear(st.recvX)
+	if st.ya != nil {
+		ta.yfree = append(ta.yfree, st.ya)
+	}
+	if st.sa != nil {
+		ta.sfree = append(ta.sfree, st.sa)
+	}
+	for _, z := range st.zs {
+		z.Payload = nil
+		ta.zfree = append(ta.zfree, z)
+	}
 	clear(st.zs)
 	*st = termRound{recvX: st.recvX, zs: st.zs[:0]}
 	ta.free = append(ta.free, st)
 }
 
-// termRound is a terminal's in-flight state for one round.
+// termRound is a terminal's in-flight state for one round. Its control
+// messages are ones that decoded without error.
 type termRound struct {
 	recvX map[packet.ID][]core.Sym // received x-payloads, decode rows
 	ya    *wire.YAnnounce
@@ -240,4 +302,48 @@ type termRound struct {
 	sa    *wire.SAnnounce
 	pr    core.PartialRound
 	recvd bool // ReceiveRoundInto has run
+}
+
+// inboxSet is one block bus's inboxes, one per terminal.
+type inboxSet []chan transport.Env
+
+// drain empties every inbox. The block's teardown calls it once the bus
+// is closed and every goroutine reading it has returned: a frame left in
+// an inbox would reach the next block that takes the set, pointing into
+// frame slabs that block rewrites.
+func (set inboxSet) drain() {
+	for _, ch := range set {
+		for len(ch) > 0 {
+			<-ch
+		}
+	}
+}
+
+// inboxPool reuses a stream's block-bus inbox sets. A worker takes a set
+// when it starts a block and returns it, drained, when the block ends, so
+// only derivations in flight hold inboxes: the pool's idle sets go with
+// the garbage collector's pool sweeps. A nil pool makes a fresh set for
+// every block.
+type inboxPool struct{ pool sync.Pool }
+
+// get returns an empty set of cfg.Terminals inboxes, inboxDepth(cfg)
+// frames deep.
+func (p *inboxPool) get(cfg *Config) *inboxSet {
+	if p != nil {
+		if set, ok := p.pool.Get().(*inboxSet); ok {
+			return set
+		}
+	}
+	set := make(inboxSet, cfg.Terminals)
+	for i := range set {
+		set[i] = make(chan transport.Env, inboxDepth(cfg))
+	}
+	return &set
+}
+
+// put returns a drained set to the pool.
+func (p *inboxPool) put(set *inboxSet) {
+	if p != nil {
+		p.pool.Put(set)
+	}
 }

@@ -46,8 +46,8 @@ func TestFailedDerivationZeroesBlock(t *testing.T) {
 }
 
 // TestArenaZeroedAfterClose: once Close returns, every worker has zeroed
-// its arena — the x-symbol slabs, the leader's frame slabs and x-payload
-// buffer, the members' x-decode rows and secret copies — and every slab
+// its arena — the x-symbol slabs, the leader's frame slabs and x- and
+// z-payload buffers, the members' x-decode rows and secret copies — and every slab
 // and row is back in its free list rather than abandoned unzeroed. (RoundScratch.Zero, which clears the leader's and members'
 // y/z/s rows, is pinned by core.TestRoundScratchZero.)
 func TestArenaZeroedAfterClose(t *testing.T) {
@@ -73,6 +73,9 @@ func TestArenaZeroedAfterClose(t *testing.T) {
 		}
 		if slices.ContainsFunc(a.xpay, func(v byte) bool { return v != 0 }) {
 			t.Fatalf("worker %d: x-payload buffer not zeroed", w)
+		}
+		if len(a.zpay) != cfg.PayloadBytes || slices.ContainsFunc(a.zpay, func(v byte) bool { return v != 0 }) || a.zp.Payload != nil {
+			t.Fatalf("worker %d: z-payload buffer (%d bytes) not zeroed, or the z-packet still points at it", w, len(a.zpay))
 		}
 		for _, x := range a.xfree {
 			xslabs++

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -98,6 +97,9 @@ type BlockContext struct {
 	health *memberHealth
 	ins    *streamInstruments
 	arena  *arena // the deriving worker's buffers; nil: fresh ones per block
+	// inboxes lends the block's in-process bus its inboxes; nil: fresh
+	// ones per block.
+	inboxes *inboxPool
 }
 
 // Config returns the stream's (filled) configuration.
@@ -106,7 +108,7 @@ func (bc *BlockContext) Config() *Config { return bc.cfg }
 // derive produces block idx into dst via the configured source, over the
 // calling worker's arena.
 func (s *Stream) derive(a *arena, idx int64, dst []byte) error {
-	bc := &BlockContext{cfg: &s.cfg, es: &s.es, health: s.health, ins: &s.ins, arena: a}
+	bc := &BlockContext{cfg: &s.cfg, es: &s.es, health: s.health, ins: &s.ins, arena: a, inboxes: &s.inboxes}
 	if s.cfg.Source != nil {
 		return s.cfg.Source(bc, idx, dst)
 	}
@@ -144,20 +146,25 @@ type secretSpan struct {
 	off, n, full int
 }
 
-// deriveProtocol runs protocol rounds on a fresh per-block bus until the
+// deriveProtocol runs protocol rounds on a per-block bus until the
 // block's secret bytes cover dst.
 //
-// Buffers: the leader's rows, the x-symbol slabs and the terminals' round
-// state come from bc.arena and go back to it when a round is computed or
-// abandoned, so a worker's steady state derives blocks without
-// reallocating them. A context without an arena (a test's) derives on a
-// fresh one, zeroed when the block is done.
+// Buffers: the leader's rows, x-symbol slabs, payload generator and z
+// buffer, and the terminals' round state and decoded messages, come from
+// bc.arena and go back to it when a round is computed or abandoned, so a
+// worker's steady state derives blocks without reallocating them. A
+// context without an arena (a test's) derives on a fresh one, zeroed when
+// the block is done. Without cfg.NewBus the bus is an in-process ChanBus
+// over an inbox set borrowed from bc.inboxes; its Close leaves the
+// inboxes open, so members and the report collector stop on the block's
+// context, and teardown drains the set before returning it.
 //
 // Frames: every leader frame is carved from the arena's frame slabs and
 // stays unchanged from its send until teardown has closed the bus (which
 // joins the bus's own goroutines: a tap's observer, a sealed bus's
-// openers) and joined the exchange and the terminals. Only then do the
-// slabs rewind, zeroing the frames. Members decode x frames in place.
+// openers), joined the exchange and the terminals and drained the
+// borrowed inboxes. Only then do the slabs rewind, zeroing the frames.
+// Members decode every frame they use in place.
 //
 // Determinism: the leader derives each round's reception sets from the
 // radio.Delivered schedule, never from the live reception reports — the
@@ -192,12 +199,16 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 	}
 	session := BlockSession(blockSeed)
 
-	var bus transport.Bus
-	var err error
+	var (
+		bus   transport.Bus
+		inbox *inboxSet // borrowed from bc.inboxes; nil over cfg.NewBus's bus
+		err   error
+	)
 	if cfg.NewBus != nil {
 		bus, err = cfg.NewBus(idx, blockSeed, inboxDepth(cfg))
 	} else {
-		bus = transport.NewChanBus(cfg.Erasure, blockSeed, inboxDepth(cfg))
+		inbox = bc.inboxes.get(cfg)
+		bus = transport.NewChanBusOver(cfg.Erasure, blockSeed, *inbox)
 	}
 	if err != nil {
 		return fmt.Errorf("keystream: block %d bus: %w", idx, err)
@@ -253,7 +264,7 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 		termWG.Add(1)
 		go func(t int) {
 			defer termWG.Done()
-			bc.runTerminal(eps[t], &a.terms[t], t, leader, session, verify)
+			bc.runTerminal(ctx, eps[t], &a.terms[t], t, leader, session, verify)
 		}(t)
 	}
 
@@ -342,8 +353,9 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 			derr = err
 			break
 		}
-		for _, zp := range core.BuildZPackets(h, plan, lr.Z) {
-			if err := eps[leader].SendCtrl(a.cframes.marshal(zp)); err != nil {
+		for j, z := range lr.Z {
+			core.FillZPacket(&a.zp, h, plan, j, z, a.zpay)
+			if err := eps[leader].SendCtrl(a.cframes.marshal(&a.zp)); err != nil {
 				derr = err
 				break
 			}
@@ -367,8 +379,9 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 	}
 
 	// Teardown: stop the exchange, close the bus (releases any member
-	// wedged in an injected stall), drain the workload layer. After that
-	// nothing reads the block's frames, and the slabs rewind.
+	// wedged in an injected stall), drain the workload layer, empty the
+	// borrowed inboxes. After that nothing reads the block's frames, and
+	// the slabs rewind.
 	cancel()
 	bus.Close()
 	exchWG.Wait()
@@ -377,7 +390,13 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 	}
 	termWG.Wait()
 	bc.es.shed.Add(bus.ShedFrames())
+	if inbox != nil {
+		inbox.drain()
+	}
 	a.rewindFrames()
+	if inbox != nil {
+		bc.inboxes.put(inbox)
+	}
 	return derr
 }
 
@@ -427,8 +446,9 @@ func scheduleRecv(blockSeed int64, r, leader, terminals, numX int, p float64) []
 // are pacing and health input only — their content never reaches the
 // round plan (see deriveProtocol).
 //
-// The x-payloads are drawn one at a time into the arena's payload buffer
-// (the bytes packet.NewBatch would draw, in the same order), and each is
+// The x-payloads are drawn one at a time into the arena's payload buffer,
+// from the arena's generator reseeded for the round (the bytes
+// packet.NewBatch would draw from a fresh one, in the same order); each is
 // encoded into a frame from the arena's x-frame slab. When the plan yields
 // secret, the payloads are also decoded into an x-symbol slab from the
 // arena, which the compute loop returns.
@@ -436,7 +456,8 @@ func (bc *BlockContext) exchange(ctx context.Context, a *arena, ep transport.End
 	cfg := bc.cfg
 	er := exchRound{round: r, plan: plan}
 	h := wire.Header{From: uint8(leader), Session: session, Round: uint16(r)}
-	rng := rand.New(rand.NewSource(blockSeed + int64(r)*65537 + int64(leader)))
+	rng := a.rng
+	rng.Seed(blockSeed + int64(r)*65537 + int64(leader))
 	if plan.L > 0 {
 		er.xSym = a.xSlab()
 	}
@@ -541,8 +562,10 @@ func (bc *BlockContext) collectReports(ctx context.Context, ep transport.Endpoin
 // elimination failures or abandoned rounds — verification mismatches,
 // never block failures. Round states and their x-decode rows come from
 // ta and return to it when the round finishes, aborts or is
-// garbage-collected, and when the bus closes.
-func (bc *BlockContext) runTerminal(ep transport.Endpoint, ta *termArena, self, leader int, session uint32, verify func(round int, secret []byte)) {
+// garbage-collected, and when the member stops: on a closed inbox, or
+// once ctx has ended and it has drained, without blocking, what its
+// inbox already holds — so the block's last round is still verified.
+func (bc *BlockContext) runTerminal(ctx context.Context, ep transport.Endpoint, ta *termArena, self, leader int, session uint32, verify func(round int, secret []byte)) {
 	cfg := bc.cfg
 	rounds := make(map[int]*termRound)
 	defer func() {
@@ -582,9 +605,23 @@ func (bc *BlockContext) runTerminal(ep transport.Endpoint, ta *termArena, self, 
 		drop(r, st)
 	}
 
-	for env := range ep.Recv() {
+	recv := ep.Recv()
+	next := func() (transport.Env, bool) {
+		select {
+		case env, ok := <-recv:
+			return env, ok
+		case <-ctx.Done():
+			select {
+			case env, ok := <-recv:
+				return env, ok
+			default:
+				return transport.Env{}, false
+			}
+		}
+	}
+	for env, ok := next(); ok; env, ok = next() {
 		m, err := ta.decode(env.Frame)
-		if err != nil {
+		if err != nil || m == nil {
 			continue
 		}
 		h := m.Hdr()
@@ -637,7 +674,10 @@ func (bc *BlockContext) runTerminal(ep transport.Endpoint, ta *termArena, self, 
 			}
 		case *wire.YAnnounce:
 			st := state(r)
-			st.ya = mm
+			if st.ya != nil {
+				ta.yfree = append(ta.yfree, st.ya)
+			}
+			st.ya, ta.ya = mm, nil
 			pr, err := core.ReceiveRoundInto(&ta.scratch[r%2], st.recvX, mm)
 			if err == nil {
 				st.pr = pr
@@ -657,13 +697,17 @@ func (bc *BlockContext) runTerminal(ep transport.Endpoint, ta *termArena, self, 
 			}
 			if !dup {
 				st.zs = append(st.zs, mm)
+				ta.z = nil
 			}
 			if st.ya != nil && st.sa != nil {
 				finish(r, st)
 			}
 		case *wire.SAnnounce:
 			st := state(r)
-			st.sa = mm
+			if st.sa != nil {
+				ta.sfree = append(ta.sfree, st.sa)
+			}
+			st.sa, ta.sa = mm, nil
 			if st.ya != nil {
 				finish(r, st)
 			}

@@ -92,8 +92,11 @@ type Config struct {
 
 	// NewBus, when non-nil, builds the broadcast bus for each block
 	// (tests wrap the default bus in an Injector, or run the exchange over
-	// a UDPBus). The default is transport.NewChanBus(cfg.Erasure,
-	// blockSeed, inbox). The block's bytes follow the schedule whatever the
+	// a UDPBus). Nil means the pooled in-process bus: a
+	// transport.NewChanBusOver(cfg.Erasure, blockSeed, inboxes) whose
+	// inboxes the stream lends each block in flight and reuses after it.
+	// A NewBus bus gets no such reuse: build one only for what the
+	// default cannot do. The block's bytes follow the schedule whatever the
 	// bus; its members verify them only if the bus erases by
 	// radio.Delivered keyed by blockSeed, as both transport buses do.
 	//
@@ -304,13 +307,14 @@ type Stream struct {
 
 	readMu sync.Mutex // serializes sequential Reads (cursor integrity)
 
-	wg     sync.WaitGroup
-	arenas []*arena // one per worker, zeroed when it exits
-	spare  [][]byte // zeroed block buffers for the next derivations, guarded by mu
-	health *memberHealth
-	stats  Stats       // cache-side counters, guarded by mu
-	es     engineStats // derivation-side counters, atomic
-	ins    streamInstruments
+	wg      sync.WaitGroup
+	arenas  []*arena  // one per worker, zeroed when it exits
+	inboxes inboxPool // the block buses' inbox sets, held only while a block derives
+	spare   [][]byte  // zeroed block buffers for the next derivations, guarded by mu
+	health  *memberHealth
+	stats   Stats       // cache-side counters, guarded by mu
+	es      engineStats // derivation-side counters, atomic
+	ins     streamInstruments
 }
 
 // New starts a stream: cfg.Workers derivation workers begin prefetching

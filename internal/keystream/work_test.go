@@ -162,29 +162,32 @@ func settle(t *testing.T, s *Stream) {
 // allocates in the benchmark's stream shape (3 terminals, erasure 0.45,
 // 128 x-packets of 4 KiB, 128 KiB blocks), counting the whole block
 // derivation — leader exchange and compute, bus, both terminals — over a
-// worker arena, the path Stream.worker takes. The budgets are the largest
-// values measured on linux/amd64 (Go 1.24) plus 25%: 286 KB and 402
-// objects per round (208–286 KB and 379–402 objects over 18 runs; the
-// spread is the members' scratch and decode-row pools growing when a
-// measured block's pipeline runs further ahead than the warm-up's did). The largest parts
-// are the three bus inboxes, sized to the pipeline, and the z-packets'
-// payload copies. Marshalling every leader frame fresh
-// and inboxes of 4096 frames cost 1043 KB and 827 objects; allocating the
-// rows, x-symbol slabs, decode slabs and secret copies fresh every round
-// as well cost 4199 KB and 1306 objects.
+// worker arena and an inbox pool, the path Stream.worker takes. The
+// budgets are the largest values measured on linux/amd64 (Go 1.24) plus
+// 25%: 264 KB and 235 objects per round (82–211 KB and 164–188 objects
+// over 60 runs). The spread is the arena growing after the one warm-up
+// block: a 512 KiB x-symbol slab, or the members' scratch and decode
+// rows, when a measured block's pipeline runs further ahead than the
+// warm-up's did. Once warm, a round allocates little beyond its plan
+// (see TestSteadyStateBlockAlloc). Fresh bus inboxes every block,
+// z-packets and announcement rows copied out of the plan and the
+// leader's rows, and members decoding control frames into fresh
+// messages cost 208–286 KB and 379–402 objects; marshalling every leader
+// frame fresh and inboxes of 4096 frames as well cost 1043 KB and 827
+// objects.
 func TestProtocolBlockAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's own allocations swamp the budget")
 	}
 	const (
-		budgetKB   = 358
-		budgetObjs = 503
+		budgetKB   = 264
+		budgetObjs = 235
 	)
 	cfg := Config{Terminals: 3, Erasure: 0.45, XPerRound: 128, PayloadBytes: 4096, Seed: 3, BlockSize: 128 << 10}
 	if err := cfg.fill(); err != nil {
 		t.Fatal(err)
 	}
-	bc := &BlockContext{cfg: &cfg, es: &engineStats{}, health: newMemberHealth(cfg.Terminals), ins: &streamInstruments{}, arena: newArena(&cfg)}
+	bc := workerContext(&cfg)
 	dst := make([]byte, cfg.BlockSize)
 	if err := bc.deriveProtocol(0, dst); err != nil { // warm up
 		t.Fatal(err)
@@ -204,5 +207,47 @@ func TestProtocolBlockAllocBudget(t *testing.T) {
 	t.Logf("per computed round: %.0f KB, %.0f objects (%v rounds over 4 blocks)", kb, objs, rounds)
 	if kb > budgetKB || objs > budgetObjs {
 		t.Fatalf("per computed round: %.0f KB, %.0f objects; budget %d KB, %d objects", kb, objs, budgetKB, budgetObjs)
+	}
+}
+
+// workerContext is the block context Stream.worker derives through: one
+// worker's arena, and an inbox pool as the stream holds.
+func workerContext(cfg *Config) *BlockContext {
+	return &BlockContext{cfg: cfg, es: &engineStats{}, health: newMemberHealth(cfg.Terminals), ins: &streamInstruments{},
+		arena: newArena(cfg), inboxes: &inboxPool{}}
+}
+
+// TestSteadyStateBlockAlloc: once warm, a block in the benchmark's shape
+// allocates under 100 KB through a worker's arena and the stream's inbox
+// pool — its round plans and the leader's announcements, not its bus or
+// its packets. Fresh bus inboxes alone are about 126 KB a block.
+func TestSteadyStateBlockAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations swamp the budget")
+	}
+	const (
+		warm, measured = 20, 50
+		budgetKB       = 100
+	)
+	cfg := Config{Terminals: 3, Erasure: 0.45, XPerRound: 128, PayloadBytes: 4096, Seed: 5, BlockSize: 128 << 10}
+	if err := cfg.fill(); err != nil {
+		t.Fatal(err)
+	}
+	bc := workerContext(&cfg)
+	dst := make([]byte, cfg.BlockSize)
+	var before, after runtime.MemStats
+	for idx := int64(0); idx < warm+measured; idx++ {
+		if idx == warm {
+			runtime.ReadMemStats(&before)
+		}
+		if err := bc.deriveProtocol(idx, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	kb := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / measured
+	t.Logf("per block: %.1f KB, %.0f objects", kb, float64(after.Mallocs-before.Mallocs)/measured)
+	if kb > budgetKB {
+		t.Fatalf("a steady-state block allocated %.1f KB; budget %d KB", kb, budgetKB)
 	}
 }

@@ -106,8 +106,9 @@ func (m *Matrix[E]) At(i, j int) E { return m.d[i*m.cols+j] }
 // Set assigns the element at row i, column j.
 func (m *Matrix[E]) Set(i, j int, v E) { m.d[i*m.cols+j] = v }
 
-// Row returns row i as a slice aliasing the matrix storage.
-func (m *Matrix[E]) Row(i int) []E { return m.d[i*m.cols : (i+1)*m.cols] }
+// Row returns row i as a slice aliasing the matrix storage, capped at the
+// row's end so that an append copies it instead of writing the next row.
+func (m *Matrix[E]) Row(i int) []E { return m.d[i*m.cols : (i+1)*m.cols : (i+1)*m.cols] }
 
 // RowViews returns every row as a slice aliasing the matrix storage — the
 // form the gf batched kernels (AddMulSlices) consume. Callers combining

@@ -379,6 +379,12 @@ func (s *Session) run() {
 		return
 	}
 
+	// A plain session's blocks run on the keystream's pooled in-process
+	// bus; only UDP, observed and authenticated sessions need blockBus.
+	var newBus func(block, blockSeed int64, inbox int) (transport.Bus, error)
+	if s.spec.UDP || s.spec.Observe || len(s.spec.AuthBootstrap) > 0 {
+		newBus = s.blockBus
+	}
 	str, err := keystream.New(keystream.Config{
 		Terminals:    s.spec.Terminals,
 		XPerRound:    s.spec.XPerRound,
@@ -389,7 +395,7 @@ func (s *Session) run() {
 		BlockSize:    s.spec.StreamBlock,
 		Timeout:      s.spec.Timeout,
 		Obs:          s.svc.obs,
-		NewBus:       s.blockBus,
+		NewBus:       newBus,
 	})
 	if err != nil {
 		s.setErr(err)
@@ -461,14 +467,15 @@ func (s *Session) refresh(str *keystream.Stream, buf []byte) error {
 	return nil
 }
 
-// blockBus builds block b's bus (keystream.Config.NewBus): a UDP or
-// in-process bus erasing by the block seed, every endpoint buffering the
-// inbox frames the keystream asks for; when Observe is set and this
-// is the block's first derivation, an eavesdropper's tap attached before
-// the first frame; when AuthBootstrap is set, a sealing layer over the
-// terminals' endpoints. The tap stays on the raw bus, so it overhears
-// sealed control frames exactly as a real Eve would. None of it changes
-// the block's bytes.
+// blockBus builds block b's bus (keystream.Config.NewBus) for a UDP,
+// observed or authenticated session: a UDP or in-process bus erasing by
+// the block seed, every endpoint buffering the inbox frames the
+// keystream asks for; when Observe is set and this is the block's first
+// derivation, an eavesdropper's tap attached before the first frame;
+// when AuthBootstrap is set, a sealing layer over the terminals'
+// endpoints. The tap stays on the raw bus, so it overhears sealed
+// control frames exactly as a real Eve would. None of it changes the
+// block's bytes.
 func (s *Session) blockBus(block, blockSeed int64, inbox int) (transport.Bus, error) {
 	var bus transport.Bus
 	if s.spec.UDP {

@@ -24,10 +24,16 @@ import (
 // observer — costs only its own frames. A sender that paces itself to
 // its receivers (as a keystream block does, sizing the inbox to its
 // pipeline) sheds nothing.
+//
+// A bus built by NewChanBusOver delivers into inboxes its caller owns,
+// so a caller that builds one bus after another can reuse them. Close stops
+// delivery but leaves those inboxes open: their receivers stop on a
+// signal of their own, and the caller drains them before reusing them.
 type ChanBus struct {
 	erasure float64
 	seed    int64
 	inbox   int
+	owned   []chan Env // caller-owned inboxes, by endpoint id
 
 	mu        sync.Mutex
 	endpoints map[int]*chanEndpoint
@@ -44,6 +50,18 @@ func NewChanBus(erasure float64, seed int64, inbox int) *ChanBus {
 	return &ChanBus{erasure: erasure, seed: seed, inbox: inbox, endpoints: make(map[int]*chanEndpoint)}
 }
 
+// NewChanBusOver is NewChanBus over inboxes the caller owns: endpoint id
+// receives into inboxes[id], and an endpoint beyond them gets an inbox of
+// its own as deep as inboxes[0]. Close leaves the caller's inboxes open.
+func NewChanBusOver(erasure float64, seed int64, inboxes []chan Env) *ChanBus {
+	b := NewChanBus(erasure, seed, 0)
+	if len(inboxes) > 0 {
+		b.inbox = cap(inboxes[0])
+	}
+	b.owned = inboxes
+	return b
+}
+
 // Endpoint implements Bus.
 func (b *ChanBus) Endpoint(id int) (Endpoint, error) {
 	b.mu.Lock()
@@ -54,7 +72,12 @@ func (b *ChanBus) Endpoint(id int) (Endpoint, error) {
 	if ep, ok := b.endpoints[id]; ok {
 		return ep, nil
 	}
-	ep := &chanEndpoint{bus: b, id: id, ch: make(chan Env, b.inbox)}
+	ep := &chanEndpoint{bus: b, id: id}
+	if id >= 0 && id < len(b.owned) {
+		ep.ch, ep.borrowed = b.owned[id], true
+	} else {
+		ep.ch = make(chan Env, b.inbox)
+	}
 	b.endpoints[id] = ep
 	return ep, nil
 }
@@ -74,7 +97,9 @@ func (b *ChanBus) Close() error {
 	}
 	b.closed = true
 	for _, ep := range b.endpoints {
-		close(ep.ch)
+		if !ep.borrowed {
+			close(ep.ch)
+		}
 	}
 	return nil
 }
@@ -102,9 +127,10 @@ func (b *ChanBus) broadcast(from int, frame []byte, reliable bool) error {
 }
 
 type chanEndpoint struct {
-	bus *ChanBus
-	id  int
-	ch  chan Env
+	bus      *ChanBus
+	id       int
+	ch       chan Env
+	borrowed bool // ch is the caller's: Close leaves it open
 }
 
 func (e *chanEndpoint) ID() int { return e.id }

@@ -106,6 +106,9 @@ type node struct {
 	// rounds, so a node combines packets without per-round allocation
 	// churn.
 	scratch *core.RoundScratch
+	// zpay is the leader's z-payload buffer: sendCtrl marshals each
+	// z-packet before the next one is filled in.
+	zpay []byte
 }
 
 func (n *node) header(round int) wire.Header {
@@ -245,8 +248,13 @@ func (n *node) leaderRound(ctx context.Context, round int) error {
 	if err := n.sendCtrl(core.BuildYAnnounce(h, plan)); err != nil {
 		return err
 	}
-	for _, zp := range core.BuildZPackets(h, plan, lr.Z) {
-		if err := n.sendCtrl(zp); err != nil {
+	if n.zpay == nil {
+		n.zpay = make([]byte, cfg.PayloadBytes)
+	}
+	var zp wire.ZPacket
+	for j, z := range lr.Z {
+		core.FillZPacket(&zp, h, plan, j, z, n.zpay)
+		if err := n.sendCtrl(&zp); err != nil {
 			return err
 		}
 	}

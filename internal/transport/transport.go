@@ -45,7 +45,9 @@ type Endpoint interface {
 	// other endpoint (the eavesdropper included, per the paper's model).
 	SendCtrl(frame []byte) error
 	// Recv yields delivered frames. The channel is closed when the bus
-	// shuts down.
+	// shuts down, unless it is an inbox the bus's caller owns (see
+	// NewChanBusOver): the bus then only stops delivering into it, and
+	// its receiver must stop on a signal of its own.
 	Recv() <-chan Env
 	// Close detaches the endpoint.
 	Close() error
@@ -61,7 +63,7 @@ type Bus interface {
 	// ShedFrames returns the number of frames dropped because a
 	// receiver's inbox was full.
 	ShedFrames() int64
-	// Close shuts the bus down and closes all endpoint channels.
+	// Close shuts the bus down and closes every endpoint channel it owns.
 	Close() error
 }
 

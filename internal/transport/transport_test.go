@@ -94,6 +94,42 @@ func TestChanBusClosed(t *testing.T) {
 	bus.Close() // idempotent
 }
 
+// TestChanBusOverOwnedInboxes: a bus over caller-owned inboxes delivers
+// into them, gives an endpoint beyond them an inbox of its own as deep,
+// and on Close stops delivering but closes only its own inbox.
+func TestChanBusOverOwnedInboxes(t *testing.T) {
+	inboxes := []chan Env{make(chan Env, 4), make(chan Env, 4)}
+	bus := NewChanBusOver(0, 1, inboxes)
+	a, _ := bus.Endpoint(0)
+	b, _ := bus.Endpoint(1)
+	tap, _ := bus.Endpoint(2)
+	if b.Recv() != (<-chan Env)(inboxes[1]) || cap(tap.Recv()) != 4 {
+		t.Fatalf("endpoint 1 does not receive into the caller's inbox, or the tap's inbox holds %d frames", cap(tap.Recv()))
+	}
+	if err := a.SendCtrl([]byte("ctrl")); err != nil {
+		t.Fatal(err)
+	}
+	if len(inboxes[1]) != 1 || len(tap.Recv()) != 1 || len(inboxes[0]) != 0 {
+		t.Fatalf("inbox depths %d, %d, tap %d after one control frame from 0", len(inboxes[0]), len(inboxes[1]), len(tap.Recv()))
+	}
+	bus.Close()
+	if err := b.SendCtrl([]byte("late")); err == nil {
+		t.Fatal("send on a closed bus accepted")
+	}
+	if env := <-inboxes[1]; string(env.Frame) != "ctrl" || len(inboxes[0]) != 0 {
+		t.Fatalf("caller's inboxes hold %q and %d frames after Close", env.Frame, len(inboxes[0]))
+	}
+	select {
+	case inboxes[1] <- Env{}: // still open: the caller's to close or reuse
+	default:
+		t.Fatal("caller's inbox full")
+	}
+	<-tap.Recv()
+	if _, ok := <-tap.Recv(); ok {
+		t.Fatal("the bus's own inbox stayed open after Close")
+	}
+}
+
 func TestRunGroupOverChanBus(t *testing.T) {
 	const n = 4
 	bus := NewChanBus(0.4, 7, DefaultInbox)

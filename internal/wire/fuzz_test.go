@@ -13,6 +13,9 @@ import (
 // must agree with it on x/non-x and on (round, seq). UnmarshalX must
 // accept exactly the x frames Unmarshal accepts, decoding every field the
 // same, and AppendMarshal must extend a prefix by exactly Marshal's frame.
+// UnmarshalY, UnmarshalZ and UnmarshalS, each decoding into a target
+// another frame left dirty, must accept exactly the frames of their type
+// Unmarshal accepts, to messages that re-marshal to the same frame.
 // Runs its seed corpus under plain `go test`; use
 // `go test -fuzz=FuzzUnmarshal ./internal/wire` to explore further.
 func FuzzUnmarshal(f *testing.F) {
@@ -26,7 +29,10 @@ func FuzzUnmarshal(f *testing.F) {
 		{XIDs: []uint32{1, 2}, Coeffs: [][]uint16{{3, 4}}},
 	}}))
 	f.Add(Marshal(&ZPacket{Header: Header{Type: TypeZ}, Index: 1, Coeffs: []uint16{5}, Payload: []byte{6}}))
+	f.Add(Marshal(&YAnnounce{Header: Header{Type: TypeYAnnounce}, Classes: []ClassBatch{{}}}))
+	f.Add(Marshal(&ZPacket{Header: Header{Type: TypeZ}}))
 	f.Add(Marshal(&SAnnounce{Header: Header{Type: TypeSAnnounce}, Coeffs: [][]uint16{{1}}}))
+	f.Add(Marshal(&SAnnounce{Header: Header{Type: TypeSAnnounce}, Coeffs: [][]uint16{{}, {2, 3}}}))
 	f.Add(Marshal(&Beacon{Header: Header{Type: TypeBeacon}, Kind: BeaconEndOfX, Value: 90}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Unmarshal(data)
@@ -35,6 +41,24 @@ func FuzzUnmarshal(f *testing.F) {
 		if errX == nil {
 			if got, ok := m.(*XPacket); err != nil || !ok || !reflect.DeepEqual(*got, x) {
 				t.Fatalf("UnmarshalX decoded %+v; Unmarshal returned %#v, %v", x, m, err)
+			}
+		}
+		y, z, s := dirtyTargets()
+		for _, c := range []struct {
+			typ Type
+			err error
+			m   Message
+		}{
+			{TypeYAnnounce, UnmarshalY(data, y), y},
+			{TypeZ, UnmarshalZ(data, z), z},
+			{TypeSAnnounce, UnmarshalS(data, s), s},
+		} {
+			want := err == nil && m.Hdr().Type == c.typ
+			if (c.err == nil) != want {
+				t.Fatalf("in-place %v decode: %v; Unmarshal returned %#v, %v", c.typ, c.err, m, err)
+			}
+			if want && string(Marshal(c.m)) != string(data) {
+				t.Fatalf("%v decoded in place does not re-marshal to its frame:\n in: %x\nout: %x", c.typ, data, Marshal(c.m))
 			}
 		}
 		if err != nil {
@@ -62,6 +86,16 @@ func FuzzUnmarshal(f *testing.F) {
 			t.Fatalf("PeekX = (round %d, seq %d), decoded (%d, %d)", round, seq, xp.Round, xp.Seq)
 		}
 	})
+}
+
+// dirtyTargets returns in-place decode targets holding another frame's
+// fields, with slices longer than most frames need.
+func dirtyTargets() (*YAnnounce, *ZPacket, *SAnnounce) {
+	rows := func() [][]uint16 { return [][]uint16{{1, 2, 3, 4}, {5, 6, 7, 8}, {9}} }
+	h := Header{Type: TypeBeacon, From: 9, Session: 99, Round: 999}
+	return &YAnnounce{Header: h, Classes: []ClassBatch{{XIDs: []uint32{1, 2, 3, 4}, Coeffs: rows()}, {XIDs: []uint32{5}, Coeffs: rows()}}},
+		&ZPacket{Header: h, Index: 7, Coeffs: []uint16{1, 2, 3, 4, 5, 6}, Payload: []byte{1, 2, 3}},
+		&SAnnounce{Header: h, Coeffs: rows()}
 }
 
 func TestUnmarshalRandomBytesNeverPanic(t *testing.T) {

@@ -237,11 +237,11 @@ func Unmarshal(b []byte) (Message, error) {
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrType, h.Type)
 	}
+	if err == nil {
+		err = r.end()
+	}
 	if err != nil {
 		return nil, err
-	}
-	if len(r.b) != 0 {
-		return nil, ErrTrailing
 	}
 	return m, nil
 }
@@ -251,22 +251,69 @@ func Unmarshal(b []byte) (Message, error) {
 // error. m.Payload aliases b, as in Unmarshal. On error m is left in an
 // unspecified state.
 func UnmarshalX(b []byte, m *XPacket) error {
-	h, body, err := header(b)
+	r, err := bodyOf(b, TypeX, &m.Header)
 	if err != nil {
 		return err
 	}
-	if h.Type != TypeX {
-		return fmt.Errorf("%w: %v is not an x-packet", ErrType, h.Type)
-	}
-	m.Header = h
-	r := reader{b: body}
 	if err := m.parseBody(&r); err != nil {
 		return err
 	}
-	if len(r.b) != 0 {
-		return ErrTrailing
+	return r.end()
+}
+
+// UnmarshalY decodes a y-announce frame into m in place, with every
+// check Unmarshal makes; a frame of another type is an ErrType error. It
+// reuses m's slices and the rows in them, so a target decoded into
+// before stops allocating once its slices are as long as the frames it
+// meets. On error m is left in an unspecified state.
+func UnmarshalY(b []byte, m *YAnnounce) error {
+	r, err := bodyOf(b, TypeYAnnounce, &m.Header)
+	if err != nil {
+		return err
 	}
-	return nil
+	if err := m.parseBody(&r); err != nil {
+		return err
+	}
+	return r.end()
+}
+
+// UnmarshalZ is UnmarshalY for a z-packet frame. m.Payload aliases b, as
+// in Unmarshal.
+func UnmarshalZ(b []byte, m *ZPacket) error {
+	r, err := bodyOf(b, TypeZ, &m.Header)
+	if err != nil {
+		return err
+	}
+	if err := m.parseBody(&r); err != nil {
+		return err
+	}
+	return r.end()
+}
+
+// UnmarshalS is UnmarshalY for an s-announce frame.
+func UnmarshalS(b []byte, m *SAnnounce) error {
+	r, err := bodyOf(b, TypeSAnnounce, &m.Header)
+	if err != nil {
+		return err
+	}
+	if err := m.parseBody(&r); err != nil {
+		return err
+	}
+	return r.end()
+}
+
+// bodyOf checks frame b, requires its type to be t, stores its header in
+// h and returns a reader over its body.
+func bodyOf(b []byte, t Type, h *Header) (reader, error) {
+	hd, body, err := header(b)
+	if err != nil {
+		return reader{}, err
+	}
+	if hd.Type != t {
+		return reader{}, fmt.Errorf("%w: %v is not %v", ErrType, hd.Type, t)
+	}
+	*h = hd
+	return reader{b: body}, nil
 }
 
 // header checks a frame's length, checksum, magic and version, and
@@ -306,6 +353,15 @@ func PeekX(b []byte) (round uint16, seq uint32, ok bool) {
 		return 0, 0, false
 	}
 	return binary.BigEndian.Uint16(b[9:11]), binary.BigEndian.Uint32(b[headerLen:]), true
+}
+
+// PeekType reads a frame's type byte without decoding or checking the
+// frame; 0 for bytes too short to hold one. It never allocates.
+func PeekType(b []byte) Type {
+	if len(b) < 4 {
+		return 0
+	}
+	return Type(b[3])
 }
 
 // reader is a bounds-checked big-endian cursor.
@@ -364,15 +420,44 @@ func (r *reader) bytes() ([]byte, error) {
 	return out, nil
 }
 
-func (r *reader) u16s() ([]uint16, error) {
+// end reports whether the body was consumed exactly.
+func (r *reader) end() error {
+	if len(r.b) != 0 {
+		return ErrTrailing
+	}
+	return nil
+}
+
+// countMin is count for a vector whose elements each take at least min
+// bytes of what is left, so a length field cannot ask for more elements
+// than the frame could hold.
+func (r *reader) countMin(min int) (int, error) {
 	n, err := r.count()
+	if err != nil {
+		return 0, err
+	}
+	if len(r.b) < min*n {
+		return 0, ErrShort
+	}
+	return n, nil
+}
+
+// resize returns s with length n, reusing its array, and the elements
+// in it, when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return append(s[:cap(s)], make([]T, n-cap(s))...)[:n]
+}
+
+// u16s decodes the next uint16 vector into dst's array when it fits.
+func (r *reader) u16s(dst []uint16) ([]uint16, error) {
+	n, err := r.countMin(2)
 	if err != nil {
 		return nil, err
 	}
-	if len(r.b) < 2*n {
-		return nil, ErrShort
-	}
-	out := make([]uint16, n)
+	out := resize(dst, n)
 	for i := range out {
 		out[i] = binary.BigEndian.Uint16(r.b[2*i:])
 	}
@@ -380,15 +465,13 @@ func (r *reader) u16s() ([]uint16, error) {
 	return out, nil
 }
 
-func (r *reader) u32s() ([]uint32, error) {
-	n, err := r.count()
+// u32s decodes the next uint32 vector into dst's array when it fits.
+func (r *reader) u32s(dst []uint32) ([]uint32, error) {
+	n, err := r.countMin(4)
 	if err != nil {
 		return nil, err
 	}
-	if len(r.b) < 4*n {
-		return nil, ErrShort
-	}
-	out := make([]uint32, n)
+	out := resize(dst, n)
 	for i := range out {
 		out[i] = binary.BigEndian.Uint32(r.b[4*i:])
 	}
@@ -494,28 +577,39 @@ func (m *YAnnounce) body(dst []byte) []byte {
 	return dst
 }
 
+// parseBody reuses m's slices, and the rows in them (see UnmarshalY).
 func (m *YAnnounce) parseBody(r *reader) error {
-	nc, err := r.count()
+	nc, err := r.countMin(8) // each class: two vector lengths
 	if err != nil {
 		return err
 	}
-	m.Classes = make([]ClassBatch, nc)
+	m.Classes = resize(m.Classes, nc)
 	for i := range m.Classes {
-		if m.Classes[i].XIDs, err = r.u32s(); err != nil {
+		cb := &m.Classes[i]
+		if cb.XIDs, err = r.u32s(cb.XIDs); err != nil {
 			return err
 		}
-		nr, err := r.count()
-		if err != nil {
+		if cb.Coeffs, err = r.rows(cb.Coeffs); err != nil {
 			return err
-		}
-		m.Classes[i].Coeffs = make([][]uint16, nr)
-		for j := range m.Classes[i].Coeffs {
-			if m.Classes[i].Coeffs[j], err = r.u16s(); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
+}
+
+// rows decodes the next vector of uint16 rows into dst's rows when they
+// fit.
+func (r *reader) rows(dst [][]uint16) ([][]uint16, error) {
+	n, err := r.countMin(4) // each row: its length
+	if err != nil {
+		return nil, err
+	}
+	out := resize(dst, n)
+	for i := range out {
+		if out[i], err = r.u16s(out[i]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 func (m *ZPacket) bodyLen() int { return 2 + 4 + 2*len(m.Coeffs) + 4 + len(m.Payload) }
@@ -530,7 +624,7 @@ func (m *ZPacket) parseBody(r *reader) (err error) {
 	if m.Index, err = r.u16(); err != nil {
 		return err
 	}
-	if m.Coeffs, err = r.u16s(); err != nil {
+	if m.Coeffs, err = r.u16s(m.Coeffs); err != nil {
 		return err
 	}
 	m.Payload, err = r.bytes()
@@ -553,18 +647,9 @@ func (m *SAnnounce) body(dst []byte) []byte {
 	return dst
 }
 
-func (m *SAnnounce) parseBody(r *reader) error {
-	nr, err := r.count()
-	if err != nil {
-		return err
-	}
-	m.Coeffs = make([][]uint16, nr)
-	for i := range m.Coeffs {
-		if m.Coeffs[i], err = r.u16s(); err != nil {
-			return err
-		}
-	}
-	return nil
+func (m *SAnnounce) parseBody(r *reader) (err error) {
+	m.Coeffs, err = r.rows(m.Coeffs)
+	return err
 }
 
 func (m *Beacon) bodyLen() int { return 1 + 4 }

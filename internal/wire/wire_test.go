@@ -309,6 +309,75 @@ func TestXFrameDecodeAllocs(t *testing.T) {
 	}
 }
 
+// TestControlFrameDecodeAllocs: once a target has decoded a round's
+// y-announce, z-packet and s-announce, decoding the next round's (same
+// shape, other contents) into it allocates nothing; each decodes what
+// Unmarshal decodes, and refuses frames of another type.
+func TestControlFrameDecodeAllocs(t *testing.T) {
+	round := func(r uint16) (y *YAnnounce, z *ZPacket, s *SAnnounce) {
+		h := Header{From: 1, Session: 7, Round: r}
+		row := func(n int) []uint16 {
+			out := make([]uint16, n)
+			for i := range out {
+				out[i] = uint16(int(r)*31 + i)
+			}
+			return out
+		}
+		h.Type = TypeYAnnounce
+		y = &YAnnounce{Header: h, Classes: []ClassBatch{
+			{XIDs: []uint32{1, 4, 9}, Coeffs: [][]uint16{row(3), row(3)}},
+			{XIDs: []uint32{uint32(r)}, Coeffs: [][]uint16{row(1)}},
+		}}
+		h.Type = TypeZ
+		z = &ZPacket{Header: h, Index: r, Coeffs: row(5), Payload: make([]byte, 64)}
+		z.Payload[3] = byte(r)
+		h.Type = TypeSAnnounce
+		s = &SAnnounce{Header: h, Coeffs: [][]uint16{row(5), row(5)}}
+		return y, z, s
+	}
+	var (
+		y YAnnounce
+		z ZPacket
+		s SAnnounce
+	)
+	decode := func(frames [3][]byte) {
+		if err := UnmarshalY(frames[0], &y); err != nil {
+			t.Fatal(err)
+		}
+		if err := UnmarshalZ(frames[1], &z); err != nil {
+			t.Fatal(err)
+		}
+		if err := UnmarshalS(frames[2], &s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	y0, z0, s0 := round(1)
+	decode([3][]byte{Marshal(y0), Marshal(z0), Marshal(s0)}) // warm up
+	y1, z1, s1 := round(2)
+	frames := [3][]byte{Marshal(y1), Marshal(z1), Marshal(s1)}
+	if allocs := testing.AllocsPerRun(100, func() { decode(frames) }); allocs != 0 {
+		t.Fatalf("in-place control decode allocated %v times per round", allocs)
+	}
+	for i, pair := range [][2]Message{{y1, &y}, {z1, &z}, {s1, &s}} {
+		if !messagesEquivalent(pair[0], pair[1]) {
+			t.Fatalf("frame %d decoded in place to %+v, want %+v", i, pair[1], pair[0])
+		}
+	}
+	if &z.Payload[0] != &frames[1][len(frames[1])-4-len(z.Payload)] || cap(z.Payload) != len(z.Payload) {
+		t.Fatal("UnmarshalZ copied the payload instead of aliasing the frame")
+	}
+	beacon := Marshal(&Beacon{Header: Header{Type: TypeBeacon}})
+	for name, err := range map[string]error{
+		"UnmarshalY": UnmarshalY(beacon, &y),
+		"UnmarshalZ": UnmarshalZ(beacon, &z),
+		"UnmarshalS": UnmarshalS(frames[0], &s),
+	} {
+		if !errors.Is(err, ErrType) {
+			t.Fatalf("%s of a frame of another type: %v, want ErrType", name, err)
+		}
+	}
+}
+
 // messagesEquivalent compares messages treating nil and empty slices as
 // equal (the codec cannot distinguish them, by design).
 func messagesEquivalent(a, b Message) bool {
