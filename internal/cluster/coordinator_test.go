@@ -281,9 +281,7 @@ func TestCoordinatorChaosKillAndReassign(t *testing.T) {
 		t.Fatalf("victim session was never reassigned: %+v", after)
 	}
 
-	sctx, scancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer scancel()
-	if err := c.Shutdown(sctx); err != nil {
+	if err := shutdownOrDump(t, c, 60*time.Second); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
 	if _, err := c.Create(fastSpec(1)); !errors.Is(err, ErrShutdown) {
@@ -305,9 +303,7 @@ func TestCoordinatorShutdownCleanliness(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitConverged(t, c, info.ID, fastSpec(31).TargetDepth)
-	sctx, scancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer scancel()
-	if err := c.Shutdown(sctx); err != nil {
+	if err := shutdownOrDump(t, c, 60*time.Second); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
 	if _, err := c.Draw(context.Background(), info.ID, 8); err == nil {

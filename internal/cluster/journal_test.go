@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime/pprof"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -161,6 +163,23 @@ func TestJournalCompaction(t *testing.T) {
 // TestCoordinatorHeartbeatDetection stays the test of detection.
 const restartMisses = 40
 
+// shutdownOrDump shuts c down within d. When the shutdown fails on a
+// deadline — the coordinator's own, or one a worker's drain reported
+// back over HTTP — it logs every goroutine's stack first, so a slow
+// drain names what held it.
+func shutdownOrDump(t *testing.T, c *Coordinator, d time.Duration) error {
+	t.Helper()
+	sctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	err := c.Shutdown(sctx)
+	if err != nil && (errors.Is(err, context.DeadlineExceeded) || strings.Contains(err.Error(), context.DeadlineExceeded.Error())) {
+		var stacks strings.Builder
+		pprof.Lookup("goroutine").WriteTo(&stacks, 2)
+		t.Logf("shutdown: %v; every goroutine:\n%s", err, stacks.String())
+	}
+	return err
+}
+
 // TestCoordinatorRestartAdoptsWorkers is the in-process restart chaos
 // test: a coordinator with a state dir is abandoned crash-style (no
 // drain, workers left running), and its successor on the same dir must
@@ -239,9 +258,7 @@ func TestCoordinatorRestartAdoptsWorkers(t *testing.T) {
 		t.Fatalf("restart from journal: %v", err)
 	}
 	defer func() {
-		sctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		if err := c2.Shutdown(sctx); err != nil {
+		if err := shutdownOrDump(t, c2, 60*time.Second); err != nil {
 			t.Errorf("shutdown: %v", err)
 		}
 	}()
@@ -357,9 +374,7 @@ func TestCoordinatorRestartRespawnsOnlyTheDead(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() {
-		sctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		_ = c2.Shutdown(sctx)
+		_ = shutdownOrDump(t, c2, 60*time.Second)
 	}()
 
 	if spawns != 1 {

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/packet"
 )
@@ -35,34 +36,54 @@ func (c Class) Size() int { return len(c.IDs) }
 // are dropped (they can never carry shared secrecy). The result is
 // deterministically ordered: larger member sets first (they are the most
 // valuable — every member benefits and no z-repair is needed among them),
-// ties broken by ascending bitmask.
+// ties broken by ascending bitmask; each class lists its IDs in ascending
+// order.
 func BuildClasses(n, leader, numX int, recv []*packet.IDSet) []Class {
-	byMask := make(map[uint32][]packet.ID)
+	return new(Planner).buildClasses(n, leader, numX, recv)
+}
+
+// buildClasses is BuildClasses into p's storage: one key per received
+// packet (its reception mask above its ID), sorted into class order, then
+// cut into classes where the mask changes.
+func (p *Planner) buildClasses(n, leader, numX int, recv []*packet.IDSet) []Class {
+	keys := p.keys[:0]
 	for id := 0; id < numX; id++ {
 		var mask uint32
 		for i := 0; i < n; i++ {
-			if i == leader {
-				continue
-			}
-			if recv[i] != nil && recv[i].Has(packet.ID(id)) {
+			if i != leader && recv[i] != nil && recv[i].Has(packet.ID(id)) {
 				mask |= 1 << uint(i)
 			}
 		}
-		if mask == 0 {
-			continue
+		if mask != 0 {
+			keys = append(keys, uint64(mask)<<32|uint64(id))
 		}
-		byMask[mask] = append(byMask[mask], packet.ID(id))
 	}
-	out := make([]Class, 0, len(byMask))
-	for mask, ids := range byMask {
-		out = append(out, Class{Members: mask, IDs: ids})
-	}
-	sort.Slice(out, func(a, b int) bool {
-		ca, cb := out[a].MemberCount(), out[b].MemberCount()
-		if ca != cb {
-			return ca > cb
+	slices.SortFunc(keys, classOrder)
+	p.keys = keys
+	ids := slices.Grow(p.classIDs[:0], len(keys))
+	classes := p.classes[:0]
+	for start := 0; start < len(keys); {
+		mask := uint32(keys[start] >> 32)
+		end := start
+		for ; end < len(keys) && uint32(keys[end]>>32) == mask; end++ {
+			ids = append(ids, packet.ID(uint32(keys[end])))
 		}
-		return out[a].Members < out[b].Members
-	})
-	return out
+		classes = append(classes, Class{Members: mask, IDs: ids[start:end:end]})
+		start = end
+	}
+	p.classIDs, p.classes = ids, classes
+	return classes
+}
+
+// classOrder orders buildClasses' keys: more members first, then
+// ascending mask, then ascending ID.
+func classOrder(a, b uint64) int {
+	ma, mb := uint32(a>>32), uint32(b>>32)
+	if ma == mb {
+		return cmp.Compare(uint32(a), uint32(b))
+	}
+	if ca, cb := bits.OnesCount32(ma), bits.OnesCount32(mb); ca != cb {
+		return cb - ca
+	}
+	return cmp.Compare(ma, mb)
 }

@@ -127,6 +127,9 @@ func RunSession(cfg Config, med *radio.Medium, eveNodes []radio.NodeID) (*Sessio
 	// dominated the session's allocation profile.
 	var tsc RoundScratch
 	rm := make(map[packet.ID][]Sym)
+	// One planner for every round: a round's plan is done with before the
+	// next round plans.
+	var planner Planner
 	// The round's z-packets, kept for the agreement check: their values,
 	// the pointers ComputeTerminalSecretInto takes, and the buffer their
 	// payloads are encoded into, all reused across rounds.
@@ -220,18 +223,7 @@ func RunSession(cfg Config, med *radio.Medium, eveNodes []radio.NodeID) (*Sessio
 		}
 
 		// Plan the round.
-		ctx := &EstimatorContext{
-			Terminals: n,
-			Leader:    leader,
-			NumX:      cfg.XPerRound,
-			Recv:      recv,
-			Classes:   BuildClasses(n, leader, cfg.XPerRound, recv),
-		}
-		ctx.Classes = cfg.Pooling.Pools(ctx)
-		if cfg.Estimator.NeedsOracle() {
-			ctx.EveRecv = eveRecv
-		}
-		plan := BuildPlan(ctx, cfg.Estimator)
+		plan := planner.Plan(n, leader, cfg.XPerRound, recv, eveRecv, cfg.Pooling, cfg.Estimator)
 		em.planBuilt(round, len(plan.Classes), plan.M, plan.L,
 			cfg.Estimator.Name(), cfg.Pooling.Name())
 

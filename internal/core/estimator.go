@@ -51,11 +51,15 @@ func (Oracle) Name() string { return "oracle" }
 func (Oracle) NeedsOracle() bool { return true }
 
 // Budgets implements Estimator.
-func (Oracle) Budgets(ctx *EstimatorContext) []int {
+func (o Oracle) Budgets(ctx *EstimatorContext) []int { return o.budgetsInto(new(Planner), ctx) }
+
+// budgetsInto implements budgeter.
+func (Oracle) budgetsInto(p *Planner, ctx *EstimatorContext) []int {
 	if ctx.EveRecv == nil {
 		panic("core: Oracle estimator without EveRecv")
 	}
-	out := make([]int, len(ctx.Classes))
+	out := resize(p.budgets, len(ctx.Classes))
+	p.budgets = out
 	for k, cl := range ctx.Classes {
 		missed := 0
 		for _, id := range cl.IDs {
@@ -94,8 +98,11 @@ func (e FixedDelta) Name() string { return fmt.Sprintf("fixed-delta(%.2f)", e.De
 func (FixedDelta) NeedsOracle() bool { return false }
 
 // Budgets implements Estimator.
-func (e FixedDelta) Budgets(ctx *EstimatorContext) []int {
-	return quantileBudgets(ctx.Classes, e.Delta, epsilonOrDefault(e.Epsilon))
+func (e FixedDelta) Budgets(ctx *EstimatorContext) []int { return e.budgetsInto(new(Planner), ctx) }
+
+// budgetsInto implements budgeter.
+func (e FixedDelta) budgetsInto(p *Planner, ctx *EstimatorContext) []int {
+	return p.quantileBudgets(ctx.Classes, e.Delta, epsilonOrDefault(e.Epsilon))
 }
 
 // LeaveOneOut is the paper's empirical estimator: pretend each terminal in
@@ -131,8 +138,11 @@ func (e LeaveOneOut) Name() string {
 func (LeaveOneOut) NeedsOracle() bool { return false }
 
 // Budgets implements Estimator.
-func (e LeaveOneOut) Budgets(ctx *EstimatorContext) []int {
-	return subsetBudgets(ctx, 1, e.Safety, epsilonOrDefault(e.Epsilon), e.Conditional)
+func (e LeaveOneOut) Budgets(ctx *EstimatorContext) []int { return e.budgetsInto(new(Planner), ctx) }
+
+// budgetsInto implements budgeter.
+func (e LeaveOneOut) budgetsInto(p *Planner, ctx *EstimatorContext) []int {
+	return p.subsetBudgets(ctx, 1, e.Safety, epsilonOrDefault(e.Epsilon), e.Conditional)
 }
 
 // KSubset generalizes LeaveOneOut to an Eve with K antennas (§3.3: "to
@@ -160,12 +170,11 @@ func (e KSubset) Name() string {
 func (KSubset) NeedsOracle() bool { return false }
 
 // Budgets implements Estimator.
-func (e KSubset) Budgets(ctx *EstimatorContext) []int {
-	k := e.K
-	if k < 1 {
-		k = 1
-	}
-	return subsetBudgets(ctx, k, e.Safety, epsilonOrDefault(e.Epsilon), e.Conditional)
+func (e KSubset) Budgets(ctx *EstimatorContext) []int { return e.budgetsInto(new(Planner), ctx) }
+
+// budgetsInto implements budgeter.
+func (e KSubset) budgetsInto(p *Planner, ctx *EstimatorContext) []int {
+	return p.subsetBudgets(ctx, max(e.K, 1), e.Safety, epsilonOrDefault(e.Epsilon), e.Conditional)
 }
 
 // subsetBudgets implements the pretend-Eve estimators. The default mode
@@ -177,13 +186,14 @@ func (e KSubset) Budgets(ctx *EstimatorContext) []int {
 // terminal have no outside pretend-Eve and fall back to the global rate —
 // the residual inaccuracy the paper blames for reliability loss at
 // small n.
-func subsetBudgets(ctx *EstimatorContext, k int, safety, eps float64, conditional bool) []int {
-	out := make([]int, len(ctx.Classes))
-	globalDelta := minMissRate(ctx, k)
+func (p *Planner) subsetBudgets(ctx *EstimatorContext, k int, safety, eps float64, conditional bool) []int {
+	globalDelta := p.minMissRate(ctx, k)
+	out := resize(p.budgets, len(ctx.Classes))
+	p.budgets = out
 	for i, cl := range ctx.Classes {
 		delta := globalDelta
 		if conditional {
-			if d := classMissRate(ctx, cl, k); !math.IsNaN(d) {
+			if d := p.classMissRate(ctx, cl, k); !math.IsNaN(d) {
 				delta = d
 			}
 		}
@@ -198,13 +208,14 @@ func subsetBudgets(ctx *EstimatorContext, k int, safety, eps float64, conditiona
 // classMissRate returns the smallest fraction of the pool's packets missed
 // by any k-subset of non-leader terminals outside the pool's membership,
 // or NaN when every non-leader terminal is a member.
-func classMissRate(ctx *EstimatorContext, cl Class, k int) float64 {
-	var outside []int
+func (p *Planner) classMissRate(ctx *EstimatorContext, cl Class, k int) float64 {
+	outside := p.terms[:0]
 	for i := 0; i < ctx.Terminals; i++ {
 		if i != ctx.Leader && !cl.HasMember(i) {
 			outside = append(outside, i)
 		}
 	}
+	p.terms = outside
 	if len(outside) == 0 {
 		return math.NaN()
 	}
@@ -212,34 +223,24 @@ func classMissRate(ctx *EstimatorContext, cl Class, k int) float64 {
 		k = len(outside)
 	}
 	best := math.Inf(1)
-	subset := make([]int, k)
-	var walk func(start, depth int)
-	walk = func(start, depth int) {
-		if depth == k {
-			missed := 0
-			for _, id := range cl.IDs {
-				got := false
-				for _, j := range subset {
-					if ctx.Recv[j] != nil && ctx.Recv[j].Has(id) {
-						got = true
-						break
-					}
-				}
-				if !got {
-					missed++
+	for more := p.firstSubset(k); more; more = nextSubset(p.subset, len(outside)) {
+		missed := 0
+		for _, id := range cl.IDs {
+			got := false
+			for _, j := range p.subset {
+				if r := ctx.Recv[outside[j]]; r != nil && r.Has(id) {
+					got = true
+					break
 				}
 			}
-			if r := float64(missed) / float64(cl.Size()); r < best {
-				best = r
+			if !got {
+				missed++
 			}
-			return
 		}
-		for i := start; i < len(outside); i++ {
-			subset[depth] = outside[i]
-			walk(i+1, depth+1)
+		if r := float64(missed) / float64(cl.Size()); r < best {
+			best = r
 		}
 	}
-	walk(0, 0)
 	return best
 }
 
@@ -253,12 +254,19 @@ func epsilonOrDefault(eps float64) float64 {
 // minMissRate returns the smallest fraction of the round's x-packets
 // missed by any k-subset of non-leader terminals (union of receptions).
 func minMissRate(ctx *EstimatorContext, k int) float64 {
-	var others []int
+	return new(Planner).minMissRate(ctx, k)
+}
+
+// minMissRate is minMissRate over p's storage: each subset's union is
+// counted word by word (packet.UnionCount), never built.
+func (p *Planner) minMissRate(ctx *EstimatorContext, k int) float64 {
+	others := p.terms[:0]
 	for i := 0; i < ctx.Terminals; i++ {
 		if i != ctx.Leader {
 			others = append(others, i)
 		}
 	}
+	p.terms = others
 	if k > len(others) {
 		k = len(others)
 	}
@@ -266,33 +274,50 @@ func minMissRate(ctx *EstimatorContext, k int) float64 {
 		return 0
 	}
 	best := math.Inf(1)
-	// Enumerate k-subsets of others.
-	subset := make([]int, k)
-	var walk func(start, depth int)
-	walk = func(start, depth int) {
-		if depth == k {
-			union := packet.NewIDSet(ctx.NumX)
-			for _, i := range subset {
-				if ctx.Recv[i] != nil {
-					union = union.Union(ctx.Recv[i])
-				}
-			}
-			miss := 1 - float64(union.Count())/float64(ctx.NumX)
-			if miss < best {
-				best = miss
-			}
-			return
+	for more := p.firstSubset(k); more; more = nextSubset(p.subset, len(others)) {
+		sets := p.sets[:0]
+		for _, j := range p.subset {
+			sets = append(sets, ctx.Recv[others[j]])
 		}
-		for i := start; i < len(others); i++ {
-			subset[depth] = others[i]
-			walk(i+1, depth+1)
+		p.sets = sets
+		miss := 1 - float64(packet.UnionCount(sets))/float64(ctx.NumX)
+		if miss < best {
+			best = miss
 		}
 	}
-	walk(0, 0)
+	clear(p.sets) // the sets are the caller's; hold none past the round
 	if math.IsInf(best, 1) {
 		return 0
 	}
 	return best
+}
+
+// firstSubset sets p.subset to the first k-subset of indices {0, 1, …},
+// in lexicographic order, and reports true: every k, 0 included, has one.
+func (p *Planner) firstSubset(k int) bool {
+	p.subset = p.subset[:0]
+	for i := 0; i < k; i++ {
+		p.subset = append(p.subset, i)
+	}
+	return true
+}
+
+// nextSubset advances idx, a k-subset of 0..n-1 in ascending order, to
+// the next in lexicographic order, and reports false after the last.
+func nextSubset(idx []int, n int) bool {
+	k := len(idx)
+	i := k - 1
+	for i >= 0 && idx[i] == n-k+i {
+		i--
+	}
+	if i < 0 {
+		return false
+	}
+	idx[i]++
+	for j := i + 1; j < k; j++ {
+		idx[j] = idx[j-1] + 1
+	}
+	return true
 }
 
 // quantileBudgets assigns each pool the largest budget m such that a
@@ -301,8 +326,9 @@ func minMissRate(ctx *EstimatorContext, k int) float64 {
 // with probability 1 - eps. The tolerance is per pool: a pool whose
 // budget overshoots leaks at most its own budget, so eps directly bounds
 // the expected leaked fraction of the round's secret.
-func quantileBudgets(classes []Class, delta, eps float64) []int {
-	out := make([]int, len(classes))
+func (p *Planner) quantileBudgets(classes []Class, delta, eps float64) []int {
+	out := resize(p.budgets, len(classes))
+	p.budgets = out
 	for k, cl := range classes {
 		out[k] = binomialLowerQuantile(cl.Size(), delta, eps)
 	}

@@ -106,16 +106,7 @@ func RunPairwiseRound(cfg Config, med *radio.Medium, eveNodes []radio.NodeID) (*
 		med.BroadcastReliable(radio.NodeID(t), len(frame)*8)
 	}
 
-	ctx := &EstimatorContext{
-		Terminals: n, Leader: leader, NumX: cfg.XPerRound,
-		Recv:    recv,
-		Classes: BuildClasses(n, leader, cfg.XPerRound, recv),
-	}
-	ctx.Classes = cfg.Pooling.Pools(ctx)
-	if cfg.Estimator.NeedsOracle() {
-		ctx.EveRecv = eveRecv
-	}
-	plan := BuildPlan(ctx, cfg.Estimator)
+	plan := new(Planner).Plan(n, leader, cfg.XPerRound, recv, eveRecv, cfg.Pooling, cfg.Estimator)
 
 	res := &PairwiseResult{Leader: leader}
 	var y [][]Sym

@@ -39,48 +39,11 @@ type Plan struct {
 // L == 0 means the round is abandoned after the acknowledgment phase (the
 // paper's worst case: some terminal shares nothing with the leader that
 // Eve provably missed); no y/z/s messages are sent for such rounds.
+//
+// BuildPlan runs on a fresh Planner; a caller planning round after round
+// should reuse one through Planner.Plan instead.
 func BuildPlan(ctx *EstimatorContext, est Estimator) *Plan {
-	budgets := est.Budgets(ctx)
-	if len(budgets) != len(ctx.Classes) {
-		panic("core: estimator returned wrong budget count")
-	}
-	p := &Plan{Leader: ctx.Leader, NumX: ctx.NumX, Mi: make([]int, ctx.Terminals)}
-	for k, cl := range ctx.Classes {
-		b := budgets[k]
-		if b <= 0 {
-			continue
-		}
-		if b > cl.Size() {
-			b = cl.Size()
-		}
-		p.Classes = append(p.Classes, cl)
-		p.Budgets = append(p.Budgets, b)
-	}
-	f := Field()
-	for k, cl := range p.Classes {
-		p.Offsets = append(p.Offsets, p.M)
-		p.Extractors = append(p.Extractors, mds.NewWiretapExtractor(f, p.Budgets[k], cl.Size()))
-		p.M += p.Budgets[k]
-		for i := 0; i < ctx.Terminals; i++ {
-			if cl.HasMember(i) {
-				p.Mi[i] += p.Budgets[k]
-			}
-		}
-	}
-	p.Mi[ctx.Leader] = p.M
-	p.L = p.M
-	for i := 0; i < ctx.Terminals; i++ {
-		if i != ctx.Leader && p.Mi[i] < p.L {
-			p.L = p.Mi[i]
-		}
-	}
-	if p.M == 0 {
-		p.L = 0
-	}
-	if p.L > 0 {
-		p.Redist = mds.NewRedistributionCode(f, p.M, p.L)
-	}
-	return p
+	return new(Planner).build(ctx, est)
 }
 
 // TerminalYIndices returns the global indices of the y-packets terminal i

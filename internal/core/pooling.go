@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/packet"
 )
@@ -86,17 +87,23 @@ func (b BalancedPooling) minSize() int {
 
 // Pools implements Pooling.
 func (b BalancedPooling) Pools(ctx *EstimatorContext) []Class {
+	return b.poolsInto(new(Planner), ctx)
+}
+
+// noPool marks a fragment that no candidate member set can take.
+const noPool = 1<<32 - 1
+
+// poolsInto is Pools into p's storage. Fragments are keyed by ID above
+// their members, and once placed, above their pool's candidate index;
+// each pool's IDs are laid out in fragment (ascending ID) order.
+func (b BalancedPooling) poolsInto(p *Planner, ctx *EstimatorContext) []Class {
 	minSize := b.minSize()
-	var kept []Class
-	load := make([]int, ctx.Terminals) // pooled packets covering each terminal
-	type frag struct {
-		id      packet.ID
-		members uint32
-	}
-	var frags []frag
+	out := p.pools[:0]
+	load := resize(p.load, ctx.Terminals) // pooled packets covering each terminal
+	frags := p.frags[:0]
 	for _, cl := range ctx.Classes {
 		if cl.Size() >= minSize && cl.MemberCount() >= 2 {
-			kept = append(kept, cl)
+			out = append(out, cl)
 			for i := 0; i < ctx.Terminals; i++ {
 				if cl.HasMember(i) {
 					load[i] += cl.Size()
@@ -105,41 +112,43 @@ func (b BalancedPooling) Pools(ctx *EstimatorContext) []Class {
 			continue
 		}
 		for _, id := range cl.IDs {
-			frags = append(frags, frag{id: id, members: cl.Members})
+			frags = append(frags, uint64(id)<<32|uint64(cl.Members))
 		}
 	}
-	sort.Slice(frags, func(a, b int) bool { return frags[a].id < frags[b].id })
+	slices.Sort(frags)
 
 	// Candidate member sets: ring pairs over the non-leader terminals (in
 	// index order), then singletons.
-	var candidates []uint32
+	cands := p.cands[:0]
 	if b.UsePairs {
-		var ring []int
+		ring := p.terms[:0]
 		for i := 0; i < ctx.Terminals; i++ {
 			if i != ctx.Leader {
 				ring = append(ring, i)
 			}
 		}
+		p.terms = ring
 		if len(ring) >= 3 {
 			for k := range ring {
-				candidates = append(candidates, 1<<uint(ring[k])|1<<uint(ring[(k+1)%len(ring)]))
+				cands = append(cands, 1<<uint(ring[k])|1<<uint(ring[(k+1)%len(ring)]))
 			}
 		} else if len(ring) == 2 {
-			candidates = append(candidates, 1<<uint(ring[0])|1<<uint(ring[1]))
+			cands = append(cands, 1<<uint(ring[0])|1<<uint(ring[1]))
 		}
 	}
 	for i := 0; i < ctx.Terminals; i++ {
 		if i != ctx.Leader {
-			candidates = append(candidates, 1<<uint(i))
+			cands = append(cands, 1<<uint(i))
 		}
 	}
 
-	pools := make(map[uint32][]packet.ID)
-	for _, fr := range frags {
-		best := uint32(0)
+	counts := resize(p.counts, len(cands))
+	for f, fr := range frags {
+		members := uint32(fr)
+		best := -1
 		bestKey := [3]int{1 << 30, 0, 1 << 30} // minLoad, -size, mask
-		for _, cand := range candidates {
-			if cand&fr.members != cand {
+		for ci, cand := range cands {
+			if cand&members != cand {
 				continue // some candidate member missed this packet
 			}
 			minLoad := 1 << 30
@@ -149,41 +158,66 @@ func (b BalancedPooling) Pools(ctx *EstimatorContext) []Class {
 				}
 			}
 			key := [3]int{minLoad, -bits.OnesCount32(cand), int(cand)}
-			if best == 0 || key[0] < bestKey[0] ||
+			if best < 0 || key[0] < bestKey[0] ||
 				(key[0] == bestKey[0] && key[1] < bestKey[1]) ||
 				(key[0] == bestKey[0] && key[1] == bestKey[1] && key[2] < bestKey[2]) {
-				best, bestKey = cand, key
+				best, bestKey = ci, key
 			}
 		}
-		if best == 0 {
-			continue // unreachable: classes never have empty membership
+		if best < 0 {
+			frags[f] = fr>>32<<32 | noPool // unreachable: classes never have empty membership
+			continue
 		}
-		pools[best] = append(pools[best], fr.id)
+		frags[f] = fr>>32<<32 | uint64(best)
+		counts[best]++
 		for i := 0; i < ctx.Terminals; i++ {
-			if best&(1<<uint(i)) != 0 {
+			if cands[best]&(1<<uint(i)) != 0 {
 				load[i]++
 			}
 		}
 	}
 
-	out := append([]Class(nil), kept...)
-	masks := make([]uint32, 0, len(pools))
-	for m := range pools {
-		masks = append(masks, m)
+	// Lay the pools out candidate after candidate: counts become each
+	// pool's start, then, as its IDs are placed, its end.
+	total := 0
+	for ci, c := range counts {
+		counts[ci], total = total, total+c
 	}
-	sort.Slice(masks, func(a, b int) bool { return masks[a] < masks[b] })
-	for _, m := range masks {
-		out = append(out, Class{Members: m, IDs: pools[m]})
+	ids := resize(p.poolIDs, total)
+	for _, fr := range frags {
+		if ci := uint32(fr); ci != noPool {
+			ids[counts[ci]] = packet.ID(fr >> 32)
+			counts[ci]++
+		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		ca, cb := bits.OnesCount32(out[a].Members), bits.OnesCount32(out[b].Members)
-		if ca != cb {
-			return ca > cb
+	start := 0
+	for ci, end := range counts {
+		if end > start {
+			out = append(out, Class{Members: cands[ci], IDs: ids[start:end:end]})
 		}
-		if out[a].Members != out[b].Members {
-			return out[a].Members < out[b].Members
-		}
-		return len(out[a].IDs) > len(out[b].IDs)
-	})
+		start = end
+	}
+	slices.SortFunc(out, poolOrder)
+	p.pools, p.poolIDs, p.frags, p.cands, p.counts, p.load = out, ids, frags, cands, counts, load
 	return out
 }
+
+// poolOrder is the order of Pools' result: more members first, then
+// ascending mask, then larger pools first, then ascending first ID. The
+// last key makes it total: with UsePairs a kept exact class and a ring
+// pair pool can share a mask and a size, but pools have disjoint IDs.
+func poolOrder(a, b Class) int {
+	if ca, cb := a.MemberCount(), b.MemberCount(); ca != cb {
+		return cb - ca
+	}
+	if a.Members != b.Members {
+		return cmp.Compare(a.Members, b.Members)
+	}
+	if a.Size() != b.Size() {
+		return b.Size() - a.Size()
+	}
+	return cmp.Compare(a.IDs[0], b.IDs[0])
+}
+
+// poolsInto implements pooler.
+func (ExactPooling) poolsInto(_ *Planner, ctx *EstimatorContext) []Class { return ctx.Classes }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/gf"
 	"repro/internal/mds"
@@ -96,16 +97,31 @@ func (sc *RoundScratch) computeY(plan *Plan, xSym [][]Sym) [][]Sym {
 // plan's extractor matrices: they stay valid while the plan does, and
 // must not be written through.
 func BuildYAnnounce(h wire.Header, plan *Plan) *wire.YAnnounce {
-	h.Type = wire.TypeYAnnounce
-	msg := &wire.YAnnounce{Header: h, Classes: make([]wire.ClassBatch, len(plan.Classes))}
-	for k, cl := range plan.Classes {
-		ids := make([]uint32, len(cl.IDs))
-		for i, id := range cl.IDs {
-			ids[i] = uint32(id)
-		}
-		msg.Classes[k] = wire.ClassBatch{XIDs: ids, Coeffs: plan.Extractors[k].Coeffs().RowViews()}
-	}
+	msg := new(wire.YAnnounce)
+	FillYAnnounce(msg, h, plan)
 	return msg
+}
+
+// FillYAnnounce is BuildYAnnounce into ya, reusing its class batches and
+// their ID and row slices: a leader that announces round after round
+// from one message stops allocating once it has announced its widest
+// round.
+func FillYAnnounce(ya *wire.YAnnounce, h wire.Header, plan *Plan) {
+	h.Type = wire.TypeYAnnounce
+	ya.Header = h
+	ya.Classes = slices.Grow(ya.Classes[:0], len(plan.Classes))[:len(plan.Classes)]
+	for k, cl := range plan.Classes {
+		cb := &ya.Classes[k]
+		cb.XIDs = cb.XIDs[:0]
+		for _, id := range cl.IDs {
+			cb.XIDs = append(cb.XIDs, uint32(id))
+		}
+		coeffs := plan.Extractors[k].Coeffs()
+		cb.Coeffs = cb.Coeffs[:0]
+		for i := 0; i < coeffs.Rows(); i++ {
+			cb.Coeffs = append(cb.Coeffs, coeffs.Row(i))
+		}
+	}
 }
 
 // FillZPacket renders z-packet j, whose payload symbols are z, for
@@ -124,12 +140,20 @@ func FillZPacket(zp *wire.ZPacket, h wire.Header, plan *Plan, j int, z []Sym, bu
 // Phase 2: identities only, never contents). Its rows alias the plan's
 // redistribution code, as BuildYAnnounce's alias its extractors.
 func BuildSAnnounce(h wire.Header, plan *Plan) *wire.SAnnounce {
+	msg := new(wire.SAnnounce)
+	FillSAnnounce(msg, h, plan)
+	return msg
+}
+
+// FillSAnnounce is BuildSAnnounce into sa, reusing its row slice as
+// FillYAnnounce does.
+func FillSAnnounce(sa *wire.SAnnounce, h wire.Header, plan *Plan) {
 	h.Type = wire.TypeSAnnounce
-	coeffs := make([][]Sym, plan.L)
-	for i := range coeffs {
-		coeffs[i] = plan.Redist.Row(plan.M - plan.L + i)
+	sa.Header = h
+	sa.Coeffs = sa.Coeffs[:0]
+	for i := plan.M - plan.L; i < plan.M; i++ {
+		sa.Coeffs = append(sa.Coeffs, plan.Redist.Row(i))
 	}
-	return &wire.SAnnounce{Header: h, Coeffs: coeffs}
 }
 
 // RoundScratch holds the reusable buffers one node needs to run either

@@ -1,9 +1,11 @@
 package keystream
 
 import (
+	"bytes"
 	"math/rand"
 	"slices"
 	"sync"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/gf"
@@ -14,19 +16,42 @@ import (
 
 // arena holds one derivation worker's reusable block-derivation buffers.
 // A worker derives one block at a time, so the same buffers serve block
-// after block: the leader's round scratch, the x-symbol slabs its exchange
-// decodes payloads into, the leader's outgoing frames, its x-payload
-// generator and payload buffers, and each member terminal's round
-// scratches, x-decode rows and decoded control messages. Every buffer's
-// size follows from the Config, so the arena stops growing after the
-// first blocks. The block's bus inboxes are not here: they come from the
-// stream's inboxPool, so an idle stream holds none.
+// after block: the block's set-up (its context, endpoints and secret
+// spans), the leader's round planners and reception sets, its report
+// bookkeeping and timer, its round scratch, the x-symbol slabs its
+// exchange decodes payloads into, the leader's outgoing frames, its
+// x-payload generator and payload buffers, and each member terminal's
+// round scratches, x-decode rows, decoded control messages and reception
+// reports. Every buffer's size follows from the Config, so the arena
+// stops growing after the first blocks and a warm block allocates only
+// its context, its goroutines and its bus (TestSteadyStateBlockAlloc).
+// The block's bus inboxes are not here: they come from the stream's
+// inboxPool, so an idle stream holds none.
 type arena struct {
-	leader core.RoundScratch
+	bc     BlockContext // the worker's block context, over this arena
+	policy core.Config  // validated once; its Pooling and Estimator plan every round
+	eps    []transport.Endpoint
+	auth   blockAuth
+	// The block's members and its exchange goroutine.
+	termWG, exchWG sync.WaitGroup
 
-	xn, xw int            // x-packets per round, symbols per x-payload
-	mu     sync.Mutex     // the exchange takes x slabs, compute returns them
-	xfree  [][][]core.Sym // x-symbol slabs not in use, as per-packet row views
+	// The exchange's planning: round r's reception sets, read from the
+	// schedule, and the planners not in use. A plan is live from its
+	// round's exchange until the compute loop has marshalled the round's
+	// s-announce (or abort beacon), so at most pipelineDepth+1 planners
+	// are ever out: one in the exchange, pipelineDepth-1 in exchCh, one in
+	// the compute loop.
+	recv     []*packet.IDSet
+	planFree []*core.Planner // guarded by mu
+	waitFor  []bool          // collectReports: members this round waits for
+	acked    []bool          // collectReports: members that reported
+	ackTimer *time.Timer     // collectReports' deadline, reset every round
+	leader   core.RoundScratch
+
+	xn, xw  int            // x-packets per round, symbols per x-payload
+	erasure float64        // the schedule's erasure probability
+	mu      sync.Mutex     // the exchange takes x slabs and planners, compute returns them
+	xfree   [][][]core.Sym // x-symbol slabs not in use, as per-packet row views; guarded by mu
 
 	// The leader's frames: the exchange goroutine's x frames and end-of-X
 	// beacons, and the compute loop's abort beacons and announces. Each
@@ -35,8 +60,16 @@ type arena struct {
 	xpay             []byte     // the exchange's x-payload buffer
 	rng              *rand.Rand // the exchange's x-payload generator, reseeded each round
 
-	zp   wire.ZPacket // the compute loop's z-packet, marshalled as soon as it is filled
-	zpay []byte       // its payload buffer
+	// The messages the leader's frames are marshalled from as soon as
+	// they are filled: the exchange's x-packet and end-of-X beacon, and
+	// the compute loop's abort beacon, announces and z-packet.
+	xp      wire.XPacket
+	xbeacon wire.Beacon
+	beacon  wire.Beacon
+	ya      wire.YAnnounce
+	sa      wire.SAnnounce
+	zp      wire.ZPacket
+	zpay    []byte // the z-packet's payload buffer
 
 	terms []termArena // indexed by terminal
 }
@@ -47,21 +80,31 @@ type termArena struct {
 	// ping-pong: round r+1's receive half must not clobber round r's
 	// pending elimination.
 	scratch [2]core.RoundScratch
-	free    []*termRound // recycled round states
-	rows    [][]core.Sym // x-decode rows not in use, one x-payload each
-	secret  []byte       // the last completed round's secret, for verification
+	owner   [2]*termRound      // the round whose receive half each scratch holds
+	free    []*termRound       // recycled round states
+	rows    [][]core.Sym       // x-decode rows not in use, one x-payload each
+	secret  []byte             // the last completed round's secret, for verification
+	rounds  map[int]*termRound // the rounds in flight, emptied when the member stops
 
-	// Frames decode in place: x frames into x, control frames into ya, z
-	// and sa, each taken from its free list when nil. A control message
-	// that decoded whole moves to its round's state, which returns it to
-	// the free list when the round is done.
-	x     wire.XPacket
-	ya    *wire.YAnnounce
-	z     *wire.ZPacket
-	sa    *wire.SAnnounce
-	yfree []*wire.YAnnounce
-	zfree []*wire.ZPacket
-	sfree []*wire.SAnnounce
+	// The member's reception reports: the set it reports, the message,
+	// and the slab its frames are carved from (rewound at block teardown,
+	// like the leader's).
+	mine   packet.IDSet
+	ack    wire.AckReport
+	frames frameSlab
+
+	// Frames decode in place: x frames into x, beacons into beacon, and
+	// control frames into ya, z and sa, each taken from its free list when
+	// nil. A control message that decoded whole moves to its round's
+	// state, which returns it to the free list when the round is done.
+	x      wire.XPacket
+	beacon wire.Beacon
+	ya     *wire.YAnnounce
+	z      *wire.ZPacket
+	sa     *wire.SAnnounce
+	yfree  []*wire.YAnnounce
+	zfree  []*wire.ZPacket
+	sfree  []*wire.SAnnounce
 }
 
 func newArena(cfg *Config) *arena {
@@ -80,14 +123,101 @@ func newArena(cfg *Config) *arena {
 		rows[i] = row
 	}
 	y := &wire.YAnnounce{Header: wire.Header{Type: wire.TypeYAnnounce}, Classes: []wire.ClassBatch{{XIDs: make([]uint32, cfg.XPerRound), Coeffs: rows}}}
-	return &arena{
-		xn: cfg.XPerRound, xw: cfg.PayloadBytes / 2,
+	a := &arena{
+		policy:  core.Config{Terminals: cfg.Terminals, XPerRound: cfg.XPerRound, PayloadBytes: cfg.PayloadBytes},
+		eps:     make([]transport.Endpoint, cfg.Terminals),
+		recv:    make([]*packet.IDSet, cfg.Terminals),
+		waitFor: make([]bool, cfg.Terminals),
+		acked:   make([]bool, cfg.Terminals),
+		xn:      cfg.XPerRound, xw: cfg.PayloadBytes / 2,
+		erasure: cfg.Erasure,
 		xframes: frameSlab{chunk: cfg.XPerRound*wire.FrameLen(x) + wire.FrameLen(beacon)},
 		cframes: frameSlab{chunk: max(wire.FrameLen(z), wire.FrameLen(y))},
 		xpay:    x.Payload,
 		rng:     rand.New(rand.NewSource(0)),
 		zpay:    make([]byte, cfg.PayloadBytes),
 		terms:   make([]termArena, cfg.Terminals),
+	}
+	// Config.fill has validated the same core configuration for the
+	// protocol deriver, so this only fills the protocol's defaults.
+	if cfg.Source == nil {
+		if err := a.policy.Validate(); err != nil {
+			panic(err)
+		}
+	}
+	for t := range a.recv {
+		a.recv[t] = new(packet.IDSet)
+	}
+	// A member's slab grows by a few rounds' reports at a time.
+	ack := &wire.AckReport{Header: wire.Header{Type: wire.TypeAck}, Bitmap: make([]uint64, (cfg.XPerRound+63)/64)}
+	for t := range a.terms {
+		a.terms[t].rounds = make(map[int]*termRound)
+		a.terms[t].frames.chunk = (pipelineDepth + 1) * wire.FrameLen(ack)
+	}
+	return a
+}
+
+// planner returns a planner not in use.
+func (a *arena) planner() *core.Planner {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if n := len(a.planFree); n > 0 {
+		pl := a.planFree[n-1]
+		a.planFree = a.planFree[:n-1]
+		return pl
+	}
+	return new(core.Planner)
+}
+
+// putPlanner returns a planner whose plan is no longer used.
+func (a *arena) putPlanner(pl *core.Planner) {
+	a.mu.Lock()
+	a.planFree = append(a.planFree, pl)
+	a.mu.Unlock()
+}
+
+// blockAuth is where each round's authoritative secret sits in the block
+// being derived, indexed by round. The compute loop records a round's
+// span before announcing the round, so a member that completes it finds
+// the span, and verify checks the member's secret against it.
+type blockAuth struct {
+	mu    sync.Mutex
+	spans []secretSpan // full == 0: no authoritative secret for the round
+	dst   []byte
+	es    *engineStats
+}
+
+// reset starts a block whose secret goes into dst.
+func (b *blockAuth) reset(dst []byte, es *engineStats) {
+	b.mu.Lock()
+	b.spans, b.dst, b.es = b.spans[:0], dst, es
+	b.mu.Unlock()
+}
+
+// set records round r's span.
+func (b *blockAuth) set(r int, sp secretSpan) {
+	b.mu.Lock()
+	if r >= len(b.spans) {
+		b.spans = append(b.spans, make([]secretSpan, r+1-len(b.spans))...)
+	}
+	b.spans[r] = sp
+	b.mu.Unlock()
+}
+
+// verify counts a member's secret for round r (nil when it could not
+// complete the round) as agreeing with the block or not.
+func (b *blockAuth) verify(r int, secret []byte) {
+	b.mu.Lock()
+	good := false
+	if r < len(b.spans) {
+		sp := b.spans[r]
+		good = sp.full > 0 && len(secret) == sp.full && bytes.Equal(secret[:sp.n], b.dst[sp.off:sp.off+sp.n])
+	}
+	b.mu.Unlock()
+	if good {
+		b.es.verifyOK.Add(1)
+	} else {
+		b.es.verifyMismatch.Add(1)
 	}
 }
 
@@ -124,6 +254,9 @@ func (a *arena) putXSlab(x [][]core.Sym) {
 func (a *arena) rewindFrames() {
 	a.xframes.rewind()
 	a.cframes.rewind()
+	for i := range a.terms {
+		a.terms[i].frames.rewind()
+	}
 }
 
 // zero clears every buffer the arena holds. The worker calls it on exit;
@@ -133,7 +266,7 @@ func (a *arena) zero() {
 	a.rewindFrames()
 	clear(a.xpay)
 	clear(a.zpay)
-	a.zp = wire.ZPacket{}
+	a.xp, a.zp = wire.XPacket{}, wire.ZPacket{}
 	for _, x := range a.xfree {
 		for _, row := range x {
 			clear(row)
@@ -203,6 +336,8 @@ func (ta *termArena) decode(frame []byte) (wire.Message, error) {
 	switch wire.PeekType(frame) {
 	case wire.TypeX:
 		return &ta.x, wire.UnmarshalX(frame, &ta.x)
+	case wire.TypeBeacon:
+		return &ta.beacon, wire.UnmarshalBeacon(frame, &ta.beacon)
 	case wire.TypeYAnnounce:
 		ta.ya = reuse(ta.ya, &ta.yfree)
 		return ta.ya, wire.UnmarshalY(frame, ta.ya)

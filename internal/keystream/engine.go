@@ -1,7 +1,6 @@
 package keystream
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -106,9 +105,9 @@ type BlockContext struct {
 func (bc *BlockContext) Config() *Config { return bc.cfg }
 
 // derive produces block idx into dst via the configured source, over the
-// calling worker's arena.
+// calling worker's arena and the block context it holds.
 func (s *Stream) derive(a *arena, idx int64, dst []byte) error {
-	bc := &BlockContext{cfg: &s.cfg, es: &s.es, health: s.health, ins: &s.ins, arena: a, inboxes: &s.inboxes}
+	bc := &a.bc
 	if s.cfg.Source != nil {
 		return s.cfg.Source(bc, idx, dst)
 	}
@@ -116,12 +115,20 @@ func (s *Stream) derive(a *arena, idx int64, dst []byte) error {
 }
 
 // exchRound is one round's transmit-phase outcome, handed from the
-// exchange goroutine to the compute goroutine: the round's plan and, when
-// the plan yields secret, its x-payload symbols.
+// exchange goroutine to the compute goroutine: the round's plan and the
+// planner it lives in, and, when the plan yields secret, its x-payload
+// symbols. Whoever ends the round returns both to the arena.
 type exchRound struct {
 	round int
+	pl    *core.Planner
 	plan  *core.Plan
 	xSym  [][]core.Sym
+}
+
+// release returns the round's planner and x slab to a.
+func (er exchRound) release(a *arena) {
+	a.putPlanner(er.pl)
+	a.putXSlab(er.xSym)
 }
 
 // pipelineDepth is how many rounds the exchange goroutine may run ahead
@@ -149,22 +156,32 @@ type secretSpan struct {
 // deriveProtocol runs protocol rounds on a per-block bus until the
 // block's secret bytes cover dst.
 //
-// Buffers: the leader's rows, x-symbol slabs, payload generator and z
-// buffer, and the terminals' round state and decoded messages, come from
-// bc.arena and go back to it when a round is computed or abandoned, so a
-// worker's steady state derives blocks without reallocating them. A
-// context without an arena (a test's) derives on a fresh one, zeroed when
-// the block is done. Without cfg.NewBus the bus is an in-process ChanBus
-// over an inbox set borrowed from bc.inboxes; its Close leaves the
-// inboxes open, so members and the report collector stop on the block's
-// context, and teardown drains the set before returning it.
+// Buffers: the block's endpoints and secret spans, the leader's round
+// planners and reception sets, report bookkeeping and timer, rows,
+// x-symbol slabs, payload generator and outgoing messages, and the
+// terminals' round state, decoded messages and reception reports, come
+// from bc.arena and go back to it when a round is computed or abandoned,
+// so a worker's steady state derives blocks without reallocating them: a
+// warm block allocates only its context, its goroutines, its exchange
+// channel and its bus. A context without an arena (a test's) derives on
+// a fresh one, zeroed when the block is done. Without cfg.NewBus the bus
+// is an in-process ChanBus over an inbox set borrowed from bc.inboxes;
+// its Close leaves the inboxes open, so members and the report collector
+// stop on the block's context, and teardown drains the set before
+// returning it.
 //
-// Frames: every leader frame is carved from the arena's frame slabs and
-// stays unchanged from its send until teardown has closed the bus (which
-// joins the bus's own goroutines: a tap's observer, a sealed bus's
-// openers), joined the exchange and the terminals and drained the
-// borrowed inboxes. Only then do the slabs rewind, zeroing the frames.
-// Members decode every frame they use in place.
+// Plans: the exchange plans each round into a planner it takes from the
+// arena, and the round's plan stays live until the compute loop has
+// marshalled the round's s-announce or abort beacon; then the planner
+// goes back, as do those of rounds teardown abandons.
+//
+// Frames: every leader frame and member report is carved from the
+// arena's frame slabs and stays unchanged from its send until teardown
+// has closed the bus (which joins the bus's own goroutines: a tap's
+// observer, a sealed bus's openers), joined the exchange and the
+// terminals and drained the borrowed inboxes. Only then do the slabs
+// rewind, zeroing the frames. Members decode every frame they use in
+// place.
 //
 // Determinism: the leader derives each round's reception sets from the
 // radio.Delivered schedule, never from the live reception reports — the
@@ -186,17 +203,15 @@ type secretSpan struct {
 // the planned secret covers dst (or the abort limit is reached). Every
 // exchanged round is computed; none is broadcast only to be thrown away.
 func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
-	cfg := bc.cfg
-	a := bc.arena
-	if a == nil {
-		a = newArena(cfg)
-		defer a.zero()
+	if bc.arena == nil {
+		fresh := *bc
+		fresh.arena = newArena(bc.cfg)
+		defer fresh.arena.zero()
+		return fresh.deriveProtocol(idx, dst)
 	}
+	cfg, a := bc.cfg, bc.arena
 	blockSeed := BlockSeed(cfg.Seed, idx)
-	leader := 0
-	if cfg.Rotate {
-		leader = int(((idx % int64(cfg.Terminals)) + int64(cfg.Terminals)) % int64(cfg.Terminals))
-	}
+	leader := blockLeader(cfg, idx)
 	session := BlockSession(blockSeed)
 
 	var (
@@ -217,7 +232,8 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 
 	// Register every endpoint before the first transmission (a broadcast
 	// domain only delivers to attached receivers).
-	eps := make([]transport.Endpoint, cfg.Terminals)
+	eps := a.eps
+	defer clear(eps)
 	for t := 0; t < cfg.Terminals; t++ {
 		if eps[t], err = bus.Endpoint(t); err != nil {
 			return fmt.Errorf("keystream: block %d endpoint %d: %w", idx, t, err)
@@ -227,52 +243,31 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
 	defer cancel()
 
-	cc := core.Config{
-		Terminals:    cfg.Terminals,
-		XPerRound:    cfg.XPerRound,
-		PayloadBytes: cfg.PayloadBytes,
-		Rounds:       1,
-		Seed:         blockSeed,
-	}
-	if err := cc.Validate(); err != nil {
-		return err
-	}
-
 	// Where each round's authoritative secret sits in dst. The compute loop
-	// writes a round's bytes and its span under authMu before announcing
-	// the round, so a member that completes it finds both.
-	var authMu sync.Mutex
-	auth := make(map[int]secretSpan)
-	verify := func(r int, secret []byte) {
-		authMu.Lock()
-		sp, ok := auth[r]
-		good := ok && len(secret) == sp.full && bytes.Equal(secret[:sp.n], dst[sp.off:sp.off+sp.n])
-		authMu.Unlock()
-		if good {
-			bc.es.verifyOK.Add(1)
-		} else {
-			bc.es.verifyMismatch.Add(1)
-		}
-	}
+	// writes a round's bytes and records its span before announcing the
+	// round, so a member that completes it finds both.
+	auth := &a.auth
+	auth.reset(dst, bc.es)
+	defer auth.reset(nil, nil)
 
 	// Terminal goroutines: the live-workload and verification layer.
-	var termWG sync.WaitGroup
+	termWG := &a.termWG
 	for t := 0; t < cfg.Terminals; t++ {
 		if t == leader {
 			continue
 		}
 		termWG.Add(1)
-		go func(t int) {
+		go func() {
 			defer termWG.Done()
-			bc.runTerminal(ctx, eps[t], &a.terms[t], t, leader, session, verify)
-		}(t)
+			bc.runTerminal(ctx, eps[t], &a.terms[t], t, leader, session, auth)
+		}()
 	}
 
 	// Exchange goroutine: plans round r+1 from the schedule, broadcasts its
 	// x-packets and collects its reception reports while compute still
 	// owns round r. It stops at the last round the block needs.
 	exchCh := make(chan exchRound, pipelineDepth-1)
-	var exchWG sync.WaitGroup
+	exchWG := &a.exchWG
 	exchWG.Add(1)
 	go func() {
 		defer exchWG.Done()
@@ -287,14 +282,15 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 			if timed {
 				t0 = time.Now()
 			}
-			plan := roundPlan(cfg, &cc, blockSeed, r, leader)
+			pl := a.planner()
+			plan := a.roundPlan(pl, blockSeed, r, leader)
 			if plan.L == 0 {
 				aborts++
 			} else {
 				aborts = 0
 				planned += plan.L * cfg.PayloadBytes // L secret rows of one payload each
 			}
-			er, err := bc.exchange(ctx, a, eps[leader], r, leader, session, blockSeed, plan)
+			er, err := bc.exchange(ctx, a, eps[leader], r, leader, session, blockSeed, pl, plan)
 			if timed {
 				bc.ins.exchangeLat.ObserveSince(t0)
 			}
@@ -304,7 +300,7 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 			select {
 			case exchCh <- er:
 			case <-ctx.Done():
-				a.putXSlab(er.xSym)
+				er.release(a)
 				return
 			}
 		}
@@ -329,9 +325,10 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 				bc.ins.computeLat.ObserveSince(computeT0)
 			}
 			consecAborts++
-			ah := h
-			ah.Type = wire.TypeBeacon
-			eps[leader].SendCtrl(a.cframes.marshal(&wire.Beacon{Header: ah, Kind: wire.BeaconRoundAbort}))
+			er.release(a)
+			a.beacon = wire.Beacon{Header: h, Kind: wire.BeaconRoundAbort}
+			a.beacon.Type = wire.TypeBeacon
+			eps[leader].SendCtrl(a.cframes.marshal(&a.beacon))
 			if consecAborts >= cfg.MaxAbortRounds {
 				derr = fmt.Errorf("keystream: block %d: %d consecutive unproductive rounds (erasure too high or channel dead)",
 					idx, consecAborts)
@@ -342,29 +339,15 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 		consecAborts = 0
 		lr := core.ComputeLeaderRound(&a.leader, plan, er.xSym)
 		a.putXSlab(er.xSym)
-		authMu.Lock()
+		er.xSym = nil
 		sp := secretSpan{off: written, n: core.PutSecretBytes(dst[written:], lr.Secret), full: plan.L * cfg.PayloadBytes}
-		auth[r] = sp
-		authMu.Unlock()
+		auth.set(r, sp)
 		if computeTimed {
 			bc.ins.computeLat.ObserveSince(computeT0)
 		}
-		if err := eps[leader].SendCtrl(a.cframes.marshal(core.BuildYAnnounce(h, plan))); err != nil {
-			derr = err
-			break
-		}
-		for j, z := range lr.Z {
-			core.FillZPacket(&a.zp, h, plan, j, z, a.zpay)
-			if err := eps[leader].SendCtrl(a.cframes.marshal(&a.zp)); err != nil {
-				derr = err
-				break
-			}
-		}
+		derr = a.announce(eps[leader], h, plan, lr)
+		er.release(a)
 		if derr != nil {
-			break
-		}
-		if err := eps[leader].SendCtrl(a.cframes.marshal(core.BuildSAnnounce(h, plan))); err != nil {
-			derr = err
 			break
 		}
 		bc.es.productive.Add(1)
@@ -386,7 +369,7 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 	bus.Close()
 	exchWG.Wait()
 	for er := range exchCh { // release a pipelined round the compute loop abandoned
-		a.putXSlab(er.xSym)
+		er.release(a)
 	}
 	termWG.Wait()
 	bc.es.shed.Add(bus.ShedFrames())
@@ -400,6 +383,16 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 	return derr
 }
 
+// blockLeader is block idx's leader: terminal 0, or with Rotate terminal
+// idx mod Terminals.
+func blockLeader(cfg *Config, idx int64) int {
+	if !cfg.Rotate {
+		return 0
+	}
+	n := int64(cfg.Terminals)
+	return int((idx%n + n) % n)
+}
+
 func firstErr(errs ...error) error {
 	for _, e := range errs {
 		if e != nil {
@@ -409,36 +402,45 @@ func firstErr(errs ...error) error {
 	return nil
 }
 
-// roundPlan builds round r's plan from the radio.Delivered schedule. It never
-// looks at x-payloads, which is what lets the exchange plan a round before
-// broadcasting it.
-func roundPlan(cfg *Config, cc *core.Config, blockSeed int64, r, leader int) *core.Plan {
-	recv := scheduleRecv(blockSeed, r, leader, cfg.Terminals, cfg.XPerRound, cfg.Erasure)
-	ectx := &core.EstimatorContext{
-		Terminals: cfg.Terminals,
-		Leader:    leader,
-		NumX:      cfg.XPerRound,
-		Recv:      recv,
-		Classes:   core.BuildClasses(cfg.Terminals, leader, cfg.XPerRound, recv),
+// announce sends a computed round's control broadcasts on the leader's
+// endpoint: the y-announce, the z-packets and the s-announce, each filled
+// into the arena's message for it and marshalled into the compute loop's
+// frame slab, so nothing of the plan is needed once it returns.
+func (a *arena) announce(ep transport.Endpoint, h wire.Header, plan *core.Plan, lr *core.LeaderRound) error {
+	core.FillYAnnounce(&a.ya, h, plan)
+	if err := ep.SendCtrl(a.cframes.marshal(&a.ya)); err != nil {
+		return err
 	}
-	ectx.Classes = cc.Pooling.Pools(ectx)
-	return core.BuildPlan(ectx, cc.Estimator)
+	for j, z := range lr.Z {
+		core.FillZPacket(&a.zp, h, plan, j, z, a.zpay)
+		if err := ep.SendCtrl(a.cframes.marshal(&a.zp)); err != nil {
+			return err
+		}
+	}
+	core.FillSAnnounce(&a.sa, h, plan)
+	return ep.SendCtrl(a.cframes.marshal(&a.sa))
 }
 
-// scheduleRecv derives round r's reception sets from the radio.Delivered
-// schedule — the authoritative inputs to the round plan.
-func scheduleRecv(blockSeed int64, r, leader, terminals, numX int, p float64) []*packet.IDSet {
-	recv := make([]*packet.IDSet, terminals)
-	for t := 0; t < terminals; t++ {
-		s := packet.NewIDSet(numX)
+// roundPlan plans round r into pl from the radio.Delivered schedule. It
+// never looks at x-payloads, which is what lets the exchange plan a round
+// before broadcasting it. Only the exchange goroutine plans, so one set
+// of reception sets serves every round.
+func (a *arena) roundPlan(pl *core.Planner, blockSeed int64, r, leader int) *core.Plan {
+	scheduleRecv(a.recv, blockSeed, r, leader, a.xn, a.erasure)
+	return pl.Plan(len(a.recv), leader, a.xn, a.recv, nil, a.policy.Pooling, a.policy.Estimator)
+}
+
+// scheduleRecv reads round r's reception sets, one per terminal, from the
+// radio.Delivered schedule — the authoritative inputs to the round plan.
+func scheduleRecv(recv []*packet.IDSet, blockSeed int64, r, leader, numX int, p float64) {
+	for t, s := range recv {
+		s.Reset(numX)
 		for seq := 0; seq < numX; seq++ {
 			if t == leader || radio.Delivered(blockSeed, r, seq, t, p) {
 				s.Add(packet.ID(seq))
 			}
 		}
-		recv[t] = s
 	}
-	return recv
 }
 
 // exchange runs round r's transmit phase on the leader endpoint: x-packet
@@ -452,16 +454,17 @@ func scheduleRecv(blockSeed int64, r, leader, terminals, numX int, p float64) []
 // encoded into a frame from the arena's x-frame slab. When the plan yields
 // secret, the payloads are also decoded into an x-symbol slab from the
 // arena, which the compute loop returns.
-func (bc *BlockContext) exchange(ctx context.Context, a *arena, ep transport.Endpoint, r, leader int, session uint32, blockSeed int64, plan *core.Plan) (exchRound, error) {
+func (bc *BlockContext) exchange(ctx context.Context, a *arena, ep transport.Endpoint, r, leader int, session uint32, blockSeed int64, pl *core.Planner, plan *core.Plan) (exchRound, error) {
 	cfg := bc.cfg
-	er := exchRound{round: r, plan: plan}
+	er := exchRound{round: r, pl: pl, plan: plan}
 	h := wire.Header{From: uint8(leader), Session: session, Round: uint16(r)}
 	rng := a.rng
 	rng.Seed(blockSeed + int64(r)*65537 + int64(leader))
 	if plan.L > 0 {
 		er.xSym = a.xSlab()
 	}
-	xp := wire.XPacket{Header: h, Payload: a.xpay}
+	xp := &a.xp
+	*xp = wire.XPacket{Header: h, Payload: a.xpay}
 	xp.Type = wire.TypeX
 	for i := 0; i < cfg.XPerRound; i++ {
 		packet.FillPayload(rng, xp.Payload)
@@ -469,27 +472,33 @@ func (bc *BlockContext) exchange(ctx context.Context, a *arena, ep transport.End
 			gf.PutSymbols16(er.xSym[i], xp.Payload)
 		}
 		xp.Seq = uint32(i)
-		if err := ep.SendData(a.xframes.marshal(&xp)); err != nil {
-			a.putXSlab(er.xSym)
+		if err := ep.SendData(a.xframes.marshal(xp)); err != nil {
+			er.release(a)
 			return exchRound{}, err
 		}
 	}
-	bh := h
-	bh.Type = wire.TypeBeacon
-	if err := ep.SendCtrl(a.xframes.marshal(&wire.Beacon{Header: bh, Kind: wire.BeaconEndOfX, Value: uint32(cfg.XPerRound)})); err != nil {
-		a.putXSlab(er.xSym)
+	a.xbeacon = wire.Beacon{Header: h, Kind: wire.BeaconEndOfX, Value: uint32(cfg.XPerRound)}
+	a.xbeacon.Type = wire.TypeBeacon
+	if err := ep.SendCtrl(a.xframes.marshal(&a.xbeacon)); err != nil {
+		er.release(a)
 		return exchRound{}, err
 	}
-	bc.collectReports(ctx, ep, r, leader, session)
+	bc.collectReports(ctx, a, ep, r, leader, session)
 	return er, nil
 }
 
 // collectReports waits — up to AckWait, tightened to AckSlack once the
 // first report lands — for reception reports from members the health
-// tracker still considers responsive.
-func (bc *BlockContext) collectReports(ctx context.Context, ep transport.Endpoint, r, leader int, session uint32) {
+// tracker still considers responsive. A report is counted from its
+// header alone (wire.PeekHeader checks the frame's checksum): its bitmap
+// never reaches the plan. The bookkeeping and the timer are the arena's,
+// reused round after round; under Go 1.23 timer semantics Reset and Stop
+// leave no stale tick behind.
+func (bc *BlockContext) collectReports(ctx context.Context, a *arena, ep transport.Endpoint, r, leader int, session uint32) {
 	cfg := bc.cfg
-	waitFor := make([]bool, cfg.Terminals)
+	waitFor, acked := a.waitFor, a.acked
+	clear(waitFor)
+	clear(acked)
 	need := 0
 	for t := 0; t < cfg.Terminals; t++ {
 		if t == leader {
@@ -505,8 +514,12 @@ func (bc *BlockContext) collectReports(ctx context.Context, ep transport.Endpoin
 	if need == 0 {
 		return
 	}
-	acked := make([]bool, cfg.Terminals)
-	timer := time.NewTimer(cfg.AckWait)
+	if a.ackTimer == nil {
+		a.ackTimer = time.NewTimer(cfg.AckWait)
+	} else {
+		a.ackTimer.Reset(cfg.AckWait)
+	}
+	timer := a.ackTimer
 	defer timer.Stop()
 	first := false
 	got := 0
@@ -526,15 +539,11 @@ func (bc *BlockContext) collectReports(ctx context.Context, ep transport.Endpoin
 			if !ok {
 				return
 			}
-			m, err := wire.Unmarshal(env.Frame)
-			if err != nil {
+			h, err := wire.PeekHeader(env.Frame)
+			if err != nil || h.Type != wire.TypeAck || h.Session != session || int(h.Round) != r {
 				continue
 			}
-			ar, isAck := m.(*wire.AckReport)
-			if !isAck || ar.Header.Session != session || int(ar.Header.Round) != r {
-				continue
-			}
-			t := int(ar.Header.From)
+			t := int(h.From)
 			if t == leader || t >= cfg.Terminals || acked[t] {
 				continue
 			}
@@ -545,9 +554,6 @@ func (bc *BlockContext) collectReports(ctx context.Context, ep transport.Endpoin
 			}
 			if !first {
 				first = true
-				if !timer.Stop() {
-					<-timer.C
-				}
 				timer.Reset(cfg.AckSlack)
 			}
 		}
@@ -565,14 +571,16 @@ func (bc *BlockContext) collectReports(ctx context.Context, ep transport.Endpoin
 // garbage-collected, and when the member stops: on a closed inbox, or
 // once ctx has ended and it has drained, without blocking, what its
 // inbox already holds — so the block's last round is still verified.
-func (bc *BlockContext) runTerminal(ctx context.Context, ep transport.Endpoint, ta *termArena, self, leader int, session uint32, verify func(round int, secret []byte)) {
+func (bc *BlockContext) runTerminal(ctx context.Context, ep transport.Endpoint, ta *termArena, self, leader int, session uint32, auth *blockAuth) {
 	cfg := bc.cfg
-	rounds := make(map[int]*termRound)
+	rounds := ta.rounds
 	defer func() {
-		for _, st := range rounds {
+		for r, st := range rounds {
+			delete(rounds, r)
 			ta.put(st)
 		}
 	}()
+	verify := auth.verify
 	maxRound := -1
 
 	state := func(r int) *termRound {
@@ -596,7 +604,11 @@ func (bc *BlockContext) runTerminal(ctx context.Context, ep transport.Endpoint, 
 			return // z stragglers still in flight
 		}
 		var secret []byte
-		if st.recvd {
+		// A later round of the same parity may have taken the round's
+		// scratch (over a UDP bus a retransmitted control frame can arrive
+		// after the next rounds' announces): such a round cannot be
+		// eliminated, and verifies as a mismatch.
+		if st.recvd && ta.owner[r%2] == st {
 			if rows, err := st.pr.Eliminate(st.zs, st.sa); err == nil {
 				secret = ta.secretBytes(rows)
 			}
@@ -657,16 +669,17 @@ func (bc *BlockContext) runTerminal(ctx context.Context, ep transport.Endpoint, 
 			case wire.BeaconEndOfX:
 				st := state(r)
 				numX := int(mm.Value)
-				mine := packet.NewIDSet(numX)
+				ta.mine.Reset(numX)
 				for id := range st.recvX {
 					if int(id) < numX {
-						mine.Add(id)
+						ta.mine.Add(id)
 					}
 				}
 				ah := wire.Header{From: uint8(self), Session: session, Round: uint16(r), Type: wire.TypeAck}
+				ta.ack = wire.AckReport{Header: ah, NumX: uint32(numX), Bitmap: ta.mine.Words()}
 				// A closed or stalled bus makes this fail or block; both are
 				// fine — the leader's deadline does not depend on us.
-				ep.SendCtrl(wire.Marshal(&wire.AckReport{Header: ah, NumX: uint32(numX), Bitmap: mine.Words()}))
+				ep.SendCtrl(ta.frames.marshal(&ta.ack))
 			case wire.BeaconRoundAbort:
 				if st, ok := rounds[r]; ok {
 					drop(r, st) // unproductive round: nothing to verify
@@ -679,6 +692,7 @@ func (bc *BlockContext) runTerminal(ctx context.Context, ep transport.Endpoint, 
 			}
 			st.ya, ta.ya = mm, nil
 			pr, err := core.ReceiveRoundInto(&ta.scratch[r%2], st.recvX, mm)
+			ta.owner[r%2] = st
 			if err == nil {
 				st.pr = pr
 				st.recvd = true

@@ -335,6 +335,7 @@ func New(cfg Config) (*Stream, error) {
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		a := newArena(&s.cfg)
+		a.bc = BlockContext{cfg: &s.cfg, es: &s.es, health: s.health, ins: &s.ins, arena: a, inboxes: &s.inboxes}
 		s.arenas = append(s.arenas, a)
 		go s.worker(a)
 	}

@@ -1,0 +1,89 @@
+package keystream
+
+import (
+	"bytes"
+	"sync"
+	"testing"
+
+	"repro/internal/transport"
+	"repro/internal/wire"
+)
+
+// reorderBus holds back the leader's round-0 s-announce until the leader
+// has sent round 2's y-announce: the order a UDP bus delivers in when the
+// s-announce's first datagram is lost and its retransmission lands after
+// the next rounds' announces.
+type reorderBus struct {
+	transport.Bus
+}
+
+func (b reorderBus) Endpoint(id int) (transport.Endpoint, error) {
+	ep, err := b.Bus.Endpoint(id)
+	if err != nil || id != 0 {
+		return ep, err
+	}
+	return &reorderEndpoint{Endpoint: ep}, nil
+}
+
+type reorderEndpoint struct {
+	transport.Endpoint
+	mu   sync.Mutex // the leader's exchange and compute loop both send
+	held []byte
+}
+
+func (e *reorderEndpoint) SendCtrl(frame []byte) error {
+	m, err := wire.Unmarshal(frame)
+	if err != nil {
+		return e.Endpoint.SendCtrl(frame)
+	}
+	h := m.Hdr()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	switch {
+	case h.Type == wire.TypeSAnnounce && h.Round == 0:
+		e.held = frame
+		return nil
+	case h.Type == wire.TypeYAnnounce && h.Round == 2 && e.held != nil:
+		if err := e.Endpoint.SendCtrl(frame); err != nil {
+			return err
+		}
+		held := e.held
+		e.held = nil
+		return e.Endpoint.SendCtrl(held)
+	}
+	return e.Endpoint.SendCtrl(frame)
+}
+
+// TestMemberSurvivesReorderedAnnounce: when a member's round-0
+// s-announce arrives after round 2's y-announce, round 2's receive half
+// has already taken the scratch round 0's elimination needs. The member
+// must count round 0 as a mismatch — not eliminate over round 2's state,
+// which can index past round 0's y-packets and panic — and the block's
+// bytes stay the schedule's.
+func TestMemberSurvivesReorderedAnnounce(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		cfg := protoCfg(seed)
+		cfg.Rotate = false
+		cfg.BlockSize = 4096 // several rounds per block
+		cfg.NewBus = func(_, blockSeed int64, inbox int) (transport.Bus, error) {
+			return reorderBus{Bus: transport.NewChanBus(cfg.Erasure, blockSeed, inbox)}, nil
+		}
+		if err := cfg.fill(); err != nil {
+			t.Fatal(err)
+		}
+		bc := workerContext(&cfg)
+		got, want := make([]byte, cfg.BlockSize), make([]byte, cfg.BlockSize)
+		if err := bc.deriveProtocol(0, got); err != nil {
+			t.Fatal(err)
+		}
+		if err := ReferenceBlock(cfg, 0, want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: block bytes differ from the reference", seed)
+		}
+		if bc.es.rounds.Load() < 3 || bc.es.verifyMismatch.Load() == 0 {
+			t.Fatalf("seed %d: %d rounds, %d mismatches; want round 0 to mismatch", seed, bc.es.rounds.Load(), bc.es.verifyMismatch.Load())
+		}
+	}
+}

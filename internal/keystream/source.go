@@ -59,20 +59,9 @@ func ReferenceBlock(cfg Config, idx int64, dst []byte) error {
 		return err
 	}
 	blockSeed := BlockSeed(cfg.Seed, idx)
-	leader := 0
-	if cfg.Rotate {
-		leader = int(((idx % int64(cfg.Terminals)) + int64(cfg.Terminals)) % int64(cfg.Terminals))
-	}
-	cc := core.Config{
-		Terminals:    cfg.Terminals,
-		XPerRound:    cfg.XPerRound,
-		PayloadBytes: cfg.PayloadBytes,
-		Rounds:       1,
-		Seed:         blockSeed,
-	}
-	if err := cc.Validate(); err != nil {
-		return err
-	}
+	leader := blockLeader(&cfg, idx)
+	a := newArena(&cfg) // for its planning only
+	pl := new(core.Planner)
 	written := 0
 	consecAborts := 0
 	for r := 0; r < 1<<16 && written < len(dst); r++ {
@@ -82,7 +71,7 @@ func ReferenceBlock(cfg Config, idx int64, dst []byte) error {
 		for i, pkt := range batch {
 			xSym[i] = gf.Symbols16(pkt.Payload)
 		}
-		plan := roundPlan(&cfg, &cc, blockSeed, r, leader)
+		plan := a.roundPlan(pl, blockSeed, r, leader)
 		if plan.L == 0 {
 			consecAborts++
 			if consecAborts >= cfg.MaxAbortRounds {

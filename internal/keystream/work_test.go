@@ -162,26 +162,24 @@ func settle(t *testing.T, s *Stream) {
 // allocates in the benchmark's stream shape (3 terminals, erasure 0.45,
 // 128 x-packets of 4 KiB, 128 KiB blocks), counting the whole block
 // derivation — leader exchange and compute, bus, both terminals — over a
-// worker arena and an inbox pool, the path Stream.worker takes. The
-// budgets are the largest values measured on linux/amd64 (Go 1.24) plus
-// 25%: 264 KB and 235 objects per round (82–211 KB and 164–188 objects
-// over 60 runs). The spread is the arena growing after the one warm-up
-// block: a 512 KiB x-symbol slab, or the members' scratch and decode
-// rows, when a measured block's pipeline runs further ahead than the
-// warm-up's did. Once warm, a round allocates little beyond its plan
-// (see TestSteadyStateBlockAlloc). Fresh bus inboxes every block,
-// z-packets and announcement rows copied out of the plan and the
-// leader's rows, and members decoding control frames into fresh
-// messages cost 208–286 KB and 379–402 objects; marshalling every leader
-// frame fresh and inboxes of 4096 frames as well cost 1043 KB and 827
-// objects.
+// worker arena and an inbox pool, the path Stream.worker takes, once 20
+// blocks have warmed the arena up. The budgets are the largest values
+// measured on linux/amd64 (Go 1.24) plus 25%: 73 KB and 26 objects per
+// round (2.5–57.8 KB and 7.7–20.6 objects over 118 runs, 76 on an idle
+// machine and 42 beside a second copy or the benchmark; medians 2.7 KB
+// and 8.2). The rare high values are the arena still growing after the
+// warm-up: a member's x-decode rows, or an erasure-completion system,
+// when a measured round holds more than any warm-up round did, which
+// happens more often when members lag on a loaded machine. With one
+// warm-up block instead of 20, the parent's code read 82–211 KB a round.
 func TestProtocolBlockAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's own allocations swamp the budget")
 	}
 	const (
-		budgetKB   = 264
-		budgetObjs = 235
+		warm, measured = 20, 10
+		budgetKB       = 73
+		budgetObjs     = 26
 	)
 	cfg := Config{Terminals: 3, Erasure: 0.45, XPerRound: 128, PayloadBytes: 4096, Seed: 3, BlockSize: 128 << 10}
 	if err := cfg.fill(); err != nil {
@@ -189,13 +187,13 @@ func TestProtocolBlockAllocBudget(t *testing.T) {
 	}
 	bc := workerContext(&cfg)
 	dst := make([]byte, cfg.BlockSize)
-	if err := bc.deriveProtocol(0, dst); err != nil { // warm up
-		t.Fatal(err)
-	}
-	rounds0 := bc.es.rounds.Load()
+	var rounds0 int64
 	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for idx := int64(1); idx <= 4; idx++ {
+	for idx := int64(0); idx < warm+measured; idx++ {
+		if idx == warm {
+			rounds0 = bc.es.rounds.Load()
+			runtime.ReadMemStats(&before)
+		}
 		if err := bc.deriveProtocol(idx, dst); err != nil {
 			t.Fatal(err)
 		}
@@ -204,9 +202,9 @@ func TestProtocolBlockAllocBudget(t *testing.T) {
 	rounds := float64(bc.es.rounds.Load() - rounds0)
 	kb := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / rounds
 	objs := float64(after.Mallocs-before.Mallocs) / rounds
-	t.Logf("per computed round: %.0f KB, %.0f objects (%v rounds over 4 blocks)", kb, objs, rounds)
+	t.Logf("per computed round: %.1f KB, %.1f objects (%v rounds over %d blocks)", kb, objs, rounds, measured)
 	if kb > budgetKB || objs > budgetObjs {
-		t.Fatalf("per computed round: %.0f KB, %.0f objects; budget %d KB, %d objects", kb, objs, budgetKB, budgetObjs)
+		t.Fatalf("per computed round: %.1f KB, %.1f objects; budget %v KB, %v objects", kb, objs, budgetKB, budgetObjs)
 	}
 }
 
@@ -218,16 +216,24 @@ func workerContext(cfg *Config) *BlockContext {
 }
 
 // TestSteadyStateBlockAlloc: once warm, a block in the benchmark's shape
-// allocates under 100 KB through a worker's arena and the stream's inbox
-// pool — its round plans and the leader's announcements, not its bus or
-// its packets. Fresh bus inboxes alone are about 126 KB a block.
+// allocates only its set-up — its context, its goroutines and its bus —
+// through a worker's arena and the stream's inbox pool: not its round
+// plans, announcements, reception reports or packets. The budgets are
+// the largest values measured on linux/amd64 (Go 1.24) plus 25%: 35 KB
+// and 31 objects a block (3.4–27.3 KB and 18.5–24.7 objects over 116
+// runs, idle and loaded as for TestProtocolBlockAllocBudget; medians
+// 4.8 KB and 19.4; the KB outliers are the member-side growth that test
+// describes). With its round plans,
+// reception reports, announcements and set-up in fresh storage, a warm
+// block allocated about 310 objects and 36 KB.
 func TestSteadyStateBlockAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's own allocations swamp the budget")
 	}
 	const (
 		warm, measured = 20, 50
-		budgetKB       = 100
+		budgetKB       = 35
+		budgetObjs     = 31
 	)
 	cfg := Config{Terminals: 3, Erasure: 0.45, XPerRound: 128, PayloadBytes: 4096, Seed: 5, BlockSize: 128 << 10}
 	if err := cfg.fill(); err != nil {
@@ -246,8 +252,9 @@ func TestSteadyStateBlockAlloc(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	kb := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / measured
-	t.Logf("per block: %.1f KB, %.0f objects", kb, float64(after.Mallocs-before.Mallocs)/measured)
-	if kb > budgetKB {
-		t.Fatalf("a steady-state block allocated %.1f KB; budget %d KB", kb, budgetKB)
+	objs := float64(after.Mallocs-before.Mallocs) / measured
+	t.Logf("per block: %.1f KB, %.1f objects", kb, objs)
+	if kb > budgetKB || objs > budgetObjs {
+		t.Fatalf("a steady-state block allocated %.1f KB, %.1f objects; budget %v KB, %v objects", kb, objs, budgetKB, budgetObjs)
 	}
 }

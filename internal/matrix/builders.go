@@ -18,11 +18,18 @@ import (
 // rows+cols <= f.Size(); Cauchy panics otherwise (the protocol sizes its
 // rounds to respect this, and defaults to GF(2^16) where the bound is moot).
 func Cauchy[E gf.Elem](f *gf.Field[E], rows, cols int) *Matrix[E] {
+	return CauchyInto(nil, f, rows, cols)
+}
+
+// CauchyInto is Cauchy over m's storage, reshaped as Reuse does: a caller
+// that builds a differently shaped Cauchy matrix every round keeps one
+// matrix and stops allocating once it has held the largest shape.
+func CauchyInto[E gf.Elem](m *Matrix[E], f *gf.Field[E], rows, cols int) *Matrix[E] {
 	if rows+cols > f.Size() {
 		panic(fmt.Sprintf("matrix: Cauchy %dx%d needs %d distinct points but %s has only %d",
 			rows, cols, rows+cols, f.Name(), f.Size()))
 	}
-	m := New(f, rows, cols)
+	m = Reuse(m, f, rows, cols)
 	for i := 0; i < rows; i++ {
 		ri := m.Row(i)
 		for j := 0; j < cols; j++ {

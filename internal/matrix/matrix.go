@@ -48,11 +48,16 @@ func New[E gf.Elem](f *gf.Field[E], rows, cols int) *Matrix[E] {
 
 // Reuse returns a zero rows x cols matrix over f backed by m's storage: m
 // itself, reshaped, when it is non-nil and holds rows*cols entries, and a
-// fresh matrix otherwise. A caller that solves a differently shaped system
-// every round keeps one matrix and stops reallocating once it has grown.
+// fresh matrix otherwise — one with a quarter's headroom when it replaces
+// a matrix m that was too small. A caller that solves a differently shaped
+// system every round keeps one matrix and stops reallocating once it has
+// grown, even while its largest shape still creeps upward.
 func Reuse[E gf.Elem](m *Matrix[E], f *gf.Field[E], rows, cols int) *Matrix[E] {
-	if m == nil || rows < 0 || cols < 0 || cap(m.d) < rows*cols {
+	if m == nil || rows < 0 || cols < 0 {
 		return New(f, rows, cols)
+	}
+	if n := rows * cols; cap(m.d) < n {
+		return &Matrix[E]{f: f, rows: rows, cols: cols, d: make([]E, n, n+n/4)}
 	}
 	m.f, m.rows, m.cols = f, rows, cols
 	m.d = m.d[:rows*cols]

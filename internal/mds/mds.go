@@ -52,10 +52,18 @@ type WiretapExtractor[E gf.Elem] struct {
 // m <= c. It panics if m > c (the budget can never exceed the class size)
 // or if the field is too small for the Cauchy construction.
 func NewWiretapExtractor[E gf.Elem](f *gf.Field[E], m, c int) *WiretapExtractor[E] {
+	w := new(WiretapExtractor[E])
+	w.Reset(f, m, c)
+	return w
+}
+
+// Reset rebuilds w as the extractor NewWiretapExtractor(f, m, c) returns,
+// over w's coefficient storage (see matrix.CauchyInto).
+func (w *WiretapExtractor[E]) Reset(f *gf.Field[E], m, c int) {
 	if m > c {
 		panic(fmt.Sprintf("mds: wiretap budget m=%d exceeds class size c=%d", m, c))
 	}
-	return &WiretapExtractor[E]{f: f, h: matrix.Cauchy(f, m, c)}
+	w.f, w.h = f, matrix.CauchyInto(w.h, f, m, c)
 }
 
 // Coeffs returns the m x c coefficient matrix H. These coefficients are

@@ -35,10 +35,18 @@ type RedistributionCode[E gf.Elem] struct {
 // NewRedistributionCode builds the code for M y-packets and a group secret
 // of L packets, 0 <= L <= M.
 func NewRedistributionCode[E gf.Elem](f *gf.Field[E], m, l int) *RedistributionCode[E] {
+	r := new(RedistributionCode[E])
+	r.Reset(f, m, l)
+	return r
+}
+
+// Reset rebuilds r as the code NewRedistributionCode(f, m, l) returns,
+// over r's storage for Q (see matrix.CauchyInto).
+func (r *RedistributionCode[E]) Reset(f *gf.Field[E], m, l int) {
 	if l < 0 || l > m {
 		panic(fmt.Sprintf("mds: redistribution L=%d out of range for M=%d", l, m))
 	}
-	return &RedistributionCode[E]{f: f, m: m, l: l, q: matrix.Cauchy(f, m, m)}
+	r.f, r.m, r.l, r.q = f, m, l, matrix.CauchyInto(r.q, f, m, m)
 }
 
 // M returns the total number of y-packets.

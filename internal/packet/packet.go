@@ -65,6 +65,19 @@ func NewIDSet(n int) *IDSet {
 	return &IDSet{words: make([]uint64, (n+63)/64)}
 }
 
+// Reset empties s and sizes it for IDs < n, as NewIDSet(n) would, over
+// s's own words when they suffice: a set refilled every round stops
+// allocating once it has held the round's largest size.
+func (s *IDSet) Reset(n int) {
+	w := (n + 63) / 64
+	if cap(s.words) < w {
+		s.words = make([]uint64, w)
+		return
+	}
+	s.words = s.words[:w]
+	clear(s.words)
+}
+
 // FromSlice builds a set containing exactly the given IDs.
 func FromSlice(ids []ID) *IDSet {
 	s := &IDSet{}
@@ -125,6 +138,27 @@ func (s *IDSet) Union(o *IDSet) *IDSet {
 		out[i] |= b[i]
 	}
 	return &IDSet{words: out}
+}
+
+// UnionCount returns the number of IDs in the union of sets, a nil set
+// counting as empty, without building the union: it ORs the sets word by
+// word and counts the bits. It never allocates.
+func UnionCount(sets []*IDSet) int {
+	n := 0
+	for w := 0; ; w++ {
+		var or uint64
+		more := false
+		for _, s := range sets {
+			if s != nil && w < len(s.words) {
+				or |= s.words[w]
+				more = true
+			}
+		}
+		if !more {
+			return n
+		}
+		n += bits.OnesCount64(or)
+	}
 }
 
 // Intersect returns a new set with the elements common to s and o.

@@ -109,6 +109,9 @@ type node struct {
 	// zpay is the leader's z-payload buffer: sendCtrl marshals each
 	// z-packet before the next one is filled in.
 	zpay []byte
+	// planner plans each round the node leads; the round is done with its
+	// plan before the node leads another.
+	planner core.Planner
 }
 
 func (n *node) header(round int) wire.Header {
@@ -228,15 +231,7 @@ func (n *node) leaderRound(ctx context.Context, round int) error {
 	recv[cfg.Self] = fullIDs(cfg.XPerRound)
 
 	// Plan the round.
-	ectx := &core.EstimatorContext{
-		Terminals: cfg.Terminals,
-		Leader:    cfg.Self,
-		NumX:      cfg.XPerRound,
-		Recv:      recv,
-		Classes:   core.BuildClasses(cfg.Terminals, cfg.Self, cfg.XPerRound, recv),
-	}
-	ectx.Classes = cfg.Pooling.Pools(ectx)
-	plan := core.BuildPlan(ectx, cfg.Estimator)
+	plan := n.planner.Plan(cfg.Terminals, cfg.Self, cfg.XPerRound, recv, nil, cfg.Pooling, cfg.Estimator)
 	if plan.L == 0 {
 		ab := h
 		ab.Type = wire.TypeBeacon

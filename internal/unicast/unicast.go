@@ -53,6 +53,7 @@ func RunSession(cfg core.Config, med *radio.Medium, eveNodes []radio.NodeID) (*c
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	res := &core.SessionResult{AllAgreed: true}
 	startBits := med.BitsSent()
+	var planner core.Planner // a round's plan is done with before the next plans
 
 	for round := 0; round < cfg.Rounds; round++ {
 		leader := 0
@@ -104,18 +105,7 @@ func RunSession(cfg core.Config, med *radio.Medium, eveNodes []radio.NodeID) (*c
 			med.BroadcastReliable(radio.NodeID(t), len(frame)*8)
 		}
 
-		ctx := &core.EstimatorContext{
-			Terminals: n,
-			Leader:    leader,
-			NumX:      cfg.XPerRound,
-			Recv:      recv,
-			Classes:   core.BuildClasses(n, leader, cfg.XPerRound, recv),
-		}
-		ctx.Classes = cfg.Pooling.Pools(ctx)
-		if cfg.Estimator.NeedsOracle() {
-			ctx.EveRecv = eveRecv
-		}
-		plan := core.BuildPlan(ctx, cfg.Estimator)
+		plan := planner.Plan(n, leader, cfg.XPerRound, recv, eveRecv, cfg.Pooling, cfg.Estimator)
 
 		info := core.RoundInfo{
 			Round: round, Leader: leader, NumX: cfg.XPerRound,

@@ -13,9 +13,11 @@ import (
 // must agree with it on x/non-x and on (round, seq). UnmarshalX must
 // accept exactly the x frames Unmarshal accepts, decoding every field the
 // same, and AppendMarshal must extend a prefix by exactly Marshal's frame.
-// UnmarshalY, UnmarshalZ and UnmarshalS, each decoding into a target
-// another frame left dirty, must accept exactly the frames of their type
-// Unmarshal accepts, to messages that re-marshal to the same frame.
+// UnmarshalY, UnmarshalZ, UnmarshalS and UnmarshalBeacon, each decoding
+// into a target another frame left dirty, must accept exactly the frames
+// of their type Unmarshal accepts, to messages that re-marshal to the
+// same frame. PeekHeader must accept every frame Unmarshal accepts, with
+// its header.
 // Runs its seed corpus under plain `go test`; use
 // `go test -fuzz=FuzzUnmarshal ./internal/wire` to explore further.
 func FuzzUnmarshal(f *testing.F) {
@@ -44,6 +46,7 @@ func FuzzUnmarshal(f *testing.F) {
 			}
 		}
 		y, z, s := dirtyTargets()
+		b := &Beacon{Header: Header{Type: TypeBeacon, Round: 9}, Kind: BeaconRoundAbort, Value: 77}
 		for _, c := range []struct {
 			typ Type
 			err error
@@ -52,6 +55,7 @@ func FuzzUnmarshal(f *testing.F) {
 			{TypeYAnnounce, UnmarshalY(data, y), y},
 			{TypeZ, UnmarshalZ(data, z), z},
 			{TypeSAnnounce, UnmarshalS(data, s), s},
+			{TypeBeacon, UnmarshalBeacon(data, b), b},
 		} {
 			want := err == nil && m.Hdr().Type == c.typ
 			if (c.err == nil) != want {
@@ -69,6 +73,9 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 		if m == nil {
 			t.Fatal("nil message without error")
+		}
+		if h, err := PeekHeader(data); err != nil || h != *m.Hdr() {
+			t.Fatalf("PeekHeader = %+v, %v; Unmarshal decoded header %+v", h, err, *m.Hdr())
 		}
 		if again := Marshal(m); string(again) != string(data) {
 			t.Fatalf("accepted frame does not re-marshal to itself:\n in: %x\nout: %x", data, again)

@@ -302,6 +302,18 @@ func UnmarshalS(b []byte, m *SAnnounce) error {
 	return r.end()
 }
 
+// UnmarshalBeacon is UnmarshalX for a beacon frame.
+func UnmarshalBeacon(b []byte, m *Beacon) error {
+	r, err := bodyOf(b, TypeBeacon, &m.Header)
+	if err != nil {
+		return err
+	}
+	if err := m.parseBody(&r); err != nil {
+		return err
+	}
+	return r.end()
+}
+
 // bodyOf checks frame b, requires its type to be t, stores its header in
 // h and returns a reader over its body.
 func bodyOf(b []byte, t Type, h *Header) (reader, error) {
@@ -353,6 +365,16 @@ func PeekX(b []byte) (round uint16, seq uint32, ok bool) {
 		return 0, 0, false
 	}
 	return binary.BigEndian.Uint16(b[9:11]), binary.BigEndian.Uint32(b[headerLen:]), true
+}
+
+// PeekHeader checks a frame as Unmarshal does — length, checksum, magic
+// and version — and returns its header without decoding its body, so a
+// frame it accepts may still fail Unmarshal on a malformed body. It
+// allocates nothing for a frame it accepts: a keystream leader counts
+// reception reports by their headers alone.
+func PeekHeader(b []byte) (Header, error) {
+	h, _, err := header(b)
+	return h, err
 }
 
 // PeekType reads a frame's type byte without decoding or checking the

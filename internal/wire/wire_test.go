@@ -469,3 +469,38 @@ func BenchmarkUnmarshalX(b *testing.B) {
 		}
 	}
 }
+
+// TestHeaderPeekAndBeaconDecodeAllocs: PeekHeader returns a reception
+// report's header and UnmarshalBeacon decodes a beacon in place, both
+// without allocating; PeekHeader still refuses a frame whose checksum
+// fails, and UnmarshalBeacon a frame of another type.
+func TestHeaderPeekAndBeaconDecodeAllocs(t *testing.T) {
+	ah := Header{Type: TypeAck, From: 2, Session: 0xfeed, Round: 7}
+	ack := Marshal(&AckReport{Header: ah, NumX: 128, Bitmap: []uint64{1, 2}})
+	beacon := &Beacon{Header: Header{Type: TypeBeacon, Session: 0xfeed, Round: 7}, Kind: BeaconEndOfX, Value: 128}
+	bframe := Marshal(beacon)
+	var (
+		h   Header
+		err error
+		b   Beacon
+	)
+	if allocs := testing.AllocsPerRun(100, func() {
+		h, err = PeekHeader(ack)
+		if err == nil {
+			err = UnmarshalBeacon(bframe, &b)
+		}
+	}); allocs != 0 {
+		t.Fatalf("header peek and beacon decode allocated %v times", allocs)
+	}
+	if err != nil || h != ah || b != *beacon {
+		t.Fatalf("PeekHeader = %+v, beacon %+v, %v; want %+v and %+v", h, b, err, ah, *beacon)
+	}
+	bad := append([]byte(nil), ack...)
+	bad[len(bad)-1] ^= 1
+	if _, err := PeekHeader(bad); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("PeekHeader of a corrupted frame: %v, want ErrChecksum", err)
+	}
+	if err := UnmarshalBeacon(ack, &b); !errors.Is(err, ErrType) {
+		t.Fatalf("UnmarshalBeacon of a reception report: %v, want ErrType", err)
+	}
+}
