@@ -793,8 +793,8 @@ func (c *Coordinator) placeOrphans() {
 
 // Create admits a cluster session and places it on the least-loaded
 // worker. The tier runs real sockets, so UDP is forced in the spec
-// unless it asks for a Streamed session, which keeps the worker's
-// in-process bus. Either way the session's keystream is offset-
+// unless it asks for a Streamed session, whose worker derives with no
+// bus. Either way the session's keystream is offset-
 // addressable and its bytes do not depend on the bus, so a range re-reads
 // byte-identical after a reassignment re-derives it.
 func (c *Coordinator) Create(spec service.SessionSpec) (SessionInfo, error) {

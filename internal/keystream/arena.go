@@ -23,10 +23,12 @@ import (
 // x-payload generator and payload buffers, and each member terminal's
 // round scratches, x-decode rows, decoded control messages and reception
 // reports. Every buffer's size follows from the Config, so the arena
-// stops growing after the first blocks and a warm block allocates only
-// its context, its goroutines and its bus (TestSteadyStateBlockAlloc).
-// The block's bus inboxes are not here: they come from the stream's
-// inboxPool, so an idle stream holds none.
+// stops growing after the first blocks. A block with no bus uses only
+// one planner, the reception sets, one x-symbol slab, the generator and
+// payload buffer and the leader's round scratch, and once warm allocates
+// nothing (TestSteadyStateBlockAlloc); a block over a bus allocates only
+// its context, its goroutines, its exchange channel and its bus
+// (TestProtocolBlockAllocBudget).
 type arena struct {
 	bc     BlockContext // the worker's block context, over this arena
 	policy core.Config  // validated once; its Pooling and Estimator plan every round
@@ -437,48 +439,4 @@ type termRound struct {
 	sa    *wire.SAnnounce
 	pr    core.PartialRound
 	recvd bool // ReceiveRoundInto has run
-}
-
-// inboxSet is one block bus's inboxes, one per terminal.
-type inboxSet []chan transport.Env
-
-// drain empties every inbox. The block's teardown calls it once the bus
-// is closed and every goroutine reading it has returned: a frame left in
-// an inbox would reach the next block that takes the set, pointing into
-// frame slabs that block rewrites.
-func (set inboxSet) drain() {
-	for _, ch := range set {
-		for len(ch) > 0 {
-			<-ch
-		}
-	}
-}
-
-// inboxPool reuses a stream's block-bus inbox sets. A worker takes a set
-// when it starts a block and returns it, drained, when the block ends, so
-// only derivations in flight hold inboxes: the pool's idle sets go with
-// the garbage collector's pool sweeps. A nil pool makes a fresh set for
-// every block.
-type inboxPool struct{ pool sync.Pool }
-
-// get returns an empty set of cfg.Terminals inboxes, inboxDepth(cfg)
-// frames deep.
-func (p *inboxPool) get(cfg *Config) *inboxSet {
-	if p != nil {
-		if set, ok := p.pool.Get().(*inboxSet); ok {
-			return set
-		}
-	}
-	set := make(inboxSet, cfg.Terminals)
-	for i := range set {
-		set[i] = make(chan transport.Env, inboxDepth(cfg))
-	}
-	return &set
-}
-
-// put returns a drained set to the pool.
-func (p *inboxPool) put(set *inboxSet) {
-	if p != nil {
-		p.pool.Put(set)
-	}
 }

@@ -96,9 +96,6 @@ type BlockContext struct {
 	health *memberHealth
 	ins    *streamInstruments
 	arena  *arena // the deriving worker's buffers; nil: fresh ones per block
-	// inboxes lends the block's in-process bus its inboxes; nil: fresh
-	// ones per block.
-	inboxes *inboxPool
 }
 
 // Config returns the stream's (filled) configuration.
@@ -153,8 +150,11 @@ type secretSpan struct {
 	off, n, full int
 }
 
-// deriveProtocol runs protocol rounds on a per-block bus until the
-// block's secret bytes cover dst.
+// deriveProtocol runs protocol rounds until the block's secret bytes
+// cover dst. Without cfg.NewBus the leader derives them alone
+// (deriveLeader): the bytes are its secrets, so members would only
+// verify them. With a bus, the leader and its members run the pipelined
+// exchange on it, described below.
 //
 // Buffers: the block's endpoints and secret spans, the leader's round
 // planners and reception sets, report bookkeeping and timer, rows,
@@ -164,11 +164,9 @@ type secretSpan struct {
 // so a worker's steady state derives blocks without reallocating them: a
 // warm block allocates only its context, its goroutines, its exchange
 // channel and its bus. A context without an arena (a test's) derives on
-// a fresh one, zeroed when the block is done. Without cfg.NewBus the bus
-// is an in-process ChanBus over an inbox set borrowed from bc.inboxes;
-// its Close leaves the inboxes open, so members and the report collector
-// stop on the block's context, and teardown drains the set before
-// returning it.
+// a fresh one, zeroed when the block is done. A bus whose Close leaves
+// its inboxes open (transport.NewChanBusOver) is fine: members and the
+// report collector also stop on the block's context.
 //
 // Plans: the exchange plans each round into a planner it takes from the
 // arena, and the round's plan stays live until the compute loop has
@@ -178,10 +176,9 @@ type secretSpan struct {
 // Frames: every leader frame and member report is carved from the
 // arena's frame slabs and stays unchanged from its send until teardown
 // has closed the bus (which joins the bus's own goroutines: a tap's
-// observer, a sealed bus's openers), joined the exchange and the
-// terminals and drained the borrowed inboxes. Only then do the slabs
-// rewind, zeroing the frames. Members decode every frame they use in
-// place.
+// observer, a sealed bus's openers) and joined the exchange and the
+// terminals. Only then do the slabs rewind, zeroing the frames. Members
+// decode every frame they use in place.
 //
 // Determinism: the leader derives each round's reception sets from the
 // radio.Delivered schedule, never from the live reception reports — the
@@ -209,22 +206,15 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 		defer fresh.arena.zero()
 		return fresh.deriveProtocol(idx, dst)
 	}
+	if bc.cfg.NewBus == nil {
+		return bc.deriveLeader(idx, dst)
+	}
 	cfg, a := bc.cfg, bc.arena
 	blockSeed := BlockSeed(cfg.Seed, idx)
 	leader := blockLeader(cfg, idx)
 	session := BlockSession(blockSeed)
 
-	var (
-		bus   transport.Bus
-		inbox *inboxSet // borrowed from bc.inboxes; nil over cfg.NewBus's bus
-		err   error
-	)
-	if cfg.NewBus != nil {
-		bus, err = cfg.NewBus(idx, blockSeed, inboxDepth(cfg))
-	} else {
-		inbox = bc.inboxes.get(cfg)
-		bus = transport.NewChanBusOver(cfg.Erasure, blockSeed, *inbox)
-	}
+	bus, err := cfg.NewBus(idx, blockSeed, inboxDepth(cfg))
 	if err != nil {
 		return fmt.Errorf("keystream: block %d bus: %w", idx, err)
 	}
@@ -362,9 +352,8 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 	}
 
 	// Teardown: stop the exchange, close the bus (releases any member
-	// wedged in an injected stall), drain the workload layer, empty the
-	// borrowed inboxes. After that nothing reads the block's frames, and
-	// the slabs rewind.
+	// wedged in an injected stall), drain the workload layer. After that
+	// nothing reads the block's frames, and the slabs rewind.
 	cancel()
 	bus.Close()
 	exchWG.Wait()
@@ -373,14 +362,64 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 	}
 	termWG.Wait()
 	bc.es.shed.Add(bus.ShedFrames())
-	if inbox != nil {
-		inbox.drain()
-	}
 	a.rewindFrames()
-	if inbox != nil {
-		bc.inboxes.put(inbox)
-	}
 	return derr
+}
+
+// deriveLeader derives block idx into dst with no bus and no members, in
+// one loop on the worker's arena: plan each round from the schedule and,
+// unless it aborts, fill its x-payloads as exchange does (the generator
+// is reseeded every round, so skipping an aborted round's changes none)
+// and eliminate its secret into dst. It starts no goroutine and makes no
+// context, channel or bus; Timeout is a deadline checked between rounds.
+func (bc *BlockContext) deriveLeader(idx int64, dst []byte) error {
+	cfg, a := bc.cfg, bc.arena
+	blockSeed := BlockSeed(cfg.Seed, idx)
+	leader := blockLeader(cfg, idx)
+	deadline := time.Now().Add(cfg.Timeout)
+	pl, x := a.planner(), a.xSlab()
+	defer a.putPlanner(pl)
+	defer a.putXSlab(x)
+	computeTimed := bc.ins.computeLat != nil
+	written, aborts := 0, 0
+	for r := 0; r < 1<<16 && written < len(dst); r++ {
+		t0 := time.Now()
+		if t0.After(deadline) {
+			return fmt.Errorf("keystream: block %d underrun (%d/%d bytes): %w", idx, written, len(dst), context.DeadlineExceeded)
+		}
+		plan := a.roundPlan(pl, blockSeed, r, leader)
+		if plan.L == 0 {
+			bc.es.rounds.Add(1)
+			bc.es.aborted.Add(1)
+			bc.ins.exchangeLat.ObserveSince(t0)
+			if aborts++; aborts >= cfg.MaxAbortRounds {
+				return fmt.Errorf("keystream: block %d: %d consecutive unproductive rounds (erasure too high or channel dead)",
+					idx, aborts)
+			}
+			continue
+		}
+		aborts = 0
+		a.rng.Seed(blockSeed + int64(r)*65537 + int64(leader))
+		for _, row := range x {
+			packet.FillPayload(a.rng, a.xpay)
+			gf.PutSymbols16(row, a.xpay)
+		}
+		bc.ins.exchangeLat.ObserveSince(t0)
+		var t1 time.Time
+		if computeTimed {
+			t1 = time.Now()
+		}
+		lr := core.ComputeLeaderRound(&a.leader, plan, x)
+		written += core.PutSecretBytes(dst[written:], lr.Secret)
+		bc.ins.computeLat.ObserveSince(t1)
+		// Counted with its outcome: Stats shows no round still in flight.
+		bc.es.rounds.Add(1)
+		bc.es.productive.Add(1)
+	}
+	if written < len(dst) {
+		return fmt.Errorf("keystream: block %d underrun (%d/%d bytes): exchange stopped", idx, written, len(dst))
+	}
+	return nil
 }
 
 // blockLeader is block idx's leader: terminal 0, or with Rotate terminal
@@ -423,8 +462,9 @@ func (a *arena) announce(ep transport.Endpoint, h wire.Header, plan *core.Plan, 
 
 // roundPlan plans round r into pl from the radio.Delivered schedule. It
 // never looks at x-payloads, which is what lets the exchange plan a round
-// before broadcasting it. Only the exchange goroutine plans, so one set
-// of reception sets serves every round.
+// before broadcasting it. One goroutine plans a block's rounds (the
+// exchange, or deriveLeader's loop), so one set of reception sets serves
+// every round.
 func (a *arena) roundPlan(pl *core.Planner, blockSeed int64, r, leader int) *core.Plan {
 	scheduleRecv(a.recv, blockSeed, r, leader, a.xn, a.erasure)
 	return pl.Plan(len(a.recv), leader, a.xn, a.recv, nil, a.policy.Pooling, a.policy.Estimator)

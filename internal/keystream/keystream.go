@@ -90,15 +90,14 @@ type Config struct {
 	// reads beyond what it already does.
 	Obs *obs.Registry
 
-	// NewBus, when non-nil, builds the broadcast bus for each block
-	// (tests wrap the default bus in an Injector, or run the exchange over
-	// a UDPBus). Nil means the pooled in-process bus: a
-	// transport.NewChanBusOver(cfg.Erasure, blockSeed, inboxes) whose
-	// inboxes the stream lends each block in flight and reuses after it.
-	// A NewBus bus gets no such reuse: build one only for what the
-	// default cannot do. The block's bytes follow the schedule whatever the
-	// bus; its members verify them only if the bus erases by
-	// radio.Delivered keyed by blockSeed, as both transport buses do.
+	// NewBus, when non-nil, builds the broadcast bus for each block, and
+	// the block's leader and members run the pipelined exchange on it
+	// (sessions use it for UDP, an eavesdropper's tap or sealed control
+	// frames; tests for an Injector). Nil means no bus: the leader
+	// derives each block alone, and the member counters in Stats stay 0.
+	// The block's bytes follow the schedule either way; members verify
+	// them only if the bus erases by radio.Delivered keyed by blockSeed,
+	// as both transport buses do.
 	//
 	// inbox is the per-endpoint inbox depth the block needs, derived from
 	// the Config: (pipeline depth + 1) rounds of the most frames one round
@@ -178,7 +177,10 @@ type Stats struct {
 	BytesRead int64 `json:"bytes_read"`
 	// VerifyOK / VerifyMismatch count per-round terminal agreement checks
 	// (a mismatch means a member's live reception diverged from the
-	// derivation schedule, e.g. frames shed while it was stalled).
+	// derivation schedule, e.g. frames shed while it was stalled). These,
+	// AckTimeouts, SkippedWaits, ShedFrames and the Health counters are
+	// member counters: only blocks derived over a NewBus bus move them,
+	// since a stream without one runs no members.
 	VerifyOK       int64 `json:"verify_ok"`
 	VerifyMismatch int64 `json:"verify_mismatch"`
 	// AckTimeouts counts rounds where at least one waited-for member
@@ -225,9 +227,9 @@ func newStreamInstruments(r *obs.Registry) streamInstruments {
 		blockLat: r.Histogram("thinaird_keystream_block_derive_seconds",
 			"Wall time to derive one keystream block.", obs.LatencyBuckets),
 		exchangeLat: r.Histogram("thinaird_keystream_exchange_seconds",
-			"Wall time of one pipelined round's plan and x-packet exchange phase.", obs.LatencyBuckets),
+			"Wall time of one round's plan and x-payload phase (over a bus, its x-packet exchange).", obs.LatencyBuckets),
 		computeLat: r.Histogram("thinaird_keystream_compute_seconds",
-			"Wall time of one pipelined round's eliminate/announce phase.", obs.LatencyBuckets),
+			"Wall time of one productive round's elimination (over a bus, with its announces).", obs.LatencyBuckets),
 		resident: r.Gauge("thinaird_keystream_blocks_resident",
 			"Blocks currently resident in the stream cache (pipeline occupancy)."),
 		cacheHits: r.Counter("thinaird_keystream_cache_hits_total",
@@ -307,14 +309,13 @@ type Stream struct {
 
 	readMu sync.Mutex // serializes sequential Reads (cursor integrity)
 
-	wg      sync.WaitGroup
-	arenas  []*arena  // one per worker, zeroed when it exits
-	inboxes inboxPool // the block buses' inbox sets, held only while a block derives
-	spare   [][]byte  // zeroed block buffers for the next derivations, guarded by mu
-	health  *memberHealth
-	stats   Stats       // cache-side counters, guarded by mu
-	es      engineStats // derivation-side counters, atomic
-	ins     streamInstruments
+	wg     sync.WaitGroup
+	arenas []*arena // one per worker, zeroed when it exits
+	spare  [][]byte // zeroed block buffers for the next derivations, guarded by mu
+	health *memberHealth
+	stats  Stats       // cache-side counters, guarded by mu
+	es     engineStats // derivation-side counters, atomic
+	ins    streamInstruments
 }
 
 // New starts a stream: cfg.Workers derivation workers begin prefetching
@@ -335,7 +336,7 @@ func New(cfg Config) (*Stream, error) {
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		a := newArena(&s.cfg)
-		a.bc = BlockContext{cfg: &s.cfg, es: &s.es, health: s.health, ins: &s.ins, arena: a, inboxes: &s.inboxes}
+		a.bc = BlockContext{cfg: &s.cfg, es: &s.es, health: s.health, ins: &s.ins, arena: a}
 		s.arenas = append(s.arenas, a)
 		go s.worker(a)
 	}

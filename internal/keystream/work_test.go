@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -158,12 +159,14 @@ func settle(t *testing.T, s *Stream) {
 	}
 }
 
-// TestProtocolBlockAllocBudget pins what one computed protocol round
-// allocates in the benchmark's stream shape (3 terminals, erasure 0.45,
-// 128 x-packets of 4 KiB, 128 KiB blocks), counting the whole block
-// derivation — leader exchange and compute, bus, both terminals — over a
-// worker arena and an inbox pool, the path Stream.worker takes, once 20
-// blocks have warmed the arena up. The budgets are the largest values
+// TestProtocolBlockAllocBudget pins what one computed round of the
+// pipelined protocol path allocates in the benchmark's stream shape (3
+// terminals, erasure 0.45, 128 x-packets of 4 KiB, 128 KiB blocks),
+// counting the whole block derivation — leader exchange and compute, bus,
+// both terminals — over a worker arena, once 20 blocks have warmed the
+// arena up. Its NewBus builds each block's bus over inboxes the test
+// owns, drains and reuses (transport.NewChanBusOver), so the count is
+// the protocol's, not the inboxes'. The budgets are the largest values
 // measured on linux/amd64 (Go 1.24) plus 25%: 73 KB and 26 objects per
 // round (2.5–57.8 KB and 7.7–20.6 objects over 118 runs, 76 on an idle
 // machine and 42 beside a second copy or the benchmark; medians 2.7 KB
@@ -184,6 +187,20 @@ func TestProtocolBlockAllocBudget(t *testing.T) {
 	cfg := Config{Terminals: 3, Erasure: 0.45, XPerRound: 128, PayloadBytes: 4096, Seed: 3, BlockSize: 128 << 10}
 	if err := cfg.fill(); err != nil {
 		t.Fatal(err)
+	}
+	inboxes := make([]chan transport.Env, cfg.Terminals)
+	for i := range inboxes {
+		inboxes[i] = make(chan transport.Env, inboxDepth(&cfg))
+	}
+	cfg.NewBus = func(_, blockSeed int64, _ int) (transport.Bus, error) {
+		// The last block's bus is closed and its goroutines joined: what
+		// its inboxes still hold is unread, and goes.
+		for _, ch := range inboxes {
+			for len(ch) > 0 {
+				<-ch
+			}
+		}
+		return transport.NewChanBusOver(cfg.Erasure, blockSeed, inboxes), nil
 	}
 	bc := workerContext(&cfg)
 	dst := make([]byte, cfg.BlockSize)
@@ -209,31 +226,31 @@ func TestProtocolBlockAllocBudget(t *testing.T) {
 }
 
 // workerContext is the block context Stream.worker derives through: one
-// worker's arena, and an inbox pool as the stream holds.
+// worker's arena.
 func workerContext(cfg *Config) *BlockContext {
 	return &BlockContext{cfg: cfg, es: &engineStats{}, health: newMemberHealth(cfg.Terminals), ins: &streamInstruments{},
-		arena: newArena(cfg), inboxes: &inboxPool{}}
+		arena: newArena(cfg)}
 }
 
 // TestSteadyStateBlockAlloc: once warm, a block in the benchmark's shape
-// allocates only its set-up — its context, its goroutines and its bus —
-// through a worker's arena and the stream's inbox pool: not its round
-// plans, announcements, reception reports or packets. The budgets are
-// the largest values measured on linux/amd64 (Go 1.24) plus 25%: 35 KB
-// and 31 objects a block (3.4–27.3 KB and 18.5–24.7 objects over 116
-// runs, idle and loaded as for TestProtocolBlockAllocBudget; medians
-// 4.8 KB and 19.4; the KB outliers are the member-side growth that test
-// describes). With its round plans,
-// reception reports, announcements and set-up in fresh storage, a warm
-// block allocated about 310 objects and 36 KB.
+// with no bus — the leader-only path a default stream's worker takes —
+// allocates next to nothing: no set-up, round plans or packets, only the
+// rare growth of the leader's round scratch or planner for a round wider
+// than any before (14 objects over the 50 measured blocks: 8 scratch
+// rows, 6 planner matrices). The budgets are the largest values
+// measured on linux/amd64 (Go 1.24) plus 25%: 0.96 KB and 0.38 objects
+// a block (0.77 KB and 0.28–0.30 objects over 120 runs, 40 idle and 80
+// beside a second copy). The pipelined path's allocations are pinned by
+// TestProtocolBlockAllocBudget; over a pooled in-process bus a warm
+// block allocated 18.5–24.7 objects and 3.4–27.3 KB.
 func TestSteadyStateBlockAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's own allocations swamp the budget")
 	}
 	const (
 		warm, measured = 20, 50
-		budgetKB       = 35
-		budgetObjs     = 31
+		budgetKB       = 0.96
+		budgetObjs     = 0.38
 	)
 	cfg := Config{Terminals: 3, Erasure: 0.45, XPerRound: 128, PayloadBytes: 4096, Seed: 5, BlockSize: 128 << 10}
 	if err := cfg.fill(); err != nil {
@@ -253,8 +270,59 @@ func TestSteadyStateBlockAlloc(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	kb := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / measured
 	objs := float64(after.Mallocs-before.Mallocs) / measured
-	t.Logf("per block: %.1f KB, %.1f objects", kb, objs)
+	t.Logf("per block: %.2f KB, %.2f objects", kb, objs)
 	if kb > budgetKB || objs > budgetObjs {
 		t.Fatalf("a steady-state block allocated %.1f KB, %.1f objects; budget %v KB, %v objects", kb, objs, budgetKB, budgetObjs)
+	}
+}
+
+// TestLeaderOnlyBlockRunsNoMembers: a stream with no bus derives its
+// blocks leader-only. At the benchmark's shape with one worker, a
+// 20-block read starts no goroutine beyond the worker's (the pipelined
+// path starts an exchange and one goroutine per member for every block),
+// no member counter moves, and the exchange and compute histograms still
+// count every round and every productive round.
+func TestLeaderOnlyBlockRunsNoMembers(t *testing.T) {
+	const nblocks = 20
+	reg := obs.New()
+	cfg := Config{Terminals: 3, Erasure: 0.45, XPerRound: 128, PayloadBytes: 4096, Seed: 7, BlockSize: 128 << 10,
+		Workers: 1, Obs: reg}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	base := runtime.NumGoroutine() + 1 // the sampler below
+	done, peak := make(chan struct{}), make(chan int, 1)
+	go func() {
+		most := 0
+		for {
+			most = max(most, runtime.NumGoroutine())
+			select {
+			case <-done:
+				peak <- most
+				return
+			case <-time.After(50 * time.Microsecond):
+			}
+		}
+	}()
+	_, err = io.ReadFull(s, make([]byte, nblocks*cfg.BlockSize))
+	close(done)
+	most := <-peak
+	if err != nil {
+		t.Fatal(err)
+	}
+	if most > base {
+		t.Fatalf("%d goroutines ran during the read, %d before it", most, base)
+	}
+	s.Close() // waits for the prefetched block too
+	st := s.Stats()
+	if st.AckTimeouts != 0 || st.ShedFrames != 0 || st.VerifyOK != 0 || st.VerifyMismatch != 0 || st.HealthSkips != 0 {
+		t.Fatalf("member counters moved with no members: %+v", st)
+	}
+	snap := reg.Snapshot()
+	exch, comp := snap.Total("thinaird_keystream_exchange_seconds"), snap.Total("thinaird_keystream_compute_seconds")
+	if exch != float64(st.Rounds) || comp != float64(st.Productive) || comp == 0 {
+		t.Fatalf("exchange histogram counts %v of %d rounds, compute %v of %d productive", exch, st.Rounds, comp, st.Productive)
 	}
 }

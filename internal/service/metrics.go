@@ -192,9 +192,9 @@ func (m ServiceMetrics) WriteProm(w io.Writer) {
 		streamStat(func(st keystream.Stats) float64 { return float64(st.BlockErrors) }))
 	emit("thinaird_session_stream_bytes_read_total", "Bytes read from the keystream.", "counter",
 		streamStat(func(st keystream.Stats) float64 { return float64(st.BytesRead) }))
-	emit("thinaird_session_stream_verify_mismatch_total", "Per-round secret verifications that diverged.", "counter",
+	emit("thinaird_session_stream_verify_mismatch_total", "Per-round member verifications that diverged (bus sessions only).", "counter",
 		streamStat(func(st keystream.Stats) float64 { return float64(st.VerifyMismatch) }))
-	emit("thinaird_session_stream_shed_frames_total", "Frames dropped on overflowing member inboxes.", "counter",
+	emit("thinaird_session_stream_shed_frames_total", "Frames dropped on overflowing member inboxes (bus sessions only).", "counter",
 		streamStat(func(st keystream.Stats) float64 { return float64(st.ShedFrames) }))
 	emit("thinaird_session_stream_cache_hits_total", "Block acquisitions served from the resident cache.", "counter",
 		streamStat(func(st keystream.Stats) float64 { return float64(st.CacheHits) }))
@@ -202,9 +202,9 @@ func (m ServiceMetrics) WriteProm(w io.Writer) {
 		streamStat(func(st keystream.Stats) float64 { return float64(st.CacheMisses) }))
 	emit("thinaird_session_stream_cache_evictions_total", "Resident blocks evicted by the LRU.", "counter",
 		streamStat(func(st keystream.Stats) float64 { return float64(st.CacheEvictions) }))
-	emit("thinaird_session_stream_health_skips_total", "Report waits skipped for unresponsive members.", "counter",
+	emit("thinaird_session_stream_health_skips_total", "Report waits skipped for unresponsive members (bus sessions only).", "counter",
 		streamStat(func(st keystream.Stats) float64 { return float64(st.HealthSkips) }))
-	emit("thinaird_session_stream_health_probes_total", "Liveness re-probes of skipped members.", "counter",
+	emit("thinaird_session_stream_health_probes_total", "Liveness re-probes of skipped members (bus sessions only).", "counter",
 		streamStat(func(st keystream.Stats) float64 { return float64(st.HealthProbes) }))
 	emit("thinaird_session_eve_reliability", "Eve-bound reliability estimate from the wire observer.", "gauge",
 		func(s SessionMetrics) (float64, bool) {

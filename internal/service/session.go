@@ -56,9 +56,10 @@ type SessionSpec struct {
 	// Observe attaches a wire-level eavesdropper to each block's bus and
 	// exposes its accumulated certificate in the metrics.
 	Observe bool
-	// Streamed keeps a cluster session on the worker's in-process bus:
-	// the coordinator otherwise forces UDP on every session it creates.
-	// The daemon itself ignores it.
+	// Streamed keeps a cluster session off UDP, so its worker derives
+	// its blocks with no bus, as for a plain session: the coordinator
+	// otherwise forces UDP on every session it creates. The daemon
+	// itself ignores it.
 	Streamed bool
 	// Timeout bounds one keystream block derivation (default 10s).
 	Timeout time.Duration
@@ -379,8 +380,9 @@ func (s *Session) run() {
 		return
 	}
 
-	// A plain session's blocks run on the keystream's pooled in-process
-	// bus; only UDP, observed and authenticated sessions need blockBus.
+	// A plain session's blocks need no bus: its leader derives them
+	// alone. Only UDP, observed and authenticated sessions run members,
+	// over blockBus.
 	var newBus func(block, blockSeed int64, inbox int) (transport.Bus, error)
 	if s.spec.UDP || s.spec.Observe || len(s.spec.AuthBootstrap) > 0 {
 		newBus = s.blockBus
