@@ -95,7 +95,7 @@ func main() {
 		udp     = flag.Bool("udp", false, "run each keystream block's exchange over loopback UDP instead of in-process channels")
 		observe = flag.Bool("observe", false, "attach a wire-level eavesdropper to each session")
 		low     = flag.Int("low-water", 1024, "pool bytes below which the background refresher reads more keystream")
-		seed    = flag.Int64("seed", time.Now().UnixNano()%1000000, "base seed for pre-created sessions")
+		seed    = flag.Int64("seed", 0, "base seed pinning the pre-created sessions' streams, for tests and demos (0: each session draws its own)")
 
 		// Client mode.
 		connect = flag.String("connect", "", "daemon base URL; switches to client mode")
@@ -126,12 +126,17 @@ func main() {
 	}, spec, *sessions, *seed)
 }
 
+// runServe serves the daemon with sessions pre-created from spec. A
+// non-zero seed pins boot session i to seed + 1009·i; with none, each
+// draws its own.
 func runServe(addr string, cfg service.Config, spec service.SessionSpec, sessions int, seed int64) {
 	sv := service.New(cfg)
 	for i := 0; i < sessions; i++ {
 		sp := spec
 		sp.Name = fmt.Sprintf("boot-%d", i)
-		sp.Seed = seed + int64(i)*1009
+		if seed != 0 {
+			sp.Seed = seed + int64(i)*1009
+		}
 		s, err := sv.Create(sp)
 		fatal(err)
 		fmt.Printf("thinaird: created session %d (%s)\n", s.ID, sp.Name)

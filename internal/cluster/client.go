@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/httpapi"
+	"repro/internal/keystream"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
@@ -101,10 +102,12 @@ func (c *WorkerClient) Trace(ctx context.Context, span string) ([]obs.SpanEvent,
 	return evs, err
 }
 
-// Assign places a cluster session on the worker.
+// Assign places a cluster session on the worker, to derive this build's
+// stream format; a worker that derives another refuses it.
 func (c *WorkerClient) Assign(ctx context.Context, cid uint64, spec service.SessionSpec) (service.SessionMetrics, error) {
 	var m service.SessionMetrics
-	err := c.call(ctx, "assign", http.MethodPost, "/ctl/assign", assignRequest{ID: cid, Spec: spec}, &m)
+	req := assignRequest{ID: cid, Spec: spec, Format: keystream.Format}
+	err := c.call(ctx, "assign", http.MethodPost, "/ctl/assign", req, &m)
 	return m, err
 }
 

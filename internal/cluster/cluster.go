@@ -63,10 +63,16 @@ var (
 	// ErrOrphaned is returned for operations on a session that lost its
 	// worker and has not been placed again yet — retryable.
 	ErrOrphaned = httpapi.ErrOrphaned
+	// ErrStreamFormat is why a session recorded in another stream format
+	// fails at replay, and why a worker refuses an assignment in one.
+	ErrStreamFormat = httpapi.ErrStreamFormat
 )
 
-// assignRequest is the wire body of POST /ctl/assign.
+// assignRequest is the wire body of POST /ctl/assign. Format is the
+// stream format the session must derive (keystream.Format); a request
+// without one asks for format 0.
 type assignRequest struct {
-	ID   uint64              `json:"id"`
-	Spec service.SessionSpec `json:"spec"`
+	ID     uint64              `json:"id"`
+	Spec   service.SessionSpec `json:"spec"`
+	Format int                 `json:"format"`
 }

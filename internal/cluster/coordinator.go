@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/keystream"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
@@ -120,10 +121,14 @@ const (
 
 // clusterSession is one registry entry: everything needed to re-create
 // the session elsewhere (the spec carries the seed, so a reassigned
-// session re-derives the same key stream from round zero).
+// session re-derives the same key stream from round zero). format is the
+// stream format it was created under; reason says why a failed session
+// failed, when more is known than that it did.
 type clusterSession struct {
 	id        uint64
 	spec      service.SessionSpec
+	format    int
+	reason    error
 	worker    int // owning slot, -1 when orphaned/failed
 	state     string
 	reassigns int
@@ -303,12 +308,19 @@ func (c *Coordinator) recoverRegistry(rec *recoveredState) {
 	}
 	c.epoch.Store(rec.epoch + 1)
 	for id, ps := range rec.sessions {
-		cs := &clusterSession{id: id, spec: ps.Spec, worker: -1, reassigns: ps.Reassigns}
-		if ps.State == sessionFailed {
+		cs := &clusterSession{id: id, spec: ps.Spec, format: ps.Format, worker: -1, reassigns: ps.Reassigns}
+		switch {
+		case ps.Format != keystream.Format:
+			// Re-deriving it in this build's format would serve other
+			// bytes at offsets already read: it fails instead.
+			cs.state = sessionFailed
+			cs.reason = fmt.Errorf("%w: recorded in format %d, this build derives %d",
+				ErrStreamFormat, ps.Format, keystream.Format)
+		case ps.State == sessionFailed:
 			// Failures are permanent and survive restarts: clients keep
 			// getting the failed verdict, not a ghost of the session.
 			cs.state = sessionFailed
-		} else {
+		default:
 			cs.state = sessionOrphaned
 		}
 		c.sessions[id] = cs
@@ -382,7 +394,7 @@ func (c *Coordinator) persistStateLocked() persistState {
 			continue
 		}
 		ps.Sessions = append(ps.Sessions, persistedSession{
-			ID: cs.id, Spec: cs.spec, Worker: cs.worker,
+			ID: cs.id, Spec: cs.spec, Format: cs.format, Worker: cs.worker,
 			State: cs.state, Reassigns: cs.reassigns,
 		})
 	}
@@ -559,8 +571,9 @@ func (c *Coordinator) respawn(sl *workerSlot) bool {
 // failure recurs anywhere. Worker->registry: a session the worker hosts
 // but the registry doesn't place there is a stray (a close whose RPC
 // never landed, or the late survivor of a timed-out assign retried on
-// another worker) — closed so it can't bank key material or hold a
-// capacity slot off the books.
+// another worker, or a session the registry failed while an adopted
+// worker still hosts it) — closed so it can't bank key material or hold
+// a capacity slot off the books.
 func (c *Coordinator) reconcile(sl *workerSlot, client *WorkerClient) {
 	sctx, cancel := context.WithTimeout(c.ctx, c.cfg.HeartbeatEvery)
 	st, err := client.Stats(sctx)
@@ -589,7 +602,7 @@ func (c *Coordinator) reconcile(sl *workerSlot, client *WorkerClient) {
 	}
 	for cid := range st.Sessions {
 		cs, ok := c.sessions[cid]
-		if !ok || (cs.state == sessionAssigned && cs.worker != sl.slot) {
+		if !ok || cs.state == sessionFailed || (cs.state == sessionAssigned && cs.worker != sl.slot) {
 			// Placing sessions are skipped: their assign may legitimately
 			// be landing on this worker right now.
 			strays = append(strays, cid)
@@ -792,14 +805,20 @@ func (c *Coordinator) placeOrphans() {
 }
 
 // Create admits a cluster session and places it on the least-loaded
-// worker. The tier runs real sockets, so UDP is forced in the spec
-// unless it asks for a Streamed session, whose worker derives with no
-// bus. Either way the session's keystream is offset-
-// addressable and its bytes do not depend on the bus, so a range re-reads
-// byte-identical after a reassignment re-derives it.
+// worker. A spec with no Seed gets one from service.NewSeed before the
+// create record is journaled, so every worker that ever hosts the
+// session, after a reassignment or a restart, derives the same bytes.
+// The tier runs real sockets, so UDP is forced in the spec unless it
+// asks for a Streamed session, whose worker derives with no bus. Either
+// way the session's keystream is offset-addressable and its bytes do not
+// depend on the bus, so a range re-reads byte-identical after a
+// reassignment re-derives it.
 func (c *Coordinator) Create(spec service.SessionSpec) (SessionInfo, error) {
 	if !spec.Streamed {
 		spec.UDP = true
+	}
+	if spec.Seed == 0 {
+		spec.Seed = service.NewSeed()
 	}
 	c.mu.Lock()
 	if c.closed {
@@ -811,9 +830,9 @@ func (c *Coordinator) Create(spec service.SessionSpec) (SessionInfo, error) {
 	// Born already claimed (placing, not orphaned): a concurrent
 	// placeOrphans pass must never see — and race Create for — a session
 	// whose first placement is still in flight.
-	cs := &clusterSession{id: id, spec: spec, worker: -1, state: sessionPlacing}
+	cs := &clusterSession{id: id, spec: spec, format: keystream.Format, worker: -1, state: sessionPlacing}
 	c.sessions[id] = cs
-	c.journalLocked(journalRecord{Op: jopCreate, ID: id, Spec: &spec})
+	c.journalLocked(journalRecord{Op: jopCreate, ID: id, Spec: &spec, Format: keystream.Format})
 	c.mu.Unlock()
 
 	// On error the claim is released straight to sessionClosed — never
@@ -890,6 +909,12 @@ func (c *Coordinator) routeKeyRead(cid uint64, call func(*WorkerClient) ([]byte,
 	}
 	if client == nil {
 		if state == sessionFailed {
+			c.mu.Lock()
+			reason := cs.reason
+			c.mu.Unlock()
+			if reason != nil {
+				return nil, fmt.Errorf("session %d died permanently: %w: %w", cid, service.ErrFailed, reason)
+			}
 			return nil, fmt.Errorf("session %d died permanently: %w", cid, service.ErrFailed)
 		}
 		return nil, fmt.Errorf("%w: session %d", ErrOrphaned, cid)

@@ -30,7 +30,7 @@ import (
 // Journal record ops. The record set is deliberately small: everything
 // needed to rebuild the registry, nothing derivable from it.
 const (
-	jopCreate = "create" // session admitted: ID, Spec (carries the seed)
+	jopCreate = "create" // session admitted: ID, Spec (carries the seed), Format
 	jopPlace  = "place"  // session assigned: ID, Slot, Reassign
 	jopClose  = "close"  // session left the registry: ID
 	jopFail   = "fail"   // session died permanently: ID
@@ -40,11 +40,14 @@ const (
 )
 
 // journalRecord is one JSONL line. Slot is never omitempty — slot 0 is
-// a valid worker.
+// a valid worker. Format is the stream format (keystream.Format) a
+// create record's session derives; records from before formats were
+// numbered carry none and read as 0.
 type journalRecord struct {
 	Op       string               `json:"op"`
 	ID       uint64               `json:"id,omitempty"`
 	Spec     *service.SessionSpec `json:"spec,omitempty"`
+	Format   int                  `json:"format,omitempty"`
 	Slot     int                  `json:"slot"`
 	Reassign bool                 `json:"reassign,omitempty"`
 	URL      string               `json:"url,omitempty"`
@@ -52,10 +55,12 @@ type journalRecord struct {
 	Epoch    uint64               `json:"epoch"`
 }
 
-// persistedSession is one registry entry in the snapshot.
+// persistedSession is one registry entry in the snapshot. Format reads
+// as 0 in a snapshot from before formats were numbered.
 type persistedSession struct {
 	ID        uint64              `json:"id"`
 	Spec      service.SessionSpec `json:"spec"`
+	Format    int                 `json:"format"`
 	Worker    int                 `json:"worker"`
 	State     string              `json:"state"`
 	Reassigns int                 `json:"reassigns"`
@@ -124,7 +129,7 @@ func (rs *recoveredState) apply(rec journalRecord) {
 			return
 		}
 		rs.sessions[rec.ID] = &persistedSession{
-			ID: rec.ID, Spec: *rec.Spec, Worker: -1, State: sessionPlacing,
+			ID: rec.ID, Spec: *rec.Spec, Format: rec.Format, Worker: -1, State: sessionPlacing,
 		}
 		if rec.ID >= rs.nextID {
 			rs.nextID = rec.ID + 1

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/httpapi"
+	"repro/internal/keystream"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
@@ -98,10 +99,12 @@ func (w *Worker) Spans() *obs.SpanLog { return w.spans }
 // Service exposes the worker's session registry (metrics, tests).
 func (w *Worker) Service() *service.Service { return w.svc }
 
-// Assign places cluster session cid on this worker. Cluster sessions run
-// over real sockets: the coordinator forces UDP in the spec it sends
-// unless the session is Streamed. The session's bytes are the same on
-// either bus, so any worker re-derives them from the spec.
+// Assign places cluster session cid on this worker, deriving this
+// build's stream format (POST /ctl/assign refuses a request for another
+// with ErrStreamFormat). Cluster sessions run over real sockets: the
+// coordinator forces UDP in the spec it sends unless the session is
+// Streamed. The session's bytes are the same on either bus, so any
+// worker re-derives them from the spec.
 func (w *Worker) Assign(cid uint64, spec service.SessionSpec) (*service.Session, error) {
 	if w.draining.Load() {
 		return nil, ErrDraining
@@ -217,6 +220,11 @@ func (w *Worker) ctlMux() http.Handler {
 		var req assignRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			httpapi.Error(rw, http.StatusBadRequest, httpapi.CodeBadRequest, err)
+			return
+		}
+		if req.Format != keystream.Format {
+			httpapi.WriteError(rw, fmt.Errorf("%w: %w: session %d asks for format %d, this worker derives %d",
+				httpapi.ErrBadRequest, ErrStreamFormat, req.ID, req.Format, keystream.Format))
 			return
 		}
 		s, err := w.Assign(req.ID, req.Spec)

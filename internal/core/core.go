@@ -54,7 +54,9 @@ type Config struct {
 	// Pooling groups x-packets into the pools Phase 1 amplifies.
 	// Defaults to BalancedPooling.
 	Pooling Pooling
-	// Seed drives x-payload generation. Channel randomness lives in the
+	// Seed drives x-payload generation: the simulation's math/rand
+	// payloads (RunSession), and the transport runtime's keyed ones
+	// (packet.XKey with block −1). Channel randomness lives in the
 	// medium, which has its own seed, so payloads and erasures are
 	// independently reproducible.
 	Seed int64

@@ -48,6 +48,13 @@ var (
 	// again yet — retryable.
 	ErrOrphaned = errors.New("cluster: session awaiting reassignment")
 
+	// ErrStreamFormat: a session recorded, or an assignment asked for, in
+	// a stream format this build does not derive (keystream.Format).
+	// Deriving it anyway would serve other bytes at offsets already
+	// read, so a replayed session fails with it and a worker refuses
+	// such an assignment as a bad request. It travels as that code.
+	ErrStreamFormat = errors.New("thinair: stream format not derived by this build")
+
 	// ErrBadRequest: malformed parameters, bodies or session specs.
 	ErrBadRequest = errors.New("thinair: bad request")
 	// ErrInternal: an unclassified server-side failure.

@@ -2,7 +2,6 @@ package keystream
 
 import (
 	"bytes"
-	"math/rand"
 	"slices"
 	"sync"
 	"time"
@@ -59,8 +58,8 @@ type arena struct {
 	// beacons, and the compute loop's abort beacons and announces. Each
 	// slab has one writer; both rewind at block teardown.
 	xframes, cframes frameSlab
-	xpay             []byte     // the exchange's x-payload buffer
-	rng              *rand.Rand // the exchange's x-payload generator, reseeded each round
+	xpay             []byte      // the exchange's x-payload buffer
+	xgen             packet.XGen // the exchange's x-payload generator, rekeyed each round
 
 	// The messages the leader's frames are marshalled from as soon as
 	// they are filled: the exchange's x-packet and end-of-X beacon, and
@@ -136,7 +135,6 @@ func newArena(cfg *Config) *arena {
 		xframes: frameSlab{chunk: cfg.XPerRound*wire.FrameLen(x) + wire.FrameLen(beacon)},
 		cframes: frameSlab{chunk: max(wire.FrameLen(z), wire.FrameLen(y))},
 		xpay:    x.Payload,
-		rng:     rand.New(rand.NewSource(0)),
 		zpay:    make([]byte, cfg.PayloadBytes),
 		terms:   make([]termArena, cfg.Terminals),
 	}
@@ -261,10 +259,13 @@ func (a *arena) rewindFrames() {
 	}
 }
 
-// zero clears every buffer the arena holds. The worker calls it on exit;
-// by then every slab and decode row has been returned.
+// zero clears every buffer the arena holds and rekeys its generator with
+// the zero key: the last round's key would regenerate that round's
+// x-payloads, and so its secret. The worker calls it on exit; by then
+// every slab and decode row has been returned.
 func (a *arena) zero() {
 	a.leader.Zero()
+	a.xgen.Zero()
 	a.rewindFrames()
 	clear(a.xpay)
 	clear(a.zpay)

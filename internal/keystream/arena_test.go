@@ -1,6 +1,7 @@
 package keystream
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/packet"
 	"repro/internal/transport"
 )
 
@@ -60,8 +62,9 @@ func TestFailedDerivationZeroesBlock(t *testing.T) {
 // TestArenaZeroedAfterClose: once Close returns, every worker has zeroed
 // its arena, and every slab and row is back in its free list rather than
 // abandoned unzeroed. A stream with no bus zeroes what its leader-only
-// blocks use — the x-symbol slabs, the x-payload buffer and the leader's
-// round scratch — and carves no frame at all. Over a bus the leader's
+// blocks use — the x-payload generator's round key, the x-symbol slabs,
+// the x-payload buffer and the leader's round scratch — and carves no
+// frame at all. Over a bus the leader's
 // frame slabs and z-payload buffer and the members' x-decode rows and
 // secret copies are zeroed too. (RoundScratch.Zero, which clears the
 // leader's and members' y/z/s rows, is pinned by
@@ -80,11 +83,22 @@ func TestArenaZeroedAfterClose(t *testing.T) {
 		s.Close()
 		return s
 	}
-	// xSlabs checks every arena's x-payload buffer and x-symbol slabs and
-	// returns how many slabs they hold.
+	// xSlabs checks every arena's x-payload generator, x-payload buffer
+	// and x-symbol slabs and returns how many slabs they hold. A zeroed
+	// generator is keyed with the zero key: its next bytes are the zero
+	// key's first ones.
+	var zeroKey packet.XGen
+	zeroKey.Zero()
+	zeroKeyBytes := make([]byte, 64)
+	zeroKey.Fill(zeroKeyBytes)
 	xSlabs := func(t *testing.T, s *Stream) int {
 		n := 0
 		for w, a := range s.arenas {
+			next := make([]byte, len(zeroKeyBytes))
+			a.xgen.Fill(next)
+			if !bytes.Equal(next, zeroKeyBytes) {
+				t.Fatalf("worker %d: x-payload generator still keyed by a round", w)
+			}
 			if slices.ContainsFunc(a.xpay, nonzeroByte) {
 				t.Fatalf("worker %d: x-payload buffer not zeroed", w)
 			}

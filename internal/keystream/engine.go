@@ -212,7 +212,7 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 	cfg, a := bc.cfg, bc.arena
 	blockSeed := BlockSeed(cfg.Seed, idx)
 	leader := blockLeader(cfg, idx)
-	session := BlockSession(blockSeed)
+	session := BlockSession(cfg.Seed, idx)
 
 	bus, err := cfg.NewBus(idx, blockSeed, inboxDepth(cfg))
 	if err != nil {
@@ -280,7 +280,7 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 				aborts = 0
 				planned += plan.L * cfg.PayloadBytes // L secret rows of one payload each
 			}
-			er, err := bc.exchange(ctx, a, eps[leader], r, leader, session, blockSeed, pl, plan)
+			er, err := bc.exchange(ctx, a, eps[leader], idx, r, leader, session, pl, plan)
 			if timed {
 				bc.ins.exchangeLat.ObserveSince(t0)
 			}
@@ -369,7 +369,7 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 // deriveLeader derives block idx into dst with no bus and no members, in
 // one loop on the worker's arena: plan each round from the schedule and,
 // unless it aborts, fill its x-payloads as exchange does (the generator
-// is reseeded every round, so skipping an aborted round's changes none)
+// is rekeyed every round, so skipping an aborted round's changes none)
 // and eliminate its secret into dst. It starts no goroutine and makes no
 // context, channel or bus; Timeout is a deadline checked between rounds.
 func (bc *BlockContext) deriveLeader(idx int64, dst []byte) error {
@@ -399,9 +399,9 @@ func (bc *BlockContext) deriveLeader(idx int64, dst []byte) error {
 			continue
 		}
 		aborts = 0
-		a.rng.Seed(blockSeed + int64(r)*65537 + int64(leader))
+		a.xgen.Round(cfg.Seed, idx, r, leader)
 		for _, row := range x {
-			packet.FillPayload(a.rng, a.xpay)
+			a.xgen.Fill(a.xpay)
 			gf.PutSymbols16(row, a.xpay)
 		}
 		bc.ins.exchangeLat.ObserveSince(t0)
@@ -489,17 +489,16 @@ func scheduleRecv(recv []*packet.IDSet, blockSeed int64, r, leader, numX int, p 
 // round plan (see deriveProtocol).
 //
 // The x-payloads are drawn one at a time into the arena's payload buffer,
-// from the arena's generator reseeded for the round (the bytes
-// packet.NewBatch would draw from a fresh one, in the same order); each is
-// encoded into a frame from the arena's x-frame slab. When the plan yields
+// from the arena's generator rekeyed for round r of block idx (the bytes
+// ReferenceBlock draws, in the same order); each is encoded into a frame
+// from the arena's x-frame slab. When the plan yields
 // secret, the payloads are also decoded into an x-symbol slab from the
 // arena, which the compute loop returns.
-func (bc *BlockContext) exchange(ctx context.Context, a *arena, ep transport.Endpoint, r, leader int, session uint32, blockSeed int64, pl *core.Planner, plan *core.Plan) (exchRound, error) {
+func (bc *BlockContext) exchange(ctx context.Context, a *arena, ep transport.Endpoint, idx int64, r, leader int, session uint32, pl *core.Planner, plan *core.Plan) (exchRound, error) {
 	cfg := bc.cfg
 	er := exchRound{round: r, pl: pl, plan: plan}
 	h := wire.Header{From: uint8(leader), Session: session, Round: uint16(r)}
-	rng := a.rng
-	rng.Seed(blockSeed + int64(r)*65537 + int64(leader))
+	a.xgen.Round(cfg.Seed, idx, r, leader)
 	if plan.L > 0 {
 		er.xSym = a.xSlab()
 	}
@@ -507,7 +506,7 @@ func (bc *BlockContext) exchange(ctx context.Context, a *arena, ep transport.End
 	*xp = wire.XPacket{Header: h, Payload: a.xpay}
 	xp.Type = wire.TypeX
 	for i := 0; i < cfg.XPerRound; i++ {
-		packet.FillPayload(rng, xp.Payload)
+		a.xgen.Fill(xp.Payload)
 		if er.xSym != nil {
 			gf.PutSymbols16(er.xSym[i], xp.Payload)
 		}

@@ -113,7 +113,7 @@ func TestFrameSlabReuse(t *testing.T) {
 				ob := &tappedBus{Bus: bus, done: make(chan struct{})}
 				go func() {
 					defer close(ob.done)
-					o := transport.NewObserver(BlockSession(blockSeed))
+					o := transport.NewObserver(BlockSession(cfg.Seed, block))
 					for env := range tap.Recv() {
 						o.Ingest(env)
 					}

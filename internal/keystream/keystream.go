@@ -43,14 +43,19 @@ type Source func(ctx *BlockContext, index int64, dst []byte) error
 
 // Config parameterizes a Stream.
 type Config struct {
-	// Terminals, XPerRound, PayloadBytes, Erasure and Seed have their
-	// core.Config / service.SessionSpec meanings; together with BlockSize
-	// they fully determine the stream's bytes.
+	// Terminals, XPerRound, PayloadBytes and Erasure have their
+	// core.Config / service.SessionSpec meanings; together with Seed,
+	// Rotate and BlockSize they fully determine the stream's bytes (in
+	// this build's Format).
 	Terminals    int
 	XPerRound    int
 	PayloadBytes int
 	Erasure      float64
-	Seed         int64
+	// Seed keys the stream: block b's x-payloads through
+	// packet.XKey(Seed, b, round, leader), its erasure schedule through
+	// BlockSeed. Every value is a seed here, zero included; it is
+	// service.SessionSpec that has a zero seed drawn.
+	Seed int64
 	// Rotate rotates the leader role across blocks (block b is led by
 	// terminal b mod Terminals). Within a block the leader is fixed, so a
 	// block's pipeline never hands the transmit role to a member that may

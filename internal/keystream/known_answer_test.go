@@ -13,7 +13,8 @@ import (
 // 2 KiB blocks) and a rotating-leader group of four. The differential
 // tests compare the pipelined engine against ReferenceBlock, which shares
 // the leader code with it; these digests catch a change to that shared
-// code that would move both sides at once.
+// code that would move both sides at once. The digests are those of
+// stream Format 1; they change only together with a Format bump.
 func TestStreamKnownAnswer(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -24,30 +25,30 @@ func TestStreamKnownAnswer(t *testing.T) {
 			name: "bench",
 			cfg:  Config{Terminals: 3, Erasure: 0.45, XPerRound: 128, PayloadBytes: 4096, Seed: 1, BlockSize: 128 << 10},
 			want: [4]string{
-				"50f5094a88ac9048d73067aa9950be08cd4e592ff86ffc4272bedf207218fb86",
-				"28ae7580d68312a89443c6bde245f9d94a5d52c1dbe1131a2615c8a657af897f",
-				"4aa525cedac8c3f8b396dd724bef86181c8c1a871ab0c34758af7367a533cdc1",
-				"e1be887eb7e9237895b34cf27bb87a394db344afe49c7372a46dcfa5eb4cb061",
+				"7a87ef81633cc2cf7a3f3eac8c1cad2928a33ddece187318770006530c033a69",
+				"6e5df0c610159d87de1d73bca1ab8551e5f8bb356e7d13838f74d5a3d6537b1e",
+				"711f7751ea0df7b6775c44a96ba24ad0c6b2f1d16d054a7019fdb5a78d7732e2",
+				"4e3557ec03afa4e7b43007dad5327772416de1d663f11c35a9fd62fe1fab8482",
 			},
 		},
 		{
 			name: "service-default",
 			cfg:  Config{Terminals: 3, Erasure: 0.45, XPerRound: 90, PayloadBytes: 16, Seed: 2, BlockSize: 2048},
 			want: [4]string{
-				"5ef138120d7c1339ee4e58b1a3b4eb7937e7c9f0cf9e5a70206e87e947035ad6",
-				"9c923907daf66ae5c66346b8e9e41e59cd08c0c3c050bdbf7e0a14e8903dd92d",
-				"4b7f88c1b9dd28d033bf5917e0aaedbcb3644c269658733471f19fe44fb2d851",
-				"a399884d4ffeb775dacee02b92385ea843f9e5f3a3f5abf2ec4b68b1414a885e",
+				"6a43940479a9a0b5b6de0c8e72f4643de2d73ecba2f46eea2301a77dc16cb61a",
+				"1cb06658e7e70250df3fca2e05f068d4e82865d50e0fe9b39ce4bf738dfec7e0",
+				"461b188923dda9b89a02bbe1f77567479fa2c6201af8f05637e8eb618c2fd28e",
+				"80b1b5166fdbb3405d2debe83b85a2685273ee3064ff9714cfc1b46f989c81b7",
 			},
 		},
 		{
 			name: "rotate",
 			cfg:  Config{Terminals: 4, Erasure: 0.4, XPerRound: 64, PayloadBytes: 32, Seed: 3, Rotate: true, BlockSize: 1024},
 			want: [4]string{
-				"9d68bb47a0cfbaa416cb302ad5cca8ab2051c2e942a018420eabb316ee7073d2",
-				"0f81071cce3f8949a43ebcaf2bae030677379109733eb6c71f9dc39433d458c1",
-				"efcdb23253f410c04db357deb65688f480f142d6f59366878dbb34a10c3d95de",
-				"78d76d3e2904a93b668e99b5f0d772a939a99a5ede5fa2fab8f835d261b1cb71",
+				"f4133810475dd99f1811b73c66b8611039e7ae7ceb11f79a7336c1a453706631",
+				"7000189e9abbe158db5ce63a8bce5f6d4441625486294f7da7ce8abaee94e9b6",
+				"dca491de00846a361bcfd1f6731d77c2eb0353a928dc35c48762166d9a23ff2d",
+				"4a1501598463c9eadec962ccd3584ddd7235a13a38be8b20ec20bf5517e88c80",
 			},
 		},
 	} {

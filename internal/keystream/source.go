@@ -1,9 +1,9 @@
 package keystream
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/gf"
@@ -11,16 +11,38 @@ import (
 	"repro/internal/radio"
 )
 
-// BlockSeed derives block b's seed from the stream seed. Every value a
-// block's bytes depend on (x-payload rng, erasure coins) is keyed off
-// this, which is what makes blocks independently re-derivable.
+// BlockSeed derives block b's seed from the stream seed. The block's
+// erasure schedule and its bus are keyed off it; its x-payloads are
+// keyed by (stream seed, b) through packet.XKey. Both make blocks
+// independently re-derivable.
 func BlockSeed(streamSeed, block int64) int64 {
 	return int64(radio.Mix64(radio.Mix64(uint64(streamSeed)) ^ uint64(block)))
 }
 
-// BlockSession is the wire session id a block's frames carry: the low 32
-// bits of its block seed. An observer tapping a block's bus filters on it.
-func BlockSession(blockSeed int64) uint32 { return uint32(uint64(blockSeed)) }
+// Format numbers how a stream's bytes follow from its Config. Journals
+// and assignments that re-derive a stream elsewhere carry it, so a
+// stream is never served under two formats. Format 1 keys every round's
+// x-payloads with packet.XKey. Format 0, recorded before formats were
+// numbered, drew them from math/rand seeded with
+// BlockSeed + round·65537 + leader, which reduced every round to one of
+// fewer than 2^31 payload streams; this build does not derive it.
+const Format = 1
+
+// sessionLabel separates block session ids from other hashes of the
+// same numbers.
+const sessionLabel = "thinair/block-session/v1"
+
+// BlockSession is the wire session id block b's frames carry, a hash of
+// (stream seed, b). An observer tapping a block's bus filters on it; it
+// gives away 32 bits of a hash, not bits of the seed.
+func BlockSession(seed, block int64) uint32 {
+	var in [len(sessionLabel) + 16]byte
+	b := append(in[:0], sessionLabel...)
+	b = binary.BigEndian.AppendUint64(b, uint64(seed))
+	b = binary.BigEndian.AppendUint64(b, uint64(block))
+	sum := sha256.Sum256(b)
+	return binary.BigEndian.Uint32(sum[:])
+}
 
 // XOFSource8 is a cheap deterministic block source built on the GF(2^8)
 // kernel: a splitmix counter stream mixed by byte-field multiply-add
@@ -64,13 +86,9 @@ func ReferenceBlock(cfg Config, idx int64, dst []byte) error {
 	pl := new(core.Planner)
 	written := 0
 	consecAborts := 0
+	var g packet.XGen
+	defer g.Zero()
 	for r := 0; r < 1<<16 && written < len(dst); r++ {
-		rng := rand.New(rand.NewSource(blockSeed + int64(r)*65537 + int64(leader)))
-		batch := packet.NewBatch(rng, cfg.XPerRound, cfg.PayloadBytes)
-		xSym := make([][]core.Sym, cfg.XPerRound)
-		for i, pkt := range batch {
-			xSym[i] = gf.Symbols16(pkt.Payload)
-		}
 		plan := a.roundPlan(pl, blockSeed, r, leader)
 		if plan.L == 0 {
 			consecAborts++
@@ -80,6 +98,13 @@ func ReferenceBlock(cfg Config, idx int64, dst []byte) error {
 			continue
 		}
 		consecAborts = 0
+		g.Round(cfg.Seed, idx, r, leader)
+		xSym := make([][]core.Sym, cfg.XPerRound)
+		for i := range xSym {
+			payload := make([]byte, cfg.PayloadBytes)
+			g.Fill(payload)
+			xSym[i] = gf.Symbols16(payload)
+		}
 		lr := core.ComputeLeaderRound(nil, plan, xSym)
 		written += copy(dst[written:], core.SecretBytes(lr.Secret))
 	}

@@ -4,9 +4,12 @@
 package packet
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"math/rand"
+	rand2 "math/rand/v2"
 )
 
 // ID identifies an x-packet within a round. IDs are dense: the leader
@@ -21,28 +24,65 @@ type Packet struct {
 	Payload []byte
 }
 
-// RandomPayload fills a fresh payload of n bytes from rng. The protocol's
-// secrecy relies on x-payloads being uniform and independent; in a real
-// deployment they come from a hardware RNG, in the simulator from the
-// experiment's seeded source.
+// RandomPayload fills a fresh payload of n bytes from rng: the
+// Monte-Carlo simulation's x-payloads (core.RunSession, NewBatch), whose
+// experiment seed pins every figure. Each byte is byte(rng.Int63() >> 32),
+// which is exactly what rng.Intn(256) returns (Intn → Int31n's
+// power-of-two mask → Int31) without the two range-check calls per byte;
+// the golden hashes in packet_test.go pin the bytes and the rng's
+// consumption. Key material never comes from here: math/rand reduces its
+// seed mod 2^31−1. The leaders of keystream blocks and of the transport
+// runtime draw from an XGen.
 func RandomPayload(rng *rand.Rand, n int) []byte {
 	b := make([]byte, n)
-	FillPayload(rng, b)
-	return b
-}
-
-// FillPayload is RandomPayload into a caller-owned buffer: it draws the
-// same bytes from rng, in the same order.
-//
-// Each byte is byte(rng.Int63() >> 32), which is exactly what
-// rng.Intn(256) returns (Intn → Int31n's power-of-two mask → Int31)
-// without the two range-check calls per byte; the golden hashes in
-// packet_test.go pin the bytes and the rng's consumption.
-func FillPayload(rng *rand.Rand, b []byte) {
 	for i := range b {
 		b[i] = byte(rng.Int63() >> 32)
 	}
+	return b
 }
+
+// xKeyLabel separates x-payload generator keys from any other SHA-256
+// over the same numbers. A change to the generator or its key changes
+// every key stream's bytes: it is a stream-format change.
+const xKeyLabel = "thinair/x-payload/v1"
+
+// XKey is the 256-bit key of the generator a leader draws one round's
+// x-payloads from: SHA-256 over xKeyLabel and (seed, block, round,
+// leader), each a big-endian 64-bit value. A session with no blocks (the
+// transport runtime) passes block −1, which no keystream block uses.
+func XKey(seed, block int64, round, leader int) [32]byte {
+	var in [len(xKeyLabel) + 4*8]byte
+	b := append(in[:0], xKeyLabel...)
+	b = binary.BigEndian.AppendUint64(b, uint64(seed))
+	b = binary.BigEndian.AppendUint64(b, uint64(block))
+	b = binary.BigEndian.AppendUint64(b, uint64(int64(round)))
+	b = binary.BigEndian.AppendUint64(b, uint64(int64(leader)))
+	return sha256.Sum256(b)
+}
+
+// XGen is a leader's x-payload generator: ChaCha8 keyed by XKey, rekeyed
+// every round. A round's payloads are its stream read in packet order,
+// so payload i is the PayloadBytes after payloads 0..i-1, however the
+// reads are split. Unlike math/rand, which reduces its seed mod 2^31−1,
+// the generator keeps every bit of its key, so an eavesdropper who hears
+// a payload is left to search the seeds behind the key. A generator is
+// used by one goroutine; rekeying allocates nothing.
+type XGen struct {
+	c rand2.ChaCha8
+}
+
+// Round rekeys g for a round's x-payloads.
+func (g *XGen) Round(seed, block int64, round, leader int) {
+	g.c.Seed(XKey(seed, block, round, leader))
+}
+
+// Fill reads the round's next payload into p.
+func (g *XGen) Fill(p []byte) { g.c.Read(p) }
+
+// Zero rekeys g with the zero key. A round's key regenerates its
+// x-payloads, and so its secret: a generator whose owner is done with it
+// must not keep one.
+func (g *XGen) Zero() { g.c.Seed([32]byte{}) }
 
 // NewBatch creates packets 0..n-1 with independent random payloads of
 // size bytes each.

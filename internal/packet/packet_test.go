@@ -8,8 +8,8 @@ import (
 	"testing/quick"
 )
 
-// TestRandomPayloadGolden pins the x-payload bytes: every keystream block
-// and every figure is a function of them. The hashes are SHA-256 over the
+// TestRandomPayloadGolden pins the simulation's x-payload bytes: every
+// Monte-Carlo figure is a function of them. The hashes are SHA-256 over the
 // 128 payloads of NewBatch(rand.New(rand.NewSource(seed)), 128, 4096),
 // recorded with the original byte(rng.Intn(256)) generator, plus one
 // odd-length payload.
@@ -229,5 +229,84 @@ func TestWordsRoundTrip(t *testing.T) {
 	}
 	if a.String() == "" {
 		t.Fatal("String empty")
+	}
+}
+
+// TestXKeyInputs: changing any one of (seed, block, round, leader)
+// changes the key, including a seed moved by 2^31−1 (math/rand's
+// modulus) and inputs that differ only in which field holds a value.
+func TestXKeyInputs(t *testing.T) {
+	type in struct {
+		seed, block   int64
+		round, leader int
+	}
+	base := in{seed: 1 << 40, block: 5, round: 3, leader: 1}
+	variants := []in{
+		{base.seed + 1, base.block, base.round, base.leader},
+		{base.seed + (1<<31 - 1), base.block, base.round, base.leader},
+		{-base.seed, base.block, base.round, base.leader},
+		{base.seed, base.block + 1, base.round, base.leader},
+		{base.seed, -1, base.round, base.leader},
+		{base.seed, base.block, base.round + 1, base.leader},
+		{base.seed, base.block, base.round, base.leader + 1},
+		{base.seed, base.block, base.leader, base.round}, // round and leader swapped
+	}
+	key := func(v in) [32]byte { return XKey(v.seed, v.block, v.round, v.leader) }
+	if key(base) != key(base) {
+		t.Fatal("XKey is not a function of its inputs")
+	}
+	seen := map[[32]byte]in{key(base): base}
+	for _, v := range variants {
+		k := key(v)
+		if prev, dup := seen[k]; dup {
+			t.Fatalf("XKey%v == XKey%v", v, prev)
+		}
+		seen[k] = v
+	}
+}
+
+// TestXGenStream: a round's payloads are one stream read in packet
+// order, however the reads are split; rekeying for the same round
+// restarts it, another round or the zero key starts another, and
+// neither allocates.
+func TestXGenStream(t *testing.T) {
+	var g XGen
+	g.Round(7, 2, 1, 0)
+	whole := make([]byte, 5*24)
+	g.Fill(whole)
+	g.Round(7, 2, 1, 0)
+	split := make([]byte, 0, len(whole))
+	for _, n := range []int{24, 3, 21, 24, 48} {
+		p := make([]byte, n)
+		g.Fill(p)
+		split = append(split, p...)
+	}
+	if string(split) != string(whole) {
+		t.Fatal("split reads differ from one read of the round's stream")
+	}
+	other := make([]byte, len(whole))
+	g.Round(7, 2, 2, 0)
+	g.Fill(other)
+	if string(other) == string(whole) {
+		t.Fatal("rounds 1 and 2 drew the same payloads")
+	}
+	g.Zero()
+	g.Fill(other)
+	if string(other) == string(whole) {
+		t.Fatal("the zero key drew the round's payloads")
+	}
+	p := make([]byte, 4096)
+	if n := testing.AllocsPerRun(10, func() { g.Round(7, 2, 1, 0); g.Fill(p); g.Zero() }); n != 0 {
+		t.Fatalf("rekeying and filling allocate %v times", n)
+	}
+}
+
+func BenchmarkXGenFill4K(b *testing.B) {
+	var g XGen
+	g.Round(1, 0, 0, 0)
+	p := make([]byte, 4096)
+	b.SetBytes(int64(len(p)))
+	for i := 0; i < b.N; i++ {
+		g.Fill(p)
 	}
 }

@@ -16,6 +16,8 @@ package service
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -212,20 +214,39 @@ func (sv *Service) forget(s *Session) {
 	}
 }
 
-// Create admits a new session under the next free id. It returns
-// immediately; the session starts at once if a run slot is free, or else
-// when every session queued before it has started and a slot frees up
-// (WaitReady blocks until its pool has key material). Create fails fast
-// with ErrSaturated when the queue is full.
+// Create admits a new session under the next free id. A spec with no
+// Seed runs with one drawn by NewSeed, so no two unseeded sessions share
+// a key stream. It returns immediately; the session starts at once if a
+// run slot is free, or else when every session queued before it has
+// started and a slot frees up (WaitReady blocks until its pool has key
+// material). Create fails fast with ErrSaturated when the queue is full.
 func (sv *Service) Create(spec SessionSpec) (*Session, error) {
+	if spec.Seed == 0 {
+		spec.Seed = NewSeed()
+	}
 	return sv.create(spec, 0, false)
+}
+
+// NewSeed draws a non-zero session seed from crypto/rand. The seed keys
+// every byte of a session's stream, so it appears in no API response,
+// metric, span or log.
+func NewSeed() int64 {
+	var b [8]byte
+	for {
+		rand.Read(b[:]) // never fails: an error crashes the program
+		if seed := int64(binary.LittleEndian.Uint64(b[:])); seed != 0 {
+			return seed
+		}
+	}
 }
 
 // CreateID admits a new session under a caller-chosen id — a cluster
 // worker hosts each session under its cluster id. A live session under
 // id answers ErrDuplicate; a closed or failed one still registered is
 // replaced, and the id's failure memory is cleared. Admission is
-// Create's.
+// Create's. The spec's Seed is taken as given, zero included: the
+// caller fixes it, so that every worker that hosts the id derives the
+// same stream.
 func (sv *Service) CreateID(id uint64, spec SessionSpec) (*Session, error) {
 	return sv.create(spec, id, true)
 }

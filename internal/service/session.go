@@ -41,8 +41,12 @@ type SessionSpec struct {
 	// UDP runs each block's exchange over a loopback-UDP bus instead of
 	// in-process channels.
 	UDP bool
-	// Seed pins the session's randomness (payloads, erasures). Two
-	// sessions with the same spec and seed produce the same key stream.
+	// Seed keys the session's key stream: its x-payloads (through
+	// packet.XKey) and its erasure schedule. Zero, the default, has
+	// Service.Create and the cluster coordinator draw a random non-zero
+	// seed, which no response reveals. A pinned seed pins the stream, so
+	// two sessions with the same spec and seed serve the same bytes: it
+	// is a setting for tests, figures and benchmarks, not a secret.
 	Seed int64
 	// AuthBootstrap, when non-empty, authenticates every control frame
 	// against an active Eve. Block b's tag key is this bootstrap's key
@@ -496,7 +500,7 @@ func (s *Session) blockBus(block, blockSeed int64, inbox int) (transport.Bus, er
 			return nil, err
 		}
 		ob := &observedBus{Bus: bus, done: make(chan struct{})}
-		go s.observe(tap, keystream.BlockSession(blockSeed), ob.done)
+		go s.observe(tap, keystream.BlockSession(s.spec.Seed, block), ob.done)
 		bus = ob
 	}
 	if len(s.spec.AuthBootstrap) > 0 {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/auth"
@@ -63,6 +62,7 @@ func RunNode(ctx context.Context, ep Endpoint, cfg NodeConfig) (*NodeResult, err
 		return nil, fmt.Errorf("transport: %d rounds overflow the uint16 wire round number", cfg.Rounds)
 	}
 	n := &node{cfg: cfg, ep: ep, res: &NodeResult{}, scratch: new(core.RoundScratch)}
+	defer n.xgen.Zero()
 	// The distributed runtime shares the in-process engine's round-timing
 	// family. Resolved once per call; nil (no registry) keeps the loop
 	// clock-free.
@@ -112,6 +112,9 @@ type node struct {
 	// planner plans each round the node leads; the round is done with its
 	// plan before the node leads another.
 	planner core.Planner
+	// xgen draws the x-payloads of each round the node leads; RunNode
+	// zeroes it on return.
+	xgen packet.XGen
 }
 
 func (n *node) header(round int) wire.Header {
@@ -195,15 +198,17 @@ func (n *node) leaderRound(ctx context.Context, round int) error {
 	cfg := n.cfg
 	h := n.header(round)
 
-	// Phase 1 step 1: broadcast fresh x-packets.
-	rng := rand.New(rand.NewSource(cfg.Seed + int64(round)*65537 + int64(cfg.Self)))
-	batch := packet.NewBatch(rng, cfg.XPerRound, cfg.PayloadBytes)
+	// Phase 1 step 1: broadcast fresh x-packets, keyed by (seed, round,
+	// leader) under the block no keystream uses.
+	n.xgen.Round(cfg.Seed, -1, round, cfg.Self)
 	xSym := make([][]core.Sym, cfg.XPerRound)
-	for i, pkt := range batch {
-		xSym[i] = gf.Symbols16(pkt.Payload)
+	for i := range xSym {
+		payload := make([]byte, cfg.PayloadBytes)
+		n.xgen.Fill(payload)
+		xSym[i] = gf.Symbols16(payload)
 		xh := h
 		xh.Type = wire.TypeX
-		if err := n.ep.SendData(wire.Marshal(&wire.XPacket{Header: xh, Seq: uint32(pkt.ID), Payload: pkt.Payload})); err != nil {
+		if err := n.ep.SendData(wire.Marshal(&wire.XPacket{Header: xh, Seq: uint32(i), Payload: payload})); err != nil {
 			return err
 		}
 	}

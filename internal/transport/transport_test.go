@@ -534,3 +534,34 @@ func TestObserverOverUDP(t *testing.T) {
 		t.Fatal("UDP observer missed the session")
 	}
 }
+
+// TestNodePayloadsKeyedBeyond31Bits: node seeds s and s + (2^31−1) give
+// different x-payloads, and so different secrets over the same bus
+// schedule. math/rand reduces its seed mod 2^31−1, so a generator seeded
+// from the node seed ran both groups identically. The same seed twice
+// must still agree: the secrets depend on nothing else.
+func TestNodePayloadsKeyedBeyond31Bits(t *testing.T) {
+	const n = 3
+	secret := func(seed int64) []byte {
+		bus := NewChanBus(0.4, 7, DefaultInbox)
+		defer bus.Close()
+		cfg := baseNodeConfig(n)
+		cfg.Seed = seed
+		results, err := RunGroup(context.Background(), bus, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(results[0].Secret) == 0 {
+			t.Fatal("no secret generated")
+		}
+		return results[0].Secret
+	}
+	const s = 42
+	a, b := secret(s), secret(s)
+	if string(a) != string(b) {
+		t.Fatal("two groups with the same seed and bus schedule disagree")
+	}
+	if string(secret(s+(1<<31-1))) == string(a) {
+		t.Fatal("seeds s and s+(2^31−1) gave the same secret")
+	}
+}
