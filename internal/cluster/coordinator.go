@@ -122,13 +122,12 @@ const (
 // clusterSession is one registry entry: everything needed to re-create
 // the session elsewhere (the spec carries the seed, so a reassigned
 // session re-derives the same key stream from round zero). format is the
-// stream format it was created under; reason says why a failed session
-// failed, when more is known than that it did.
+// stream format it was created under; a session of another format than
+// this build's is failed at recovery.
 type clusterSession struct {
 	id        uint64
 	spec      service.SessionSpec
 	format    int
-	reason    error
 	worker    int // owning slot, -1 when orphaned/failed
 	state     string
 	reassigns int
@@ -253,7 +252,7 @@ func New(cfg Config) (*Coordinator, error) {
 			c.slots = append(c.slots, sl)
 			continue
 		}
-		proc, err := cfg.Spawn(ctx, c.spawnOpts(i))
+		proc, err := c.spawnWorker(ctx, i)
 		if err != nil {
 			cancel()
 			for _, sl := range c.slots {
@@ -314,8 +313,6 @@ func (c *Coordinator) recoverRegistry(rec *recoveredState) {
 			// Re-deriving it in this build's format would serve other
 			// bytes at offsets already read: it fails instead.
 			cs.state = sessionFailed
-			cs.reason = fmt.Errorf("%w: recorded in format %d, this build derives %d",
-				ErrStreamFormat, ps.Format, keystream.Format)
 		case ps.State == sessionFailed:
 			// Failures are permanent and survive restarts: clients keep
 			// getting the failed verdict, not a ghost of the session.
@@ -331,7 +328,8 @@ func (c *Coordinator) recoverRegistry(rec *recoveredState) {
 // still answers: the existing process keeps its slot, its client, and —
 // crucially — its live sessions, which move straight back to assigned
 // without a respawn or a keystream restart. Returns nil (spawn fresh)
-// for unrecorded, retired, dead, or draining workers.
+// for unrecorded, retired, dead, or draining workers, and for a worker
+// that derives another stream format, which is drained instead.
 func (c *Coordinator) adoptSlot(ctx context.Context, slot int, rec *recoveredState) *workerSlot {
 	if rec == nil {
 		return nil
@@ -345,6 +343,23 @@ func (c *Coordinator) adoptSlot(ctx context.Context, slot int, rec *recoveredSta
 	st, err := client.Stats(pctx)
 	cancel()
 	if err != nil || st.Draining {
+		return nil
+	}
+	if err := checkFormat(st); err != nil {
+		// Its sessions are failed in the registry or were never in it;
+		// draining stops them, zeroizes their pools, and lets the
+		// process exit.
+		c.cfg.Logf("cluster: not adopting worker %d at %s (pid %d): %v; draining it",
+			slot, pw.URL, st.PID, err)
+		c.wg.Add(1)
+		go func() {
+			defer c.wg.Done()
+			dctx, dcancel := context.WithTimeout(ctx, c.cfg.DrainTimeout+5*time.Second)
+			defer dcancel()
+			if err := client.Drain(dctx); err != nil {
+				c.cfg.Logf("cluster: draining worker at %s: %v", pw.URL, err)
+			}
+		}()
 		return nil
 	}
 	adopted := 0
@@ -369,6 +384,43 @@ func (c *Coordinator) adoptSlot(ctx context.Context, slot int, rec *recoveredSta
 		client: client,
 		alive:  true,
 	}
+}
+
+// checkFormat refuses a worker that derives another stream format than
+// this build. A worker from before formats were numbered reports none
+// (format 0), and it also ignores the format an assignment carries, so
+// its own assign check cannot refuse: a session placed on it would
+// derive other bytes than the format its journal records.
+func checkFormat(st WorkerStats) error {
+	if st.Format != keystream.Format {
+		return fmt.Errorf("%w: worker derives format %d, this build derives %d",
+			ErrStreamFormat, st.Format, keystream.Format)
+	}
+	return nil
+}
+
+// spawnWorker spawns the worker for a slot and checks its stream format
+// before any session can be placed on it: Config.Spawn may run another
+// binary than the coordinator's. A worker that fails the check is
+// killed.
+func (c *Coordinator) spawnWorker(ctx context.Context, slot int) (WorkerProc, error) {
+	proc, err := c.cfg.Spawn(ctx, c.spawnOpts(slot))
+	if err != nil {
+		return nil, err
+	}
+	probe := NewWorkerClient(proc.URL())
+	pctx, cancel := context.WithTimeout(ctx, adoptProbeTimeout)
+	st, err := probe.Stats(pctx)
+	cancel()
+	probe.CloseIdle()
+	if err == nil {
+		err = checkFormat(st)
+	}
+	if err != nil {
+		_ = proc.Kill()
+		return nil, err
+	}
+	return proc, nil
 }
 
 // journalLocked appends one registry-transition record when persistence
@@ -539,7 +591,7 @@ func (c *Coordinator) respawn(sl *workerSlot) bool {
 		return false
 	case <-time.After(c.cfg.RespawnBackoff):
 	}
-	proc, err := c.cfg.Spawn(c.ctx, c.spawnOpts(sl.slot))
+	proc, err := c.spawnWorker(c.ctx, sl.slot)
 	if err != nil {
 		if c.ctx.Err() != nil {
 			return false
@@ -909,13 +961,12 @@ func (c *Coordinator) routeKeyRead(cid uint64, call func(*WorkerClient) ([]byte,
 	}
 	if client == nil {
 		if state == sessionFailed {
-			c.mu.Lock()
-			reason := cs.reason
-			c.mu.Unlock()
-			if reason != nil {
-				return nil, fmt.Errorf("session %d died permanently: %w: %w", cid, service.ErrFailed, reason)
+			err := fmt.Errorf("session %d died permanently: %w", cid, service.ErrFailed)
+			if cs.format != keystream.Format {
+				err = fmt.Errorf("%w: %w: recorded in format %d, this build derives %d",
+					err, ErrStreamFormat, cs.format, keystream.Format)
 			}
-			return nil, fmt.Errorf("session %d died permanently: %w", cid, service.ErrFailed)
+			return nil, err
 		}
 		return nil, fmt.Errorf("%w: session %d", ErrOrphaned, cid)
 	}

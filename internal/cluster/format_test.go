@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -204,4 +205,142 @@ func TestAdoptedWorkerDropsOtherFormatSession(t *testing.T) {
 		st, err := c2.slots[0].client.Stats(ctx)
 		return err == nil && len(st.Sessions) == 0
 	})
+}
+
+// oldFormatWorker is a worker from before stream formats were numbered:
+// its stats carry no format, and it accepts every assignment whatever
+// format the request names, as a decoder that ignores unknown fields
+// does.
+type oldFormatWorker struct {
+	srv     *httptest.Server
+	assigns atomic.Int32
+	drains  atomic.Int32
+}
+
+func newOldFormatWorker(t *testing.T) *oldFormatWorker {
+	ow := &oldFormatWorker{}
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /ctl/healthz", func(rw http.ResponseWriter, r *http.Request) {
+		httpapi.WriteJSON(rw, http.StatusOK, map[string]any{"ok": true})
+	})
+	mux.HandleFunc("GET /ctl/stats", func(rw http.ResponseWriter, r *http.Request) {
+		httpapi.WriteJSON(rw, http.StatusOK, map[string]any{
+			"pid": os.Getpid(), "capacity": 4, "draining": false, "sessions": map[string]any{},
+		})
+	})
+	mux.HandleFunc("POST /ctl/assign", func(rw http.ResponseWriter, r *http.Request) {
+		ow.assigns.Add(1)
+		httpapi.WriteJSON(rw, http.StatusCreated, service.SessionMetrics{})
+	})
+	mux.HandleFunc("POST /ctl/drain", func(rw http.ResponseWriter, r *http.Request) {
+		ow.drains.Add(1)
+		httpapi.WriteJSON(rw, http.StatusOK, map[string]any{"drained": true})
+	})
+	ow.srv = httptest.NewServer(mux)
+	t.Cleanup(ow.srv.Close)
+	return ow
+}
+
+// shutdownWithin shuts c down, bounded so a test whose coordinator
+// holds an unresponsive worker still ends.
+func shutdownWithin(c *Coordinator, d time.Duration) {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	_ = c.Shutdown(ctx)
+}
+
+// TestOldFormatWorkerNotAdopted: a restarted coordinator whose journal
+// records a surviving worker that reports no stream format does not
+// adopt it. It drains that worker, spawns a fresh one in its slot, and
+// places no session on the old one, which would accept it and derive
+// another stream than the journal records.
+func TestOldFormatWorkerNotAdopted(t *testing.T) {
+	ow := newOldFormatWorker(t)
+	dir := t.TempDir()
+	j, _, err := openJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.append(journalRecord{Op: jopWorker, Slot: 0, URL: ow.srv.URL, PID: os.Getpid(), Epoch: 1})
+	j.close()
+
+	cfg := testConfig(InProcess(nil))
+	cfg.Workers = 1
+	cfg.StateDir = dir
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownWithin(c, 30*time.Second)
+	ctx := context.Background()
+
+	info, err := c.Create(streamedSpec(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 60*time.Second, "a range from the session", func() bool {
+		_, err := c.StreamRange(ctx, info.ID, 0, 32)
+		return err == nil
+	})
+	waitFor(t, 30*time.Second, "the old-format worker to be drained", func() bool {
+		return ow.drains.Load() > 0
+	})
+	if n := ow.assigns.Load(); n != 0 {
+		t.Fatalf("the old-format worker was sent %d assignments", n)
+	}
+	if owner, err := c.Owner(info.ID); err != nil || owner.URL == ow.srv.URL {
+		t.Fatalf("session owner %+v, %v; want a freshly spawned worker", owner, err)
+	}
+}
+
+// TestSpawnedOldFormatWorkerRefused: a spawner that starts a worker of
+// another stream format (a worker binary from before formats were
+// numbered) fails the coordinator's start, and on a respawn the slot
+// burns its restart budget and retires rather than host a session on
+// that worker.
+func TestSpawnedOldFormatWorkerRefused(t *testing.T) {
+	ow := newOldFormatWorker(t)
+	oldSpawn := func(context.Context, WorkerSpawnOpts) (WorkerProc, error) {
+		return newAdoptedProc(ow.srv.URL, os.Getpid()), nil
+	}
+	cfg := testConfig(oldSpawn)
+	cfg.Workers = 1
+	if c, err := New(cfg); !errors.Is(err, ErrStreamFormat) {
+		if c != nil {
+			shutdownWithin(c, 5*time.Second)
+		}
+		t.Fatalf("New with an old-format worker binary: %v, want ErrStreamFormat", err)
+	}
+
+	rs := newRecordingSpawner()
+	var spawned atomic.Int32
+	cfg.Spawn = func(ctx context.Context, opts WorkerSpawnOpts) (WorkerProc, error) {
+		if spawned.Add(1) == 1 {
+			return rs.Spawn(ctx, opts)
+		}
+		return oldSpawn(ctx, opts)
+	}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownWithin(c, 30*time.Second)
+	ctx := context.Background()
+	info, err := c.Create(streamedSpec(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitConverged(t, c, info.ID, streamedSpec(0).TargetDepth)
+	_ = rs.current(0).Kill()
+	waitFor(t, 60*time.Second, "the slot to retire", func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.slots[0].retired
+	})
+	if n := ow.assigns.Load(); n != 0 {
+		t.Fatalf("the old-format worker was sent %d assignments", n)
+	}
+	if info, err := c.Session(ctx, info.ID); err != nil || info.State != sessionOrphaned {
+		t.Fatalf("session after its slot retired: %+v, %v; want orphaned", info, err)
+	}
 }

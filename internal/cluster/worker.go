@@ -143,6 +143,10 @@ type WorkerStats struct {
 	PID      int  `json:"pid"`
 	Capacity int  `json:"capacity"`
 	Draining bool `json:"draining"`
+	// Format is the stream format the worker derives (keystream.Format);
+	// a worker from before formats were numbered omits it, so it reads
+	// as 0.
+	Format int `json:"format"`
 	// Sessions maps cluster session ids to their live metrics.
 	Sessions map[uint64]service.SessionMetrics `json:"sessions"`
 }
@@ -155,6 +159,7 @@ func (w *Worker) Stats() WorkerStats {
 		PID:      os.Getpid(),
 		Capacity: w.cfg.Capacity,
 		Draining: w.draining.Load(),
+		Format:   keystream.Format,
 		Sessions: make(map[uint64]service.SessionMetrics),
 	}
 	for _, s := range w.svc.Sessions() {
