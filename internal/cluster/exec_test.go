@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 	"time"
 )
@@ -83,5 +84,24 @@ func TestExecSpawnerRoundTrip(t *testing.T) {
 	slow := &ExecSpawner{Binary: "/bin/sleep", Args: nil, Output: io.Discard, ReadyTimeout: 300 * time.Millisecond}
 	if _, err := slow.Spawn(ctx, WorkerSpawnOpts{Slot: 2, Capacity: 1, DrainTimeout: time.Second}); err == nil {
 		t.Fatal("spawn without ready line succeeded")
+	}
+}
+
+// TestSpawnErrorPrefixedOnce: a coordinator whose worker binary does not
+// exist fails New with an error that names the slot once, followed by
+// the exec error itself.
+func TestSpawnErrorPrefixedOnce(t *testing.T) {
+	bad := &ExecSpawner{Binary: "/nonexistent/thinaird", Output: io.Discard}
+	c, err := New(Config{Workers: 1, Spawn: bad.Spawn, Logf: func(string, ...any) {}})
+	if err == nil {
+		c.Shutdown(context.Background())
+		t.Fatal("New with a nonexistent worker binary succeeded")
+	}
+	msg := err.Error()
+	if n := strings.Count(msg, "cluster: spawning worker 0:"); n != 1 || !strings.Contains(msg, "/nonexistent/thinaird") {
+		t.Fatalf("error %q: want one \"cluster: spawning worker 0:\" prefix and the binary's path", msg)
+	}
+	if strings.Count(msg, "cluster:") != 1 {
+		t.Fatalf("error %q carries more than one cluster: label", msg)
 	}
 }

@@ -72,13 +72,15 @@ type ExecSpawner struct {
 	ReadyTimeout time.Duration
 }
 
-// Spawn implements SpawnFunc.
+// Spawn implements SpawnFunc. Its errors do not name the slot: the
+// coordinator wraps them in one "cluster: spawning worker N:" (or logs
+// them under "cluster: respawning worker N:").
 func (es *ExecSpawner) Spawn(ctx context.Context, opts WorkerSpawnOpts) (WorkerProc, error) {
 	bin := es.Binary
 	if bin == "" {
 		exe, err := os.Executable()
 		if err != nil {
-			return nil, fmt.Errorf("cluster: resolving own executable: %w", err)
+			return nil, fmt.Errorf("resolving own executable: %w", err)
 		}
 		bin = exe
 	}
@@ -106,7 +108,7 @@ func (es *ExecSpawner) Spawn(ctx context.Context, opts WorkerSpawnOpts) (WorkerP
 		return nil, err
 	}
 	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("cluster: spawning worker %d: %w", opts.Slot, err)
+		return nil, err
 	}
 
 	done := make(chan struct{})
@@ -119,7 +121,7 @@ func (es *ExecSpawner) Spawn(ctx context.Context, opts WorkerSpawnOpts) (WorkerP
 	if err != nil {
 		_ = cmd.Process.Kill()
 		<-done
-		return nil, fmt.Errorf("cluster: worker %d: %w", opts.Slot, err)
+		return nil, fmt.Errorf("awaiting the ready line: %w", err)
 	}
 	return &execProc{cmd: cmd, url: url, done: done}, nil
 }

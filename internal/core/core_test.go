@@ -358,7 +358,7 @@ func TestPairwiseSecret(t *testing.T) {
 	for i := range xSym {
 		xSym[i] = []Sym{Sym(i + 1), Sym(100 + i)}
 	}
-	y := ComputeY(plan, xSym)
+	y := ComputeY(plan, wireRows(xSym))
 	s1 := PairwiseSecret(plan, y, 1)
 	s2 := PairwiseSecret(plan, y, 2)
 	if len(s1) != plan.Mi[1]*4 || len(s2) != plan.Mi[2]*4 {

@@ -130,13 +130,14 @@ func RunSession(cfg Config, med *radio.Medium, eveNodes []radio.NodeID) (*Sessio
 	// One planner for every round: a round's plan is done with before the
 	// next round plans.
 	var planner Planner
-	// The round's z-packets, kept for the agreement check: their values,
-	// the pointers ComputeTerminalSecretInto takes, and the buffer their
-	// payloads are encoded into, all reused across rounds.
+	// The round's z-packets, kept for the agreement check: their values
+	// and the pointers ComputeTerminalSecretInto takes; and the row Eve
+	// decodes each z-payload she overhears into. All are reused across
+	// rounds (AddCombo copies what it keeps).
 	var (
 		zvals []wire.ZPacket
 		zs    []*wire.ZPacket
-		zbuf  []byte
+		zsym  []Sym
 	)
 	em := newEmitter(cfg.Tracer)
 	// Phase-timing instruments resolve once per session; when no
@@ -165,8 +166,11 @@ func RunSession(cfg Config, med *radio.Medium, eveNodes []radio.NodeID) (*Sessio
 		h := wire.Header{From: uint8(leader), Session: uint32(cfg.Seed), Round: uint16(round)}
 
 		// Phase 1 step 1: transmit N x-packets, spread over the round's
-		// interference slots.
+		// interference slots. The leader computes on the payloads as
+		// sent; the receivers (terminals and Eve) decode each one into
+		// symbols once.
 		batch := packet.NewBatch(rng, cfg.XPerRound, cfg.PayloadBytes)
+		x := make([][]byte, cfg.XPerRound)
 		xSym := make([][]Sym, cfg.XPerRound)
 		recv := make([]*packet.IDSet, n)
 		for i := range recv {
@@ -180,6 +184,7 @@ func RunSession(cfg Config, med *radio.Medium, eveNodes []radio.NodeID) (*Sessio
 			if i > 0 && i%perSlot == 0 {
 				med.AdvanceSlot()
 			}
+			x[i] = pkt.Payload
 			xSym[i] = gf.Symbols16(pkt.Payload)
 			xh := h
 			xh.Type = wire.TypeX
@@ -266,7 +271,7 @@ func RunSession(cfg Config, med *radio.Medium, eveNodes []radio.NodeID) (*Sessio
 		}
 
 		// Phase 1 steps 3-4 and Phase 2 on the leader.
-		lr := ComputeLeaderRound(nil, plan, xSym)
+		lr := ComputeLeaderRound(nil, plan, x)
 		// The frames are only counted: FrameLen is each one's length.
 		ya := BuildYAnnounce(h, plan)
 		reliable := func(m wire.Message) {
@@ -275,12 +280,10 @@ func RunSession(cfg Config, med *radio.Medium, eveNodes []radio.NodeID) (*Sessio
 			med.BroadcastReliable(radio.NodeID(leader), frame*8)
 		}
 		reliable(ya)
-		width := 2 * len(lr.Y[0])
-		zbuf = slices.Grow(zbuf[:0], len(lr.Z)*width)[:len(lr.Z)*width]
 		zvals = slices.Grow(zvals[:0], len(lr.Z))[:len(lr.Z)]
 		zs = zs[:0]
 		for j, z := range lr.Z {
-			FillZPacket(&zvals[j], h, plan, j, z, zbuf[j*width:])
+			FillZPacket(&zvals[j], h, plan, j, z)
 			reliable(&zvals[j])
 			zs = append(zs, &zvals[j])
 		}
@@ -294,13 +297,16 @@ func RunSession(cfg Config, med *radio.Medium, eveNodes []radio.NodeID) (*Sessio
 		for j := 0; j < zc.Rows(); j++ {
 			row := make([]Sym, cfg.XPerRound)
 			f.AddMulSlices(row, yoxRows, zc.Row(j))
-			know.AddCombo(row, lr.Z[j])
+			zsym = slices.Grow(zsym[:0], len(lr.Z[j])/2)[:len(lr.Z[j])/2]
+			gf.PutSymbols16(zsym, lr.Z[j])
+			know.AddCombo(row, zsym)
 		}
 		secretOverX := plan.Redist.SCoeffs().Mul(yox)
 		u := know.UnknownSecretDims(secretOverX)
 		info.UnknownDims = u
 
 		// Terminals derive the secret; verify agreement.
+		secret := slices.Concat(lr.Secret...)
 		for t := 0; t < n; t++ {
 			if t == leader {
 				continue
@@ -313,7 +319,7 @@ func RunSession(cfg Config, med *radio.Medium, eveNodes []radio.NodeID) (*Sessio
 			if err != nil {
 				return nil, fmt.Errorf("core: round %d terminal %d: %w", round, t, err)
 			}
-			if !bytes.Equal(SecretBytes(sec), SecretBytes(lr.Secret)) {
+			if !bytes.Equal(SecretBytes(sec), secret) {
 				info.Agreed = false
 				res.AllAgreed = false
 			}
@@ -324,7 +330,7 @@ func RunSession(cfg Config, med *radio.Medium, eveNodes []radio.NodeID) (*Sessio
 			computeLat.ObserveSince(computeT0)
 			roundLat.ObserveSince(roundT0)
 		}
-		res.Secret = append(res.Secret, SecretBytes(lr.Secret)...)
+		res.Secret = append(res.Secret, secret...)
 		res.SecretDims += plan.L
 		res.UnknownDims += u
 		res.Rounds = append(res.Rounds, info)

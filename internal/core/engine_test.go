@@ -271,7 +271,8 @@ func TestRankCertificateMatchesConstructiveAttack(t *testing.T) {
 			}
 			xSym[i] = p
 		}
-		lr := ComputeLeaderRound(nil, plan, xSym)
+		lr := ComputeLeaderRound(nil, plan, wireRows(xSym))
+		lz, ls := symRows(lr.Z), symRows(lr.Secret)
 
 		know := eve.NewKnowledge(f, numX)
 		for _, id := range eveSet.Slice() {
@@ -286,7 +287,7 @@ func TestRankCertificateMatchesConstructiveAttack(t *testing.T) {
 					f.AddMulSlice(row, yox.Row(yi), c)
 				}
 			}
-			know.AddCombo(row, lr.Z[j])
+			know.AddCombo(row, lz[j])
 		}
 		sm := secretOverXMatrix(plan)
 		u := know.UnknownSecretDims(sm)
@@ -299,7 +300,7 @@ func TestRankCertificateMatchesConstructiveAttack(t *testing.T) {
 				// When Eve reconstructs, the payload must be the REAL
 				// secret packet.
 				for j := range got {
-					if got[j] != lr.Secret[i][j] {
+					if got[j] != ls[i][j] {
 						t.Fatalf("trial %d: Eve reconstructed wrong payload", trial)
 					}
 				}

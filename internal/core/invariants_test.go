@@ -154,7 +154,8 @@ func TestLeaderRoundLinearConsistency(t *testing.T) {
 		for i := range xSym {
 			xSym[i] = []Sym{Sym(rng.Intn(65536)), Sym(rng.Intn(65536))}
 		}
-		lr := ComputeLeaderRound(nil, plan, xSym)
+		lr := ComputeLeaderRound(nil, plan, wireRows(xSym))
+		ly, lz := symRows(lr.Y), symRows(lr.Z)
 		f := Field()
 		yox := plan.YOverX()
 		for j := 0; j < plan.M; j++ {
@@ -164,19 +165,19 @@ func TestLeaderRoundLinearConsistency(t *testing.T) {
 					f.AddMulSlice(want, xSym[c], v)
 				}
 			}
-			if want[0] != lr.Y[j][0] || want[1] != lr.Y[j][1] {
+			if want[0] != ly[j][0] || want[1] != ly[j][1] {
 				t.Fatalf("y[%d] does not match YOverX · x", j)
 			}
 		}
 		zc := plan.Redist.ZCoeffs()
-		for j := range lr.Z {
+		for j := range lz {
 			want := make([]Sym, 2)
 			for yi := 0; yi < plan.M; yi++ {
 				if v := zc.At(j, yi); v != 0 {
-					f.AddMulSlice(want, lr.Y[yi], v)
+					f.AddMulSlice(want, ly[yi], v)
 				}
 			}
-			if want[0] != lr.Z[j][0] || want[1] != lr.Z[j][1] {
+			if want[0] != lz[j][0] || want[1] != lz[j][1] {
 				t.Fatalf("z[%d] does not match Zc · y", j)
 			}
 		}

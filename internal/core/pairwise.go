@@ -64,7 +64,7 @@ func RunPairwiseRound(cfg Config, med *radio.Medium, eveNodes []radio.NodeID) (*
 	h := wire.Header{From: uint8(leader), Session: uint32(cfg.Seed)}
 
 	batch := packet.NewBatch(rng, cfg.XPerRound, cfg.PayloadBytes)
-	xSym := make([][]Sym, cfg.XPerRound)
+	x := make([][]byte, cfg.XPerRound)
 	recv := make([]*packet.IDSet, n)
 	for i := range recv {
 		recv[i] = packet.NewIDSet(cfg.XPerRound)
@@ -77,7 +77,7 @@ func RunPairwiseRound(cfg Config, med *radio.Medium, eveNodes []radio.NodeID) (*
 		if i > 0 && i%perSlot == 0 {
 			med.AdvanceSlot()
 		}
-		xSym[i] = gf.Symbols16(pkt.Payload)
+		x[i] = pkt.Payload
 		xh := h
 		xh.Type = wire.TypeX
 		frame := wire.Marshal(&wire.XPacket{Header: xh, Seq: uint32(pkt.ID), Payload: pkt.Payload})
@@ -91,7 +91,7 @@ func RunPairwiseRound(cfg Config, med *radio.Medium, eveNodes []radio.NodeID) (*
 		for _, ev := range eveNodes {
 			if got[ev] && !eveRecv.Has(pkt.ID) {
 				eveRecv.Add(pkt.ID)
-				know.AddUnit(int(pkt.ID), xSym[i])
+				know.AddUnit(int(pkt.ID), gf.Symbols16(pkt.Payload))
 			}
 		}
 	}
@@ -109,10 +109,10 @@ func RunPairwiseRound(cfg Config, med *radio.Medium, eveNodes []radio.NodeID) (*
 	plan := new(Planner).Plan(n, leader, cfg.XPerRound, recv, eveRecv, cfg.Pooling, cfg.Estimator)
 
 	res := &PairwiseResult{Leader: leader}
-	var y [][]Sym
+	var y [][]byte
 	var yox *matrix.Matrix[Sym]
 	if plan.M > 0 {
-		y = ComputeY(plan, xSym)
+		y = ComputeY(plan, x)
 		ya := BuildYAnnounce(h, plan)
 		frame := wire.Marshal(ya)
 		acct.Reliable(len(frame), n-1)

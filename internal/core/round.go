@@ -10,26 +10,31 @@ import (
 	"repro/internal/wire"
 )
 
-// LeaderRound is the leader's complete view of one round's coding.
+// LeaderRound is the leader's complete view of one round's coding. Its
+// rows are wire-order payloads, each GF(2^16) symbol a big-endian byte
+// pair: a z row is its z-packet's payload as sent, and the flattened
+// s rows are the round's secret bytes.
 type LeaderRound struct {
 	Plan   *Plan
-	Y      [][]Sym // M y-packet payloads
-	Z      [][]Sym // M-L z-packet payloads (reliably broadcast)
-	Secret [][]Sym // L s-packet payloads (the round's group secret)
+	Y      [][]byte // M y-packet payloads
+	Z      [][]byte // M-L z-packet payloads (reliably broadcast)
+	Secret [][]byte // L s-packet payloads (the round's group secret)
 }
 
 // ComputeLeaderRound executes Phase 1 steps 3-4 and Phase 2 on the leader,
-// given the plan and the x-packet payload symbols. The plan must have
+// given the plan and the x-packet payloads as sent. The plan must have
 // L > 0. Each y-packet is one fused kernel combination over its class's
 // x-payloads with the extractor's coefficient row, and each z- and
 // s-packet one combination over the y-packets with its row of Q — the
 // calls Matrix.Mul makes per output row, without copying the sources into
-// a matrix or the products out of one.
+// a matrix or the products out of one. Every combination runs on the
+// payload bytes themselves (gf's AddMulBE16), so nothing is decoded into
+// symbols or encoded back.
 //
 // sc may be nil (a throwaway scratch is used and the rows are fresh);
 // otherwise the returned round and its rows alias sc's arena and stay
 // valid until the next call with sc (see RoundScratch).
-func ComputeLeaderRound(sc *RoundScratch, plan *Plan, xSym [][]Sym) *LeaderRound {
+func ComputeLeaderRound(sc *RoundScratch, plan *Plan, x [][]byte) *LeaderRound {
 	if plan.L <= 0 {
 		panic("core: ComputeLeaderRound on a round with no secret")
 	}
@@ -39,51 +44,87 @@ func ComputeLeaderRound(sc *RoundScratch, plan *Plan, xSym [][]Sym) *LeaderRound
 	sc.reset()
 	lr := &sc.lr
 	lr.Plan = plan
-	lr.Y = sc.computeY(plan, xSym)
+	lr.Y = sc.computeY(plan, x)
 	f := Field()
-	width := len(xSym[0])
+	width := len(x[0])
 	zn := plan.M - plan.L
 	lr.Z = lr.Z[:0]
 	for j := 0; j < zn; j++ {
-		z := sc.payload(width)
-		f.AddMulSlices(z, lr.Y, plan.Redist.Row(j))
+		z := sc.row(width)
+		f.AddMulBE16(z, lr.Y, plan.Redist.Row(j))
 		lr.Z = append(lr.Z, z)
 	}
 	lr.Secret = lr.Secret[:0]
 	for j := 0; j < plan.L; j++ {
-		s := sc.payload(width)
-		f.AddMulSlices(s, lr.Y, plan.Redist.Row(zn+j))
+		s := sc.row(width)
+		f.AddMulBE16(s, lr.Y, plan.Redist.Row(zn+j))
 		lr.Secret = append(lr.Secret, s)
 	}
 	return lr
 }
 
+// LeaderSecret is the leader's round when nobody else takes part: a
+// leader with no members to announce to needs the round's secret and
+// nothing else. It computes the y-packets, then only the s-packets dst
+// still has room for, and no z-packet. It writes the longest prefix of
+// the flattened secret (ComputeLeaderRound's Secret rows, concatenated)
+// that fits in dst and returns its length. Whole s rows are combined
+// straight into dst; a final row dst cuts short is combined in sc's
+// arena and its prefix copied. The plan must have L > 0; sc may be nil,
+// as for ComputeLeaderRound.
+func LeaderSecret(sc *RoundScratch, plan *Plan, x [][]byte, dst []byte) int {
+	if plan.L <= 0 {
+		panic("core: LeaderSecret on a round with no secret")
+	}
+	if sc == nil {
+		sc = &RoundScratch{}
+	}
+	sc.reset()
+	y := sc.computeY(plan, x)
+	f := Field()
+	width := len(x[0])
+	zn := plan.M - plan.L
+	n := 0
+	for j := 0; j < plan.L && n < len(dst); j++ {
+		s := dst[n:]
+		if len(s) >= width {
+			s = s[:width]
+			clear(s)
+		} else {
+			s = sc.row(width)
+		}
+		f.AddMulBE16(s, y, plan.Redist.Row(zn+j))
+		n += copy(dst[n:], s)
+	}
+	return n
+}
+
 // ComputeY evaluates the plan's y-packet payloads from the x-packet
-// payload symbols (Phase 1 step 3 without the Phase 2 coding), into fresh
+// payloads (Phase 1 step 3 without the Phase 2 coding), into fresh
 // rows. Exposed for the unicast baseline, which shares Phase 1 with the
 // group protocol.
-func ComputeY(plan *Plan, xSym [][]Sym) [][]Sym {
-	return new(RoundScratch).computeY(plan, xSym)
+func ComputeY(plan *Plan, x [][]byte) [][]byte {
+	return new(RoundScratch).computeY(plan, x)
 }
 
 // computeY writes the plan's y-packets into sc's arena: per class, one
 // fused combination of the class's x-payloads per extractor row.
-func (sc *RoundScratch) computeY(plan *Plan, xSym [][]Sym) [][]Sym {
-	if len(xSym) != plan.NumX {
+func (sc *RoundScratch) computeY(plan *Plan, x [][]byte) [][]byte {
+	if len(x) != plan.NumX {
 		panic("core: x payload count mismatch")
 	}
 	f := Field()
 	y := sc.lr.Y[:0]
 	for k, cl := range plan.Classes {
-		srcs := sc.srcs[:0]
+		srcs := sc.xsrcs[:0]
 		for _, id := range cl.IDs {
-			srcs = append(srcs, xSym[int(id)])
+			srcs = append(srcs, x[int(id)])
 		}
-		sc.srcs = srcs
+		sc.xsrcs = srcs
 		h := plan.Extractors[k].Coeffs()
 		for i := 0; i < h.Rows(); i++ {
-			row := sc.payload(len(srcs[0]))
-			f.AddMulSlices(row, srcs, h.Row(i))
+			row := sc.row(len(srcs[0]))
+			f.AddMulBE16(row, srcs, h.Row(i))
 			y = append(y, row)
 		}
 	}
@@ -124,16 +165,15 @@ func FillYAnnounce(ya *wire.YAnnounce, h wire.Header, plan *Plan) {
 	}
 }
 
-// FillZPacket renders z-packet j, whose payload symbols are z, for
-// reliable broadcast (step 1 of Phase 2) without allocating: zp's
-// coefficient row aliases plan.Redist.Row(j), and its payload is z
-// encoded into buf, which must hold 2·len(z) bytes. zp stays valid while
-// buf and the plan are unchanged, and neither its row nor its payload may
-// be written through.
-func FillZPacket(zp *wire.ZPacket, h wire.Header, plan *Plan, j int, z []Sym, buf []byte) {
+// FillZPacket renders z-packet j, whose payload is z, for reliable
+// broadcast (step 1 of Phase 2) without allocating: zp's coefficient row
+// aliases plan.Redist.Row(j), and its payload is z itself (a
+// LeaderRound's z rows are wire-order payloads). zp stays valid while z
+// and the plan are unchanged, and neither its row nor its payload may be
+// written through.
+func FillZPacket(zp *wire.ZPacket, h wire.Header, plan *Plan, j int, z []byte) {
 	h.Type = wire.TypeZ
-	*zp = wire.ZPacket{Header: h, Index: uint16(j), Coeffs: plan.Redist.Row(j), Payload: buf[: 2*len(z) : 2*len(z)]}
-	gf.PutBytes16(zp.Payload, z)
+	*zp = wire.ZPacket{Header: h, Index: uint16(j), Coeffs: plan.Redist.Row(j), Payload: z[:len(z):len(z)]}
 }
 
 // BuildSAnnounce renders the s-packet coefficient announcement (step 3 of
@@ -158,10 +198,11 @@ func FillSAnnounce(sa *wire.SAnnounce, h wire.Header, plan *Plan) {
 
 // RoundScratch holds the reusable buffers one node needs to run either
 // side of a round without per-round allocation churn: the gathered class
-// sources and combination rows ([][]Sym headers), the known-y index, the
-// z-packet ordering buffers, the erasure-completion system, and a payload
-// arena every computed row is written into — the leader's y-, z- and
-// s-packets (ComputeLeaderRound), a terminal's reconstructed y-packets,
+// sources and combination rows ([][]Sym and [][]byte headers), the
+// known-y index, the z-packet ordering buffers, the erasure-completion
+// system, and two arenas every computed row is written into — wire-order
+// rows for the leader's y-, z- and s-packets (ComputeLeaderRound,
+// LeaderSecret), symbol rows for a terminal's reconstructed y-packets,
 // decoded z-payloads and s-packets (ReceiveRoundInto, Eliminate). The zero
 // value is ready to use; buffers grow on first use and are reused
 // afterwards, so a long-lived node reaches a zero-allocation steady state
@@ -174,6 +215,9 @@ func FillSAnnounce(sa *wire.SAnnounce, h wire.Header, plan *Plan) {
 // pool, the keystream block or a result buffer) are unaffected. Zero
 // clears the arena once its owner is done with it.
 type RoundScratch struct {
+	xsrcs  [][]byte
+	rows   [][]byte
+	nrow   int
 	srcs   [][]Sym
 	known  map[int][]Sym
 	zs     []*wire.ZPacket
@@ -187,36 +231,47 @@ type RoundScratch struct {
 	nbuf   int
 }
 
-// payload returns a zeroed width-length row from the arena.
-func (sc *RoundScratch) payload(width int) []Sym {
-	if sc.nbuf < len(sc.bufs) && cap(sc.bufs[sc.nbuf]) >= width {
-		b := sc.bufs[sc.nbuf][:width]
+// payload returns a zeroed width-length symbol row from the arena.
+func (sc *RoundScratch) payload(width int) []Sym { return take(&sc.bufs, &sc.nbuf, width) }
+
+// row returns a zeroed width-byte wire-order row from the arena.
+func (sc *RoundScratch) row(width int) []byte { return take(&sc.rows, &sc.nrow, width) }
+
+// take hands out the next zeroed width-length row of an arena whose
+// first *n rows are in use, growing it when it runs out or the row in
+// line is too short.
+func take[T Sym | byte](bufs *[][]T, n *int, width int) []T {
+	i := *n
+	*n++
+	if i < len(*bufs) && cap((*bufs)[i]) >= width {
+		b := (*bufs)[i][:width]
 		clear(b)
-		sc.bufs[sc.nbuf] = b
-		sc.nbuf++
+		(*bufs)[i] = b
 		return b
 	}
-	b := make([]Sym, width)
-	if sc.nbuf < len(sc.bufs) {
-		sc.bufs[sc.nbuf] = b
+	b := make([]T, width)
+	if i < len(*bufs) {
+		(*bufs)[i] = b
 	} else {
-		sc.bufs = append(sc.bufs, b)
+		*bufs = append(*bufs, b)
 	}
-	sc.nbuf++
 	return b
 }
 
 // reset prepares the scratch for a new round.
 func (sc *RoundScratch) reset() {
-	sc.nbuf = 0
+	sc.nbuf, sc.nrow = 0, 0
 	clear(sc.known)
 }
 
-// Zero clears every row the arena holds — x-derived y-, z- and s-packets
+// Zero clears every row the arenas hold — x-derived y-, z- and s-packets
 // and the completion system — so key material does not outlive the
 // scratch's owner unzeroed.
 func (sc *RoundScratch) Zero() {
 	for _, b := range sc.bufs {
+		clear(b[:cap(b)])
+	}
+	for _, b := range sc.rows {
 		clear(b[:cap(b)])
 	}
 	sc.comp.Zero()
@@ -476,10 +531,10 @@ func PutSecretBytes(dst []byte, secret [][]Sym) int {
 // these packets"). The group protocol consumes these via Phase 2; the
 // function exposes them directly for pair-oriented applications and the
 // unicast baseline.
-func PairwiseSecret(plan *Plan, y [][]Sym, terminal int) []byte {
+func PairwiseSecret(plan *Plan, y [][]byte, terminal int) []byte {
 	var out []byte
 	for _, idx := range plan.TerminalYIndices(terminal) {
-		out = append(out, gf.Bytes16(y[idx])...)
+		out = append(out, y[idx]...)
 	}
 	return out
 }

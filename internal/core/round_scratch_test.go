@@ -35,13 +35,13 @@ func buildTestRound(t *testing.T, seed int64, numX int, rcv func(term int) *pack
 			xSym[i][j] = Sym(rng.Intn(65536))
 		}
 	}
-	lr := ComputeLeaderRound(nil, plan, xSym)
+	lr := ComputeLeaderRound(nil, plan, wireRows(xSym))
 	h := wire.Header{From: 0, Session: 9, Round: 1}
 	ya := BuildYAnnounce(h, plan)
 	zs := make([]*wire.ZPacket, len(lr.Z))
 	for j, z := range lr.Z {
 		zs[j] = new(wire.ZPacket)
-		FillZPacket(zs[j], h, plan, j, z, make([]byte, 2*len(z)))
+		FillZPacket(zs[j], h, plan, j, z)
 	}
 	sa := BuildSAnnounce(h, plan)
 	return lr, ya, zs, sa, xSym
@@ -49,7 +49,7 @@ func buildTestRound(t *testing.T, seed int64, numX int, rcv func(term int) *pack
 
 // TestFillZPacketAllocs: filling a z-packet allocates nothing, its row is
 // the plan's (capped, so an append cannot write into the next row), and
-// its payload is the z symbols' bytes in buf.
+// its payload is the leader's z row itself, capped the same way.
 func TestFillZPacketAllocs(t *testing.T) {
 	shape := func(term int) *packet.IDSet {
 		if term == 1 {
@@ -62,18 +62,17 @@ func TestFillZPacketAllocs(t *testing.T) {
 		t.Fatal("test round has no z-packets; adjust the shape")
 	}
 	h := wire.Header{From: 0, Session: 9, Round: 1}
-	buf := make([]byte, 2*len(lr.Z[0]))
 	var zp wire.ZPacket
 	for j, z := range lr.Z {
-		if n := testing.AllocsPerRun(10, func() { FillZPacket(&zp, h, lr.Plan, j, z, buf) }); n != 0 {
+		if n := testing.AllocsPerRun(10, func() { FillZPacket(&zp, h, lr.Plan, j, z) }); n != 0 {
 			t.Fatalf("z-packet %d: FillZPacket allocated %v times", j, n)
 		}
 		row := lr.Plan.Redist.Row(j)
 		if zp.Type != wire.TypeZ || zp.Index != uint16(j) || &zp.Coeffs[0] != &row[0] || cap(zp.Coeffs) != len(row) {
 			t.Fatalf("z-packet %d: header %+v, index %d, or a row that is not the plan's capped row", j, zp.Header, zp.Index)
 		}
-		if !bytes.Equal(zp.Payload, gf.Bytes16(z)) || &zp.Payload[0] != &buf[0] {
-			t.Fatalf("z-packet %d: payload is not z's bytes in buf", j)
+		if &zp.Payload[0] != &z[0] || len(zp.Payload) != len(z) || cap(zp.Payload) != len(z) {
+			t.Fatalf("z-packet %d: payload is not the capped z row", j)
 		}
 	}
 }
@@ -112,7 +111,7 @@ func TestComputeTerminalSecretIntoMatchesFresh(t *testing.T) {
 			if !bytes.Equal(SecretBytes(got), SecretBytes(want)) {
 				t.Fatalf("round %d term %d: scratch secret differs from fresh", round, term)
 			}
-			if !bytes.Equal(SecretBytes(got), SecretBytes(lr.Secret)) {
+			if !bytes.Equal(SecretBytes(got), slices.Concat(lr.Secret...)) {
 				t.Fatalf("round %d term %d: secret differs from leader", round, term)
 			}
 		}
@@ -287,11 +286,11 @@ func TestLeaderRoundMatchesMatrixForm(t *testing.T) {
 				}
 				wantZ, wantS := plan.Redist.EncodeZ(wantY), plan.Redist.EncodeS(wantY)
 				for _, sc := range []*RoundScratch{nil, &dirty} {
-					lr := ComputeLeaderRound(sc, plan, xSym)
+					lr := ComputeLeaderRound(sc, plan, wireRows(xSym))
 					name := fmt.Sprintf("n=%d p=%v width=%d M=%d scratch=%v", n, p, width, plan.M, sc != nil)
-					equalRows(t, name+" Y", lr.Y, wantY)
-					equalRows(t, name+" Z", lr.Z, wantZ)
-					equalRows(t, name+" S", lr.Secret, wantS)
+					equalRows(t, name+" Y", symRows(lr.Y), wantY)
+					equalRows(t, name+" Z", symRows(lr.Z), wantZ)
+					equalRows(t, name+" S", symRows(lr.Secret), wantS)
 				}
 			}
 		}
@@ -314,14 +313,22 @@ func equalRows(t *testing.T, name string, got, want [][]Sym) {
 }
 
 // TestLeaderRoundSteadyStateAllocs: with a warm scratch the leader's
-// whole round — y extraction, z and s combinations — allocates nothing.
+// whole round — y extraction, z and s combinations — allocates nothing,
+// and neither does the leader-only secret, whole rows or a cut-short
+// last one.
 func TestLeaderRoundSteadyStateAllocs(t *testing.T) {
 	lr, _, _, _, xSym := buildTestRound(t, 78, 8, func(int) *packet.IDSet { return setOf(0, 1, 2, 3, 4, 5) })
+	x := wireRows(xSym)
 	var sc RoundScratch
-	run := func() { ComputeLeaderRound(&sc, lr.Plan, xSym) }
-	run() // warm the scratch
-	if n := testing.AllocsPerRun(100, run); n != 0 {
-		t.Errorf("steady-state leader round allocates %v times per run, want 0", n)
+	dst := make([]byte, len(lr.Secret)*len(x[0])-3)
+	for name, run := range map[string]func(){
+		"round":  func() { ComputeLeaderRound(&sc, lr.Plan, x) },
+		"secret": func() { LeaderSecret(&sc, lr.Plan, x, dst) },
+	} {
+		run() // warm the scratch
+		if n := testing.AllocsPerRun(100, run); n != 0 {
+			t.Errorf("steady-state leader %s allocates %v times per run, want 0", name, n)
+		}
 	}
 }
 
@@ -337,8 +344,8 @@ func TestRoundScratchZero(t *testing.T) {
 	}
 	lr, ya, zs, sa, xSym := buildTestRound(t, 79, 8, shape)
 	var leader, term RoundScratch
-	got := ComputeLeaderRound(&leader, lr.Plan, xSym)
-	rows := append(append(append([][]Sym{}, got.Y...), got.Z...), got.Secret...)
+	got := ComputeLeaderRound(&leader, lr.Plan, wireRows(xSym))
+	leaderRows := append(append(append([][]byte{}, got.Y...), got.Z...), got.Secret...)
 	rm := make(map[packet.ID][]Sym)
 	for _, id := range shape(1).Slice() {
 		rm[id] = xSym[int(id)]
@@ -354,12 +361,17 @@ func TestRoundScratchZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows = append(append(rows, secret...), term.bufs...)
+	rows := append(append([][]Sym{}, secret...), term.bufs...)
 	leader.Zero()
 	term.Zero()
+	for i, row := range leaderRows {
+		if slices.ContainsFunc(row, func(v byte) bool { return v != 0 }) {
+			t.Fatalf("leader row %d not zeroed", i)
+		}
+	}
 	for i, row := range rows {
 		if slices.ContainsFunc(row, func(v Sym) bool { return v != 0 }) {
-			t.Fatalf("row %d not zeroed", i)
+			t.Fatalf("terminal row %d not zeroed", i)
 		}
 	}
 }
@@ -374,6 +386,116 @@ func TestPutSecretBytes(t *testing.T) {
 		got := PutSecretBytes(dst, secret)
 		if got != min(n, len(want)) || !bytes.Equal(dst[:got], want[:got]) {
 			t.Fatalf("dst of %d bytes: wrote %d bytes %x, want a prefix of %x", n, got, dst[:got], want)
+		}
+	}
+}
+
+// wireRows encodes symbol rows as the wire-order payloads the leader's
+// round takes.
+func wireRows(rows [][]Sym) [][]byte {
+	out := make([][]byte, len(rows))
+	for i, r := range rows {
+		out[i] = gf.Bytes16(r)
+	}
+	return out
+}
+
+// symRows decodes wire-order rows into symbols.
+func symRows(rows [][]byte) [][]Sym {
+	out := make([][]Sym, len(rows))
+	for i, r := range rows {
+		out[i] = gf.Symbols16(r)
+	}
+	return out
+}
+
+// TestLeaderSecretMatchesRound: the leader-only secret is the prefix of
+// ComputeLeaderRound's flattened s rows that fits dst, for random plans
+// and payload widths and every kind of dst length — empty, within the
+// first row, whole rows, a cut-short last row of odd length, longer
+// than the round's secret — written over a dst full of stale bytes, on
+// one dirty scratch across rounds.
+func TestLeaderSecretMatchesRound(t *testing.T) {
+	var dirty RoundScratch
+	rng := rand.New(rand.NewSource(29))
+	rounds := 0
+	for trial := 0; trial < 60; trial++ {
+		n := 2 + rng.Intn(4)
+		numX := 16 + rng.Intn(80)
+		width := 2 * (1 + rng.Intn(200))
+		recv := make([]*packet.IDSet, n)
+		for i := range recv {
+			recv[i] = packet.NewIDSet(numX)
+			for id := 0; id < numX; id++ {
+				if i == 0 || rng.Float64() >= 0.45 {
+					recv[i].Add(packet.ID(id))
+				}
+			}
+		}
+		ctx := &EstimatorContext{Terminals: n, Leader: 0, NumX: numX, Recv: recv,
+			Classes: BuildClasses(n, 0, numX, recv)}
+		plan := BuildPlan(ctx, LeaveOneOut{})
+		if plan.L == 0 {
+			continue
+		}
+		rounds++
+		x := make([][]byte, numX)
+		for i := range x {
+			x[i] = make([]byte, width)
+			rng.Read(x[i])
+		}
+		want := slices.Concat(ComputeLeaderRound(nil, plan, x).Secret...)
+		for _, size := range []int{0, 1, width - 1, width, width + 3, len(want) - width - 1, len(want) - 1, len(want), len(want) + 5} {
+			if size < 0 {
+				continue
+			}
+			dst := bytes.Repeat([]byte{0xa7}, size)
+			got := LeaderSecret(&dirty, plan, x, dst)
+			if got != min(size, len(want)) || !bytes.Equal(dst[:got], want[:got]) {
+				t.Fatalf("trial %d (M=%d L=%d width=%d) dst of %d bytes: wrote %d bytes that are not the round's secret prefix",
+					trial, plan.M, plan.L, width, size, got)
+			}
+			if !slices.Equal(dst[got:], bytes.Repeat([]byte{0xa7}, size-got)) {
+				t.Fatalf("trial %d dst of %d bytes: wrote past the %d bytes it reported", trial, size, got)
+			}
+		}
+	}
+	if rounds < 20 {
+		t.Fatalf("only %d trials yielded secret", rounds)
+	}
+}
+
+// TestLeaderSecretComputesNoZRow: the leader-only secret makes one
+// kernel combination per y-packet and per s-packet dst has room for,
+// and none for a z-packet; the full round makes one per z-packet too.
+func TestLeaderSecretComputesNoZRow(t *testing.T) {
+	shape := func(term int) *packet.IDSet {
+		if term == 1 {
+			return setOf(0, 1, 2, 3, 4, 5)
+		}
+		return setOf(2, 3, 4, 5, 6, 7)
+	}
+	lr, _, _, _, xSym := buildTestRound(t, 80, 8, shape)
+	plan, x := lr.Plan, wireRows(xSym)
+	if plan.M == plan.L {
+		t.Fatal("shape needs z-packets")
+	}
+	width := len(x[0])
+	calls := func(run func()) uint64 {
+		gf.SetDispatchCounting(true)
+		defer gf.SetDispatchCounting(false)
+		before := gf.ReadDispatchCounts().AddMulSlices
+		run()
+		return gf.ReadDispatchCounts().AddMulSlices - before
+	}
+	var sc RoundScratch
+	if got, want := calls(func() { ComputeLeaderRound(&sc, plan, x) }), uint64(plan.M+(plan.M-plan.L)+plan.L); got != want {
+		t.Fatalf("ComputeLeaderRound made %d combinations, want %d", got, want)
+	}
+	for s := 0; s <= plan.L; s++ {
+		dst := make([]byte, s*width)
+		if got, want := calls(func() { LeaderSecret(&sc, plan, x, dst) }), uint64(plan.M+s); got != want {
+			t.Fatalf("LeaderSecret into %d rows' room made %d combinations, want %d (M=%d L=%d)", s, got, want, plan.M, plan.L)
 		}
 	}
 }

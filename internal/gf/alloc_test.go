@@ -3,6 +3,7 @@ package gf
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // Zero-allocation gates for the kernel hot paths. Every matrix
@@ -59,9 +60,35 @@ func TestKernelPathsAllocFree(t *testing.T) {
 	testKernelAllocs(t, "gf8 EliminateRows", func() { f8.EliminateRows(e8, s8[0], c8) })
 	testKernelAllocs(t, "gf16 EliminateRows", func() { f16.EliminateRows(e16, s16[0], c16) })
 
+	b16 := bytesOf16(d16)
+	bs16 := make([][]byte, rows)
+	for j := range bs16 {
+		bs16[j] = bytesOf16(s16[j])
+	}
+	testKernelAllocs(t, "gf16 AddMulBE16", func() { f16.AddMulBE16(b16, bs16, c16) })
+	tail := trim(bs16, 2*n-6)
+	testKernelAllocs(t, "gf16 AddMulBE16 tail", func() { f16.AddMulBE16(b16[:2*n-6], tail, c16) })
+
 	// Short slices stay on the generic layers; they must be clean too.
 	testKernelAllocs(t, "gf16 AddMulSlice short", func() { f16.AddMulSlice(d16[:40], s16[0][:40], 7) })
 	testKernelAllocs(t, "gf16 AddMulSlices short", func() {
 		f16.AddMulSlices(d16[:40], [][]uint16{s16[0][:40], s16[1][:40]}, c16[:2])
 	})
+	short := trim(bs16, 80)
+	testKernelAllocs(t, "gf16 AddMulBE16 short", func() { f16.AddMulBE16(b16[:80], short, c16) })
+}
+
+// bytesOf16 views symbols as their in-memory bytes: a wire-order row
+// for the allocation gates, whose contents do not matter.
+func bytesOf16(s []uint16) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), 2*len(s))
+}
+
+// trim returns rows cut to length n, in a fresh header slice.
+func trim(rows [][]byte, n int) [][]byte {
+	out := make([][]byte, len(rows))
+	for j, r := range rows {
+		out[j] = r[:n]
+	}
+	return out
 }

@@ -43,6 +43,21 @@ func archAddMulPlanar16(dst, src *uint16, strips int, t *nib16) {
 	gf16AddMulPlanarAVX2(dst, src, strips, t)
 }
 
+// Wire-order shims: the byte-planar kernels over big-endian rows
+// (wire.go), strips of fusedStripBytes.
+
+func archAddMulPlanarBE16(dst, src *byte, strips int, t *nib16) {
+	gf16AddMulPlanarBEAVX2(dst, src, strips, t)
+}
+
+func archAddMul2xBE16(dst *byte, srcs **byte, strips int, ts *nib16) {
+	gf16AddMul2BEAVX2(dst, srcs, strips, ts)
+}
+
+func archAddMul4xBE16(dst *byte, srcs **byte, strips int, ts *nib16) {
+	gf16AddMul4BEAVX2(dst, srcs, strips, ts)
+}
+
 // Fused multi-source shims: strips of fusedStripBytes; srcs points at an
 // array of 2 or 4 source pointers, ts at as many contiguous nibble
 // tables.
@@ -133,3 +148,15 @@ func gf16AddMul2AVX2(dst *uint16, srcs **uint16, strips int, ts *nib16)
 
 //go:noescape
 func gf16AddMul4AVX2(dst *uint16, srcs **uint16, strips int, ts *nib16)
+
+// The wire-order strip kernels: the planar, 2-source and 4-source
+// GF(2^16) kernels above over big-endian rows, strips*128 bytes each.
+//
+//go:noescape
+func gf16AddMulPlanarBEAVX2(dst, src *byte, strips int, t *nib16)
+
+//go:noescape
+func gf16AddMul2BEAVX2(dst *byte, srcs **byte, strips int, ts *nib16)
+
+//go:noescape
+func gf16AddMul4BEAVX2(dst *byte, srcs **byte, strips int, ts *nib16)

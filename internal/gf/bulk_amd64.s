@@ -402,12 +402,16 @@ GLOBL deintPat<>(SB), RODATA|NOPTR, $32
 	VBROADCASTI128 off+112(DX), Y7
 
 // GF16PLANARSTRIPTERM processes one whole strip (both 32-word halves) of
-// one term: tables at off(DX), source strip at sreg.
-#define GF16PLANARSTRIPTERM(sreg, off) \
+// one term: tables at off(DX), source strip at sreg. The even bytes of
+// the source go to plane register pe and the odd bytes to po: (Y14, Y15)
+// for little-endian words, whose even bytes are the low bytes, and
+// (Y15, Y14) for big-endian wire bytes, whose even bytes are the high
+// bytes. GF16PLANARTERM then sees the same planes either way.
+#define GF16PLANARSTRIPTERM(sreg, off, pe, po) \
 	GF16TABS(off)                          \
-	GF16DEINT(0, sreg, Y14, Y15, Y12, Y13) \
+	GF16DEINT(0, sreg, pe, po, Y12, Y13)   \
 	GF16PLANARTERM(Y8, Y9)                 \
-	GF16DEINT(64, sreg, Y14, Y15, Y12, Y13) \
+	GF16DEINT(64, sreg, pe, po, Y12, Y13)  \
 	GF16PLANARTERM(Y10, Y11)
 
 // func gf16AddMul2AVX2(dst *uint16, srcs **uint16, strips int, ts *nib16)
@@ -422,8 +426,8 @@ TEXT ·gf16AddMul2AVX2(SB), NOSPLIT, $0-32
 
 gf16addmul2_loop:
 	GF16ZEROACC
-	GF16PLANARSTRIPTERM(R8, 0)
-	GF16PLANARSTRIPTERM(R9, 128)
+	GF16PLANARSTRIPTERM(R8, 0, Y14, Y15)
+	GF16PLANARSTRIPTERM(R9, 128, Y14, Y15)
 	GF16REINT(0, Y8, Y9, Y12, Y13)
 	GF16REINT(64, Y10, Y11, Y12, Y13)
 	ADDQ $128, DI
@@ -448,10 +452,10 @@ TEXT ·gf16AddMul4AVX2(SB), NOSPLIT, $0-32
 
 gf16addmul4_loop:
 	GF16ZEROACC
-	GF16PLANARSTRIPTERM(R8, 0)
-	GF16PLANARSTRIPTERM(R9, 128)
-	GF16PLANARSTRIPTERM(R10, 256)
-	GF16PLANARSTRIPTERM(R11, 384)
+	GF16PLANARSTRIPTERM(R8, 0, Y14, Y15)
+	GF16PLANARSTRIPTERM(R9, 128, Y14, Y15)
+	GF16PLANARSTRIPTERM(R10, 256, Y14, Y15)
+	GF16PLANARSTRIPTERM(R11, 384, Y14, Y15)
 	GF16REINT(0, Y8, Y9, Y12, Y13)
 	GF16REINT(64, Y10, Y11, Y12, Y13)
 	ADDQ $128, DI
@@ -492,6 +496,94 @@ gf16planar_loop:
 	ADDQ $128, SI
 	DECQ CX
 	JNZ  gf16planar_loop
+	VZEROUPPER
+	RET
+
+// Wire-order (big-endian) variants of the three byte-planar GF(2^16)
+// kernels above, for payload rows that hold each symbol as two bytes,
+// high byte first. Big-endian bytes are the little-endian kernels'
+// input with the two byte planes exchanged: GF16DEINT fills the high
+// plane from the even bytes and the low plane from the odd ones, and
+// GF16REINT writes the high product plane to the even bytes. Everything
+// between is the same planar term, so a strip costs exactly what it
+// costs the little-endian kernels.
+
+// func gf16AddMul2BEAVX2(dst *byte, srcs **byte, strips int, ts *nib16)
+// dst ^= c0*src0 ^ c1*src1 over strips*128 wire-order bytes.
+TEXT ·gf16AddMul2BEAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ srcs+8(FP), AX
+	MOVQ (AX), R8
+	MOVQ 8(AX), R9
+	MOVQ strips+16(FP), CX
+	MOVQ ts+24(FP), DX
+
+gf16addmul2be_loop:
+	GF16ZEROACC
+	GF16PLANARSTRIPTERM(R8, 0, Y15, Y14)
+	GF16PLANARSTRIPTERM(R9, 128, Y15, Y14)
+	GF16REINT(0, Y9, Y8, Y12, Y13)
+	GF16REINT(64, Y11, Y10, Y12, Y13)
+	ADDQ $128, DI
+	ADDQ $128, R8
+	ADDQ $128, R9
+	DECQ CX
+	JNZ  gf16addmul2be_loop
+	VZEROUPPER
+	RET
+
+// func gf16AddMul4BEAVX2(dst *byte, srcs **byte, strips int, ts *nib16)
+// dst ^= c0*src0 ^ ... ^ c3*src3 over strips*128 wire-order bytes.
+TEXT ·gf16AddMul4BEAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ srcs+8(FP), AX
+	MOVQ (AX), R8
+	MOVQ 8(AX), R9
+	MOVQ 16(AX), R10
+	MOVQ 24(AX), R11
+	MOVQ strips+16(FP), CX
+	MOVQ ts+24(FP), DX
+
+gf16addmul4be_loop:
+	GF16ZEROACC
+	GF16PLANARSTRIPTERM(R8, 0, Y15, Y14)
+	GF16PLANARSTRIPTERM(R9, 128, Y15, Y14)
+	GF16PLANARSTRIPTERM(R10, 256, Y15, Y14)
+	GF16PLANARSTRIPTERM(R11, 384, Y15, Y14)
+	GF16REINT(0, Y9, Y8, Y12, Y13)
+	GF16REINT(64, Y11, Y10, Y12, Y13)
+	ADDQ $128, DI
+	ADDQ $128, R8
+	ADDQ $128, R9
+	ADDQ $128, R10
+	ADDQ $128, R11
+	DECQ CX
+	JNZ  gf16addmul4be_loop
+	VZEROUPPER
+	RET
+
+// func gf16AddMulPlanarBEAVX2(dst, src *byte, strips int, t *nib16)
+// dst ^= c*src over strips*128 wire-order bytes, tables resident for
+// the whole call as in gf16AddMulPlanarAVX2.
+TEXT ·gf16AddMulPlanarBEAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ strips+16(FP), CX
+	MOVQ t+24(FP), DX
+	GF16TABS(0)
+
+gf16planarbe_loop:
+	GF16ZEROACC
+	GF16DEINT(0, SI, Y15, Y14, Y12, Y13)
+	GF16PLANARTERM(Y8, Y9)
+	GF16DEINT(64, SI, Y15, Y14, Y12, Y13)
+	GF16PLANARTERM(Y10, Y11)
+	GF16REINT(0, Y9, Y8, Y12, Y13)
+	GF16REINT(64, Y11, Y10, Y12, Y13)
+	ADDQ $128, DI
+	ADDQ $128, SI
+	DECQ CX
+	JNZ  gf16planarbe_loop
 	VZEROUPPER
 	RET
 

@@ -45,3 +45,13 @@ func archAddMul2x16(dst *uint16, srcs **uint16, strips int, ts *nib16) {
 func archAddMul4x16(dst *uint16, srcs **uint16, strips int, ts *nib16) {
 	panic("gf: no arch kernel")
 }
+
+func archAddMulPlanarBE16(dst, src *byte, strips int, t *nib16) { panic("gf: no arch kernel") }
+
+func archAddMul2xBE16(dst *byte, srcs **byte, strips int, ts *nib16) {
+	panic("gf: no arch kernel")
+}
+
+func archAddMul4xBE16(dst *byte, srcs **byte, strips int, ts *nib16) {
+	panic("gf: no arch kernel")
+}

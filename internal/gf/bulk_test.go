@@ -505,3 +505,41 @@ func BenchmarkAddMulSlices(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAddMulBE16 runs AddMulBE16 on the fused matrix's GF(2^16)
+// shapes, next to AddMulSlices on the same symbols decoded: the two
+// should cost the same, since the wire-order kernels only exchange the
+// byte planes.
+func BenchmarkAddMulBE16(b *testing.B) {
+	f := GF65536()
+	for _, n := range []int{256, 2048, 16384} {
+		for _, rows := range []int{1, 2, 4, 8} {
+			rng := rand.New(rand.NewSource(int64(n + rows)))
+			dst := make([]uint16, n)
+			srcs := make([][]uint16, rows)
+			bsrcs := make([][]byte, rows)
+			cs := make([]uint16, rows)
+			for j := range srcs {
+				srcs[j] = make([]uint16, n)
+				for i := range srcs[j] {
+					srcs[j][i] = uint16(rng.Intn(65536))
+				}
+				bsrcs[j] = Bytes16(srcs[j])
+				cs[j] = uint16(2 + rng.Intn(65534))
+			}
+			bdst := Bytes16(dst)
+			b.Run(fmt.Sprintf("n%d/s%d/r=wire", n, rows), func(b *testing.B) {
+				b.SetBytes(int64(2 * n * rows))
+				for i := 0; i < b.N; i++ {
+					f.AddMulBE16(bdst, bsrcs, cs)
+				}
+			})
+			b.Run(fmt.Sprintf("n%d/s%d/r=symbols", n, rows), func(b *testing.B) {
+				b.SetBytes(int64(2 * n * rows))
+				for i := 0; i < b.N; i++ {
+					f.AddMulSlices(dst, srcs, cs)
+				}
+			})
+		}
+	}
+}

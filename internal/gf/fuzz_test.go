@@ -9,7 +9,8 @@ import (
 // term grouping, strip kernels, portable tails, repeated/zero/one
 // coefficient handling, table sharing — against a per-row loop of the
 // generic layer, over both fields, arbitrary source counts (1..12),
-// payloads, coefficients and alignments. Coefficients are derived from
+// payloads, coefficients and alignments. The GF(2^16) case also runs
+// the same terms through AddMulBE16 on the rows' wire-order bytes. Coefficients are derived from
 // the payload bytes with forced collisions (every third source repeats
 // the first coefficient, every fourth is 0 or 1), so the cache-sharing
 // and skip paths are continuously exercised.
@@ -21,6 +22,10 @@ func FuzzAddMulSlices(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xa5, 0x3c, 0x11}, 200), byte(5), byte(1), byte(3))
 	f.Add(bytes.Repeat([]byte{0xff}, 1500), byte(9), byte(7), byte(2))
 	f.Add(bytes.Repeat([]byte{0x01, 0x00}, 257), byte(12), byte(4), byte(6))
+	// Wire-order shapes: 9 sources over 3 strips and a 6-byte tail, and
+	// 5 sources over 5 strips and one symbol.
+	f.Add(bytes.Repeat([]byte{0x5a, 0xc3, 0x01}, 1430), byte(8), byte(3), byte(5))
+	f.Add(bytes.Repeat([]byte{0xe1, 0x07}, 2247), byte(4), byte(0), byte(1))
 	f.Fuzz(func(t *testing.T, data []byte, nsrc, dstOff, srcOff byte) {
 		rows := 1 + int(nsrc%12)
 		do, so := int(dstOff%8), int(srcOff%8)
@@ -55,6 +60,29 @@ func FuzzAddMulSlices(f *testing.F) {
 						t.Fatalf("gf16 kernel %q AddMulSlices diverges from generic (n=%d rows=%d offs=%d/%d i=%d): got %d want %d",
 							f.Kernel(), n, rows, do, so, i, got[i], want[i])
 					}
+				}
+				// Wire order: the same terms over the rows' big-endian
+				// bytes, through AddMulBE16 and through its portable layer
+				// alone, must be the encoding of the symbol result. The
+				// offsets are byte offsets here, odd ones included.
+				bdst := append(make([]byte, do), Bytes16(dst)...)[do:]
+				bsrcs := make([][]byte, rows)
+				for j := range bsrcs {
+					bsrcs[j] = append(make([]byte, so), Bytes16(srcs[j])...)[so:]
+				}
+				wantB := Bytes16(want)
+				gotB := append([]byte(nil), bdst...)
+				f.AddMulBE16(gotB, bsrcs, cs)
+				if !bytes.Equal(gotB, wantB) {
+					t.Fatalf("gf16 kernel %q AddMulBE16 diverges from AddMulSlices (n=%d strips=%d rows=%d offs=%d/%d)",
+						f.Kernel(), n, 2*n/fusedStripBytes, rows, do, so)
+				}
+				genB := append([]byte(nil), bdst...)
+				for j := range bsrcs {
+					f.addMulBE16Generic(genB, bsrcs[j], cs[j])
+				}
+				if !bytes.Equal(genB, wantB) {
+					t.Fatalf("AddMulBE16's generic layer diverges from AddMulSlices (n=%d rows=%d offs=%d/%d)", n, rows, do, so)
 				}
 				return
 			}

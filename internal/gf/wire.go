@@ -1,0 +1,152 @@
+package gf
+
+// Wire-order rows. Packet payloads carry GF(2^16) symbols as big-endian
+// byte pairs. AddMulBE16 runs the multiply-add on those bytes directly,
+// so a caller that holds payloads never converts them to symbols and
+// back: the byte-planar AVX2 kernels already split every strip into a
+// low-byte and a high-byte plane, and big-endian bytes are that input
+// with the two planes exchanged (bulk_amd64.s, the BE kernels). The
+// portable layer below is the reference and the purego path.
+
+// AddMulBE16 computes dst ^= Σ_j cs[j]·srcs[j] over GF(2^16), where dst
+// and every srcs row are wire-order rows: symbol i is the big-endian
+// pair row[2i], row[2i+1]. It is AddMulSlices on the rows' symbols,
+// without decoding them: the same fused 4-, 2- and 1-source strip
+// passes, the same table sharing, zero coefficients skipped. Every row
+// must have dst's even length, and no row may partially overlap dst.
+// The field must be GF(2^16).
+func (f *Field[E]) AddMulBE16(dst []byte, srcs [][]byte, cs []uint16) {
+	if f.size != 1<<16 {
+		panic("gf: AddMulBE16 needs GF(2^16)")
+	}
+	if len(srcs) != len(cs) {
+		panic("gf: AddMulBE16 coefficient count mismatch")
+	}
+	if len(dst)%2 != 0 {
+		panic("gf: AddMulBE16 row of odd length")
+	}
+	for _, src := range srcs {
+		if len(src) != len(dst) {
+			panic("gf: AddMulBE16 row length mismatch")
+		}
+	}
+	if len(dst) == 0 || len(cs) == 0 {
+		return
+	}
+	countDispatch(&dispatchSlices)
+	if f.kern.accel && len(dst)/2 >= fusedMin16 {
+		countDispatch(&dispatchSlicesFused)
+		f.fusedAddMulBE16(dst, srcs, cs)
+		return
+	}
+	for j, src := range srcs {
+		f.addMulBE16Generic(dst, src, cs[j])
+	}
+}
+
+// fusedAddMulBE16 is fusedAddMulSlices16 over wire-order rows: terms
+// are gathered into passes of up to fusedWidth, each pass walks dst's
+// whole strips once in a BE strip kernel, and the tail (under one
+// strip) runs through the portable nibble loop term by term.
+func (f *Field[E]) fusedAddMulBE16(dst []byte, srcs [][]byte, cs []uint16) {
+	strips := len(dst) / fusedStripBytes
+	head := strips * fusedStripBytes
+	var (
+		ts [fusedWidth]nib16
+		tc [fusedWidth]uint16
+		sp [fusedWidth]*byte
+		tl [fusedWidth][]byte
+		nc nibCache
+	)
+	j := 0
+	for j < len(cs) {
+		k := 0
+		for j < len(cs) && k < fusedWidth {
+			c, src := cs[j], srcs[j]
+			j++
+			if c == 0 {
+				continue
+			}
+			built := false
+			for p := 0; p < k; p++ {
+				if tc[p] == c {
+					ts[k] = ts[p]
+					built = true
+					break
+				}
+			}
+			if !built && nc.valid && nc.c == c {
+				ts[k] = nc.t16
+				built = true
+			}
+			if !built {
+				f.buildNib16(&ts[k], E(c))
+				nc.t16, nc.c, nc.valid = ts[k], c, true
+			}
+			tc[k] = c
+			sp[k] = &src[0]
+			tl[k] = src[head:]
+			k++
+		}
+		if strips > 0 {
+			switch k {
+			case 1:
+				archAddMulPlanarBE16(&dst[0], sp[0], strips, &ts[0])
+			case 2:
+				archAddMul2xBE16(&dst[0], &sp[0], strips, &ts[0])
+			case 3:
+				// A 2-term fused pass plus one single-source pass, as in
+				// fusedAddMulSlices16.
+				archAddMul2xBE16(&dst[0], &sp[0], strips, &ts[0])
+				archAddMulPlanarBE16(&dst[0], sp[2], strips, &ts[2])
+			case 4:
+				archAddMul4xBE16(&dst[0], &sp[0], strips, &ts[0])
+			}
+		}
+		for p := 0; p < k; p++ {
+			addMulNibBE16(dst[head:], tl[p], &ts[p])
+		}
+	}
+}
+
+// addMulBE16Generic is the portable layer of AddMulBE16 for one term:
+// a split product row for long rows, log/exp for short ones, as
+// addMulGeneric does for symbol rows.
+func (f *Field[E]) addMulBE16Generic(dst, src []byte, c uint16) {
+	switch c {
+	case 0:
+		return
+	case 1:
+		xorSlice(dst, src)
+		return
+	}
+	if len(src)/2 >= bulkMin16 {
+		var low, high [256]E
+		f.productRow(&low, &high, E(c))
+		for i := 0; i+1 < len(src); i += 2 {
+			v := uint16(low[src[i+1]] ^ high[src[i]])
+			dst[i] ^= byte(v >> 8)
+			dst[i+1] ^= byte(v)
+		}
+		return
+	}
+	lc := int(f.log[c])
+	exp, log := f.exp, f.log
+	for i := 0; i+1 < len(src); i += 2 {
+		if s := int(src[i])<<8 | int(src[i+1]); s != 0 {
+			v := uint16(exp[lc+int(log[s])])
+			dst[i] ^= byte(v >> 8)
+			dst[i+1] ^= byte(v)
+		}
+	}
+}
+
+// addMulNibBE16 is addMulNib16 over wire-order rows: the portable form
+// of the BE strip kernels, used for their tails.
+func addMulNibBE16(dst, src []byte, t *nib16) {
+	for i := 0; i+1 < len(src); i += 2 {
+		v := mulNib16(t, uint16(src[i])<<8|uint16(src[i+1]))
+		dst[i] ^= byte(v >> 8)
+		dst[i+1] ^= byte(v)
+	}
+}

@@ -17,17 +17,16 @@ import (
 // A worker derives one block at a time, so the same buffers serve block
 // after block: the block's set-up (its context, endpoints and secret
 // spans), the leader's round planners and reception sets, its report
-// bookkeeping and timer, its round scratch, the x-symbol slabs its
-// exchange decodes payloads into, the leader's outgoing frames, its
-// x-payload generator and payload buffers, and each member terminal's
-// round scratches, x-decode rows, decoded control messages and reception
+// bookkeeping and timer, its round scratch, its x-payload generator and
+// x rows, the leader's outgoing frames, and each member terminal's round
+// scratches, x-decode rows, decoded control messages and reception
 // reports. Every buffer's size follows from the Config, so the arena
 // stops growing after the first blocks. A block with no bus uses only
-// one planner, the reception sets, one x-symbol slab, the generator and
-// payload buffer and the leader's round scratch, and once warm allocates
-// nothing (TestSteadyStateBlockAlloc); a block over a bus allocates only
-// its context, its goroutines, its exchange channel and its bus
-// (TestProtocolBlockAllocBudget).
+// one planner, the reception sets, the generator, one slab of x rows
+// the generator fills and the leader's round scratch, and once warm
+// allocates nothing (TestSteadyStateBlockAlloc); a block over a bus
+// allocates only its context, its goroutines, its exchange channel and
+// its bus (TestProtocolBlockAllocBudget).
 type arena struct {
 	bc     BlockContext // the worker's block context, over this arena
 	policy core.Config  // validated once; its Pooling and Estimator plan every round
@@ -49,28 +48,32 @@ type arena struct {
 	ackTimer *time.Timer     // collectReports' deadline, reset every round
 	leader   core.RoundScratch
 
-	xn, xw  int            // x-packets per round, symbols per x-payload
-	erasure float64        // the schedule's erasure probability
-	mu      sync.Mutex     // the exchange takes x slabs and planners, compute returns them
-	xfree   [][][]core.Sym // x-symbol slabs not in use, as per-packet row views; guarded by mu
+	xn, xb  int        // x-packets per round, bytes per x-payload
+	erasure float64    // the schedule's erasure probability
+	mu      sync.Mutex // the exchange takes planners, compute returns them
+
+	// A round's x-payloads, as the rows the leader's round combines: over
+	// xslab, which the generator fills, in a block with no bus, and over
+	// the payloads inside the round's x frames in the compute loop of a
+	// block over one.
+	x     [][]byte
+	xslab []byte // allocated by the first block with no bus
+	xgen  packet.XGen
 
 	// The leader's frames: the exchange goroutine's x frames and end-of-X
 	// beacons, and the compute loop's abort beacons and announces. Each
 	// slab has one writer; both rewind at block teardown.
 	xframes, cframes frameSlab
-	xpay             []byte      // the exchange's x-payload buffer
-	xgen             packet.XGen // the exchange's x-payload generator, rekeyed each round
 
 	// The messages the leader's frames are marshalled from as soon as
-	// they are filled: the exchange's x-packet and end-of-X beacon, and
-	// the compute loop's abort beacon, announces and z-packet.
-	xp      wire.XPacket
+	// they are filled: the exchange's end-of-X beacon, and the compute
+	// loop's abort beacon, announces and z-packet. x frames are built
+	// around the payloads the generator writes (wire.AppendXFill).
 	xbeacon wire.Beacon
 	beacon  wire.Beacon
 	ya      wire.YAnnounce
 	sa      wire.SAnnounce
 	zp      wire.ZPacket
-	zpay    []byte // the z-packet's payload buffer
 
 	terms []termArena // indexed by terminal
 }
@@ -115,10 +118,9 @@ func newArena(cfg *Config) *arena {
 	// z frame with M ≤ XPerRound coefficients, or a y-announce whose one
 	// class spans every x-packet with M rows over them (an s-announce has
 	// at most as many rows of the same length).
-	x := &wire.XPacket{Header: wire.Header{Type: wire.TypeX}, Payload: make([]byte, cfg.PayloadBytes)}
 	beacon := &wire.Beacon{Header: wire.Header{Type: wire.TypeBeacon}}
 	row := make([]uint16, cfg.XPerRound)
-	z := &wire.ZPacket{Header: wire.Header{Type: wire.TypeZ}, Coeffs: row, Payload: x.Payload}
+	z := &wire.ZPacket{Header: wire.Header{Type: wire.TypeZ}, Coeffs: row, Payload: make([]byte, cfg.PayloadBytes)}
 	rows := make([][]uint16, cfg.XPerRound)
 	for i := range rows {
 		rows[i] = row
@@ -130,12 +132,11 @@ func newArena(cfg *Config) *arena {
 		recv:    make([]*packet.IDSet, cfg.Terminals),
 		waitFor: make([]bool, cfg.Terminals),
 		acked:   make([]bool, cfg.Terminals),
-		xn:      cfg.XPerRound, xw: cfg.PayloadBytes / 2,
+		xn:      cfg.XPerRound, xb: cfg.PayloadBytes,
 		erasure: cfg.Erasure,
-		xframes: frameSlab{chunk: cfg.XPerRound*wire.FrameLen(x) + wire.FrameLen(beacon)},
+		x:       make([][]byte, cfg.XPerRound),
+		xframes: frameSlab{chunk: cfg.XPerRound*wire.XFrameLen(cfg.PayloadBytes) + wire.FrameLen(beacon)},
 		cframes: frameSlab{chunk: max(wire.FrameLen(z), wire.FrameLen(y))},
-		xpay:    x.Payload,
-		zpay:    make([]byte, cfg.PayloadBytes),
 		terms:   make([]termArena, cfg.Terminals),
 	}
 	// Config.fill has validated the same core configuration for the
@@ -221,31 +222,27 @@ func (b *blockAuth) verify(r int, secret []byte) {
 	}
 }
 
-// xSlab returns one x-symbol row per x-packet, all over one slab.
-func (a *arena) xSlab() [][]core.Sym {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if n := len(a.xfree); n > 0 {
-		x := a.xfree[n-1]
-		a.xfree = a.xfree[:n-1]
-		return x
+// xRows points the x rows at the arena's own slab, allocating it on
+// first use, and returns them: a block with no bus fills them from the
+// generator.
+func (a *arena) xRows() [][]byte {
+	if a.xslab == nil {
+		a.xslab = make([]byte, a.xn*a.xb)
 	}
-	slab := make([]core.Sym, a.xn*a.xw)
-	x := make([][]core.Sym, a.xn)
-	for i := range x {
-		x[i] = slab[i*a.xw : (i+1)*a.xw : (i+1)*a.xw]
+	for i := range a.x {
+		a.x[i] = a.xslab[i*a.xb : (i+1)*a.xb : (i+1)*a.xb]
 	}
-	return x
+	return a.x
 }
 
-// putXSlab returns a slab xSlab handed out; nil is ignored.
-func (a *arena) putXSlab(x [][]core.Sym) {
-	if x == nil {
-		return
+// frameRows points the x rows at the payloads of a round's x frames,
+// which the exchange carved back to back into span, and returns them.
+func (a *arena) frameRows(span []byte) [][]byte {
+	fl := wire.XFrameLen(a.xb)
+	for i := range a.x {
+		a.x[i] = wire.XPayload(span[i*fl : (i+1)*fl])
 	}
-	a.mu.Lock()
-	a.xfree = append(a.xfree, x)
-	a.mu.Unlock()
+	return a.x
 }
 
 // rewindFrames zeroes the block's frames and makes the slabs reusable.
@@ -259,22 +256,17 @@ func (a *arena) rewindFrames() {
 	}
 }
 
-// zero clears every buffer the arena holds and rekeys its generator with
-// the zero key: the last round's key would regenerate that round's
-// x-payloads, and so its secret. The worker calls it on exit; by then
-// every slab and decode row has been returned.
+// zero clears every buffer the arena holds, the generator's key, seed
+// words and buffered output included: the last round's key would
+// regenerate that round's x-payloads, and so its secret. The worker
+// calls it on exit; by then every decode row has been returned.
 func (a *arena) zero() {
 	a.leader.Zero()
 	a.xgen.Zero()
 	a.rewindFrames()
-	clear(a.xpay)
-	clear(a.zpay)
-	a.xp, a.zp = wire.XPacket{}, wire.ZPacket{}
-	for _, x := range a.xfree {
-		for _, row := range x {
-			clear(row)
-		}
-	}
+	clear(a.xslab)
+	clear(a.x)
+	a.zp = wire.ZPacket{}
 	for i := range a.terms {
 		ta := &a.terms[i]
 		ta.scratch[0].Zero()
@@ -297,12 +289,17 @@ type frameSlab struct {
 }
 
 // marshal encodes m into the slab and returns its frame, capped at its
-// length. The slab starts a chunk when the current one is full, and
-// allocates one only when it has none left or the empty one it reached is
-// too small for the frame; so once a block as long as the longest so far
-// has run, it stops allocating.
+// length.
 func (s *frameSlab) marshal(m wire.Message) []byte {
-	n := wire.FrameLen(m)
+	return wire.AppendMarshal(s.carve(wire.FrameLen(m)), m)
+}
+
+// carve returns the next n contiguous bytes of the slab, as an empty
+// slice with capacity n. The slab starts a chunk when the current one is
+// full, and allocates one only when it has none left or the empty one it
+// reached is too small; so once a block as long as the longest so far
+// has run, it stops allocating.
+func (s *frameSlab) carve(n int) []byte {
 	if s.cur < len(s.chunks) && len(s.chunks[s.cur]) > 0 && cap(s.chunks[s.cur])-len(s.chunks[s.cur]) < n {
 		s.cur++
 	}
@@ -314,7 +311,7 @@ func (s *frameSlab) marshal(m wire.Message) []byte {
 	}
 	c := s.chunks[s.cur]
 	s.chunks[s.cur] = c[:len(c)+n]
-	return wire.AppendMarshal(c[len(c):len(c):len(c)+n], m)
+	return c[len(c) : len(c) : len(c)+n]
 }
 
 // rewind zeroes every frame the slab handed out and starts it over. The

@@ -1,7 +1,6 @@
 package keystream
 
 import (
-	"bytes"
 	"errors"
 	"io"
 	"reflect"
@@ -10,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/packet"
 	"repro/internal/transport"
 )
 
@@ -60,15 +58,15 @@ func TestFailedDerivationZeroesBlock(t *testing.T) {
 }
 
 // TestArenaZeroedAfterClose: once Close returns, every worker has zeroed
-// its arena, and every slab and row is back in its free list rather than
+// its arena, and every row is back in its free list rather than
 // abandoned unzeroed. A stream with no bus zeroes what its leader-only
-// blocks use — the x-payload generator's round key, the x-symbol slabs,
-// the x-payload buffer and the leader's round scratch — and carves no
-// frame at all. Over a bus the leader's
-// frame slabs and z-payload buffer and the members' x-decode rows and
-// secret copies are zeroed too. (RoundScratch.Zero, which clears the
-// leader's and members' y/z/s rows, is pinned by
-// core.TestRoundScratchZero.)
+// blocks use — the x-payload generator (its key, seed words and buffered
+// output), the slab of x rows it fills and the leader's round scratch —
+// and carves no frame at all. Over a bus the leader's frame slabs, which
+// hold the x-payloads the compute loop combined, and the members'
+// x-decode rows and secret copies are zeroed too, and no x slab is made.
+// (RoundScratch.Zero, which clears the leader's and members' y/z/s rows,
+// is pinned by core.TestRoundScratchZero.)
 func TestArenaZeroedAfterClose(t *testing.T) {
 	nonzero := func(v uint16) bool { return v != 0 }
 	nonzeroByte := func(v byte) bool { return v != 0 }
@@ -83,31 +81,21 @@ func TestArenaZeroedAfterClose(t *testing.T) {
 		s.Close()
 		return s
 	}
-	// xSlabs checks every arena's x-payload generator, x-payload buffer
-	// and x-symbol slabs and returns how many slabs they hold. A zeroed
-	// generator is keyed with the zero key: its next bytes are the zero
-	// key's first ones.
-	var zeroKey packet.XGen
-	zeroKey.Zero()
-	zeroKeyBytes := make([]byte, 64)
-	zeroKey.Fill(zeroKeyBytes)
+	// xSlabs checks every arena's x-payload generator, x rows and x slab
+	// and returns how many arenas hold a slab.
 	xSlabs := func(t *testing.T, s *Stream) int {
 		n := 0
 		for w, a := range s.arenas {
-			next := make([]byte, len(zeroKeyBytes))
-			a.xgen.Fill(next)
-			if !bytes.Equal(next, zeroKeyBytes) {
-				t.Fatalf("worker %d: x-payload generator still keyed by a round", w)
+			if !reflect.ValueOf(a.xgen).IsZero() {
+				t.Fatalf("worker %d: x-payload generator still holds a seed or output", w)
 			}
-			if slices.ContainsFunc(a.xpay, nonzeroByte) {
-				t.Fatalf("worker %d: x-payload buffer not zeroed", w)
+			if slices.ContainsFunc(a.x, func(row []byte) bool { return row != nil }) {
+				t.Fatalf("worker %d: x rows still point at payloads", w)
 			}
-			for _, x := range a.xfree {
+			if a.xslab != nil {
 				n++
-				for _, row := range x {
-					if slices.ContainsFunc(row, nonzero) {
-						t.Fatalf("worker %d: x-symbol slab not zeroed", w)
-					}
+				if slices.ContainsFunc(a.xslab, nonzeroByte) {
+					t.Fatalf("worker %d: x slab not zeroed", w)
 				}
 			}
 		}
@@ -143,8 +131,8 @@ func TestArenaZeroedAfterClose(t *testing.T) {
 					}
 				}
 			}
-			if len(a.zpay) != cfg.PayloadBytes || slices.ContainsFunc(a.zpay, nonzeroByte) || a.zp.Payload != nil {
-				t.Fatalf("worker %d: z-payload buffer (%d bytes) not zeroed, or the z-packet still points at it", w, len(a.zpay))
+			if a.zp.Payload != nil {
+				t.Fatalf("worker %d: the z-packet still points at a z row", w)
 			}
 			for term := range a.terms {
 				ta := &a.terms[term]
@@ -159,28 +147,31 @@ func TestArenaZeroedAfterClose(t *testing.T) {
 				}
 			}
 		}
-		if xslabs == 0 || rows == 0 || chunks == 0 {
-			t.Fatalf("arenas hold %d x slabs, %d decode rows and %d frame chunks after 6 blocks; the derivation bypassed them", xslabs, rows, chunks)
+		if xslabs != 0 || rows == 0 || chunks == 0 {
+			t.Fatalf("arenas hold %d x slabs, %d decode rows and %d frame chunks after 6 blocks; want no slab, and the derivation bypassed the rest", xslabs, rows, chunks)
 		}
 	})
 }
 
-// scratchRows counts the rows a core.RoundScratch holds, and
-// scratchNonzero reports whether any of them, to its capacity, holds a
-// nonzero symbol. The rows are unexported, so both read them through
-// reflection.
+// scratchRows counts the rows a core.RoundScratch holds, in its symbol
+// and its wire-order arena, and scratchNonzero reports whether any of
+// them, to its capacity, holds a nonzero value. The rows are unexported,
+// so both read them through reflection.
 func scratchRows(sc *core.RoundScratch) int {
-	return reflect.ValueOf(sc).Elem().FieldByName("bufs").Len()
+	v := reflect.ValueOf(sc).Elem()
+	return v.FieldByName("bufs").Len() + v.FieldByName("rows").Len()
 }
 
 func scratchNonzero(sc *core.RoundScratch) bool {
-	bufs := reflect.ValueOf(sc).Elem().FieldByName("bufs")
-	for i := range bufs.Len() {
-		row := bufs.Index(i)
-		row = row.Slice(0, row.Cap())
-		for j := range row.Len() {
-			if row.Index(j).Uint() != 0 {
-				return true
+	for _, name := range []string{"bufs", "rows"} {
+		bufs := reflect.ValueOf(sc).Elem().FieldByName(name)
+		for i := range bufs.Len() {
+			row := bufs.Index(i)
+			row = row.Slice(0, row.Cap())
+			for j := range row.Len() {
+				if row.Index(j).Uint() != 0 {
+					return true
+				}
 			}
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/gf"
 	"repro/internal/packet"
 	"repro/internal/radio"
 	"repro/internal/transport"
@@ -113,19 +112,20 @@ func (s *Stream) derive(a *arena, idx int64, dst []byte) error {
 
 // exchRound is one round's transmit-phase outcome, handed from the
 // exchange goroutine to the compute goroutine: the round's plan and the
-// planner it lives in, and, when the plan yields secret, its x-payload
-// symbols. Whoever ends the round returns both to the arena.
+// planner it lives in, and, when the plan yields secret, the span of the
+// arena's x-frame slab its x frames fill, back to back, whose payloads
+// the compute loop combines. Whoever ends the round returns the planner
+// to the arena; the frames stay put until the block's teardown.
 type exchRound struct {
-	round int
-	pl    *core.Planner
-	plan  *core.Plan
-	xSym  [][]core.Sym
+	round   int
+	pl      *core.Planner
+	plan    *core.Plan
+	xframes []byte
 }
 
-// release returns the round's planner and x slab to a.
+// release returns the round's planner to a.
 func (er exchRound) release(a *arena) {
 	a.putPlanner(er.pl)
-	a.putXSlab(er.xSym)
 }
 
 // pipelineDepth is how many rounds the exchange goroutine may run ahead
@@ -158,7 +158,7 @@ type secretSpan struct {
 //
 // Buffers: the block's endpoints and secret spans, the leader's round
 // planners and reception sets, report bookkeeping and timer, rows,
-// x-symbol slabs, payload generator and outgoing messages, and the
+// payload generator and outgoing messages, and the
 // terminals' round state, decoded messages and reception reports, come
 // from bc.arena and go back to it when a round is computed or abandoned,
 // so a worker's steady state derives blocks without reallocating them: a
@@ -327,10 +327,14 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 			continue
 		}
 		consecAborts = 0
-		lr := core.ComputeLeaderRound(&a.leader, plan, er.xSym)
-		a.putXSlab(er.xSym)
-		er.xSym = nil
-		sp := secretSpan{off: written, n: core.PutSecretBytes(dst[written:], lr.Secret), full: plan.L * cfg.PayloadBytes}
+		lr := core.ComputeLeaderRound(&a.leader, plan, a.frameRows(er.xframes))
+		sp := secretSpan{off: written, full: plan.L * cfg.PayloadBytes}
+		for _, row := range lr.Secret {
+			k := copy(dst[written+sp.n:], row)
+			if sp.n += k; k < len(row) {
+				break
+			}
+		}
 		auth.set(r, sp)
 		if computeTimed {
 			bc.ins.computeLat.ObserveSince(computeT0)
@@ -368,18 +372,19 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 
 // deriveLeader derives block idx into dst with no bus and no members, in
 // one loop on the worker's arena: plan each round from the schedule and,
-// unless it aborts, fill its x-payloads as exchange does (the generator
-// is rekeyed every round, so skipping an aborted round's changes none)
-// and eliminate its secret into dst. It starts no goroutine and makes no
+// unless it aborts, fill its x-payloads into the arena's x rows from the
+// generator as exchange does (the generator is rekeyed every round, so
+// skipping an aborted round's changes none), and combine the round's
+// secret straight into dst, computing no z-packet and no s-packet dst has
+// no room for (core.LeaderSecret). It starts no goroutine and makes no
 // context, channel or bus; Timeout is a deadline checked between rounds.
 func (bc *BlockContext) deriveLeader(idx int64, dst []byte) error {
 	cfg, a := bc.cfg, bc.arena
 	blockSeed := BlockSeed(cfg.Seed, idx)
 	leader := blockLeader(cfg, idx)
 	deadline := time.Now().Add(cfg.Timeout)
-	pl, x := a.planner(), a.xSlab()
+	pl, x := a.planner(), a.xRows()
 	defer a.putPlanner(pl)
-	defer a.putXSlab(x)
 	computeTimed := bc.ins.computeLat != nil
 	written, aborts := 0, 0
 	for r := 0; r < 1<<16 && written < len(dst); r++ {
@@ -401,16 +406,14 @@ func (bc *BlockContext) deriveLeader(idx int64, dst []byte) error {
 		aborts = 0
 		a.xgen.Round(cfg.Seed, idx, r, leader)
 		for _, row := range x {
-			a.xgen.Fill(a.xpay)
-			gf.PutSymbols16(row, a.xpay)
+			a.xgen.Fill(row)
 		}
 		bc.ins.exchangeLat.ObserveSince(t0)
 		var t1 time.Time
 		if computeTimed {
 			t1 = time.Now()
 		}
-		lr := core.ComputeLeaderRound(&a.leader, plan, x)
-		written += core.PutSecretBytes(dst[written:], lr.Secret)
+		written += core.LeaderSecret(&a.leader, plan, x, dst[written:])
 		bc.ins.computeLat.ObserveSince(t1)
 		// Counted with its outcome: Stats shows no round still in flight.
 		bc.es.rounds.Add(1)
@@ -451,7 +454,7 @@ func (a *arena) announce(ep transport.Endpoint, h wire.Header, plan *core.Plan, 
 		return err
 	}
 	for j, z := range lr.Z {
-		core.FillZPacket(&a.zp, h, plan, j, z, a.zpay)
+		core.FillZPacket(&a.zp, h, plan, j, z)
 		if err := ep.SendCtrl(a.cframes.marshal(&a.zp)); err != nil {
 			return err
 		}
@@ -488,30 +491,25 @@ func scheduleRecv(recv []*packet.IDSet, blockSeed int64, r, leader, numX int, p 
 // are pacing and health input only — their content never reaches the
 // round plan (see deriveProtocol).
 //
-// The x-payloads are drawn one at a time into the arena's payload buffer,
-// from the arena's generator rekeyed for round r of block idx (the bytes
-// ReferenceBlock draws, in the same order); each is encoded into a frame
-// from the arena's x-frame slab. When the plan yields
-// secret, the payloads are also decoded into an x-symbol slab from the
-// arena, which the compute loop returns.
+// The x-payloads are drawn from the arena's generator rekeyed for round
+// r of block idx (the bytes ReferenceBlock draws, in the same order),
+// each straight into its frame in the arena's x-frame slab
+// (wire.AppendXFill). The round's x frames are carved back to back, and
+// when the plan yields secret their span goes to the compute loop, which
+// combines the payloads where they lie.
 func (bc *BlockContext) exchange(ctx context.Context, a *arena, ep transport.Endpoint, idx int64, r, leader int, session uint32, pl *core.Planner, plan *core.Plan) (exchRound, error) {
 	cfg := bc.cfg
 	er := exchRound{round: r, pl: pl, plan: plan}
 	h := wire.Header{From: uint8(leader), Session: session, Round: uint16(r)}
 	a.xgen.Round(cfg.Seed, idx, r, leader)
+	fl := wire.XFrameLen(cfg.PayloadBytes)
+	span := a.xframes.carve(cfg.XPerRound * fl)[:cfg.XPerRound*fl]
 	if plan.L > 0 {
-		er.xSym = a.xSlab()
+		er.xframes = span
 	}
-	xp := &a.xp
-	*xp = wire.XPacket{Header: h, Payload: a.xpay}
-	xp.Type = wire.TypeX
 	for i := 0; i < cfg.XPerRound; i++ {
-		a.xgen.Fill(xp.Payload)
-		if er.xSym != nil {
-			gf.PutSymbols16(er.xSym[i], xp.Payload)
-		}
-		xp.Seq = uint32(i)
-		if err := ep.SendData(a.xframes.marshal(xp)); err != nil {
+		frame := wire.AppendXFill(span[i*fl:i*fl:(i+1)*fl], h, uint32(i), cfg.PayloadBytes, &a.xgen)
+		if err := ep.SendData(frame); err != nil {
 			er.release(a)
 			return exchRound{}, err
 		}

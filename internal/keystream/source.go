@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/gf"
@@ -99,14 +100,13 @@ func ReferenceBlock(cfg Config, idx int64, dst []byte) error {
 		}
 		consecAborts = 0
 		g.Round(cfg.Seed, idx, r, leader)
-		xSym := make([][]core.Sym, cfg.XPerRound)
-		for i := range xSym {
-			payload := make([]byte, cfg.PayloadBytes)
-			g.Fill(payload)
-			xSym[i] = gf.Symbols16(payload)
+		x := make([][]byte, cfg.XPerRound)
+		for i := range x {
+			x[i] = make([]byte, cfg.PayloadBytes)
+			g.Fill(x[i])
 		}
-		lr := core.ComputeLeaderRound(nil, plan, xSym)
-		written += copy(dst[written:], core.SecretBytes(lr.Secret))
+		lr := core.ComputeLeaderRound(nil, plan, x)
+		written += copy(dst[written:], slices.Concat(lr.Secret...))
 	}
 	if written < len(dst) {
 		return fmt.Errorf("keystream: reference block %d underrun (%d/%d)", idx, written, len(dst))

@@ -91,11 +91,18 @@ func timedRead(t *testing.T, cfg Config, nbytes int) ([]byte, time.Duration, Sta
 // than the report deadline does not gate byte production — the stream
 // keeps delivering the exact reference bytes, and total throughput
 // degrades by less than 2x, because memberHealth stops waiting for the
-// laggard after a bounded number of missed deadlines.
+// laggard after a bounded number of missed deadlines. The baseline runs
+// the same members over the same injector bus with no fault, so both
+// reads time one derivation path.
 func TestStreamSlowMemberKeepsDelivering(t *testing.T) {
 	cfg := stallCfg(303)
 	nbytes := 24 * cfg.BlockSize
-	want, baseline, _ := timedRead(t, cfg, nbytes)
+	healthy := cfg
+	healthy.NewBus = newInjectorFleet().newBus(cfg.Erasure)
+	want, baseline, _ := timedRead(t, healthy, nbytes)
+	if !bytes.Equal(want, readRef(t, cfg, 24)) {
+		t.Fatal("the un-faulted bus stream differs from the reference bytes")
+	}
 
 	fl := newInjectorFleet()
 	fl.slowMember(1, 10*cfg.AckWait) // 10x the deadline: every report misses

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	rand2 "math/rand/v2"
 )
 
 // ID identifies an x-packet within a round. IDs are dense: the leader
@@ -63,26 +62,30 @@ func XKey(seed, block int64, round, leader int) [32]byte {
 // XGen is a leader's x-payload generator: ChaCha8 keyed by XKey, rekeyed
 // every round. A round's payloads are its stream read in packet order,
 // so payload i is the PayloadBytes after payloads 0..i-1, however the
-// reads are split. Unlike math/rand, which reduces its seed mod 2^31−1,
+// reads are split. The stream is exactly math/rand/v2.ChaCha8's Read
+// output for the key (FuzzXGen pins it), produced by a port of its
+// generator that copies a kilobyte of output at a time instead of one
+// word per call. Unlike math/rand, which reduces its seed mod 2^31−1,
 // the generator keeps every bit of its key, so an eavesdropper who hears
 // a payload is left to search the seeds behind the key. A generator is
 // used by one goroutine; rekeying allocates nothing.
 type XGen struct {
-	c rand2.ChaCha8
+	c chacha8
 }
 
 // Round rekeys g for a round's x-payloads.
 func (g *XGen) Round(seed, block int64, round, leader int) {
-	g.c.Seed(XKey(seed, block, round, leader))
+	g.c.init(XKey(seed, block, round, leader))
 }
 
 // Fill reads the round's next payload into p.
-func (g *XGen) Fill(p []byte) { g.c.Read(p) }
+func (g *XGen) Fill(p []byte) { g.c.read(p) }
 
-// Zero rekeys g with the zero key. A round's key regenerates its
-// x-payloads, and so its secret: a generator whose owner is done with it
-// must not keep one.
-func (g *XGen) Zero() { g.c.Seed([32]byte{}) }
+// Zero clears g's buffered output and its seed words. A round's key
+// regenerates its x-payloads, and so its secret: a generator whose owner
+// is done with it must not keep one, nor any output or later seed drawn
+// from it. A zeroed generator reads the all-zero key's stream.
+func (g *XGen) Zero() { g.c.zero() }
 
 // NewBatch creates packets 0..n-1 with independent random payloads of
 // size bytes each.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/auth"
@@ -106,9 +107,6 @@ type node struct {
 	// rounds, so a node combines packets without per-round allocation
 	// churn.
 	scratch *core.RoundScratch
-	// zpay is the leader's z-payload buffer: sendCtrl marshals each
-	// z-packet before the next one is filled in.
-	zpay []byte
 	// planner plans each round the node leads; the round is done with its
 	// plan before the node leads another.
 	planner core.Planner
@@ -201,14 +199,11 @@ func (n *node) leaderRound(ctx context.Context, round int) error {
 	// Phase 1 step 1: broadcast fresh x-packets, keyed by (seed, round,
 	// leader) under the block no keystream uses.
 	n.xgen.Round(cfg.Seed, -1, round, cfg.Self)
-	xSym := make([][]core.Sym, cfg.XPerRound)
-	for i := range xSym {
-		payload := make([]byte, cfg.PayloadBytes)
-		n.xgen.Fill(payload)
-		xSym[i] = gf.Symbols16(payload)
-		xh := h
-		xh.Type = wire.TypeX
-		if err := n.ep.SendData(wire.Marshal(&wire.XPacket{Header: xh, Seq: uint32(i), Payload: payload})); err != nil {
+	x := make([][]byte, cfg.XPerRound)
+	for i := range x {
+		frame := wire.AppendXFill(make([]byte, 0, wire.XFrameLen(cfg.PayloadBytes)), h, uint32(i), cfg.PayloadBytes, &n.xgen)
+		x[i] = wire.XPayload(frame)
+		if err := n.ep.SendData(frame); err != nil {
 			return err
 		}
 	}
@@ -244,16 +239,13 @@ func (n *node) leaderRound(ctx context.Context, round int) error {
 	}
 
 	// Phases 1.3-2.3: announce, repair, amplify.
-	lr := core.ComputeLeaderRound(nil, plan, xSym)
+	lr := core.ComputeLeaderRound(nil, plan, x)
 	if err := n.sendCtrl(core.BuildYAnnounce(h, plan)); err != nil {
 		return err
 	}
-	if n.zpay == nil {
-		n.zpay = make([]byte, cfg.PayloadBytes)
-	}
 	var zp wire.ZPacket
 	for j, z := range lr.Z {
-		core.FillZPacket(&zp, h, plan, j, z, n.zpay)
+		core.FillZPacket(&zp, h, plan, j, z)
 		if err := n.sendCtrl(&zp); err != nil {
 			return err
 		}
@@ -261,7 +253,7 @@ func (n *node) leaderRound(ctx context.Context, round int) error {
 	if err := n.sendCtrl(core.BuildSAnnounce(h, plan)); err != nil {
 		return err
 	}
-	secret := core.SecretBytes(lr.Secret)
+	secret := slices.Concat(lr.Secret...)
 	n.res.Secret = append(n.res.Secret, secret...)
 	n.res.Productive++
 	n.ratchet(secret)

@@ -13,6 +13,7 @@ package unicast
 
 import (
 	"bytes"
+	"crypto/subtle"
 	"fmt"
 	"math"
 	"math/rand"
@@ -62,8 +63,10 @@ func RunSession(cfg core.Config, med *radio.Medium, eveNodes []radio.NodeID) (*c
 		}
 		h := wire.Header{From: uint8(leader), Session: uint32(cfg.Seed), Round: uint16(round)}
 
-		// Phase 1 is identical to the group protocol.
+		// Phase 1 is identical to the group protocol. The leader computes
+		// on the payloads as sent; the terminals and Eve decode them.
 		batch := packet.NewBatch(rng, cfg.XPerRound, cfg.PayloadBytes)
+		x := make([][]byte, cfg.XPerRound)
 		xSym := make([][]Sym, cfg.XPerRound)
 		recv := make([]*packet.IDSet, n)
 		for i := range recv {
@@ -76,6 +79,7 @@ func RunSession(cfg core.Config, med *radio.Medium, eveNodes []radio.NodeID) (*c
 			if i > 0 && i%perSlot == 0 {
 				med.AdvanceSlot()
 			}
+			x[i] = pkt.Payload
 			xSym[i] = gf.Symbols16(pkt.Payload)
 			xh := h
 			xh.Type = wire.TypeX
@@ -120,7 +124,7 @@ func RunSession(cfg core.Config, med *radio.Medium, eveNodes []radio.NodeID) (*c
 
 		// Announce the y-packet constructions (terminals need them to
 		// derive their pads; Eve overhears).
-		y := core.ComputeY(plan, xSym)
+		y := core.ComputeY(plan, x)
 		ya := core.BuildYAnnounce(h, plan)
 		med.BroadcastReliable(radio.NodeID(leader), len(wire.Marshal(ya))*8)
 
@@ -140,9 +144,9 @@ func RunSession(cfg core.Config, med *radio.Medium, eveNodes []radio.NodeID) (*c
 			continue
 		}
 		info.L = keyLen
-		secret := make([][]Sym, keyLen)
+		secret := make([][]byte, keyLen)
 		for k := range secret {
-			secret[k] = gf.Symbols16(packet.RandomPayload(rng, cfg.PayloadBytes))
+			secret[k] = packet.RandomPayload(rng, cfg.PayloadBytes)
 		}
 		// Joint source space for Eve: the N x-packets plus the fresh key
 		// packets.
@@ -153,8 +157,10 @@ func RunSession(cfg core.Config, med *radio.Medium, eveNodes []radio.NodeID) (*c
 		yox := plan.YOverX()
 
 		// Reusable per-transmission buffers: AddCombo copies what it keeps,
-		// and the decrypt check consumes ct before the next iteration.
-		ct := make([]Sym, width)
+		// and the decrypt check consumes ct and dec before the next
+		// iteration.
+		ct := make([]byte, cfg.PayloadBytes)
+		dec := make([]Sym, width)
 		pad := make([]Sym, width)
 		row := make([]Sym, cfg.XPerRound+keyLen)
 		for t := 0; t < n; t++ {
@@ -163,18 +169,18 @@ func RunSession(cfg core.Config, med *radio.Medium, eveNodes []radio.NodeID) (*c
 			}
 			for k := 0; k < keyLen; k++ {
 				idx := pads[t][k]
-				copy(ct, secret[k])
-				f.AddMulSlice(ct, y[idx], 1)
+				subtle.XORBytes(ct, secret[k], y[idx])
 				uh := h
 				uh.Type = wire.TypeZ
-				frame := wire.Marshal(&wire.ZPacket{Header: uh, Index: uint16(k), Payload: gf.Bytes16(ct)})
+				frame := wire.Marshal(&wire.ZPacket{Header: uh, Index: uint16(k), Payload: ct})
 				med.BroadcastReliable(radio.NodeID(leader), len(frame)*8)
 				// Eve hears the ciphertext: ct = s_k + y_idx, a linear
 				// combination over the joint space.
 				clear(row)
 				copy(row, yox.Row(idx))
 				row[cfg.XPerRound+k] = 1
-				know.AddCombo(row, ct)
+				gf.PutSymbols16(dec, ct)
+				know.AddCombo(row, dec)
 			}
 		}
 
@@ -195,11 +201,13 @@ func RunSession(cfg core.Config, med *radio.Medium, eveNodes []radio.NodeID) (*c
 				}
 				clear(pad)
 				f.AddMulSlices(pad, xSym, yrow)
-				copy(ct, secret[k])
-				// Encrypt-then-decrypt in one fused two-term pass: the pad
-				// recomputed from x-packets must cancel the leader's y.
-				f.AddMulSlices(ct, [][]Sym{y[pads[t][k]], pad}, []Sym{1, 1})
-				if !bytes.Equal(gf.Bytes16(ct), gf.Bytes16(secret[k])) {
+				// Decrypt the ciphertext the leader sent t for key packet
+				// k: the pad recomputed from x-packets must cancel the
+				// leader's y.
+				subtle.XORBytes(ct, secret[k], y[pads[t][k]])
+				gf.PutSymbols16(dec, ct)
+				f.AddMulSlice(dec, pad, 1)
+				if !bytes.Equal(gf.Bytes16(dec), secret[k]) {
 					info.Agreed = false
 					res.AllAgreed = false
 				}
@@ -217,7 +225,7 @@ func RunSession(cfg core.Config, med *radio.Medium, eveNodes []radio.NodeID) (*c
 		info.UnknownDims = u
 
 		for k := range secret {
-			res.Secret = append(res.Secret, gf.Bytes16(secret[k])...)
+			res.Secret = append(res.Secret, secret[k]...)
 		}
 		res.SecretDims += keyLen
 		res.UnknownDims += u

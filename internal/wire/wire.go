@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 )
 
 // Type enumerates message types.
@@ -189,12 +190,48 @@ func Marshal(m Message) []byte {
 // With FrameLen(m) bytes of spare capacity in dst it does not allocate.
 func AppendMarshal(dst []byte, m Message) []byte {
 	start := len(dst)
-	h := m.Hdr()
-	dst = append(dst, magic0, magic1, Version, byte(h.Type), h.From)
-	dst = binary.BigEndian.AppendUint32(dst, h.Session)
-	dst = binary.BigEndian.AppendUint16(dst, h.Round)
+	dst = appendHeader(dst, m.Hdr())
 	dst = m.body(dst)
 	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+}
+
+func appendHeader(dst []byte, h *Header) []byte {
+	dst = append(dst, magic0, magic1, Version, byte(h.Type), h.From)
+	dst = binary.BigEndian.AppendUint32(dst, h.Session)
+	return binary.BigEndian.AppendUint16(dst, h.Round)
+}
+
+// Filler writes a payload in place.
+type Filler interface {
+	Fill(p []byte)
+}
+
+// AppendXFill appends the frame of the x-packet with header h (its type
+// set to TypeX), sequence number seq and an n-byte payload that fill
+// writes straight into the frame, and returns the extended slice. The
+// frame is the one AppendMarshal makes of the same packet; the payload
+// is simply never held anywhere else. With XFrameLen(n) bytes of spare
+// capacity in dst it does not allocate. XPayload finds the payload in
+// the frame again.
+func AppendXFill(dst []byte, h Header, seq uint32, n int, fill Filler) []byte {
+	start := len(dst)
+	h.Type = TypeX
+	dst = appendHeader(dst, &h)
+	dst = binary.BigEndian.AppendUint32(dst, seq)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
+	dst = slices.Grow(dst, n+4)[:len(dst)+n]
+	fill.Fill(dst[len(dst)-n:])
+	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+}
+
+// XFrameLen is the frame length of an x-packet with an n-byte payload.
+func XFrameLen(n int) int { return headerLen + 4 + 4 + n + 4 }
+
+// XPayload returns the payload of a well-formed x frame, capped at its
+// length, without checking the frame: a sender uses it to read back the
+// payload of a frame it built itself.
+func XPayload(frame []byte) []byte {
+	return frame[headerLen+8 : len(frame)-4 : len(frame)-4]
 }
 
 // Unmarshal decodes one frame into the appropriate message type.

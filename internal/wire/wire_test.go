@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"hash/crc32"
 	"math/rand"
@@ -502,5 +503,37 @@ func TestHeaderPeekAndBeaconDecodeAllocs(t *testing.T) {
 	}
 	if err := UnmarshalBeacon(ack, &b); !errors.Is(err, ErrType) {
 		t.Fatalf("UnmarshalBeacon of a reception report: %v, want ErrType", err)
+	}
+}
+
+// copyFiller fills a payload from a fixed pattern.
+type copyFiller struct{ b []byte }
+
+func (c *copyFiller) Fill(p []byte) { copy(p, c.b) }
+
+// TestAppendXFill: an x frame built around a payload written in place is
+// the frame Marshal makes of the same packet, whatever the header's
+// type says; it is XFrameLen long and, with that much spare capacity,
+// appended without allocating; XPayload finds the payload in it.
+func TestAppendXFill(t *testing.T) {
+	payload := make([]byte, 300)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	h := Header{Type: TypeBeacon, From: 2, Session: 11, Round: 5}
+	want := Marshal(&XPacket{Header: Header{Type: TypeX, From: 2, Session: 11, Round: 5}, Seq: 42, Payload: payload})
+	buf := make([]byte, 3, 3+XFrameLen(len(payload)))
+	var got []byte
+	fill := &copyFiller{payload}
+	if n := testing.AllocsPerRun(20, func() { got = AppendXFill(buf, h, 42, len(payload), fill) }); n != 0 {
+		t.Fatalf("AppendXFill allocated %v times with room for the frame", n)
+	}
+	frame := got[3:]
+	if !bytes.Equal(frame, want) || len(frame) != XFrameLen(len(payload)) {
+		t.Fatalf("AppendXFill frame (%d bytes) differs from Marshal's (%d bytes)", len(frame), len(want))
+	}
+	p := XPayload(frame)
+	if !bytes.Equal(p, payload) || &p[0] != &frame[headerLen+8] || cap(p) != len(p) {
+		t.Fatal("XPayload is not the capped payload within the frame")
 	}
 }
