@@ -95,58 +95,6 @@ func (c *Config) fill() {
 	}
 }
 
-// Session lifecycle states in the coordinator's registry.
-const (
-	// sessionAssigned: owned by a live worker. The state is only entered
-	// after the worker's assign RPC has succeeded, so assigned always
-	// means the worker actually hosts the session.
-	sessionAssigned = "assigned"
-	// sessionPlacing: exclusively claimed by one placement attempt (the
-	// assign RPC may be in flight). The claim keeps concurrent placers —
-	// Create and the per-slot supervisors' placeOrphans — from assigning
-	// one session to two workers.
-	sessionPlacing = "placing"
-	// sessionOrphaned: its worker died; awaiting placement on a survivor
-	// or the replacement worker. Draws fail retryably meanwhile.
-	sessionOrphaned = "orphaned"
-	// sessionFailed: the session failed on a live worker (dead channel,
-	// exhausted round space). A deterministic failure would recur on any
-	// worker, so it is not reassigned.
-	sessionFailed = "failed"
-	// sessionClosed: transient marker set by CloseSession just before the
-	// entry leaves the registry; an in-flight placement that sees it
-	// undoes its assignment instead of stranding a copy on a worker.
-	sessionClosed = "closed"
-)
-
-// clusterSession is one registry entry: everything needed to re-create
-// the session elsewhere (the spec carries the seed, so a reassigned
-// session re-derives the same key stream from round zero). format is the
-// stream format it was created under; a session of another format than
-// this build's is failed at recovery.
-type clusterSession struct {
-	id        uint64
-	spec      service.SessionSpec
-	format    int
-	worker    int // owning slot, -1 when orphaned/failed
-	state     string
-	reassigns int
-	placedAt  time.Time
-}
-
-// workerSlot is one supervised worker position. The slot index is
-// stable; the process (and RPC address) behind it changes on restart.
-type workerSlot struct {
-	slot        int
-	proc        WorkerProc
-	client      *WorkerClient
-	alive       bool
-	retired     bool // restart budget exhausted
-	restarts    int
-	misses      int
-	lastRespawn time.Time
-}
-
 // Coordinator owns the cluster: the session registry, worker
 // supervision, placement, and the public HTTP API.
 type Coordinator struct {
@@ -157,11 +105,9 @@ type Coordinator struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	mu       sync.Mutex
-	slots    []*workerSlot
-	sessions map[uint64]*clusterSession
-	nextID   uint64
-	closed   bool
+	mu     sync.Mutex
+	reg    *registry // written only by commitLocked (and the two live-only markers)
+	closed bool
 
 	created    atomic.Int64
 	removed    atomic.Int64
@@ -172,13 +118,14 @@ type Coordinator struct {
 
 	// jnl is the registry journal, nil unless Config.StateDir is set.
 	// Appends happen under c.mu so the on-disk record order matches the
-	// registry's mutation order exactly.
+	// registry's apply order exactly.
 	jnl *journal
 
-	// epoch counts ownership-map revisions: any transition that changes
-	// which worker (or URL) serves which session bumps it. Gates poll it
-	// cheaply (GET /v1/cluster/owners?epoch=N) and re-pull the map only
-	// when it moved — the watch half of cache invalidation.
+	// epoch publishes reg.Epoch, the ownership-map revision, for
+	// lock-free reads: gates poll it cheaply (GET
+	// /v1/cluster/owners?epoch=N) and re-pull the map only when it moved
+	// — the watch half of cache invalidation. It is stored only after the
+	// record that moved it is journaled.
 	epoch atomic.Uint64
 
 	obs   *obs.Registry
@@ -213,27 +160,26 @@ func New(cfg Config) (*Coordinator, error) {
 	cfg.fill()
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Coordinator{
-		cfg:      cfg,
-		start:    time.Now(),
-		ctx:      ctx,
-		cancel:   cancel,
-		sessions: make(map[uint64]*clusterSession),
-		nextID:   1,
-		obs:      cfg.Obs,
-		spans:    cfg.Spans,
+		cfg:    cfg,
+		start:  time.Now(),
+		ctx:    ctx,
+		cancel: cancel,
+		reg:    newRegistry(),
+		obs:    cfg.Obs,
+		spans:  cfg.Spans,
 	}
-	var rec *recoveredState
+	recovered := false
 	if cfg.StateDir != "" {
-		jnl, state, err := openJournal(cfg.StateDir)
+		jnl, reg, err := openJournal(cfg.StateDir)
 		if err != nil {
 			cancel()
 			return nil, fmt.Errorf("cluster: state dir %s: %w", cfg.StateDir, err)
 		}
+		jnl.logf = cfg.Logf
 		c.jnl = jnl
-		rec = state
-	}
-	if rec != nil {
-		c.recoverRegistry(rec)
+		if reg != nil {
+			c.reg, recovered = reg, true
+		}
 	}
 	// Supervision counters already live as atomics for ClusterMetrics;
 	// the func collectors export the same values through the registry so
@@ -247,47 +193,50 @@ func New(cfg Config) (*Coordinator, error) {
 	c.obs.CounterFunc("thinaird_cluster_adoptions_total",
 		"Live worker sessions re-adopted across a coordinator restart.",
 		func() float64 { return float64(c.adopted.Load()) })
+	c.obs.CounterFunc("thinaird_cluster_journal_errors_total",
+		"Registry journal and snapshot writes that failed; the state dir may not replay to the live registry.",
+		func() float64 {
+			if c.jnl == nil {
+				return 0
+			}
+			return float64(c.jnl.errs.Load())
+		})
+	c.mu.Lock()
+	adoptable := c.recoverLocked()
+	c.mu.Unlock()
 	for i := 0; i < cfg.Workers; i++ {
-		if sl := c.adoptSlot(ctx, i, rec); sl != nil {
-			c.slots = append(c.slots, sl)
+		if url := adoptable[i]; url != "" && c.adoptSlot(ctx, i, url) {
 			continue
 		}
 		proc, err := c.spawnWorker(ctx, i)
 		if err != nil {
 			cancel()
-			for _, sl := range c.slots {
-				_ = sl.proc.Kill()
+			for _, sl := range c.reg.Workers {
+				if sl.proc != nil {
+					_ = sl.proc.Kill()
+				}
 			}
 			if c.jnl != nil {
 				c.jnl.close()
 			}
 			return nil, fmt.Errorf("cluster: spawning worker %d: %w", i, err)
 		}
-		c.slots = append(c.slots, &workerSlot{
-			slot:   i,
-			proc:   proc,
-			client: NewWorkerClient(proc.URL()).WithObs(c.obs),
-			alive:  true,
-		})
-	}
-	if c.jnl != nil {
-		// Record the fleet as it stands and cut a fresh snapshot: the new
-		// epoch, the adopted/spawned worker URLs, and the recovered
-		// registry become the durable baseline before traffic resumes.
 		c.mu.Lock()
-		for _, sl := range c.slots {
-			c.journalLocked(journalRecord{
-				Op: jopWorker, Slot: sl.slot, URL: sl.proc.URL(), PID: sl.proc.PID(),
-			})
-		}
-		c.jnl.compact(c.persistStateLocked())
+		c.startSlotLocked(i, proc, NewWorkerClient(proc.URL()).WithObs(c.obs))
 		c.mu.Unlock()
 	}
-	for _, sl := range c.slots {
+	if c.jnl != nil {
+		// Cut a fresh snapshot: the recovered registry and the fleet as it
+		// stands become the durable baseline before traffic resumes.
+		c.mu.Lock()
+		c.jnl.compact(c.reg)
+		c.mu.Unlock()
+	}
+	for _, sl := range c.reg.Workers[:cfg.Workers] {
 		c.wg.Add(1)
 		go c.supervise(sl)
 	}
-	if rec != nil {
+	if recovered {
 		// Sessions whose worker really died with the old coordinator are
 		// sitting orphaned; re-place them without waiting a heartbeat.
 		c.triggerPlacement()
@@ -295,95 +244,85 @@ func New(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// recoverRegistry rebuilds the in-memory registry from replayed state.
-// Every non-failed session starts orphaned: assignment must be
-// re-proven by adoption probes (adoptSlot) or a fresh placement —
-// nothing is trusted to be hosted until a live worker says so. The
-// ownership epoch resumes strictly above every persisted value, so
-// gates that cached owners across the outage always see a bump.
-func (c *Coordinator) recoverRegistry(rec *recoveredState) {
-	if rec.nextID > c.nextID {
-		c.nextID = rec.nextID
-	}
-	c.epoch.Store(rec.epoch + 1)
-	for id, ps := range rec.sessions {
-		cs := &clusterSession{id: id, spec: ps.Spec, format: ps.Format, worker: -1, reassigns: ps.Reassigns}
+// recoverLocked re-proves a replayed registry: nothing is trusted to be
+// hosted until a live worker says so. Every worker recorded alive goes
+// down, which orphans its sessions; adoptSlot or a fresh placement puts
+// them back. A session recorded in another stream format fails, since
+// re-deriving it in this build's format would serve other bytes at
+// offsets already read; failures are permanent and survive restarts.
+// The down and worker records move the ownership epoch strictly above
+// every replayed value, so gates that cached owners across the outage
+// always refresh. It returns the recorded URL of each slot whose worker
+// may still be running. Caller holds c.mu.
+func (c *Coordinator) recoverLocked() map[int]string {
+	for _, cs := range c.reg.Sessions {
 		switch {
-		case ps.Format != keystream.Format:
-			// Re-deriving it in this build's format would serve other
-			// bytes at offsets already read: it fails instead.
-			cs.state = sessionFailed
-		case ps.State == sessionFailed:
-			// Failures are permanent and survive restarts: clients keep
-			// getting the failed verdict, not a ghost of the session.
-			cs.state = sessionFailed
-		default:
-			cs.state = sessionOrphaned
+		case cs.Format != keystream.Format && cs.State != sessionFailed:
+			c.commitLocked(journalRecord{Op: jopFail, ID: cs.ID})
+		case cs.State == sessionPlacing:
+			// Live-only claim release, no record: its placer died with the
+			// old coordinator.
+			cs.State = sessionOrphaned
 		}
-		c.sessions[id] = cs
 	}
+	adoptable := make(map[int]string)
+	for _, sl := range c.reg.Workers {
+		if sl.Alive {
+			adoptable[sl.Slot] = sl.URL
+			c.commitLocked(journalRecord{Op: jopDown, Slot: sl.Slot})
+		}
+	}
+	return adoptable
 }
 
-// adoptSlot probes the recorded worker for slot i and adopts it when it
-// still answers: the existing process keeps its slot, its client, and —
-// crucially — its live sessions, which move straight back to assigned
-// without a respawn or a keystream restart. Returns nil (spawn fresh)
-// for unrecorded, retired, dead, or draining workers, and for a worker
-// that derives another stream format, which is drained instead.
-func (c *Coordinator) adoptSlot(ctx context.Context, slot int, rec *recoveredState) *workerSlot {
-	if rec == nil {
-		return nil
-	}
-	pw := rec.workers[slot]
-	if pw == nil || pw.Retired || !pw.Alive || pw.URL == "" {
-		return nil
-	}
-	client := NewWorkerClient(pw.URL).WithObs(c.obs)
+// adoptSlot probes the recorded worker for a slot and adopts it when it
+// still answers: the existing process keeps its slot and — crucially —
+// its live sessions, which are placed straight back on it without a
+// respawn or a keystream restart. Returns false (spawn fresh) for a dead
+// or draining worker, and for a worker that derives another stream
+// format, which is drained instead.
+func (c *Coordinator) adoptSlot(ctx context.Context, slot int, url string) bool {
+	client := NewWorkerClient(url).WithObs(c.obs)
 	pctx, cancel := context.WithTimeout(ctx, adoptProbeTimeout)
 	st, err := client.Stats(pctx)
 	cancel()
 	if err != nil || st.Draining {
-		return nil
+		return false
 	}
 	if err := checkFormat(st); err != nil {
 		// Its sessions are failed in the registry or were never in it;
 		// draining stops them, zeroizes their pools, and lets the
 		// process exit.
 		c.cfg.Logf("cluster: not adopting worker %d at %s (pid %d): %v; draining it",
-			slot, pw.URL, st.PID, err)
+			slot, url, st.PID, err)
 		c.wg.Add(1)
 		go func() {
 			defer c.wg.Done()
 			dctx, dcancel := context.WithTimeout(ctx, c.cfg.DrainTimeout+5*time.Second)
 			defer dcancel()
 			if err := client.Drain(dctx); err != nil {
-				c.cfg.Logf("cluster: draining worker at %s: %v", pw.URL, err)
+				c.cfg.Logf("cluster: draining worker at %s: %v", url, err)
 			}
 		}()
-		return nil
+		return false
 	}
 	adopted := 0
 	c.mu.Lock()
+	c.startSlotLocked(slot, newAdoptedProc(url, st.PID), client)
 	for cid := range st.Sessions {
-		cs, ok := c.sessions[cid]
-		if !ok || cs.state != sessionOrphaned {
+		cs, ok := c.reg.Sessions[cid]
+		if !ok || cs.State != sessionOrphaned {
 			continue // strays are reaped by the first reconcile pass
 		}
-		cs.state = sessionAssigned
-		cs.worker = slot
+		c.commitLocked(journalRecord{Op: jopPlace, ID: cid, Slot: slot})
 		cs.placedAt = time.Now()
 		adopted++
 	}
 	c.mu.Unlock()
 	c.adopted.Add(int64(adopted))
 	c.cfg.Logf("cluster: adopted surviving worker %d at %s (pid %d), %d live sessions re-adopted",
-		slot, pw.URL, st.PID, adopted)
-	return &workerSlot{
-		slot:   slot,
-		proc:   newAdoptedProc(pw.URL, st.PID),
-		client: client,
-		alive:  true,
-	}
+		slot, url, st.PID, adopted)
+	return true
 }
 
 // checkFormat refuses a worker that derives another stream format than
@@ -423,44 +362,36 @@ func (c *Coordinator) spawnWorker(ctx context.Context, slot int) (WorkerProc, er
 	return proc, nil
 }
 
-// journalLocked appends one registry-transition record when persistence
-// is on, compacting once the journal grows past its threshold. Caller
-// holds c.mu — that is what keeps the on-disk order identical to the
-// registry mutation order.
-func (c *Coordinator) journalLocked(rec journalRecord) {
-	if c.jnl == nil {
-		return
+// commitLocked runs one live registry transition: the record is
+// stamped with the epoch it produces, journaled, then applied, and only
+// then is the epoch published to lock-free readers, so no gate sees an
+// epoch the journal does not hold. Caller holds c.mu — that is what
+// keeps the on-disk order identical to the apply order.
+func (c *Coordinator) commitLocked(rec journalRecord) {
+	rec.Epoch = c.reg.epochAfter(rec)
+	due := c.jnl != nil && c.jnl.append(rec)
+	c.reg.apply(rec)
+	if due {
+		c.jnl.compact(c.reg)
 	}
-	rec.Epoch = c.epoch.Load()
-	if c.jnl.append(rec) {
-		c.jnl.compact(c.persistStateLocked())
-	}
+	c.epoch.Store(c.reg.Epoch)
 }
 
-// persistStateLocked snapshots the registry in its wire form. Caller
-// holds c.mu.
-func (c *Coordinator) persistStateLocked() persistState {
-	ps := persistState{NextID: c.nextID, Epoch: c.epoch.Load()}
-	for _, cs := range c.sessions {
-		if cs.state == sessionClosed {
-			continue
-		}
-		ps.Sessions = append(ps.Sessions, persistedSession{
-			ID: cs.id, Spec: cs.spec, Format: cs.format, Worker: cs.worker,
-			State: cs.state, Reassigns: cs.reassigns,
-		})
-	}
-	for _, sl := range c.slots {
-		pw := persistedWorker{
-			Slot: sl.slot, Alive: sl.alive, Retired: sl.retired,
-		}
-		if sl.proc != nil {
-			pw.URL = sl.proc.URL()
-			pw.PID = sl.proc.PID()
-		}
-		ps.Workers = append(ps.Workers, pw)
-	}
-	return ps
+// startSlotLocked commits the worker record of a process now serving a
+// slot and hands the slot its live handles. Caller holds c.mu.
+func (c *Coordinator) startSlotLocked(slot int, proc WorkerProc, client *WorkerClient) {
+	c.commitLocked(journalRecord{Op: jopWorker, Slot: slot, URL: proc.URL(), PID: proc.PID()})
+	sl := c.reg.Workers[slot]
+	sl.proc, sl.client = proc, client
+}
+
+// closeLocked removes a session from the registry. Caller holds c.mu.
+func (c *Coordinator) closeLocked(cs *clusterSession) {
+	// Live-only marker, no record: the close record removes the entry,
+	// and an in-flight placement still holding it sees this and undoes
+	// itself.
+	cs.State = sessionClosed
+	c.commitLocked(journalRecord{Op: jopClose, ID: cs.ID})
 }
 
 // healthyResetAfter is how long a restarted worker must stay healthy
@@ -490,7 +421,7 @@ func (c *Coordinator) supervise(sl *workerSlot) {
 	defer tick.Stop()
 	for {
 		c.mu.Lock()
-		proc, client, alive, retired := sl.proc, sl.client, sl.alive, sl.retired
+		proc, client, alive, retired := sl.proc, sl.client, sl.Alive, sl.Retired
 		c.mu.Unlock()
 		if retired {
 			return
@@ -543,26 +474,22 @@ func (c *Coordinator) supervise(sl *workerSlot) {
 // supervisor loop respawns and replaces them.
 func (c *Coordinator) onWorkerDeath(sl *workerSlot, reason string) {
 	c.mu.Lock()
-	if c.closed || !sl.alive {
+	if c.closed || !sl.Alive {
 		c.mu.Unlock()
 		return
 	}
-	sl.alive = false
 	sl.misses = 0
 	client := sl.client
 	orphaned := 0
-	for _, cs := range c.sessions {
-		if cs.worker == sl.slot && cs.state == sessionAssigned {
-			cs.worker = -1
-			cs.state = sessionOrphaned
+	for _, cs := range c.reg.Sessions {
+		if cs.Worker == sl.Slot && cs.State == sessionAssigned {
 			orphaned++
 		}
 	}
-	c.journalLocked(journalRecord{Op: jopDown, Slot: sl.slot})
+	c.commitLocked(journalRecord{Op: jopDown, Slot: sl.Slot})
 	c.mu.Unlock()
-	c.epoch.Add(1)
 	client.CloseIdle()
-	c.cfg.Logf("cluster: worker %d died (%s), %d sessions orphaned", sl.slot, reason, orphaned)
+	c.cfg.Logf("cluster: worker %d died (%s), %d sessions orphaned", sl.Slot, reason, orphaned)
 }
 
 // respawn replaces a dead worker within the slot's restart budget. It
@@ -574,10 +501,9 @@ func (c *Coordinator) respawn(sl *workerSlot) bool {
 		return false
 	}
 	if sl.restarts >= c.cfg.MaxRestarts {
-		sl.retired = true
-		c.journalLocked(journalRecord{Op: jopRetire, Slot: sl.slot})
+		c.commitLocked(journalRecord{Op: jopRetire, Slot: sl.Slot})
 		c.mu.Unlock()
-		c.cfg.Logf("cluster: worker %d exceeded %d restarts, slot retired", sl.slot, c.cfg.MaxRestarts)
+		c.cfg.Logf("cluster: worker %d exceeded %d restarts, slot retired", sl.Slot, c.cfg.MaxRestarts)
 		c.triggerPlacement() // survivors absorb whatever the slot still owed
 		return false
 	}
@@ -591,12 +517,12 @@ func (c *Coordinator) respawn(sl *workerSlot) bool {
 		return false
 	case <-time.After(c.cfg.RespawnBackoff):
 	}
-	proc, err := c.spawnWorker(c.ctx, sl.slot)
+	proc, err := c.spawnWorker(c.ctx, sl.Slot)
 	if err != nil {
 		if c.ctx.Err() != nil {
 			return false
 		}
-		c.cfg.Logf("cluster: respawning worker %d: %v", sl.slot, err)
+		c.cfg.Logf("cluster: respawning worker %d: %v", sl.Slot, err)
 		return true // loop retries against the restart budget
 	}
 	c.mu.Lock()
@@ -605,13 +531,9 @@ func (c *Coordinator) respawn(sl *workerSlot) bool {
 		_ = proc.Kill()
 		return false
 	}
-	sl.proc = proc
-	sl.client = NewWorkerClient(proc.URL()).WithObs(c.obs)
-	sl.alive = true
-	c.journalLocked(journalRecord{Op: jopWorker, Slot: sl.slot, URL: proc.URL(), PID: proc.PID()})
+	c.startSlotLocked(sl.Slot, proc, NewWorkerClient(proc.URL()).WithObs(c.obs))
 	c.mu.Unlock()
-	c.epoch.Add(1) // the slot's URL changed; cached owners must re-resolve
-	c.cfg.Logf("cluster: worker %d respawned (pid %d)", sl.slot, proc.PID())
+	c.cfg.Logf("cluster: worker %d respawned (pid %d)", sl.Slot, proc.PID())
 	c.triggerPlacement()
 	return true
 }
@@ -636,25 +558,22 @@ func (c *Coordinator) reconcile(sl *workerSlot, client *WorkerClient) {
 	grace := 2 * c.cfg.HeartbeatEvery
 	var strays []uint64
 	c.mu.Lock()
-	for _, cs := range c.sessions {
-		if cs.worker != sl.slot || cs.state != sessionAssigned {
+	for _, cs := range c.reg.Sessions {
+		if cs.Worker != sl.Slot || cs.State != sessionAssigned {
 			continue
 		}
 		if time.Since(cs.placedAt) < grace {
 			continue
 		}
-		if _, ok := st.Sessions[cs.id]; !ok {
-			cs.state = sessionFailed
-			cs.worker = -1
+		if _, ok := st.Sessions[cs.ID]; !ok {
+			c.commitLocked(journalRecord{Op: jopFail, ID: cs.ID})
 			c.failed.Add(1)
-			c.epoch.Add(1)
-			c.journalLocked(journalRecord{Op: jopFail, ID: cs.id})
-			c.cfg.Logf("cluster: session %d lost on live worker %d, marked failed", cs.id, sl.slot)
+			c.cfg.Logf("cluster: session %d lost on live worker %d, marked failed", cs.ID, sl.Slot)
 		}
 	}
 	for cid := range st.Sessions {
-		cs, ok := c.sessions[cid]
-		if !ok || cs.state == sessionFailed || (cs.state == sessionAssigned && cs.worker != sl.slot) {
+		cs, ok := c.reg.Sessions[cid]
+		if !ok || cs.State == sessionFailed || (cs.State == sessionAssigned && cs.Worker != sl.Slot) {
 			// Placing sessions are skipped: their assign may legitimately
 			// be landing on this worker right now.
 			strays = append(strays, cid)
@@ -665,9 +584,9 @@ func (c *Coordinator) reconcile(sl *workerSlot, client *WorkerClient) {
 		// Re-check right before acting: a placement may have legitimately
 		// landed the session on this worker since the stats snapshot.
 		c.mu.Lock()
-		cs, ok := c.sessions[cid]
-		legit := ok && (cs.state == sessionPlacing ||
-			(cs.state == sessionAssigned && cs.worker == sl.slot))
+		cs, ok := c.reg.Sessions[cid]
+		legit := ok && (cs.State == sessionPlacing ||
+			(cs.State == sessionAssigned && cs.Worker == sl.Slot))
 		c.mu.Unlock()
 		if legit {
 			continue
@@ -676,7 +595,7 @@ func (c *Coordinator) reconcile(sl *workerSlot, client *WorkerClient) {
 		err := client.Close(cctx, cid)
 		ccancel()
 		if err == nil {
-			c.cfg.Logf("cluster: closed stray session %d on worker %d", cid, sl.slot)
+			c.cfg.Logf("cluster: closed stray session %d on worker %d", cid, sl.Slot)
 		}
 	}
 }
@@ -686,18 +605,18 @@ func (c *Coordinator) reconcile(sl *workerSlot, client *WorkerClient) {
 // placement deterministic. In-flight placements count toward load so
 // concurrent creates don't all pile onto one slot. Caller holds c.mu.
 func (c *Coordinator) pickSlotLocked(tried map[int]bool) (*workerSlot, *WorkerClient) {
-	load := make(map[int]int, len(c.slots))
-	for _, cs := range c.sessions {
-		if (cs.state == sessionAssigned || cs.state == sessionPlacing) && cs.worker >= 0 {
-			load[cs.worker]++
+	load := make(map[int]int, len(c.reg.Workers))
+	for _, cs := range c.reg.Sessions {
+		if (cs.State == sessionAssigned || cs.State == sessionPlacing) && cs.Worker >= 0 {
+			load[cs.Worker]++
 		}
 	}
 	var best *workerSlot
-	for _, sl := range c.slots {
-		if !sl.alive || tried[sl.slot] || load[sl.slot] >= c.cfg.WorkerCapacity {
+	for _, sl := range c.reg.Workers {
+		if !sl.Alive || tried[sl.Slot] || load[sl.Slot] >= c.cfg.WorkerCapacity {
 			continue
 		}
-		if best == nil || load[sl.slot] < load[best.slot] {
+		if best == nil || load[sl.Slot] < load[best.Slot] {
 			best = sl
 		}
 	}
@@ -709,26 +628,32 @@ func (c *Coordinator) pickSlotLocked(tried map[int]bool) (*workerSlot, *WorkerCl
 
 // placeSession assigns cs — which the caller must have moved to
 // sessionPlacing, the exclusive claim — to a worker, trying slots
-// least-loaded-first until one accepts. On success the session is
-// assigned; on error the claim is released to releaseTo (orphaned for
-// reassignment retries, closed when the caller deletes the entry on
-// failure — so a concurrent placer can never resurrect it). The
-// assigned state is only entered after the worker's RPC succeeded AND
-// the slot is still alive, so a session the registry calls assigned is
-// really hosted. reassign marks placements that replace a lost worker
-// (counted, and the session's key stream restarts from its seed).
-func (c *Coordinator) placeSession(cs *clusterSession, reassign bool, releaseTo string) error {
+// least-loaded-first until one accepts. On success it commits the place
+// record; on error it releases the claim: a reassignment goes back to
+// orphaned for a later pass, and a session whose create fails leaves the
+// registry, so a concurrent placer can never resurrect it. The place
+// record is only committed after the worker's RPC succeeded AND the slot
+// is still alive, so a session the registry calls assigned is really
+// hosted. reassign marks placements that replace a lost worker (counted,
+// and the session's key stream restarts from its seed).
+func (c *Coordinator) placeSession(cs *clusterSession, reassign bool) error {
 	release := func(err error) error {
-		if cs.state == sessionPlacing { // caller holds c.mu
-			cs.state = releaseTo
-			cs.worker = -1
+		if cs.State != sessionPlacing { // caller holds c.mu
+			return err
 		}
+		if !reassign {
+			c.closeLocked(cs)
+			return err
+		}
+		// Live-only claim release, no record: recovery orphans every
+		// non-failed session anyway.
+		cs.State, cs.Worker = sessionOrphaned, -1
 		return err
 	}
 	tried := make(map[int]bool)
 	for {
 		c.mu.Lock()
-		if cs.state != sessionPlacing {
+		if cs.State != sessionPlacing {
 			// The claim was taken away (e.g. the session was closed).
 			c.mu.Unlock()
 			return nil
@@ -744,9 +669,11 @@ func (c *Coordinator) placeSession(cs *clusterSession, reassign bool, releaseTo 
 			c.mu.Unlock()
 			return err
 		}
-		cs.worker = sl.slot
+		// The claim's in-flight slot, which pickSlotLocked counts as load;
+		// no record: recovery orphans every non-failed session anyway.
+		cs.Worker = sl.Slot
 		proc := sl.proc // pinned: a respawn swaps it, invalidating the assign
-		id, spec := cs.id, cs.spec
+		id, spec := cs.ID, cs.Spec
 		c.mu.Unlock()
 
 		actx, cancel := context.WithTimeout(c.ctx, 15*time.Second)
@@ -756,29 +683,21 @@ func (c *Coordinator) placeSession(cs *clusterSession, reassign bool, releaseTo 
 			// Duplicate means a previous assign landed but its response was
 			// lost — the session is where the registry says it is.
 			c.mu.Lock()
-			claimed := cs.state == sessionPlacing
-			if claimed && (!sl.alive || sl.proc != proc) {
+			claimed := cs.State == sessionPlacing
+			if claimed && (!sl.Alive || sl.proc != proc) {
 				// The worker died while the assign was in flight (a swapped
 				// proc means it died AND was already replaced — the fresh
 				// process hosts nothing). The hosted copy died with it; keep
 				// the claim and try another slot.
-				cs.worker = -1
 				c.mu.Unlock()
-				tried[sl.slot] = true
+				tried[sl.Slot] = true
 				continue
 			}
 			if claimed {
-				cs.state = sessionAssigned
+				c.commitLocked(journalRecord{Op: jopPlace, ID: id, Slot: sl.Slot, Reassign: reassign})
 				cs.placedAt = time.Now()
-				if reassign {
-					cs.reassigns++
-				}
-				c.journalLocked(journalRecord{Op: jopPlace, ID: cs.id, Slot: sl.slot, Reassign: reassign})
 			}
 			c.mu.Unlock()
-			if claimed {
-				c.epoch.Add(1)
-			}
 			if !claimed {
 				// The session was closed while the assign was in flight:
 				// don't strand an untracked copy on the worker.
@@ -804,17 +723,13 @@ func (c *Coordinator) placeSession(cs *clusterSession, reassign bool, releaseTo 
 		// the slow assign lands later).
 		retryable := errors.Is(err, ErrUnreachable) || errors.Is(err, service.ErrSaturated) ||
 			errors.Is(err, ErrDraining) || errors.Is(err, context.DeadlineExceeded)
-		c.mu.Lock()
-		if cs.worker == sl.slot {
-			cs.worker = -1
-		}
 		if !retryable {
+			c.mu.Lock()
 			err = release(err) // spec rejection: no worker would accept it
 			c.mu.Unlock()
 			return err
 		}
-		c.mu.Unlock()
-		tried[sl.slot] = true
+		tried[sl.Slot] = true
 	}
 }
 
@@ -826,10 +741,12 @@ func (c *Coordinator) placeOrphans() {
 	for {
 		c.mu.Lock()
 		var cs *clusterSession
-		for _, s := range c.sessions {
-			if s.state == sessionOrphaned {
+		for _, s := range c.reg.Sessions {
+			if s.State == sessionOrphaned {
 				cs = s
-				cs.state = sessionPlacing // claim before releasing the lock
+				// The claim, taken before releasing the lock; no record:
+				// recovery orphans every non-failed session anyway.
+				cs.State = sessionPlacing
 				break
 			}
 		}
@@ -837,22 +754,21 @@ func (c *Coordinator) placeOrphans() {
 		if cs == nil {
 			return
 		}
-		if err := c.placeSession(cs, true, sessionOrphaned); err != nil {
+		if err := c.placeSession(cs, true); err != nil {
 			if !errors.Is(err, ErrNoWorkers) && !errors.Is(err, ErrShutdown) {
 				c.mu.Lock()
-				cs.state = sessionFailed
-				c.journalLocked(journalRecord{Op: jopFail, ID: cs.id})
+				c.commitLocked(journalRecord{Op: jopFail, ID: cs.ID})
 				c.mu.Unlock()
 				c.failed.Add(1)
-				c.cfg.Logf("cluster: reassigning session %d failed permanently: %v", cs.id, err)
+				c.cfg.Logf("cluster: reassigning session %d failed permanently: %v", cs.ID, err)
 				continue
 			}
 			return // no capacity right now; the next heartbeat retries
 		}
 		c.mu.Lock()
-		slot := cs.worker
+		slot := cs.Worker
 		c.mu.Unlock()
-		c.cfg.Logf("cluster: session %d reassigned to worker %d", cs.id, slot)
+		c.cfg.Logf("cluster: session %d reassigned to worker %d", cs.ID, slot)
 	}
 }
 
@@ -877,24 +793,12 @@ func (c *Coordinator) Create(spec service.SessionSpec) (SessionInfo, error) {
 		c.mu.Unlock()
 		return SessionInfo{}, ErrShutdown
 	}
-	id := c.nextID
-	c.nextID++
-	// Born already claimed (placing, not orphaned): a concurrent
-	// placeOrphans pass must never see — and race Create for — a session
-	// whose first placement is still in flight.
-	cs := &clusterSession{id: id, spec: spec, format: keystream.Format, worker: -1, state: sessionPlacing}
-	c.sessions[id] = cs
-	c.journalLocked(journalRecord{Op: jopCreate, ID: id, Spec: &spec, Format: keystream.Format})
+	id := c.reg.NextID
+	c.commitLocked(journalRecord{Op: jopCreate, ID: id, Spec: &spec, Format: keystream.Format})
+	cs := c.reg.Sessions[id]
 	c.mu.Unlock()
 
-	// On error the claim is released straight to sessionClosed — never
-	// orphaned — so a concurrent placeOrphans pass cannot resurrect a
-	// session whose creation the caller was told failed.
-	if err := c.placeSession(cs, false, sessionClosed); err != nil {
-		c.mu.Lock()
-		delete(c.sessions, id)
-		c.journalLocked(journalRecord{Op: jopClose, ID: id})
-		c.mu.Unlock()
+	if err := c.placeSession(cs, false); err != nil {
 		return SessionInfo{}, err
 	}
 	c.created.Add(1)
@@ -906,19 +810,14 @@ func (c *Coordinator) Create(spec service.SessionSpec) (SessionInfo, error) {
 func (c *Coordinator) lookup(cid uint64) (cs *clusterSession, client *WorkerClient, state string, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cs, ok := c.sessions[cid]
+	cs, ok := c.reg.Sessions[cid]
 	if !ok {
 		return nil, nil, "", fmt.Errorf("%w: %d", ErrNotFound, cid)
 	}
-	if cs.state != sessionAssigned {
-		return cs, nil, cs.state, nil
+	if sl := c.reg.slot(cs.Worker); sl != nil && cs.State == sessionAssigned {
+		return cs, sl.client, cs.State, nil
 	}
-	for _, sl := range c.slots {
-		if sl.slot == cs.worker {
-			return cs, sl.client, cs.state, nil
-		}
-	}
-	return cs, nil, cs.state, nil
+	return cs, nil, cs.State, nil
 }
 
 // Draw routes a key draw to the worker owning the session.
@@ -962,9 +861,9 @@ func (c *Coordinator) routeKeyRead(cid uint64, call func(*WorkerClient) ([]byte,
 	if client == nil {
 		if state == sessionFailed {
 			err := fmt.Errorf("session %d died permanently: %w", cid, service.ErrFailed)
-			if cs.format != keystream.Format {
+			if cs.Format != keystream.Format {
 				err = fmt.Errorf("%w: %w: recorded in format %d, this build derives %d",
-					err, ErrStreamFormat, cs.format, keystream.Format)
+					err, ErrStreamFormat, cs.Format, keystream.Format)
 			}
 			return nil, err
 		}
@@ -973,7 +872,7 @@ func (c *Coordinator) routeKeyRead(cid uint64, call func(*WorkerClient) ([]byte,
 	key, err := call(client)
 	if errors.Is(err, ErrNotFound) || errors.Is(err, service.ErrFailed) {
 		c.mu.Lock()
-		if cs.state == sessionAssigned {
+		if cs.State == sessionAssigned {
 			if time.Since(cs.placedAt) < 2*c.cfg.HeartbeatEvery {
 				// Same grace reconcile uses: a read racing a just-landed
 				// assignment must not condemn a healthy session.
@@ -982,11 +881,8 @@ func (c *Coordinator) routeKeyRead(cid uint64, call func(*WorkerClient) ([]byte,
 			}
 			// The worker no longer hosts it: failed worker-side since the
 			// last reconcile pass.
-			cs.state = sessionFailed
-			cs.worker = -1
+			c.commitLocked(journalRecord{Op: jopFail, ID: cs.ID})
 			c.failed.Add(1)
-			c.epoch.Add(1)
-			c.journalLocked(journalRecord{Op: jopFail, ID: cs.id})
 		}
 		c.mu.Unlock()
 	}
@@ -1006,12 +902,9 @@ func (c *Coordinator) CloseSession(ctx context.Context, cid uint64) error {
 		}
 	}
 	c.mu.Lock()
-	cs.state = sessionClosed // an in-flight placement sees this and undoes itself
-	delete(c.sessions, cs.id)
-	c.journalLocked(journalRecord{Op: jopClose, ID: cs.id})
+	c.closeLocked(cs)
 	c.mu.Unlock()
 	c.removed.Add(1)
-	c.epoch.Add(1)
 	return nil
 }
 
@@ -1030,12 +923,17 @@ type SessionInfo struct {
 func (c *Coordinator) infoOf(cs *clusterSession) SessionInfo {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return infoLocked(cs)
+}
+
+// infoLocked is one registry entry's info. Caller holds c.mu.
+func infoLocked(cs *clusterSession) SessionInfo {
 	return SessionInfo{
-		ID:        cs.id,
-		Name:      cs.spec.Name,
-		Worker:    cs.worker,
-		State:     cs.state,
-		Reassigns: cs.reassigns,
+		ID:        cs.ID,
+		Name:      cs.Spec.Name,
+		Worker:    cs.Worker,
+		State:     cs.State,
+		Reassigns: cs.Reassigns,
 	}
 }
 
@@ -1057,19 +955,10 @@ func (c *Coordinator) Session(ctx context.Context, cid uint64) (SessionInfo, err
 // Sessions lists every cluster session, with live metrics fetched from
 // each live worker (one stats RPC per worker).
 func (c *Coordinator) Sessions(ctx context.Context) []SessionInfo {
-	c.mu.Lock()
-	clients := make(map[int]*WorkerClient)
-	for _, sl := range c.slots {
-		if sl.alive {
-			clients[sl.slot] = sl.client
-		}
-	}
-	c.mu.Unlock()
-
 	metrics := make(map[uint64]service.SessionMetrics)
 	var mmu sync.Mutex
 	var wg sync.WaitGroup
-	for _, client := range clients {
+	for _, client := range c.aliveClients() {
 		wg.Add(1)
 		go func(cl *WorkerClient) {
 			defer wg.Done()
@@ -1087,17 +976,10 @@ func (c *Coordinator) Sessions(ctx context.Context) []SessionInfo {
 	wg.Wait()
 
 	c.mu.Lock()
-	out := make([]SessionInfo, 0, len(c.sessions))
-	for _, cs := range c.sessions {
-		info := SessionInfo{
-			ID:        cs.id,
-			Name:      cs.spec.Name,
-			Worker:    cs.worker,
-			State:     cs.state,
-			Reassigns: cs.reassigns,
-		}
-		if m, ok := metrics[cs.id]; ok {
-			m := m
+	out := make([]SessionInfo, 0, len(c.reg.Sessions))
+	for _, cs := range c.reg.Sessions {
+		info := infoLocked(cs)
+		if m, ok := metrics[cs.ID]; ok {
 			info.Metrics = &m
 		}
 		out = append(out, info)
@@ -1144,28 +1026,26 @@ func (c *Coordinator) Metrics() ClusterMetrics {
 	}
 	c.mu.Lock()
 	load := make(map[int]int)
-	for _, cs := range c.sessions {
-		if cs.state == sessionOrphaned {
+	for _, cs := range c.reg.Sessions {
+		if cs.State == sessionOrphaned {
 			m.Orphaned++
 		}
-		if cs.state == sessionAssigned && cs.worker >= 0 {
-			load[cs.worker]++
+		if cs.State == sessionAssigned && cs.Worker >= 0 {
+			load[cs.Worker]++
 		}
 	}
-	m.Sessions = len(c.sessions)
-	for _, sl := range c.slots {
+	m.Sessions = len(c.reg.Sessions)
+	for _, sl := range c.reg.Workers {
 		wi := WorkerInfo{
-			Slot:     sl.slot,
-			Alive:    sl.alive,
-			Retired:  sl.retired,
+			Slot:     sl.Slot,
+			PID:      sl.PID,
+			URL:      sl.URL,
+			Alive:    sl.Alive,
+			Retired:  sl.Retired,
 			Restarts: sl.restarts,
-			Sessions: load[sl.slot],
+			Sessions: load[sl.Slot],
 		}
-		if sl.proc != nil {
-			wi.PID = sl.proc.PID()
-			wi.URL = sl.proc.URL()
-		}
-		if sl.alive {
+		if sl.Alive {
 			m.WorkersAlive++
 		}
 		m.Workers = append(m.Workers, wi)
@@ -1179,9 +1059,9 @@ func (c *Coordinator) Metrics() ClusterMetrics {
 func (c *Coordinator) aliveClients() []*WorkerClient {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]*WorkerClient, 0, len(c.slots))
-	for _, sl := range c.slots {
-		if sl.alive {
+	out := make([]*WorkerClient, 0, len(c.reg.Workers))
+	for _, sl := range c.reg.Workers {
+		if sl.Alive {
 			out = append(out, sl.client)
 		}
 	}
@@ -1263,12 +1143,12 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	c.closed = true
-	procs := make([]WorkerProc, 0, len(c.slots))
-	clients := make([]*WorkerClient, 0, len(c.slots))
-	for _, sl := range c.slots {
+	procs := make([]WorkerProc, 0, len(c.reg.Workers))
+	clients := make([]*WorkerClient, 0, len(c.reg.Workers))
+	for _, sl := range c.reg.Workers {
 		if sl.proc != nil {
 			procs = append(procs, sl.proc)
-			if sl.alive {
+			if sl.Alive {
 				clients = append(clients, sl.client)
 			} else {
 				clients = append(clients, nil)
@@ -1309,8 +1189,10 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 	}
 	dwg.Wait()
 	c.mu.Lock()
-	for _, sl := range c.slots {
-		sl.client.CloseIdle()
+	for _, sl := range c.reg.Workers {
+		if sl.client != nil {
+			sl.client.CloseIdle()
+		}
 	}
 	c.mu.Unlock()
 	if c.jnl != nil {
@@ -1318,7 +1200,7 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 		// the next boot sees the (empty of live workers) truth instead of
 		// re-probing URLs of processes that just exited.
 		c.mu.Lock()
-		c.jnl.compact(c.persistStateLocked())
+		c.jnl.compact(c.reg)
 		c.mu.Unlock()
 		c.jnl.close()
 	}
@@ -1376,13 +1258,9 @@ func (c *Coordinator) OwnersEpoch() uint64 { return c.epoch.Load() }
 
 // ownerInfoLocked builds one session's OwnerInfo. Caller holds c.mu.
 func (c *Coordinator) ownerInfoLocked(cs *clusterSession) OwnerInfo {
-	oi := OwnerInfo{Session: cs.id, Worker: cs.worker, State: cs.state}
-	if cs.state == sessionAssigned {
-		for _, sl := range c.slots {
-			if sl.slot == cs.worker && sl.alive && sl.proc != nil {
-				oi.URL = sl.proc.URL()
-			}
-		}
+	oi := OwnerInfo{Session: cs.ID, Worker: cs.Worker, State: cs.State}
+	if sl := c.reg.slot(cs.Worker); sl != nil && sl.Alive && cs.State == sessionAssigned {
+		oi.URL = sl.URL
 	}
 	return oi
 }
@@ -1393,7 +1271,7 @@ func (c *Coordinator) ownerInfoLocked(cs *clusterSession) OwnerInfo {
 func (c *Coordinator) Owner(cid uint64) (OwnerInfo, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cs, ok := c.sessions[cid]
+	cs, ok := c.reg.Sessions[cid]
 	if !ok {
 		return OwnerInfo{}, fmt.Errorf("%w: %d", ErrNotFound, cid)
 	}
@@ -1407,8 +1285,8 @@ func (c *Coordinator) Owner(cid uint64) (OwnerInfo, error) {
 func (c *Coordinator) Owners() OwnerMap {
 	epoch := c.epoch.Load()
 	c.mu.Lock()
-	out := make([]OwnerInfo, 0, len(c.sessions))
-	for _, cs := range c.sessions {
+	out := make([]OwnerInfo, 0, len(c.reg.Sessions))
+	for _, cs := range c.reg.Sessions {
 		out = append(out, c.ownerInfoLocked(cs))
 	}
 	c.mu.Unlock()

@@ -148,15 +148,15 @@ func TestCoordinatorDrawFailureStates(t *testing.T) {
 	// Force the registry states directly: the transitions themselves are
 	// covered by the chaos tests; here only the draw mapping is probed.
 	c.mu.Lock()
-	cs := c.sessions[info.ID]
-	cs.state = sessionOrphaned
-	cs.worker = -1
+	cs := c.reg.Sessions[info.ID]
+	cs.State = sessionOrphaned
+	cs.Worker = -1
 	c.mu.Unlock()
 	if _, err := c.Draw(ctx, info.ID, 8); !errors.Is(err, ErrOrphaned) {
 		t.Fatalf("orphaned session: %v, want ErrOrphaned", err)
 	}
 	c.mu.Lock()
-	cs.state = sessionFailed
+	cs.State = sessionFailed
 	c.mu.Unlock()
 	if _, err := c.Draw(ctx, info.ID, 8); !errors.Is(err, service.ErrFailed) {
 		t.Fatalf("failed session: %v, want service.ErrFailed", err)

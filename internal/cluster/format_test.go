@@ -202,7 +202,7 @@ func TestAdoptedWorkerDropsOtherFormatSession(t *testing.T) {
 		t.Fatalf("range on the replayed old-format session: %v, want ErrStreamFormat", err)
 	}
 	waitFor(t, 30*time.Second, "the adopted worker to drop the session", func() bool {
-		st, err := c2.slots[0].client.Stats(ctx)
+		st, err := c2.reg.Workers[0].client.Stats(ctx)
 		return err == nil && len(st.Sessions) == 0
 	})
 }
@@ -335,7 +335,7 @@ func TestSpawnedOldFormatWorkerRefused(t *testing.T) {
 	waitFor(t, 60*time.Second, "the slot to retire", func() bool {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		return c.slots[0].retired
+		return c.reg.Workers[0].Retired
 	})
 	if n := ow.assigns.Load(); n != 0 {
 		t.Fatalf("the old-format worker was sent %d assignments", n)

@@ -10,166 +10,24 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
 	"repro/internal/httpapi"
-	"repro/internal/service"
 )
 
 // The coordinator's registry persistence: an append-only JSONL journal
 // plus a periodic snapshot, both under Config.StateDir. Every registry
-// transition (create, place, close, fail, worker spawn/death/retire)
-// appends one fsynced record; every snapshotEvery records the snapshot
-// is rewritten and the journal truncated. A restarted coordinator
-// replays snapshot+journal, probes the recorded worker URLs, re-adopts
-// the live sessions still hosted there (same process, same keystream —
-// adopted sessions serve byte-identical ranges), and re-places only
-// what actually died with the crash.
-
-// Journal record ops. The record set is deliberately small: everything
-// needed to rebuild the registry, nothing derivable from it.
-const (
-	jopCreate = "create" // session admitted: ID, Spec (carries the seed), Format
-	jopPlace  = "place"  // session assigned: ID, Slot, Reassign
-	jopClose  = "close"  // session left the registry: ID
-	jopFail   = "fail"   // session died permanently: ID
-	jopDown   = "down"   // worker died: Slot (its sessions orphan at replay)
-	jopWorker = "worker" // worker (re)spawned or adopted: Slot, URL, PID
-	jopRetire = "retire" // worker slot retired: Slot
-)
-
-// journalRecord is one JSONL line. Slot is never omitempty — slot 0 is
-// a valid worker. Format is the stream format (keystream.Format) a
-// create record's session derives; records from before formats were
-// numbered carry none and read as 0.
-type journalRecord struct {
-	Op       string               `json:"op"`
-	ID       uint64               `json:"id,omitempty"`
-	Spec     *service.SessionSpec `json:"spec,omitempty"`
-	Format   int                  `json:"format,omitempty"`
-	Slot     int                  `json:"slot"`
-	Reassign bool                 `json:"reassign,omitempty"`
-	URL      string               `json:"url,omitempty"`
-	PID      int                  `json:"pid,omitempty"`
-	Epoch    uint64               `json:"epoch"`
-}
-
-// persistedSession is one registry entry in the snapshot. Format reads
-// as 0 in a snapshot from before formats were numbered.
-type persistedSession struct {
-	ID        uint64              `json:"id"`
-	Spec      service.SessionSpec `json:"spec"`
-	Format    int                 `json:"format"`
-	Worker    int                 `json:"worker"`
-	State     string              `json:"state"`
-	Reassigns int                 `json:"reassigns"`
-}
-
-// persistedWorker is one worker slot in the snapshot.
-type persistedWorker struct {
-	Slot    int    `json:"slot"`
-	URL     string `json:"url"`
-	PID     int    `json:"pid"`
-	Alive   bool   `json:"alive"`
-	Retired bool   `json:"retired"`
-}
-
-// persistState is the snapshot file's whole content.
-type persistState struct {
-	NextID   uint64             `json:"next_id"`
-	Epoch    uint64             `json:"epoch"`
-	Sessions []persistedSession `json:"sessions"`
-	Workers  []persistedWorker  `json:"workers"`
-}
-
-// recoveredState is the replayed view a restarting coordinator adopts
-// from: snapshot plus every journal record applied on top.
-type recoveredState struct {
-	nextID   uint64
-	epoch    uint64
-	sessions map[uint64]*persistedSession
-	workers  map[int]*persistedWorker
-}
-
-func newRecoveredState() *recoveredState {
-	return &recoveredState{
-		nextID:   1,
-		sessions: make(map[uint64]*persistedSession),
-		workers:  make(map[int]*persistedWorker),
-	}
-}
-
-// load seeds the replay state from a snapshot.
-func (rs *recoveredState) load(ps persistState) {
-	if ps.NextID > rs.nextID {
-		rs.nextID = ps.NextID
-	}
-	if ps.Epoch > rs.epoch {
-		rs.epoch = ps.Epoch
-	}
-	for i := range ps.Sessions {
-		s := ps.Sessions[i]
-		rs.sessions[s.ID] = &s
-	}
-	for i := range ps.Workers {
-		w := ps.Workers[i]
-		rs.workers[w.Slot] = &w
-	}
-}
-
-// apply replays one journal record on top of the snapshot state.
-func (rs *recoveredState) apply(rec journalRecord) {
-	if rec.Epoch > rs.epoch {
-		rs.epoch = rec.Epoch
-	}
-	switch rec.Op {
-	case jopCreate:
-		if rec.Spec == nil {
-			return
-		}
-		rs.sessions[rec.ID] = &persistedSession{
-			ID: rec.ID, Spec: *rec.Spec, Format: rec.Format, Worker: -1, State: sessionPlacing,
-		}
-		if rec.ID >= rs.nextID {
-			rs.nextID = rec.ID + 1
-		}
-	case jopPlace:
-		if s := rs.sessions[rec.ID]; s != nil {
-			s.Worker = rec.Slot
-			s.State = sessionAssigned
-			if rec.Reassign {
-				s.Reassigns++
-			}
-		}
-	case jopClose:
-		delete(rs.sessions, rec.ID)
-	case jopFail:
-		if s := rs.sessions[rec.ID]; s != nil {
-			s.State = sessionFailed
-			s.Worker = -1
-		}
-	case jopDown:
-		if w := rs.workers[rec.Slot]; w != nil {
-			w.Alive = false
-		}
-		for _, s := range rs.sessions {
-			if s.Worker == rec.Slot && s.State == sessionAssigned {
-				s.Worker = -1
-				s.State = sessionOrphaned
-			}
-		}
-	case jopWorker:
-		rs.workers[rec.Slot] = &persistedWorker{
-			Slot: rec.Slot, URL: rec.URL, PID: rec.PID, Alive: true,
-		}
-	case jopRetire:
-		if w := rs.workers[rec.Slot]; w != nil {
-			w.Alive = false
-			w.Retired = true
-		}
-	}
-}
+// transition (create, place, close, fail, worker spawn/death/retire) is
+// one journalRecord, appended fsynced before registry.apply runs it;
+// every snapshotEvery records the registry itself is marshaled as the
+// snapshot and the journal truncated. Replay applies the same records to
+// the loaded snapshot. A restarted coordinator replays snapshot+journal,
+// probes the recorded worker URLs, re-adopts the live sessions still
+// hosted there (same process, same keystream — adopted sessions serve
+// byte-identical ranges), and re-places only what actually died with
+// the crash.
 
 // snapshotEvery is how many journal appends trigger a compaction.
 // Registry transitions are rare (creates, closes, worker deaths), so a
@@ -185,28 +43,32 @@ type journal struct {
 	mu      sync.Mutex
 	f       *os.File
 	appends int
+
+	// logf receives the first write failure; errs counts every one
+	// (thinaird_cluster_journal_errors_total).
+	logf func(format string, args ...any)
+	errs atomic.Int64
 }
 
 func (j *journal) journalPath() string  { return filepath.Join(j.dir, "journal.jsonl") }
 func (j *journal) snapshotPath() string { return filepath.Join(j.dir, "snapshot.json") }
 
 // openJournal opens (creating if needed) the state dir, replays
-// snapshot+journal, and leaves the journal open for appending. The
-// returned state is nil on a fresh dir — nothing to recover.
-func openJournal(dir string) (*journal, *recoveredState, error) {
+// snapshot+journal through registry.apply, and leaves the journal open
+// for appending. The returned registry is nil on a fresh dir — nothing
+// to recover.
+func openJournal(dir string) (*journal, *registry, error) {
 	if err := os.MkdirAll(dir, 0o700); err != nil {
 		return nil, nil, err
 	}
 	j := &journal{dir: dir}
-	rs := newRecoveredState()
+	reg := newRegistry()
 	found := false
 
 	if raw, err := os.ReadFile(j.snapshotPath()); err == nil {
-		var ps persistState
-		if err := json.Unmarshal(raw, &ps); err != nil {
+		if err := json.Unmarshal(raw, reg); err != nil {
 			return nil, nil, fmt.Errorf("corrupt snapshot %s: %w", j.snapshotPath(), err)
 		}
-		rs.load(ps)
 		found = true
 	} else if !os.IsNotExist(err) {
 		return nil, nil, err
@@ -226,7 +88,7 @@ func openJournal(dir string) (*journal, *recoveredState, error) {
 				// interrupted an append; everything before it is intact.
 				break
 			}
-			rs.apply(rec)
+			reg.apply(rec)
 			found = true
 		}
 		f.Close()
@@ -242,72 +104,105 @@ func openJournal(dir string) (*journal, *recoveredState, error) {
 	if !found {
 		return j, nil, nil
 	}
-	return j, rs, nil
+	return j, reg, nil
+}
+
+// fail records one write, sync or rename failure. The journal is an
+// availability feature: a full disk degrades recovery fidelity but must
+// not take the live control plane down, so the coordinator keeps
+// serving. The first failure is logged; every one is counted. Caller
+// holds j.mu.
+func (j *journal) fail(what string, err error) {
+	if j.errs.Add(1) == 1 && j.logf != nil {
+		j.logf("cluster: journal %s in %s failed: %v; the state dir may no longer replay to the live registry",
+			what, j.dir, err)
+	}
 }
 
 // append writes one fsynced record and reports whether a compaction is
-// due. Errors are swallowed after the first log-worthy failure shape:
-// the journal is an availability feature, and a full disk must degrade
-// recovery fidelity, not take the live control plane down.
+// due.
 func (j *journal) append(rec journalRecord) bool {
 	raw, err := json.Marshal(rec)
-	if err != nil {
-		return false
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return false
 	}
-	if _, err := j.f.Write(append(raw, '\n')); err != nil {
+	if err == nil {
+		_, err = j.f.Write(append(raw, '\n'))
+	}
+	if err == nil {
+		err = j.f.Sync()
+	}
+	if err != nil {
+		j.fail("append", err)
 		return false
 	}
-	_ = j.f.Sync()
 	j.appends++
 	return j.appends >= snapshotEvery
 }
 
-// compact atomically replaces the snapshot with state and truncates the
-// journal. Crash-ordering: the snapshot rename lands (fsynced) before
-// the journal is cut, so at every instant snapshot+journal replays to a
-// state at least as new as the last acknowledged append.
-func (j *journal) compact(state persistState) {
+// compact atomically replaces the snapshot with the registry and
+// truncates the journal. Crash-ordering: the snapshot rename lands
+// (fsynced) before the journal is cut, so at every instant
+// snapshot+journal replays to a state at least as new as the last
+// acknowledged append. Caller holds whatever lock orders reg's writes.
+func (j *journal) compact(reg *registry) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return
 	}
-	raw, err := json.MarshalIndent(state, "", "  ")
-	if err != nil {
+	if err := j.writeSnapshot(reg); err != nil {
+		j.fail("snapshot", err)
 		return
-	}
-	tmp := j.snapshotPath() + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o600)
-	if err != nil {
-		return
-	}
-	if _, err := f.Write(raw); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return
-	}
-	_ = f.Sync()
-	f.Close()
-	if err := os.Rename(tmp, j.snapshotPath()); err != nil {
-		os.Remove(tmp)
-		return
-	}
-	if d, err := os.Open(j.dir); err == nil {
-		_ = d.Sync() // make the rename itself durable
-		d.Close()
 	}
 	nf, err := os.OpenFile(j.journalPath(), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o600)
 	if err != nil {
+		j.fail("truncation", err)
 		return
 	}
 	j.f.Close()
 	j.f = nf
 	j.appends = 0
+}
+
+// writeSnapshot writes reg to a temporary file, fsyncs it, renames it
+// over the snapshot and fsyncs the dir so the rename itself is durable.
+// A failed dir sync is counted, not returned: the rename landed, so the
+// journal must still be cut, or replay would apply its records twice.
+// Caller holds j.mu.
+func (j *journal) writeSnapshot(reg *registry) error {
+	raw, err := json.MarshalIndent(reg, "", "  ")
+	if err != nil {
+		return err
+	}
+	tmp := j.snapshotPath() + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o600)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(raw)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, j.snapshotPath())
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if d, err := os.Open(j.dir); err == nil {
+		if err := d.Sync(); err != nil {
+			j.fail("snapshot", err)
+		}
+		d.Close()
+	}
+	return nil
 }
 
 // close releases the journal file. Appends after close are dropped.

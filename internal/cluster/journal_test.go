@@ -11,6 +11,7 @@ import (
 	"os"
 	"runtime/pprof"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -70,31 +71,31 @@ func TestJournalReplay(t *testing.T) {
 	if rs == nil {
 		t.Fatal("journaled dir replayed as fresh")
 	}
-	if rs.nextID != 5 {
-		t.Fatalf("nextID = %d, want 5", rs.nextID)
+	if rs.NextID != 5 {
+		t.Fatalf("nextID = %d, want 5", rs.NextID)
 	}
-	if rs.epoch != 11 {
-		t.Fatalf("epoch = %d, want 11", rs.epoch)
+	if rs.Epoch != 11 {
+		t.Fatalf("epoch = %d, want 11", rs.Epoch)
 	}
-	if len(rs.sessions) != 3 {
-		t.Fatalf("replayed %d sessions, want 3 (closed one must be gone)", len(rs.sessions))
+	if len(rs.Sessions) != 3 {
+		t.Fatalf("replayed %d sessions, want 3 (closed one must be gone)", len(rs.Sessions))
 	}
-	if s := rs.sessions[1]; s == nil || s.State != sessionAssigned || s.Worker != 0 || s.Reassigns != 0 {
+	if s := rs.Sessions[1]; s == nil || s.State != sessionAssigned || s.Worker != 0 || s.Reassigns != 0 {
 		t.Fatalf("session 1 replayed wrong: %+v", s)
 	}
-	if s := rs.sessions[2]; s == nil || s.State != sessionAssigned || s.Worker != 0 || s.Reassigns != 1 {
+	if s := rs.Sessions[2]; s == nil || s.State != sessionAssigned || s.Worker != 0 || s.Reassigns != 1 {
 		t.Fatalf("session 2 replayed wrong: %+v", s)
 	}
-	if s := rs.sessions[3]; s == nil || s.State != sessionFailed || s.Worker != -1 {
+	if s := rs.Sessions[3]; s == nil || s.State != sessionFailed || s.Worker != -1 {
 		t.Fatalf("session 3 replayed wrong: %+v", s)
 	}
-	if w := rs.workers[0]; w == nil || !w.Retired || w.Alive {
+	if w := rs.Workers[0]; w == nil || !w.Retired || w.Alive {
 		t.Fatalf("worker 0 replayed wrong: %+v", w)
 	}
-	if w := rs.workers[1]; w == nil || w.Retired || !w.Alive || w.URL != "http://127.0.0.1:3" {
+	if w := rs.Workers[1]; w == nil || w.Retired || !w.Alive || w.URL != "http://127.0.0.1:3" {
 		t.Fatalf("worker 1 replayed wrong: %+v", w)
 	}
-	if s := rs.sessions[1]; s.Spec.Seed != spec.Seed || s.Spec.Terminals != spec.Terminals {
+	if s := rs.Sessions[1]; s.Spec.Seed != spec.Seed || s.Spec.Terminals != spec.Terminals {
 		t.Fatalf("spec (and its seed) did not survive replay: %+v", s.Spec)
 	}
 }
@@ -117,11 +118,11 @@ func TestJournalCompaction(t *testing.T) {
 		t.Fatalf("%d appends did not request compaction", snapshotEvery)
 	}
 	// Compact the way the coordinator would, then keep appending.
-	state := persistState{NextID: uint64(snapshotEvery + 1), Epoch: uint64(snapshotEvery)}
+	state := &registry{NextID: uint64(snapshotEvery + 1), Epoch: uint64(snapshotEvery), Sessions: sessionTable{}}
 	for i := 1; i <= snapshotEvery; i++ {
-		state.Sessions = append(state.Sessions, persistedSession{
+		state.Sessions[uint64(i)] = &clusterSession{
 			ID: uint64(i), Spec: spec, Worker: -1, State: sessionPlacing,
-		})
+		}
 	}
 	j.compact(state)
 	if fi, err := os.Stat(j.journalPath()); err != nil || fi.Size() != 0 {
@@ -143,14 +144,14 @@ func TestJournalCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs == nil || len(rs.sessions) != snapshotEvery {
+	if rs == nil || len(rs.Sessions) != snapshotEvery {
 		t.Fatalf("replay after compaction lost sessions: %+v", rs)
 	}
-	if s := rs.sessions[3]; s == nil || s.State != sessionFailed {
+	if s := rs.Sessions[3]; s == nil || s.State != sessionFailed {
 		t.Fatalf("post-snapshot journal record lost: %+v", s)
 	}
-	if rs.nextID != uint64(snapshotEvery+1) || rs.epoch != uint64(snapshotEvery+1) {
-		t.Fatalf("nextID/epoch wrong after compaction replay: %d/%d", rs.nextID, rs.epoch)
+	if rs.NextID != uint64(snapshotEvery+1) || rs.Epoch != uint64(snapshotEvery+1) {
+		t.Fatalf("nextID/epoch wrong after compaction replay: %d/%d", rs.NextID, rs.Epoch)
 	}
 }
 
@@ -448,5 +449,93 @@ func TestAdoptedProbeReusesConnection(t *testing.T) {
 	srv.Close()
 	if p.reachable() {
 		t.Fatal("a closed worker is still reachable")
+	}
+}
+
+// TestOwnersEpochAdvancesAcrossRestart: a successor coordinator resumes
+// the ownership epoch strictly above the last one its predecessor
+// published, so a gate polling the epoch refreshes every cached owner
+// after the restart.
+func TestOwnersEpochAdvancesAcrossRestart(t *testing.T) {
+	cfg := Config{
+		StateDir:       t.TempDir(),
+		HeartbeatEvery: time.Hour,
+		Obs:            obs.New(),
+		Logf:           t.Logf,
+	}
+	c1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c1.Create(streamedSpec(1)); err != nil {
+		t.Fatal(err)
+	}
+	before := c1.OwnersEpoch()
+	c1.Abandon()
+
+	c2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownWithin(c2, 30*time.Second)
+	if after := c2.OwnersEpoch(); after <= before {
+		t.Fatalf("ownership epoch %d before the crash, %d after the restart: a gate keeps its stale owners", before, after)
+	}
+}
+
+// counterValue reads one unlabeled counter from a registry, -1 when the
+// family does not exist.
+func counterValue(reg *obs.Registry, name string) float64 {
+	for _, f := range reg.Snapshot().Families {
+		if f.Name == name && len(f.Series) == 1 {
+			return f.Series[0].Value
+		}
+	}
+	return -1
+}
+
+// TestJournalFailureIsLoggedAndCounted: a journal that stops taking
+// writes does not stop the control plane, but it is not silent either:
+// the first failure is logged and every failure is counted.
+func TestJournalFailureIsLoggedAndCounted(t *testing.T) {
+	var mu sync.Mutex
+	var logs []string
+	reg := obs.New()
+	c, err := New(Config{
+		Workers:        1,
+		StateDir:       t.TempDir(),
+		HeartbeatEvery: time.Hour,
+		Obs:            reg,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownWithin(c, 30*time.Second)
+	c.jnl.mu.Lock()
+	c.jnl.f.Close()
+	c.jnl.mu.Unlock()
+
+	if _, err := c.Create(streamedSpec(2)); err != nil {
+		t.Fatalf("create with a failing journal: %v", err)
+	}
+	// The create and the place record both failed.
+	if n := counterValue(reg, "thinaird_cluster_journal_errors_total"); n < 2 {
+		t.Fatalf("thinaird_cluster_journal_errors_total = %v, want >= 2", n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	var failures []string
+	for _, l := range logs {
+		if strings.Contains(l, "journal") && strings.Contains(l, os.ErrClosed.Error()) {
+			failures = append(failures, l)
+		}
+	}
+	if len(failures) != 1 {
+		t.Fatalf("journal failure logged %d times, want once: %q", len(failures), logs)
 	}
 }

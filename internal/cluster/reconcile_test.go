@@ -101,14 +101,14 @@ func TestCoordinatorDrawDetectsLostSession(t *testing.T) {
 	// Inside the settling grace the miss is retryable — a draw racing a
 	// just-landed assignment must not condemn the session.
 	c.mu.Lock()
-	c.sessions[info.ID].placedAt = time.Now()
+	c.reg.Sessions[info.ID].placedAt = time.Now()
 	c.mu.Unlock()
 	if _, err := c.Draw(ctx, info.ID, 8); !errors.Is(err, ErrOrphaned) {
 		t.Fatalf("draw inside the settling grace: %v, want ErrOrphaned", err)
 	}
 	// Past the grace the worker's 404 is authoritative.
 	c.mu.Lock()
-	c.sessions[info.ID].placedAt = time.Now().Add(-3 * cfg.HeartbeatEvery)
+	c.reg.Sessions[info.ID].placedAt = time.Now().Add(-3 * cfg.HeartbeatEvery)
 	c.mu.Unlock()
 	if _, err := c.Draw(ctx, info.ID, 8); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("draw past the settling grace: %v, want ErrNotFound", err)
