@@ -363,12 +363,12 @@ func (c *Coordinator) spawnWorker(ctx context.Context, slot int) (WorkerProc, er
 }
 
 // commitLocked runs one live registry transition: the record is
-// stamped with the epoch it produces, journaled, then applied, and only
-// then is the epoch published to lock-free readers, so no gate sees an
-// epoch the journal does not hold. Caller holds c.mu — that is what
-// keeps the on-disk order identical to the apply order.
+// numbered and stamped with the epoch it produces, journaled, then
+// applied, and only then is the epoch published to lock-free readers, so
+// no gate sees an epoch the journal does not hold. Caller holds c.mu —
+// that is what keeps the on-disk order identical to the apply order.
 func (c *Coordinator) commitLocked(rec journalRecord) {
-	rec.Epoch = c.reg.epochAfter(rec)
+	c.reg.stamp(&rec)
 	due := c.jnl != nil && c.jnl.append(rec)
 	c.reg.apply(rec)
 	if due {
@@ -1196,10 +1196,15 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 	}
 	c.mu.Unlock()
 	if c.jnl != nil {
-		// A drained tier has nothing to recover: cut a final snapshot so
-		// the next boot sees the (empty of live workers) truth instead of
-		// re-probing URLs of processes that just exited.
+		// A drained tier has nothing to recover: record every worker down
+		// and cut a final snapshot, so the next boot sees no live worker
+		// instead of re-probing URLs of processes that just exited.
 		c.mu.Lock()
+		for _, sl := range c.reg.Workers {
+			if sl.Alive {
+				c.commitLocked(journalRecord{Op: jopDown, Slot: sl.Slot})
+			}
+		}
 		c.jnl.compact(c.reg)
 		c.mu.Unlock()
 		c.jnl.close()

@@ -88,8 +88,13 @@ func openJournal(dir string) (*journal, *registry, error) {
 				// interrupted an append; everything before it is intact.
 				break
 			}
-			reg.apply(rec)
 			found = true
+			if reg.covers(rec) {
+				// Left behind by a compaction whose snapshot landed and
+				// whose truncation did not: the snapshot holds it.
+				continue
+			}
+			reg.apply(rec)
 		}
 		f.Close()
 	} else if !os.IsNotExist(err) {
@@ -146,7 +151,10 @@ func (j *journal) append(rec journalRecord) bool {
 // truncates the journal. Crash-ordering: the snapshot rename lands
 // (fsynced) before the journal is cut, so at every instant
 // snapshot+journal replays to a state at least as new as the last
-// acknowledged append. Caller holds whatever lock orders reg's writes.
+// acknowledged append. Between the two, the journal still holds records
+// the snapshot has applied; their sequence numbers are at or below the
+// snapshot's, and replay skips them. Caller holds whatever lock orders
+// reg's writes.
 func (j *journal) compact(reg *registry) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -170,8 +178,7 @@ func (j *journal) compact(reg *registry) {
 // writeSnapshot writes reg to a temporary file, fsyncs it, renames it
 // over the snapshot and fsyncs the dir so the rename itself is durable.
 // A failed dir sync is counted, not returned: the rename landed, so the
-// journal must still be cut, or replay would apply its records twice.
-// Caller holds j.mu.
+// journal should still be cut. Caller holds j.mu.
 func (j *journal) writeSnapshot(reg *registry) error {
 	raw, err := json.MarshalIndent(reg, "", "  ")
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"runtime/pprof"
 	"strings"
 	"sync"
@@ -480,6 +481,33 @@ func TestOwnersEpochAdvancesAcrossRestart(t *testing.T) {
 	defer shutdownWithin(c2, 30*time.Second)
 	if after := c2.OwnersEpoch(); after <= before {
 		t.Fatalf("ownership epoch %d before the crash, %d after the restart: a gate keeps its stale owners", before, after)
+	}
+}
+
+// TestShutdownSnapshotRecordsWorkersDown: a drained tier's final
+// snapshot holds no live worker, so the next boot has no URL of an
+// exited process to probe.
+func TestShutdownSnapshotRecordsWorkersDown(t *testing.T) {
+	dir := t.TempDir()
+	c, err := New(Config{
+		Workers:        1,
+		StateDir:       dir,
+		HeartbeatEvery: time.Hour,
+		Obs:            obs.New(),
+		Logf:           t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := shutdownOrDump(t, c, 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(raw, []byte(`"alive": true`)) {
+		t.Fatalf("the final snapshot records a drained worker alive:\n%s", raw)
 	}
 }
 

@@ -49,7 +49,8 @@ const (
 // the stream format (keystream.Format) a create record's session
 // derives; records from before formats were numbered carry none and read
 // as 0. Epoch is the ownership epoch the registry holds once the record
-// is applied.
+// is applied. Seq numbers records one up from the registry's Seq; records
+// from before records were numbered carry none and read as 0.
 type journalRecord struct {
 	Op       string               `json:"op"`
 	ID       uint64               `json:"id,omitempty"`
@@ -60,6 +61,7 @@ type journalRecord struct {
 	URL      string               `json:"url,omitempty"`
 	PID      int                  `json:"pid,omitempty"`
 	Epoch    uint64               `json:"epoch"`
+	Seq      uint64               `json:"seq,omitempty"`
 }
 
 // clusterSession is one registry entry: everything needed to re-create
@@ -103,9 +105,15 @@ type workerSlot struct {
 // and its replay are the same call on the same record. The placement
 // claim and the closed marker are the two exceptions: recovery orphans
 // every session that has not failed, so neither needs a record.
+//
+// Seq is the sequence number of the last numbered record applied, so a
+// snapshot says which journal records it already holds: a compaction
+// torn between the snapshot's rename and the journal's truncation leaves
+// those records behind, and replay skips them (covers).
 type registry struct {
 	NextID   uint64        `json:"next_id"`
 	Epoch    uint64        `json:"epoch"`
+	Seq      uint64        `json:"seq,omitempty"`
 	Sessions sessionTable  `json:"sessions"`
 	Workers  []*workerSlot `json:"workers"` // indexed by slot
 }
@@ -155,10 +163,25 @@ func (r *registry) epochAfter(rec journalRecord) uint64 {
 	return max(e, rec.Epoch)
 }
 
+// stamp numbers a live record and stamps the epoch it produces, before
+// it is journaled, so its replay lands on the same sequence and epoch.
+func (r *registry) stamp(rec *journalRecord) {
+	rec.Seq = r.Seq + 1
+	rec.Epoch = r.epochAfter(*rec)
+}
+
+// covers reports whether rec is already part of the registry: a
+// numbered record at or below the registry's sequence. Unnumbered
+// records (older coordinators wrote them) are never covered.
+func (r *registry) covers(rec journalRecord) bool {
+	return rec.Seq != 0 && rec.Seq <= r.Seq
+}
+
 // apply performs one journaled transition. It reads no clock and runs no
 // effect; the caller does both around it.
 func (r *registry) apply(rec journalRecord) {
 	r.Epoch = r.epochAfter(rec)
+	r.Seq = max(r.Seq, rec.Seq)
 	switch rec.Op {
 	case jopCreate:
 		if rec.Spec == nil {

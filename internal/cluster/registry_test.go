@@ -14,7 +14,7 @@ import (
 // cloneRegistry deep-copies r without going through its JSON form, so a
 // field the snapshot drops shows as a difference after replay.
 func cloneRegistry(r *registry) *registry {
-	c := &registry{NextID: r.NextID, Epoch: r.Epoch, Sessions: make(sessionTable, len(r.Sessions))}
+	c := &registry{NextID: r.NextID, Epoch: r.Epoch, Seq: r.Seq, Sessions: make(sessionTable, len(r.Sessions))}
 	for id, cs := range r.Sessions {
 		v := *cs
 		c.Sessions[id] = &v
@@ -28,12 +28,23 @@ func cloneRegistry(r *registry) *registry {
 
 // FuzzRegistryReplay drives apply through random transitions, journals
 // each one the way commitLocked does, compacts at random points, and
-// tears the journal's tail at a random byte offset. Replay must rebuild
-// the live registry as it stood after the last record before the tear.
+// tears the journal's tail at a random byte offset. Some compactions
+// are torn too: the snapshot lands and the journal is never cut, so it
+// still holds the records the snapshot has applied. Replay must rebuild
+// the live registry as it stood after the last record before the tear,
+// or as the newest snapshot holds it if that is later.
 func FuzzRegistryReplay(f *testing.F) {
 	f.Add([]byte{0, 1, 6, 0, 1, 0, 0, 3, 2, 1, 5, 0, 4, 2, 7, 1, 3, 1}, uint16(0xffff))
 	f.Add([]byte{6, 0, 6, 1, 0, 1, 1, 1, 0, 1, 8, 0, 1, 2, 5, 1, 2, 2, 6, 1, 3, 1}, uint16(90))
 	f.Add([]byte{0, 1, 0, 3, 0, 5, 8, 8, 4, 1, 3, 2, 0, 7, 7, 0}, uint16(3))
+	// Two sessions are created and compacted; session 2 is placed, its
+	// worker dies and it is reassigned; a compaction tears after its
+	// snapshot lands; the worker dies again and session 2 is reassigned
+	// again. Replay of the whole journal must count two reassignments,
+	// not three, and of the journal cut inside the last record one, not
+	// two.
+	f.Add([]byte{6, 0, 6, 1, 0, 1, 0, 1, 8, 0, 1, 1, 5, 1, 2, 1, 9, 0, 5, 1, 2, 1}, uint16(261))
+	f.Add([]byte{6, 0, 6, 1, 0, 1, 0, 1, 8, 0, 1, 1, 5, 1, 2, 1, 9, 0, 5, 1, 2, 1}, uint16(200))
 	spec := fastSpec(5)
 	f.Fuzz(func(t *testing.T, ops []byte, tear uint16) {
 		dir := t.TempDir()
@@ -44,11 +55,13 @@ func FuzzRegistryReplay(f *testing.F) {
 		live := newRegistry()
 		// marks[k] is the live registry after the k-th record since the
 		// last compaction, ends[k] the journal's length once it is
-		// written.
+		// written; marks[floor] is what the newest torn compaction's
+		// snapshot holds.
 		marks := []*registry{cloneRegistry(live)}
 		ends := []int64{0}
+		floor := 0
 		for i := 0; i+1 < len(ops); i += 2 {
-			op, arg := ops[i]%9, ops[i+1]
+			op, arg := ops[i]%10, ops[i+1]
 			id, slot := uint64(arg%8)+1, int(arg%4)
 			var rec journalRecord
 			switch op {
@@ -71,15 +84,26 @@ func FuzzRegistryReplay(f *testing.F) {
 				rec = journalRecord{Op: jopRetire, Slot: slot}
 			case 8:
 				j.compact(live)
-				marks, ends = []*registry{cloneRegistry(live)}, []int64{0}
+				marks, ends, floor = []*registry{cloneRegistry(live)}, []int64{0}, 0
+				continue
+			case 9:
+				// Torn compaction: the snapshot lands, the truncation
+				// never happens.
+				j.mu.Lock()
+				err := j.writeSnapshot(live)
+				j.mu.Unlock()
+				if err != nil {
+					t.Fatal(err)
+				}
+				floor = len(marks) - 1
 				continue
 			}
-			rec.Epoch = live.epochAfter(rec)
+			live.stamp(&rec)
 			due := j.append(rec)
 			live.apply(rec)
 			if due {
 				j.compact(live)
-				marks, ends = []*registry{cloneRegistry(live)}, []int64{0}
+				marks, ends, floor = []*registry{cloneRegistry(live)}, []int64{0}, 0
 				continue
 			}
 			fi, err := os.Stat(j.journalPath())
@@ -102,6 +126,7 @@ func FuzzRegistryReplay(f *testing.F) {
 		for k+1 < len(ends) && ends[k+1]-1 <= cut {
 			k++
 		}
+		k = max(k, floor)
 		_, got, err := openJournal(dir)
 		if err != nil {
 			t.Fatal(err)

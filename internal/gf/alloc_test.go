@@ -76,6 +76,18 @@ func TestKernelPathsAllocFree(t *testing.T) {
 	})
 	short := trim(bs16, 80)
 	testKernelAllocs(t, "gf16 AddMulBE16 short", func() { f16.AddMulBE16(b16[:80], short, c16) })
+
+	// Every strip route this host has, called directly, with Cauchy
+	// coefficients (tabled matrices) next to the built ones above.
+	cauchy := make([]uint16, rows)
+	for j := range cauchy {
+		cauchy[j] = f16.Inv(uint16(rows + j))
+	}
+	for _, r := range wireRoutes(f16) {
+		testKernelAllocs(t, "gf16 AddMulBE16 "+r.name, func() { r.run(b16, bs16, c16) })
+		testKernelAllocs(t, "gf16 AddMulBE16 "+r.name+" cauchy", func() { r.run(b16, bs16, cauchy) })
+		testKernelAllocs(t, "gf16 AddMulBE16 "+r.name+" tail", func() { r.run(b16[:2*n-6], tail, cauchy) })
+	}
 }
 
 // bytesOf16 views symbols as their in-memory bytes: a wire-order row

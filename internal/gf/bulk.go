@@ -64,11 +64,13 @@ const (
 )
 
 // kernels is the arch-dispatch decision made once per field: the backend
-// name (for diagnostics and benchmark labels) and whether the arch* block
-// kernel shims may be called.
+// name (for diagnostics and benchmark labels), whether the arch* block
+// kernel shims may be called, and whether AddMulBE16 runs the GFNI
+// affine kernel in place of the AVX2 BE kernels.
 type kernels struct {
 	name  string
 	accel bool
+	gfni  bool
 }
 
 // nibCache carries built nibble tables across the rows of one batched

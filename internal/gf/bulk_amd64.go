@@ -16,14 +16,19 @@ package gf
 // escape, heap-allocating a nibble cache per call on the hot paths the
 // zero-allocation tests now pin.
 
-// pickKernels selects the widest kernel this CPU can run. Feature
-// detection is done here once, at field construction, rather than per
-// call; the arch shims are only reached when accel is true.
-func pickKernels() kernels {
-	if hasAVX2() {
-		return kernels{name: "avx2", accel: true}
+// pickKernels selects the widest kernel this CPU can run for a field of
+// the given size. Feature detection is done here once, at field
+// construction, rather than per call; the arch shims are only reached
+// when accel is true. A GF(2^16) field on a GFNI host also runs its
+// wire-order rows through the affine kernel (affine.go).
+func pickKernels(size int) kernels {
+	if !hasAVX2() {
+		return kernels{name: "generic"}
 	}
-	return kernels{name: "generic"}
+	if size == 1<<16 && hasGFNI() {
+		return kernels{name: "gfni", accel: true, gfni: true}
+	}
+	return kernels{name: "avx2", accel: true}
 }
 
 // Single-source shims: blocks of kernelBlockBytes.
@@ -56,6 +61,13 @@ func archAddMul2xBE16(dst *byte, srcs **byte, strips int, ts *nib16) {
 
 func archAddMul4xBE16(dst *byte, srcs **byte, strips int, ts *nib16) {
 	gf16AddMul4BEAVX2(dst, srcs, strips, ts)
+}
+
+// archAddMulAffineBE16 accumulates 1..affineBatch wire-order terms over
+// strips of fusedStripBytes; srcs and ms point at that many source
+// pointers and coefficient matrices.
+func archAddMulAffineBE16(dst *byte, srcs **byte, ms *mat16, terms, strips int) {
+	gf16AddMulBEGFNI(dst, srcs, ms, terms, strips)
 }
 
 // Fused multi-source shims: strips of fusedStripBytes; srcs points at an
@@ -97,6 +109,14 @@ func hasAVX2() bool {
 	}
 	_, b, _, _ := cpuidex(7, 0)
 	return b&(1<<5) != 0 // AVX2
+}
+
+// hasGFNI reports whether the CPU runs the VEX-encoded GFNI affine
+// instruction on ymm registers: GFNI (CPUID.7.0:ECX bit 8) on top of the
+// AVX checks hasAVX2 makes, which the caller has already passed.
+func hasGFNI() bool {
+	_, _, c, _ := cpuidex(7, 0)
+	return c&(1<<8) != 0
 }
 
 // cpuidex executes CPUID with the given leaf and subleaf.
@@ -160,3 +180,10 @@ func gf16AddMul2BEAVX2(dst *byte, srcs **byte, strips int, ts *nib16)
 
 //go:noescape
 func gf16AddMul4BEAVX2(dst *byte, srcs **byte, strips int, ts *nib16)
+
+// The GFNI wire-order kernel: strips*128 bytes of dst, each strip held
+// in registers across all terms; srcs and ms are arrays of terms entries
+// (stack scratch in affineAddMulBE16).
+//
+//go:noescape
+func gf16AddMulBEGFNI(dst *byte, srcs **byte, ms *mat16, terms, strips int)

@@ -587,6 +587,97 @@ gf16planarbe_loop:
 	VZEROUPPER
 	RET
 
+// The GFNI wire-order kernel (see affine.go for the matrix layout).
+// Each 32 wire bytes are shuffled in-lane to [8 high bytes | 8 low
+// bytes] with deintPat; VGF2P8AFFINEQB against [Mhh | Mll] gives the
+// direct products, against [Mhl | Mlh] the cross products, which belong
+// to the other half of the lane. The two sums live in separate
+// accumulators for the whole batch of terms; at the end of a strip the
+// cross sum's halves are swapped (VPSHUFD), folded in, and reintPat
+// restores wire order before dst is XORed in. Per term and strip: four
+// loads, four shuffles, eight affine ops and eight XORs.
+//
+// Register budget: Y0-Y7 the accumulators (direct, cross) for the four
+// 32-byte blocks of a strip, Y8-Y9 the term's matrices, Y10-Y12
+// transient, Y14 reintPat, Y15 deintPat.
+
+// reintPat interleaves a lane's two halves byte by byte: the inverse of
+// deintPat.
+DATA reintPat<>+0x00(SB)/8, $0x0b030a0209010800
+DATA reintPat<>+0x08(SB)/8, $0x0f070e060d050c04
+DATA reintPat<>+0x10(SB)/8, $0x0b030a0209010800
+DATA reintPat<>+0x18(SB)/8, $0x0f070e060d050c04
+GLOBL reintPat<>(SB), RODATA|NOPTR, $32
+
+// GFNITERM accumulates one term's products for the 32 wire bytes at
+// off(R11): direct into acc, cross into crs.
+#define GFNITERM(off, acc, crs) \
+	VMOVDQU        off(R11), Y10 \
+	VPSHUFB        Y15, Y10, Y10 \
+	VGF2P8AFFINEQB $0, Y8, Y10, Y11 \
+	VGF2P8AFFINEQB $0, Y9, Y10, Y12 \
+	VPXOR          Y11, acc, acc \
+	VPXOR          Y12, crs, crs
+
+// GFNIOUT folds one block's cross sum into its direct sum, restores
+// wire order and XORs the result into dst at off(DI).
+#define GFNIOUT(off, acc, crs) \
+	VPSHUFD $0x4e, crs, crs   \
+	VPXOR   crs, acc, acc     \
+	VPSHUFB Y14, acc, acc     \
+	VPXOR   off(DI), acc, acc \
+	VMOVDQU acc, off(DI)
+
+// func gf16AddMulBEGFNI(dst *byte, srcs **byte, ms *mat16, terms, strips int)
+// dst ^= Σ c_t*src_t over strips*128 wire-order bytes, terms >= 1.
+TEXT ·gf16AddMulBEGFNI(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ srcs+8(FP), AX
+	MOVQ ms+16(FP), DX
+	MOVQ terms+24(FP), BX
+	MOVQ strips+32(FP), CX
+	VMOVDQU reintPat<>(SB), Y14
+	VMOVDQU deintPat<>(SB), Y15
+	XORQ SI, SI                   // strip offset into every source
+
+gfni_strip:
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	VPXOR Y4, Y4, Y4
+	VPXOR Y5, Y5, Y5
+	VPXOR Y6, Y6, Y6
+	VPXOR Y7, Y7, Y7
+	MOVQ AX, R8                   // source pointer cursor
+	MOVQ DX, R9                   // matrix cursor
+	MOVQ BX, R10                  // terms left
+
+gfni_term:
+	MOVQ (R8), R11
+	ADDQ SI, R11
+	VBROADCASTI128 (R9), Y8       // [Mhh | Mll]
+	VBROADCASTI128 16(R9), Y9     // [Mhl | Mlh]
+	GFNITERM(0, Y0, Y1)
+	GFNITERM(32, Y2, Y3)
+	GFNITERM(64, Y4, Y5)
+	GFNITERM(96, Y6, Y7)
+	ADDQ $8, R8
+	ADDQ $32, R9
+	DECQ R10
+	JNZ  gfni_term
+
+	GFNIOUT(0, Y0, Y1)
+	GFNIOUT(32, Y2, Y3)
+	GFNIOUT(64, Y4, Y5)
+	GFNIOUT(96, Y6, Y7)
+	ADDQ $128, SI
+	ADDQ $128, DI
+	DECQ CX
+	JNZ  gfni_strip
+	VZEROUPPER
+	RET
+
 // func cpuidex(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24
 	MOVL eaxIn+0(FP), AX

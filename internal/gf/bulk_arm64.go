@@ -15,7 +15,7 @@ package gf
 // avx2 one: return kernels{name: "neon", accel: true} and route the
 // arch* shims below to the NEON routines (single-source blocks of
 // kernelBlockBytes, fused strips of fusedStripBytes).
-func pickKernels() kernels { return kernels{name: "generic"} }
+func pickKernels(int) kernels { return kernels{name: "generic"} }
 
 // Arch shim stubs; unreachable while pickKernels selects generic.
 
@@ -53,5 +53,9 @@ func archAddMul2xBE16(dst *byte, srcs **byte, strips int, ts *nib16) {
 }
 
 func archAddMul4xBE16(dst *byte, srcs **byte, strips int, ts *nib16) {
+	panic("gf: no arch kernel")
+}
+
+func archAddMulAffineBE16(dst *byte, srcs **byte, ms *mat16, terms, strips int) {
 	panic("gf: no arch kernel")
 }

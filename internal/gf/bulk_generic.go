@@ -9,7 +9,7 @@ package gf
 // the portable generic paths: the full product table for GF(2^8), split
 // product rows for GF(2^16), and per-term passes for the batched entry
 // points.
-func pickKernels() kernels { return kernels{name: "generic"} }
+func pickKernels(int) kernels { return kernels{name: "generic"} }
 
 // The arch shim stubs below exist so the portable routing layer links on
 // every build; kernels.accel is always false here, so they are
@@ -47,5 +47,9 @@ func archAddMul2xBE16(dst *byte, srcs **byte, strips int, ts *nib16) {
 }
 
 func archAddMul4xBE16(dst *byte, srcs **byte, strips int, ts *nib16) {
+	panic("gf: no arch kernel")
+}
+
+func archAddMulAffineBE16(dst *byte, srcs **byte, ms *mat16, terms, strips int) {
 	panic("gf: no arch kernel")
 }

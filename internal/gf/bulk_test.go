@@ -507,9 +507,11 @@ func BenchmarkAddMulSlices(b *testing.B) {
 }
 
 // BenchmarkAddMulBE16 runs AddMulBE16 on the fused matrix's GF(2^16)
-// shapes, next to AddMulSlices on the same symbols decoded: the two
-// should cost the same, since the wire-order kernels only exchange the
-// byte planes.
+// shapes, next to AddMulSlices on the same symbols decoded. The "r=wire"
+// arm draws random coefficients, so each term builds its tables or
+// matrices; "r=wire-cauchy" passes Cauchy entries 1/(rows+j), the
+// coefficients the protocol's rounds pass, whose GFNI matrices come from
+// the table.
 func BenchmarkAddMulBE16(b *testing.B) {
 	f := GF65536()
 	for _, n := range []int{256, 2048, 16384} {
@@ -519,6 +521,7 @@ func BenchmarkAddMulBE16(b *testing.B) {
 			srcs := make([][]uint16, rows)
 			bsrcs := make([][]byte, rows)
 			cs := make([]uint16, rows)
+			cauchy := make([]uint16, rows)
 			for j := range srcs {
 				srcs[j] = make([]uint16, n)
 				for i := range srcs[j] {
@@ -526,12 +529,19 @@ func BenchmarkAddMulBE16(b *testing.B) {
 				}
 				bsrcs[j] = Bytes16(srcs[j])
 				cs[j] = uint16(2 + rng.Intn(65534))
+				cauchy[j] = f.Inv(uint16(rows + j))
 			}
 			bdst := Bytes16(dst)
 			b.Run(fmt.Sprintf("n%d/s%d/r=wire", n, rows), func(b *testing.B) {
 				b.SetBytes(int64(2 * n * rows))
 				for i := 0; i < b.N; i++ {
 					f.AddMulBE16(bdst, bsrcs, cs)
+				}
+			})
+			b.Run(fmt.Sprintf("n%d/s%d/r=wire-cauchy", n, rows), func(b *testing.B) {
+				b.SetBytes(int64(2 * n * rows))
+				for i := 0; i < b.N; i++ {
+					f.AddMulBE16(bdst, bsrcs, cauchy)
 				}
 			})
 			b.Run(fmt.Sprintf("n%d/s%d/r=symbols", n, rows), func(b *testing.B) {

@@ -10,10 +10,12 @@ import (
 // coefficient handling, table sharing — against a per-row loop of the
 // generic layer, over both fields, arbitrary source counts (1..12),
 // payloads, coefficients and alignments. The GF(2^16) case also runs
-// the same terms through AddMulBE16 on the rows' wire-order bytes. Coefficients are derived from
-// the payload bytes with forced collisions (every third source repeats
-// the first coefficient, every fourth is 0 or 1), so the cache-sharing
-// and skip paths are continuously exercised.
+// the same terms through AddMulBE16 on the rows' wire-order bytes, and
+// through each of its routes this host has (gfni, avx2, generic).
+// Coefficients are derived from the payload bytes with forced
+// collisions (every third source repeats the first coefficient, every
+// fourth is 0 or 1), so the cache-sharing and skip paths are
+// continuously exercised.
 //
 // CI runs this as corpus replay in the regular test job (including under
 // the purego tag) and as a short -fuzz smoke alongside FuzzAddMulSlice.
@@ -77,12 +79,16 @@ func FuzzAddMulSlices(f *testing.F) {
 					t.Fatalf("gf16 kernel %q AddMulBE16 diverges from AddMulSlices (n=%d strips=%d rows=%d offs=%d/%d)",
 						f.Kernel(), n, 2*n/fusedStripBytes, rows, do, so)
 				}
-				genB := append([]byte(nil), bdst...)
-				for j := range bsrcs {
-					f.addMulBE16Generic(genB, bsrcs[j], cs[j])
-				}
-				if !bytes.Equal(genB, wantB) {
-					t.Fatalf("AddMulBE16's generic layer diverges from AddMulSlices (n=%d rows=%d offs=%d/%d)", n, rows, do, so)
+				// Dispatch takes one route; run every route this host has.
+				for _, r := range wireRoutes(f) {
+					if r.strips && n < fusedMin16 {
+						continue
+					}
+					gotB := append([]byte(nil), bdst...)
+					r.run(gotB, bsrcs, cs)
+					if !bytes.Equal(gotB, wantB) {
+						t.Fatalf("AddMulBE16's %s route diverges from AddMulSlices (n=%d rows=%d offs=%d/%d)", r.name, n, rows, do, so)
+					}
 				}
 				return
 			}

@@ -60,7 +60,7 @@ func (f *Field[E]) Name() string { return f.name }
 func (f *Field[E]) Size() int { return f.size }
 
 // Kernel names the bulk-kernel backend the arch-dispatch layer selected at
-// construction ("avx2", "generic", ...). Benchmarks and diagnostics use it
+// construction ("gfni", "avx2", "generic", ...). Benchmarks and diagnostics use it
 // to label throughput numbers.
 func (f *Field[E]) Kernel() string { return f.kern.name }
 
@@ -74,7 +74,7 @@ func newField[E Elem](name string, size, poly int) *Field[E] {
 		poly: poly,
 		exp:  make([]E, 2*(size-1)),
 		log:  make([]int32, size),
-		kern: pickKernels(),
+		kern: pickKernels(size),
 	}
 	f.log[0] = -1
 	x := 1

@@ -3,10 +3,12 @@ package gf
 // Wire-order rows. Packet payloads carry GF(2^16) symbols as big-endian
 // byte pairs. AddMulBE16 runs the multiply-add on those bytes directly,
 // so a caller that holds payloads never converts them to symbols and
-// back: the byte-planar AVX2 kernels already split every strip into a
-// low-byte and a high-byte plane, and big-endian bytes are that input
-// with the two planes exchanged (bulk_amd64.s, the BE kernels). The
-// portable layer below is the reference and the purego path.
+// back. On a GFNI host the affine kernel takes every whole strip
+// (affine.go). Otherwise the byte-planar AVX2 kernels do: they already
+// split every strip into a low-byte and a high-byte plane, and
+// big-endian bytes are that input with the two planes exchanged
+// (bulk_amd64.s, the BE kernels). The portable layer below is the
+// reference and the purego path.
 
 // AddMulBE16 computes dst ^= Σ_j cs[j]·srcs[j] over GF(2^16), where dst
 // and every srcs row are wire-order rows: symbol i is the big-endian
@@ -36,7 +38,11 @@ func (f *Field[E]) AddMulBE16(dst []byte, srcs [][]byte, cs []uint16) {
 	countDispatch(&dispatchSlices)
 	if f.kern.accel && len(dst)/2 >= fusedMin16 {
 		countDispatch(&dispatchSlicesFused)
-		f.fusedAddMulBE16(dst, srcs, cs)
+		if f.kern.gfni {
+			f.affineAddMulBE16(dst, srcs, cs)
+		} else {
+			f.fusedAddMulBE16(dst, srcs, cs)
+		}
 		return
 	}
 	for j, src := range srcs {
