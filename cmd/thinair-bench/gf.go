@@ -1,123 +1,97 @@
 package main
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
+	"os/exec"
 	"runtime"
+	"runtime/debug"
+	"strings"
 	"testing"
 
 	"repro/internal/gf"
 )
 
-// The GF kernel benchmark formatter: runs the single-source kernel matrix
-// (field x slice length x kernel, as BenchmarkAddMulSlice) and the fused
-// multi-source matrix (field x slice length x source count x routing arm,
-// as BenchmarkAddMulSlices) and writes the results as JSON (BENCH_gf.json
-// in CI).
+// The GF kernel benchmark formatter: runs AddMulBE16 — every payload
+// combination the protocol makes, on wire-order rows — over a matrix of
+// row lengths and source counts, and writes the results as JSON
+// (BENCH_gf.json in CI), with the host they were measured on.
 //
-// Single-source rows: the "dispatch" arm measures whatever kernel the
-// arch-dispatch layer selected on this machine; the "generic" arm pins
-// the portable reference layer, so every dispatch row carries its speedup
-// over generic.
-//
-// Fused rows: the "fused" arm measures AddMulSlices (multi-source strip
-// kernels where available); the "perterm" arm pins AddMulSlicesPerTerm —
-// one accumulator walk per term, the pre-fusion dispatch path — so every
-// fused row carries speedup_vs_per_term. Slice lengths cover short (256
-// symbols: term-grouping overhead regime), mid (16384: compute-bound
-// regime) and long (4Mi: memory-bound regime, where the accumulator
-// traffic fusion saves dominates — the erasure/bulk-workload shape).
+// Each shape has three arms. "dispatch" runs AddMulBE16 on the route the
+// arch-dispatch layer picked (gfni, avx2 or generic) with random
+// coefficients, so each term builds its tables or matrices; "cauchy"
+// passes the Cauchy entries 1/(s+j), the coefficients the protocol's
+// rounds pass; "generic" runs AddMulSlices over the same symbols, the
+// portable layer, and every other row carries its speedup over it. The
+// arms are interleaved over gfBenchReps repetitions and each row reports
+// its arm's best (minimum ns/op) run: min ns/op is the noise-robust
+// throughput estimator, and alternating keeps host-load drift from
+// biasing one arm.
 
 type gfBenchRow struct {
 	Name             string  `json:"name"`
-	Field            string  `json:"field"`
 	N                int     `json:"n"`
-	Sources          int     `json:"sources,omitempty"`
+	Sources          int     `json:"sources"`
 	Kernel           string  `json:"kernel"`
 	NsPerOp          float64 `json:"ns_per_op"`
 	MBPerS           float64 `json:"mb_per_s"`
 	SpeedupVsGeneric float64 `json:"speedup_vs_generic,omitempty"`
-	SpeedupVsPerTerm float64 `json:"speedup_vs_per_term,omitempty"`
 }
 
 type gfBenchReport struct {
-	GOOS            string  `json:"goos"`
-	GOARCH          string  `json:"goarch"`
-	DispatchKernel  string  `json:"dispatch_kernel"`
-	SpeedupGF16Long float64 `json:"speedup_gf16_long"` // dispatch vs generic, n=4096
-	SpeedupGF8Long  float64 `json:"speedup_gf8_long"`
-	// Fused AddMulSlices vs the per-term dispatch path, 4-source
-	// combinations, mid (16384) and long (4Mi) slices.
-	FusedSpeedupGF8Mid4   float64      `json:"fused_speedup_gf8_mid_4src"`
-	FusedSpeedupGF8Long4  float64      `json:"fused_speedup_gf8_long_4src"`
-	FusedSpeedupGF16Mid4  float64      `json:"fused_speedup_gf16_mid_4src"`
-	FusedSpeedupGF16Long4 float64      `json:"fused_speedup_gf16_long_4src"`
-	Benchmarks            []gfBenchRow `json:"benchmarks"`
+	GOOS           string `json:"goos"`
+	GOARCH         string `json:"goarch"`
+	NumCPU         int    `json:"num_cpu"`
+	GOMAXPROCS     int    `json:"gomaxprocs"`
+	GoVersion      string `json:"go_version"`
+	Commit         string `json:"commit"`
+	DispatchKernel string `json:"dispatch_kernel"`
+	// SpeedupLong4 is the dispatch arm over the generic arm at the
+	// longest rows with 4 sources.
+	SpeedupLong4 float64      `json:"speedup_long_4src"`
+	Benchmarks   []gfBenchRow `json:"benchmarks"`
 }
 
 var (
-	gfBenchSizes = []int{64, 256, 1024, 4096, 16384}
-	// Fused matrix shapes: all source counts at short (256) and mid
-	// (16384) slices; the long size (4Mi, the memory-bound bulk regime
-	// where fusion's accumulator-traffic savings dominate) only at
-	// source counts >= gfFusedLongMin — its 1- and 2-source rows add
-	// runtime without adding signal.
-	gfFusedSizes   = []int{256, 16384, 1 << 22}
-	gfFusedSources = []int{1, 2, 4, 8}
-	gfFusedLongMin = 4
-	// gfFusedReps interleaved repetitions per arm; each row reports the
-	// arm's best (minimum ns/op) run.
-	gfFusedReps = 3
+	// Row lengths in symbols: short (256, under the per-term table or
+	// matrix build's amortization), a 4 KiB payload (2048, the stream's
+	// default) and long (16384).
+	gfBenchSizes   = []int{256, 2048, 16384}
+	gfBenchSources = []int{1, 2, 4, 8}
+	gfBenchReps    = 3
 )
 
-func benchGFKernel[E gf.Elem](f *gf.Field[E], n int, generic bool) testing.BenchmarkResult {
-	dst := make([]E, n)
-	src := make([]E, n)
-	rng := rand.New(rand.NewSource(9))
-	for i := range src {
-		src[i] = E(rng.Intn(f.Size()))
-	}
-	elemBytes := 1
-	if f.Size() > 256 {
-		elemBytes = 2
-	}
-	return testing.Benchmark(func(b *testing.B) {
-		b.SetBytes(int64(n * elemBytes))
-		for i := 0; i < b.N; i++ {
-			if generic {
-				f.AddMulSliceGeneric(dst, src, 7)
-			} else {
-				f.AddMulSlice(dst, src, 7)
-			}
-		}
-	})
-}
-
-func benchGFFused[E gf.Elem](f *gf.Field[E], n, sources int, perTerm bool) testing.BenchmarkResult {
-	dst := make([]E, n)
-	srcs := make([][]E, sources)
-	cs := make([]E, sources)
-	rng := rand.New(rand.NewSource(9))
+// benchGF runs one arm over n-symbol rows and the given source count.
+func benchGF(n, sources int, arm string) testing.BenchmarkResult {
+	f := gf.GF65536()
+	rng := rand.New(rand.NewSource(int64(n + sources)))
+	dst := make([]uint16, n)
+	srcs := make([][]uint16, sources)
+	wsrcs := make([][]byte, sources)
+	cs := make([]uint16, sources)
 	for j := range srcs {
-		srcs[j] = make([]E, n)
+		srcs[j] = make([]uint16, n)
+		wsrcs[j] = make([]byte, 2*n)
 		for i := range srcs[j] {
-			srcs[j][i] = E(rng.Intn(f.Size()))
+			srcs[j][i] = uint16(rng.Intn(65536))
+			binary.BigEndian.PutUint16(wsrcs[j][2*i:], srcs[j][i])
 		}
-		cs[j] = E(2 + rng.Intn(f.Size()-2))
+		cs[j] = uint16(2 + rng.Intn(65534))
+		if arm == "cauchy" {
+			cs[j] = f.Inv(uint16(sources + j))
+		}
 	}
-	elemBytes := 1
-	if f.Size() > 256 {
-		elemBytes = 2
-	}
+	wdst := make([]byte, 2*n)
 	return testing.Benchmark(func(b *testing.B) {
-		b.SetBytes(int64(n * elemBytes * sources))
+		b.SetBytes(int64(2 * n * sources))
 		for i := 0; i < b.N; i++ {
-			if perTerm {
-				f.AddMulSlicesPerTerm(dst, srcs, cs)
-			} else {
+			if arm == "generic" {
 				f.AddMulSlices(dst, srcs, cs)
+			} else {
+				f.AddMulBE16(wdst, wsrcs, cs)
 			}
 		}
 	})
@@ -130,138 +104,71 @@ func mbPerS(r testing.BenchmarkResult) float64 {
 	return float64(r.Bytes) * float64(r.N) / r.T.Seconds() / 1e6
 }
 
+// gitCommit is the revision stamped into the binary at build time, or
+// else `git rev-parse HEAD` of the working directory, or "unknown".
+func gitCommit() string {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "vcs.revision" {
+				return s.Value
+			}
+		}
+	}
+	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
+		return strings.TrimSpace(string(out))
+	}
+	return "unknown"
+}
+
 func gfBench(out string) {
 	rep := gfBenchReport{
 		GOOS:           runtime.GOOS,
 		GOARCH:         runtime.GOARCH,
+		NumCPU:         runtime.NumCPU(),
+		GOMAXPROCS:     runtime.GOMAXPROCS(0),
+		GoVersion:      runtime.Version(),
+		Commit:         gitCommit(),
 		DispatchKernel: gf.GF65536().Kernel(),
 	}
-	// On machines where dispatch selected no accelerated kernel the
-	// dispatch arm IS the generic arm: emit it once and record no
-	// (meaningless) speedup instead of duplicating rows.
-	arms := []struct {
-		kernel  string
-		generic bool
-	}{{rep.DispatchKernel, false}, {"generic", true}}
-	if rep.DispatchKernel == "generic" {
-		arms = arms[1:]
-	}
-	run := func(field string, bench func(n int, generic bool) testing.BenchmarkResult) map[int][2]float64 {
-		ns := make(map[int][2]float64) // n -> [dispatch, generic] ns/op
-		for _, n := range gfBenchSizes {
-			var pair [2]float64
-			for _, arm := range arms {
-				r := bench(n, arm.generic)
-				row := gfBenchRow{
-					Name:    fmt.Sprintf("AddMulSlice/%s/n%d/k=%s", field, n, arm.kernel),
-					Field:   field,
-					N:       n,
-					Kernel:  arm.kernel,
-					NsPerOp: float64(r.NsPerOp()),
-					MBPerS:  mbPerS(r),
-				}
-				if arm.generic {
-					pair[1] = row.NsPerOp
-					if pair[0] > 0 {
-						// Attach the speedup to the dispatch row just emitted.
-						rep.Benchmarks[len(rep.Benchmarks)-1].SpeedupVsGeneric = pair[1] / pair[0]
+	arms := []string{"dispatch", "cauchy", "generic"}
+	for _, n := range gfBenchSizes {
+		for _, sources := range gfBenchSources {
+			best := make([]testing.BenchmarkResult, len(arms))
+			for r := 0; r < gfBenchReps; r++ {
+				for a, arm := range arms {
+					if res := benchGF(n, sources, arm); r == 0 || res.NsPerOp() < best[a].NsPerOp() {
+						best[a] = res
 					}
-				} else {
-					pair[0] = row.NsPerOp
 				}
-				rep.Benchmarks = append(rep.Benchmarks, row)
 			}
-			ns[n] = pair
-		}
-		return ns
-	}
-	ns8 := run("gf8", func(n int, generic bool) testing.BenchmarkResult {
-		return benchGFKernel(gf.GF256(), n, generic)
-	})
-	ns16 := run("gf16", func(n int, generic bool) testing.BenchmarkResult {
-		return benchGFKernel(gf.GF65536(), n, generic)
-	})
-	if p := ns8[4096]; p[0] > 0 {
-		rep.SpeedupGF8Long = p[1] / p[0]
-	}
-	if p := ns16[4096]; p[0] > 0 {
-		rep.SpeedupGF16Long = p[1] / p[0]
-	}
-
-	// The fused multi-source matrix.
-	type key struct {
-		n, sources int
-	}
-	runFused := func(field string, bench func(n, sources int, perTerm bool) testing.BenchmarkResult) map[key]float64 {
-		speedups := make(map[key]float64)
-		for _, n := range gfFusedSizes {
-			for _, sources := range gfFusedSources {
-				if n == gfFusedSizes[len(gfFusedSizes)-1] && sources < gfFusedLongMin {
-					continue
-				}
-				// Interleave the two arms and keep each arm's best run:
-				// min ns/op is the noise-robust throughput estimator, and
-				// alternating keeps host-load drift from biasing one arm
-				// (single runs on shared machines swing both ways by >10%).
-				var fused, per testing.BenchmarkResult
-				for rep := 0; rep < gfFusedReps; rep++ {
-					if r := bench(n, sources, false); rep == 0 || r.NsPerOp() < fused.NsPerOp() {
-						fused = r
-					}
-					if r := bench(n, sources, true); rep == 0 || r.NsPerOp() < per.NsPerOp() {
-						per = r
-					}
-				}
-				fusedNs, perNs := float64(fused.NsPerOp()), float64(per.NsPerOp())
+			generic := float64(best[len(arms)-1].NsPerOp())
+			for a, arm := range arms {
 				row := gfBenchRow{
-					Name:    fmt.Sprintf("AddMulSlices/%s/n%d/s%d/r=fused", field, n, sources),
-					Field:   field,
+					Name:    fmt.Sprintf("AddMulBE16/n%d/s%d/r=%s", n, sources, arm),
 					N:       n,
 					Sources: sources,
 					Kernel:  rep.DispatchKernel,
-					NsPerOp: fusedNs,
-					MBPerS:  mbPerS(fused),
+					NsPerOp: float64(best[a].NsPerOp()),
+					MBPerS:  mbPerS(best[a]),
 				}
-				if fusedNs > 0 {
-					row.SpeedupVsPerTerm = perNs / fusedNs
-					speedups[key{n, sources}] = row.SpeedupVsPerTerm
+				if arm == "generic" {
+					row.Name = fmt.Sprintf("AddMulSlices/n%d/s%d/r=generic", n, sources)
+					row.Kernel = "generic"
+				} else if row.NsPerOp > 0 {
+					row.SpeedupVsGeneric = generic / row.NsPerOp
 				}
-				rep.Benchmarks = append(rep.Benchmarks, row,
-					gfBenchRow{
-						Name:    fmt.Sprintf("AddMulSlices/%s/n%d/s%d/r=perterm", field, n, sources),
-						Field:   field,
-						N:       n,
-						Sources: sources,
-						Kernel:  rep.DispatchKernel,
-						NsPerOp: perNs,
-						MBPerS:  mbPerS(per),
-					})
+				if arm == "dispatch" && n == gfBenchSizes[len(gfBenchSizes)-1] && sources == 4 {
+					rep.SpeedupLong4 = row.SpeedupVsGeneric
+				}
+				rep.Benchmarks = append(rep.Benchmarks, row)
 			}
 		}
-		return speedups
 	}
-	sp8 := runFused("gf8", func(n, sources int, perTerm bool) testing.BenchmarkResult {
-		return benchGFFused(gf.GF256(), n, sources, perTerm)
-	})
-	sp16 := runFused("gf16", func(n, sources int, perTerm bool) testing.BenchmarkResult {
-		return benchGFFused(gf.GF65536(), n, sources, perTerm)
-	})
-	mid, long := gfFusedSizes[1], gfFusedSizes[2]
-	rep.FusedSpeedupGF8Mid4 = sp8[key{mid, 4}]
-	rep.FusedSpeedupGF8Long4 = sp8[key{long, 4}]
-	rep.FusedSpeedupGF16Mid4 = sp16[key{mid, 4}]
-	rep.FusedSpeedupGF16Long4 = sp16[key{long, 4}]
 
 	data, err := json.MarshalIndent(rep, "", "  ")
 	fatal(err)
 	data = append(data, '\n')
 	fatal(os.WriteFile(out, data, 0o644))
-	if rep.DispatchKernel == "generic" {
-		fmt.Printf("gf kernel bench: no accelerated kernel on this machine (dispatch=generic) -> %s\n", out)
-		return
-	}
-	fmt.Printf("gf kernel bench: dispatch=%s gf16 long-slice speedup %.2fx, gf8 %.2fx; fused 4-src vs per-term: gf16 %.2fx (mid) %.2fx (long), gf8 %.2fx (mid) %.2fx (long) -> %s\n",
-		rep.DispatchKernel, rep.SpeedupGF16Long, rep.SpeedupGF8Long,
-		rep.FusedSpeedupGF16Mid4, rep.FusedSpeedupGF16Long4,
-		rep.FusedSpeedupGF8Mid4, rep.FusedSpeedupGF8Long4, out)
+	fmt.Printf("gf kernel bench: dispatch=%s, AddMulBE16 4-source long rows %.2fx the portable layer -> %s\n",
+		rep.DispatchKernel, rep.SpeedupLong4, out)
 }

@@ -21,11 +21,8 @@ func enableDebug(addr string, r *obs.Registry, spans *obs.SpanLog) func() {
 		"Batched multi-term GF combinations dispatched.",
 		func() float64 { return float64(gf.ReadDispatchCounts().AddMulSlices) })
 	r.CounterFunc("thinaird_gf_addmulslices_fused_dispatch_total",
-		"Batched GF combinations routed to fused arch kernels.",
+		"Batched GF combinations routed to arch strip kernels.",
 		func() float64 { return float64(gf.ReadDispatchCounts().AddMulSlicesFused) })
-	r.CounterFunc("thinaird_gf_eliminate_rows_dispatch_total",
-		"Batched GF row-elimination calls dispatched.",
-		func() float64 { return float64(gf.ReadDispatchCounts().EliminateRows) })
 
 	ln, err := net.Listen("tcp", addr)
 	fatal(err)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/eve"
-	"repro/internal/gf"
 	"repro/internal/mac"
 	"repro/internal/matrix"
 	"repro/internal/obs"
@@ -126,18 +125,16 @@ func RunSession(cfg Config, med *radio.Medium, eveNodes []radio.NodeID) (*Sessio
 	// terminal computation n-1 times per round, which without reuse
 	// dominated the session's allocation profile.
 	var tsc RoundScratch
-	rm := make(map[packet.ID][]Sym)
+	rm := make(map[packet.ID][]byte)
 	// One planner for every round: a round's plan is done with before the
 	// next round plans.
 	var planner Planner
 	// The round's z-packets, kept for the agreement check: their values
-	// and the pointers ComputeTerminalSecretInto takes; and the row Eve
-	// decodes each z-payload she overhears into. All are reused across
-	// rounds (AddCombo copies what it keeps).
+	// and the pointers ComputeTerminalSecretInto takes, reused across
+	// rounds.
 	var (
 		zvals []wire.ZPacket
 		zs    []*wire.ZPacket
-		zsym  []Sym
 	)
 	em := newEmitter(cfg.Tracer)
 	// Phase-timing instruments resolve once per session; when no
@@ -166,12 +163,9 @@ func RunSession(cfg Config, med *radio.Medium, eveNodes []radio.NodeID) (*Sessio
 		h := wire.Header{From: uint8(leader), Session: uint32(cfg.Seed), Round: uint16(round)}
 
 		// Phase 1 step 1: transmit N x-packets, spread over the round's
-		// interference slots. The leader computes on the payloads as
-		// sent; the receivers (terminals and Eve) decode each one into
-		// symbols once.
+		// interference slots. Everyone computes on the payloads as sent.
 		batch := packet.NewBatch(rng, cfg.XPerRound, cfg.PayloadBytes)
 		x := make([][]byte, cfg.XPerRound)
-		xSym := make([][]Sym, cfg.XPerRound)
 		recv := make([]*packet.IDSet, n)
 		for i := range recv {
 			recv[i] = packet.NewIDSet(cfg.XPerRound)
@@ -185,7 +179,6 @@ func RunSession(cfg Config, med *radio.Medium, eveNodes []radio.NodeID) (*Sessio
 				med.AdvanceSlot()
 			}
 			x[i] = pkt.Payload
-			xSym[i] = gf.Symbols16(pkt.Payload)
 			xh := h
 			xh.Type = wire.TypeX
 			frame := wire.FrameLen(&wire.XPacket{Header: xh, Seq: uint32(pkt.ID), Payload: pkt.Payload})
@@ -200,7 +193,7 @@ func RunSession(cfg Config, med *radio.Medium, eveNodes []radio.NodeID) (*Sessio
 				if got[ev] {
 					if !eveRecv.Has(pkt.ID) {
 						eveRecv.Add(pkt.ID)
-						know.AddUnit(int(pkt.ID), xSym[i])
+						know.AddUnit(int(pkt.ID), pkt.Payload)
 					}
 				}
 			}
@@ -297,9 +290,7 @@ func RunSession(cfg Config, med *radio.Medium, eveNodes []radio.NodeID) (*Sessio
 		for j := 0; j < zc.Rows(); j++ {
 			row := make([]Sym, cfg.XPerRound)
 			f.AddMulSlices(row, yoxRows, zc.Row(j))
-			zsym = slices.Grow(zsym[:0], len(lr.Z[j])/2)[:len(lr.Z[j])/2]
-			gf.PutSymbols16(zsym, lr.Z[j])
-			know.AddCombo(row, zsym)
+			know.AddCombo(row, lr.Z[j])
 		}
 		secretOverX := plan.Redist.SCoeffs().Mul(yox)
 		u := know.UnknownSecretDims(secretOverX)
@@ -313,13 +304,13 @@ func RunSession(cfg Config, med *radio.Medium, eveNodes []radio.NodeID) (*Sessio
 			}
 			clear(rm)
 			for _, id := range recv[t].Slice() {
-				rm[id] = xSym[int(id)]
+				rm[id] = x[int(id)]
 			}
 			sec, err := ComputeTerminalSecretInto(&tsc, rm, ya, zs, sa)
 			if err != nil {
 				return nil, fmt.Errorf("core: round %d terminal %d: %w", round, t, err)
 			}
-			if !bytes.Equal(SecretBytes(sec), secret) {
+			if !bytes.Equal(slices.Concat(sec...), secret) {
 				info.Agreed = false
 				res.AllAgreed = false
 			}

@@ -1,13 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/eve"
-	"repro/internal/gf"
 	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/radio"
@@ -271,12 +271,12 @@ func TestRankCertificateMatchesConstructiveAttack(t *testing.T) {
 			}
 			xSym[i] = p
 		}
-		lr := ComputeLeaderRound(nil, plan, wireRows(xSym))
-		lz, ls := symRows(lr.Z), symRows(lr.Secret)
+		x := wireRows(xSym)
+		lr := ComputeLeaderRound(nil, plan, x)
 
 		know := eve.NewKnowledge(f, numX)
 		for _, id := range eveSet.Slice() {
-			know.AddUnit(int(id), xSym[int(id)])
+			know.AddUnit(int(id), x[int(id)])
 		}
 		yox := plan.YOverX()
 		zc := plan.Redist.ZCoeffs()
@@ -287,7 +287,7 @@ func TestRankCertificateMatchesConstructiveAttack(t *testing.T) {
 					f.AddMulSlice(row, yox.Row(yi), c)
 				}
 			}
-			know.AddCombo(row, lz[j])
+			know.AddCombo(row, lr.Z[j])
 		}
 		sm := secretOverXMatrix(plan)
 		u := know.UnknownSecretDims(sm)
@@ -299,10 +299,8 @@ func TestRankCertificateMatchesConstructiveAttack(t *testing.T) {
 				recovered++
 				// When Eve reconstructs, the payload must be the REAL
 				// secret packet.
-				for j := range got {
-					if got[j] != ls[i][j] {
-						t.Fatalf("trial %d: Eve reconstructed wrong payload", trial)
-					}
+				if !bytes.Equal(got, lr.Secret[i]) {
+					t.Fatalf("trial %d: Eve reconstructed wrong payload", trial)
 				}
 			}
 		}
@@ -329,7 +327,6 @@ func TestSymbolWidth(t *testing.T) {
 	if Field().Size() != 65536 {
 		t.Fatal("protocol field must be GF(2^16)")
 	}
-	_ = gf.Bytes16([]Sym{1})
 }
 
 func TestAirtimeAccounting(t *testing.T) {

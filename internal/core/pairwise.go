@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"repro/internal/eve"
-	"repro/internal/gf"
 	"repro/internal/mac"
 	"repro/internal/matrix"
 	"repro/internal/packet"
@@ -91,7 +90,7 @@ func RunPairwiseRound(cfg Config, med *radio.Medium, eveNodes []radio.NodeID) (*
 		for _, ev := range eveNodes {
 			if got[ev] && !eveRecv.Has(pkt.ID) {
 				eveRecv.Add(pkt.ID)
-				know.AddUnit(int(pkt.ID), gf.Symbols16(pkt.Payload))
+				know.AddUnit(int(pkt.ID), pkt.Payload)
 			}
 		}
 	}

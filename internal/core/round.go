@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/gf"
 	"repro/internal/mds"
 	"repro/internal/packet"
 	"repro/internal/wire"
@@ -116,11 +115,11 @@ func (sc *RoundScratch) computeY(plan *Plan, x [][]byte) [][]byte {
 	f := Field()
 	y := sc.lr.Y[:0]
 	for k, cl := range plan.Classes {
-		srcs := sc.xsrcs[:0]
+		srcs := sc.srcs[:0]
 		for _, id := range cl.IDs {
 			srcs = append(srcs, x[int(id)])
 		}
-		sc.xsrcs = srcs
+		sc.srcs = srcs
 		h := plan.Extractors[k].Coeffs()
 		for i := 0; i < h.Rows(); i++ {
 			row := sc.row(len(srcs[0]))
@@ -198,15 +197,14 @@ func FillSAnnounce(sa *wire.SAnnounce, h wire.Header, plan *Plan) {
 
 // RoundScratch holds the reusable buffers one node needs to run either
 // side of a round without per-round allocation churn: the gathered class
-// sources and combination rows ([][]Sym and [][]byte headers), the
-// known-y index, the z-packet ordering buffers, the erasure-completion
-// system, and two arenas every computed row is written into — wire-order
-// rows for the leader's y-, z- and s-packets (ComputeLeaderRound,
-// LeaderSecret), symbol rows for a terminal's reconstructed y-packets,
-// decoded z-payloads and s-packets (ReceiveRoundInto, Eliminate). The zero
-// value is ready to use; buffers grow on first use and are reused
-// afterwards, so a long-lived node reaches a zero-allocation steady state
-// (pinned by TestRoundCombinationSteadyStateAllocs and
+// sources and combination rows, the known-y index, the z-packet ordering
+// buffers, the erasure-completion system, and an arena of wire-order rows
+// every computed payload is written into — the leader's y-, z- and
+// s-packets (ComputeLeaderRound, LeaderSecret), a terminal's
+// reconstructed y-packets and s-packets (ReceiveRoundInto, Eliminate).
+// The zero value is ready to use; buffers grow on first use and are
+// reused afterwards, so a long-lived node reaches a zero-allocation
+// steady state (pinned by TestRoundCombinationSteadyStateAllocs and
 // TestLeaderRoundSteadyStateAllocs).
 //
 // Rows returned by a call that takes the scratch alias its arena and stay
@@ -215,62 +213,49 @@ func FillSAnnounce(sa *wire.SAnnounce, h wire.Header, plan *Plan) {
 // pool, the keystream block or a result buffer) are unaffected. Zero
 // clears the arena once its owner is done with it.
 type RoundScratch struct {
-	xsrcs  [][]byte
+	srcs   [][]byte
 	rows   [][]byte
 	nrow   int
-	srcs   [][]Sym
-	known  map[int][]Sym
+	known  map[int][]byte
 	zs     []*wire.ZPacket
 	zc     [][]Sym
-	zp     [][]Sym
-	full   [][]Sym
-	secret [][]Sym
-	comp   mds.Completion[Sym]
+	zp     [][]byte
+	full   [][]byte
+	secret [][]byte
+	comp   mds.Completion
 	lr     LeaderRound
-	bufs   [][]Sym
-	nbuf   int
 }
 
-// payload returns a zeroed width-length symbol row from the arena.
-func (sc *RoundScratch) payload(width int) []Sym { return take(&sc.bufs, &sc.nbuf, width) }
-
-// row returns a zeroed width-byte wire-order row from the arena.
-func (sc *RoundScratch) row(width int) []byte { return take(&sc.rows, &sc.nrow, width) }
-
-// take hands out the next zeroed width-length row of an arena whose
-// first *n rows are in use, growing it when it runs out or the row in
-// line is too short.
-func take[T Sym | byte](bufs *[][]T, n *int, width int) []T {
-	i := *n
-	*n++
-	if i < len(*bufs) && cap((*bufs)[i]) >= width {
-		b := (*bufs)[i][:width]
+// row returns a zeroed width-byte wire-order row from the arena: the next
+// one, grown when the arena runs out or the row in line is too short.
+func (sc *RoundScratch) row(width int) []byte {
+	i := sc.nrow
+	sc.nrow++
+	if i < len(sc.rows) && cap(sc.rows[i]) >= width {
+		b := sc.rows[i][:width]
 		clear(b)
-		(*bufs)[i] = b
+		sc.rows[i] = b
 		return b
 	}
-	b := make([]T, width)
-	if i < len(*bufs) {
-		(*bufs)[i] = b
+	b := make([]byte, width)
+	if i < len(sc.rows) {
+		sc.rows[i] = b
 	} else {
-		*bufs = append(*bufs, b)
+		sc.rows = append(sc.rows, b)
 	}
 	return b
 }
 
 // reset prepares the scratch for a new round.
 func (sc *RoundScratch) reset() {
-	sc.nbuf, sc.nrow = 0, 0
+	sc.nrow = 0
 	clear(sc.known)
 }
 
-// Zero clears every row the arenas hold — x-derived y-, z- and s-packets
-// and the completion system — so key material does not outlive the
+// Zero clears every row the arena holds — x-derived y-, z- and s-packets
+// — and the completion system, so key material does not outlive the
 // scratch's owner unzeroed.
 func (sc *RoundScratch) Zero() {
-	for _, b := range sc.bufs {
-		clear(b[:cap(b)])
-	}
 	for _, b := range sc.rows {
 		clear(b[:cap(b)])
 	}
@@ -278,15 +263,16 @@ func (sc *RoundScratch) Zero() {
 }
 
 // ComputeTerminalSecret executes the terminal side of a round purely from
-// the wire messages and the terminal's received x-packet payloads. It
-// allocates fresh result rows; session loops that run many rounds should
-// hold a RoundScratch and call ComputeTerminalSecretInto instead.
+// the wire messages and the terminal's received x-packet payloads, as
+// sent. It allocates fresh result rows; session loops that run many
+// rounds should hold a RoundScratch and call ComputeTerminalSecretInto
+// instead.
 func ComputeTerminalSecret(
-	recv map[packet.ID][]Sym,
+	recv map[packet.ID][]byte,
 	ya *wire.YAnnounce,
 	zs []*wire.ZPacket,
 	sa *wire.SAnnounce,
-) ([][]Sym, error) {
+) ([][]byte, error) {
 	return ComputeTerminalSecretInto(nil, recv, ya, zs, sa)
 }
 
@@ -295,7 +281,8 @@ func ComputeTerminalSecret(
 // set — each as one fused multi-term kernel combination over the class's
 // x-payloads — complete the rest from the z-packets, then form the
 // s-packets, again one fused combination per row over the full y-set.
-// It returns the round's group secret.
+// Every combination runs on the payload bytes (gf's AddMulBE16). It
+// returns the round's group secret: its s-packet payloads.
 //
 // The computation is two halves, exposed separately so a pipelined
 // consumer (internal/keystream) can overlap them across rounds: the
@@ -310,11 +297,11 @@ func ComputeTerminalSecret(
 // RoundScratch.
 func ComputeTerminalSecretInto(
 	sc *RoundScratch,
-	recv map[packet.ID][]Sym,
+	recv map[packet.ID][]byte,
 	ya *wire.YAnnounce,
 	zs []*wire.ZPacket,
 	sa *wire.SAnnounce,
-) ([][]Sym, error) {
+) ([][]byte, error) {
 	pr, err := ReceiveRoundInto(sc, recv, ya)
 	if err != nil {
 		return nil, err
@@ -350,7 +337,7 @@ func (pr PartialRound) Known() int { return len(pr.sc.known) }
 // any previous PartialRound built into it is invalidated.
 func ReceiveRoundInto(
 	sc *RoundScratch,
-	recv map[packet.ID][]Sym,
+	recv map[packet.ID][]byte,
 	ya *wire.YAnnounce,
 ) (PartialRound, error) {
 	if sc == nil {
@@ -358,7 +345,7 @@ func ReceiveRoundInto(
 	}
 	sc.reset()
 	if sc.known == nil {
-		sc.known = make(map[int][]Sym)
+		sc.known = make(map[int][]byte)
 	}
 	f := Field()
 	// Reconstruct what we can of the y-packets.
@@ -390,11 +377,11 @@ func ReceiveRoundInto(
 				return PartialRound{}, fmt.Errorf("core: class coefficient row %d has %d entries for %d x-packets", r, len(row), len(batch.XIDs))
 			}
 			if have {
-				// All x-payloads in a round share one symbol width, so the
+				// All x-payloads in a round share one width, so the
 				// combination is one fused kernel call over a reused
 				// accumulator.
-				y := sc.payload(width)
-				f.AddMulSlices(y, srcs, row)
+				y := sc.row(width)
+				f.AddMulBE16(y, srcs, row)
 				known[global] = y
 			}
 			global++
@@ -408,7 +395,7 @@ func ReceiveRoundInto(
 // directly (the erasure elimination), then apply the announced privacy
 // amplification to form the round's group secret. The returned rows alias
 // the scratch arena the receive half was built into.
-func (pr PartialRound) Eliminate(zs []*wire.ZPacket, sa *wire.SAnnounce) ([][]Sym, error) {
+func (pr PartialRound) Eliminate(zs []*wire.ZPacket, sa *wire.SAnnounce) ([][]byte, error) {
 	sc, m := pr.sc, pr.M
 	f := Field()
 	known := sc.known
@@ -417,7 +404,7 @@ func (pr PartialRound) Eliminate(zs []*wire.ZPacket, sa *wire.SAnnounce) ([][]Sy
 	zsorted := append(sc.zs[:0], zs...)
 	sc.zs = zsorted
 	sortZPackets(zsorted)
-	coeffs := sc.zc[:0]
+	coeffs, payloads := sc.zc[:0], sc.zp[:0]
 	for j, zp := range zsorted {
 		if int(zp.Index) != j {
 			return nil, fmt.Errorf("core: z-packet indices not contiguous (saw %d at position %d)", zp.Index, j)
@@ -429,29 +416,23 @@ func (pr PartialRound) Eliminate(zs []*wire.ZPacket, sa *wire.SAnnounce) ([][]Sy
 			return nil, fmt.Errorf("core: z-packet %d has odd payload length", j)
 		}
 		coeffs = append(coeffs, zp.Coeffs)
+		payloads = append(payloads, zp.Payload)
 	}
-	sc.zc = coeffs
+	sc.zc, sc.zp = coeffs, payloads
 
-	var full [][]Sym
+	var full [][]byte
 	if len(known) == m {
 		// Full reception: every y-packet was reconstructed directly, so the
-		// erasure completion (and the z-payload decode) is skipped entirely
-		// and the scratch rows are used as-is.
+		// erasure completion is skipped entirely and the scratch rows are
+		// used as-is.
 		full = sc.full[:0]
 		for i := 0; i < m; i++ {
 			full = append(full, known[i])
 		}
 		sc.full = full
 	} else {
-		// Decode the z-payloads into the arena and solve for the missing
-		// y-packets in the scratch's completion system.
-		payloads := sc.zp[:0]
-		for _, zp := range zsorted {
-			p := sc.payload(len(zp.Payload) / 2)
-			gf.PutSymbols16(p, zp.Payload)
-			payloads = append(payloads, p)
-		}
-		sc.zp = payloads
+		// Solve for the missing y-packets in the scratch's completion
+		// system, straight from the z-payloads.
 		var err error
 		full, err = sc.comp.Complete(f, m, known, coeffs, payloads)
 		if err != nil {
@@ -469,8 +450,8 @@ func (pr PartialRound) Eliminate(zs []*wire.ZPacket, sa *wire.SAnnounce) ([][]Sy
 		if m > 0 {
 			width = len(full[0])
 		}
-		s := sc.payload(width)
-		f.AddMulSlices(s, full, row)
+		s := sc.row(width)
+		f.AddMulBE16(s, full, row)
 		secret = append(secret, s)
 	}
 	sc.secret = secret
@@ -488,37 +469,15 @@ func sortZPackets(zs []*wire.ZPacket) {
 	}
 }
 
-// SecretBytes flattens s-packet payload rows into the session secret byte
-// string. The output is sized once and encoded in place.
-func SecretBytes(secret [][]Sym) []byte {
-	n := 0
-	for _, row := range secret {
-		n += 2 * len(row)
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]byte, n)
-	PutSecretBytes(out, secret)
-	return out
-}
-
-// PutSecretBytes is SecretBytes into a caller-owned buffer: it writes the
-// longest prefix of the flattened secret that fits in dst and returns its
+// PutSecretBytes writes the longest prefix of the flattened secret (its
+// s-packet payloads, concatenated) that fits in dst and returns its
 // length.
-func PutSecretBytes(dst []byte, secret [][]Sym) int {
+func PutSecretBytes(dst []byte, secret [][]byte) int {
 	n := 0
 	for _, row := range secret {
-		k := min(len(row), (len(dst)-n)/2)
-		gf.PutBytes16(dst[n:], row[:k])
-		n += 2 * k
+		k := copy(dst[n:], row)
+		n += k
 		if k < len(row) {
-			if n < len(dst) { // half a symbol fits
-				var b [2]byte
-				gf.PutBytes16(b[:], row[k:k+1])
-				dst[n] = b[0]
-				n++
-			}
 			break
 		}
 	}

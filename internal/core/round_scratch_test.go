@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -13,8 +14,9 @@ import (
 )
 
 // buildTestRound assembles one leader round (plan, payloads, wire
-// messages) over numX x-packets with every terminal receiving rcv.
-func buildTestRound(t *testing.T, seed int64, numX int, rcv func(term int) *packet.IDSet) (*LeaderRound, *wire.YAnnounce, []*wire.ZPacket, *wire.SAnnounce, [][]Sym) {
+// messages) over numX x-packets of 64 bytes with every terminal
+// receiving rcv.
+func buildTestRound(t *testing.T, seed int64, numX int, rcv func(term int) *packet.IDSet) (*LeaderRound, *wire.YAnnounce, []*wire.ZPacket, *wire.SAnnounce, [][]byte) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	recv := []*packet.IDSet{fullIDSet(numX), rcv(1), rcv(2)}
@@ -35,7 +37,8 @@ func buildTestRound(t *testing.T, seed int64, numX int, rcv func(term int) *pack
 			xSym[i][j] = Sym(rng.Intn(65536))
 		}
 	}
-	lr := ComputeLeaderRound(nil, plan, wireRows(xSym))
+	x := wireRows(xSym)
+	lr := ComputeLeaderRound(nil, plan, x)
 	h := wire.Header{From: 0, Session: 9, Round: 1}
 	ya := BuildYAnnounce(h, plan)
 	zs := make([]*wire.ZPacket, len(lr.Z))
@@ -44,7 +47,7 @@ func buildTestRound(t *testing.T, seed int64, numX int, rcv func(term int) *pack
 		FillZPacket(zs[j], h, plan, j, z)
 	}
 	sa := BuildSAnnounce(h, plan)
-	return lr, ya, zs, sa, xSym
+	return lr, ya, zs, sa, x
 }
 
 // TestFillZPacketAllocs: filling a z-packet allocates nothing, its row is
@@ -94,11 +97,11 @@ func TestComputeTerminalSecretIntoMatchesFresh(t *testing.T) {
 		func(int) *packet.IDSet { return fullIDSet(8) },
 	}
 	for round, shape := range shapes {
-		lr, ya, zs, sa, xSym := buildTestRound(t, int64(40+round), 8, shape)
+		lr, ya, zs, sa, x := buildTestRound(t, int64(40+round), 8, shape)
 		for term := 1; term <= 2; term++ {
-			rm := make(map[packet.ID][]Sym)
+			rm := make(map[packet.ID][]byte)
 			for _, id := range shape(term).Slice() {
-				rm[id] = xSym[int(id)]
+				rm[id] = x[int(id)]
 			}
 			want, err := ComputeTerminalSecret(rm, ya, zs, sa)
 			if err != nil {
@@ -108,10 +111,10 @@ func TestComputeTerminalSecretIntoMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatalf("round %d term %d scratch: %v", round, term, err)
 			}
-			if !bytes.Equal(SecretBytes(got), SecretBytes(want)) {
+			if !bytes.Equal(slices.Concat(got...), slices.Concat(want...)) {
 				t.Fatalf("round %d term %d: scratch secret differs from fresh", round, term)
 			}
-			if !bytes.Equal(SecretBytes(got), slices.Concat(lr.Secret...)) {
+			if !bytes.Equal(slices.Concat(got...), slices.Concat(lr.Secret...)) {
 				t.Fatalf("round %d term %d: secret differs from leader", round, term)
 			}
 		}
@@ -136,13 +139,13 @@ func TestSplitHalvesMatchCombined(t *testing.T) {
 		ya *wire.YAnnounce
 		zs []*wire.ZPacket
 		sa *wire.SAnnounce
-		rm map[packet.ID][]Sym
+		rm map[packet.ID][]byte
 	}
 	build := func(seed int64) roundMsgs {
-		_, ya, zs, sa, xSym := buildTestRound(t, seed, 8, shape)
-		rm := make(map[packet.ID][]Sym)
+		_, ya, zs, sa, x := buildTestRound(t, seed, 8, shape)
+		rm := make(map[packet.ID][]byte)
 		for _, id := range shape(1).Slice() {
-			rm[id] = xSym[int(id)]
+			rm[id] = x[int(id)]
 		}
 		return roundMsgs{ya: ya, zs: zs, sa: sa, rm: rm}
 	}
@@ -163,7 +166,7 @@ func TestSplitHalvesMatchCombined(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d eliminate half: %v", i, err)
 		}
-		if !bytes.Equal(SecretBytes(got), SecretBytes(want)) {
+		if !bytes.Equal(slices.Concat(got...), slices.Concat(want...)) {
 			t.Fatalf("round %d: split halves diverge from combined", i)
 		}
 	}
@@ -190,7 +193,7 @@ func TestSplitHalvesMatchCombined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(SecretBytes(g0), SecretBytes(w0)) || !bytes.Equal(SecretBytes(g1), SecretBytes(w1)) {
+	if !bytes.Equal(slices.Concat(g0...), slices.Concat(w0...)) || !bytes.Equal(slices.Concat(g1...), slices.Concat(w1...)) {
 		t.Fatal("interleaved halves diverge from sequential combined results")
 	}
 	if pr0.Known() == 0 || pr1.Known() == 0 {
@@ -201,9 +204,9 @@ func TestSplitHalvesMatchCombined(t *testing.T) {
 // TestRoundCombinationSteadyStateAllocs is the zero-allocation gate on
 // the terminal round hot path: with a warm RoundScratch, the whole
 // y-reconstruction + s-combination pipeline must not allocate — no
-// [][]Sym header churn, no per-round nibble tables, no sort scratch — both
-// at full reception and with the erasure completion, whose z-payload
-// decode and augmented system live in the scratch too.
+// [][]byte header churn, no per-round tables, no sort scratch — both at
+// full reception and with the erasure completion, whose coefficient
+// system and right-hand sides live in the scratch too.
 func TestRoundCombinationSteadyStateAllocs(t *testing.T) {
 	for name, shape := range map[string]func(term int) *packet.IDSet{
 		"full": func(int) *packet.IDSet { return fullIDSet(8) },
@@ -214,10 +217,10 @@ func TestRoundCombinationSteadyStateAllocs(t *testing.T) {
 			return setOf(2, 3, 4, 5, 6, 7)
 		},
 	} {
-		_, ya, zs, sa, xSym := buildTestRound(t, 77, 8, shape)
-		rm := make(map[packet.ID][]Sym)
+		_, ya, zs, sa, x := buildTestRound(t, 77, 8, shape)
+		rm := make(map[packet.ID][]byte)
 		for _, id := range shape(1).Slice() {
-			rm[id] = xSym[int(id)]
+			rm[id] = x[int(id)]
 		}
 		var sc RoundScratch
 		if pr, _ := ReceiveRoundInto(&sc, rm, ya); (pr.Known() < pr.M) != (name == "partial") {
@@ -317,8 +320,7 @@ func equalRows(t *testing.T, name string, got, want [][]Sym) {
 // and neither does the leader-only secret, whole rows or a cut-short
 // last one.
 func TestLeaderRoundSteadyStateAllocs(t *testing.T) {
-	lr, _, _, _, xSym := buildTestRound(t, 78, 8, func(int) *packet.IDSet { return setOf(0, 1, 2, 3, 4, 5) })
-	x := wireRows(xSym)
+	lr, _, _, _, x := buildTestRound(t, 78, 8, func(int) *packet.IDSet { return setOf(0, 1, 2, 3, 4, 5) })
 	var sc RoundScratch
 	dst := make([]byte, len(lr.Secret)*len(x[0])-3)
 	for name, run := range map[string]func(){
@@ -342,13 +344,13 @@ func TestRoundScratchZero(t *testing.T) {
 		}
 		return setOf(2, 3, 4, 5, 6, 7)
 	}
-	lr, ya, zs, sa, xSym := buildTestRound(t, 79, 8, shape)
+	lr, ya, zs, sa, x := buildTestRound(t, 79, 8, shape)
 	var leader, term RoundScratch
-	got := ComputeLeaderRound(&leader, lr.Plan, wireRows(xSym))
+	got := ComputeLeaderRound(&leader, lr.Plan, x)
 	leaderRows := append(append(append([][]byte{}, got.Y...), got.Z...), got.Secret...)
-	rm := make(map[packet.ID][]Sym)
+	rm := make(map[packet.ID][]byte)
 	for _, id := range shape(1).Slice() {
-		rm[id] = xSym[int(id)]
+		rm[id] = x[int(id)]
 	}
 	pr, err := ReceiveRoundInto(&term, rm, ya)
 	if err != nil {
@@ -361,7 +363,7 @@ func TestRoundScratchZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := append(append([][]Sym{}, secret...), term.bufs...)
+	rows := append(append([][]byte{}, secret...), term.rows...)
 	leader.Zero()
 	term.Zero()
 	for i, row := range leaderRows {
@@ -370,17 +372,17 @@ func TestRoundScratchZero(t *testing.T) {
 		}
 	}
 	for i, row := range rows {
-		if slices.ContainsFunc(row, func(v Sym) bool { return v != 0 }) {
+		if slices.ContainsFunc(row, func(v byte) bool { return v != 0 }) {
 			t.Fatalf("terminal row %d not zeroed", i)
 		}
 	}
 }
 
-// TestPutSecretBytes: PutSecretBytes writes the longest prefix of
-// SecretBytes that fits — whole symbols, then half of one.
+// TestPutSecretBytes: PutSecretBytes writes the longest prefix of the
+// flattened secret that fits — whole rows, then part of one.
 func TestPutSecretBytes(t *testing.T) {
-	secret := [][]Sym{{0x0102, 0x0304}, {0x0506, 0x0708, 0x090a}}
-	want := SecretBytes(secret)
+	secret := [][]byte{{1, 2, 3, 4}, {5, 6, 7, 8, 9, 10}}
+	want := slices.Concat(secret...)
 	for n := 0; n <= len(want)+2; n++ {
 		dst := make([]byte, n)
 		got := PutSecretBytes(dst, secret)
@@ -395,7 +397,10 @@ func TestPutSecretBytes(t *testing.T) {
 func wireRows(rows [][]Sym) [][]byte {
 	out := make([][]byte, len(rows))
 	for i, r := range rows {
-		out[i] = gf.Bytes16(r)
+		out[i] = make([]byte, 2*len(r))
+		for j, v := range r {
+			binary.BigEndian.PutUint16(out[i][2*j:], v)
+		}
 	}
 	return out
 }
@@ -404,7 +409,10 @@ func wireRows(rows [][]Sym) [][]byte {
 func symRows(rows [][]byte) [][]Sym {
 	out := make([][]Sym, len(rows))
 	for i, r := range rows {
-		out[i] = gf.Symbols16(r)
+		out[i] = make([]Sym, len(r)/2)
+		for j := range out[i] {
+			out[i][j] = binary.BigEndian.Uint16(r[2*j:])
+		}
 	}
 	return out
 }
@@ -475,8 +483,8 @@ func TestLeaderSecretComputesNoZRow(t *testing.T) {
 		}
 		return setOf(2, 3, 4, 5, 6, 7)
 	}
-	lr, _, _, _, xSym := buildTestRound(t, 80, 8, shape)
-	plan, x := lr.Plan, wireRows(xSym)
+	lr, _, _, _, x := buildTestRound(t, 80, 8, shape)
+	plan := lr.Plan
 	if plan.M == plan.L {
 		t.Fatal("shape needs z-packets")
 	}

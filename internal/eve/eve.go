@@ -32,9 +32,9 @@ type Sym = uint16
 type Knowledge struct {
 	f       *gf.Field[Sym]
 	dim     int
-	coeffs  [][]Sym // each row: combination over the source space
-	content [][]Sym // payload symbols for the corresponding row
-	width   int     // payload width in symbols, fixed by first row
+	coeffs  [][]Sym  // each row: combination over the source space
+	content [][]byte // the corresponding row's payload, in wire order
+	width   int      // payload width in bytes, fixed by first row
 	// mat caches the observation matrix built from coeffs; invalidated on
 	// every new observation. Reconstruct runs once per secret row (the
 	// KnownSecretCount loop), so rebuilding A per call was quadratic
@@ -54,8 +54,9 @@ func (k *Knowledge) Dim() int { return k.dim }
 func (k *Knowledge) Rows() int { return len(k.coeffs) }
 
 // AddUnit records that Eve received source packet idx with the given
-// payload (a unit row).
-func (k *Knowledge) AddUnit(idx int, payload []Sym) {
+// payload (a unit row). Payloads are wire-order GF(2^16) rows, as the
+// packets carry them, and are copied.
+func (k *Knowledge) AddUnit(idx int, payload []byte) {
 	if idx < 0 || idx >= k.dim {
 		panic(fmt.Sprintf("eve: unit index %d outside dim %d", idx, k.dim))
 	}
@@ -65,8 +66,8 @@ func (k *Knowledge) AddUnit(idx int, payload []Sym) {
 }
 
 // AddCombo records that Eve learned the payload of the linear combination
-// described by coeff (over the source space).
-func (k *Knowledge) AddCombo(coeff, payload []Sym) {
+// described by coeff (over the source space). The payload is copied.
+func (k *Knowledge) AddCombo(coeff []Sym, payload []byte) {
 	if len(coeff) != k.dim {
 		panic("eve: combination length mismatch")
 	}
@@ -76,7 +77,7 @@ func (k *Knowledge) AddCombo(coeff, payload []Sym) {
 		panic("eve: inconsistent payload width")
 	}
 	k.coeffs = append(k.coeffs, append([]Sym(nil), coeff...))
-	k.content = append(k.content, append([]Sym(nil), payload...))
+	k.content = append(k.content, append([]byte(nil), payload...))
 	k.mat = nil
 }
 
@@ -105,9 +106,10 @@ func (k *Knowledge) UnknownSecretDims(secret *matrix.Matrix[Sym]) int {
 
 // Reconstruct attempts Eve's constructive attack on a single secret
 // combination: if the combination lies in the row space of her
-// observations, she recovers its payload by Gaussian elimination. The
-// second return reports success.
-func (k *Knowledge) Reconstruct(secretCoeff []Sym) ([]Sym, bool) {
+// observations, she recovers its payload by Gaussian elimination over the
+// coefficients and one kernel combination of her payloads. The second
+// return reports success.
+func (k *Knowledge) Reconstruct(secretCoeff []Sym) ([]byte, bool) {
 	if len(secretCoeff) != k.dim {
 		panic("eve: secret combination length mismatch")
 	}
@@ -128,8 +130,8 @@ func (k *Knowledge) Reconstruct(secretCoeff []Sym) ([]Sym, bool) {
 			return nil, false
 		}
 	}
-	out := make([]Sym, k.width)
-	k.f.AddMulSlices(out, k.content, combo)
+	out := make([]byte, k.width)
+	k.f.AddMulBE16(out, k.content, combo)
 	return out, true
 }
 

@@ -1,6 +1,7 @@
 package eve
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -10,11 +11,10 @@ import (
 
 func f16() *gf.Field[Sym] { return gf.GF65536() }
 
-func randPayload(rng *rand.Rand, w int) []Sym {
-	p := make([]Sym, w)
-	for i := range p {
-		p[i] = Sym(rng.Intn(65536))
-	}
+// randPayload returns a random wire-order payload of w symbols.
+func randPayload(rng *rand.Rand, w int) []byte {
+	p := make([]byte, 2*w)
+	rng.Read(p)
 	return p
 }
 
@@ -23,8 +23,8 @@ func TestUnitAndComboRecording(t *testing.T) {
 	if k.Dim() != 5 || k.Rows() != 0 {
 		t.Fatal("fresh knowledge wrong")
 	}
-	k.AddUnit(2, []Sym{7, 8})
-	k.AddCombo([]Sym{1, 1, 0, 0, 0}, []Sym{9, 9})
+	k.AddUnit(2, []byte{0, 7, 0, 8})
+	k.AddCombo([]Sym{1, 1, 0, 0, 0}, []byte{0, 9, 0, 9})
 	if k.Rows() != 2 {
 		t.Fatalf("rows = %d", k.Rows())
 	}
@@ -33,12 +33,12 @@ func TestUnitAndComboRecording(t *testing.T) {
 func TestPanics(t *testing.T) {
 	k := NewKnowledge(f16(), 3)
 	for i, fn := range []func(){
-		func() { k.AddUnit(3, []Sym{1}) },
-		func() { k.AddUnit(-1, []Sym{1}) },
-		func() { k.AddCombo([]Sym{1, 2}, []Sym{1}) },
+		func() { k.AddUnit(3, []byte{0, 1}) },
+		func() { k.AddUnit(-1, []byte{0, 1}) },
+		func() { k.AddCombo([]Sym{1, 2}, []byte{0, 1}) },
 		func() {
-			k.AddUnit(0, []Sym{1, 2})
-			k.AddUnit(1, []Sym{1}) // width mismatch
+			k.AddUnit(0, []byte{0, 1, 0, 2})
+			k.AddUnit(1, []byte{0, 1}) // width mismatch
 		},
 		func() { k.UnknownSecretDims(matrix.New(f16(), 1, 2)) },
 		func() { k.Reconstruct([]Sym{1}) },
@@ -58,7 +58,7 @@ func TestPerfectSecrecyCase(t *testing.T) {
 	// Source space of 4 packets. Eve knows x0 and x1. Secrets built on
 	// x2, x3 are perfectly hidden; secrets touching only x0, x1 are known.
 	rng := rand.New(rand.NewSource(1))
-	x := make([][]Sym, 4)
+	x := make([][]byte, 4)
 	for i := range x {
 		x[i] = randPayload(rng, 6)
 	}
@@ -86,13 +86,10 @@ func TestPerfectSecrecyCase(t *testing.T) {
 	if !ok {
 		t.Fatal("Eve failed to reconstruct a known combination")
 	}
-	want := make([]Sym, 6)
-	f16().AddMulSlice(want, x[0], 1)
-	f16().AddMulSlice(want, x[1], 1)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("reconstructed payload wrong at %d", i)
-		}
+	want := make([]byte, 12)
+	f16().AddMulBE16(want, x[:2], []Sym{1, 1})
+	if !bytes.Equal(got, want) {
+		t.Fatalf("reconstructed payload %x, want %x", got, want)
 	}
 }
 
@@ -100,7 +97,7 @@ func TestPartialLeakage(t *testing.T) {
 	// Eve knows x0; secret rows are x0 (known) and x1 (unknown): exactly
 	// one unknown dimension.
 	k := NewKnowledge(f16(), 2)
-	k.AddUnit(0, []Sym{42})
+	k.AddUnit(0, []byte{0, 42})
 	secret := matrix.FromRows(f16(), [][]Sym{{1, 0}, {0, 1}})
 	if got := k.UnknownSecretDims(secret); got != 1 {
 		t.Fatalf("unknown dims = %d, want 1", got)
@@ -125,11 +122,10 @@ func TestReconstructWithDependentRows(t *testing.T) {
 	// Eve has redundant observations (same combo twice, plus their sum);
 	// SolveLeft is underdetermined but reconstruction must still work.
 	rng := rand.New(rand.NewSource(2))
-	x := [][]Sym{randPayload(rng, 4), randPayload(rng, 4)}
+	x := [][]byte{randPayload(rng, 4), randPayload(rng, 4)}
 	f := f16()
-	sum := make([]Sym, 4)
-	f.AddMulSlice(sum, x[0], 1)
-	f.AddMulSlice(sum, x[1], 1)
+	sum := make([]byte, 8)
+	f.AddMulBE16(sum, x, []Sym{1, 1})
 
 	k := NewKnowledge(f, 2)
 	k.AddUnit(0, x[0])
@@ -140,10 +136,8 @@ func TestReconstructWithDependentRows(t *testing.T) {
 	if !ok {
 		t.Fatal("failed to reconstruct despite spanning knowledge")
 	}
-	for i := range got {
-		if got[i] != x[1][i] {
-			t.Fatalf("payload wrong at %d", i)
-		}
+	if !bytes.Equal(got, x[1]) {
+		t.Fatalf("payload %x, want %x", got, x[1])
 	}
 	// Rank certificate agrees: nothing unknown.
 	secret := matrix.FromRows(f, [][]Sym{{0, 1}})
@@ -164,7 +158,7 @@ func TestRankCertificateMatchesAttackRandomized(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		dim := rng.Intn(10) + 4
 		k := NewKnowledge(f, dim)
-		x := make([][]Sym, dim)
+		x := make([][]byte, dim)
 		for i := range x {
 			x[i] = randPayload(rng, 3)
 		}
@@ -175,11 +169,11 @@ func TestRankCertificateMatchesAttackRandomized(t *testing.T) {
 		}
 		// Plus one random combo she overheard.
 		combo := make([]Sym, dim)
-		payload := make([]Sym, 3)
+		payload := make([]byte, 6)
 		for j := 0; j < dim; j++ {
 			combo[j] = Sym(rng.Intn(65536))
-			f.AddMulSlice(payload, x[j], combo[j])
 		}
+		f.AddMulBE16(payload, x, combo)
 		k.AddCombo(combo, payload)
 
 		// Secret: one row inside the span (sum of two knowledge rows if
@@ -190,10 +184,8 @@ func TestRankCertificateMatchesAttackRandomized(t *testing.T) {
 		if !ok {
 			t.Fatalf("trial %d: combo row not reconstructable", trial)
 		}
-		for i := range rec {
-			if rec[i] != payload[i] {
-				t.Fatalf("trial %d: combo payload mismatch", trial)
-			}
+		if !bytes.Equal(rec, payload) {
+			t.Fatalf("trial %d: combo payload mismatch", trial)
 		}
 		random := make([]Sym, dim)
 		for j := range random {

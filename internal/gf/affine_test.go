@@ -91,7 +91,7 @@ type wireRoute struct {
 }
 
 // wireRoutes lists every AddMulBE16 route the host can run: the generic
-// layer always, the AVX2 BE kernels and the GFNI affine kernel where the
+// layer always, the AVX2 kernels and the GFNI affine kernel where the
 // CPU has them. Tests call each directly, since dispatch picks only one.
 func wireRoutes(f *Field[uint16]) []wireRoute {
 	rs := []wireRoute{{name: "generic", run: func(dst []byte, srcs [][]byte, cs []uint16) {
@@ -110,7 +110,7 @@ func wireRoutes(f *Field[uint16]) []wireRoute {
 
 // TestWireRoutesMatchSymbols runs each route over term counts on both
 // sides of the GFNI kernel's batch, with Cauchy, random, zero and one
-// coefficients, and compares with decode → AddMulSliceGeneric → encode.
+// coefficients, and compares with the portable layer on the symbols.
 func TestWireRoutesMatchSymbols(t *testing.T) {
 	f := GF65536()
 	rng := rand.New(rand.NewSource(21))
@@ -140,19 +140,19 @@ func TestWireRoutesMatchSymbols(t *testing.T) {
 			}
 			want := append([]uint16(nil), dst...)
 			for j := range srcs {
-				f.AddMulSliceGeneric(want, srcs[j], cs[j])
+				f.AddMulSlice(want, srcs[j], cs[j])
 			}
 			bsrcs := make([][]byte, rows)
 			for j := range srcs {
-				bsrcs[j] = Bytes16(srcs[j])
+				bsrcs[j] = wireOf(srcs[j])
 			}
 			for _, r := range wireRoutes(f) {
 				if r.strips && n < fusedMin16 {
 					continue
 				}
-				got := Bytes16(dst)
+				got := wireOf(dst)
 				r.run(got, bsrcs, cs)
-				if !bytes.Equal(got, Bytes16(want)) {
+				if !bytes.Equal(got, wireOf(want)) {
 					t.Fatalf("route %s (rows=%d n=%d) diverges from the symbol result", r.name, rows, n)
 				}
 			}
@@ -161,14 +161,14 @@ func TestWireRoutesMatchSymbols(t *testing.T) {
 }
 
 // TestGFNIKernelName: the field reports the GFNI path by name, and only
-// GF(2^16) takes it.
+// GF(2^16) has arch kernels: GF(2^8) stays on the portable layer.
 func TestGFNIKernelName(t *testing.T) {
 	f16, f8 := GF65536(), GF256()
 	if f16.kern.gfni != (f16.Kernel() == "gfni") {
 		t.Fatalf("GF(2^16) kernel %q with gfni=%v", f16.Kernel(), f16.kern.gfni)
 	}
-	if f8.kern.gfni || f8.Kernel() == "gfni" {
-		t.Fatalf("GF(2^8) selected the GF(2^16) affine path (%q)", f8.Kernel())
+	if f8.kern.accel || f8.Kernel() != "generic" {
+		t.Fatalf("GF(2^8) selected an arch kernel (%q)", f8.Kernel())
 	}
 }
 

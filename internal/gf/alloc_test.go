@@ -8,9 +8,9 @@ import (
 
 // Zero-allocation gates for the kernel hot paths. Every matrix
 // elimination step and packet combination bottoms out here, so a single
-// heap allocation per call (as the old function-pointer dispatch caused:
+// heap allocation per call (as a function-pointer dispatch causes:
 // escape analysis cannot see through an indirect call, so the stack
-// nibble caches escaped) multiplies into per-round garbage across the
+// tables escape) multiplies into per-round garbage across the
 // whole system. The arch shims are direct calls precisely so these gates
 // can hold; they must stay at zero on every build, purego included.
 
@@ -34,13 +34,9 @@ func TestKernelPathsAllocFree(t *testing.T) {
 	s16 := make([][]uint16, rows)
 	c8 := make([]uint8, rows)
 	c16 := make([]uint16, rows)
-	e8 := make([][]uint8, rows)
-	e16 := make([][]uint16, rows)
 	for j := 0; j < rows; j++ {
 		s8[j] = make([]uint8, n)
 		s16[j] = make([]uint16, n)
-		e8[j] = make([]uint8, n)
-		e16[j] = make([]uint16, n)
 		for i := 0; i < n; i++ {
 			s8[j][i] = uint8(rng.Intn(256))
 			s16[j][i] = uint16(rng.Intn(65536))
@@ -55,10 +51,6 @@ func TestKernelPathsAllocFree(t *testing.T) {
 	testKernelAllocs(t, "gf16 MulSlice", func() { f16.MulSlice(d16, 7) })
 	testKernelAllocs(t, "gf8 AddMulSlices", func() { f8.AddMulSlices(d8, s8, c8) })
 	testKernelAllocs(t, "gf16 AddMulSlices", func() { f16.AddMulSlices(d16, s16, c16) })
-	testKernelAllocs(t, "gf8 AddMulSlicesPerTerm", func() { f8.AddMulSlicesPerTerm(d8, s8, c8) })
-	testKernelAllocs(t, "gf16 AddMulSlicesPerTerm", func() { f16.AddMulSlicesPerTerm(d16, s16, c16) })
-	testKernelAllocs(t, "gf8 EliminateRows", func() { f8.EliminateRows(e8, s8[0], c8) })
-	testKernelAllocs(t, "gf16 EliminateRows", func() { f16.EliminateRows(e16, s16[0], c16) })
 
 	b16 := bytesOf16(d16)
 	bs16 := make([][]byte, rows)
@@ -69,7 +61,7 @@ func TestKernelPathsAllocFree(t *testing.T) {
 	tail := trim(bs16, 2*n-6)
 	testKernelAllocs(t, "gf16 AddMulBE16 tail", func() { f16.AddMulBE16(b16[:2*n-6], tail, c16) })
 
-	// Short slices stay on the generic layers; they must be clean too.
+	// Short rows stay on the portable layer; they must be clean too.
 	testKernelAllocs(t, "gf16 AddMulSlice short", func() { f16.AddMulSlice(d16[:40], s16[0][:40], 7) })
 	testKernelAllocs(t, "gf16 AddMulSlices short", func() {
 		f16.AddMulSlices(d16[:40], [][]uint16{s16[0][:40], s16[1][:40]}, c16[:2])

@@ -2,54 +2,37 @@
 
 package gf
 
-// amd64 backend: AVX2 block and strip kernels over the nibble-split
-// tables (bulk_amd64.s). Each 32-byte block costs two shuffles for
-// GF(2^8) and eight for GF(2^16), against one or two table loads per
-// symbol on the generic layer; the fused multi-source kernels keep a
-// 128-byte accumulator strip in registers across 2-4 terms.
+// amd64 backend: wire-order GF(2^16) strip kernels (bulk_amd64.s) — the
+// GFNI affine kernel where the CPU has GFNI, else three AVX2 kernels
+// over the nibble-split tables, whose 128-byte accumulator strip stays
+// in registers across 1, 2 or 4 terms.
 //
 // The arch* functions below are the dispatch shims the portable routing
-// layer (bulk.go) calls directly. Direct calls matter: the kernels are
-// declared //go:noescape, and escape analysis only propagates that
-// through a static call chain — dispatching through function pointers
-// (as this layer once did) makes every table and scratch argument
-// escape, heap-allocating a nibble cache per call on the hot paths the
-// zero-allocation tests now pin.
+// layer (wire.go, affine.go) calls directly. Direct calls matter: the
+// kernels are declared //go:noescape, and escape analysis only
+// propagates that through a static call chain — dispatching through
+// function pointers makes every table and scratch argument escape,
+// heap-allocating them per call on the hot paths the zero-allocation
+// tests pin.
 
 // pickKernels selects the widest kernel this CPU can run for a field of
 // the given size. Feature detection is done here once, at field
 // construction, rather than per call; the arch shims are only reached
-// when accel is true. A GF(2^16) field on a GFNI host also runs its
-// wire-order rows through the affine kernel (affine.go).
+// when accel is true. Only GF(2^16) has kernels: GF(2^8) stays on the
+// portable layer.
 func pickKernels(size int) kernels {
-	if !hasAVX2() {
+	if size != 1<<16 || !hasAVX2() {
 		return kernels{name: "generic"}
 	}
-	if size == 1<<16 && hasGFNI() {
+	if hasGFNI() {
 		return kernels{name: "gfni", accel: true, gfni: true}
 	}
 	return kernels{name: "avx2", accel: true}
 }
 
-// Single-source shims: blocks of kernelBlockBytes.
-
-func archAddMul8(dst, src *uint8, blocks int, t *nib8)    { gf8AddMulAVX2(dst, src, blocks, t) }
-func archMul8(dst, src *uint8, blocks int, t *nib8)       { gf8MulAVX2(dst, src, blocks, t) }
-func archAddMul16(dst, src *uint16, blocks int, t *nib16) { gf16AddMulAVX2(dst, src, blocks, t) }
-func archMul16(dst, src *uint16, blocks int, t *nib16)    { gf16MulAVX2(dst, src, blocks, t) }
-
-// planar16 gates the byte-planar single-source GF(2^16) kernel: on amd64
-// whole 128-byte strips of AddMul route through archAddMulPlanar16, which
-// broadcasts the term's tables once and keeps them resident across every
-// strip. Other arches keep the interleaved block kernels.
-const planar16 = true
-
-func archAddMulPlanar16(dst, src *uint16, strips int, t *nib16) {
-	gf16AddMulPlanarAVX2(dst, src, strips, t)
-}
-
-// Wire-order shims: the byte-planar kernels over big-endian rows
-// (wire.go), strips of fusedStripBytes.
+// Strip shims: strips of fusedStripBytes over big-endian rows; srcs
+// points at an array of 2 or 4 source pointers, ts at as many
+// contiguous nibble tables.
 
 func archAddMulPlanarBE16(dst, src *byte, strips int, t *nib16) {
 	gf16AddMulPlanarBEAVX2(dst, src, strips, t)
@@ -68,26 +51,6 @@ func archAddMul4xBE16(dst *byte, srcs **byte, strips int, ts *nib16) {
 // pointers and coefficient matrices.
 func archAddMulAffineBE16(dst *byte, srcs **byte, ms *mat16, terms, strips int) {
 	gf16AddMulBEGFNI(dst, srcs, ms, terms, strips)
-}
-
-// Fused multi-source shims: strips of fusedStripBytes; srcs points at an
-// array of 2 or 4 source pointers, ts at as many contiguous nibble
-// tables.
-
-func archAddMul2x8(dst *uint8, srcs **uint8, strips int, ts *nib8) {
-	gf8AddMul2AVX2(dst, srcs, strips, ts)
-}
-
-func archAddMul4x8(dst *uint8, srcs **uint8, strips int, ts *nib8) {
-	gf8AddMul4AVX2(dst, srcs, strips, ts)
-}
-
-func archAddMul2x16(dst *uint16, srcs **uint16, strips int, ts *nib16) {
-	gf16AddMul2AVX2(dst, srcs, strips, ts)
-}
-
-func archAddMul4x16(dst *uint16, srcs **uint16, strips int, ts *nib16) {
-	gf16AddMul4AVX2(dst, srcs, strips, ts)
 }
 
 // hasAVX2 reports whether the CPU and OS support the AVX2 kernels:
@@ -130,47 +93,8 @@ func cpuidex(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 //go:noescape
 func xgetbv0() (eax, edx uint32)
 
-// The block kernels. Each processes exactly blocks*32 bytes; the routing
-// layer in bulk.go guarantees blocks >= 1 and finishes tails portably.
-// dst and src may be the same pointer (MulSlice runs in place) but must
-// not partially overlap.
-//
-//go:noescape
-func gf8AddMulAVX2(dst, src *uint8, blocks int, t *nib8)
-
-//go:noescape
-func gf8MulAVX2(dst, src *uint8, blocks int, t *nib8)
-
-//go:noescape
-func gf16AddMulAVX2(dst, src *uint16, blocks int, t *nib16)
-
-//go:noescape
-func gf16MulAVX2(dst, src *uint16, blocks int, t *nib16)
-
-// The planar single-source strip kernel: strips*64 words, tables
-// broadcast once per call. dst and src must not overlap (AddMul only).
-//
-//go:noescape
-func gf16AddMulPlanarAVX2(dst, src *uint16, strips int, t *nib16)
-
-// The fused strip kernels. Each processes exactly strips*128 bytes of
-// the accumulator, reading the same span of every source; srcs and ts
-// are arrays of 2 or 4 entries (stack scratch in the routing layer).
-//
-//go:noescape
-func gf8AddMul2AVX2(dst *uint8, srcs **uint8, strips int, ts *nib8)
-
-//go:noescape
-func gf8AddMul4AVX2(dst *uint8, srcs **uint8, strips int, ts *nib8)
-
-//go:noescape
-func gf16AddMul2AVX2(dst *uint16, srcs **uint16, strips int, ts *nib16)
-
-//go:noescape
-func gf16AddMul4AVX2(dst *uint16, srcs **uint16, strips int, ts *nib16)
-
-// The wire-order strip kernels: the planar, 2-source and 4-source
-// GF(2^16) kernels above over big-endian rows, strips*128 bytes each.
+// The AVX2 strip kernels: single-source, 2-source and 4-source, each
+// over strips*128 wire-order bytes.
 //
 //go:noescape
 func gf16AddMulPlanarBEAVX2(dst, src *byte, strips int, t *nib16)

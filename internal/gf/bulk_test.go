@@ -1,6 +1,8 @@
 package gf
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -8,8 +10,28 @@ import (
 
 // The bulk kernels take different code paths depending on field width,
 // coefficient and slice length (word-wide XOR, full product table, split
-// product row, log/exp fallback). These property tests pin every path to
-// the scalar Mul/Add reference.
+// product row, log/exp fallback, and for wire-order rows the arch strip
+// kernels). These property tests pin every path to the scalar Mul/Add
+// reference.
+
+// wireOf encodes symbols as a wire-order row: each symbol two bytes,
+// high byte first.
+func wireOf(s []uint16) []byte {
+	out := make([]byte, 2*len(s))
+	for i, v := range s {
+		binary.BigEndian.PutUint16(out[2*i:], v)
+	}
+	return out
+}
+
+// symbolsOf decodes an even-length wire-order row.
+func symbolsOf(b []byte) []uint16 {
+	out := make([]uint16, len(b)/2)
+	for i := range out {
+		out[i] = binary.BigEndian.Uint16(b[2*i:])
+	}
+	return out
+}
 
 // kernelLengths crosses every path boundary: empty, single, odd lengths,
 // word-XOR head/tail remainders, and both sides of bulkMin16.
@@ -116,18 +138,8 @@ func TestDotMatchesScalar(t *testing.T) {
 
 // TestNibbleTablesMatchScalar pins the nibble-split table layout itself:
 // for a spread of coefficients, the table-composed product must equal the
-// scalar Mul over every symbol (exhaustive for both fields).
+// scalar Mul over every symbol.
 func TestNibbleTablesMatchScalar(t *testing.T) {
-	f8 := GF256()
-	for _, c := range []uint8{1, 2, 3, 7, 0x53, 0xca, 0xff} {
-		var t8 nib8
-		f8.buildNib8(&t8, c)
-		for s := 0; s < 256; s++ {
-			if got, want := mulNib8(&t8, uint8(s)), f8.Mul(c, uint8(s)); got != want {
-				t.Fatalf("gf8 nibble tables: %d*%d = %d, want %d", c, s, got, want)
-			}
-		}
-	}
 	f16 := GF65536()
 	rng := rand.New(rand.NewSource(4))
 	coeffs := []uint16{1, 2, 3, 7, 0x100b, 0x8000, 0xffff}
@@ -145,10 +157,13 @@ func TestNibbleTablesMatchScalar(t *testing.T) {
 	}
 }
 
-// TestDispatchMatchesGeneric differential-tests the dispatched kernels
-// (whatever layer pickKernels selected on this machine) against the
-// portable generic layer across lengths, alignments and coefficients —
-// the byte-identical guarantee the arch backends must uphold.
+// TestDispatchMatchesGeneric differential-tests every single-term entry
+// point, as dispatched on this machine, against scalar arithmetic across
+// lengths, alignments and coefficients: AddMulSlice and MulSlice for
+// both fields (always the portable layer), and for GF(2^16) AddMulBE16
+// on the same terms in wire order, whose route (gfni, avx2 or generic)
+// pickKernels chose — the byte-identical guarantee the arch backends
+// must uphold.
 func TestDispatchMatchesGeneric(t *testing.T) {
 	check := func(t *testing.T, f16 bool) {
 		rng := rand.New(rand.NewSource(5))
@@ -182,32 +197,44 @@ func diffOne[E Elem](t *testing.T, f *Field[E], n, do, so int, c E, rng *rand.Ra
 	for i := range dst {
 		dst[i] = E(rng.Intn(f.Size()))
 	}
-	want := append([]E(nil), dst...)
-	f.AddMulSliceGeneric(want, src, c)
+	want := make([]E, n)
+	mwant := make([]E, n)
+	for i := range want {
+		want[i] = dst[i] ^ f.Mul(c, src[i])
+		mwant[i] = f.Mul(c, dst[i])
+	}
 	got := append([]E(nil), dst...)
 	f.AddMulSlice(got, src, c)
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("%s kernel %q AddMulSlice(n=%d offs=%d/%d c=%d)[%d] = %d, generic says %d",
-				f.Name(), f.Kernel(), n, do, so, c, i, got[i], want[i])
+			t.Fatalf("%s AddMulSlice(n=%d offs=%d/%d c=%d)[%d] = %d, want %d",
+				f.Name(), n, do, so, c, i, got[i], want[i])
 		}
 	}
-	mwant := append([]E(nil), dst...)
-	f.MulSliceGeneric(mwant, c)
 	mgot := append([]E(nil), dst...)
 	f.MulSlice(mgot, c)
 	for i := range mwant {
 		if mgot[i] != mwant[i] {
-			t.Fatalf("%s kernel %q MulSlice(n=%d c=%d)[%d] = %d, generic says %d",
-				f.Name(), f.Kernel(), n, c, i, mgot[i], mwant[i])
+			t.Fatalf("%s MulSlice(n=%d c=%d)[%d] = %d, want %d", f.Name(), n, c, i, mgot[i], mwant[i])
+		}
+	}
+	if f16, ok := any(f).(*Field[uint16]); ok {
+		// The same term in wire order, at byte offsets (odd ones
+		// included) into larger rows.
+		d := append(make([]byte, do), wireOf(any(dst).([]uint16))...)[do:]
+		s := append(make([]byte, so), wireOf(any(src).([]uint16))...)[so:]
+		f16.AddMulBE16(d, [][]byte{s}, []uint16{uint16(c)})
+		if !bytes.Equal(d, wireOf(any(want).([]uint16))) {
+			t.Fatalf("kernel %q AddMulBE16(n=%d offs=%d/%d c=%d) diverges from scalar",
+				f.Kernel(), n, do, so, c)
 		}
 	}
 }
 
-// TestBatchedEntryPoints pins AddMulSlices and EliminateRows (including
-// their shared nibble-table cache, exercised by repeated and changing
-// coefficients) against a loop of generic single-row calls, over both
-// fields.
+// TestBatchedEntryPoints pins AddMulSlices, and for GF(2^16) AddMulBE16
+// on the same terms in wire order (including the AVX2 route's table
+// sharing, exercised by repeated and changing coefficients), against a
+// loop of single-row calls, over both fields.
 func TestBatchedEntryPoints(t *testing.T) {
 	for _, n := range []int{0, 3, 50, 96, 97, 300, 1024} {
 		testBatched(t, GF256(), n)
@@ -235,7 +262,7 @@ func testBatched[E Elem](t *testing.T, f *Field[E], n int) {
 	}
 	want := append([]E(nil), dst...)
 	for j := range srcs {
-		f.AddMulSliceGeneric(want, srcs[j], cs[j])
+		f.AddMulSlice(want, srcs[j], cs[j])
 	}
 	got := append([]E(nil), dst...)
 	f.AddMulSlices(got, srcs, cs)
@@ -244,39 +271,36 @@ func testBatched[E Elem](t *testing.T, f *Field[E], n int) {
 			t.Fatalf("%s AddMulSlices(n=%d)[%d] = %d, want %d", f.Name(), n, i, got[i], want[i])
 		}
 	}
-
-	// EliminateRows: same coefficients, dsts are the rows this time.
-	dsts := make([][]E, rows)
-	wants := make([][]E, rows)
-	for j := range dsts {
-		dsts[j] = make([]E, n)
-		for i := range dsts[j] {
-			dsts[j][i] = E(rng.Intn(f.Size()))
-		}
-		wants[j] = append([]E(nil), dsts[j]...)
-		f.AddMulSliceGeneric(wants[j], dst, cs[j])
-	}
-	f.EliminateRows(dsts, dst, cs)
-	for j := range dsts {
-		for i := range dsts[j] {
-			if dsts[j][i] != wants[j][i] {
-				t.Fatalf("%s EliminateRows(n=%d)[%d][%d] = %d, want %d", f.Name(), n, j, i, dsts[j][i], wants[j][i])
-			}
-		}
+	if f16, ok := any(f).(*Field[uint16]); ok {
+		checkWire(t, f16, any(dst).([]uint16), any(srcs).([][]uint16), any(cs).([]uint16), any(want).([]uint16))
 	}
 }
 
-// fusedLengths crosses every fused-routing boundary: below the fused
-// minimums, around the 128-byte strip size, strip+tail splits, and
-// multi-strip lengths.
+// checkWire runs dst ^= Σ cs[j]·srcs[j] through AddMulBE16 on the rows'
+// wire-order bytes and compares with the symbol result want.
+func checkWire(t *testing.T, f *Field[uint16], dst []uint16, srcs [][]uint16, cs, want []uint16) {
+	t.Helper()
+	bsrcs := make([][]byte, len(srcs))
+	for j := range srcs {
+		bsrcs[j] = wireOf(srcs[j])
+	}
+	got := wireOf(dst)
+	f.AddMulBE16(got, bsrcs, cs)
+	if !bytes.Equal(got, wireOf(want)) {
+		t.Fatalf("kernel %q AddMulBE16(n=%d rows=%d) diverges from the symbol result", f.Kernel(), len(dst), len(srcs))
+	}
+}
+
+// fusedLengths crosses every strip-routing boundary: below the strip
+// kernels' minimum, around the 128-byte strip size, strip+tail splits,
+// and multi-strip lengths.
 var fusedLengths = []int{0, 1, 31, 63, 64, 65, 95, 96, 97, 127, 128, 129, 191, 192, 255, 256, 257, 383, 384, 1000, 1024, 4096}
 
-// TestFusedMatchesGeneric pins the fused AddMulSlices tiling — arch strip
-// kernels, portable fused tails, term grouping (4/2/1), zero and unit
-// coefficients, repeated-coefficient table sharing — against a loop of
-// generic single-row calls, across source counts and offsets, for both
-// fields. It also pins AddMulSlicesPerTerm (the benchmark reference arm)
-// to the same result.
+// TestFusedMatchesGeneric pins multi-term combinations — for GF(2^16)
+// AddMulBE16's strip passes (term grouping 4/2/1, portable tails, zero
+// and unit coefficients, repeated-coefficient table sharing) — against
+// a loop of single-row calls, across source counts and offsets, for
+// both fields.
 func TestFusedMatchesGeneric(t *testing.T) {
 	t.Run("gf8", func(t *testing.T) { testFused(t, GF256()) })
 	t.Run("gf16", func(t *testing.T) { testFused(t, GF65536()) })
@@ -315,7 +339,7 @@ func testFused[E Elem](t *testing.T, f *Field[E]) {
 				}
 				want := append([]E(nil), dst...)
 				for j := range srcs {
-					f.AddMulSliceGeneric(want, srcs[j], cs[j])
+					f.AddMulSlice(want, srcs[j], cs[j])
 				}
 				got := append([]E(nil), dst...)
 				f.AddMulSlices(got, srcs, cs)
@@ -325,90 +349,15 @@ func testFused[E Elem](t *testing.T, f *Field[E]) {
 							f.Name(), n, rows, off, i, got[i], want[i])
 					}
 				}
-				per := append([]E(nil), dst...)
-				f.AddMulSlicesPerTerm(per, srcs, cs)
-				for i := range want {
-					if per[i] != want[i] {
-						t.Fatalf("%s AddMulSlicesPerTerm(n=%d rows=%d off=%d)[%d] = %d, want %d",
-							f.Name(), n, rows, off, i, per[i], want[i])
-					}
+				if f16, ok := any(f).(*Field[uint16]); ok {
+					checkWire(t, f16, any(dst).([]uint16), any(srcs).([][]uint16), any(cs).([]uint16), any(want).([]uint16))
 				}
 			}
 		}
 	}
 }
 
-// TestFusedPortableLoops pins the portable fused nibble loops (the strip
-// kernels' tail path and differential reference for the fused ABI)
-// against scalar arithmetic directly.
-func TestFusedPortableLoops(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	f8 := GF256()
-	f16 := GF65536()
-	for _, n := range []int{0, 1, 5, 17, 40, 127} {
-		var t8 [fusedWidth]nib8
-		var t16 [fusedWidth]nib16
-		c8 := make([]uint8, fusedWidth)
-		c16 := make([]uint16, fusedWidth)
-		s8 := make([][]uint8, fusedWidth)
-		s16 := make([][]uint16, fusedWidth)
-		for j := 0; j < fusedWidth; j++ {
-			c8[j] = uint8(1 + rng.Intn(255))
-			c16[j] = uint16(1 + rng.Intn(65535))
-			f8.buildNib8(&t8[j], c8[j])
-			f16.buildNib16(&t16[j], c16[j])
-			s8[j] = make([]uint8, n)
-			s16[j] = make([]uint16, n)
-			for i := 0; i < n; i++ {
-				s8[j][i] = uint8(rng.Intn(256))
-				s16[j][i] = uint16(rng.Intn(65536))
-			}
-		}
-		d8 := make([]uint8, n)
-		d16 := make([]uint16, n)
-		for i := 0; i < n; i++ {
-			d8[i] = uint8(rng.Intn(256))
-			d16[i] = uint16(rng.Intn(65536))
-		}
-		w8 := append([]uint8(nil), d8...)
-		w16 := append([]uint16(nil), d16...)
-		for j := 0; j < fusedWidth; j++ {
-			for i := 0; i < n; i++ {
-				w8[i] ^= f8.Mul(c8[j], s8[j][i])
-				w16[i] ^= f16.Mul(c16[j], s16[j][i])
-			}
-		}
-		g8 := append([]uint8(nil), d8...)
-		addMulNib8x4(g8, s8[0], s8[1], s8[2], s8[3], &t8)
-		g16 := append([]uint16(nil), d16...)
-		addMulNib16x4(g16, s16[0], s16[1], s16[2], s16[3], &t16)
-		for i := 0; i < n; i++ {
-			if g8[i] != w8[i] {
-				t.Fatalf("addMulNib8x4(n=%d)[%d] = %d, want %d", n, i, g8[i], w8[i])
-			}
-			if g16[i] != w16[i] {
-				t.Fatalf("addMulNib16x4(n=%d)[%d] = %d, want %d", n, i, g16[i], w16[i])
-			}
-		}
-		g8 = append(g8[:0], d8...)
-		addMulNib8x2(g8, s8[0], s8[1], &t8)
-		addMulNib8x2(g8[:0:0], nil, nil, &t8) // degenerate empty call
-		g16 = append(g16[:0], d16...)
-		addMulNib16x2(g16, s16[0], s16[1], &t16)
-		for i := 0; i < n; i++ {
-			want8 := d8[i] ^ f8.Mul(c8[0], s8[0][i]) ^ f8.Mul(c8[1], s8[1][i])
-			want16 := d16[i] ^ f16.Mul(c16[0], s16[0][i]) ^ f16.Mul(c16[1], s16[1][i])
-			if g8[i] != want8 {
-				t.Fatalf("addMulNib8x2(n=%d)[%d] = %d, want %d", n, i, g8[i], want8)
-			}
-			if g16[i] != want16 {
-				t.Fatalf("addMulNib16x2(n=%d)[%d] = %d, want %d", n, i, g16[i], want16)
-			}
-		}
-	}
-}
-
-func benchAddMul[E Elem](b *testing.B, f *Field[E], n int, c E, generic bool) {
+func benchAddMul[E Elem](b *testing.B, f *Field[E], n int, c E) {
 	dst := make([]E, n)
 	src := make([]E, n)
 	rng := rand.New(rand.NewSource(9))
@@ -421,36 +370,26 @@ func benchAddMul[E Elem](b *testing.B, f *Field[E], n int, c E, generic bool) {
 	}
 	b.SetBytes(int64(n * elemBytes))
 	b.ResetTimer()
-	if generic {
-		for i := 0; i < b.N; i++ {
-			f.AddMulSliceGeneric(dst, src, c)
-		}
-		return
-	}
 	for i := 0; i < b.N; i++ {
 		f.AddMulSlice(dst, src, c)
 	}
 }
 
-// BenchmarkAddMulSlice is the kernel benchmark matrix (field x slice
-// length x kernel) the CI bench job and cmd/thinair-bench's BENCH_gf.json
-// emitter run. The "k=dispatch" arm measures whatever pickKernels selected
-// on this machine (Field.Kernel names it); "k=generic" pins the portable
-// reference layer so the dispatch speedup is visible in one run.
+// BenchmarkAddMulSlice is the symbol-row benchmark matrix (field x slice
+// length) the CI bench gate runs: AddMulSlice on the portable layer, the
+// row arithmetic of the matrix package.
 func BenchmarkAddMulSlice(b *testing.B) {
 	for _, n := range []int{16, 64, 256, 1024, 4096, 16384} {
 		n := n
-		b.Run(fmt.Sprintf("gf8/n%d/k=dispatch", n), func(b *testing.B) { benchAddMul(b, GF256(), n, 7, false) })
-		b.Run(fmt.Sprintf("gf8/n%d/k=generic", n), func(b *testing.B) { benchAddMul(b, GF256(), n, 7, true) })
-		b.Run(fmt.Sprintf("gf16/n%d/k=dispatch", n), func(b *testing.B) { benchAddMul(b, GF65536(), n, 7, false) })
-		b.Run(fmt.Sprintf("gf16/n%d/k=generic", n), func(b *testing.B) { benchAddMul(b, GF65536(), n, 7, true) })
+		b.Run(fmt.Sprintf("gf8/n%d/k=generic", n), func(b *testing.B) { benchAddMul(b, GF256(), n, 7) })
+		b.Run(fmt.Sprintf("gf16/n%d/k=generic", n), func(b *testing.B) { benchAddMul(b, GF65536(), n, 7) })
 	}
 	// The coefficient-1 (pure XOR) arms, common in practice.
-	b.Run("gf8/n1024/k=xor", func(b *testing.B) { benchAddMul(b, GF256(), 1024, 1, false) })
-	b.Run("gf16/n1024/k=xor", func(b *testing.B) { benchAddMul(b, GF65536(), 1024, 1, false) })
+	b.Run("gf8/n1024/k=xor", func(b *testing.B) { benchAddMul(b, GF256(), 1024, 1) })
+	b.Run("gf16/n1024/k=xor", func(b *testing.B) { benchAddMul(b, GF65536(), 1024, 1) })
 }
 
-func benchAddMulSlices[E Elem](b *testing.B, f *Field[E], n, rows int, perTerm bool) {
+func benchAddMulSlices[E Elem](b *testing.B, f *Field[E], n, rows int) {
 	rng := rand.New(rand.NewSource(11))
 	dst := make([]E, n)
 	srcs := make([][]E, rows)
@@ -468,86 +407,63 @@ func benchAddMulSlices[E Elem](b *testing.B, f *Field[E], n, rows int, perTerm b
 	}
 	b.SetBytes(int64(n * elemBytes * rows))
 	b.ResetTimer()
-	if perTerm {
-		for i := 0; i < b.N; i++ {
-			f.AddMulSlicesPerTerm(dst, srcs, cs)
-		}
-		return
-	}
 	for i := 0; i < b.N; i++ {
 		f.AddMulSlices(dst, srcs, cs)
 	}
 }
 
-// BenchmarkAddMulSlices is the fused-kernel benchmark matrix (field x
-// slice length x source count x routing arm) the CI bench gate and
-// thinair-bench's BENCH_gf.json emitter run. The "r=fused" arm measures
-// the fused tiling (multi-source strip kernels where available);
-// "r=perterm" pins the per-term dispatch path, so the fusion speedup is
-// visible in one run. Throughput is reported over all source bytes
-// processed (n * elemBytes * sources per op).
+// BenchmarkAddMulSlices is the multi-term symbol-row matrix (field x
+// slice length x source count) on the portable layer. Throughput is
+// reported over all source bytes processed (n * elemBytes * sources per
+// op).
 func BenchmarkAddMulSlices(b *testing.B) {
 	for _, n := range []int{256, 16384} {
 		for _, rows := range []int{1, 2, 4, 8} {
 			n, rows := n, rows
-			b.Run(fmt.Sprintf("gf8/n%d/s%d/r=fused", n, rows), func(b *testing.B) {
-				benchAddMulSlices(b, GF256(), n, rows, false)
+			b.Run(fmt.Sprintf("gf8/n%d/s%d/r=generic", n, rows), func(b *testing.B) {
+				benchAddMulSlices(b, GF256(), n, rows)
 			})
-			b.Run(fmt.Sprintf("gf8/n%d/s%d/r=perterm", n, rows), func(b *testing.B) {
-				benchAddMulSlices(b, GF256(), n, rows, true)
-			})
-			b.Run(fmt.Sprintf("gf16/n%d/s%d/r=fused", n, rows), func(b *testing.B) {
-				benchAddMulSlices(b, GF65536(), n, rows, false)
-			})
-			b.Run(fmt.Sprintf("gf16/n%d/s%d/r=perterm", n, rows), func(b *testing.B) {
-				benchAddMulSlices(b, GF65536(), n, rows, true)
+			b.Run(fmt.Sprintf("gf16/n%d/s%d/r=generic", n, rows), func(b *testing.B) {
+				benchAddMulSlices(b, GF65536(), n, rows)
 			})
 		}
 	}
 }
 
-// BenchmarkAddMulBE16 runs AddMulBE16 on the fused matrix's GF(2^16)
-// shapes, next to AddMulSlices on the same symbols decoded. The "r=wire"
-// arm draws random coefficients, so each term builds its tables or
-// matrices; "r=wire-cauchy" passes Cauchy entries 1/(rows+j), the
-// coefficients the protocol's rounds pass, whose GFNI matrices come from
-// the table.
+// BenchmarkAddMulBE16 runs AddMulBE16, the protocol's payload
+// combinations, over n-symbol wire-order rows on the route pickKernels
+// chose. The "r=wire" arm draws random coefficients, so each term builds
+// its tables or matrices; "r=wire-cauchy" passes Cauchy entries
+// 1/(rows+j), the coefficients the protocol's rounds pass, whose GFNI
+// matrices come from the table.
 func BenchmarkAddMulBE16(b *testing.B) {
 	f := GF65536()
 	for _, n := range []int{256, 2048, 16384} {
 		for _, rows := range []int{1, 2, 4, 8} {
 			rng := rand.New(rand.NewSource(int64(n + rows)))
-			dst := make([]uint16, n)
-			srcs := make([][]uint16, rows)
-			bsrcs := make([][]byte, rows)
+			dst := make([]byte, 2*n)
+			srcs := make([][]byte, rows)
 			cs := make([]uint16, rows)
 			cauchy := make([]uint16, rows)
 			for j := range srcs {
-				srcs[j] = make([]uint16, n)
-				for i := range srcs[j] {
-					srcs[j][i] = uint16(rng.Intn(65536))
+				sym := make([]uint16, n)
+				for i := range sym {
+					sym[i] = uint16(rng.Intn(65536))
 				}
-				bsrcs[j] = Bytes16(srcs[j])
+				srcs[j] = wireOf(sym)
 				cs[j] = uint16(2 + rng.Intn(65534))
 				cauchy[j] = f.Inv(uint16(rows + j))
 			}
-			bdst := Bytes16(dst)
 			b.Run(fmt.Sprintf("n%d/s%d/r=wire", n, rows), func(b *testing.B) {
 				b.SetBytes(int64(2 * n * rows))
 				for i := 0; i < b.N; i++ {
-					f.AddMulBE16(bdst, bsrcs, cs)
+					f.AddMulBE16(dst, srcs, cs)
 				}
 			})
 			b.Run(fmt.Sprintf("n%d/s%d/r=wire-cauchy", n, rows), func(b *testing.B) {
 				b.SetBytes(int64(2 * n * rows))
 				for i := 0; i < b.N; i++ {
-					f.AddMulBE16(bdst, bsrcs, cauchy)
-				}
-			})
-			b.Run(fmt.Sprintf("n%d/s%d/r=symbols", n, rows), func(b *testing.B) {
-				b.SetBytes(int64(2 * n * rows))
-				for i := 0; i < b.N; i++ {
-					f.AddMulSlices(dst, srcs, cs)
+					f.AddMulBE16(dst, srcs, cauchy)
 				}
 			})
 		}

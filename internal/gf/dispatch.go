@@ -4,15 +4,14 @@ import "sync/atomic"
 
 // Dispatch counting is the observability hook on the batched GF entry
 // points: how many bulk combinations ran, and how many of them reached
-// a fused arch-kernel pass versus the per-term portable route. It is
-// OFF by default and gated on one atomic load per *batched call* (never
-// per element, never inside AddMulSlice), so the blocking kernel bench
-// gate in CI — which runs with counting off — sees no new work at all.
+// an arch strip kernel versus the portable per-term route. It is OFF by
+// default and gated on one atomic load per *batched call* (never per
+// element, never inside AddMulSlice), so the blocking kernel bench gate
+// in CI — which runs with counting off — sees no new work at all.
 var (
 	dispatchCounting    atomic.Bool
 	dispatchSlices      atomic.Uint64
 	dispatchSlicesFused atomic.Uint64
-	dispatchEliminate   atomic.Uint64
 )
 
 // SetDispatchCounting turns kernel dispatch counting on or off
@@ -21,12 +20,11 @@ func SetDispatchCounting(on bool) { dispatchCounting.Store(on) }
 
 // DispatchCounts is a snapshot of the dispatch counters.
 type DispatchCounts struct {
-	// AddMulSlices counts batched multi-term combinations.
+	// AddMulSlices counts batched multi-term combinations: AddMulSlices
+	// and AddMulBE16 calls.
 	AddMulSlices uint64
-	// AddMulSlicesFused counts the subset routed to fused arch kernels.
+	// AddMulSlicesFused counts the subset routed to arch strip kernels.
 	AddMulSlicesFused uint64
-	// EliminateRows counts batched row-elimination calls.
-	EliminateRows uint64
 }
 
 // ReadDispatchCounts returns the current counter values (zeros while
@@ -35,7 +33,6 @@ func ReadDispatchCounts() DispatchCounts {
 	return DispatchCounts{
 		AddMulSlices:      dispatchSlices.Load(),
 		AddMulSlicesFused: dispatchSlicesFused.Load(),
-		EliminateRows:     dispatchEliminate.Load(),
 	}
 }
 

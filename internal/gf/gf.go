@@ -10,8 +10,8 @@
 // The protocol defaults to GF(2^16) (symbols are uint16) because Cauchy
 // matrix constructions need as many distinct field points as the sum of the
 // matrix dimensions; GF(2^8) caps that sum at 256, which a large round can
-// exceed. GF(2^8) is provided both for small configurations and so that the
-// field-size ablation bench can compare kernel throughput.
+// exceed. GF(2^8) serves the test fields and the test-only GF(2^8) block
+// source (keystream.XOFSource8), on the portable layer only.
 package gf
 
 import (
@@ -47,9 +47,9 @@ type Field[E Elem] struct {
 	// unconditional lookup per symbol. GF(2^16) would need 8 GiB, so its
 	// kernels build small per-coefficient product rows instead (bulk.go).
 	mul8 []E
-	// kern holds the block kernels the arch-dispatch layer selected for
-	// this CPU at construction time (bulk_amd64.go / bulk_arm64.go /
-	// bulk_generic.go); nil entries fall back to the generic layer.
+	// kern is the kernel choice the arch-dispatch layer made for this
+	// CPU at construction time (bulk_amd64.go / bulk_arm64.go /
+	// bulk_generic.go).
 	kern kernels
 }
 

@@ -244,35 +244,6 @@ func TestDot(t *testing.T) {
 	}
 }
 
-func TestSymbolRoundTrip(t *testing.T) {
-	b := []byte{0x12, 0x34, 0xab, 0xcd, 0x00, 0xff}
-	s16 := Symbols16(b)
-	if s16[0] != 0x1234 || s16[1] != 0xabcd || s16[2] != 0x00ff {
-		t.Fatalf("Symbols16 = %v", s16)
-	}
-	if got := Bytes16(s16); string(got) != string(b) {
-		t.Fatalf("Bytes16 round trip = %x, want %x", got, b)
-	}
-	s8 := Symbols8(b)
-	if got := Bytes8(s8); string(got) != string(b) {
-		t.Fatalf("Bytes8 round trip = %x, want %x", got, b)
-	}
-	// The conversions must copy, not alias.
-	s8[0] = 0xEE
-	if b[0] == 0xEE {
-		t.Fatal("Symbols8 aliases its input")
-	}
-}
-
-func TestSymbols16OddPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("odd payload did not panic")
-		}
-	}()
-	Symbols16([]byte{1, 2, 3})
-}
-
 func BenchmarkAddMulSliceGF256(b *testing.B) {
 	f := GF256()
 	dst := make([]uint8, 1024)

@@ -1,34 +1,21 @@
 package gf
 
-// Nibble-split coefficient tables: the SIMD-friendly table layout shared by
-// every accelerated kernel backend (and by the portable tail loops that
-// finish off what the block kernels leave behind).
+// Nibble-split coefficient tables: the table layout of the AVX2
+// wire-order kernels (bulk_amd64.s) and of the portable loop that
+// finishes their tails (wire.go).
 //
 // The idea — the classic Reed-Solomon "PSHUFB idiom" — is to split each
 // source symbol into 4-bit nibbles and precompute, per coefficient c, one
 // 16-entry table per nibble position. A product is then a handful of
 // 16-entry lookups, and a 16-entry byte table is exactly one SIMD shuffle
-// register (PSHUFB on amd64, TBL on arm64), so the same tables drive both
-// the scalar tail loops below and the vector kernels in bulk_*.s:
+// register (PSHUFB on amd64, TBL on arm64). With s = n0 | n1<<4 | n2<<8 |
+// n3<<12, c*s is the XOR of four per-nibble contributions c*(nk<<4k).
+// Each contribution is a 16-bit value, kept as two byte tables (low and
+// high product byte) so byte shuffles can look them up: 4 nibbles x 2
+// halves = eight 16-byte tables, 128 bytes per coefficient.
 //
-//   - GF(2^8): s = n0 | n1<<4, so c*s = lo[n0] ^ hi[n1]. Two 16-byte
-//     tables, 32 bytes per coefficient — both halves live in registers for
-//     the whole kernel.
-//   - GF(2^16): s = n0 | n1<<4 | n2<<8 | n3<<12, so c*s is the XOR of four
-//     per-nibble contributions c*(nk<<4k). Each contribution is a 16-bit
-//     value, kept as two byte tables (low and high product byte) so byte
-//     shuffles can look them up: 4 nibbles x 2 halves = eight 16-byte
-//     tables, 128 bytes per coefficient.
-//
-// The layouts below are part of the assembly ABI: bulk_amd64.s indexes
-// nib8/nib16 by fixed byte offsets (lo tables first, then hi tables).
-
-// nib8 holds the GF(2^8) nibble tables for one coefficient c:
-// lo[n] = c*n, hi[n] = c*(n<<4).
-type nib8 struct {
-	lo [16]byte
-	hi [16]byte
-}
+// The layout below is part of the assembly ABI: bulk_amd64.s indexes
+// nib16 by fixed byte offsets (lo tables first, then hi tables).
 
 // nib16 holds the GF(2^16) nibble tables for one coefficient c: for nibble
 // position k, lo[k][n] and hi[k][n] are the low and high bytes of
@@ -38,25 +25,14 @@ type nib16 struct {
 	hi [4][16]byte
 }
 
-// buildNib8 fills the GF(2^8) nibble tables for coefficient c. Only valid
-// on the 256-element field (mul8 is present) with c != 0.
-func (f *Field[E]) buildNib8(t *nib8, c E) {
-	row := f.mul8[int(c)<<8 : int(c)<<8+256]
-	for n := 0; n < 16; n++ {
-		t.lo[n] = byte(row[n])
-		t.hi[n] = byte(row[n<<4])
-	}
-}
-
 // buildNib16 fills the GF(2^16) nibble tables for coefficient c. Only
 // valid on fields with at least 2^16 elements and c != 0.
 //
-// The build is the hot fixed cost of the accelerated path (it runs per
-// coefficient, i.e. per elimination row), so instead of 60 log/exp
-// lookups it uses the doubling recurrence ck*(2j) = 2*(ck*j) and
-// ck*(2j+1) = 2*(ck*j) ^ ck: each table is 14 shift/xor steps with no
-// memory loads, and the per-nibble coefficients ck = c<<4k chain by four
-// more doublings.
+// The build is the hot fixed cost of the AVX2 path (it runs per term),
+// so instead of 60 log/exp lookups it uses the doubling recurrence
+// ck*(2j) = 2*(ck*j) and ck*(2j+1) = 2*(ck*j) ^ ck: each table is 14
+// shift/xor steps with no memory loads, and the per-nibble coefficients
+// ck = c<<4k chain by four more doublings.
 func (f *Field[E]) buildNib16(t *nib16, c E) {
 	poly := uint32(f.poly)
 	mul2 := func(v uint32) uint32 {
@@ -84,77 +60,10 @@ func (f *Field[E]) buildNib16(t *nib16, c E) {
 	}
 }
 
-// mulNib8 computes c*s through the nibble tables.
-func mulNib8(t *nib8, s uint8) uint8 {
-	return t.lo[s&0xf] ^ t.hi[s>>4]
-}
-
 // mulNib16 computes c*s through the nibble tables.
 func mulNib16(t *nib16, s uint16) uint16 {
 	n0, n1, n2, n3 := s&0xf, (s>>4)&0xf, (s>>8)&0xf, s>>12
 	lo := t.lo[0][n0] ^ t.lo[1][n1] ^ t.lo[2][n2] ^ t.lo[3][n3]
 	hi := t.hi[0][n0] ^ t.hi[1][n1] ^ t.hi[2][n2] ^ t.hi[3][n3]
 	return uint16(hi)<<8 | uint16(lo)
-}
-
-// addMulNib8 computes dst[i] ^= c*src[i] through the nibble tables; it is
-// the portable form of the accelerated block kernels, used for tails and as
-// the differential reference for the table layout.
-func addMulNib8(dst, src []uint8, t *nib8) {
-	for i, s := range src {
-		dst[i] ^= mulNib8(t, s)
-	}
-}
-
-// addMulNib16 is addMulNib8 for GF(2^16).
-func addMulNib16(dst, src []uint16, t *nib16) {
-	for i, s := range src {
-		dst[i] ^= mulNib16(t, s)
-	}
-}
-
-// addMulNib8x2 is the portable form of the 2-source fused kernel: one
-// pass over dst accumulating both terms. Used for strip tails and as the
-// differential reference for the fused table/ABI layout.
-func addMulNib8x2(dst, s0, s1 []uint8, ts *[fusedWidth]nib8) {
-	for i := range dst {
-		dst[i] ^= mulNib8(&ts[0], s0[i]) ^ mulNib8(&ts[1], s1[i])
-	}
-}
-
-// addMulNib8x4 is addMulNib8x2 for four source terms.
-func addMulNib8x4(dst, s0, s1, s2, s3 []uint8, ts *[fusedWidth]nib8) {
-	for i := range dst {
-		dst[i] ^= mulNib8(&ts[0], s0[i]) ^ mulNib8(&ts[1], s1[i]) ^
-			mulNib8(&ts[2], s2[i]) ^ mulNib8(&ts[3], s3[i])
-	}
-}
-
-// addMulNib16x2 is addMulNib8x2 for GF(2^16).
-func addMulNib16x2(dst, s0, s1 []uint16, ts *[fusedWidth]nib16) {
-	for i := range dst {
-		dst[i] ^= mulNib16(&ts[0], s0[i]) ^ mulNib16(&ts[1], s1[i])
-	}
-}
-
-// addMulNib16x4 is addMulNib8x4 for GF(2^16).
-func addMulNib16x4(dst, s0, s1, s2, s3 []uint16, ts *[fusedWidth]nib16) {
-	for i := range dst {
-		dst[i] ^= mulNib16(&ts[0], s0[i]) ^ mulNib16(&ts[1], s1[i]) ^
-			mulNib16(&ts[2], s2[i]) ^ mulNib16(&ts[3], s3[i])
-	}
-}
-
-// mulSliceNib8 computes dst[i] = c*dst[i] through the nibble tables.
-func mulSliceNib8(dst []uint8, t *nib8) {
-	for i, d := range dst {
-		dst[i] = mulNib8(t, d)
-	}
-}
-
-// mulSliceNib16 is mulSliceNib8 for GF(2^16).
-func mulSliceNib16(dst []uint16, t *nib16) {
-	for i, d := range dst {
-		dst[i] = mulNib16(t, d)
-	}
 }

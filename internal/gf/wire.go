@@ -1,22 +1,22 @@
 package gf
 
 // Wire-order rows. Packet payloads carry GF(2^16) symbols as big-endian
-// byte pairs. AddMulBE16 runs the multiply-add on those bytes directly,
-// so a caller that holds payloads never converts them to symbols and
-// back. On a GFNI host the affine kernel takes every whole strip
-// (affine.go). Otherwise the byte-planar AVX2 kernels do: they already
-// split every strip into a low-byte and a high-byte plane, and
-// big-endian bytes are that input with the two planes exchanged
-// (bulk_amd64.s, the BE kernels). The portable layer below is the
-// reference and the purego path.
+// byte pairs, and every payload-length combination in the protocol —
+// the leader's y-, z- and s-packets, a member's y-packets and secret,
+// erasure completion, the eavesdropper's reconstruction — runs here on
+// those bytes, so nothing converts a payload to symbols and back. On a
+// GFNI host the affine kernel takes every whole strip (affine.go).
+// Otherwise the byte-planar AVX2 kernels do: they split every strip into
+// a high-byte and a low-byte plane, and look each nibble's product bytes
+// up in the coefficient's nibble tables (bulk_amd64.s, nibble.go). The
+// portable layer below is the reference and the purego path.
 
 // AddMulBE16 computes dst ^= Σ_j cs[j]·srcs[j] over GF(2^16), where dst
 // and every srcs row are wire-order rows: symbol i is the big-endian
-// pair row[2i], row[2i+1]. It is AddMulSlices on the rows' symbols,
-// without decoding them: the same fused 4-, 2- and 1-source strip
-// passes, the same table sharing, zero coefficients skipped. Every row
-// must have dst's even length, and no row may partially overlap dst.
-// The field must be GF(2^16).
+// pair row[2i], row[2i+1]: AddMulSlices on the rows' symbols, without
+// decoding them. Zero coefficients are skipped. Every row must have
+// dst's even length, and no row may partially overlap dst. The field
+// must be GF(2^16).
 func (f *Field[E]) AddMulBE16(dst []byte, srcs [][]byte, cs []uint16) {
 	if f.size != 1<<16 {
 		panic("gf: AddMulBE16 needs GF(2^16)")
@@ -50,19 +50,21 @@ func (f *Field[E]) AddMulBE16(dst []byte, srcs [][]byte, cs []uint16) {
 	}
 }
 
-// fusedAddMulBE16 is fusedAddMulSlices16 over wire-order rows: terms
-// are gathered into passes of up to fusedWidth, each pass walks dst's
-// whole strips once in a BE strip kernel, and the tail (under one
-// strip) runs through the portable nibble loop term by term.
+// fusedAddMulBE16 is AddMulBE16's AVX2 route: terms are gathered into
+// passes of up to fusedWidth, each pass walks dst's whole strips once in
+// a strip kernel, and the tail (under one strip) runs through the
+// portable nibble loop term by term. A coefficient repeated within a
+// pass, or from the last table built, shares its tables.
 func (f *Field[E]) fusedAddMulBE16(dst []byte, srcs [][]byte, cs []uint16) {
 	strips := len(dst) / fusedStripBytes
 	head := strips * fusedStripBytes
 	var (
-		ts [fusedWidth]nib16
-		tc [fusedWidth]uint16
-		sp [fusedWidth]*byte
-		tl [fusedWidth][]byte
-		nc nibCache
+		ts    [fusedWidth]nib16
+		tc    [fusedWidth]uint16
+		sp    [fusedWidth]*byte
+		tl    [fusedWidth][]byte
+		last  nib16  // the tables built last, kept across passes
+		lastC uint16 // their coefficient; 0 until one is built
 	)
 	j := 0
 	for j < len(cs) {
@@ -81,13 +83,13 @@ func (f *Field[E]) fusedAddMulBE16(dst []byte, srcs [][]byte, cs []uint16) {
 					break
 				}
 			}
-			if !built && nc.valid && nc.c == c {
-				ts[k] = nc.t16
+			if !built && lastC == c {
+				ts[k] = last
 				built = true
 			}
 			if !built {
 				f.buildNib16(&ts[k], E(c))
-				nc.t16, nc.c, nc.valid = ts[k], c, true
+				last, lastC = ts[k], c
 			}
 			tc[k] = c
 			sp[k] = &src[0]
@@ -101,8 +103,8 @@ func (f *Field[E]) fusedAddMulBE16(dst []byte, srcs [][]byte, cs []uint16) {
 			case 2:
 				archAddMul2xBE16(&dst[0], &sp[0], strips, &ts[0])
 			case 3:
-				// A 2-term fused pass plus one single-source pass, as in
-				// fusedAddMulSlices16.
+				// A 2-term pass plus one single-source pass: cheaper than
+				// shuffling a dead fourth term through the 4-term kernel.
 				archAddMul2xBE16(&dst[0], &sp[0], strips, &ts[0])
 				archAddMulPlanarBE16(&dst[0], sp[2], strips, &ts[2])
 			case 4:
@@ -116,8 +118,8 @@ func (f *Field[E]) fusedAddMulBE16(dst []byte, srcs [][]byte, cs []uint16) {
 }
 
 // addMulBE16Generic is the portable layer of AddMulBE16 for one term:
-// a split product row for long rows, log/exp for short ones, as
-// addMulGeneric does for symbol rows.
+// a split product row for long rows, log/exp for short ones, as addMul
+// does for symbol rows.
 func (f *Field[E]) addMulBE16Generic(dst, src []byte, c uint16) {
 	switch c {
 	case 0:
@@ -147,8 +149,9 @@ func (f *Field[E]) addMulBE16Generic(dst, src []byte, c uint16) {
 	}
 }
 
-// addMulNibBE16 is addMulNib16 over wire-order rows: the portable form
-// of the BE strip kernels, used for their tails.
+// addMulNibBE16 computes dst ^= c*src over wire-order rows through c's
+// nibble tables: the portable form of the AVX2 strip kernels, used for
+// their tails.
 func addMulNibBE16(dst, src []byte, t *nib16) {
 	for i := 0; i+1 < len(src); i += 2 {
 		v := mulNib16(t, uint16(src[i])<<8|uint16(src[i+1]))

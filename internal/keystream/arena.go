@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/gf"
 	"repro/internal/packet"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -19,9 +18,9 @@ import (
 // spans), the leader's round planners and reception sets, its report
 // bookkeeping and timer, its round scratch, its x-payload generator and
 // x rows, the leader's outgoing frames, and each member terminal's round
-// scratches, x-decode rows, decoded control messages and reception
-// reports. Every buffer's size follows from the Config, so the arena
-// stops growing after the first blocks. A block with no bus uses only
+// scratches, decoded control messages and reception reports. Every
+// buffer's size follows from the Config, so the arena stops growing
+// after the first blocks. A block with no bus uses only
 // one planner, the reception sets, the generator, one slab of x rows
 // the generator fills and the leader's round scratch, and once warm
 // allocates nothing (TestSteadyStateBlockAlloc); a block over a bus
@@ -86,7 +85,6 @@ type termArena struct {
 	scratch [2]core.RoundScratch
 	owner   [2]*termRound      // the round whose receive half each scratch holds
 	free    []*termRound       // recycled round states
-	rows    [][]core.Sym       // x-decode rows not in use, one x-payload each
 	secret  []byte             // the last completed round's secret, for verification
 	rounds  map[int]*termRound // the rounds in flight, emptied when the member stops
 
@@ -259,7 +257,7 @@ func (a *arena) rewindFrames() {
 // zero clears every buffer the arena holds, the generator's key, seed
 // words and buffered output included: the last round's key would
 // regenerate that round's x-payloads, and so its secret. The worker
-// calls it on exit; by then every decode row has been returned.
+// calls it on exit; by then every member has stopped.
 func (a *arena) zero() {
 	a.leader.Zero()
 	a.xgen.Zero()
@@ -273,9 +271,6 @@ func (a *arena) zero() {
 		ta.scratch[1].Zero()
 		clear(ta.secret)
 		ta.x, ta.z = wire.XPacket{}, nil
-		for _, row := range ta.rows {
-			clear(row)
-		}
 	}
 }
 
@@ -374,44 +369,24 @@ func (ta *termArena) round() *termRound {
 		ta.free = ta.free[:n-1]
 		return st
 	}
-	return &termRound{recvX: make(map[packet.ID][]core.Sym)}
-}
-
-// putX decodes x-packet seq's payload into one of ta's decode rows and
-// files it under the round. Every payload has the stream's PayloadBytes,
-// so every row fits every payload.
-func (ta *termArena) putX(st *termRound, seq packet.ID, payload []byte) {
-	row, ok := st.recvX[seq]
-	if !ok {
-		if n := len(ta.rows); n > 0 {
-			row = ta.rows[n-1]
-			ta.rows = ta.rows[:n-1]
-		} else {
-			row = make([]core.Sym, len(payload)/2)
-		}
-	}
-	gf.PutSymbols16(row, payload)
-	st.recvX[seq] = row
+	return &termRound{recvX: make(map[packet.ID][]byte)}
 }
 
 // secretBytes flattens a round's secret rows into ta's reused buffer.
-func (ta *termArena) secretBytes(rows [][]core.Sym) []byte {
+func (ta *termArena) secretBytes(rows [][]byte) []byte {
 	n := 0
 	for _, row := range rows {
-		n += 2 * len(row)
+		n += len(row)
 	}
 	ta.secret = slices.Grow(ta.secret[:0], n)[:n]
 	core.PutSecretBytes(ta.secret, rows)
 	return ta.secret
 }
 
-// put recycles a finished, aborted or abandoned round state, its decode
-// rows and its control messages. The z-packets' payloads, views of the
-// block's frames, are dropped.
+// put recycles a finished, aborted or abandoned round state and its
+// control messages. The x- and z-packets' payloads, views of the block's
+// frames, are dropped.
 func (ta *termArena) put(st *termRound) {
-	for _, row := range st.recvX {
-		ta.rows = append(ta.rows, row)
-	}
 	clear(st.recvX)
 	if st.ya != nil {
 		ta.yfree = append(ta.yfree, st.ya)
@@ -431,7 +406,7 @@ func (ta *termArena) put(st *termRound) {
 // termRound is a terminal's in-flight state for one round. Its control
 // messages are ones that decoded without error.
 type termRound struct {
-	recvX map[packet.ID][]core.Sym // received x-payloads, decode rows
+	recvX map[packet.ID][]byte // received x-payloads, views of the block's frames
 	ya    *wire.YAnnounce
 	zs    []*wire.ZPacket
 	sa    *wire.SAnnounce

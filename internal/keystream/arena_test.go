@@ -63,12 +63,11 @@ func TestFailedDerivationZeroesBlock(t *testing.T) {
 // blocks use — the x-payload generator (its key, seed words and buffered
 // output), the slab of x rows it fills and the leader's round scratch —
 // and carves no frame at all. Over a bus the leader's frame slabs, which
-// hold the x-payloads the compute loop combined, and the members'
-// x-decode rows and secret copies are zeroed too, and no x slab is made.
+// hold the x-payloads every terminal combined, and the members' round
+// scratches and secret copies are zeroed too, and no x slab is made.
 // (RoundScratch.Zero, which clears the leader's and members' y/z/s rows,
 // is pinned by core.TestRoundScratchZero.)
 func TestArenaZeroedAfterClose(t *testing.T) {
-	nonzero := func(v uint16) bool { return v != 0 }
 	nonzeroByte := func(v byte) bool { return v != 0 }
 	run := func(t *testing.T, cfg Config) *Stream {
 		s, err := New(cfg)
@@ -136,10 +135,10 @@ func TestArenaZeroedAfterClose(t *testing.T) {
 			}
 			for term := range a.terms {
 				ta := &a.terms[term]
-				for _, row := range ta.rows {
-					rows++
-					if slices.ContainsFunc(row, nonzero) {
-						t.Fatalf("worker %d terminal %d: x-decode row not zeroed", w, term)
+				for i := range ta.scratch {
+					rows += scratchRows(&ta.scratch[i])
+					if scratchNonzero(&ta.scratch[i]) {
+						t.Fatalf("worker %d terminal %d: round scratch %d not zeroed", w, term, i)
 					}
 				}
 				if slices.ContainsFunc(ta.secret, nonzeroByte) {
@@ -148,30 +147,27 @@ func TestArenaZeroedAfterClose(t *testing.T) {
 			}
 		}
 		if xslabs != 0 || rows == 0 || chunks == 0 {
-			t.Fatalf("arenas hold %d x slabs, %d decode rows and %d frame chunks after 6 blocks; want no slab, and the derivation bypassed the rest", xslabs, rows, chunks)
+			t.Fatalf("arenas hold %d x slabs, %d member rows and %d frame chunks after 6 blocks; want no slab, and the derivation bypassed the rest", xslabs, rows, chunks)
 		}
 	})
 }
 
-// scratchRows counts the rows a core.RoundScratch holds, in its symbol
-// and its wire-order arena, and scratchNonzero reports whether any of
-// them, to its capacity, holds a nonzero value. The rows are unexported,
-// so both read them through reflection.
+// scratchRows counts the rows a core.RoundScratch holds in its arena, and
+// scratchNonzero reports whether any of them, to its capacity, holds a
+// nonzero byte. The rows are unexported, so both read them through
+// reflection.
 func scratchRows(sc *core.RoundScratch) int {
-	v := reflect.ValueOf(sc).Elem()
-	return v.FieldByName("bufs").Len() + v.FieldByName("rows").Len()
+	return reflect.ValueOf(sc).Elem().FieldByName("rows").Len()
 }
 
 func scratchNonzero(sc *core.RoundScratch) bool {
-	for _, name := range []string{"bufs", "rows"} {
-		bufs := reflect.ValueOf(sc).Elem().FieldByName(name)
-		for i := range bufs.Len() {
-			row := bufs.Index(i)
-			row = row.Slice(0, row.Cap())
-			for j := range row.Len() {
-				if row.Index(j).Uint() != 0 {
-					return true
-				}
+	rows := reflect.ValueOf(sc).Elem().FieldByName("rows")
+	for i := range rows.Len() {
+		row := rows.Index(i)
+		row = row.Slice(0, row.Cap())
+		for j := range row.Len() {
+			if row.Index(j).Uint() != 0 {
+				return true
 			}
 		}
 	}

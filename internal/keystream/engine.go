@@ -178,7 +178,8 @@ type secretSpan struct {
 // has closed the bus (which joins the bus's own goroutines: a tap's
 // observer, a sealed bus's openers) and joined the exchange and the
 // terminals. Only then do the slabs rewind, zeroing the frames. Members
-// decode every frame they use in place.
+// decode every frame they use in place, and keep a round's x- and
+// z-payloads as views of its frames.
 //
 // Determinism: the leader derives each round's reception sets from the
 // radio.Delivered schedule, never from the live reception reports — the
@@ -603,11 +604,12 @@ func (bc *BlockContext) collectReports(ctx context.Context, a *arena, ep transpo
 // secret to verify (nil when the round could not be completed). It is
 // deliberately tolerant: missing frames (shed during a stall) surface as
 // elimination failures or abandoned rounds — verification mismatches,
-// never block failures. Round states and their x-decode rows come from
-// ta and return to it when the round finishes, aborts or is
-// garbage-collected, and when the member stops: on a closed inbox, or
-// once ctx has ended and it has drained, without blocking, what its
-// inbox already holds — so the block's last round is still verified.
+// never block failures. Round states come from ta and return to it when
+// the round finishes, aborts or is garbage-collected, and when the member
+// stops: on a closed inbox, or once ctx has ended and it has drained,
+// without blocking, what its inbox already holds — so the block's last
+// round is still verified. A round keeps its x-payloads as the frames'
+// own bytes, which stay unchanged until the block's frames rewind.
 func (bc *BlockContext) runTerminal(ctx context.Context, ep transport.Endpoint, ta *termArena, self, leader int, session uint32, auth *blockAuth) {
 	cfg := bc.cfg
 	rounds := ta.rounds
@@ -699,7 +701,7 @@ func (bc *BlockContext) runTerminal(ctx context.Context, ep transport.Endpoint, 
 		switch mm := m.(type) {
 		case *wire.XPacket:
 			if int(mm.Seq) < cfg.XPerRound && len(mm.Payload) == cfg.PayloadBytes {
-				ta.putX(state(r), packet.ID(mm.Seq), mm.Payload)
+				state(r).recvX[packet.ID(mm.Seq)] = mm.Payload
 			}
 		case *wire.Beacon:
 			switch mm.Kind {

@@ -2,14 +2,15 @@
 // with the Gaussian-elimination routines the protocol needs: rank, inverse,
 // multi-RHS solving, and row-space membership (the eavesdropper's attack).
 //
-// All row arithmetic — products, mat-vec, elimination updates — goes
-// through the gf bulk kernels in multi-term shapes: products combine whole
-// rows with AddMulSlices, and Gaussian elimination runs as a panel engine
-// (panelEliminate) that retires up to four pivot columns per pass, so each
-// target row is updated by one fused multi-source kernel call instead of
-// one walk per pivot. That routes the hot loops onto the arch-dispatched
-// fused strip kernels with shared coefficient tables and no steady-state
-// allocations, rather than per-symbol log/exp lookups.
+// Its matrices are coefficient matrices — Cauchy codes, y-over-x
+// compositions, erasure-completion systems — whose rows are a round's
+// packet counts long, never payloads: payload rows are combined on their
+// wire bytes by gf's AddMulBE16 instead. All row arithmetic goes through
+// the gf symbol-row entry points on the portable layer: products combine
+// whole rows with AddMulSlices, and Gaussian elimination runs as a panel
+// engine (panelEliminate) that retires up to four pivot columns per pass,
+// so each target row is updated by one multi-term AddMulSlices call
+// instead of one walk per pivot, with no steady-state allocations.
 //
 // Matrices are row-major and mutable; the elimination routines operate on
 // private copies unless the method name says otherwise. All operations
@@ -251,10 +252,10 @@ func (m *Matrix[E]) Rank() int {
 type Pivot struct{ Row, Col int }
 
 // panelWidth is the number of pivot columns the elimination engine
-// retires per fused pass: the trailing update then presents panelWidth
+// retires per pass: the trailing update then presents panelWidth
 // (coefficient, pivot-row) terms per target row to one gf.AddMulSlices
-// call — the widest fused kernel pass — so each target row is loaded and
-// stored once per panel instead of once per pivot column.
+// call, so each target row is updated once per panel instead of once per
+// pivot column.
 const panelWidth = 4
 
 // panelEliminate reduces m in place over its first limitCols columns
@@ -272,7 +273,7 @@ const panelWidth = 4
 // carry an identity pattern on the panel columns. That identity is what
 // makes the deferred update correct: a target row's current (stale)
 // entries at the panel columns are precisely its combination
-// coefficients, and one fused AddMulSlices pass zeroes all panelWidth
+// coefficients, and one AddMulSlices call zeroes all panelWidth
 // columns at once. jordan selects Gauss-Jordan (eliminate every
 // non-pivot row, as Inverse/Solve need) versus forward-only elimination
 // (rows below the panel, as rank and determinant need).
@@ -336,7 +337,7 @@ func (m *Matrix[E]) panelEliminate(limitCols int, jordan bool, pivots []Pivot) (
 		for j := 0; j < k; j++ {
 			srcs[j] = m.Row(r + j)[c0:]
 		}
-		// Deferred trailing update: one fused multi-term pass per target
+		// Deferred trailing update: one multi-term pass per target
 		// row eliminates all k panel columns from it.
 		lo := r + k
 		if jordan {
@@ -371,7 +372,7 @@ func (m *Matrix[E]) echelon() int {
 }
 
 // GaussJordan reduces m in place over its first limitCols columns with
-// the panel-fused elimination engine and returns the pivots in
+// the panel elimination engine and returns the pivots in
 // elimination order. After it returns, every pivot column holds a unit
 // vector (1 at its pivot row), which makes the right-hand columns of an
 // augmented system directly readable as solutions. The returned slice

@@ -160,8 +160,7 @@ func TestGaussJordanPivotColumnsUnit(t *testing.T) {
 // TestEliminationSteadyStateAllocs is the zero-allocation gate on the
 // elimination hot path: once a matrix has eliminated once (pivot buffer
 // grown), re-eliminating fresh contents in the same workspace must not
-// allocate — no dsts/cs header churn, no nibble-table escapes, no fused
-// scratch on the heap.
+// allocate — no dsts/cs header churn, no scratch on the heap.
 func TestEliminationSteadyStateAllocs(t *testing.T) {
 	f := gf.GF65536()
 	rng := rand.New(rand.NewSource(33))

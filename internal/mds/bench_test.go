@@ -97,14 +97,17 @@ func BenchmarkRedistributionRoundGF65536(b *testing.B) {
 		}
 	}
 	rc := NewRedistributionCode(f, m, l)
-	known := map[int][]uint16{}
+	wy := wire(y)
+	known := map[int][]byte{}
 	for i := 0; i < l; i++ {
-		known[i] = y[i]
+		known[i] = wy[i]
 	}
+	coeffs := MatrixToRows(rc.ZCoeffs())
+	var c Completion
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		z := rc.EncodeZ(y)
-		if _, err := rc.CompleteY(known, z); err != nil {
+		if _, err := c.Complete(f, m, known, coeffs, wire(z)); err != nil {
 			b.Fatal(err)
 		}
 		rc.EncodeS(y)

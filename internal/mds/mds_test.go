@@ -1,11 +1,15 @@
 package mds
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"repro/internal/gf"
+	"repro/internal/matrix"
 )
 
 func randRows(rng *rand.Rand, n, width int) [][]uint16 {
@@ -17,6 +21,25 @@ func randRows(rng *rand.Rand, n, width int) [][]uint16 {
 		}
 	}
 	return rows
+}
+
+// wire encodes symbol rows as wire-order rows: each symbol two bytes,
+// high byte first.
+func wire(rows [][]uint16) [][]byte {
+	out := make([][]byte, len(rows))
+	for i, r := range rows {
+		out[i] = make([]byte, 2*len(r))
+		for j, v := range r {
+			binary.BigEndian.PutUint16(out[i][2*j:], v)
+		}
+	}
+	return out
+}
+
+// completeY completes a terminal's y-packets from the z-packets of rc, in
+// wire order: the terminal side of Phase 2.
+func completeY(rc *RedistributionCode[uint16], known map[int][]byte, z [][]byte) ([][]byte, error) {
+	return new(Completion).Complete(gf.GF65536(), rc.M(), known, MatrixToRows(rc.ZCoeffs()), z)
 }
 
 func TestWiretapPerfectSecrecyForAllQualifyingPatterns(t *testing.T) {
@@ -152,41 +175,40 @@ func TestRedistributionRoundTrip(t *testing.T) {
 		}
 		// A terminal knowing a random subset of >= l y-packets completes
 		// the full set and derives the same secret.
+		wy := wire(y)
 		cnt := l + rng.Intn(m-l+1)
-		known := map[int][]uint16{}
+		known := map[int][]byte{}
 		for _, i := range rng.Perm(m)[:cnt] {
-			known[i] = y[i]
+			known[i] = wy[i]
 		}
-		full, err := rc.CompleteY(known, z)
+		full, err := completeY(rc, known, wire(z))
 		if err != nil {
 			t.Fatalf("trial %d (M=%d L=%d known=%d): %v", trial, m, l, cnt, err)
 		}
-		for i := range y {
-			for j := range y[i] {
-				if full[i][j] != y[i][j] {
-					t.Fatalf("trial %d: y[%d][%d] mismatch", trial, i, j)
-				}
+		for i := range wy {
+			if !bytes.Equal(full[i], wy[i]) {
+				t.Fatalf("trial %d: y[%d] mismatch", trial, i)
 			}
 		}
-		s2 := rc.EncodeS(full)
-		for i := range s {
-			for j := range s[i] {
-				if s2[i][j] != s[i][j] {
-					t.Fatalf("trial %d: secret mismatch", trial)
-				}
+		ws := wire(s)
+		for i := range ws {
+			s2 := make([]byte, len(ws[i]))
+			f.AddMulBE16(s2, full, rc.Row(m-l+i))
+			if !bytes.Equal(s2, ws[i]) {
+				t.Fatalf("trial %d: secret mismatch", trial)
 			}
 		}
 	}
 }
 
 func TestRedistributionTooFewKnown(t *testing.T) {
-	f := gf.GF256()
+	f := gf.GF65536()
 	rc := NewRedistributionCode(f, 4, 2)
-	y := [][]uint8{{1}, {2}, {3}, {4}}
+	y := [][]uint16{{1}, {2}, {3}, {4}}
 	z := rc.EncodeZ(y)
-	known := map[int][]uint8{1: y[1]} // knows 1 < L=2
-	if _, err := rc.CompleteY(known, z); err == nil {
-		t.Fatal("expected error when terminal knows fewer than L y-packets")
+	known := map[int][]byte{1: wire(y)[1]} // knows 1 < L=2
+	if _, err := completeY(rc, known, wire(z)); !errors.Is(err, matrix.ErrUnderdetermined) {
+		t.Fatalf("terminal knowing fewer than L y-packets: err = %v, want ErrUnderdetermined", err)
 	}
 }
 
@@ -221,18 +243,17 @@ func TestRedistributionZeroCases(t *testing.T) {
 		t.Fatalf("L=0 gave %d s-packets", len(s))
 	}
 	// L = M: no z needed; a terminal must already know everything.
-	rc = NewRedistributionCode(f, 2, 2)
-	y = y[:2]
-	z := rc.EncodeZ(y)
-	if len(z) != 0 {
+	rc16 := NewRedistributionCode(gf.GF65536(), 2, 2)
+	y16 := wire([][]uint16{{1}, {2}})
+	if z := rc16.EncodeZ([][]uint16{{1}, {2}}); len(z) != 0 {
 		t.Fatalf("L=M gave %d z-packets", len(z))
 	}
-	full, err := rc.CompleteY(map[int][]uint8{0: y[0], 1: y[1]}, z)
+	full, err := completeY(rc16, map[int][]byte{0: y16[0], 1: y16[1]}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(full) != 2 {
-		t.Fatalf("CompleteY len %d", len(full))
+		t.Fatalf("completion len %d", len(full))
 	}
 }
 
@@ -323,33 +344,79 @@ func TestEndToEndPipelineSecrecyCertificate(t *testing.T) {
 func TestCompletionReuse(t *testing.T) {
 	f := gf.GF65536()
 	rng := rand.New(rand.NewSource(8))
-	var c Completion[uint16]
+	var c Completion
 	for trial := 0; trial < 40; trial++ {
 		m := rng.Intn(12) + 2
 		l := rng.Intn(m-1) + 1
 		rc := NewRedistributionCode(f, m, l)
-		y := randRows(rng, m, 1+rng.Intn(40))
-		z := rc.EncodeZ(y)
-		known := map[int][]uint16{}
+		y := randRows(rng, m, 1+rng.Intn(80))
+		wy := wire(y)
+		known := map[int][]byte{}
 		for _, i := range rng.Perm(m)[:l+rng.Intn(m-l)] {
-			known[i] = y[i]
+			known[i] = wy[i]
 		}
-		full, err := c.Complete(f, m, known, MatrixToRows(rc.ZCoeffs()), z)
+		full, err := c.Complete(f, m, known, MatrixToRows(rc.ZCoeffs()), wire(rc.EncodeZ(y)))
 		if err != nil {
 			t.Fatalf("trial %d (M=%d L=%d known=%d): %v", trial, m, l, len(known), err)
 		}
-		for i := range y {
-			if !slices.Equal(full[i], y[i]) {
+		for i := range wy {
+			if !bytes.Equal(full[i], wy[i]) {
 				t.Fatalf("trial %d: y[%d] mismatch", trial, i)
 			}
 		}
 		if trial == 39 {
 			c.Zero()
 			for i, row := range full {
-				if _, ok := known[i]; !ok && slices.ContainsFunc(row, func(v uint16) bool { return v != 0 }) {
+				if _, ok := known[i]; !ok && slices.ContainsFunc(row, func(v byte) bool { return v != 0 }) {
 					t.Fatalf("solved y[%d] not zeroed", i)
 				}
 			}
+		}
+	}
+}
+
+// TestCompletionFailurePaths pins Complete's two failures on systems
+// that would otherwise solve, with payloads of three strips and a tail
+// (the strip kernels, where the host has them) and of under one strip
+// (the portable layer):
+//   - more equations than unknowns, one payload byte flipped:
+//     ErrInconsistent;
+//   - one equation short of the unknowns: ErrUnderdetermined.
+func TestCompletionFailurePaths(t *testing.T) {
+	f := gf.GF65536()
+	rng := rand.New(rand.NewSource(9))
+	const m, l = 8, 3
+	rc := NewRedistributionCode(f, m, l)
+	coeffs := MatrixToRows(rc.ZCoeffs())
+	for _, symbols := range []int{3*64 + 5, 40} {
+		y := randRows(rng, m, symbols)
+		wy := wire(y)
+		z := wire(rc.EncodeZ(y))
+		// Knowing y0..y5 leaves 2 unknowns against 5 equations.
+		known := map[int][]byte{}
+		for i := 0; i < 6; i++ {
+			known[i] = wy[i]
+		}
+		var c Completion
+		full, err := c.Complete(f, m, known, coeffs, z)
+		if err != nil {
+			t.Fatalf("%d symbols: consistent system: %v", symbols, err)
+		}
+		if !bytes.Equal(full[6], wy[6]) || !bytes.Equal(full[7], wy[7]) {
+			t.Fatalf("%d symbols: consistent system solved wrong", symbols)
+		}
+		for _, at := range []int{0, 2*symbols - 1} {
+			bad := wire(rc.EncodeZ(y))
+			bad[3][at] ^= 0x40
+			if _, err := c.Complete(f, m, known, coeffs, bad); !errors.Is(err, matrix.ErrInconsistent) {
+				t.Fatalf("%d symbols, z[3][%d] flipped: err = %v, want ErrInconsistent", symbols, at, err)
+			}
+		}
+		// Knowing only y0..y1 leaves 6 unknowns: the 5 equations are one
+		// short.
+		short := map[int][]byte{0: wy[0], 1: wy[1]}
+		if _, err := c.Complete(f, m, short, coeffs, z); !errors.Is(err, matrix.ErrUnderdetermined) {
+			t.Fatalf("%d symbols, one equation short: err = %v, want ErrUnderdetermined", symbols, err)
 		}
 	}
 }

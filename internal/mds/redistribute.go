@@ -88,45 +88,47 @@ func (r *RedistributionCode[E]) EncodeS(y [][]E) [][]E {
 // passes it straight to the kernel instead of copying Q_z or Q_s out.
 func (r *RedistributionCode[E]) Row(j int) []E { return r.q.Row(j) }
 
-// CompleteY recovers the full y-packet set for a terminal that knows the
-// y-packets in `known` (index -> payload) plus all z contents. It fails
-// with an error if the terminal knows fewer than L y-packets (more unknowns
-// than z equations), which the protocol prevents by setting L = min M_i.
-// The result aliases the known payloads.
-func (r *RedistributionCode[E]) CompleteY(known map[int][]E, z [][]E) ([][]E, error) {
-	if len(z) != r.m-r.l {
-		return nil, fmt.Errorf("mds: CompleteY expects %d z-packets, got %d", r.m-r.l, len(z))
-	}
-	coeffs := MatrixToRows(r.ZCoeffs())
-	return new(Completion[E]).Complete(r.f, r.m, known, coeffs, z)
-}
-
 // Completion solves the general "fill in the missing packets" problem
-// from explicit linear equations, over working storage it keeps from one
-// call to the next: the terminal side of Phase 2 completes a y-packet set
-// every round, and reuses one Completion instead of reallocating the
-// augmented system each time. The zero value is ready to use.
+// from explicit linear equations over GF(2^16) wire-order rows (each
+// symbol a big-endian byte pair, as packets carry them), over working
+// storage it keeps from one call to the next: the terminal side of
+// Phase 2 completes a y-packet set every round, and reuses one
+// Completion instead of reallocating its system each time. The zero
+// value is ready to use.
 //
 // The terminal side applies it directly to the coefficient rows it heard
 // on the wire, so decoding never assumes the leader used any particular
 // matrix construction.
-type Completion[E gf.Elem] struct {
+type Completion struct {
 	unknown  []int
 	knownIdx []int
-	knownPay [][]E
-	kcs      []E
-	aug      *matrix.Matrix[E]
-	full     [][]E
+	knownPay [][]byte
+	kcs      []uint16
+	// aug is the coefficient system [A | I]: one row per equation, the
+	// unknowns' coefficients then an identity, so elimination records in
+	// the right-hand columns how it combined the equations.
+	aug *matrix.Matrix[uint16]
+	// buf backs the equations' right-hand sides, then the solved rows.
+	buf  []byte
+	rhs  [][]byte
+	full [][]byte
 }
 
 // Complete fills in the missing packets: the caller knows some of m
 // packets (known: index -> payload) and observes extra equations
 // eq[j]: coeffs[j] * packets = payloads[j]. It returns the full packet
-// set, or an error when the system does not determine the unknowns.
+// set, or an error when the system does not determine the unknowns or
+// contradicts itself. Every payload must have the same even length.
+//
+// Only the coefficients are eliminated. Each equation's right-hand side
+// is its payload with the known packets moved across; elimination over
+// [A | I] leaves, in each pivot row's identity columns, the combination
+// of right-hand sides that is one unknown packet, so every missing
+// packet is one kernel combination of payload rows.
 //
 // The returned rows alias the known payloads and c's storage; they stay
 // valid until the next Complete or Zero on c.
-func (c *Completion[E]) Complete(f *gf.Field[E], m int, known map[int][]E, coeffs, payloads [][]E) ([][]E, error) {
+func (c *Completion) Complete(f *gf.Field[uint16], m int, known map[int][]byte, coeffs [][]uint16, payloads [][]byte) ([][]byte, error) {
 	if len(coeffs) != len(payloads) {
 		return nil, fmt.Errorf("mds: %d coefficient rows but %d payloads", len(coeffs), len(payloads))
 	}
@@ -142,12 +144,16 @@ func (c *Completion[E]) Complete(f *gf.Field[E], m int, known map[int][]E, coeff
 	if u == 0 {
 		return c.full, nil
 	}
-	if len(coeffs) == 0 {
+	z := len(coeffs)
+	if z == 0 {
 		return nil, fmt.Errorf("mds: %d unknown packets but no equations", u)
 	}
 	width := len(payloads[0])
-	// Gather the known payloads once; every equation row moves the same
-	// set to the right-hand side in one batched kernel call.
+	if width%2 != 0 {
+		return nil, fmt.Errorf("mds: odd payload length %d", width)
+	}
+	// Gather the known payloads once; every equation moves the same set
+	// to its right-hand side in one batched kernel call.
 	c.knownIdx, c.knownPay = c.knownIdx[:0], c.knownPay[:0]
 	for i, payload := range known {
 		if len(payload) != width {
@@ -157,9 +163,16 @@ func (c *Completion[E]) Complete(f *gf.Field[E], m int, known map[int][]E, coeff
 		c.knownPay = append(c.knownPay, payload)
 	}
 	c.kcs = slices.Grow(c.kcs[:0], len(c.knownIdx))[:len(c.knownIdx)]
-	// The augmented system [A | b]: A holds the coefficients of the
-	// unknowns, b the payloads with the known packets moved across.
-	c.aug = matrix.Reuse(c.aug, f, len(coeffs), u+width)
+	// Rows 0..z-1 of buf are the right-hand sides, rows z..z+u-1 the
+	// solved packets.
+	if n := (z + u) * width; cap(c.buf) < n {
+		clear(c.buf[:cap(c.buf)])
+		c.buf = make([]byte, n, n+n/4)
+	} else {
+		c.buf = c.buf[:n]
+	}
+	c.aug = matrix.Reuse(c.aug, f, z, u+z)
+	c.rhs = c.rhs[:0]
 	for j := range coeffs {
 		if len(coeffs[j]) != m {
 			return nil, fmt.Errorf("mds: equation %d has %d coefficients, want %d", j, len(coeffs[j]), m)
@@ -171,32 +184,48 @@ func (c *Completion[E]) Complete(f *gf.Field[E], m int, known map[int][]E, coeff
 		for k, i := range c.unknown {
 			row[k] = coeffs[j][i]
 		}
-		copy(row[u:], payloads[j])
+		row[u+j] = 1
 		for t, i := range c.knownIdx {
 			c.kcs[t] = coeffs[j][i]
 		}
-		f.AddMulSlices(row[u:], c.knownPay, c.kcs)
+		b := c.row(j, width)
+		copy(b, payloads[j])
+		f.AddMulBE16(b, c.knownPay, c.kcs)
+		c.rhs = append(c.rhs, b)
 	}
 	pivots := matrix.GaussJordan(c.aug, u)
 	if len(pivots) < u {
 		return nil, fmt.Errorf("mds: complete: %w", matrix.ErrUnderdetermined)
 	}
-	// Any leftover row with a nonzero right-hand side is an inconsistency.
-	for i := len(pivots); i < len(coeffs); i++ {
-		for _, v := range c.aug.Row(i)[u:] {
-			if v != 0 {
-				return nil, fmt.Errorf("mds: complete: %w", matrix.ErrInconsistent)
-			}
+	// A leftover row combines the equations into 0 = Σ_j t_j·rhs_j; a
+	// nonzero combination is an inconsistency. The first solved row is
+	// the scratch for the check.
+	for i := len(pivots); i < z; i++ {
+		b := c.row(z, width)
+		clear(b)
+		f.AddMulBE16(b, c.rhs, c.aug.Row(i)[u:])
+		if slices.ContainsFunc(b, func(v byte) bool { return v != 0 }) {
+			return nil, fmt.Errorf("mds: complete: %w", matrix.ErrInconsistent)
 		}
 	}
-	for _, p := range pivots {
-		c.full[c.unknown[p.Col]] = c.aug.Row(p.Row)[u:]
+	for k, p := range pivots {
+		b := c.row(z+k, width)
+		clear(b)
+		f.AddMulBE16(b, c.rhs, c.aug.Row(p.Row)[u:])
+		c.full[c.unknown[p.Col]] = b
 	}
 	return c.full, nil
 }
 
-// Zero clears the solved packets c holds.
-func (c *Completion[E]) Zero() {
+// row returns row i of buf, width bytes long.
+func (c *Completion) row(i, width int) []byte {
+	return c.buf[i*width : (i+1)*width : (i+1)*width]
+}
+
+// Zero clears the right-hand sides and solved packets c holds, and its
+// coefficient system.
+func (c *Completion) Zero() {
+	clear(c.buf[:cap(c.buf)])
 	if c.aug != nil {
 		c.aug.Zero()
 	}

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/auth"
 	"repro/internal/core"
-	"repro/internal/gf"
 	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/wire"
@@ -262,7 +261,7 @@ func (n *node) leaderRound(ctx context.Context, round int) error {
 
 func (n *node) terminalRound(ctx context.Context, round, leader int) error {
 	// Phase 1 step 1: collect x-packets until the end-of-X beacon.
-	xPayloads := make(map[packet.ID][]core.Sym)
+	xPayloads := make(map[packet.ID][]byte)
 	numX := -1
 	for numX < 0 {
 		m, err := n.next(ctx, round, func(m wire.Message) bool {
@@ -283,7 +282,7 @@ func (n *node) terminalRound(ctx context.Context, round, leader int) error {
 		switch mm := m.(type) {
 		case *wire.XPacket:
 			if len(mm.Payload)%2 == 0 {
-				xPayloads[packet.ID(mm.Seq)] = gf.Symbols16(mm.Payload)
+				xPayloads[packet.ID(mm.Seq)] = mm.Payload
 			}
 		case *wire.Beacon:
 			numX = int(mm.Value)
@@ -360,7 +359,7 @@ func (n *node) terminalRound(ctx context.Context, round, leader int) error {
 	if err != nil {
 		return err
 	}
-	secret := core.SecretBytes(secretRows)
+	secret := slices.Concat(secretRows...)
 	n.res.Secret = append(n.res.Secret, secret...)
 	n.res.Productive++
 	n.ratchet(secret)

@@ -7,7 +7,6 @@ import (
 	"repro/internal/auth"
 	"repro/internal/core"
 	"repro/internal/eve"
-	"repro/internal/gf"
 	"repro/internal/matrix"
 	"repro/internal/wire"
 )
@@ -31,7 +30,7 @@ type Observer struct {
 
 type observerRound struct {
 	numX int
-	x    map[uint32][]core.Sym
+	x    map[uint32][]byte
 	ya   *wire.YAnnounce
 	zs   []*wire.ZPacket
 	sa   *wire.SAnnounce
@@ -101,13 +100,13 @@ func (o *Observer) Ingest(env Env) {
 	}
 	r := o.rounds[h.Round]
 	if r == nil {
-		r = &observerRound{x: make(map[uint32][]core.Sym)}
+		r = &observerRound{x: make(map[uint32][]byte)}
 		o.rounds[h.Round] = r
 	}
 	switch mm := m.(type) {
 	case *wire.XPacket:
 		if len(mm.Payload)%2 == 0 {
-			r.x[mm.Seq] = gf.Symbols16(mm.Payload)
+			r.x[mm.Seq] = mm.Payload
 			if int(mm.Seq) >= r.numX {
 				r.numX = int(mm.Seq) + 1
 			}
@@ -182,7 +181,7 @@ func (o *Observer) evaluate(r *observerRound) {
 		}
 		clear(comp)
 		f.AddMulSlices(comp, yoxRows, zp.Coeffs)
-		know.AddCombo(comp, gf.Symbols16(zp.Payload))
+		know.AddCombo(comp, zp.Payload)
 	}
 
 	// Compose the secret rows straight into their matrix, skipping

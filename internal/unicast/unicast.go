@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/eve"
-	"repro/internal/gf"
 	"repro/internal/matrix"
 	"repro/internal/packet"
 	"repro/internal/radio"
@@ -63,11 +62,10 @@ func RunSession(cfg core.Config, med *radio.Medium, eveNodes []radio.NodeID) (*c
 		}
 		h := wire.Header{From: uint8(leader), Session: uint32(cfg.Seed), Round: uint16(round)}
 
-		// Phase 1 is identical to the group protocol. The leader computes
-		// on the payloads as sent; the terminals and Eve decode them.
+		// Phase 1 is identical to the group protocol. Everyone computes
+		// on the payloads as sent.
 		batch := packet.NewBatch(rng, cfg.XPerRound, cfg.PayloadBytes)
 		x := make([][]byte, cfg.XPerRound)
-		xSym := make([][]Sym, cfg.XPerRound)
 		recv := make([]*packet.IDSet, n)
 		for i := range recv {
 			recv[i] = packet.NewIDSet(cfg.XPerRound)
@@ -80,7 +78,6 @@ func RunSession(cfg core.Config, med *radio.Medium, eveNodes []radio.NodeID) (*c
 				med.AdvanceSlot()
 			}
 			x[i] = pkt.Payload
-			xSym[i] = gf.Symbols16(pkt.Payload)
 			xh := h
 			xh.Type = wire.TypeX
 			frame := wire.Marshal(&wire.XPacket{Header: xh, Seq: uint32(pkt.ID), Payload: pkt.Payload})
@@ -137,7 +134,6 @@ func RunSession(cfg core.Config, med *radio.Medium, eveNodes []radio.NodeID) (*c
 		// greedy assignment below may support fewer than L key packets;
 		// that shortfall is part of why the paper's Phase 2 redistribution
 		// beats unicasting.
-		width := cfg.PayloadBytes / 2
 		pads, keyLen := assignPads(plan)
 		if keyLen == 0 {
 			res.Rounds = append(res.Rounds, info)
@@ -152,7 +148,7 @@ func RunSession(cfg core.Config, med *radio.Medium, eveNodes []radio.NodeID) (*c
 		// packets.
 		know := eve.NewKnowledge(f, cfg.XPerRound+keyLen)
 		for _, id := range eveRecv.Slice() {
-			know.AddUnit(int(id), xSym[int(id)])
+			know.AddUnit(int(id), x[int(id)])
 		}
 		yox := plan.YOverX()
 
@@ -160,8 +156,8 @@ func RunSession(cfg core.Config, med *radio.Medium, eveNodes []radio.NodeID) (*c
 		// and the decrypt check consumes ct and dec before the next
 		// iteration.
 		ct := make([]byte, cfg.PayloadBytes)
-		dec := make([]Sym, width)
-		pad := make([]Sym, width)
+		dec := make([]byte, cfg.PayloadBytes)
+		pad := make([]byte, cfg.PayloadBytes)
 		row := make([]Sym, cfg.XPerRound+keyLen)
 		for t := 0; t < n; t++ {
 			if t == leader {
@@ -179,8 +175,7 @@ func RunSession(cfg core.Config, med *radio.Medium, eveNodes []radio.NodeID) (*c
 				clear(row)
 				copy(row, yox.Row(idx))
 				row[cfg.XPerRound+k] = 1
-				gf.PutSymbols16(dec, ct)
-				know.AddCombo(row, dec)
+				know.AddCombo(row, ct)
 			}
 		}
 
@@ -200,14 +195,13 @@ func RunSession(cfg core.Config, med *radio.Medium, eveNodes []radio.NodeID) (*c
 					}
 				}
 				clear(pad)
-				f.AddMulSlices(pad, xSym, yrow)
+				f.AddMulBE16(pad, x, yrow)
 				// Decrypt the ciphertext the leader sent t for key packet
 				// k: the pad recomputed from x-packets must cancel the
 				// leader's y.
 				subtle.XORBytes(ct, secret[k], y[pads[t][k]])
-				gf.PutSymbols16(dec, ct)
-				f.AddMulSlice(dec, pad, 1)
-				if !bytes.Equal(gf.Bytes16(dec), secret[k]) {
+				subtle.XORBytes(dec, ct, pad)
+				if !bytes.Equal(dec, secret[k]) {
 					info.Agreed = false
 					res.AllAgreed = false
 				}
