@@ -63,6 +63,10 @@ type arena struct {
 	// beacons, and the compute loop's abort beacons and announces. Each
 	// slab has one writer; both rewind at block teardown.
 	xframes, cframes frameSlab
+	// The leader's bursts, each sent in one call: the exchange's round of
+	// x frames, and the compute loop's y-announce, z-packets and
+	// s-announce. Both are sized for a round's most frames.
+	xburst, cburst [][]byte
 
 	// The messages the leader's frames are marshalled from as soon as
 	// they are filled: the exchange's end-of-X beacon, and the compute
@@ -133,6 +137,8 @@ func newArena(cfg *Config) *arena {
 		xn:      cfg.XPerRound, xb: cfg.PayloadBytes,
 		erasure: cfg.Erasure,
 		x:       make([][]byte, cfg.XPerRound),
+		xburst:  make([][]byte, cfg.XPerRound),
+		cburst:  make([][]byte, 0, cfg.XPerRound+2),
 		xframes: frameSlab{chunk: cfg.XPerRound*wire.XFrameLen(cfg.PayloadBytes) + wire.FrameLen(beacon)},
 		cframes: frameSlab{chunk: max(wire.FrameLen(z), wire.FrameLen(y))},
 		terms:   make([]termArena, cfg.Terminals),

@@ -446,22 +446,20 @@ func firstErr(errs ...error) error {
 }
 
 // announce sends a computed round's control broadcasts on the leader's
-// endpoint: the y-announce, the z-packets and the s-announce, each filled
-// into the arena's message for it and marshalled into the compute loop's
-// frame slab, so nothing of the plan is needed once it returns.
+// endpoint as one burst: the y-announce, the z-packets and the
+// s-announce, each filled into the arena's message for it and marshalled
+// into the compute loop's frame slab, so nothing of the plan is needed
+// once it returns.
 func (a *arena) announce(ep transport.Endpoint, h wire.Header, plan *core.Plan, lr *core.LeaderRound) error {
 	core.FillYAnnounce(&a.ya, h, plan)
-	if err := ep.SendCtrl(a.cframes.marshal(&a.ya)); err != nil {
-		return err
-	}
+	burst := append(a.cburst[:0], a.cframes.marshal(&a.ya))
 	for j, z := range lr.Z {
 		core.FillZPacket(&a.zp, h, plan, j, z)
-		if err := ep.SendCtrl(a.cframes.marshal(&a.zp)); err != nil {
-			return err
-		}
+		burst = append(burst, a.cframes.marshal(&a.zp))
 	}
 	core.FillSAnnounce(&a.sa, h, plan)
-	return ep.SendCtrl(a.cframes.marshal(&a.sa))
+	burst = append(burst, a.cframes.marshal(&a.sa))
+	return ep.SendCtrl(burst[0], burst[1:]...)
 }
 
 // roundPlan plans round r into pl from the radio.Delivered schedule. It
@@ -487,10 +485,10 @@ func scheduleRecv(recv []*packet.IDSet, blockSeed int64, r, leader, numX int, p 
 	}
 }
 
-// exchange runs round r's transmit phase on the leader endpoint: x-packet
-// broadcasts, the end-of-X beacon, then the soft report deadline. Reports
-// are pacing and health input only — their content never reaches the
-// round plan (see deriveProtocol).
+// exchange runs round r's transmit phase on the leader endpoint: the
+// x-packets as one burst, the end-of-X beacon, then the soft report
+// deadline. Reports are pacing and health input only — their content
+// never reaches the round plan (see deriveProtocol).
 //
 // The x-payloads are drawn from the arena's generator rekeyed for round
 // r of block idx (the bytes ReferenceBlock draws, in the same order),
@@ -508,12 +506,13 @@ func (bc *BlockContext) exchange(ctx context.Context, a *arena, ep transport.End
 	if plan.L > 0 {
 		er.xframes = span
 	}
-	for i := 0; i < cfg.XPerRound; i++ {
-		frame := wire.AppendXFill(span[i*fl:i*fl:(i+1)*fl], h, uint32(i), cfg.PayloadBytes, &a.xgen)
-		if err := ep.SendData(frame); err != nil {
-			er.release(a)
-			return exchRound{}, err
-		}
+	burst := a.xburst
+	for i := range burst {
+		burst[i] = wire.AppendXFill(span[i*fl:i*fl:(i+1)*fl], h, uint32(i), cfg.PayloadBytes, &a.xgen)
+	}
+	if err := ep.SendData(burst[0], burst[1:]...); err != nil {
+		er.release(a)
+		return exchRound{}, err
 	}
 	a.xbeacon = wire.Beacon{Header: h, Kind: wire.BeaconEndOfX, Value: uint32(cfg.XPerRound)}
 	a.xbeacon.Type = wire.TypeBeacon

@@ -36,7 +36,8 @@ func NewInjector(bus transport.Bus) *Injector {
 	}
 }
 
-// SlowMember makes every send by member id take at least d.
+// SlowMember makes every send call by member id, whatever its burst,
+// take at least d.
 func (in *Injector) SlowMember(id int, d time.Duration) {
 	in.mu.Lock()
 	in.delay[id] = d
@@ -102,13 +103,20 @@ type injEndpoint struct {
 	ep transport.Endpoint
 }
 
-func (e *injEndpoint) ID() int                     { return e.ep.ID() }
-func (e *injEndpoint) Recv() <-chan transport.Env  { return e.ep.Recv() }
-func (e *injEndpoint) Close() error                { return e.ep.Close() }
-func (e *injEndpoint) SendData(frame []byte) error { return e.send(frame, e.ep.SendData) }
-func (e *injEndpoint) SendCtrl(frame []byte) error { return e.send(frame, e.ep.SendCtrl) }
+func (e *injEndpoint) ID() int                    { return e.ep.ID() }
+func (e *injEndpoint) Recv() <-chan transport.Env { return e.ep.Recv() }
+func (e *injEndpoint) Close() error               { return e.ep.Close() }
 
-func (e *injEndpoint) send(frame []byte, fwd func([]byte) error) error {
+func (e *injEndpoint) SendData(frame []byte, more ...[]byte) error {
+	return e.send(e.ep.SendData, frame, more)
+}
+
+func (e *injEndpoint) SendCtrl(frame []byte, more ...[]byte) error {
+	return e.send(e.ep.SendCtrl, frame, more)
+}
+
+// send applies the member's faults to one send call, whatever its burst.
+func (e *injEndpoint) send(fwd func([]byte, ...[]byte) error, frame []byte, more [][]byte) error {
 	in := e.in
 	id := e.ep.ID()
 	in.mu.Lock()
@@ -136,5 +144,5 @@ func (e *injEndpoint) send(frame []byte, fwd func([]byte) error) error {
 	if drop {
 		return nil
 	}
-	return fwd(frame)
+	return fwd(frame, more...)
 }

@@ -31,27 +31,34 @@ type reorderEndpoint struct {
 	held []byte
 }
 
-func (e *reorderEndpoint) SendCtrl(frame []byte) error {
-	m, err := wire.Unmarshal(frame)
-	if err != nil {
-		return e.Endpoint.SendCtrl(frame)
-	}
-	h := m.Hdr()
+// SendCtrl sends the burst without a round-0 s-announce, which it holds,
+// and sends the held one after a burst carrying round 2's y-announce.
+func (e *reorderEndpoint) SendCtrl(frame []byte, more ...[]byte) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	switch {
-	case h.Type == wire.TypeSAnnounce && h.Round == 0:
-		e.held = frame
-		return nil
-	case h.Type == wire.TypeYAnnounce && h.Round == 2 && e.held != nil:
-		if err := e.Endpoint.SendCtrl(frame); err != nil {
+	var burst [][]byte
+	var release []byte
+	for _, f := range append([][]byte{frame}, more...) {
+		if h, err := wire.PeekHeader(f); err == nil {
+			switch {
+			case h.Type == wire.TypeSAnnounce && h.Round == 0:
+				e.held = f
+				continue
+			case h.Type == wire.TypeYAnnounce && h.Round == 2:
+				release, e.held = e.held, nil
+			}
+		}
+		burst = append(burst, f)
+	}
+	if len(burst) > 0 {
+		if err := e.Endpoint.SendCtrl(burst[0], burst[1:]...); err != nil {
 			return err
 		}
-		held := e.held
-		e.held = nil
-		return e.Endpoint.SendCtrl(held)
 	}
-	return e.Endpoint.SendCtrl(frame)
+	if release != nil {
+		return e.Endpoint.SendCtrl(release)
+	}
+	return nil
 }
 
 // TestMemberSurvivesReorderedAnnounce: when a member's round-0

@@ -33,11 +33,13 @@ type countingEndpoint struct {
 	x *atomic.Int64
 }
 
-func (e countingEndpoint) SendData(frame []byte) error {
-	if m, err := wire.Unmarshal(frame); err == nil && m.Hdr().Type == wire.TypeX {
-		e.x.Add(1)
+func (e countingEndpoint) SendData(frame []byte, more ...[]byte) error {
+	for _, f := range append([][]byte{frame}, more...) {
+		if m, err := wire.Unmarshal(f); err == nil && m.Hdr().Type == wire.TypeX {
+			e.x.Add(1)
+		}
 	}
-	return e.Endpoint.SendData(frame)
+	return e.Endpoint.SendData(frame, more...)
 }
 
 // TestExchangeRunsOnlyNeededRounds: the exchange broadcasts exactly the

@@ -104,23 +104,28 @@ func (b *ChanBus) Close() error {
 	return nil
 }
 
-func (b *ChanBus) broadcast(from int, frame []byte, reliable bool) error {
-	round, seq := coinKey(frame)
+// broadcast delivers a send call's burst, frame by frame in order, each
+// under its own coin (control frames under none).
+func (b *ChanBus) broadcast(from int, reliable bool, frame []byte, more [][]byte) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
 		return ErrClosed
 	}
-	b.bits.Add(int64(len(frame)) * 8)
-	env := Env{From: from, Reliable: reliable, Frame: frame}
-	for id, ep := range b.endpoints {
-		if id == from || !reliable && !radio.Delivered(b.seed, round, seq, id, b.erasure) {
-			continue
-		}
-		select {
-		case ep.ch <- env:
-		default:
-			b.shed.Add(1)
+	for i := 0; i <= len(more); i++ {
+		f := frameAt(frame, more, i)
+		round, seq := coinKey(f)
+		b.bits.Add(int64(len(f)) * 8)
+		env := Env{From: from, Reliable: reliable, Frame: f}
+		for id, ep := range b.endpoints {
+			if id == from || !reliable && !radio.Delivered(b.seed, round, seq, id, b.erasure) {
+				continue
+			}
+			select {
+			case ep.ch <- env:
+			default:
+				b.shed.Add(1)
+			}
 		}
 	}
 	return nil
@@ -135,12 +140,12 @@ type chanEndpoint struct {
 
 func (e *chanEndpoint) ID() int { return e.id }
 
-func (e *chanEndpoint) SendData(frame []byte) error {
-	return e.bus.broadcast(e.id, frame, false)
+func (e *chanEndpoint) SendData(frame []byte, more ...[]byte) error {
+	return e.bus.broadcast(e.id, false, frame, more)
 }
 
-func (e *chanEndpoint) SendCtrl(frame []byte) error {
-	return e.bus.broadcast(e.id, frame, true)
+func (e *chanEndpoint) SendCtrl(frame []byte, more ...[]byte) error {
+	return e.bus.broadcast(e.id, true, frame, more)
 }
 
 func (e *chanEndpoint) Recv() <-chan Env { return e.ch }

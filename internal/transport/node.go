@@ -118,13 +118,18 @@ func (n *node) header(round int) wire.Header {
 	return wire.Header{From: uint8(n.cfg.Self), Session: n.cfg.Session, Round: uint16(round)}
 }
 
-// sendCtrl seals (if authenticated) and broadcasts a control message.
-func (n *node) sendCtrl(msg wire.Message) error {
+// seal marshals a control message and seals it when authenticated.
+func (n *node) seal(msg wire.Message) []byte {
 	frame := wire.Marshal(msg)
 	if n.cfg.Chain != nil {
 		frame = n.cfg.Chain.Seal(frame)
 	}
-	return n.ep.SendCtrl(frame)
+	return frame
+}
+
+// sendCtrl broadcasts one control message.
+func (n *node) sendCtrl(msg wire.Message) error {
+	return n.ep.SendCtrl(n.seal(msg))
 }
 
 // next returns the next message for this session/round matching accept,
@@ -196,15 +201,17 @@ func (n *node) leaderRound(ctx context.Context, round int) error {
 	h := n.header(round)
 
 	// Phase 1 step 1: broadcast fresh x-packets, keyed by (seed, round,
-	// leader) under the block no keystream uses.
+	// leader) under the block no keystream uses, as one burst.
 	n.xgen.Round(cfg.Seed, -1, round, cfg.Self)
-	x := make([][]byte, cfg.XPerRound)
+	fl := wire.XFrameLen(cfg.PayloadBytes)
+	slab := make([]byte, cfg.XPerRound*fl)
+	frames, x := make([][]byte, cfg.XPerRound), make([][]byte, cfg.XPerRound)
 	for i := range x {
-		frame := wire.AppendXFill(make([]byte, 0, wire.XFrameLen(cfg.PayloadBytes)), h, uint32(i), cfg.PayloadBytes, &n.xgen)
-		x[i] = wire.XPayload(frame)
-		if err := n.ep.SendData(frame); err != nil {
-			return err
-		}
+		frames[i] = wire.AppendXFill(slab[i*fl:i*fl:(i+1)*fl], h, uint32(i), cfg.PayloadBytes, &n.xgen)
+		x[i] = wire.XPayload(frames[i])
+	}
+	if err := n.ep.SendData(frames[0], frames[1:]...); err != nil {
+		return err
 	}
 	bh := h
 	bh.Type = wire.TypeBeacon
@@ -237,19 +244,17 @@ func (n *node) leaderRound(ctx context.Context, round int) error {
 		return n.sendCtrl(&wire.Beacon{Header: ab, Kind: wire.BeaconRoundAbort})
 	}
 
-	// Phases 1.3-2.3: announce, repair, amplify.
+	// Phases 1.3-2.3: announce, repair, amplify, as one burst.
 	lr := core.ComputeLeaderRound(nil, plan, x)
-	if err := n.sendCtrl(core.BuildYAnnounce(h, plan)); err != nil {
-		return err
-	}
+	ctrl := make([][]byte, 0, len(lr.Z)+2)
+	ctrl = append(ctrl, n.seal(core.BuildYAnnounce(h, plan)))
 	var zp wire.ZPacket
 	for j, z := range lr.Z {
 		core.FillZPacket(&zp, h, plan, j, z)
-		if err := n.sendCtrl(&zp); err != nil {
-			return err
-		}
+		ctrl = append(ctrl, n.seal(&zp))
 	}
-	if err := n.sendCtrl(core.BuildSAnnounce(h, plan)); err != nil {
+	ctrl = append(ctrl, n.seal(core.BuildSAnnounce(h, plan)))
+	if err := n.ep.SendCtrl(ctrl[0], ctrl[1:]...); err != nil {
 		return err
 	}
 	secret := slices.Concat(lr.Secret...)
@@ -281,7 +286,9 @@ func (n *node) terminalRound(ctx context.Context, round, leader int) error {
 		}
 		switch mm := m.(type) {
 		case *wire.XPacket:
-			if len(mm.Payload)%2 == 0 {
+			// A round's payloads combine row by row: one of another
+			// length (a forged frame) would panic the kernel.
+			if len(mm.Payload) == n.cfg.PayloadBytes {
 				xPayloads[packet.ID(mm.Seq)] = mm.Payload
 			}
 		case *wire.Beacon:
@@ -329,7 +336,9 @@ func (n *node) terminalRound(ctx context.Context, round, leader int) error {
 		case *wire.YAnnounce:
 			ya = mm
 		case *wire.ZPacket:
-			zs = append(zs, mm)
+			if len(mm.Payload) == n.cfg.PayloadBytes {
+				zs = append(zs, mm)
+			}
 		case *wire.SAnnounce:
 			sa = mm
 		}
@@ -347,7 +356,8 @@ func (n *node) terminalRound(ctx context.Context, round, leader int) error {
 	for len(zs) < want {
 		msg, err := n.next(ctx, round, func(msg wire.Message) bool {
 			zp, ok := msg.(*wire.ZPacket)
-			return ok && int(msg.Hdr().Round) == round && int(msg.Hdr().From) == leader && !hasZ(zs, zp.Index)
+			return ok && int(msg.Hdr().Round) == round && int(msg.Hdr().From) == leader && !hasZ(zs, zp.Index) &&
+				len(zp.Payload) == n.cfg.PayloadBytes
 		})
 		if err != nil {
 			return fmt.Errorf("collecting z-packets (%d/%d): %w", len(zs), want, err)

@@ -29,12 +29,24 @@ type Observer struct {
 }
 
 type observerRound struct {
-	numX int
-	x    map[uint32][]byte
-	ya   *wire.YAnnounce
-	zs   []*wire.ZPacket
-	sa   *wire.SAnnounce
-	done bool
+	numX  int
+	width int // payload length, set by fits
+	x     map[uint32][]byte
+	ya    *wire.YAnnounce
+	zs    []*wire.ZPacket
+	sa    *wire.SAnnounce
+	done  bool
+}
+
+// fits reports whether payload has the round's width, which the first
+// nonempty even-length payload sets. Knowledge rows combine payload by
+// payload, so one of another length (a forged frame) is dropped, or
+// scoring the round would panic.
+func (r *observerRound) fits(payload []byte) bool {
+	if r.width == 0 && len(payload) > 0 && len(payload)%2 == 0 {
+		r.width = len(payload)
+	}
+	return r.width > 0 && len(payload) == r.width
 }
 
 // NewObserver creates an observer for one session.
@@ -105,7 +117,7 @@ func (o *Observer) Ingest(env Env) {
 	}
 	switch mm := m.(type) {
 	case *wire.XPacket:
-		if len(mm.Payload)%2 == 0 {
+		if r.fits(mm.Payload) {
 			r.x[mm.Seq] = mm.Payload
 			if int(mm.Seq) >= r.numX {
 				r.numX = int(mm.Seq) + 1
@@ -176,7 +188,7 @@ func (o *Observer) evaluate(r *observerRound) {
 	comp := make([]core.Sym, r.numX)
 	yoxRows := yox.RowViews()
 	for _, zp := range r.zs {
-		if len(zp.Coeffs) != m || len(zp.Payload)%2 != 0 {
+		if len(zp.Coeffs) != m || !r.fits(zp.Payload) {
 			continue
 		}
 		clear(comp)

@@ -8,9 +8,9 @@ import (
 )
 
 // SealedBus authenticates a bus's control plane under one key chain:
-// every endpoint it hands out appends the chain's tag to each SendCtrl
-// frame, and delivers a reliable frame only once its tag verifies,
-// stripped of it. A reliable frame that fails verification is dropped
+// every endpoint it hands out appends the chain's tag to each frame of
+// a SendCtrl burst, and delivers a reliable frame only once its tag
+// verifies, stripped of it. A reliable frame that fails verification is dropped
 // and counted (Rejected). Data frames pass through untouched in both
 // directions, so the erasure coin and any observer tapping the inner
 // bus see the same frames as on a plain bus.
@@ -66,8 +66,12 @@ type sealedEndpoint struct {
 	ch  chan Env
 }
 
-func (e *sealedEndpoint) SendCtrl(frame []byte) error {
-	return e.Endpoint.SendCtrl(e.bus.chain.Seal(frame))
+func (e *sealedEndpoint) SendCtrl(frame []byte, more ...[]byte) error {
+	sealed := make([][]byte, len(more))
+	for i, f := range more {
+		sealed[i] = e.bus.chain.Seal(f)
+	}
+	return e.Endpoint.SendCtrl(e.bus.chain.Seal(frame), sealed...)
 }
 
 func (e *sealedEndpoint) Recv() <-chan Env { return e.ch }

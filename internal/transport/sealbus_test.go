@@ -162,11 +162,11 @@ func (g *gatedBus) Close() error                   { close(g.ch); return nil }
 
 type gatedEndpoint struct{ g *gatedBus }
 
-func (e gatedEndpoint) ID() int               { return 0 }
-func (e gatedEndpoint) SendData([]byte) error { return nil }
-func (e gatedEndpoint) SendCtrl([]byte) error { return nil }
-func (e gatedEndpoint) Close() error          { return nil }
-func (e gatedEndpoint) Recv() <-chan Env      { <-e.g.gate; return e.g.ch }
+func (e gatedEndpoint) ID() int                          { return 0 }
+func (e gatedEndpoint) SendData([]byte, ...[]byte) error { return nil }
+func (e gatedEndpoint) SendCtrl([]byte, ...[]byte) error { return nil }
+func (e gatedEndpoint) Close() error                     { return nil }
+func (e gatedEndpoint) Recv() <-chan Env                 { <-e.g.gate; return e.g.ch }
 
 // TestSealedBusCloseJoinsOpeners: Close returns only once every sealed
 // endpoint's opener goroutine has exited, so none outlives the bus and

@@ -15,7 +15,9 @@
 //     eavesdropper's tap.
 //   - UDPBus: a loopback UDP hub with a small ARQ (sequence numbers,
 //     acknowledgments, retransmission timers) providing the reliable
-//     control plane over actual sockets.
+//     control plane over actual sockets. A send call's burst of frames
+//     travels in as few datagrams as fit, each frame still erased by its
+//     own coin.
 //
 // The paper's "reliably broadcasts" primitive maps to SendCtrl; a plain
 // packet transmission maps to SendData.
@@ -35,15 +37,27 @@ type Env struct {
 }
 
 // Endpoint is one node's attachment to a broadcast Bus.
+//
+// A send call takes a burst: frame, then each of more, in order. A bus
+// may carry a burst in fewer transmissions than frames (UDPBus packs it
+// into as few datagrams as its size cap allows), but each frame keeps
+// its own erasure coin, reaches a receiver as its own Env, and counts
+// its own bits in BitsSent. Every frame of a burst has left when the
+// call returns: nothing waits in the endpoint for a later call, so a
+// burst sent after another follows it. The first frame is a parameter
+// of its own because a variadic argument to an interface method escapes
+// to the heap: a one-frame call allocates nothing, and a caller with a
+// longer burst passes a frame list it owns, as list[0], list[1:]...
 type Endpoint interface {
 	// ID returns the node index on the bus.
 	ID() int
-	// SendData broadcasts an unreliable data frame; each receiver gets it
-	// subject to the bus's erasure process.
-	SendData(frame []byte) error
-	// SendCtrl broadcasts a reliable control frame, delivered to every
-	// other endpoint (the eavesdropper included, per the paper's model).
-	SendCtrl(frame []byte) error
+	// SendData broadcasts a burst of unreliable data frames; each
+	// receiver gets each frame subject to the bus's erasure process.
+	SendData(frame []byte, more ...[]byte) error
+	// SendCtrl broadcasts a burst of reliable control frames, each
+	// delivered to every other endpoint (the eavesdropper included, per
+	// the paper's model), in order within the burst.
+	SendCtrl(frame []byte, more ...[]byte) error
 	// Recv yields delivered frames. The channel is closed when the bus
 	// shuts down, unless it is an inbox the bus's caller owns (see
 	// NewChanBusOver): the bus then only stops delivering into it, and
@@ -78,6 +92,14 @@ var ErrClosed = errors.New("transport: closed")
 // nonXRound keys the coin for data frames that are not x-packets. It lies
 // outside the uint16 round space, so it never collides with an x-packet.
 const nonXRound = 1 << 16
+
+// frameAt returns frame i of a send call's burst: frame, then more.
+func frameAt(frame []byte, more [][]byte, i int) []byte {
+	if i == 0 {
+		return frame
+	}
+	return more[i-1]
+}
 
 // coinKey returns the (round, seq) under which a data frame takes the
 // erasure coin: an x-packet's own header fields, or one fixed key for any

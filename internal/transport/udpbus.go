@@ -1,9 +1,11 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,12 +20,28 @@ import (
 // so the paper's "reliable broadcast" holds over an actually lossy
 // transport.
 //
+// One SendData or SendCtrl call travels as a burst: its frames go out as
+// length-prefixed entries, in order, in as few datagrams as maxDatagram
+// allows. The hub splits a data datagram, flips each frame's own erasure
+// coin for each receiver, and sends each receiver one datagram holding
+// the frames that receiver gets. A control datagram is one ARQ unit: one
+// sequence number, one hub accept-ack, and one ack from each receiver,
+// which delivers its frames in order. Every frame still reaches a
+// receiver's inbox as its own Env, so the erasures, BitsSent (each
+// frame's own bits, never headers or length prefixes) and ShedFrames are
+// per frame, as on ChanBus.
+//
 // Datagram layout (hub <-> client), big endian:
 //
 //	byte 0     kind (hello, helloAck, data, ctrl, ctrlAck, ack)
-//	bytes 1-2  node id
-//	bytes 3-6  sequence number
-//	bytes 7+   frame payload
+//	bytes 1-2  node id (data, ctrl: the frames' sender)
+//	bytes 3-6  sequence number (ctrl, ctrlAck, ack)
+//	bytes 7+   data, ctrl: frame entries, each a uint16 length and that
+//	           many frame bytes; ack: the ctrl sender's node id (uint16)
+//
+// The hub answers any loopback sender, so a data or control datagram
+// whose entries do not end exactly at its end is dropped whole, at the
+// hub and at the endpoint.
 type UDPBus struct {
 	erasure float64
 	seed    int64
@@ -32,9 +50,9 @@ type UDPBus struct {
 	conn *net.UDPConn
 
 	mu sync.Mutex
-	// addrs is written only by readLoop, under mu; readLoop itself reads
+	// peers is written only by readLoop, under mu; readLoop itself reads
 	// it without the lock.
-	addrs   map[int]*net.UDPAddr
+	peers   map[int]*udpPeer
 	pending map[pendingKey]*pendingCtrl
 	seen    map[int]*seqWindow // per-sender ctrl dedup, constant memory
 	eps     []*udpEndpoint     // every endpoint this bus handed out
@@ -42,7 +60,14 @@ type UDPBus struct {
 
 	bits atomic.Int64
 	shed atomic.Int64
+	sent [kindAck + 1]atomic.Int64 // datagrams the hub and endpoints wrote, by kind
 	wg   sync.WaitGroup
+}
+
+// udpPeer is a registered endpoint as the hub sees it.
+type udpPeer struct {
+	addr netip.AddrPort
+	out  []byte // the data datagram being built for it; readLoop's alone
 }
 
 type pendingKey struct {
@@ -51,9 +76,9 @@ type pendingKey struct {
 }
 
 type pendingCtrl struct {
-	frame   []byte
-	waiting map[int]bool // receivers that have not acked yet
-	tries   int
+	datagram []byte       // as its sender wrote it: forwarded and retransmitted unchanged
+	waiting  map[int]bool // receivers that have not acked yet
+	tries    int
 }
 
 const (
@@ -64,6 +89,12 @@ const (
 	kindCtrlAck  = 5 // hub -> sender: ctrl accepted
 	kindAck      = 6 // receiver -> hub: ctrl delivered
 	udpHeader    = 7
+	udpEntry     = 2 // an entry's length prefix
+
+	// maxDatagram caps every datagram the bus writes: the largest IPv4
+	// UDP payload. A frame longer than maxFrame cannot be sent.
+	maxDatagram = 65507
+	maxFrame    = maxDatagram - udpHeader - udpEntry
 )
 
 // Tunables for the ARQ. Aggressive values are fine on loopback.
@@ -71,6 +102,48 @@ const (
 	retransmitEvery = 10 * time.Millisecond
 	maxRetries      = 200
 )
+
+// putHeader writes a datagram header into dst[:udpHeader] and returns
+// that prefix.
+func putHeader(dst []byte, kind byte, from int, seq uint32) []byte {
+	dst = dst[:udpHeader]
+	dst[0] = kind
+	binary.BigEndian.PutUint16(dst[1:3], uint16(from))
+	binary.BigEndian.PutUint32(dst[3:7], seq)
+	return dst
+}
+
+// appendEntry appends frame to a datagram as one length-prefixed entry.
+func appendEntry(dg, frame []byte) []byte {
+	dg = binary.BigEndian.AppendUint16(dg, uint16(len(frame)))
+	return append(dg, frame...)
+}
+
+// countEntries returns how many frame entries body holds, or 0 when it
+// holds none or an entry's length runs past the end: such a datagram is
+// dropped whole.
+func countEntries(body []byte) int {
+	n := 0
+	for len(body) > 0 {
+		if len(body) < udpEntry {
+			return 0
+		}
+		l := udpEntry + int(binary.BigEndian.Uint16(body))
+		if len(body) < l {
+			return 0
+		}
+		body = body[l:]
+		n++
+	}
+	return n
+}
+
+// nextEntry splits the first entry off a body countEntries accepted: its
+// frame, capped at its length, and the entries after it.
+func nextEntry(body []byte) (frame, rest []byte) {
+	l := udpEntry + int(binary.BigEndian.Uint16(body))
+	return body[udpEntry:l:l], body[l:]
+}
 
 // NewUDPBus starts a hub on a loopback UDP port. The hub erases each data
 // frame at each receiver with probability erasure, keyed by seed; each
@@ -85,7 +158,7 @@ func NewUDPBus(erasure float64, seed int64, inbox int) (*UDPBus, error) {
 		seed:    seed,
 		inbox:   inbox,
 		conn:    conn,
-		addrs:   make(map[int]*net.UDPAddr),
+		peers:   make(map[int]*udpPeer),
 		pending: make(map[pendingKey]*pendingCtrl),
 		seen:    make(map[int]*seqWindow),
 	}
@@ -127,37 +200,49 @@ func (b *UDPBus) Close() error {
 	return err
 }
 
+// write sends one datagram from the hub.
+func (b *UDPBus) write(dg []byte, to netip.AddrPort) {
+	b.sent[dg[0]].Add(1)
+	_, _ = b.conn.WriteToUDPAddrPort(dg, to) // best effort, like the air; ARQ covers ctrl
+}
+
 func (b *UDPBus) readLoop() {
 	defer b.wg.Done()
-	buf := make([]byte, 65536)
+	buf := make([]byte, 1<<16)
+	reply := make([]byte, udpHeader) // helloAck and ctrlAck
+	var fwd []netip.AddrPort         // acceptCtrl's receivers, reused
 	for {
-		n, addr, err := b.conn.ReadFromUDP(buf)
+		n, addr, err := b.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return // closed
 		}
 		if n < udpHeader {
 			continue
 		}
-		kind := buf[0]
-		from := int(binary.BigEndian.Uint16(buf[1:3]))
-		seq := binary.BigEndian.Uint32(buf[3:7])
-		payload := buf[udpHeader:n]
+		dg := buf[:n]
+		kind := dg[0]
+		from := int(binary.BigEndian.Uint16(dg[1:3]))
+		seq := binary.BigEndian.Uint32(dg[3:7])
 		switch kind {
 		case kindHello:
 			b.mu.Lock()
-			b.addrs[from] = addr
+			if p := b.peers[from]; p != nil {
+				p.addr = addr
+			} else {
+				b.peers[from] = &udpPeer{addr: addr}
+			}
 			b.mu.Unlock()
-			b.send(addr, kindHelloAck, from, 0, nil)
+			b.write(putHeader(reply, kindHelloAck, from, 0), addr)
 		case kindData:
-			b.fanoutData(from, buf[:n])
+			b.fanoutData(from, dg)
 		case kindCtrl:
-			b.acceptCtrl(from, seq, payload)
+			fwd = b.acceptCtrl(from, seq, dg, reply, fwd[:0])
 		case kindAck:
-			if len(payload) < 2 {
+			if n < udpHeader+2 {
 				continue
 			}
 			b.mu.Lock()
-			key := pendingKey{from: int(binary.BigEndian.Uint16(payload[0:2])), seq: seq}
+			key := pendingKey{from: int(binary.BigEndian.Uint16(dg[udpHeader:])), seq: seq}
 			if p, ok := b.pending[key]; ok {
 				delete(p.waiting, from)
 				if len(p.waiting) == 0 {
@@ -169,23 +254,60 @@ func (b *UDPBus) readLoop() {
 	}
 }
 
-// fanoutData forwards a data datagram, as received, to every receiver the
-// erasure coin delivers it to.
-func (b *UDPBus) fanoutData(from int, datagram []byte) {
-	frame := datagram[udpHeader:]
-	b.bits.Add(int64(len(frame)) * 8)
-	round, seq := coinKey(frame)
-	for id, addr := range b.addrs {
-		if id != from && radio.Delivered(b.seed, round, seq, id, b.erasure) {
-			_, _ = b.conn.WriteToUDP(datagram, addr) // best effort, like the air
+// fanoutData sends each receiver one datagram holding the frames of a
+// data datagram that the erasure coin delivers to it.
+func (b *UDPBus) fanoutData(from int, dg []byte) {
+	if !b.route(from, dg) {
+		return
+	}
+	for id, p := range b.peers {
+		if id != from && len(p.out) > udpHeader {
+			b.write(p.out, p.addr)
 		}
 	}
 }
 
-func (b *UDPBus) acceptCtrl(from int, seq uint32, frame []byte) {
+// route splits a data datagram into its frames and flips each frame's
+// coin for every registered receiver, building in each receiver's reused
+// buffer the datagram of the frames it gets. It reports false, and
+// builds nothing, for a datagram countEntries rejects.
+func (b *UDPBus) route(from int, dg []byte) bool {
+	body := dg[udpHeader:]
+	if countEntries(body) == 0 {
+		return false
+	}
+	for id, p := range b.peers {
+		if id != from {
+			p.out = append(p.out[:0], dg[:udpHeader]...)
+		}
+	}
+	for rest := body; len(rest) > 0; {
+		var frame []byte
+		frame, rest = nextEntry(rest)
+		b.bits.Add(int64(len(frame)) * 8)
+		round, seq := coinKey(frame)
+		for id, p := range b.peers {
+			if id != from && radio.Delivered(b.seed, round, seq, id, b.erasure) {
+				p.out = appendEntry(p.out, frame)
+			}
+		}
+	}
+	return true
+}
+
+// acceptCtrl takes a control datagram into the ARQ: it acks the sender
+// (reply is the header buffer to ack in), keeps the datagram until every
+// other registered endpoint has acked it, and forwards it to them, using
+// fwd for their addresses. It returns fwd, for reuse.
+func (b *UDPBus) acceptCtrl(from int, seq uint32, dg, reply []byte, fwd []netip.AddrPort) []netip.AddrPort {
+	body := dg[udpHeader:]
+	frames := countEntries(body)
+	if frames == 0 {
+		return fwd
+	}
 	key := pendingKey{from: from, seq: seq}
 	b.mu.Lock()
-	senderAddr := b.addrs[from]
+	sender := b.peers[from]
 	w := b.seen[from]
 	if w == nil {
 		w = &seqWindow{}
@@ -193,50 +315,49 @@ func (b *UDPBus) acceptCtrl(from int, seq uint32, frame []byte) {
 	}
 	if w.observe(seq) {
 		b.mu.Unlock()
-		if senderAddr != nil {
-			b.send(senderAddr, kindCtrlAck, from, seq, nil) // duplicate: re-ack
+		if sender != nil {
+			b.write(putHeader(reply, kindCtrlAck, from, seq), sender.addr) // duplicate: re-ack
 		}
-		return
+		return fwd
 	}
-	b.bits.Add(int64(len(frame)) * 8)
-	p := &pendingCtrl{frame: append([]byte(nil), frame...), waiting: map[int]bool{}}
-	var deliver []*net.UDPAddr
-	for id, addr := range b.addrs {
+	b.bits.Add(int64(len(body)-udpEntry*frames) * 8)
+	p := &pendingCtrl{datagram: bytes.Clone(dg), waiting: map[int]bool{}}
+	for id, peer := range b.peers {
 		if id == from {
 			continue
 		}
 		p.waiting[id] = true
-		deliver = append(deliver, addr)
+		fwd = append(fwd, peer.addr)
 	}
 	if len(p.waiting) > 0 {
 		b.pending[key] = p
 	}
 	b.mu.Unlock()
-	if senderAddr != nil {
-		b.send(senderAddr, kindCtrlAck, from, seq, nil)
+	if sender != nil {
+		b.write(putHeader(reply, kindCtrlAck, from, seq), sender.addr)
 	}
-	for _, addr := range deliver {
-		b.send(addr, kindCtrl, from, seq, frame)
+	for _, addr := range fwd {
+		b.write(p.datagram, addr)
 	}
+	return fwd
 }
 
 func (b *UDPBus) retransmitLoop() {
 	defer b.wg.Done()
 	tick := time.NewTicker(retransmitEvery)
 	defer tick.Stop()
+	type rtx struct {
+		addr     netip.AddrPort
+		datagram []byte
+	}
+	var out []rtx
 	for range tick.C {
 		b.mu.Lock()
 		if b.closed {
 			b.mu.Unlock()
 			return
 		}
-		type rtx struct {
-			addr  *net.UDPAddr
-			from  int
-			seq   uint32
-			frame []byte
-		}
-		var out []rtx
+		out = out[:0]
 		for key, p := range b.pending {
 			p.tries++
 			if p.tries > maxRetries {
@@ -244,25 +365,16 @@ func (b *UDPBus) retransmitLoop() {
 				continue
 			}
 			for id := range p.waiting {
-				if addr, ok := b.addrs[id]; ok {
-					out = append(out, rtx{addr: addr, from: key.from, seq: key.seq, frame: p.frame})
+				if peer, ok := b.peers[id]; ok {
+					out = append(out, rtx{addr: peer.addr, datagram: p.datagram})
 				}
 			}
 		}
 		b.mu.Unlock()
 		for _, r := range out {
-			b.send(r.addr, kindCtrl, r.from, r.seq, r.frame)
+			b.write(r.datagram, r.addr)
 		}
 	}
-}
-
-func (b *UDPBus) send(addr *net.UDPAddr, kind byte, from int, seq uint32, payload []byte) {
-	msg := make([]byte, udpHeader+len(payload))
-	msg[0] = kind
-	binary.BigEndian.PutUint16(msg[1:3], uint16(from))
-	binary.BigEndian.PutUint32(msg[3:7], seq)
-	copy(msg[udpHeader:], payload)
-	_, _ = b.conn.WriteToUDP(msg, addr) // best effort; ARQ covers ctrl
 }
 
 // Endpoint implements Bus: it dials the hub, performs the hello handshake
@@ -280,17 +392,18 @@ func (b *UDPBus) Endpoint(id int) (Endpoint, error) {
 	}
 	ep := &udpEndpoint{
 		id:    id,
+		bus:   b,
 		conn:  conn,
 		ch:    make(chan Env, b.inbox),
-		shed:  &b.shed,
 		acked: make(map[uint32]chan struct{}),
 		seen:  make(map[int]*seqWindow),
 	}
 	ep.helloDone = make(chan struct{})
 	go ep.readLoop()
 	// Hello with retries until acknowledged.
+	hello := putHeader(make([]byte, udpHeader), kindHello, id, 0)
 	for i := 0; i < maxRetries; i++ {
-		ep.write(kindHello, 0, nil)
+		ep.write(hello)
 		select {
 		case <-ep.helloDone:
 			b.mu.Lock()
@@ -311,14 +424,15 @@ func (b *UDPBus) Endpoint(id int) (Endpoint, error) {
 
 type udpEndpoint struct {
 	id   int
+	bus  *UDPBus // its shed and datagram counters
 	conn *net.UDPConn
 	ch   chan Env
 	seq  atomic.Uint32
-	shed *atomic.Int64 // the bus's shed counter
 
 	mu        sync.Mutex
 	acked     map[uint32]chan struct{}
 	seen      map[int]*seqWindow // per-sender ctrl dedup, constant memory
+	spare     [][]byte           // datagram buffers of finished sends
 	helloOnce sync.Once
 	helloDone chan struct{}
 	closed    bool
@@ -326,25 +440,80 @@ type udpEndpoint struct {
 
 func (e *udpEndpoint) ID() int { return e.id }
 
-func (e *udpEndpoint) write(kind byte, seq uint32, payload []byte) {
-	msg := make([]byte, udpHeader+len(payload))
-	msg[0] = kind
-	binary.BigEndian.PutUint16(msg[1:3], uint16(e.id))
-	binary.BigEndian.PutUint32(msg[3:7], seq)
-	copy(msg[udpHeader:], payload)
-	_, _ = e.conn.Write(msg)
+// write sends one datagram to the hub.
+func (e *udpEndpoint) write(dg []byte) {
+	e.bus.sent[dg[0]].Add(1)
+	_, _ = e.conn.Write(dg)
 }
 
-func (e *udpEndpoint) SendData(frame []byte) error {
-	e.write(kindData, 0, frame)
-	return nil
+func (e *udpEndpoint) SendData(frame []byte, more ...[]byte) error {
+	return e.send(kindData, frame, more)
 }
 
-// SendCtrl submits the frame to the hub and blocks until the hub has
-// accepted it (client->hub hop is itself retransmitted), after which the
-// hub's ARQ guarantees delivery to every registered endpoint.
-func (e *udpEndpoint) SendCtrl(frame []byte) error {
+// SendCtrl submits the frames to the hub, one ARQ unit per datagram, and
+// blocks until the hub has accepted each (the client->hub hop is itself
+// retransmitted), after which the hub's ARQ guarantees delivery to every
+// registered endpoint.
+func (e *udpEndpoint) SendCtrl(frame []byte, more ...[]byte) error {
+	return e.send(kindCtrl, frame, more)
+}
+
+// send packs frame and then more into datagrams of kind, in order, each
+// holding as many whole frames as maxDatagram allows, and sends each
+// before the next is packed. The datagram buffer is reused from call to
+// call: a concurrent call (a leader's exchange and compute loop share an
+// endpoint) takes one of its own.
+func (e *udpEndpoint) send(kind byte, frame []byte, more [][]byte) error {
+	for i := 0; i <= len(more); i++ {
+		if f := frameAt(frame, more, i); len(f) > maxFrame {
+			return fmt.Errorf("transport: a %d-byte frame exceeds the %d-byte datagram", len(f), maxDatagram)
+		}
+	}
+	e.mu.Lock()
+	var dg []byte
+	if n := len(e.spare); n > 0 {
+		dg, e.spare = e.spare[n-1], e.spare[:n-1]
+	}
+	e.mu.Unlock()
+	if cap(dg) < udpHeader {
+		dg = make([]byte, udpHeader)
+	}
+	var err error
+	for i := 0; i <= len(more) && err == nil; {
+		dg, i = packEntries(dg[:udpHeader], frame, more, i)
+		err = e.flush(kind, dg)
+	}
+	e.mu.Lock()
+	e.spare = append(e.spare, dg)
+	e.mu.Unlock()
+	return err
+}
+
+// packEntries appends entries to dg, from frame i of the burst (frame,
+// then more) on, while they fit in maxDatagram, and returns dg and the
+// index of the first frame left out. A frame of at most maxFrame bytes
+// always fits a datagram holding only its header.
+func packEntries(dg, frame []byte, more [][]byte, i int) ([]byte, int) {
+	for ; i <= len(more); i++ {
+		f := frameAt(frame, more, i)
+		if len(dg)+udpEntry+len(f) > maxDatagram {
+			break
+		}
+		dg = appendEntry(dg, f)
+	}
+	return dg, i
+}
+
+// flush sends one packed datagram: a data datagram once, a control
+// datagram under a fresh sequence number until the hub accepts it.
+func (e *udpEndpoint) flush(kind byte, dg []byte) error {
+	if kind == kindData {
+		putHeader(dg, kind, e.id, 0)
+		e.write(dg)
+		return nil
+	}
 	seq := e.seq.Add(1)
+	putHeader(dg, kind, e.id, seq)
 	done := make(chan struct{})
 	e.mu.Lock()
 	e.acked[seq] = done
@@ -355,7 +524,7 @@ func (e *udpEndpoint) SendCtrl(frame []byte) error {
 		e.mu.Unlock()
 	}()
 	for i := 0; i < maxRetries; i++ {
-		e.write(kindCtrl, seq, frame)
+		e.write(dg)
 		select {
 		case <-done:
 			return nil
@@ -383,7 +552,8 @@ func (e *udpEndpoint) Close() error {
 
 func (e *udpEndpoint) readLoop() {
 	defer close(e.ch)
-	buf := make([]byte, 65536)
+	buf := make([]byte, 1<<16)
+	ack := make([]byte, udpHeader+2)
 	for {
 		n, err := e.conn.Read(buf)
 		if err != nil {
@@ -400,7 +570,7 @@ func (e *udpEndpoint) readLoop() {
 		kind := buf[0]
 		from := int(binary.BigEndian.Uint16(buf[1:3]))
 		seq := binary.BigEndian.Uint32(buf[3:7])
-		payload := append([]byte(nil), buf[udpHeader:n]...)
+		body := buf[udpHeader:n]
 		switch kind {
 		case kindHelloAck:
 			e.helloOnce.Do(func() { close(e.helloDone) })
@@ -412,12 +582,17 @@ func (e *udpEndpoint) readLoop() {
 			}
 			e.mu.Unlock()
 		case kindData:
-			e.deliver(Env{From: from, Reliable: false, Frame: payload})
+			if countEntries(body) > 0 {
+				e.deliver(from, false, bytes.Clone(body))
+			}
 		case kindCtrl:
+			if countEntries(body) == 0 {
+				continue // malformed: dropped whole, unacked
+			}
 			// Ack to the hub, dedup, deliver once.
-			ackPayload := make([]byte, 2)
-			binary.BigEndian.PutUint16(ackPayload, uint16(from))
-			e.write(kindAck, seq, ackPayload)
+			putHeader(ack, kindAck, e.id, seq)
+			binary.BigEndian.PutUint16(ack[udpHeader:], uint16(from))
+			e.write(ack[:udpHeader+2])
 			e.mu.Lock()
 			w := e.seen[from]
 			if w == nil {
@@ -427,18 +602,23 @@ func (e *udpEndpoint) readLoop() {
 			dup := w.observe(seq)
 			e.mu.Unlock()
 			if !dup {
-				e.deliver(Env{From: from, Reliable: true, Frame: payload})
+				e.deliver(from, true, bytes.Clone(body))
 			}
 		}
 	}
 }
 
-// deliver hands env to the endpoint's inbox without blocking the socket
-// reader: a full inbox sheds the frame.
-func (e *udpEndpoint) deliver(env Env) {
-	select {
-	case e.ch <- env:
-	default:
-		e.shed.Add(1)
+// deliver hands each frame of a datagram's entries, a copy the endpoint
+// made once, to the inbox in order, without blocking the socket reader:
+// a full inbox sheds the frame.
+func (e *udpEndpoint) deliver(from int, reliable bool, body []byte) {
+	for len(body) > 0 {
+		var frame []byte
+		frame, body = nextEntry(body)
+		select {
+		case e.ch <- Env{From: from, Reliable: reliable, Frame: frame}:
+		default:
+			e.bus.shed.Add(1)
+		}
 	}
 }
