@@ -81,12 +81,13 @@ func TestUDPBlockDatagramsPerRound(t *testing.T) {
 
 // TestUDPBlockBitsMatchChanBus: BitsSent counts each frame's own bits,
 // never datagram headers or length prefixes, so the same blocks cost the
-// same bits over a UDPBus as over a ChanBus. The leader waits out every
-// member's report (a long AckWait), so both buses carry the same frames.
+// same bits over a UDPBus as over a ChanBus. The leader waits for every
+// member's report (long AckWait and AckSlack), so each is sent before
+// its block's bus closes and both buses carry the same frames.
 func TestUDPBlockBitsMatchChanBus(t *testing.T) {
 	const blocks = 2
 	cfg := keygenConfig(23)
-	cfg.AckWait = 10 * time.Second
+	cfg.AckWait, cfg.AckSlack = 10*time.Second, 10*time.Second
 	bits := func(buses []transport.Bus) (n int64) {
 		for _, b := range buses {
 			n += b.BitsSent()

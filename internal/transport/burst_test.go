@@ -76,8 +76,8 @@ func TestUDPBurstFramesInOrder(t *testing.T) {
 	if got, want := bus.BitsSent(), int64(len("first")+len("third frame"))*8; got != want {
 		t.Fatalf("BitsSent %d, want %d", got, want)
 	}
-	if n := bus.sent[kindCtrl].Load(); n < 3 {
-		t.Fatalf("%d control datagrams written, want the unit and its two forwards", n)
+	if units := eps[0].(*udpEndpoint).seq.Load(); units != 1 {
+		t.Fatalf("a 3-frame control burst took %d ARQ units, want 1", units)
 	}
 }
 
@@ -85,7 +85,7 @@ func TestUDPBurstFramesInOrder(t *testing.T) {
 // as few datagrams as the cap allows, and every frame still arrives, in
 // order.
 func TestUDPBurstSplitsAtCap(t *testing.T) {
-	bus, eps := udpEndpoints(t, 0, 2)
+	_, eps := udpEndpoints(t, 0, 2)
 	burst := make([][]byte, 5)
 	for i := range burst { // two fill a datagram exactly
 		burst[i] = bytes.Repeat([]byte{byte(i + 1)}, (maxDatagram-udpHeader)/2-udpEntry)
@@ -98,8 +98,8 @@ func TestUDPBurstSplitsAtCap(t *testing.T) {
 			t.Fatalf("frame %d differs", i)
 		}
 	}
-	if n := bus.sent[kindCtrl].Load(); n < 6 || n > 6+3 {
-		t.Fatalf("%d control datagrams for 3 units, each forwarded once", n)
+	if units := eps[0].(*udpEndpoint).seq.Load(); units != 3 {
+		t.Fatalf("5 frames of half a datagram took %d ARQ units, want 3", units)
 	}
 	if err := eps[0].SendData(make([]byte, maxFrame+1)); err == nil {
 		t.Fatal("a frame over the cap was accepted")
