@@ -715,8 +715,10 @@ func (bc *BlockContext) runTerminal(ctx context.Context, ep transport.Endpoint, 
 				}
 				ah := wire.Header{From: uint8(self), Session: session, Round: uint16(r), Type: wire.TypeAck}
 				ta.ack = wire.AckReport{Header: ah, NumX: uint32(numX), Bitmap: ta.mine.Words()}
-				// A closed or stalled bus makes this fail or block; both are
-				// fine — the leader's deadline does not depend on us.
+				// A closed bus makes this fail at once and a stalled one
+				// makes it block; both are fine — the leader's deadline does
+				// not depend on us, and teardown closes the bus before it
+				// waits for the members.
 				ep.SendCtrl(ta.frames.marshal(&ta.ack))
 			case wire.BeaconRoundAbort:
 				if st, ok := rounds[r]; ok {

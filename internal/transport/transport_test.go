@@ -2,6 +2,8 @@ package transport
 
 import (
 	"context"
+	"errors"
+	"net"
 	"testing"
 	"time"
 
@@ -432,6 +434,67 @@ func TestUDPBusCtrlSurvivesTotalDataLoss(t *testing.T) {
 	if results[0].Productive != 0 {
 		t.Fatal("round counted productive")
 	}
+}
+
+// TestUDPSendCtrlReturnsOnClose pins that a closed endpoint's SendCtrl
+// fails at once with ErrClosed, as on a ChanBus, instead of retransmitting
+// into a closed socket for the whole retry budget: a block's teardown
+// closes its bus and then waits for its members, so a member sending its
+// last report after the close held every block it hit for two seconds.
+func TestUDPSendCtrlReturnsOnClose(t *testing.T) {
+	prompt := retransmitEvery * maxRetries / 4
+	t.Run("after close", func(t *testing.T) {
+		bus, err := NewUDPBus(0, 1, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep, err := bus.Endpoint(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bus.Endpoint(1); err != nil {
+			t.Fatal(err)
+		}
+		bus.Close()
+		t0 := time.Now()
+		err = ep.SendCtrl([]byte{1, 2, 3}, []byte{4})
+		if d := time.Since(t0); !errors.Is(err, ErrClosed) || d > prompt {
+			t.Fatalf("SendCtrl on a closed bus: %v after %v, want ErrClosed within %v", err, d, prompt)
+		}
+		if err := ep.SendData([]byte{1}); !errors.Is(err, ErrClosed) {
+			t.Fatalf("SendData on a closed bus: %v, want ErrClosed", err)
+		}
+	})
+	t.Run("while waiting", func(t *testing.T) {
+		// A hub that reads and never accepts: SendCtrl waits on it until
+		// the endpoint closes.
+		hub, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer hub.Close()
+		conn, err := net.DialUDP("udp4", nil, hub.LocalAddr().(*net.UDPAddr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep := &udpEndpoint{bus: &UDPBus{}, conn: conn, acked: map[uint32]chan struct{}{}, stop: make(chan struct{})}
+		res := make(chan error, 1)
+		go func() { res <- ep.SendCtrl([]byte{1, 2, 3}) }()
+		hub.SetReadDeadline(time.Now().Add(time.Second))
+		if _, _, err := hub.ReadFromUDP(make([]byte, 64)); err != nil {
+			t.Fatalf("the control datagram never reached the hub: %v", err)
+		}
+		t0 := time.Now()
+		ep.Close()
+		select {
+		case err := <-res:
+			if !errors.Is(err, ErrClosed) {
+				t.Fatalf("SendCtrl released by Close: %v, want ErrClosed", err)
+			}
+		case <-time.After(prompt):
+			t.Fatalf("SendCtrl still waiting %v after Close", time.Since(t0))
+		}
+	})
 }
 
 func TestRunGroupSurvivesGarbageInjection(t *testing.T) {

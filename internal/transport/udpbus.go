@@ -399,6 +399,7 @@ func (b *UDPBus) Endpoint(id int) (Endpoint, error) {
 		seen:  make(map[int]*seqWindow),
 	}
 	ep.helloDone = make(chan struct{})
+	ep.stop = make(chan struct{})
 	go ep.readLoop()
 	// Hello with retries until acknowledged.
 	hello := putHeader(make([]byte, udpHeader), kindHello, id, 0)
@@ -435,6 +436,7 @@ type udpEndpoint struct {
 	spare     [][]byte           // datagram buffers of finished sends
 	helloOnce sync.Once
 	helloDone chan struct{}
+	stop      chan struct{} // closed by Close: releases a send waiting on the hub
 	closed    bool
 }
 
@@ -453,7 +455,10 @@ func (e *udpEndpoint) SendData(frame []byte, more ...[]byte) error {
 // SendCtrl submits the frames to the hub, one ARQ unit per datagram, and
 // blocks until the hub has accepted each (the client->hub hop is itself
 // retransmitted), after which the hub's ARQ guarantees delivery to every
-// registered endpoint.
+// registered endpoint. On a closed endpoint, or one closed while it
+// waits, it returns ErrClosed at once, as ChanBus does: a member still
+// draining its inbox when its block's bus closes must not hold the
+// block's teardown for the whole retry budget.
 func (e *udpEndpoint) SendCtrl(frame []byte, more ...[]byte) error {
 	return e.send(kindCtrl, frame, more)
 }
@@ -470,6 +475,10 @@ func (e *udpEndpoint) send(kind byte, frame []byte, more [][]byte) error {
 		}
 	}
 	e.mu.Lock()
+	if e.closed {
+		e.mu.Unlock()
+		return ErrClosed
+	}
 	var dg []byte
 	if n := len(e.spare); n > 0 {
 		dg, e.spare = e.spare[n-1], e.spare[:n-1]
@@ -528,6 +537,8 @@ func (e *udpEndpoint) flush(kind byte, dg []byte) error {
 		select {
 		case <-done:
 			return nil
+		case <-e.stop:
+			return ErrClosed
 		case <-time.After(retransmitEvery):
 		}
 	}
@@ -546,6 +557,7 @@ func (e *udpEndpoint) Close() error {
 		return nil
 	}
 	e.closed = true
+	close(e.stop)
 	e.mu.Unlock()
 	return e.conn.Close()
 }
