@@ -31,6 +31,11 @@ const (
 	DefaultSlotsPerRound = 9
 )
 
+// MaxXPerRound is the most x-packets a round may have (Config.XPerRound).
+// A receiver that learns a round's x count from the wire ignores a larger
+// count, so a forged frame cannot size its buffers.
+const MaxXPerRound = 16384
+
 // Config parameterizes a protocol session.
 type Config struct {
 	// Terminals is the group size n (2..16). Terminal indices are
@@ -82,8 +87,8 @@ func (c *Config) Validate() error {
 	if c.Terminals < 2 || c.Terminals > 16 {
 		return fmt.Errorf("%w: Terminals=%d, want 2..16", ErrConfig, c.Terminals)
 	}
-	if c.XPerRound < 1 || c.XPerRound > 16384 {
-		return fmt.Errorf("%w: XPerRound=%d, want 1..16384", ErrConfig, c.XPerRound)
+	if c.XPerRound < 1 || c.XPerRound > MaxXPerRound {
+		return fmt.Errorf("%w: XPerRound=%d, want 1..%d", ErrConfig, c.XPerRound, MaxXPerRound)
 	}
 	if c.PayloadBytes == 0 {
 		c.PayloadBytes = DefaultPayloadBytes

@@ -15,68 +15,61 @@ import (
 // arena holds one derivation worker's reusable block-derivation buffers.
 // A worker derives one block at a time, so the same buffers serve block
 // after block: the block's set-up (its context, endpoints and secret
-// spans), the leader's round planners and reception sets, its report
+// spans), the leader's round planner and reception sets, its report
 // bookkeeping and timer, its round scratch, its x-payload generator and
 // x rows, the leader's outgoing frames, and each member terminal's round
 // scratches, decoded control messages and reception reports. Every
 // buffer's size follows from the Config, so the arena stops growing
-// after the first blocks. A block with no bus uses only
-// one planner, the reception sets, the generator, one slab of x rows
-// the generator fills and the leader's round scratch, and once warm
-// allocates nothing (TestSteadyStateBlockAlloc); a block over a bus
-// allocates only its context, its goroutines, its exchange channel and
-// its bus (TestProtocolBlockAllocBudget).
+// after the first blocks. A block with no bus uses only the planner, the
+// reception sets, the generator, one slab of x rows the generator fills
+// and the leader's round scratch, and once warm allocates nothing
+// (TestSteadyStateBlockAlloc); a block over a bus allocates only its
+// context, its member goroutines and its bus
+// (TestProtocolBlockAllocBudget).
 type arena struct {
 	bc     BlockContext // the worker's block context, over this arena
 	policy core.Config  // validated once; its Pooling and Estimator plan every round
 	eps    []transport.Endpoint
 	auth   blockAuth
-	// The block's members and its exchange goroutine.
-	termWG, exchWG sync.WaitGroup
+	termWG sync.WaitGroup // the block's members
 
-	// The exchange's planning: round r's reception sets, read from the
-	// schedule, and the planners not in use. A plan is live from its
-	// round's exchange until the compute loop has marshalled the round's
-	// s-announce (or abort beacon), so at most pipelineDepth+1 planners
-	// are ever out: one in the exchange, pipelineDepth-1 in exchCh, one in
-	// the compute loop.
+	// The leader's planning: round r's reception sets, read from the
+	// schedule, and the planner each round is planned into. The leader
+	// plans a block's rounds one at a time on one goroutine, so one of
+	// each serves them all.
 	recv     []*packet.IDSet
-	planFree []*core.Planner // guarded by mu
-	waitFor  []bool          // collectReports: members this round waits for
-	acked    []bool          // collectReports: members that reported
-	ackTimer *time.Timer     // collectReports' deadline, reset every round
+	planner  core.Planner
+	waitFor  []bool      // collectReports: members this round waits for
+	acked    []bool      // collectReports: members that reported
+	ackTimer *time.Timer // collectReports' deadline, reset every round
 	leader   core.RoundScratch
 
-	xn, xb  int        // x-packets per round, bytes per x-payload
-	erasure float64    // the schedule's erasure probability
-	mu      sync.Mutex // the exchange takes planners, compute returns them
+	xn, xb  int     // x-packets per round, bytes per x-payload
+	erasure float64 // the schedule's erasure probability
 
 	// A round's x-payloads, as the rows the leader's round combines: over
 	// xslab, which the generator fills, in a block with no bus, and over
-	// the payloads inside the round's x frames in the compute loop of a
-	// block over one.
+	// the payloads inside the round's x frames in a block over one.
 	x     [][]byte
 	xslab []byte // allocated by the first block with no bus
 	xgen  packet.XGen
 
-	// The leader's frames: the exchange goroutine's x frames and end-of-X
-	// beacons, and the compute loop's abort beacons and announces. Each
-	// slab has one writer; both rewind at block teardown.
+	// The leader's frames: its x frames, one round's carved back to back,
+	// and its beacons and announces. Both slabs rewind at block teardown.
 	xframes, cframes frameSlab
-	// The leader's bursts, each sent in one call: the exchange's round of
-	// x frames, and the compute loop's y-announce, z-packets and
-	// s-announce. Both are sized for a round's most frames.
-	xburst, cburst [][]byte
+	// The leader's burst, sent in one call: a round's x frames, or its
+	// end-of-X beacon, y-announce, z-packets and s-announce (or abort
+	// beacon). It is sized for a round's most frames.
+	burst [][]byte
 
-	// The messages the leader's frames are marshalled from as soon as
-	// they are filled: the exchange's end-of-X beacon, and the compute
-	// loop's abort beacon, announces and z-packet. x frames are built
-	// around the payloads the generator writes (wire.AppendXFill).
-	xbeacon wire.Beacon
-	beacon  wire.Beacon
-	ya      wire.YAnnounce
-	sa      wire.SAnnounce
-	zp      wire.ZPacket
+	// The messages the leader's control frames are marshalled from as
+	// soon as they are filled: a beacon, the announces and a z-packet.
+	// x frames are built around the payloads the generator writes
+	// (wire.AppendXFill).
+	beacon wire.Beacon
+	ya     wire.YAnnounce
+	sa     wire.SAnnounce
+	zp     wire.ZPacket
 
 	terms []termArena // indexed by terminal
 }
@@ -114,13 +107,11 @@ type termArena struct {
 }
 
 func newArena(cfg *Config) *arena {
-	// The exchange's slab grows by one round's x frames and end-of-X
-	// beacon, its exact per-round need. The compute loop's frames vary
-	// with each round's plan, so its slab grows by its widest frame: a
-	// z frame with M ≤ XPerRound coefficients, or a y-announce whose one
-	// class spans every x-packet with M rows over them (an s-announce has
-	// at most as many rows of the same length).
-	beacon := &wire.Beacon{Header: wire.Header{Type: wire.TypeBeacon}}
+	// The x-frame slab grows by one round's x frames, its exact per-round
+	// need. The control frames vary with each round's plan, so their slab
+	// grows by the widest: a z frame with M ≤ XPerRound coefficients, or a
+	// y-announce whose one class spans every x-packet with M rows over
+	// them (an s-announce has at most as many rows of the same length).
 	row := make([]uint16, cfg.XPerRound)
 	z := &wire.ZPacket{Header: wire.Header{Type: wire.TypeZ}, Coeffs: row, Payload: make([]byte, cfg.PayloadBytes)}
 	rows := make([][]uint16, cfg.XPerRound)
@@ -137,9 +128,8 @@ func newArena(cfg *Config) *arena {
 		xn:      cfg.XPerRound, xb: cfg.PayloadBytes,
 		erasure: cfg.Erasure,
 		x:       make([][]byte, cfg.XPerRound),
-		xburst:  make([][]byte, cfg.XPerRound),
-		cburst:  make([][]byte, 0, cfg.XPerRound+2),
-		xframes: frameSlab{chunk: cfg.XPerRound*wire.XFrameLen(cfg.PayloadBytes) + wire.FrameLen(beacon)},
+		burst:   make([][]byte, cfg.XPerRound+3),
+		xframes: frameSlab{chunk: cfg.XPerRound * wire.XFrameLen(cfg.PayloadBytes)},
 		cframes: frameSlab{chunk: max(wire.FrameLen(z), wire.FrameLen(y))},
 		terms:   make([]termArena, cfg.Terminals),
 	}
@@ -162,28 +152,9 @@ func newArena(cfg *Config) *arena {
 	return a
 }
 
-// planner returns a planner not in use.
-func (a *arena) planner() *core.Planner {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if n := len(a.planFree); n > 0 {
-		pl := a.planFree[n-1]
-		a.planFree = a.planFree[:n-1]
-		return pl
-	}
-	return new(core.Planner)
-}
-
-// putPlanner returns a planner whose plan is no longer used.
-func (a *arena) putPlanner(pl *core.Planner) {
-	a.mu.Lock()
-	a.planFree = append(a.planFree, pl)
-	a.mu.Unlock()
-}
-
 // blockAuth is where each round's authoritative secret sits in the block
-// being derived, indexed by round. The compute loop records a round's
-// span before announcing the round, so a member that completes it finds
+// being derived, indexed by round. The leader records a round's span
+// before announcing the round, so a member that completes it finds
 // the span, and verify checks the member's secret against it.
 type blockAuth struct {
 	mu    sync.Mutex
@@ -240,7 +211,7 @@ func (a *arena) xRows() [][]byte {
 }
 
 // frameRows points the x rows at the payloads of a round's x frames,
-// which the exchange carved back to back into span, and returns them.
+// which sendX carved back to back into span, and returns them.
 func (a *arena) frameRows(span []byte) [][]byte {
 	fl := wire.XFrameLen(a.xb)
 	for i := range a.x {

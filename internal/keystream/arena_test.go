@@ -13,7 +13,7 @@ import (
 )
 
 // chanBus is a NewBus that runs each block over a plain in-process bus,
-// so the block's members run: the pipelined protocol path.
+// so the block's members run: the protocol path over a bus.
 func chanBus(erasure float64) func(_, blockSeed int64, inbox int) (transport.Bus, error) {
 	return func(_, blockSeed int64, inbox int) (transport.Bus, error) {
 		return transport.NewChanBus(erasure, blockSeed, inbox), nil

@@ -39,8 +39,8 @@ func readRef(t *testing.T, cfg Config, nblocks int) []byte {
 
 // TestStreamMatchesReference: bytes produced by the engine with two
 // workers are byte-identical to the plain sequential oracle, both on the
-// leader-only path a stream with no bus takes and on the pipelined one —
-// overlapped exchange/elimination, soft report deadlines — over an
+// leader-only path a stream with no bus takes and on the one with
+// members — the leader's round loop, soft report deadlines — over an
 // in-process and a UDP bus. With no bus no member runs, so no member
 // counter moves; over the in-process bus every member verifies every
 // round, and over UDP at least 90% of them (a rare loopback drop).

@@ -2,7 +2,6 @@ package keystream
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -110,31 +109,14 @@ func (s *Stream) derive(a *arena, idx int64, dst []byte) error {
 	return bc.deriveProtocol(idx, dst)
 }
 
-// exchRound is one round's transmit-phase outcome, handed from the
-// exchange goroutine to the compute goroutine: the round's plan and the
-// planner it lives in, and, when the plan yields secret, the span of the
-// arena's x-frame slab its x frames fill, back to back, whose payloads
-// the compute loop combines. Whoever ends the round returns the planner
-// to the arena; the frames stay put until the block's teardown.
-type exchRound struct {
-	round   int
-	pl      *core.Planner
-	plan    *core.Plan
-	xframes []byte
-}
-
-// release returns the round's planner to a.
-func (er exchRound) release(a *arena) {
-	a.putPlanner(er.pl)
-}
-
-// pipelineDepth is how many rounds the exchange goroutine may run ahead
-// of the compute loop's control broadcasts: exchCh holds
-// pipelineDepth-1 rounds and one more is in flight.
+// pipelineDepth is how many rounds behind the newest a member keeps a
+// round it has not completed: over a UDP bus a control unit whose first
+// datagram was lost can land after later rounds' frames. It also sizes
+// the inboxes (inboxDepth) and the members' report slabs.
 const pipelineDepth = 3
 
-// inboxDepth is the per-endpoint inbox, in frames, of a block's bus: the
-// frames of the pipeline's rounds plus the one a receiver is still
+// inboxDepth is the per-endpoint inbox, in frames, of a block's bus:
+// pipelineDepth rounds of frames plus the one a receiver is still
 // draining. One round sends an endpoint at most XPerRound x frames,
 // M ≤ XPerRound z frames, two beacons (end of X, abort), two announces
 // (y, s) and one reception report per other member. A receiver that keeps
@@ -153,33 +135,24 @@ type secretSpan struct {
 // deriveProtocol runs protocol rounds until the block's secret bytes
 // cover dst. Without cfg.NewBus the leader derives them alone
 // (deriveLeader): the bytes are its secrets, so members would only
-// verify them. With a bus, the leader and its members run the pipelined
-// exchange on it, described below.
+// verify them. With a bus, the leader runs one loop on the calling
+// goroutine, round by round: plan the round, send its x frames as one
+// data burst (aborted rounds too), combine a productive round's payloads
+// where they lie in the frames and copy its secret into dst, send the
+// end-of-X beacon and the y-announce, z-packets and s-announce (or the
+// abort beacon) as one control burst, and collect the round's reception
+// reports. Each member runs runTerminal on a goroutine of its own.
 //
-// Buffers: the block's endpoints and secret spans, the leader's round
-// planners and reception sets, report bookkeeping and timer, rows,
-// payload generator and outgoing messages, and the
-// terminals' round state, decoded messages and reception reports, come
-// from bc.arena and go back to it when a round is computed or abandoned,
-// so a worker's steady state derives blocks without reallocating them: a
-// warm block allocates only its context, its goroutines, its exchange
-// channel and its bus. A context without an arena (a test's) derives on
-// a fresh one, zeroed when the block is done. A bus whose Close leaves
-// its inboxes open (transport.NewChanBusOver) is fine: members and the
-// report collector also stop on the block's context.
+// Buffers come from bc.arena (see arena). A context without one (a
+// test's) derives on a fresh arena, zeroed when the block is done. A bus
+// whose Close leaves its inboxes open (transport.NewChanBusOver) is
+// fine: members also stop on the block's context.
 //
-// Plans: the exchange plans each round into a planner it takes from the
-// arena, and the round's plan stays live until the compute loop has
-// marshalled the round's s-announce or abort beacon; then the planner
-// goes back, as do those of rounds teardown abandons.
-//
-// Frames: every leader frame and member report is carved from the
-// arena's frame slabs and stays unchanged from its send until teardown
-// has closed the bus (which joins the bus's own goroutines: a tap's
-// observer, a sealed bus's openers) and joined the exchange and the
-// terminals. Only then do the slabs rewind, zeroing the frames. Members
-// decode every frame they use in place, and keep a round's x- and
-// z-payloads as views of its frames.
+// Frames: the leader's frames and members' reports are carved from the
+// arena's slabs and stay unchanged until teardown has closed the bus
+// (joining its own goroutines: a tap's observer, a sealed bus's openers)
+// and joined the members; then the slabs rewind, zeroing them. Members
+// decode frames in place and keep payloads as views of them.
 //
 // Determinism: the leader derives each round's reception sets from the
 // radio.Delivered schedule, never from the live reception reports — the
@@ -190,16 +163,8 @@ type secretSpan struct {
 // ever touching the bytes. That is the invariant that makes
 // (seed, block index) ⇒ bytes hold under arbitrary timing.
 //
-// Pipelining: the exchange goroutine runs round r+1's packet broadcast
-// and report collection while the compute goroutine is still eliminating
-// round r (exchCh is the pipeline window, see pipelineDepth); terminals
-// split their half with core.ReceiveRoundInto as soon as the y-announce
-// arrives and core.PartialRound.Eliminate once the z-packets complete.
-//
-// Bounded exchange: a round's plan depends on the schedule alone, so the
-// exchange goroutine plans round r before broadcasting it and stops once
-// the planned secret covers dst (or the abort limit is reached). Every
-// exchanged round is computed; none is broadcast only to be thrown away.
+// The exchange histogram observes a round's plan, fill, sends and report
+// wait; the compute histogram a productive round's combination and copy.
 func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 	if bc.arena == nil {
 		fresh := *bc
@@ -234,7 +199,7 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
 	defer cancel()
 
-	// Where each round's authoritative secret sits in dst. The compute loop
+	// Where each round's authoritative secret sits in dst. The leader
 	// writes a round's bytes and records its span before announcing the
 	// round, so a member that completes it finds both.
 	auth := &a.auth
@@ -242,139 +207,100 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 	defer auth.reset(nil, nil)
 
 	// Terminal goroutines: the live-workload and verification layer.
-	termWG := &a.termWG
 	for t := 0; t < cfg.Terminals; t++ {
 		if t == leader {
 			continue
 		}
-		termWG.Add(1)
+		a.termWG.Add(1)
 		go func() {
-			defer termWG.Done()
+			defer a.termWG.Done()
 			bc.runTerminal(ctx, eps[t], &a.terms[t], t, leader, session, auth)
 		}()
 	}
-
-	// Exchange goroutine: plans round r+1 from the schedule, broadcasts its
-	// x-packets and collects its reception reports while compute still
-	// owns round r. It stops at the last round the block needs.
-	exchCh := make(chan exchRound, pipelineDepth-1)
-	exchWG := &a.exchWG
-	exchWG.Add(1)
-	go func() {
-		defer exchWG.Done()
-		defer close(exchCh)
-		timed := bc.ins.exchangeLat != nil
-		planned, aborts := 0, 0
-		for r := 0; r < 1<<16 && planned < len(dst) && aborts < cfg.MaxAbortRounds; r++ {
-			if ctx.Err() != nil {
-				return
-			}
-			var t0 time.Time
-			if timed {
-				t0 = time.Now()
-			}
-			pl := a.planner()
-			plan := a.roundPlan(pl, blockSeed, r, leader)
-			if plan.L == 0 {
-				aborts++
-			} else {
-				aborts = 0
-				planned += plan.L * cfg.PayloadBytes // L secret rows of one payload each
-			}
-			er, err := bc.exchange(ctx, a, eps[leader], idx, r, leader, session, pl, plan)
-			if timed {
-				bc.ins.exchangeLat.ObserveSince(t0)
-			}
-			if err != nil {
-				return
-			}
-			select {
-			case exchCh <- er:
-			case <-ctx.Done():
-				er.release(a)
-				return
-			}
-		}
+	// Teardown: stop the members, close the bus (releases any member
+	// wedged in an injected stall) and wait for them. After that nothing
+	// reads the block's frames, and the slabs rewind.
+	defer func() {
+		cancel()
+		bus.Close()
+		a.termWG.Wait()
+		bc.es.shed.Add(bus.ShedFrames())
+		a.rewindFrames()
 	}()
 
-	// Compute loop: leader-side elimination, control broadcasts.
-	written := 0
-	consecAborts := 0
-	var derr error
-	computeTimed := bc.ins.computeLat != nil
-	for er := range exchCh {
-		var computeT0 time.Time
-		if computeTimed {
-			computeT0 = time.Now()
+	ep, timed := eps[leader], bc.ins.exchangeLat != nil
+	fl := wire.XFrameLen(cfg.PayloadBytes)
+	written, aborts := 0, 0
+	for r := 0; r < 1<<16 && written < len(dst); r++ {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("keystream: block %d underrun (%d/%d bytes): %w", idx, written, len(dst), err)
 		}
-		r, plan := er.round, er.plan
+		var t0 time.Time
+		if timed {
+			t0 = time.Now()
+		}
+		plan := a.roundPlan(blockSeed, r, leader)
+		// The x-payloads, the bytes ReferenceBlock draws in the same
+		// order, go straight into their frames, carved back to back.
 		h := wire.Header{From: uint8(leader), Session: session, Round: uint16(r)}
+		a.xgen.Round(cfg.Seed, idx, r, leader)
+		span := a.xframes.carve(cfg.XPerRound * fl)[:cfg.XPerRound*fl]
+		burst := a.burst[:cfg.XPerRound]
+		for i := range burst {
+			burst[i] = wire.AppendXFill(span[i*fl:i*fl:(i+1)*fl], h, uint32(i), cfg.PayloadBytes, &a.xgen)
+		}
+		if err := ep.SendData(burst[0], burst[1:]...); err != nil {
+			return fmt.Errorf("keystream: block %d round %d: %w", idx, r, err)
+		}
+		var lr *core.LeaderRound
+		var sp secretSpan
+		var compute time.Duration
+		if plan.L > 0 {
+			var t1 time.Time
+			if timed {
+				t1 = time.Now()
+			}
+			lr = core.ComputeLeaderRound(&a.leader, plan, a.frameRows(span))
+			sp = secretSpan{off: written, full: plan.L * cfg.PayloadBytes}
+			for _, row := range lr.Secret {
+				sp.n += copy(dst[written+sp.n:], row)
+			}
+			auth.set(r, sp)
+			if timed {
+				compute = time.Since(t1)
+				bc.ins.computeLat.Observe(compute.Seconds())
+			}
+		}
+		if err := a.announce(ep, h, plan, lr); err != nil {
+			return fmt.Errorf("keystream: block %d round %d: %w", idx, r, err)
+		}
+		bc.collectReports(ctx, a, ep, r, leader, session)
+		if timed {
+			bc.ins.exchangeLat.Observe((time.Since(t0) - compute).Seconds())
+		}
+		// Counted with its outcome: Stats shows no round still in flight.
 		bc.es.rounds.Add(1)
-		if plan.L == 0 {
-			bc.es.aborted.Add(1)
-			if computeTimed {
-				bc.ins.computeLat.ObserveSince(computeT0)
-			}
-			consecAborts++
-			er.release(a)
-			a.beacon = wire.Beacon{Header: h, Kind: wire.BeaconRoundAbort}
-			a.beacon.Type = wire.TypeBeacon
-			eps[leader].SendCtrl(a.cframes.marshal(&a.beacon))
-			if consecAborts >= cfg.MaxAbortRounds {
-				derr = fmt.Errorf("keystream: block %d: %d consecutive unproductive rounds (erasure too high or channel dead)",
-					idx, consecAborts)
-				break
-			}
+		if plan.L > 0 {
+			bc.es.productive.Add(1)
+			aborts, written = 0, written+sp.n
 			continue
 		}
-		consecAborts = 0
-		lr := core.ComputeLeaderRound(&a.leader, plan, a.frameRows(er.xframes))
-		sp := secretSpan{off: written, full: plan.L * cfg.PayloadBytes}
-		for _, row := range lr.Secret {
-			k := copy(dst[written+sp.n:], row)
-			if sp.n += k; k < len(row) {
-				break
-			}
-		}
-		auth.set(r, sp)
-		if computeTimed {
-			bc.ins.computeLat.ObserveSince(computeT0)
-		}
-		derr = a.announce(eps[leader], h, plan, lr)
-		er.release(a)
-		if derr != nil {
-			break
-		}
-		bc.es.productive.Add(1)
-		written += sp.n
-		if written >= len(dst) {
-			break
+		bc.es.aborted.Add(1)
+		if aborts++; aborts >= cfg.MaxAbortRounds {
+			return fmt.Errorf("keystream: block %d: %d consecutive unproductive rounds (erasure too high or channel dead)",
+				idx, aborts)
 		}
 	}
-	if derr == nil && written < len(dst) {
-		derr = fmt.Errorf("keystream: block %d underrun (%d/%d bytes): %w",
-			idx, written, len(dst), firstErr(ctx.Err(), errors.New("exchange stopped")))
+	if written < len(dst) {
+		return fmt.Errorf("keystream: block %d underrun (%d/%d bytes): exchange stopped", idx, written, len(dst))
 	}
-
-	// Teardown: stop the exchange, close the bus (releases any member
-	// wedged in an injected stall), drain the workload layer. After that
-	// nothing reads the block's frames, and the slabs rewind.
-	cancel()
-	bus.Close()
-	exchWG.Wait()
-	for er := range exchCh { // release a pipelined round the compute loop abandoned
-		er.release(a)
-	}
-	termWG.Wait()
-	bc.es.shed.Add(bus.ShedFrames())
-	a.rewindFrames()
-	return derr
+	return nil
 }
 
 // deriveLeader derives block idx into dst with no bus and no members, in
 // one loop on the worker's arena: plan each round from the schedule and,
 // unless it aborts, fill its x-payloads into the arena's x rows from the
-// generator as exchange does (the generator is rekeyed every round, so
+// generator as a bus block does (the generator is rekeyed every round, so
 // skipping an aborted round's changes none), and combine the round's
 // secret straight into dst, computing no z-packet and no s-packet dst has
 // no room for (core.LeaderSecret). It starts no goroutine and makes no
@@ -384,8 +310,7 @@ func (bc *BlockContext) deriveLeader(idx int64, dst []byte) error {
 	blockSeed := BlockSeed(cfg.Seed, idx)
 	leader := blockLeader(cfg, idx)
 	deadline := time.Now().Add(cfg.Timeout)
-	pl, x := a.planner(), a.xRows()
-	defer a.putPlanner(pl)
+	x := a.xRows()
 	computeTimed := bc.ins.computeLat != nil
 	written, aborts := 0, 0
 	for r := 0; r < 1<<16 && written < len(dst); r++ {
@@ -393,7 +318,7 @@ func (bc *BlockContext) deriveLeader(idx int64, dst []byte) error {
 		if t0.After(deadline) {
 			return fmt.Errorf("keystream: block %d underrun (%d/%d bytes): %w", idx, written, len(dst), context.DeadlineExceeded)
 		}
-		plan := a.roundPlan(pl, blockSeed, r, leader)
+		plan := a.roundPlan(blockSeed, r, leader)
 		if plan.L == 0 {
 			bc.es.rounds.Add(1)
 			bc.es.aborted.Add(1)
@@ -436,92 +361,47 @@ func blockLeader(cfg *Config, idx int64) int {
 	return int((idx%n + n) % n)
 }
 
-func firstErr(errs ...error) error {
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
-}
-
-// announce sends a computed round's control broadcasts on the leader's
-// endpoint as one burst: the y-announce, the z-packets and the
-// s-announce, each filled into the arena's message for it and marshalled
-// into the compute loop's frame slab, so nothing of the plan is needed
+// announce sends a round's control frames on the leader's endpoint as
+// one burst: the end-of-X beacon, then, for a computed round (lr not
+// nil), the y-announce, the z-packets and the s-announce, or else the
+// abort beacon. Each is filled into the arena's message for it and
+// marshalled into the control slab, so nothing of the plan is needed
 // once it returns.
 func (a *arena) announce(ep transport.Endpoint, h wire.Header, plan *core.Plan, lr *core.LeaderRound) error {
-	core.FillYAnnounce(&a.ya, h, plan)
-	burst := append(a.cburst[:0], a.cframes.marshal(&a.ya))
-	for j, z := range lr.Z {
-		core.FillZPacket(&a.zp, h, plan, j, z)
-		burst = append(burst, a.cframes.marshal(&a.zp))
+	a.beacon = wire.Beacon{Header: h, Kind: wire.BeaconEndOfX, Value: uint32(a.xn)}
+	a.beacon.Type = wire.TypeBeacon
+	burst := append(a.burst[:0], a.cframes.marshal(&a.beacon))
+	if lr == nil {
+		a.beacon.Kind, a.beacon.Value = wire.BeaconRoundAbort, 0
+		burst = append(burst, a.cframes.marshal(&a.beacon))
+	} else {
+		core.FillYAnnounce(&a.ya, h, plan)
+		burst = append(burst, a.cframes.marshal(&a.ya))
+		for j, z := range lr.Z {
+			core.FillZPacket(&a.zp, h, plan, j, z)
+			burst = append(burst, a.cframes.marshal(&a.zp))
+		}
+		core.FillSAnnounce(&a.sa, h, plan)
+		burst = append(burst, a.cframes.marshal(&a.sa))
 	}
-	core.FillSAnnounce(&a.sa, h, plan)
-	burst = append(burst, a.cframes.marshal(&a.sa))
 	return ep.SendCtrl(burst[0], burst[1:]...)
 }
 
-// roundPlan plans round r into pl from the radio.Delivered schedule. It
-// never looks at x-payloads, which is what lets the exchange plan a round
-// before broadcasting it. One goroutine plans a block's rounds (the
-// exchange, or deriveLeader's loop), so one set of reception sets serves
-// every round.
-func (a *arena) roundPlan(pl *core.Planner, blockSeed int64, r, leader int) *core.Plan {
-	scheduleRecv(a.recv, blockSeed, r, leader, a.xn, a.erasure)
-	return pl.Plan(len(a.recv), leader, a.xn, a.recv, nil, a.policy.Pooling, a.policy.Estimator)
-}
-
-// scheduleRecv reads round r's reception sets, one per terminal, from the
-// radio.Delivered schedule — the authoritative inputs to the round plan.
-func scheduleRecv(recv []*packet.IDSet, blockSeed int64, r, leader, numX int, p float64) {
-	for t, s := range recv {
-		s.Reset(numX)
-		for seq := 0; seq < numX; seq++ {
-			if t == leader || radio.Delivered(blockSeed, r, seq, t, p) {
+// roundPlan plans round r into the arena's planner from its reception
+// sets, one per terminal, read from the radio.Delivered schedule — the
+// authoritative inputs to the plan. It never looks at x-payloads, which
+// is what lets the leader plan a round before broadcasting it. A plan
+// stays valid until the next roundPlan call.
+func (a *arena) roundPlan(blockSeed int64, r, leader int) *core.Plan {
+	for t, s := range a.recv {
+		s.Reset(a.xn)
+		for seq := 0; seq < a.xn; seq++ {
+			if t == leader || radio.Delivered(blockSeed, r, seq, t, a.erasure) {
 				s.Add(packet.ID(seq))
 			}
 		}
 	}
-}
-
-// exchange runs round r's transmit phase on the leader endpoint: the
-// x-packets as one burst, the end-of-X beacon, then the soft report
-// deadline. Reports are pacing and health input only — their content
-// never reaches the round plan (see deriveProtocol).
-//
-// The x-payloads are drawn from the arena's generator rekeyed for round
-// r of block idx (the bytes ReferenceBlock draws, in the same order),
-// each straight into its frame in the arena's x-frame slab
-// (wire.AppendXFill). The round's x frames are carved back to back, and
-// when the plan yields secret their span goes to the compute loop, which
-// combines the payloads where they lie.
-func (bc *BlockContext) exchange(ctx context.Context, a *arena, ep transport.Endpoint, idx int64, r, leader int, session uint32, pl *core.Planner, plan *core.Plan) (exchRound, error) {
-	cfg := bc.cfg
-	er := exchRound{round: r, pl: pl, plan: plan}
-	h := wire.Header{From: uint8(leader), Session: session, Round: uint16(r)}
-	a.xgen.Round(cfg.Seed, idx, r, leader)
-	fl := wire.XFrameLen(cfg.PayloadBytes)
-	span := a.xframes.carve(cfg.XPerRound * fl)[:cfg.XPerRound*fl]
-	if plan.L > 0 {
-		er.xframes = span
-	}
-	burst := a.xburst
-	for i := range burst {
-		burst[i] = wire.AppendXFill(span[i*fl:i*fl:(i+1)*fl], h, uint32(i), cfg.PayloadBytes, &a.xgen)
-	}
-	if err := ep.SendData(burst[0], burst[1:]...); err != nil {
-		er.release(a)
-		return exchRound{}, err
-	}
-	a.xbeacon = wire.Beacon{Header: h, Kind: wire.BeaconEndOfX, Value: uint32(cfg.XPerRound)}
-	a.xbeacon.Type = wire.TypeBeacon
-	if err := ep.SendCtrl(a.xframes.marshal(&a.xbeacon)); err != nil {
-		er.release(a)
-		return exchRound{}, err
-	}
-	bc.collectReports(ctx, a, ep, r, leader, session)
-	return er, nil
+	return a.planner.Plan(len(a.recv), leader, a.xn, a.recv, nil, a.policy.Pooling, a.policy.Estimator)
 }
 
 // collectReports waits — up to AckWait, tightened to AckSlack once the
@@ -681,13 +561,12 @@ func (bc *BlockContext) runTerminal(ctx context.Context, ep transport.Endpoint, 
 		r := int(h.Round)
 		if r > maxRound {
 			maxRound = r
-			// Garbage-collect rounds the pipeline has moved past: an
+			// Garbage-collect rounds the leader has moved past: an
 			// incomplete round that had reached its announce phase means
 			// frames this member needed were shed. Only rounds more than
-			// pipelineDepth behind the newest go — the exchange goroutine
-			// runs up to pipelineDepth rounds ahead of the compute
-			// goroutine's control broadcasts, so round r's announce can
-			// legitimately arrive after round r+pipelineDepth's x-packets.
+			// pipelineDepth behind the newest go — over a UDP bus a
+			// retransmitted control unit can land after later rounds'
+			// frames.
 			for old, st := range rounds {
 				if old < maxRound-pipelineDepth {
 					if st.ya != nil {
@@ -705,16 +584,17 @@ func (bc *BlockContext) runTerminal(ctx context.Context, ep transport.Endpoint, 
 		case *wire.Beacon:
 			switch mm.Kind {
 			case wire.BeaconEndOfX:
-				st := state(r)
-				numX := int(mm.Value)
-				ta.mine.Reset(numX)
-				for id := range st.recvX {
-					if int(id) < numX {
-						ta.mine.Add(id)
-					}
+				// The round's x count is the Config's: a beacon naming
+				// another (a forged frame) would size the report.
+				if int(mm.Value) != cfg.XPerRound {
+					continue
+				}
+				ta.mine.Reset(cfg.XPerRound)
+				for id := range state(r).recvX {
+					ta.mine.Add(id)
 				}
 				ah := wire.Header{From: uint8(self), Session: session, Round: uint16(r), Type: wire.TypeAck}
-				ta.ack = wire.AckReport{Header: ah, NumX: uint32(numX), Bitmap: ta.mine.Words()}
+				ta.ack = wire.AckReport{Header: ah, NumX: uint32(cfg.XPerRound), Bitmap: ta.mine.Words()}
 				// A closed bus makes this fail at once and a stalled one
 				// makes it block; both are fine — the leader's deadline does
 				// not depend on us, and teardown closes the bus before it

@@ -96,7 +96,7 @@ type Config struct {
 	Obs *obs.Registry
 
 	// NewBus, when non-nil, builds the broadcast bus for each block, and
-	// the block's leader and members run the pipelined exchange on it
+	// the block's leader runs its rounds on it with the members
 	// (sessions use it for UDP, an eavesdropper's tap or sealed control
 	// frames; tests for an Injector). Nil means no bus: the leader
 	// derives each block alone, and the member counters in Stats stay 0.
@@ -232,9 +232,9 @@ func newStreamInstruments(r *obs.Registry) streamInstruments {
 		blockLat: r.Histogram("thinaird_keystream_block_derive_seconds",
 			"Wall time to derive one keystream block.", obs.LatencyBuckets),
 		exchangeLat: r.Histogram("thinaird_keystream_exchange_seconds",
-			"Wall time of one round's plan and x-payload phase (over a bus, its x-packet exchange).", obs.LatencyBuckets),
+			"Wall time of one round's plan and x-payload phase (over a bus, with its sends and report wait).", obs.LatencyBuckets),
 		computeLat: r.Histogram("thinaird_keystream_compute_seconds",
-			"Wall time of one productive round's elimination (over a bus, with its announces).", obs.LatencyBuckets),
+			"Wall time of one productive round's elimination and secret copy.", obs.LatencyBuckets),
 		resident: r.Gauge("thinaird_keystream_blocks_resident",
 			"Blocks currently resident in the stream cache (pipeline occupancy)."),
 		cacheHits: r.Counter("thinaird_keystream_cache_hits_total",

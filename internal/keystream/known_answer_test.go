@@ -11,7 +11,7 @@ import (
 // shapes: the end-to-end benchmark's (128 x-packets of 4 KiB, 128 KiB
 // blocks), the service's default session (90 x-packets of 16 bytes,
 // 2 KiB blocks) and a rotating-leader group of four. The differential
-// tests compare the pipelined engine against ReferenceBlock, which shares
+// tests compare the engine against ReferenceBlock, which shares
 // the leader code with it; these digests catch a change to that shared
 // code that would move both sides at once. The digests are those of
 // stream Format 1; they change only together with a Format bump.

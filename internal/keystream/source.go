@@ -74,9 +74,9 @@ func XOFSource8(seed int64) Source {
 }
 
 // ReferenceBlock derives block idx of a protocol stream with a plain
-// sequential loop — no bus, no goroutines, no pipeline — straight from
-// the radio.Delivered schedule. It is the differential-test oracle the
-// pipelined engine must match byte for byte.
+// sequential loop — no bus, no goroutines, no reused buffers — straight
+// from the radio.Delivered schedule. It is the differential-test oracle
+// the engine must match byte for byte.
 func ReferenceBlock(cfg Config, idx int64, dst []byte) error {
 	if err := cfg.fill(); err != nil {
 		return err
@@ -84,13 +84,12 @@ func ReferenceBlock(cfg Config, idx int64, dst []byte) error {
 	blockSeed := BlockSeed(cfg.Seed, idx)
 	leader := blockLeader(&cfg, idx)
 	a := newArena(&cfg) // for its planning only
-	pl := new(core.Planner)
 	written := 0
 	consecAborts := 0
 	var g packet.XGen
 	defer g.Zero()
 	for r := 0; r < 1<<16 && written < len(dst); r++ {
-		plan := a.roundPlan(pl, blockSeed, r, leader)
+		plan := a.roundPlan(blockSeed, r, leader)
 		if plan.L == 0 {
 			consecAborts++
 			if consecAborts >= cfg.MaxAbortRounds {

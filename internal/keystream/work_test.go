@@ -42,10 +42,10 @@ func (e countingEndpoint) SendData(frame []byte, more ...[]byte) error {
 	return e.Endpoint.SendData(frame, more...)
 }
 
-// TestExchangeRunsOnlyNeededRounds: the exchange broadcasts exactly the
-// rounds the compute loop uses — it plans each round from the schedule and
-// stops once the planned secret covers the block, instead of running
-// rounds ahead that are then thrown away.
+// TestExchangeRunsOnlyNeededRounds: the leader broadcasts exactly the
+// rounds it computes — it plans each round from the schedule and stops
+// once the secret covers the block, running no round that is then
+// thrown away.
 func TestExchangeRunsOnlyNeededRounds(t *testing.T) {
 	cfg := protoCfg(11)
 	var x atomic.Int64
@@ -161,32 +161,31 @@ func settle(t *testing.T, s *Stream) {
 	}
 }
 
-// TestProtocolBlockAllocBudget pins what one computed round of the
-// pipelined protocol path allocates in the benchmark's stream shape (3
-// terminals, erasure 0.45, 128 x-packets of 4 KiB, 128 KiB blocks),
-// counting the whole block derivation — leader exchange and compute, bus,
-// both terminals — over a worker arena, once 20 blocks have warmed the
-// arena up. Its NewBus builds each block's bus over inboxes the test
-// owns, drains and reuses (transport.NewChanBusOver), so the count is
-// the protocol's, not the inboxes'. The budgets are the largest values
-// measured on linux/amd64 (Go 1.24) plus 25%: 5.4 KB and 17 objects per
-// round (2.5–4.3 KB and 7.7–13.3 objects over 118 runs, 76 on an idle
-// machine and 42 beside a second copy; medians 2.6 KB and 8.0). Members
+// TestProtocolBlockAllocBudget pins what one computed round of a block
+// over a bus allocates in the benchmark's stream shape (3 terminals,
+// erasure 0.45, 128 x-packets of 4 KiB, 128 KiB blocks), counting the
+// whole block derivation — the leader's round loop, bus, both terminals
+// — over a worker arena, once 20 blocks have warmed the arena up. Its
+// NewBus builds each block's bus over inboxes the test owns, drains and
+// reuses (transport.NewChanBusOver), so the count is the protocol's, not
+// the inboxes'. The budgets are the largest values measured on
+// linux/amd64 (Go 1.24) plus 25%: 3.4 KB and 9.3 objects per round
+// (2.4–2.7 KB and 6.3–7.4 objects over 160 fresh runs, 80 on an idle
+// machine and 80 beside a second copy; medians 2.4 KB and 6.6). Members
 // keep their x-payloads as the received frames' bytes, so the arena's
 // only growth after the warm-up is a round scratch or an
 // erasure-completion system for a round wider than any warm-up round.
-// While members decoded every x-payload into
-// symbol rows of their own, those rows kept growing after the warm-up:
-// the budgets were 73 KB and 26 objects (2.5–57.8 KB and 7.7–20.6
-// objects over the same 118-run mix).
+// While members decoded every x-payload into symbol rows of their own,
+// those rows kept growing after the warm-up: the budgets were 73 KB and
+// 26 objects.
 func TestProtocolBlockAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's own allocations swamp the budget")
 	}
 	const (
 		warm, measured = 20, 10
-		budgetKB       = 5.4
-		budgetObjs     = 17
+		budgetKB       = 3.4
+		budgetObjs     = 9.3
 	)
 	cfg := Config{Terminals: 3, Erasure: 0.45, XPerRound: 128, PayloadBytes: 4096, Seed: 3, BlockSize: 128 << 10}
 	if err := cfg.fill(); err != nil {
@@ -244,7 +243,7 @@ func workerContext(cfg *Config) *BlockContext {
 // rows, 6 planner matrices). The budgets are the largest values
 // measured on linux/amd64 (Go 1.24) plus 25%: 0.96 KB and 0.38 objects
 // a block (0.77 KB and 0.28–0.30 objects over 120 runs, 40 idle and 80
-// beside a second copy). The pipelined path's allocations are pinned by
+// beside a second copy). The bus path's allocations are pinned by
 // TestProtocolBlockAllocBudget; over a pooled in-process bus a warm
 // block allocated 18.5–24.7 objects and 3.4–27.3 KB.
 func TestSteadyStateBlockAlloc(t *testing.T) {
@@ -282,8 +281,8 @@ func TestSteadyStateBlockAlloc(t *testing.T) {
 
 // TestLeaderOnlyBlockRunsNoMembers: a stream with no bus derives its
 // blocks leader-only. At the benchmark's shape with one worker, a
-// 20-block read starts no goroutine beyond the worker's (the pipelined
-// path starts an exchange and one goroutine per member for every block),
+// 20-block read starts no goroutine beyond the worker's (the bus path
+// starts one goroutine per member for every block),
 // no member counter moves, and the exchange and compute histograms still
 // count every round and every productive round.
 func TestLeaderOnlyBlockRunsNoMembers(t *testing.T) {

@@ -514,8 +514,10 @@ func (s *Session) blockBus(block, blockSeed int64, inbox int) (transport.Bus, er
 // every key byte, so the tag key stays secret exactly as long as the key
 // does; the bootstrap alone authenticates no block, and one block's chain
 // says nothing about another's. The per-round ratchet of
-// transport.RunGroup cannot apply here: the pipelined exchange sends
-// round r+1's control frames before round r's secret exists.
+// transport.RunGroup does not fit a block: a block must be derivable on
+// its own, at any index and in any order, and a member that mismatches
+// a round (frames shed while it stalled) would lose a chain ratcheted
+// with that round's secret, and with it every later round's frames.
 func blockChain(bootstrap []byte, seed, block int64) *auth.KeyChain {
 	kc := auth.NewKeyChain(bootstrap)
 	var in [16]byte

@@ -57,9 +57,12 @@ func newUDP(erasure float64) func(int64, int) (transport.Bus, error) {
 // leader's 90 x frames and the hub's copies of them) and 65.1 others (6
 // per control frame: the unit, its accept-ack, a forward and an ack per
 // member). With a round's x frames and its announces each sent as one
-// burst it counts 27.3: 3.0 data and 24.3 others, 6 for each of the
-// round's 4 control units (end of X, two reports, the announces). The
-// bound leaves room for retransmissions on a loaded machine.
+// burst it counted 27.3: 3.0 data and 24.3 others, 6 for each of the
+// round's 4 control units (end of X, two reports, the announces). With
+// the end-of-X beacon leading the announce burst it counts about 21:
+// 3.0 data and 18.2–18.4 others for the round's 3 control units (two
+// reports, the announces). The bound leaves room for retransmissions on
+// a loaded machine.
 func TestUDPBlockDatagramsPerRound(t *testing.T) {
 	const blocks, bound = 3, 60
 	cfg := keygenConfig(17)

@@ -260,3 +260,46 @@ func split(t *testing.T, body []byte, n int) [][]byte {
 	}
 	return frames
 }
+
+// TestUDPHelloCannotTakeOverID: a node id keeps the address that
+// registered it. A raw socket's hello for endpoint 1's id gets no ack,
+// and endpoint 0's next control frame still reaches endpoint 1. The raw
+// socket then registers an id of its own (7), whose ack shows the hub has
+// read both hellos before the frame is sent.
+func TestUDPHelloCannotTakeOverID(t *testing.T) {
+	bus, eps := udpEndpoints(t, 0, 2)
+	raw, err := net.DialUDP("udp4", nil, bus.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	for _, id := range []int{1, 7} {
+		if _, err := raw.Write(putHeader(make([]byte, udpHeader), kindHello, id, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := raw.SetReadDeadline(time.Now().Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 1<<16)
+	for {
+		n, err := raw.Read(buf)
+		if err != nil {
+			t.Fatalf("no hello ack for id 7: %v", err)
+		}
+		if n < udpHeader || buf[0] != kindHelloAck {
+			continue
+		}
+		if id := binary.BigEndian.Uint16(buf[1:3]); id == 1 {
+			t.Fatal("the hub acked a second address's hello for id 1")
+		} else if id == 7 {
+			break
+		}
+	}
+	if err := eps[0].SendCtrl([]byte("for 1")); err != nil {
+		t.Fatal(err)
+	}
+	if env := recvN(t, eps[1], 1)[0]; string(env.Frame) != "for 1" {
+		t.Fatalf("endpoint 1 got %q", env.Frame)
+	}
+}

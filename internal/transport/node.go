@@ -277,7 +277,9 @@ func (n *node) terminalRound(ctx context.Context, round, leader int) error {
 			case *wire.XPacket:
 				return true
 			case *wire.Beacon:
-				return mm.Kind == wire.BeaconEndOfX
+				// A count above the session's (a forged frame) would
+				// size the report.
+				return mm.Kind == wire.BeaconEndOfX && int(mm.Value) <= n.cfg.XPerRound
 			}
 			return false
 		})

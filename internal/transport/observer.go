@@ -117,14 +117,16 @@ func (o *Observer) Ingest(env Env) {
 	}
 	switch mm := m.(type) {
 	case *wire.XPacket:
-		if r.fits(mm.Payload) {
+		// An x count beyond the protocol's limit is a forged frame's: it
+		// would size the round's matrices.
+		if int(mm.Seq) < core.MaxXPerRound && r.fits(mm.Payload) {
 			r.x[mm.Seq] = mm.Payload
 			if int(mm.Seq) >= r.numX {
 				r.numX = int(mm.Seq) + 1
 			}
 		}
 	case *wire.Beacon:
-		if mm.Kind == wire.BeaconEndOfX {
+		if mm.Kind == wire.BeaconEndOfX && mm.Value <= core.MaxXPerRound {
 			r.numX = int(mm.Value)
 		}
 		if mm.Kind == wire.BeaconRoundAbort {

@@ -41,7 +41,8 @@ import (
 //
 // The hub answers any loopback sender, so a data or control datagram
 // whose entries do not end exactly at its end is dropped whole, at the
-// hub and at the endpoint.
+// hub and at the endpoint, and a node id keeps the address whose hello
+// registered it first.
 type UDPBus struct {
 	erasure float64
 	seed    int64
@@ -225,14 +226,19 @@ func (b *UDPBus) readLoop() {
 		seq := binary.BigEndian.Uint32(dg[3:7])
 		switch kind {
 		case kindHello:
+			// An id keeps the first address that registered it: a
+			// hello for it from any other loopback sender is ignored,
+			// or that sender would take over the member's traffic.
 			b.mu.Lock()
-			if p := b.peers[from]; p != nil {
-				p.addr = addr
-			} else {
-				b.peers[from] = &udpPeer{addr: addr}
+			p := b.peers[from]
+			if p == nil {
+				p = &udpPeer{addr: addr}
+				b.peers[from] = p
 			}
 			b.mu.Unlock()
-			b.write(putHeader(reply, kindHelloAck, from, 0), addr)
+			if p.addr == addr {
+				b.write(putHeader(reply, kindHelloAck, from, 0), addr) // the first hello, or its retry
+			}
 		case kindData:
 			b.fanoutData(from, dg)
 		case kindCtrl:
@@ -466,8 +472,7 @@ func (e *udpEndpoint) SendCtrl(frame []byte, more ...[]byte) error {
 // send packs frame and then more into datagrams of kind, in order, each
 // holding as many whole frames as maxDatagram allows, and sends each
 // before the next is packed. The datagram buffer is reused from call to
-// call: a concurrent call (a leader's exchange and compute loop share an
-// endpoint) takes one of its own.
+// call: a concurrent call on the same endpoint takes one of its own.
 func (e *udpEndpoint) send(kind byte, frame []byte, more [][]byte) error {
 	for i := 0; i <= len(more); i++ {
 		if f := frameAt(frame, more, i); len(f) > maxFrame {
