@@ -1,8 +1,9 @@
 // Package cluster is the multi-process tier over internal/service: one
 // coordinator process owns the session registry and the public HTTP API,
 // and a fleet of worker processes — spawned and supervised by the
-// coordinator — each run a bounded set of group sessions over UDPBus on
-// real sockets instead of goroutine-local buses.
+// coordinator — each run a bounded set of group sessions over UDPBus, a
+// loopback socket per terminal with frames written straight between
+// them, instead of goroutine-local buses.
 //
 // The split follows the gate/room shape of clustered game servers: the
 // coordinator is the gate (admission, placement, draw routing) and each

@@ -98,8 +98,8 @@ func TestStreamMatchesReference(t *testing.T) {
 }
 
 // TestStreamOverUDPBus: the engine also runs over the loopback UDP bus.
-// The bytes come from the schedule whatever the bus; because the UDP hub
-// erases by the same coin the schedule uses, the members' own derivations
+// The bytes come from the schedule whatever the bus; because each UDP
+// endpoint erases by the same coin the schedule uses, the members' own derivations
 // verify too. The 10% allowance is for a rare loopback drop.
 func TestStreamOverUDPBus(t *testing.T) {
 	cfg := protoCfg(61)

@@ -59,10 +59,12 @@ func newUDP(erasure float64) func(int64, int) (transport.Bus, error) {
 // member). With a round's x frames and its announces each sent as one
 // burst it counted 27.3: 3.0 data and 24.3 others, 6 for each of the
 // round's 4 control units (end of X, two reports, the announces). With
-// the end-of-X beacon leading the announce burst it counts about 21:
+// the end-of-X beacon leading the announce burst it counted about 21:
 // 3.0 data and 18.2–18.4 others for the round's 3 control units (two
-// reports, the announces). The bound leaves room for retransmissions on
-// a loaded machine.
+// reports, the announces). With every endpoint sending straight to the
+// others it counts 14: 2 data (the x burst, once to each member) and 4
+// per control unit (the unit to each of two receivers, and their acks).
+// The bound leaves room for retransmissions on a loaded machine.
 func TestUDPBlockDatagramsPerRound(t *testing.T) {
 	const blocks, bound = 3, 60
 	cfg := keygenConfig(17)

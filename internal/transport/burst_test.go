@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/radio"
 	"repro/internal/wire"
 )
 
@@ -106,22 +107,18 @@ func TestUDPBurstSplitsAtCap(t *testing.T) {
 	}
 }
 
-// TestUDPHubDropsMalformedDatagrams: any loopback sender reaches the hub,
-// so a data or control datagram whose entries run past its end is dropped
-// whole (no frame of it is delivered, no control unit acked) and the bus
-// keeps working.
-func TestUDPHubDropsMalformedDatagrams(t *testing.T) {
+// TestUDPDropsMalformedDatagrams: a data or control datagram whose
+// entries run past its end is dropped whole by the endpoint it reaches
+// (no frame of it is delivered, no control unit acked), even from a
+// member's own address, and the bus keeps working.
+func TestUDPDropsMalformedDatagrams(t *testing.T) {
 	bus, eps := udpEndpoints(t, 0, 2)
-	raw, err := net.DialUDP("udp4", nil, bus.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
+	from, to := eps[0].(*udpEndpoint), eps[1].(*udpEndpoint)
 	for _, kind := range []byte{kindData, kindCtrl} {
 		dg := appendEntry(putHeader(make([]byte, udpHeader), kind, 0, 99), []byte("whole"))
 		dg = binary.BigEndian.AppendUint16(dg, 40) // 40 bytes promised, 3 follow
 		dg = append(dg, "cut"...)
-		if _, err := raw.Write(dg); err != nil {
+		if _, err := from.conn.WriteToUDPAddrPort(dg, to.addr); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -137,17 +134,17 @@ func TestUDPHubDropsMalformedDatagrams(t *testing.T) {
 }
 
 // TestUDPBurstAllocsPerDatagram: a burst of data frames allocates per
-// datagram, not per frame, at the sender (its datagram buffer is reused),
-// at the hub (split in place, one reused buffer per receiver) and at the
-// receivers (one copy of each datagram, which the frames are views of).
-// A 64-frame burst to two receivers is 3 datagrams.
+// datagram, not per frame, at the sender (its datagram buffer is reused)
+// and at the receivers (one copy of the frames each keeps, which its
+// frames are views of). A 64-frame burst to two receivers is 2
+// datagrams, one to each.
 func TestUDPBurstAllocsPerDatagram(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's own allocations swamp the budget")
 	}
 	const (
 		frames, bursts = 64, 200
-		datagrams      = 3
+		datagrams      = 2
 	)
 	_, eps := udpEndpoints(t, 0, 3)
 	burst := xBurst(frames, 16)
@@ -177,30 +174,41 @@ func TestUDPBurstAllocsPerDatagram(t *testing.T) {
 	}
 }
 
-// FuzzUDPFrameList: the hub's split (route) and the endpoint's (deliver)
-// handle any datagram body without a panic, building only well-formed
-// frame lists of the input's frames; and any frame list within the cap
-// round-trips through the sender's packing and both splits, in order.
+// FuzzUDPFrameList: an endpoint's split (deliver) handles any datagram
+// body without a panic, keeping exactly the data frames the erasure coin
+// gives it; and any frame list within the cap round-trips through the
+// sender's packing and the split, in order.
 func FuzzUDPFrameList(f *testing.F) {
 	f.Add([]byte{0, 3, 'a', 'b', 'c', 0, 0}, []byte{0, 5, 1, 0})
 	f.Add([]byte{0, 9, 'x'}, []byte{})
 	f.Add([]byte{}, []byte{255, 255, 255, 255, 0, 1})
+	var xs []byte
+	for _, x := range xBurst(8, 4) {
+		xs = appendEntry(xs, x)
+	}
+	f.Add(xs, []byte{0, 1})
 	f.Fuzz(func(t *testing.T, body, sizes []byte) {
-		// Arbitrary bytes as a received datagram body.
-		dg := append(putHeader(make([]byte, udpHeader), kindData, 0, 0), body...)
-		hub := &UDPBus{erasure: 0.5, seed: 1, peers: map[int]*udpPeer{0: {}, 1: {}, 2: {}}}
-		ok := hub.route(0, dg)
-		if ok != (countEntries(body) > 0) {
-			t.Fatalf("route %v, countEntries %d", ok, countEntries(body))
-		}
-		for id, p := range hub.peers {
-			if ok && id != 0 && countEntries(p.out[udpHeader:]) == 0 && len(p.out) > udpHeader {
-				t.Fatalf("receiver %d: malformed datagram built", id)
-			}
-		}
+		// Arbitrary bytes as a received data datagram's body.
 		if n := countEntries(body); n > 0 {
-			got := split(t, body, n)
-			if len(got) != n {
+			var want [][]byte
+			for rest := body; len(rest) > 0; {
+				var frame []byte
+				frame, rest = nextEntry(rest)
+				if round, seq := coinKey(frame); radio.Delivered(1, round, seq, 1, 0.5) {
+					want = append(want, frame)
+				}
+			}
+			ep := &udpEndpoint{id: 1, bus: &UDPBus{erasure: 0.5, seed: 1}, ch: make(chan Env, n)}
+			ep.deliver(0, false, bytes.Clone(body))
+			if len(ep.ch) != len(want) {
+				t.Fatalf("kept %d of %d frames, the coin gives %d", len(ep.ch), n, len(want))
+			}
+			for i := range want {
+				if env := <-ep.ch; env.Reliable || !bytes.Equal(env.Frame, want[i]) || cap(env.Frame) != len(env.Frame) {
+					t.Fatalf("kept frame %d: %+v, want %q", i, env, want[i])
+				}
+			}
+			if got := split(t, body, n); len(got) != n {
 				t.Fatalf("split %d frames, countEntries %d", len(got), n)
 			}
 		}
@@ -221,9 +229,10 @@ func FuzzUDPFrameList(f *testing.F) {
 			return
 		}
 		var got [][]byte
+		var dg []byte
 		for i := 0; i < len(frames); {
 			var next int
-			dg, next = packEntries(putHeader(dg, kindCtrl, 0, 0), frames[0], frames[1:], i)
+			dg, next = packEntries(putHeader(make([]byte, udpHeader), kindCtrl, 0, 0), frames[0], frames[1:], i)
 			if next == i || len(dg) > maxDatagram {
 				t.Fatalf("packed frames %d..%d into %d bytes", i, next, len(dg))
 			}
@@ -261,45 +270,34 @@ func split(t *testing.T, body []byte, n int) [][]byte {
 	return frames
 }
 
-// TestUDPHelloCannotTakeOverID: a node id keeps the address that
-// registered it. A raw socket's hello for endpoint 1's id gets no ack,
-// and endpoint 0's next control frame still reaches endpoint 1. The raw
-// socket then registers an id of its own (7), whose ack shows the hub has
-// read both hellos before the frame is sent.
-func TestUDPHelloCannotTakeOverID(t *testing.T) {
-	bus, eps := udpEndpoints(t, 0, 2)
-	raw, err := net.DialUDP("udp4", nil, bus.Addr())
+// TestUDPDropsForeignSender: an endpoint takes a datagram only from the
+// address recorded for the id it names. A raw socket's well-formed
+// control datagram naming id 0 is neither delivered nor acked, and does
+// not mark its sequence number seen: endpoint 0's own first unit, under
+// the same number, still arrives.
+func TestUDPDropsForeignSender(t *testing.T) {
+	_, eps := udpEndpoints(t, 0, 2)
+	raw, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	for _, id := range []int{1, 7} {
-		if _, err := raw.Write(putHeader(make([]byte, udpHeader), kindHello, id, 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := raw.SetReadDeadline(time.Now().Add(time.Second)); err != nil {
+	forged := appendEntry(putHeader(make([]byte, udpHeader), kindCtrl, 0, 1), []byte("forged"))
+	if _, err := raw.WriteToUDPAddrPort(forged, eps[1].(*udpEndpoint).addr); err != nil {
 		t.Fatal(err)
-	}
-	buf := make([]byte, 1<<16)
-	for {
-		n, err := raw.Read(buf)
-		if err != nil {
-			t.Fatalf("no hello ack for id 7: %v", err)
-		}
-		if n < udpHeader || buf[0] != kindHelloAck {
-			continue
-		}
-		if id := binary.BigEndian.Uint16(buf[1:3]); id == 1 {
-			t.Fatal("the hub acked a second address's hello for id 1")
-		} else if id == 7 {
-			break
-		}
 	}
 	if err := eps[0].SendCtrl([]byte("for 1")); err != nil {
 		t.Fatal(err)
 	}
 	if env := recvN(t, eps[1], 1)[0]; string(env.Frame) != "for 1" {
 		t.Fatalf("endpoint 1 got %q", env.Frame)
+	}
+	// Endpoint 1 read the forged datagram before endpoint 0's: any ack
+	// for it has been written.
+	if err := raw.SetReadDeadline(time.Now().Add(50 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := raw.Read(make([]byte, 64)); err == nil {
+		t.Fatalf("the raw socket got a %d-byte reply", n)
 	}
 }

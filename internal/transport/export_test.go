@@ -1,7 +1,7 @@
 package transport
 
 // Datagrams returns how many data datagrams, and how many others
-// (control units, acks, hellos), the bus's hub and endpoints have written.
+// (control units and their acks), the bus's endpoints have written.
 func Datagrams(b *UDPBus) (data, other int64) {
 	for kind := range b.sent {
 		if n := b.sent[kind].Load(); kind == kindData {

@@ -87,3 +87,25 @@ func TestObserverCapsForgedXCount(t *testing.T) {
 		}
 	}
 }
+
+// TestObserverCapsForgedYRows: a y-announce of more rows than the round
+// has x-packets may not size the observer's matrices. 16,000 empty rows
+// over 4,000 x-packets asked for 128 MB when it did; the round is
+// skipped.
+func TestObserverCapsForgedYRows(t *testing.T) {
+	const session, rows, numX = 5, 16000, 4000
+	h := func(t wire.Type) wire.Header { return wire.Header{Type: t, Session: session} }
+	o := NewObserver(session)
+	n := allocated(func() {
+		for _, m := range []wire.Message{
+			&wire.XPacket{Header: h(wire.TypeX), Seq: numX - 1, Payload: make([]byte, 4)},
+			&wire.YAnnounce{Header: h(wire.TypeYAnnounce), Classes: []wire.ClassBatch{{Coeffs: make([][]uint16, rows)}}},
+			&wire.SAnnounce{Header: h(wire.TypeSAnnounce), Coeffs: [][]uint16{{1}}},
+		} {
+			o.Ingest(Env{Frame: wire.Marshal(m), Reliable: m.Hdr().Type != wire.TypeX})
+		}
+	})
+	if n >= 16<<20 || o.SecretDims != 0 {
+		t.Fatalf("%d bytes allocated, %d secret dims scored", n, o.SecretDims)
+	}
+}

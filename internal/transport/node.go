@@ -46,6 +46,15 @@ type NodeResult struct {
 // must run with an identical core.Config (the schedule — leaders, rounds,
 // packet counts — is deterministic given the config).
 func RunNode(ctx context.Context, ep Endpoint, cfg NodeConfig) (*NodeResult, error) {
+	n, err := newNode(ep, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return n.run(ctx)
+}
+
+// newNode checks cfg and builds the node RunNode runs.
+func newNode(ep Endpoint, cfg NodeConfig) (*node, error) {
 	if err := cfg.Config.Validate(); err != nil {
 		return nil, err
 	}
@@ -61,7 +70,12 @@ func RunNode(ctx context.Context, ep Endpoint, cfg NodeConfig) (*NodeResult, err
 	if cfg.Rounds > 1<<16 {
 		return nil, fmt.Errorf("transport: %d rounds overflow the uint16 wire round number", cfg.Rounds)
 	}
-	n := &node{cfg: cfg, ep: ep, res: &NodeResult{}, scratch: new(core.RoundScratch)}
+	return &node{cfg: cfg, ep: ep, res: &NodeResult{}, scratch: new(core.RoundScratch)}, nil
+}
+
+// run executes the session's rounds.
+func (n *node) run(ctx context.Context) (*NodeResult, error) {
+	cfg := n.cfg
 	defer n.xgen.Zero()
 	// The distributed runtime shares the in-process engine's round-timing
 	// family. Resolved once per call; nil (no registry) keeps the loop
@@ -98,10 +112,14 @@ func RunNode(ctx context.Context, ep Endpoint, cfg NodeConfig) (*NodeResult, err
 }
 
 type node struct {
-	cfg     NodeConfig
-	ep      Endpoint
-	res     *NodeResult
-	backlog []Env
+	cfg NodeConfig
+	ep  Endpoint
+	res *NodeResult
+	// round is the round next last waited in: held are its messages
+	// next has not returned, and early the next round's frames, unopened.
+	round int
+	held  []wire.Message
+	early []Env
 	// scratch carries the terminal-side round buffers across the session's
 	// rounds, so a node combines packets without per-round allocation
 	// churn.
@@ -132,12 +150,25 @@ func (n *node) sendCtrl(msg wire.Message) error {
 	return n.ep.SendCtrl(n.seal(msg))
 }
 
-// next returns the next message for this session/round matching accept,
-// buffering everything else that is still relevant (future rounds).
+// next returns the next message of this session's round that accept
+// takes. A peer may finish a round first, so a frame of the next round
+// waits unopened (its tag is keyed by this round's secret) and is opened
+// when that round comes. No peer runs further ahead, so a frame naming
+// any other round is dropped. A message of this round that accept does
+// not take waits for a later call until the round has passed.
 func (n *node) next(ctx context.Context, round int, accept func(wire.Message) bool) (wire.Message, error) {
-	for i, env := range n.backlog {
-		if m := n.decode(env, round); m != nil && accept(m) {
-			n.backlog = append(n.backlog[:i], n.backlog[i+1:]...)
+	if round != n.round {
+		n.round, n.held = round, n.held[:0]
+		for _, env := range n.early {
+			if m := n.decode(env, round); m != nil {
+				n.held = append(n.held, m)
+			}
+		}
+		n.early = n.early[:0]
+	}
+	for i, m := range n.held {
+		if accept(m) {
+			n.held = slices.Delete(n.held, i, i+1)
 			return m, nil
 		}
 	}
@@ -153,22 +184,38 @@ func (n *node) next(ctx context.Context, round int, accept func(wire.Message) bo
 			if !ok {
 				return nil, ErrClosed
 			}
-			m := n.decode(env, round)
-			if m == nil {
-				continue
-			}
-			if accept(m) {
-				return m, nil
-			}
-			if int(m.Hdr().Round) >= round {
-				n.backlog = append(n.backlog, env)
+			switch n.roundOf(env, round) {
+			case round + 1:
+				n.early = append(n.early, env)
+			case round:
+				if m := n.decode(env, round); m != nil {
+					if accept(m) {
+						return m, nil
+					}
+					n.held = append(n.held, m)
+				}
 			}
 		}
 	}
 }
 
-// decode authenticates (control only), parses and filters a frame.
-// It returns nil for frames to drop (stale, foreign, or forged).
+// roundOf returns the round a frame's plaintext header names (a sealed
+// frame is the frame followed by its tag), or round when it has none: a
+// forgery is then opened, and counted, now.
+func (n *node) roundOf(env Env, round int) int {
+	frame := env.Frame
+	if env.Reliable && n.cfg.Chain != nil && len(frame) >= auth.TagSize {
+		frame = frame[:len(frame)-auth.TagSize]
+	}
+	if h, err := wire.PeekHeader(frame); err == nil {
+		return int(h.Round)
+	}
+	return round
+}
+
+// decode authenticates (control only), parses and filters a frame of
+// round. It returns nil for frames to drop (foreign, forged, or naming
+// another round).
 func (n *node) decode(env Env, round int) wire.Message {
 	frame := env.Frame
 	if env.Reliable && n.cfg.Chain != nil {
@@ -184,7 +231,7 @@ func (n *node) decode(env Env, round int) wire.Message {
 		return nil
 	}
 	h := m.Hdr()
-	if h.Session != n.cfg.Session || int(h.Round) < round {
+	if h.Session != n.cfg.Session || int(h.Round) != round {
 		return nil
 	}
 	return m
@@ -225,7 +272,7 @@ func (n *node) leaderRound(ctx context.Context, round int) error {
 	for got < cfg.Terminals-1 {
 		m, err := n.next(ctx, round, func(m wire.Message) bool {
 			ar, ok := m.(*wire.AckReport)
-			return ok && int(m.Hdr().Round) == round && recvSlotFree(recv, int(ar.From), cfg.Self)
+			return ok && recvSlotFree(recv, int(ar.From), cfg.Self)
 		})
 		if err != nil {
 			return fmt.Errorf("collecting ack reports (%d/%d): %w", got, cfg.Terminals-1, err)
@@ -270,7 +317,7 @@ func (n *node) terminalRound(ctx context.Context, round, leader int) error {
 	numX := -1
 	for numX < 0 {
 		m, err := n.next(ctx, round, func(m wire.Message) bool {
-			if int(m.Hdr().Round) != round || int(m.Hdr().From) != leader {
+			if int(m.Hdr().From) != leader {
 				return false
 			}
 			switch mm := m.(type) {
@@ -318,7 +365,7 @@ func (n *node) terminalRound(ctx context.Context, round, leader int) error {
 	var zs []*wire.ZPacket
 	for sa == nil {
 		m, err := n.next(ctx, round, func(m wire.Message) bool {
-			if int(m.Hdr().Round) != round || int(m.Hdr().From) != leader {
+			if int(m.Hdr().From) != leader {
 				return false
 			}
 			switch mm := m.(type) {
@@ -358,7 +405,7 @@ func (n *node) terminalRound(ctx context.Context, round, leader int) error {
 	for len(zs) < want {
 		msg, err := n.next(ctx, round, func(msg wire.Message) bool {
 			zp, ok := msg.(*wire.ZPacket)
-			return ok && int(msg.Hdr().Round) == round && int(msg.Hdr().From) == leader && !hasZ(zs, zp.Index) &&
+			return ok && int(msg.Hdr().From) == leader && !hasZ(zs, zp.Index) &&
 				len(zp.Payload) == n.cfg.PayloadBytes
 		})
 		if err != nil {

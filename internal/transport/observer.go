@@ -165,6 +165,9 @@ func (o *Observer) evaluate(r *observerRound) {
 	for _, cb := range r.ya.Classes {
 		m += len(cb.Coeffs)
 	}
+	if m > r.numX {
+		return // a round has at most numX y-packets: a forged announce would size yox
+	}
 	yox := matrix.New(f, m, r.numX)
 	row := 0
 	for _, cb := range r.ya.Classes {

@@ -3,19 +3,20 @@ package transport
 // seqWindow deduplicates the control-frame sequence numbers of one sender
 // in constant memory. The old implementation kept a `seen` map keyed on
 // (sender, seq) for the life of the bus, which grows without bound on a
-// long-lived session (the ROADMAP leak); this is its replacement on both
-// the hub and the client endpoints.
+// long-lived session (the ROADMAP leak); this is its replacement on the
+// UDP endpoints.
 //
 // Correctness rests on what the ARQ can still retransmit. A sender
-// retransmits a ctrl sequence only until it is acknowledged, and sequence
-// numbers are allocated monotonically, so the lowest sequence number that
-// can still arrive as a duplicate — the lowest unacked — trails the
-// highest sequence observed by at most the sender's in-flight window
-// (SendCtrl blocks per call; concurrent calls are bounded by the node
-// count). The window therefore slides with the highest observed sequence:
-// its base is a conservative stand-in for the lowest unacked sequence
-// number, anything below it is long-acked and answered as a duplicate,
-// and per-sequence state is kept only inside the window.
+// retransmits a ctrl sequence only until every receiver has acked it,
+// and sequence numbers are allocated monotonically, so the lowest
+// sequence number that can still arrive as a duplicate — the lowest
+// unacked — trails the highest sequence observed by at most the sender's
+// in-flight window (SendCtrl blocks per call; concurrent calls are
+// bounded by the node count). The window therefore slides with the
+// highest observed sequence: its base is a conservative stand-in for the
+// lowest unacked sequence number, anything below it is long-acked and
+// answered as a duplicate, and per-sequence state is kept only inside
+// the window.
 //
 // Sequence numbers are 1-based and never wrap in practice (a session
 // would need 2^32 control frames); wrap-around is not handled.
@@ -73,21 +74,4 @@ func (w *seqWindow) observe(seq uint32) bool {
 		w.set(seq)
 		return false
 	}
-}
-
-// dedupSenders reports how many per-sender dedup windows the hub holds.
-// Test hook: the soak test asserts this stays bounded by the number of
-// senders — each window is fixed-size, so total dedup memory is
-// O(senders), not O(control frames) as with the old seen map.
-func (b *UDPBus) dedupSenders() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.seen)
-}
-
-// dedupSenders is the client-endpoint counterpart of the hub's test hook.
-func (e *udpEndpoint) dedupSenders() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.seen)
 }

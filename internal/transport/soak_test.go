@@ -78,8 +78,8 @@ func TestUDPSoakMultiSession(t *testing.T) {
 
 // soakBlock runs one block: a fresh UDP bus, an observer on its tap, a
 // multi-round RunGroup over three terminals, then teardown. It checks
-// the observer's certificate and that per-sender dedup state stays
-// bounded by the participant count while the bus is up.
+// the observer's certificate and that each endpoint's per-sender dedup
+// state stays bounded by the participant count.
 func soakBlock(erasure float64, seed int64, session uint32) error {
 	const n = 3
 	bus, err := NewUDPBus(erasure, seed, DefaultInbox)
@@ -113,19 +113,15 @@ func soakBlock(erasure float64, seed int64, session uint32) error {
 	// Dedup state must stay bounded by the participant count (n
 	// terminals + observer): each sender gets one fixed-size sliding
 	// window, never one entry per control frame. This is the regression
-	// assertion for the old unbounded `seen` maps.
-	if got := bus.dedupSenders(); got > n+1 && err == nil {
-		err = fmt.Errorf("hub dedup state grew to %d windows for %d senders", got, n+1)
-	}
-	bus.mu.Lock()
-	eps := append([]*udpEndpoint(nil), bus.eps...)
-	bus.mu.Unlock()
-	for i, ep := range eps {
-		if got := ep.dedupSenders(); got > n+1 && err == nil {
-			err = fmt.Errorf("endpoint %d dedup state grew to %d windows for %d senders", i, got, n+1)
+	// assertion for the old unbounded `seen` maps. Close waits for the
+	// readers, which own the windows.
+	eps := bus.open()
+	bus.Close()
+	for _, ep := range eps {
+		if got := len(ep.seen); got > n+1 && err == nil {
+			err = fmt.Errorf("endpoint %d dedup state grew to %d windows for %d senders", ep.id, got, n+1)
 		}
 	}
-	bus.Close()
 	<-obsDone // the tap's Recv closes with the bus
 	if err != nil {
 		return err

@@ -13,11 +13,12 @@
 //   - ChanBus: an in-process broadcast domain backed by channels. Control
 //     frames are reliable and overheard by everyone, including the
 //     eavesdropper's tap.
-//   - UDPBus: a loopback UDP hub with a small ARQ (sequence numbers,
-//     acknowledgments, retransmission timers) providing the reliable
-//     control plane over actual sockets. A send call's burst of frames
-//     travels in as few datagrams as fit, each frame still erased by its
-//     own coin.
+//   - UDPBus: one loopback UDP socket per endpoint, a send writing
+//     straight to every other endpoint, with a small ARQ (sequence
+//     numbers, per-receiver acknowledgments, retransmission by the
+//     sender) providing the reliable control plane over actual sockets.
+//     A send call's burst of frames travels in as few datagrams as fit,
+//     each frame still erased by its own coin at each receiver.
 //
 // The paper's "reliably broadcasts" primitive maps to SendCtrl; a plain
 // packet transmission maps to SendData.

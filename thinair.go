@@ -284,8 +284,9 @@ func NewChanBus(erasure float64, seed int64) Bus {
 	return transport.NewChanBus(erasure, seed, transport.DefaultInbox)
 }
 
-// NewUDPBus creates a loopback-UDP broadcast bus (hub + ARQ control
-// plane) with the given symmetric erasure probability on the data plane.
+// NewUDPBus creates a loopback-UDP broadcast bus (a socket per endpoint,
+// sends written straight to every other endpoint, an ARQ control plane)
+// with the given symmetric erasure probability on the data plane.
 func NewUDPBus(erasure float64, seed int64) (Bus, error) {
 	return transport.NewUDPBus(erasure, seed, transport.DefaultInbox)
 }
