@@ -39,6 +39,8 @@ type NodeResult struct {
 	Rounds     int
 	Productive int
 	// AuthRejected counts control frames dropped by tag verification.
+	// Only frames naming the current or next round are opened; a frame
+	// naming any other round is dropped unopened and not counted.
 	AuthRejected int
 }
 

@@ -323,6 +323,14 @@ func TestAuthenticatedGroupRejectsForgery(t *testing.T) {
 			t.Fatalf("node %d rejected %d frames, want the one forgery", i, r.AuthRejected)
 		}
 	}
+	if len(results[0].Secret) == 0 {
+		t.Fatal("no secret agreed: agreement is untested")
+	}
+	for i := 1; i < n; i++ {
+		if string(results[i].Secret) != string(results[0].Secret) {
+			t.Fatal("forgery disrupted agreement")
+		}
+	}
 }
 
 // TestAuthenticatedGroupSurvivesEarlyNextRound: without a hub ordering
