@@ -52,12 +52,17 @@ func (s *chacha8) init(seed [32]byte) {
 	s.n = 0
 }
 
-// refill runs the seed's four block calls into buf and takes the next
-// seed from its tail. On a big-endian machine the output words are then
-// byte-swapped, so buf's memory reads as the little-endian stream.
+// refill runs the seed's four block calls into buf, or block16's one
+// call that writes the same bytes, and takes the next seed from its
+// tail. On a big-endian machine the output words are then byte-swapped,
+// so buf's memory reads as the little-endian stream.
 func (s *chacha8) refill() {
-	for i := 0; i < ctrMax/ctrInc; i++ {
-		block(&s.seed, (*[chunk]uint64)(s.buf[i*chunk:]), uint32(i*ctrInc))
+	if useBlock16 {
+		block16(&s.seed, &s.buf)
+	} else {
+		for i := 0; i < ctrMax/ctrInc; i++ {
+			block(&s.seed, (*[chunk]uint64)(s.buf[i*chunk:]), uint32(i*ctrInc))
+		}
 	}
 	copy(s.seed[:], s.buf[refillWords-reseed:])
 	if bigEndian {

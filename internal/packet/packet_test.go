@@ -301,12 +301,18 @@ func TestXGenStream(t *testing.T) {
 	}
 }
 
-func BenchmarkXGenFill4K(b *testing.B) {
+// BenchmarkXGen: a leader's payload draws as a stream round makes them,
+// 4 KiB payloads with a Round rekey every 128.
+func BenchmarkXGen(b *testing.B) {
 	var g XGen
-	g.Round(1, 0, 0, 0)
 	p := make([]byte, 4096)
 	b.SetBytes(int64(len(p)))
-	for i := 0; i < b.N; i++ {
+	i := 0
+	for b.Loop() {
+		if i%128 == 0 {
+			g.Round(7, int64(i/128), 0, 0)
+		}
 		g.Fill(p)
+		i++
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	rand2 "math/rand/v2"
 	"testing"
+
+	"repro/internal/cpuid"
 )
 
 // FuzzXGen: XGen's stream is math/rand/v2.ChaCha8's Read output for the
@@ -66,6 +68,51 @@ func TestXGenMatchesChaCha8(t *testing.T) {
 			ref.Read(want)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("key %d read %d differs from ChaCha8.Read", k, i)
+			}
+		}
+	}
+}
+
+// TestRefillKernelsAgree: one refill of a seed's stream is the same 1 KiB
+// from each block kernel the host runs — block16's one call, the four
+// calls of the arch block and of blockGeneric — over random seeds and
+// the all-zero and all-ones ones; refill dispatches to block16 exactly
+// where the probe reports AVX-512F. Bytes alone cannot tell a refill
+// that silently kept the four-call path, so the dispatch is checked too.
+func TestRefillKernelsAgree(t *testing.T) {
+	if useBlock16 != cpuid.AVX512F() {
+		t.Fatalf("refill runs block16: %v, but the probe reports AVX-512F: %v", useBlock16, cpuid.AVX512F())
+	}
+	arms := []string{"4×block (" + blockKernel + ")", "4×blockGeneric"}
+	if cpuid.AVX512F() {
+		arms = append(arms, "block16 (avx512)")
+	} else {
+		t.Log("block16 arm skipped: this build or host has no AVX-512F kernel")
+	}
+	t.Logf("arms: %v", arms)
+
+	seeds := [][4]uint64{{}, {^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}}
+	rng := rand2.New(rand2.NewPCG(35, 16))
+	for range 1000 {
+		seeds = append(seeds, [4]uint64{rng.Uint64(), rng.Uint64(), rng.Uint64(), rng.Uint64()})
+	}
+	var want, got [refillWords]uint64
+	for n, seed := range seeds {
+		for i := 0; i < ctrMax/ctrInc; i++ {
+			blockGeneric(&seed, (*[chunk]uint64)(want[i*chunk:]), uint32(i*ctrInc))
+		}
+		clear(got[:])
+		for i := 0; i < ctrMax/ctrInc; i++ {
+			block(&seed, (*[chunk]uint64)(got[i*chunk:]), uint32(i*ctrInc))
+		}
+		if got != want {
+			t.Fatalf("seed %d %x: 4×block differs from 4×blockGeneric", n, seed)
+		}
+		if cpuid.AVX512F() {
+			clear(got[:])
+			block16(&seed, &got)
+			if got != want {
+				t.Fatalf("seed %d %x: block16 differs from 4×blockGeneric", n, seed)
 			}
 		}
 	}
